@@ -7,9 +7,15 @@
 //! (directory overridable via `DRD_BENCH_DIR`, default `results/` at the
 //! workspace root).
 //!
+//! The serial flow runs traced, three times per step; each pass keeps its
+//! minimum wall time, and its growth exponent is the least-squares slope
+//! of log wall time against log cells over the steps. Any pass that takes
+//! at least [`GATED_PASS_NS`] on the largest step and grows faster than
+//! [`MAX_EXPONENT`] fails the run.
+//!
 //! Also guards the `Regions::region_of` fix: per-lookup cost must stay
 //! roughly flat as the design grows (the old linear scan scaled with the
-//! region sizes, making the DDG/SDC loops quadratic). On violation the
+//! region sizes, making the DDG/SDC loops quadratic). On any violation the
 //! binary exits non-zero, so `scripts/verify.sh` can gate on it.
 
 use std::path::PathBuf;
@@ -22,7 +28,23 @@ use drd_core::{DesyncOptions, Desynchronizer};
 use drd_liberty::vlib90;
 
 /// (stages, cloud gates per stage, register lanes per stage) steps.
-const STEPS: [(usize, usize, usize); 4] = [(4, 60, 4), (4, 120, 6), (6, 200, 8), (8, 320, 8)];
+const STEPS: [(usize, usize, usize); 5] = [
+    (4, 60, 4),
+    (4, 120, 6),
+    (6, 200, 8),
+    (8, 320, 8),
+    (12, 600, 16),
+];
+
+/// Traced serial runs per step; each pass keeps its minimum.
+const TRACED_RUNS: usize = 3;
+
+/// Largest growth exponent a gated pass may show.
+const MAX_EXPONENT: f64 = 1.2;
+
+/// Passes faster than this on the largest step are reported, not gated:
+/// their exponents fit timer noise.
+const GATED_PASS_NS: u128 = 1_000_000;
 
 fn out_dir() -> PathBuf {
     std::env::var("DRD_BENCH_DIR").map_or_else(
@@ -67,6 +89,26 @@ struct Point {
     regions: usize,
     serial_ns: u128,
     parallel_ns: u128,
+    /// `(pass, minimum wall ns)` in pipeline order.
+    pass_ns: Vec<(&'static str, u128)>,
+}
+
+/// Least-squares slope of `ln y` against `ln x`: the growth exponent of a
+/// cost `y` in a size `x`. `None` with fewer than two distinct sizes.
+fn growth_exponent(points: &[(f64, f64)]) -> Option<f64> {
+    let pts: Vec<(f64, f64)> = points
+        .iter()
+        .filter(|(x, y)| *x > 0.0 && *y > 0.0)
+        .map(|(x, y)| (x.ln(), y.ln()))
+        .collect();
+    let n = pts.len() as f64;
+    let mx = pts.iter().map(|p| p.0).sum::<f64>() / n;
+    let my = pts.iter().map(|p| p.1).sum::<f64>() / n;
+    let sxx: f64 = pts.iter().map(|p| (p.0 - mx).powi(2)).sum();
+    if pts.len() < 2 || sxx < 1e-12 {
+        return None;
+    }
+    Some(pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum::<f64>() / sxx)
 }
 
 fn main() {
@@ -88,14 +130,30 @@ fn main() {
                 jobs: Some(jobs),
                 ..DesyncOptions::default()
             };
+            let input = module.clone();
             let start = Instant::now();
-            let result = tool.run(&module, &opts).expect("flow runs");
+            let (result, trace) = tool.run_traced(input, &opts).expect("flow runs");
             let wall = start.elapsed().as_nanos();
             let verilog = drd_netlist::verilog::write_design(&result.design);
-            (wall, result.sdc.clone(), verilog, result.report.regions.len())
+            (
+                wall,
+                trace,
+                result.sdc,
+                verilog,
+                result.report.regions.len(),
+            )
         };
-        let (serial_ns, serial_sdc, serial_v, regions) = run(1);
-        let (parallel_ns, parallel_sdc, parallel_v, _) = run(workers);
+        let (mut serial_ns, trace, serial_sdc, serial_v, regions) = run(1);
+        let mut pass_ns: Vec<(&'static str, u128)> =
+            trace.passes.iter().map(|p| (p.name, p.wall_ns)).collect();
+        for _ in 1..TRACED_RUNS {
+            let (wall, trace, ..) = run(1);
+            serial_ns = serial_ns.min(wall);
+            for (slot, p) in pass_ns.iter_mut().zip(&trace.passes) {
+                slot.1 = slot.1.min(p.wall_ns);
+            }
+        }
+        let (parallel_ns, _, parallel_sdc, parallel_v, _) = run(workers);
         assert_eq!(serial_sdc, parallel_sdc, "SDC differs across worker counts");
         assert_eq!(serial_v, parallel_v, "Verilog differs across worker counts");
 
@@ -131,11 +189,37 @@ fn main() {
             regions,
             serial_ns,
             parallel_ns,
+            pass_ns,
         });
     }
 
+    // Growth exponent of every pass over the steps; super-linear passes
+    // that cost something at the largest step fail the run.
+    let largest = points.last().expect("at least one step");
+    let mut exponents: Vec<(&'static str, f64)> = Vec::new();
+    let mut too_steep: Vec<String> = Vec::new();
+    for (k, &(pass, largest_ns)) in largest.pass_ns.iter().enumerate() {
+        let samples: Vec<(f64, f64)> = points
+            .iter()
+            .map(|p| (p.cells as f64, p.pass_ns[k].1 as f64))
+            .collect();
+        let Some(exp) = growth_exponent(&samples) else {
+            continue;
+        };
+        let gated = largest_ns >= GATED_PASS_NS;
+        eprintln!(
+            "{pass:>16}: exponent {exp:.2}, {:.2} ms at the largest step{}",
+            largest_ns as f64 / 1e6,
+            if gated { "" } else { " (not gated)" }
+        );
+        if gated && exp > MAX_EXPONENT {
+            too_steep.push(format!("{pass} {exp:.2}"));
+        }
+        exponents.push((pass, exp));
+    }
+
     // Non-quadratic guard: per-lookup time must not scale with design
-    // size. The largest step is ~8x the smallest; the old linear scan
+    // size. The largest step is ~29x the smallest; the old linear scan
     // scaled proportionally, the prebuilt map stays flat. Bound is
     // generous for timer noise.
     let (first, last) = (lookup_ns[0].max(1.0), lookup_ns[lookup_ns.len() - 1]);
@@ -157,17 +241,28 @@ fn main() {
     out.push_str(&format!("  \"workers\": {workers},\n"));
     out.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
     out.push_str(&format!("  \"lookup_ratio\": {lookup_ratio:.3},\n"));
+    let fields: Vec<String> = exponents
+        .iter()
+        .map(|(pass, exp)| format!("\"{pass}\": {exp:.3}"))
+        .collect();
+    out.push_str(&format!("  \"exponents\": {{{}}},\n", fields.join(", ")));
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
+        let passes: Vec<String> = p
+            .pass_ns
+            .iter()
+            .map(|(pass, ns)| format!("\"{pass}\": {ns}"))
+            .collect();
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"cells\": {}, \"regions\": {}, \"serial_ns\": {}, \
-             \"parallel_ns\": {}, \"speedup\": {:.3}}}{}\n",
+             \"parallel_ns\": {}, \"speedup\": {:.3}, \"pass_ns\": {{{}}}}}{}\n",
             p.label,
             p.cells,
             p.regions,
             p.serial_ns,
             p.parallel_ns,
             p.serial_ns as f64 / p.parallel_ns.max(1) as f64,
+            passes.join(", "),
             if i + 1 == points.len() { "" } else { "," }
         ));
     }
@@ -178,4 +273,12 @@ fn main() {
     let path = dir.join("BENCH_scale.json");
     std::fs::write(&path, out).expect("bench json written");
     eprintln!("wrote {} (speedup {speedup:.2}x at {workers} workers)", path.display());
+
+    if !too_steep.is_empty() {
+        eprintln!(
+            "passes grow faster than cells^{MAX_EXPONENT}: {}",
+            too_steep.join(", ")
+        );
+        std::process::exit(1);
+    }
 }

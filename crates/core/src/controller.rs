@@ -333,7 +333,8 @@ mod tests {
         let mut g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
         assert!(g.find_cycle().is_some(), "controller is cyclic");
         for (cell, pin) in disabled_pins() {
-            assert!(g.disable_pin(cell, pin), "{cell}/{pin} exists");
+            let (cid, sym) = (m.find_cell(cell).unwrap(), m.lookup_sym(pin).unwrap());
+            assert!(g.disable_pin(cid, sym), "{cell}/{pin} exists");
         }
         assert!(
             g.find_cycle().is_none(),

@@ -1,8 +1,6 @@
 //! The one-call desynchronization flow (§3.2, Fig. 2.1) — a thin
 //! compatibility wrapper over the instrumented [`crate::pipeline`].
 
-use std::collections::HashMap;
-
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::{Corner, Library, SeqKind};
 use drd_netlist::{Design, Module};
@@ -276,17 +274,13 @@ pub fn region_delays_with(
     workers: usize,
 ) -> Result<(Vec<f64>, Vec<u128>), DesyncError> {
     let cx = SubsetContext::new(module, lib)?;
-    let cell_ids: HashMap<&str, drd_netlist::CellId> =
-        module.cells().map(|(id, c)| (c.name, id)).collect();
-    let kind_of: HashMap<&str, &str> =
-        module.cells().map(|(_, c)| (c.name, c.kind_name())).collect();
     let members: Vec<Vec<drd_netlist::CellId>> = regions
         .regions
         .iter()
         .map(|r| {
             r.cells
                 .iter()
-                .filter_map(|name| cell_ids.get(name.as_str()).copied())
+                .filter_map(|name| module.find_cell(name))
                 .collect()
         })
         .collect();
@@ -297,18 +291,25 @@ pub fn region_delays_with(
         let arrivals = graph.arrivals(Corner::typical())?;
         let mut worst = 0.0f64;
         for cell_name in &regions.regions[i].seq_cells {
-            let Some(kind) = kind_of.get(cell_name.as_str()) else { continue };
-            let Some(lc) = lib.cell(kind) else { continue };
+            let Some(cid) = module.find_cell(cell_name) else {
+                continue;
+            };
+            let Some(lc) = lib.cell(module.cell(cid).kind_name()) else {
+                continue;
+            };
             let clockish = match &lc.seq {
-                SeqKind::FlipFlop(ff) => Some(ff.clocked_on.clone()),
-                SeqKind::Latch(l) => Some(l.enable.clone()),
+                SeqKind::FlipFlop(ff) => Some(ff.clocked_on.as_str()),
+                SeqKind::Latch(l) => Some(l.enable.as_str()),
                 _ => None,
             };
             for pin in lc.input_pins() {
-                if Some(&pin.name) == clockish.as_ref() {
+                if Some(pin.name.as_str()) == clockish {
                     continue;
                 }
-                if let Some(node) = graph.find_pin(cell_name, &pin.name) {
+                let node = module
+                    .lookup_sym(&pin.name)
+                    .and_then(|p| graph.find_pin(cid, p));
+                if let Some(node) = node {
                     worst = worst.max(arrivals.at(node));
                 }
             }

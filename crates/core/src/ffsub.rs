@@ -14,6 +14,8 @@
 //! slave by the slave enable net — both driven later by the region's
 //! controller pair.
 
+use std::sync::Arc;
+
 use drd_liberty::gatefile::{ControlPin, FfRule, Gatefile};
 use drd_liberty::Library;
 use drd_netlist::{CellId, Conn, Module, NetId};
@@ -107,9 +109,11 @@ pub fn substitute_ffs(
         let Some(cell_id) = module.find_cell(name) else {
             continue; // already substituted or removed
         };
-        let kind_name = module.cell(cell_id).kind_name().to_owned();
-        let Some(lc) = lib.cell(&kind_name) else {
-            return Err(DesyncError::UnknownCell { name: kind_name });
+        let kind_name = module.cell(cell_id).kind_name();
+        let Some(lc) = lib.cell(kind_name) else {
+            return Err(DesyncError::UnknownCell {
+                name: kind_name.to_owned(),
+            });
         };
         match lc.class() {
             drd_liberty::CellClass::FlipFlop => {}
@@ -118,12 +122,11 @@ pub fn substitute_ffs(
             _ => continue,
         }
         let rule = gatefile
-            .rule(&kind_name)
+            .rule(kind_name)
             .ok_or_else(|| DesyncError::NoRule {
-                cell: kind_name.clone(),
-            })?
-            .clone();
-        let gates = substitute_one(module, &rule, cell_id, gm, gs)?;
+                cell: kind_name.to_owned(),
+            })?;
+        let gates = substitute_one(module, rule, cell_id, gm, gs)?;
         report.substituted += 1;
         report.extra_gates += gates;
     }
@@ -141,15 +144,17 @@ fn substitute_one(
     let name = module.cell(cell_id).name.to_owned();
     let mut extra = 0usize;
 
-    // Snapshot the pin connections before the cell is removed; a cloned
-    // symbol table (refcount bumps) keeps name lookups alive while the
-    // module is mutated below.
-    let pins: Vec<(drd_netlist::Symbol, Conn)> = module.cell_pins(cell_id).to_vec();
-    let syms = module.symbols().clone();
+    // Snapshot the pin connections, names resolved, before the cell is
+    // removed and the module is mutated below.
+    let pins: Vec<(Arc<str>, Conn)> = module
+        .cell_pins(cell_id)
+        .iter()
+        .map(|&(p, c)| (module.symbols().resolve_arc(p), c))
+        .collect();
     let pin_conn = move |pin: &str| -> Conn {
-        syms.lookup(pin)
-            .and_then(|s| pins.iter().find(|&&(p, _)| p == s).map(|&(_, c)| c))
-            .unwrap_or(Conn::Open)
+        pins.iter()
+            .find(|(p, _)| **p == *pin)
+            .map_or(Conn::Open, |&(_, c)| c)
     };
     let f = &rule.features;
 

@@ -117,13 +117,16 @@ impl ResponseModel {
         let probe = delay_element::build_fixed("drd_delem_edge_probe", CHAIN_PROBE_LEVELS);
         let graph = TimingGraph::build(&probe, lib, &GraphOptions::default())?;
         let arrivals = graph.arrivals(Corner::typical())?;
+        let z = probe.lookup_sym("Z");
         let mut chain_arrival_ns = Vec::with_capacity(CHAIN_PROBE_LEVELS);
         for i in 0..CHAIN_PROBE_LEVELS {
-            let node = graph.find_pin(&format!("u{i}"), "Z").ok_or_else(|| {
-                DesyncError::Pipeline {
+            let stage = probe.find_cell(&format!("u{i}"));
+            let node = stage
+                .zip(z)
+                .and_then(|(c, z)| graph.find_pin(c, z))
+                .ok_or_else(|| DesyncError::Pipeline {
                     message: format!("response-model probe: chain stage u{i} missing"),
-                }
-            })?;
+                })?;
             chain_arrival_ns.push(arrivals.at(node));
         }
         Ok(ResponseModel {

@@ -11,7 +11,7 @@
 //! eager output environment (`ao = ro`).
 
 use drd_liberty::Library;
-use drd_netlist::{Conn, Design, Endpoint, ModuleId, NetId, PinUse};
+use drd_netlist::{Conn, Design, Endpoint, Module, ModuleId, NetId, PinUse};
 
 use crate::celement;
 use crate::controller::{build_controller, ControllerRole};
@@ -324,42 +324,43 @@ pub fn insert_control_network_with(
 
     // Low-skew enable trees: bound every enable net's fanout so large
     // regions' latch phases stay crisp (CTS's job in the paper's backend).
-    // Degraded regions have no enable nets; `buffer_enable_tree` is a
-    // no-op for them.
-    for r in regions.regions.iter().filter(|r| !r.seq_cells.is_empty()) {
-        let (gm_name, gs_name) = enable_net_names(&r.name);
-        for name in [gm_name, gs_name] {
-            report.enable_tree_buffers +=
-                buffer_enable_tree(design, top, lib, &name, 16)?;
+    // Degraded regions have no enable nets and get no tree.
+    let enable_nets: Vec<(NetId, String)> = regions
+        .regions
+        .iter()
+        .filter(|r| !r.seq_cells.is_empty())
+        .flat_map(|r| <[String; 2]>::from(enable_net_names(&r.name)))
+        .filter_map(|name| Some((design.module(top).find_net(&name)?, name)))
+        .collect();
+    if !enable_nets.is_empty() {
+        // One connectivity snapshot serves every tree: buffering an enable
+        // net re-points only that net's own loads, so the snapshot's load
+        // lists of all the other enable nets stay exact.
+        let conn = design.module(top).connectivity(&design.pin_dirs(lib))?;
+        let m = design.module_mut(top);
+        for (net, name) in &enable_nets {
+            report.enable_tree_buffers += buffer_enable_tree(m, *net, name, conn.loads(*net), 16)?;
         }
     }
     Ok((report, region_wall_ns))
 }
 
-/// Builds a balanced buffer tree so the latch-enable net drives at most
+/// Builds a balanced buffer tree so the latch-enable net `net` (named
+/// `net_name`, with `loads` from a connectivity snapshot) drives at most
 /// `max_fanout` loads per stage — the low-skew tree CTS would synthesize
 /// (§4.5.1); required for correct pre-layout simulation of large regions.
 fn buffer_enable_tree(
-    design: &mut Design,
-    top: ModuleId,
-    lib: &Library,
+    m: &mut Module,
+    net: NetId,
     net_name: &str,
+    loads: &[Endpoint],
     max_fanout: usize,
 ) -> Result<usize, DesyncError> {
-    let Some(net) = design.module(top).find_net(net_name) else {
-        return Ok(0);
-    };
-    // One connectivity snapshot for the whole tree. The previous version
-    // recomputed pin directions and full-module connectivity on every tree
-    // level, which made insertion quadratic in module size; after the first
-    // level the remaining loads on `net` are exactly the buffers we just
-    // inserted, so we track them directly instead of rescanning the module.
-    let mut current: Vec<Endpoint> = {
-        let dirs = design.pin_dirs(lib);
-        design.module(top).connectivity(&dirs)?.loads(net).to_vec()
-    };
+    // After the first level the remaining loads on `net` are exactly the
+    // buffers just inserted, so they are tracked directly instead of
+    // rescanning the module.
+    let mut current: Vec<Endpoint> = loads.to_vec();
     let mut inserted = 0usize;
-    let m = design.module_mut(top);
     while current.len() > max_fanout {
         let mut next: Vec<Endpoint> =
             Vec::with_capacity(current.len().div_ceil(max_fanout));
@@ -406,7 +407,7 @@ mod tests {
     use crate::region::{group, GroupingOptions};
     use drd_liberty::gatefile::Gatefile;
     use drd_liberty::vlib90;
-    use drd_netlist::{Module, PortDir};
+    use drd_netlist::PortDir;
 
     /// 2-region pipeline ready for network insertion.
     fn prepared() -> (Design, ModuleId, Regions, Ddg, Vec<f64>) {

@@ -62,8 +62,10 @@ struct UniqueHint {
 
 /// An append-only interner mapping names to dense [`Symbol`] ids.
 ///
-/// Names are stored as `Arc<str>`, so a clone of the table (e.g. for the
-/// simulator) costs one refcount bump per name, not a reallocation. The
+/// Names are stored as `Arc<str>`, so a clone of the table shares the
+/// name bytes, but it is still O(names): every arena slot, memoized hash
+/// and bucket is copied. Clone once per consumer (e.g. the simulator, per
+/// elaboration), never once per cell, region or net. The
 /// lookup side is a hand-rolled open-addressed probe table over the name
 /// vector with the hash of every name memoized: an intern hit is one fast
 /// hash plus (usually) one probe, an intern miss inserts without

@@ -81,9 +81,9 @@ impl Value {
 /// # Errors
 /// A human-readable message with the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(text, &mut pos)?;
+    let bytes = text.as_bytes();
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -106,12 +106,13 @@ fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, b"true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, b"false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, b"null", Value::Null),
@@ -151,7 +152,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -203,12 +205,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control byte {b:#04x} in string at {}", *pos))
             }
             Some(_) => {
-                // Copy one whole UTF-8 scalar (bytes is valid UTF-8: it
-                // came from a &str).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote, backslash or control
+                // byte as one slice. Those bytes are ASCII, and every run
+                // starts after an ASCII byte, so both ends are char
+                // boundaries of `text`.
+                let start = *pos;
+                while let Some(&b) = bytes.get(*pos) {
+                    if b == b'"' || b == b'\\' || b < 0x20 {
+                        break;
+                    }
+                    *pos += 1;
+                }
+                out.push_str(&text[start..*pos]);
             }
         }
     }
@@ -225,7 +233,8 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     Ok(code)
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -234,7 +243,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -247,7 +256,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -257,10 +267,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        members.push((key, parse_value(bytes, pos)?));
+        members.push((key, parse_value(text, pos)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -333,6 +343,47 @@ mod tests {
             Some("A\u{1F600}")
         );
         assert!(parse(r#""\ud83d""#).is_err(), "lone surrogate rejected");
+    }
+
+    /// A long string mixing 1- to 4-byte scalars with every kind of
+    /// escape decodes exactly (and in linear time: the run copy must not
+    /// rescan the rest of the input per character).
+    #[test]
+    fn long_mixed_string_decodes_exactly() {
+        let pieces: [(&str, &str); 9] = [
+            ("plain ascii ", "plain ascii "),
+            ("\u{e9}t\u{e9} ", "\u{e9}t\u{e9} "),
+            ("\u{20ac}\u{20ac}", "\u{20ac}\u{20ac}"),
+            ("\u{1F600}", "\u{1F600}"),
+            ("\\n\\t", "\n\t"),
+            ("\\\"q\\\\", "\"q\\"),
+            ("\\u00e9\\/", "\u{e9}/"),
+            ("\\ud83d\\ude00", "\u{1F600}"),
+            (
+                "x\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}",
+                "x\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}",
+            ),
+        ];
+        let mut encoded = String::from("\"");
+        let mut want = String::new();
+        let mut i = 0usize;
+        while encoded.len() < 256 * 1024 {
+            let (enc, dec) = pieces[i % pieces.len()];
+            encoded.push_str(enc);
+            want.push_str(dec);
+            i += 1;
+        }
+        encoded.push('"');
+        assert!(encoded.len() >= 256 * 1024);
+        assert_eq!(parse(&encoded).unwrap().as_str(), Some(want.as_str()));
+        // Every rejection still fires after a long run.
+        let mut raw_control = encoded[..encoded.len() - 1].to_owned();
+        raw_control.push_str("\u{1}\"");
+        assert!(parse(&raw_control).is_err(), "raw control byte accepted");
+        assert!(
+            parse(&encoded[..encoded.len() - 1]).is_err(),
+            "unterminated accepted"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use drd_liberty::{LibCell, Library, SeqKind};
 use drd_netlist::{
     CellId, CellKind, Conn, Connectivity, Design, Endpoint, KindRef, Module, NetId, PortDir,
-    PortId, Symbol, SymbolTable,
+    PortId, Symbol,
 };
 
 use crate::StaError;
@@ -241,10 +241,6 @@ pub struct TimingGraph {
     pub(crate) out: Vec<Vec<EdgeId>>,
     pin_nodes: HashMap<(CellId, u32), NodeId>,
     port_nodes: HashMap<PortId, NodeId>,
-    /// Clone of the module's symbol table (refcount bumps, not string
-    /// copies) so the string-facing `find_pin` API can resolve names.
-    syms: SymbolTable,
-    cell_ids: HashMap<Symbol, CellId>,
     /// First pin index carrying each pin-name symbol on a cell.
     pin_ids: HashMap<(CellId, Symbol), u32>,
 }
@@ -285,7 +281,7 @@ impl TimingGraph {
                 message: e.to_string(),
             })?;
 
-        let mut g = TimingGraph::empty(module);
+        let mut g = TimingGraph::empty();
         let net_load = net_loads(module, lib)?;
 
         // Nodes for ports.
@@ -345,7 +341,7 @@ impl TimingGraph {
         cells: &[CellId],
     ) -> Result<Self, StaError> {
         let module = cx.module;
-        let mut g = TimingGraph::empty(module);
+        let mut g = TimingGraph::empty();
 
         // Nodes for ports (zero-arrival sources / output endpoints).
         for (pid, port) in module.ports() {
@@ -395,15 +391,13 @@ impl TimingGraph {
         Ok(g)
     }
 
-    fn empty(module: &Module) -> Self {
+    fn empty() -> Self {
         TimingGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
             out: Vec::new(),
             pin_nodes: HashMap::new(),
             port_nodes: HashMap::new(),
-            syms: module.symbols().clone(),
-            cell_ids: HashMap::new(),
             pin_ids: HashMap::new(),
         }
     }
@@ -421,7 +415,6 @@ impl TimingGraph {
 
     /// Creates nodes for every net-connected pin of `cell`.
     fn push_cell_nodes(&mut self, cid: CellId, cell: drd_netlist::Cell<'_>) {
-        self.cell_ids.insert(cell.name_sym(), cid);
         for (idx, &(pin, c)) in cell.pins().iter().enumerate() {
             if c.net().is_none() {
                 continue;
@@ -477,17 +470,12 @@ impl TimingGraph {
             return;
         };
         for (from, to, delay) in arcs {
-            let (Some(f), Some(t)) = (self.pin_node(cid, from), self.pin_node(cid, to)) else {
+            let pin_node = |pin: &str| self.find_pin(cid, module.lookup_sym(pin)?);
+            let (Some(f), Some(t)) = (pin_node(from), pin_node(to)) else {
                 continue;
             };
             self.push_edge(f, t, *delay, EdgeKind::CellArc);
         }
-    }
-
-    /// Resolves `cid`'s pin by name through the interned symbol table.
-    fn pin_node(&self, cid: CellId, pin: &str) -> Option<NodeId> {
-        let pi = *self.pin_ids.get(&(cid, self.syms.lookup(pin)?))?;
-        self.pin_nodes.get(&(cid, pi)).copied()
     }
 
     fn endpoint_node(&self, e: Endpoint) -> Option<NodeId> {
@@ -532,16 +520,18 @@ impl TimingGraph {
         self.nodes[node.0 as usize].kind
     }
 
-    /// Finds the node of `instance/pin`.
-    pub fn find_pin(&self, cell: &str, pin: &str) -> Option<NodeId> {
-        let cid = *self.cell_ids.get(&self.syms.lookup(cell)?)?;
-        self.pin_node(cid, pin)
+    /// Finds the node of pin `pin` on `cell`: the first net-connected pin
+    /// carrying that name. Callers holding names resolve them through the
+    /// module ([`Module::find_cell`], [`Module::lookup_sym`]).
+    pub fn find_pin(&self, cell: CellId, pin: Symbol) -> Option<NodeId> {
+        let pi = *self.pin_ids.get(&(cell, pin))?;
+        self.pin_nodes.get(&(cell, pi)).copied()
     }
 
-    /// Disables timing through `instance/pin` (the paper's
+    /// Disables timing through pin `pin` of `cell` (the paper's
     /// `set_disable_timing`, Fig. 4.5c). All arcs entering or leaving the
-    /// pin are cut. Returns false if the pin does not exist.
-    pub fn disable_pin(&mut self, cell: &str, pin: &str) -> bool {
+    /// pin are cut. Returns false if the graph has no such pin node.
+    pub fn disable_pin(&mut self, cell: CellId, pin: Symbol) -> bool {
         let Some(node) = self.find_pin(cell, pin) else {
             return false;
         };
@@ -667,12 +657,21 @@ mod tests {
     #[test]
     fn disable_pin_cuts_edges() {
         let lib = vlib90::high_speed();
-        let mut g = TimingGraph::build(&chain_module(), &lib, &GraphOptions::default()).unwrap();
-        assert!(g.disable_pin("u1", "Z"));
-        assert!(!g.disable_pin("u1", "nope"));
-        assert!(!g.disable_pin("missing", "Z"));
+        let m = chain_module();
+        let mut g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
+        let (u1, u2) = (m.find_cell("u1").unwrap(), m.find_cell("u2").unwrap());
+        let sym = |name: &str| m.lookup_sym(name).unwrap();
+        assert!(g.disable_pin(u1, sym("Z")));
+        assert!(!g.disable_pin(u1, sym("D")), "u1 has no D pin");
         let disabled = g.edges.iter().filter(|e| e.disabled).count();
         assert!(disabled >= 2); // the A→Z arc and the net edge to r1/D
+
+        // A subset graph has no nodes for cells outside the subset.
+        let cx = SubsetContext::new(&m, &lib).unwrap();
+        let mut sub =
+            TimingGraph::build_subset(&cx, &lib, &GraphOptions::default(), &[u1]).unwrap();
+        assert!(sub.find_pin(u1, sym("A")).is_some());
+        assert!(!sub.disable_pin(u2, sym("Z")));
     }
 
     #[test]

@@ -161,8 +161,9 @@ mod tests {
     #[test]
     fn manual_disable_also_breaks() {
         let lib = vlib90::high_speed();
-        let mut g = TimingGraph::build(&ring(), &lib, &GraphOptions::default()).unwrap();
-        g.disable_pin("i1", "Z");
+        let m = ring();
+        let mut g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
+        assert!(g.disable_pin(m.find_cell("i1").unwrap(), m.lookup_sym("Z").unwrap()));
         assert!(g.find_cycle().is_none());
         // Nothing left for the automatic pass.
         assert_eq!(g.break_loops().cut_count(), 0);

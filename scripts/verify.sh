@@ -18,9 +18,11 @@
 # 8. checks the panic-free guard rails: the lint deny attributes on the
 #    core passes and the Verilog reader, and the Degradation schema in
 #    the golden degraded-flow artifacts, plus the interned-name guard
-#    rail (no String-keyed maps inside core/sta/sim pass modules),
-# 9. runs the parallel scaling bench (results/BENCH_scale.json), checks
-#    its schema, gates on >= 3x flow speedup where there are >= 4 cores
+#    rail (no String-keyed maps inside core/sta/sim pass modules, no
+#    symbol-table clones inside core/sta),
+# 9. runs the parallel scaling bench (results/BENCH_scale.json), which
+#    itself fails when a pass grows faster than cells^1.2, checks its
+#    schema, gates on >= 3x flow speedup where there are >= 4 cores
 #    (reported, not gated, on narrower hosts), and re-runs the
 #    determinism suite under DRD_WORKERS=3 to cross-check that worker
 #    count never leaks into artifacts,
@@ -230,10 +232,22 @@ if [ -n "$string_maps" ]; then
   exit 1
 fi
 echo "ok: no String-keyed maps outside the name boundary"
+# Cloning a module's symbol table copies every name slot, so a clone per
+# flip-flop, region or net makes a pass quadratic. core and sta resolve
+# names through the Module instead; the simulator's one clone per
+# elaboration (crates/sim) is outside this rail.
+table_clones=$(grep -rn 'symbols()\.clone()' crates/core/src crates/sta/src || true)
+if [ -n "$table_clones" ]; then
+  echo "error: symbol-table clone in a core/sta module (resolve through the Module):" >&2
+  echo "$table_clones" >&2
+  exit 1
+fi
+echo "ok: no symbol-table clones in core/sta"
 
 echo "== parallel scaling bench gate (offline) =="
-# The binary itself exits non-zero if region lookup is no longer O(1)
-# or if serial and parallel artifacts diverge at any step.
+# The binary itself exits non-zero if region lookup is no longer O(1),
+# if serial and parallel artifacts diverge at any step, or if a pass
+# taking >= 1 ms on the largest step grows faster than cells^1.2.
 cargo run --release --offline -p drd-bench --bin scale
 scale_json=results/BENCH_scale.json
 if [ ! -s "$scale_json" ]; then
@@ -241,7 +255,7 @@ if [ ! -s "$scale_json" ]; then
   exit 1
 fi
 for field in '"name": "scale"' '"workers"' '"speedup"' '"lookup_ratio"' \
-             '"points"' '"serial_ns"' '"parallel_ns"'; do
+             '"exponents"' '"points"' '"serial_ns"' '"parallel_ns"' '"pass_ns"'; do
   if ! grep -q "$field" "$scale_json"; then
     echo "error: $scale_json misses field $field" >&2
     exit 1

@@ -1,5 +1,7 @@
 //! Golden-file regression: the SDC and flow report of the DLX and
-//! ARM-like case studies are snapshotted under `tests/golden/`.
+//! ARM-like case studies are snapshotted under `tests/golden/`. The
+//! full-size cores also pin their exported Verilog, as one content-hash
+//! line (the netlists are over a megabyte each).
 //!
 //! Re-record after an intentional output change with:
 //!
@@ -10,20 +12,33 @@
 use std::path::PathBuf;
 
 use drd_check::golden::{assert_golden, render_desync_report};
-use drdesync::core::Desynchronizer;
+use drdesync::core::{DesyncResult, Desynchronizer};
 use drdesync::flow::experiment::CaseStudy;
+use drdesync::netlist::hash::content_hash_hex;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn snapshot_case(case: &CaseStudy, stem: &str) {
+fn snapshot_case(case: &CaseStudy, stem: &str) -> DesyncResult {
     let tool = Desynchronizer::new(&case.lib).expect("tool builds");
     let result = tool.run(&case.module, &case.desync).expect("desync runs");
     assert_golden(golden_dir().join(format!("{stem}.sdc")), &result.sdc);
     assert_golden(
         golden_dir().join(format!("{stem}_report.txt")),
         &render_desync_report(&result.report),
+    );
+    result
+}
+
+/// [`snapshot_case`] plus the exported Verilog, pinned by its
+/// `content_hash128` hex digest.
+fn snapshot_full_case(case: &CaseStudy, stem: &str) {
+    let result = snapshot_case(case, stem);
+    let verilog = drdesync::netlist::verilog::write_design(&result.design);
+    assert_golden(
+        golden_dir().join(format!("{stem}_verilog.hash")),
+        &format!("{}\n", content_hash_hex(verilog.as_bytes())),
     );
 }
 
@@ -38,6 +53,21 @@ fn golden_armlike_small_sdc_and_report() {
     let case =
         CaseStudy::armlike(&drdesync::designs::armlike::ArmParams::small()).expect("case builds");
     snapshot_case(&case, "armlike_small");
+}
+
+/// The paper-scale DLX (§5.2) with its own case-study options.
+#[test]
+fn golden_dlx32_sdc_report_and_verilog_hash() {
+    let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::full()).expect("case builds");
+    snapshot_full_case(&case, "dlx32");
+}
+
+/// The paper-scale ARM-like core (§5.3): scan design, single group.
+#[test]
+fn golden_arm32_sdc_report_and_verilog_hash() {
+    let case =
+        CaseStudy::armlike(&drdesync::designs::armlike::ArmParams::full()).expect("case builds");
+    snapshot_full_case(&case, "arm32");
 }
 
 /// Escaped-identifier handling: bus-bit names keep their brackets through
