@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the tool's own kernels: Verilog parsing and
-//! writing, region grouping, STA propagation, STG reachability, event
-//! simulation throughput and full desynchronization.
+//! writing, region grouping, connectivity, STA graph build and
+//! propagation, STG reachability, event simulation throughput and full
+//! desynchronization.
 //!
 //! Runs on the in-tree `drd_check::bench` harness (`cargo bench -p
 //! drd-bench`) and writes `BENCH_kernels.json` next to the workspace so
@@ -13,7 +14,7 @@ use drd_designs::dlx::DlxParams;
 use drd_liberty::{vlib90, Corner, Lv};
 use drd_netlist::Design;
 use drd_sim::{SimOptions, Simulator};
-use drd_sta::{GraphOptions, TimingGraph};
+use drd_sta::TimingGraph;
 use drd_stg::protocols::Protocol;
 
 fn main() {
@@ -56,10 +57,19 @@ fn main() {
         group(&dlx_full, &lib, &GroupingOptions::recommended()).unwrap()
     });
 
-    // STA arrival propagation on the full DLX.
-    let graph = TimingGraph::build(&dlx_full, &lib, &GraphOptions::default()).unwrap();
+    // Netlist connectivity, STA graph build and arrival propagation on the
+    // full DLX: together, what timing one design costs.
+    b.run("connectivity_dlx_full", || {
+        std::hint::black_box(&dlx_full).connectivity(&lib).unwrap()
+    });
+    b.run("sta_build_dlx_full", || {
+        TimingGraph::build(std::hint::black_box(&dlx_full), &lib)
+            .unwrap()
+            .edge_count()
+    });
+    let graph = TimingGraph::build(&dlx_full, &lib).unwrap();
     b.run("sta_arrivals_dlx_full", || {
-        graph.arrivals(Corner::typical()).unwrap()
+        graph.arrivals(Corner::typical()).unwrap().max_arrival()
     });
 
     // STG reachability + executable flow-equivalence check.

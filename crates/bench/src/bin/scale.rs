@@ -21,7 +21,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use drd_check::netgen::{FfKind, FfRecipe, GateOp, NetRecipe, StageRecipe};
+use drd_check::netgen::NetRecipe;
 use drd_check::Rng;
 use drd_core::region::{clean_for_grouping, group, GroupingOptions};
 use drd_core::{DesyncOptions, Desynchronizer};
@@ -51,36 +51,6 @@ fn out_dir() -> PathBuf {
         |_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
         PathBuf::from,
     )
-}
-
-/// Deterministic stepped recipe: `stages` stages of `cloud` gates and
-/// `width` plain flip-flops (plain lanes keep every region substitutable,
-/// so no degradations shrink the parallel work).
-fn recipe(rng: &mut Rng, stages: usize, cloud: usize, width: usize) -> NetRecipe {
-    let stages = (0..stages)
-        .map(|_| StageRecipe {
-            cloud: (0..cloud)
-                .map(|_| GateOp {
-                    kind: rng.next_u64() as u8,
-                    a: rng.range(0, 4096),
-                    b: rng.range(0, 4096),
-                })
-                .collect(),
-            ffs: (0..width)
-                .map(|_| FfRecipe {
-                    kind: FfKind::Plain,
-                    d: rng.range(0, 4096),
-                    aux0: rng.range(0, 4096),
-                    aux1: rng.range(0, 4096),
-                })
-                .collect(),
-        })
-        .collect();
-    NetRecipe {
-        inputs: 4,
-        input_bits: rng.next_u64(),
-        stages,
-    }
 }
 
 struct Point {
@@ -120,7 +90,7 @@ fn main() {
     let mut points: Vec<Point> = Vec::new();
     let mut lookup_ns: Vec<f64> = Vec::new();
     for (stages, cloud, width) in STEPS {
-        let module = recipe(&mut rng, stages, cloud, width)
+        let module = NetRecipe::stepped(&mut rng, stages, cloud, width)
             .build()
             .expect("recipe builds");
         let cells = module.cells().count();

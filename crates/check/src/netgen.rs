@@ -142,6 +142,37 @@ impl Default for NetGenParams {
 }
 
 impl NetRecipe {
+    /// A deterministic stepped pipeline: `stages` stages of `cloud` gates
+    /// and `width` plain flip-flops each, over a 4-bit input bus. Plain
+    /// lanes keep every region substitutable. This is the size ladder of
+    /// the `scale` bench.
+    pub fn stepped(rng: &mut Rng, stages: usize, cloud: usize, width: usize) -> NetRecipe {
+        let stages = (0..stages)
+            .map(|_| StageRecipe {
+                cloud: (0..cloud)
+                    .map(|_| GateOp {
+                        kind: rng.next_u64() as u8,
+                        a: rng.range(0, 4096),
+                        b: rng.range(0, 4096),
+                    })
+                    .collect(),
+                ffs: (0..width)
+                    .map(|_| FfRecipe {
+                        kind: FfKind::Plain,
+                        d: rng.range(0, 4096),
+                        aux0: rng.range(0, 4096),
+                        aux1: rng.range(0, 4096),
+                    })
+                    .collect(),
+            })
+            .collect();
+        NetRecipe {
+            inputs: 4,
+            input_bits: rng.next_u64(),
+            stages,
+        }
+    }
+
     /// Draws a random recipe within `params`.
     pub fn sample(rng: &mut Rng, params: &NetGenParams) -> NetRecipe {
         let n_stages = rng.range(1, params.max_stages + 1);

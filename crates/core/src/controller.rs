@@ -327,10 +327,10 @@ mod tests {
     /// disabled pins (Fig. 4.5).
     #[test]
     fn loop_breaking_with_disabled_pins() {
-        use drd_sta::{GraphOptions, TimingGraph};
+        use drd_sta::TimingGraph;
         let lib = vlib90::high_speed();
         let m = build_controller(ControllerRole::Slave);
-        let mut g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
+        let mut g = TimingGraph::build(&m, &lib).unwrap();
         assert!(g.find_cycle().is_some(), "controller is cyclic");
         for (cell, pin) in disabled_pins() {
             let (cid, sym) = (m.find_cell(cell).unwrap(), m.lookup_sym(pin).unwrap());

@@ -14,7 +14,7 @@
 
 use drd_liberty::{Corner, Library};
 use drd_netlist::{Conn, Module, PortDir};
-use drd_sta::{GraphOptions, TimingGraph};
+use drd_sta::TimingGraph;
 
 use crate::DesyncError;
 
@@ -173,7 +173,7 @@ pub fn build_muxed(name: &str, matched_levels: usize, overhead_levels: usize) ->
 /// # Errors
 /// Propagates STA errors.
 pub fn measure_delay(module: &Module, lib: &Library, corner: Corner) -> Result<f64, DesyncError> {
-    let graph = TimingGraph::build(module, lib, &GraphOptions::default())?;
+    let graph = TimingGraph::build(module, lib)?;
     let arrivals = graph.arrivals(corner)?;
     Ok(arrivals.max_endpoint_arrival())
 }
@@ -191,13 +191,10 @@ pub fn level_delay_ns(lib: &Library) -> Result<f64, DesyncError> {
 }
 
 /// Chooses the chain length whose delay covers `target_ns` with `margin`
-/// (e.g. 1.1 for +10 %).
-///
-/// # Errors
-/// Propagates STA errors.
-pub fn levels_for_delay(lib: &Library, target_ns: f64, margin: f64) -> Result<usize, DesyncError> {
-    let per_level = level_delay_ns(lib)?;
-    Ok(((target_ns * margin / per_level).ceil() as usize).max(1))
+/// (e.g. 1.1 for +10 %), given the measured delay of one level
+/// ([`level_delay_ns`]).
+pub fn levels_for_delay(target_ns: f64, margin: f64, level_delay_ns: f64) -> usize {
+    ((target_ns * margin / level_delay_ns).ceil() as usize).max(1)
 }
 
 #[cfg(test)]
@@ -217,7 +214,7 @@ mod tests {
     fn sizing_meets_target() {
         let lib = vlib90::high_speed();
         let target = 0.8;
-        let levels = levels_for_delay(&lib, target, 1.1).unwrap();
+        let levels = levels_for_delay(target, 1.1, level_delay_ns(&lib).unwrap());
         let delay = measure_delay(&build_fixed("dx", levels), &lib, Corner::typical()).unwrap();
         assert!(delay >= target, "sized delay {delay} ≥ target {target}");
         assert!(delay < target * 1.6, "not grossly oversized: {delay}");

@@ -3,8 +3,8 @@
 
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::{Corner, Library, SeqKind};
-use drd_netlist::{Design, Module};
-use drd_sta::{GraphOptions, SubsetContext, TimingGraph};
+use drd_netlist::{CellId, Design, Module};
+use drd_sta::TimingGraph;
 
 use crate::pipeline::{FlowContext, FlowTrace, Pipeline};
 use crate::region::{GroupingOptions, Regions};
@@ -44,8 +44,8 @@ pub struct DesyncOptions {
     /// Guard budget: per-pass wall-clock deadline in milliseconds,
     /// enforced after the pass returns (passes are not preempted).
     pub pass_deadline_ms: Option<u64>,
-    /// Worker threads for the per-region parallel passes (`region-delays`,
-    /// `ffsub`, `control-network`, `sdc`). `None` defers to the
+    /// Worker threads for the per-region parallel passes (`ffsub`
+    /// validation and `sdc`). `None` defers to the
     /// `DRD_WORKERS` environment variable, then to the machine's available
     /// parallelism. All artifacts are byte-identical for every worker
     /// count. The CLI exposes this as `--jobs`.
@@ -247,50 +247,30 @@ impl<'a> Desynchronizer<'a> {
 }
 
 /// Per-region combinational critical-path delay: the worst arrival at any
-/// data input of the region's sequential cells (§3.2.5). Serial wrapper
-/// around [`region_delays_with`].
+/// data input of the region's sequential cells, plus the latch setup time
+/// the delayed request must cover (§3.2.5).
+///
+/// One timing graph covers every region, each region's cells one group of
+/// [`TimingGraph::build_partitioned`]: a net edge is kept only inside a
+/// region, so every region is timed exactly as on its own (region clouds
+/// are disjoint, and sequential outputs and ports are zero-arrival sources
+/// either way), with one propagation for the whole design. A cycle is
+/// reported for the lowest-indexed region that holds one.
 pub fn region_delays(
     module: &Module,
     lib: &Library,
     regions: &Regions,
 ) -> Result<Vec<f64>, DesyncError> {
-    region_delays_with(module, lib, regions, 1).map(|(delays, _)| delays)
-}
-
-/// [`region_delays`] with an explicit worker count, also returning the
-/// per-region analysis wall time (ns) for flow instrumentation.
-///
-/// Each region is one task: a [`SubsetContext`]-backed timing graph over
-/// the region's own cells is built and propagated independently — valid
-/// because region clouds are disjoint and sequential outputs/ports are
-/// zero-arrival sources either way, so each endpoint's arrival only
-/// depends on in-region logic. Results are merged in region-index order
-/// (the lowest-indexed error wins), making the output independent of the
-/// worker count.
-pub fn region_delays_with(
-    module: &Module,
-    lib: &Library,
-    regions: &Regions,
-    workers: usize,
-) -> Result<(Vec<f64>, Vec<u128>), DesyncError> {
-    let cx = SubsetContext::new(module, lib)?;
-    let members: Vec<Vec<drd_netlist::CellId>> = regions
+    let groups: Vec<Vec<CellId>> = regions
         .regions
         .iter()
-        .map(|r| {
-            r.cells
-                .iter()
-                .filter_map(|name| module.find_cell(name))
-                .collect()
-        })
+        .map(|r| r.cells.iter().filter_map(|name| module.find_cell(name)).collect())
         .collect();
-
-    let analyzed = drd_runner::run_indexed(regions.regions.len(), workers, |i| {
-        let start = std::time::Instant::now();
-        let graph = TimingGraph::build_subset(&cx, lib, &GraphOptions::default(), &members[i])?;
-        let arrivals = graph.arrivals(Corner::typical())?;
+    let graph = TimingGraph::build_partitioned(module, lib, &groups)?;
+    let arrivals = graph.arrivals(Corner::typical())?;
+    let worst_data_arrival = |seq_cells: &[String]| {
         let mut worst = 0.0f64;
-        for cell_name in &regions.regions[i].seq_cells {
+        for cell_name in seq_cells {
             let Some(cid) = module.find_cell(cell_name) else {
                 continue;
             };
@@ -314,19 +294,16 @@ pub fn region_delays_with(
                 }
             }
         }
-        // Account for the latch setup time the delayed request must cover.
-        let delay = if worst > 0.0 { worst + 0.05 } else { 0.0 };
-        Ok::<(f64, u128), DesyncError>((delay, start.elapsed().as_nanos()))
-    });
-
-    let mut delays = vec![0.0f64; regions.regions.len()];
-    let mut walls = vec![0u128; regions.regions.len()];
-    for (i, outcome) in analyzed.into_iter().enumerate() {
-        let (delay, wall) = outcome?;
-        delays[i] = delay;
-        walls[i] = wall;
-    }
-    Ok((delays, walls))
+        worst
+    };
+    Ok(regions
+        .regions
+        .iter()
+        .map(|r| match worst_data_arrival(&r.seq_cells) {
+            w if w > 0.0 => w + 0.05,
+            _ => 0.0,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -455,23 +432,98 @@ mod tests {
         );
     }
 
+    /// The one-graph cut is exact: every region's delay equals the one
+    /// measured on a graph of that region's cells alone.
     #[test]
-    fn parallel_region_delays_match_serial_bitwise() {
+    fn one_graph_matches_per_region_graphs_bitwise() {
         let lib = vlib90::high_speed();
-        let mut m = toggle_parity();
-        crate::region::clean_for_grouping(&mut m, &lib);
-        let regions =
-            crate::region::group(&m, &lib, &crate::region::GroupingOptions::recommended())
-                .unwrap();
-        let serial = region_delays(&m, &lib, &regions).unwrap();
-        assert!(serial.iter().any(|&d| d > 0.0), "{serial:?}");
-        for workers in [2, 3, 8] {
-            let (par, walls) = region_delays_with(&m, &lib, &regions, workers).unwrap();
-            assert_eq!(walls.len(), serial.len());
-            for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
+        let opts = GroupingOptions {
+            false_path_nets: vec!["fp".into()],
+            ..GroupingOptions::recommended()
+        };
+        for mut m in [toggle_parity(), false_path_pair(true)] {
+            crate::region::clean_for_grouping(&mut m, &lib);
+            let regions = crate::region::group(&m, &lib, &opts).unwrap();
+            let delays = region_delays(&m, &lib, &regions).unwrap();
+            assert!(delays.iter().any(|&d| d > 0.0), "{delays:?}");
+            for (i, r) in regions.regions.iter().enumerate() {
+                let alone = Regions::new(vec![r.clone()]);
+                let own = region_delays(&m, &lib, &alone).unwrap()[0];
+                assert_eq!(own.to_bits(), delays[i].to_bits(), "{}", r.name);
             }
         }
+    }
+
+    /// Two clouds joined only by the user false-path net `fp`: `a3` in
+    /// region A drives `b1` in region B. Grouping keeps them apart, and
+    /// timing must too — `b1/A` is a zero-arrival source of B exactly as if
+    /// it were fed by a primary input.
+    fn false_path_pair(cross: bool) -> Module {
+        let mut m = Module::new("fp");
+        for p in ["clk", "din", "fp_in"] {
+            m.add_port(p, PortDir::Input).unwrap();
+        }
+        let (clk, din, fp_in) = (
+            m.find_net("clk").unwrap(),
+            m.find_net("din").unwrap(),
+            m.find_net("fp_in").unwrap(),
+        );
+        let net = |m: &mut Module, n: &str| m.add_net(n).unwrap();
+        let (q0, na1, da, qa, fp) = (
+            net(&mut m, "q0"),
+            net(&mut m, "na1"),
+            net(&mut m, "da"),
+            net(&mut m, "qa"),
+            net(&mut m, "fp"),
+        );
+        let (nb1, db, qb) = (net(&mut m, "nb1"), net(&mut m, "db"), net(&mut m, "qb"));
+        let dff = |m: &mut Module, name: &str, d, q| {
+            m.add_cell(
+                name,
+                "DFFX1",
+                &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+            )
+            .unwrap();
+        };
+        let gate = |m: &mut Module, name: &str, kind: &str, a, b, z| {
+            m.add_cell(
+                name,
+                kind,
+                &[("A", Conn::Net(a)), ("B", Conn::Net(b)), ("Z", Conn::Net(z))],
+            )
+            .unwrap();
+        };
+        dff(&mut m, "r_in", din, q0);
+        m.add_cell("a1", "INVX1", &[("A", Conn::Net(q0)), ("Z", Conn::Net(na1))])
+            .unwrap();
+        gate(&mut m, "a2", "NAND2X1", na1, q0, da);
+        gate(&mut m, "a3", "AND2X1", na1, qa, fp);
+        dff(&mut m, "r_a", da, qa);
+        gate(&mut m, "b1", "NAND2X1", if cross { fp } else { fp_in }, qb, nb1);
+        gate(&mut m, "b2", "XOR2X1", nb1, qb, db);
+        dff(&mut m, "r_b", db, qb);
+        m
+    }
+
+    #[test]
+    fn false_path_load_times_like_a_primary_input() {
+        let lib = vlib90::high_speed();
+        let opts = GroupingOptions {
+            false_path_nets: vec!["fp".into()],
+            ..GroupingOptions::recommended()
+        };
+        let delay_of_b = |cross: bool| {
+            let mut m = false_path_pair(cross);
+            crate::region::clean_for_grouping(&mut m, &lib);
+            let regions = crate::region::group(&m, &lib, &opts).unwrap();
+            let (a, b) = (regions.region_of("a3").unwrap(), regions.region_of("b1").unwrap());
+            assert_ne!(a, b, "the false path splits the clouds");
+            assert_eq!(regions.region_of("r_b"), Some(b));
+            region_delays(&m, &lib, &regions).unwrap()[b]
+        };
+        let (crossing, from_input) = (delay_of_b(true), delay_of_b(false));
+        assert!(crossing > 0.0);
+        assert_eq!(crossing.to_bits(), from_input.to_bits());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod region;
 pub mod sdc;
 
 pub use desync::{
-    region_delays, region_delays_with, DesyncOptions, DesyncReport, DesyncResult, Desynchronizer,
+    region_delays, DesyncOptions, DesyncReport, DesyncResult, Desynchronizer,
     RegionSummary,
 };
 pub use error::{DegradeReason, Degradation, DesyncError};

@@ -42,7 +42,7 @@ use std::fmt;
 use drd_liberty::{Corner, Library};
 use drd_netlist::{CellId, Conn, Design, ModuleId};
 use drd_sim::{HandshakeNet, HandshakeSpec, RegionSpec};
-use drd_sta::{GraphOptions, TimingGraph};
+use drd_sta::TimingGraph;
 
 use crate::delay_element;
 use crate::network::{delem_module_name, enable_net_names};
@@ -115,7 +115,7 @@ impl ResponseModel {
         let join_stage_ns = d("C2X1")?;
 
         let probe = delay_element::build_fixed("drd_delem_edge_probe", CHAIN_PROBE_LEVELS);
-        let graph = TimingGraph::build(&probe, lib, &GraphOptions::default())?;
+        let graph = TimingGraph::build(&probe, lib)?;
         let arrivals = graph.arrivals(Corner::typical())?;
         let z = probe.lookup_sym("Z");
         let mut chain_arrival_ns = Vec::with_capacity(CHAIN_PROBE_LEVELS);

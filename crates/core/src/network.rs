@@ -83,43 +83,6 @@ pub fn insert_control_network(
     degraded: &[String],
     opts: NetworkOptions,
 ) -> Result<NetworkReport, DesyncError> {
-    insert_control_network_with(
-        design,
-        top,
-        regions,
-        ddg,
-        region_delays_ns,
-        lib,
-        degraded,
-        opts,
-        1,
-    )
-    .map(|(report, _)| report)
-}
-
-/// [`insert_control_network`] with an explicit worker count.
-///
-/// The per-region delay-element *sizing* (the `levels_for_delay` binary
-/// search over the library, the dominant analysis cost here) fans out one
-/// task per region over `workers` threads; module creation and all netlist
-/// mutation stay serial in region-index order, so the resulting design is
-/// byte-identical for every worker count. Returns the report plus the
-/// per-region sizing wall time in nanoseconds (0 for skipped regions).
-///
-/// # Errors
-/// Propagates netlist and STA errors.
-#[allow(clippy::too_many_arguments)]
-pub fn insert_control_network_with(
-    design: &mut Design,
-    top: ModuleId,
-    regions: &Regions,
-    ddg: &Ddg,
-    region_delays_ns: &[f64],
-    lib: &Library,
-    degraded: &[String],
-    opts: NetworkOptions,
-    workers: usize,
-) -> Result<(NetworkReport, Vec<u128>), DesyncError> {
     let NetworkOptions { muxed, margin } = opts;
     let mut report = NetworkReport::default();
 
@@ -185,35 +148,30 @@ pub fn insert_control_network_with(
         }
     }
 
-    // Delay-element sizing (parallel, read-only per region) followed by
-    // module creation (serial, deduplicated, in region-index order).
+    // Delay-element sizing: the per-level delay is measured by STA once,
+    // on first need, then each region's length is plain arithmetic;
+    // modules are created deduplicated, in region-index order.
     let overhead = if muxed {
         delay_element::mux_overhead_levels(lib)?
     } else {
         0
     };
-    let sized = drd_runner::run_indexed(n, workers, |i| {
-        let start = std::time::Instant::now();
-        let levels = if !controlled[i] {
-            Ok(0)
-        } else {
-            let target = region_delays_ns.get(i).copied().unwrap_or(0.0);
-            if target <= 0.0 {
-                Ok(1)
-            } else {
-                delay_element::levels_for_delay(lib, target, margin)
-            }
-        };
-        (levels, start.elapsed().as_nanos())
-    });
+    let mut level_delay_ns = None;
     let mut delem_levels = vec![0usize; n];
-    let mut region_wall_ns = vec![0u128; n];
-    for (i, (levels, wall)) in sized.into_iter().enumerate() {
-        delem_levels[i] = levels?;
-        region_wall_ns[i] = wall;
+    for i in 0..n {
         if !controlled[i] {
             continue;
         }
+        let target = region_delays_ns.get(i).copied().unwrap_or(0.0);
+        delem_levels[i] = if target <= 0.0 {
+            1
+        } else {
+            let per_level = match level_delay_ns {
+                Some(d) => d,
+                None => *level_delay_ns.insert(delay_element::level_delay_ns(lib)?),
+            };
+            delay_element::levels_for_delay(target, margin, per_level)
+        };
         let module_name = delem_module_name(muxed, delem_levels[i]);
         if design.find_module(&module_name).is_none() {
             let module = if muxed {
@@ -342,7 +300,7 @@ pub fn insert_control_network_with(
             report.enable_tree_buffers += buffer_enable_tree(m, *net, name, conn.loads(*net), 16)?;
         }
     }
-    Ok((report, region_wall_ns))
+    Ok(report)
 }
 
 /// Builds a balanced buffer tree so the latch-enable net `net` (named

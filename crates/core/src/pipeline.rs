@@ -441,10 +441,8 @@ impl Pass for RegionDelaysPass {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
-        let workers = cx.opts.workers();
         let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
-        let (mut delays, region_wall_ns) =
-            crate::desync::region_delays_with(cx.module()?, cx.lib, regions, workers)?;
+        let mut delays = crate::desync::region_delays(cx.module()?, cx.lib, regions)?;
         // A region whose cloud delay cannot be matched (non-finite STA
         // result) degrades to synchronous instead of poisoning the delay
         // elements downstream.
@@ -469,11 +467,9 @@ impl Pass for RegionDelaysPass {
         cx.degradations.extend(degraded);
         let worst = delays.iter().copied().fold(0.0f64, f64::max);
         cx.region_delays = Some(delays);
-        Ok(PassReport::parallel(
+        Ok(PassReport::new(
             vec!["region-delays"],
             format!("worst cloud {worst:.3} ns"),
-            workers,
-            region_wall_ns,
         ))
     }
 }
@@ -622,10 +618,9 @@ impl Pass for ControlNetworkPass {
         else {
             return Err(missing("a pre-network module", "control-network"));
         };
-        let workers = cx.opts.workers();
         let mut design = Design::new();
         let top = design.insert(working);
-        let inserted = network::insert_control_network_with(
+        let inserted = network::insert_control_network(
             &mut design,
             top,
             regions,
@@ -637,21 +632,15 @@ impl Pass for ControlNetworkPass {
                 muxed: cx.opts.muxed_delay_elements,
                 margin: cx.opts.delay_margin,
             },
-            workers,
         );
         cx.netlist = Netlist::Design { design, top };
-        let (net_report, region_wall_ns) = inserted?;
+        let net_report = inserted?;
         let detail = format!(
             "{} controllers, {} C-elements, {} delay elements",
             net_report.controllers, net_report.celements, net_report.delay_elements
         );
         cx.network = Some(net_report);
-        Ok(PassReport::parallel(
-            vec!["network-report", "design"],
-            detail,
-            workers,
-            region_wall_ns,
-        ))
+        Ok(PassReport::new(vec!["network-report", "design"], detail))
     }
 }
 

@@ -9,7 +9,7 @@ use drd_sim::{
     compare_capture_logs, CaptureLog, GateVariability, HandshakeNet, HandshakeSpec, RegionSpec,
     SimOptions, Simulator,
 };
-use drd_sta::{GraphOptions, TimingGraph};
+use drd_sta::TimingGraph;
 
 use crate::backend::{place_and_route, BackendOptions, LayoutResult};
 use drd_core::DesyncError;
@@ -115,7 +115,7 @@ impl CaseStudy {
     /// # Errors
     /// Propagates STA errors.
     pub fn sync_min_period(&self) -> Result<f64, DesyncError> {
-        let graph = TimingGraph::build(&self.module, &self.lib, &GraphOptions::default())?;
+        let graph = TimingGraph::build(&self.module, &self.lib)?;
         let arr = graph.arrivals(Corner::typical())?;
         let ff = self.lib.cell("DFFX1").expect("vlib90 has DFFX1");
         let overhead = ff.max_intrinsic_delay() + ff.setup;

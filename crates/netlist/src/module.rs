@@ -795,6 +795,12 @@ impl Module {
         self.cell_name.len() - self.dead_cells
     }
 
+    /// Number of cell id slots, removed cells included: one past the
+    /// largest [`CellId`], the length of a dense per-cell table.
+    pub fn cell_slots(&self) -> usize {
+        self.cell_name.len()
+    }
+
     /// Removes (tombstones) a cell. Its name becomes reusable.
     pub fn remove_cell(&mut self, id: CellId) {
         let i = id.index();
@@ -903,9 +909,11 @@ impl Module {
 
     /// Builds the driver/load tables for the current netlist state.
     ///
-    /// Pin directions are resolved once per distinct `(cell kind, pin name)`
-    /// pair and cached; the load lists are laid out as one CSR
-    /// (offsets + flat items) structure.
+    /// Pin directions are resolved through `dirs` once per distinct
+    /// `(cell kind, pin name)` pair and kept in one small table per kind,
+    /// found once per cell through a dense slot indexed by the kind's
+    /// symbol. The load lists are laid out as one CSR (offsets + flat
+    /// items) structure.
     ///
     /// # Errors
     /// Returns [`NetlistError::MultipleDrivers`] if two endpoints drive one
@@ -915,7 +923,13 @@ impl Module {
         let nets = self.net_name.len();
         let mut drivers: Vec<Option<Endpoint>> = vec![None; nets];
         let mut load_count: Vec<u32> = vec![0; nets];
-        let mut dir_cache: HashMap<(CellKind, Symbol), PortDir> = HashMap::new();
+        // Per-kind `(pin, direction)` tables, and the kind symbol → table
+        // slots for library cells and submodule instances.
+        let mut kind_dirs: Vec<Vec<(Symbol, PortDir)>> = Vec::new();
+        let (mut lib_slot, mut inst_slot): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        // Pass 1 records, per pin-table entry, whether the pin loads its
+        // net, so pass 2 re-reads no direction.
+        let mut loads_net = vec![false; self.pins.len()];
 
         // Pass 1 (ports, then live cells, in id order — the order the load
         // lists are filled in): assign drivers, count loads, resolve
@@ -941,11 +955,24 @@ impl Module {
                 continue;
             }
             let kind = self.cell_kind[i];
+            let slots = match kind {
+                CellKind::Lib(_) => &mut lib_slot,
+                CellKind::Instance(_) => &mut inst_slot,
+            };
+            let table = match slot_get(slots, kind.sym()) {
+                Some(t) => t as usize,
+                None => {
+                    slot_set(slots, kind.sym(), kind_dirs.len() as u32);
+                    kind_dirs.push(Vec::new());
+                    kind_dirs.len() - 1
+                }
+            };
+            let table = &mut kind_dirs[table];
             let (s, l) = (self.pin_start[i] as usize, self.pin_len[i] as usize);
             for (idx, &(pin, conn)) in self.pins[s..s + l].iter().enumerate() {
                 let Conn::Net(net) = conn else { continue };
-                let dir = match dir_cache.get(&(kind, pin)) {
-                    Some(&d) => d,
+                let dir = match table.iter().find(|&&(p, _)| p == pin) {
+                    Some(&(_, d)) => d,
                     None => {
                         let d = dirs
                             .pin_dir(self.kind_ref(kind), self.syms.resolve(pin))
@@ -957,7 +984,7 @@ impl Module {
                                     self.syms.resolve(pin)
                                 ),
                             })?;
-                        dir_cache.insert((kind, pin), d);
+                        table.push((pin, d));
                         d
                     }
                 };
@@ -973,7 +1000,10 @@ impl Module {
                             pin: idx as u32,
                         }));
                     }
-                    PortDir::Input | PortDir::Inout => load_count[net.index()] += 1,
+                    PortDir::Input | PortDir::Inout => {
+                        load_count[net.index()] += 1;
+                        loads_net[s + idx] = true;
+                    }
                 }
             }
         }
@@ -1009,20 +1039,14 @@ impl Module {
             if !self.cell_alive[i] {
                 continue;
             }
-            let kind = self.cell_kind[i];
             let (s, l) = (self.pin_start[i] as usize, self.pin_len[i] as usize);
-            for (idx, &(pin, conn)) in self.pins[s..s + l].iter().enumerate() {
-                let Conn::Net(net) = conn else { continue };
-                let dir = dir_cache[&(kind, pin)];
-                match dir {
-                    PortDir::Output => {}
-                    PortDir::Input | PortDir::Inout => {
-                        let ep = Endpoint::Pin(PinUse {
-                            cell: CellId::from_index(i),
-                            pin: idx as u32,
-                        });
-                        push_load(net, ep, &mut cursor);
-                    }
+            for (idx, &(_, conn)) in self.pins[s..s + l].iter().enumerate() {
+                if let (Conn::Net(net), true) = (conn, loads_net[s + idx]) {
+                    let ep = Endpoint::Pin(PinUse {
+                        cell: CellId::from_index(i),
+                        pin: idx as u32,
+                    });
+                    push_load(net, ep, &mut cursor);
                 }
             }
         }

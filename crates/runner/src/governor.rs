@@ -111,53 +111,3 @@ pub fn with_token<R>(f: impl FnOnce() -> R) -> R {
     };
     f()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    // The pool is process-global and install is once-only, so all
-    // governor behaviour lives in ONE test (cargo runs tests of a module
-    // in one process); the uninstalled fast path is covered by every
-    // other runner test in this crate.
-    #[test]
-    fn tokens_bound_concurrency_and_reenter_and_survive_panics() {
-        assert!(stats().is_none(), "inert until installed");
-        assert!(install(2));
-        assert!(!install(8), "second install is ignored");
-        assert!(is_installed());
-        assert_eq!(stats(), Some((2, 2, 0)));
-
-        // Concurrency never exceeds the pool even with 8 eager threads.
-        let running = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        with_token(|| {
-                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                            peak.fetch_max(now, Ordering::SeqCst);
-                            std::thread::yield_now();
-                            running.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    }
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "peak {}", peak.load(Ordering::SeqCst));
-        assert_eq!(stats(), Some((2, 2, 0)), "all tokens returned");
-
-        // Re-entrancy: a nested with_token piggybacks on the held token.
-        with_token(|| {
-            assert_eq!(stats().unwrap().1, 1);
-            with_token(|| assert_eq!(stats().unwrap().1, 1, "no second token taken"));
-        });
-
-        // A panicking task returns its token.
-        let caught = std::panic::catch_unwind(|| with_token(|| panic!("boom")));
-        assert!(caught.is_err());
-        assert_eq!(stats(), Some((2, 2, 0)));
-    }
-}

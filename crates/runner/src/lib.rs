@@ -1,8 +1,8 @@
 //! # drd-runner — deterministic parallelism primitives
 //!
 //! The one crate every other crate may depend on: it has **zero
-//! dependencies** (not even in-tree ones) so it can sit below `drd-core`,
-//! `drd-sta` and `drd-check` in the dependency graph without cycles.
+//! dependencies** (not even in-tree ones) so it can sit below `drd-core`
+//! and `drd-check` in the dependency graph without cycles.
 //!
 //! * [`rng`] — a deterministic SplitMix64 PRNG (replacing `rand`),
 //! * [`runner`] — a dependency-free work-stealing parallel task runner on
@@ -11,9 +11,8 @@
 //!   ones.
 //!
 //! Both modules started life in `drd-check`; they moved here so the flow
-//! passes themselves (region delays, FF substitution, control network,
-//! SDC) can fan out per-region work without the core depending on the
-//! verification kit.
+//! passes themselves (FF substitution, SDC) can fan out per-region work
+//! without the core depending on the verification kit.
 
 pub mod governor;
 pub mod rng;

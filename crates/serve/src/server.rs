@@ -9,8 +9,8 @@
 //!
 //! **Cross-job scheduling.** [`Server::new`] installs the process-wide
 //! [`drd_runner::governor`] with one token per core. Every per-region
-//! task the flow fans out (region delays, FF substitution, control
-//! network, SDC) takes a token before running, so per-region tasks from
+//! task the flow fans out (FF substitution checks, SDC fragments) takes
+//! a token before running, so per-region tasks from
 //! *different* jobs interleave at core granularity: a job with few
 //! regions cannot strand cores its siblings could use, and total running
 //! tasks never exceed the machine. Tokens gate only *when* a task runs —

@@ -16,15 +16,18 @@ pub struct PathStep {
 
 /// Max-arrival times for every node of a graph, at one corner.
 #[derive(Debug, Clone)]
-pub struct Arrivals {
+pub struct Arrivals<'g> {
+    graph: &'g TimingGraph<'g>,
     arrivals: Vec<f64>,
-    /// Predecessor edge on the worst path, for traceback.
-    worst_pred: Vec<Option<NodeId>>,
-    names: Vec<String>,
-    endpoints: Vec<NodeId>,
+    /// Predecessor node on the worst path, for traceback ([`NO_PRED`] at
+    /// sources).
+    worst_pred: Vec<u32>,
 }
 
-impl Arrivals {
+/// `worst_pred` entry of a node with no active in-edge.
+const NO_PRED: u32 = u32::MAX;
+
+impl Arrivals<'_> {
     /// Arrival time at `node`.
     pub fn at(&self, node: NodeId) -> f64 {
         self.arrivals[node.0 as usize]
@@ -38,30 +41,30 @@ impl Arrivals {
     /// The largest arrival over timing endpoints (sequential data inputs
     /// and output ports) — the number that sizes a region's delay element.
     pub fn max_endpoint_arrival(&self) -> f64 {
-        self.endpoints
-            .iter()
-            .map(|&n| self.arrivals[n.0 as usize])
+        self.graph
+            .endpoints()
+            .map(|n| self.arrivals[n.0 as usize])
             .fold(0.0, f64::max)
     }
 
     /// The worst endpoint and its arrival, if any endpoint exists.
     pub fn worst_endpoint(&self) -> Option<(NodeId, f64)> {
-        self.endpoints
-            .iter()
-            .map(|&n| (n, self.arrivals[n.0 as usize]))
+        self.graph
+            .endpoints()
+            .map(|n| (n, self.arrivals[n.0 as usize]))
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
     /// Reconstructs the critical path ending at `node` (source first).
     pub fn path_to(&self, node: NodeId) -> Vec<PathStep> {
         let mut steps = Vec::new();
-        let mut cur = Some(node);
-        while let Some(n) = cur {
+        let mut cur = node.0;
+        while cur != NO_PRED {
             steps.push(PathStep {
-                node: self.names[n.0 as usize].clone(),
-                arrival: self.arrivals[n.0 as usize],
+                node: self.graph.node_name(NodeId(cur)),
+                arrival: self.arrivals[cur as usize],
             });
-            cur = self.worst_pred[n.0 as usize];
+            cur = self.worst_pred[cur as usize];
         }
         steps.reverse();
         steps
@@ -76,110 +79,45 @@ impl Arrivals {
     }
 }
 
-impl TimingGraph {
-    /// Propagates max-arrival times through the active edges at `corner`.
+impl TimingGraph<'_> {
+    /// Propagates max-arrival times through the active edges at `corner`,
+    /// in one topological sweep.
     ///
-    /// Sources (nodes with no active incoming edges) start at 0.
+    /// Sources (nodes with no active incoming edges) start at 0. Each node
+    /// scans its in-edges in edge-id order with a strict-max first-wins
+    /// tie-break, so arrivals and worst predecessors do not depend on the
+    /// sweep order.
     ///
     /// # Errors
     /// Returns [`StaError::Cycle`] if an unbroken cycle remains; call
     /// [`TimingGraph::break_loops`] or [`TimingGraph::disable_pin`] first.
-    pub fn arrivals(&self, corner: Corner) -> Result<Arrivals, StaError> {
-        self.arrivals_with(corner, 1)
-    }
-
-    /// [`TimingGraph::arrivals`] with an explicit worker count, propagating
-    /// levelized wavefronts: a serial Kahn pass assigns each node its
-    /// topological level, then every node of a level is relaxed from its
-    /// incoming edges — independent work, fanned out across `workers` when
-    /// the wavefront is wide enough. Each node scans its in-edges in
-    /// edge-id order with a strict-max first-wins tie-break, so arrivals
-    /// *and* worst-predecessor choices are identical for every worker
-    /// count (the old stack-driven propagation broke arrival ties by
-    /// visit order).
-    ///
-    /// # Errors
-    /// As [`TimingGraph::arrivals`].
-    pub fn arrivals_with(&self, corner: Corner, workers: usize) -> Result<Arrivals, StaError> {
+    pub fn arrivals(&self, corner: Corner) -> Result<Arrivals<'_>, StaError> {
         let n = self.node_count();
-        let mut indegree = vec![0usize; n];
-        for e in self.edges.iter().filter(|e| !e.disabled) {
-            indegree[e.to.0 as usize] += 1;
-        }
-        let mut incoming: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, e) in self.edges.iter().enumerate() {
-            if !e.disabled {
-                incoming[e.to.0 as usize].push(i as u32);
-            }
-        }
-
-        // Serial levelization.
-        let mut remaining = indegree;
-        let mut frontier: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
-        let mut levels: Vec<Vec<usize>> = Vec::new();
-        let mut seen = 0usize;
-        while !frontier.is_empty() {
-            seen += frontier.len();
-            let mut next = Vec::new();
-            for &i in &frontier {
-                for (_, e) in self.active_out(NodeId(i as u32)) {
-                    let t = e.to.0 as usize;
-                    remaining[t] -= 1;
-                    if remaining[t] == 0 {
-                        next.push(t);
-                    }
-                }
-            }
-            levels.push(frontier);
-            frontier = next;
-        }
-        if seen != n {
-            let through = (0..n)
-                .find(|&i| remaining[i] > 0)
-                .map(|i| self.node_name(NodeId(i as u32)).to_owned())
-                .unwrap_or_default();
-            return Err(StaError::Cycle { through });
-        }
-
-        // Wavefront relaxation: each node depends only on lower levels.
         let mut arrivals = vec![0.0f64; n];
-        let mut worst_pred: Vec<Option<NodeId>> = vec![None; n];
-        let relax = |arr: &[f64], node: usize| -> (f64, Option<NodeId>) {
+        let mut worst_pred = vec![NO_PRED; n];
+        let stuck = self.topological(|v| {
             let mut best = 0.0f64;
-            let mut pred = None;
-            for &eid in &incoming[node] {
-                let e = &self.edges[eid as usize];
-                let cand = arr[e.from.0 as usize] + corner.delay(e.delay);
-                if pred.is_none() || cand > best {
+            let mut pred = NO_PRED;
+            for e in self.active_in(v) {
+                let e = &self.edges[e as usize];
+                let cand = arrivals[e.from as usize] + corner.delay(e.delay);
+                if pred == NO_PRED || cand > best {
                     best = cand;
-                    pred = Some(e.from);
+                    pred = e.from;
                 }
             }
-            (best, pred)
-        };
-        // Narrow wavefronts are not worth the fan-out overhead.
-        const PAR_MIN_WIDTH: usize = 64;
-        for level in &levels {
-            if workers > 1 && level.len() >= PAR_MIN_WIDTH {
-                let relaxed =
-                    drd_runner::run_indexed(level.len(), workers, |k| relax(&arrivals, level[k]));
-                for (k, (a, p)) in relaxed.into_iter().enumerate() {
-                    arrivals[level[k]] = a;
-                    worst_pred[level[k]] = p;
-                }
-            } else {
-                for &node in level {
-                    let (a, p) = relax(&arrivals, node);
-                    arrivals[node] = a;
-                    worst_pred[node] = p;
-                }
-            }
+            arrivals[v] = best;
+            worst_pred[v] = pred;
+        });
+        if let Some(node) = stuck {
+            return Err(StaError::Cycle {
+                through: self.node_name(node),
+            });
         }
         Ok(Arrivals {
+            graph: self,
             arrivals,
             worst_pred,
-            names: self.nodes.iter().map(|nd| nd.name.clone()).collect(),
-            endpoints: self.endpoints().collect(),
         })
     }
 }
@@ -187,7 +125,6 @@ impl TimingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphOptions;
     use drd_liberty::vlib90;
     use drd_netlist::{Conn, Module, PortDir};
 
@@ -212,7 +149,11 @@ mod tests {
         m.add_cell(
             "r1",
             "DFFX1",
-            &[("D", Conn::Net(prev)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+            &[
+                ("D", Conn::Net(prev)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q)),
+            ],
         )
         .unwrap();
         m
@@ -221,8 +162,9 @@ mod tests {
     #[test]
     fn arrival_grows_with_depth() {
         let lib = vlib90::high_speed();
-        let g4 = TimingGraph::build(&inv_chain(4), &lib, &GraphOptions::default()).unwrap();
-        let g8 = TimingGraph::build(&inv_chain(8), &lib, &GraphOptions::default()).unwrap();
+        let (m4, m8) = (inv_chain(4), inv_chain(8));
+        let g4 = TimingGraph::build(&m4, &lib).unwrap();
+        let g8 = TimingGraph::build(&m8, &lib).unwrap();
         let a4 = g4.arrivals(Corner::typical()).unwrap();
         let a8 = g8.arrivals(Corner::typical()).unwrap();
         assert!(a8.max_endpoint_arrival() > 1.9 * a4.max_endpoint_arrival());
@@ -231,8 +173,12 @@ mod tests {
     #[test]
     fn corner_derating_scales_arrivals() {
         let lib = vlib90::high_speed();
-        let g = TimingGraph::build(&inv_chain(6), &lib, &GraphOptions::default()).unwrap();
-        let typical = g.arrivals(Corner::typical()).unwrap().max_endpoint_arrival();
+        let m = inv_chain(6);
+        let g = TimingGraph::build(&m, &lib).unwrap();
+        let typical = g
+            .arrivals(Corner::typical())
+            .unwrap()
+            .max_endpoint_arrival();
         let worst = g.arrivals(Corner::worst()).unwrap().max_endpoint_arrival();
         let best = g.arrivals(Corner::best()).unwrap().max_endpoint_arrival();
         assert!((worst / typical - Corner::worst().delay_factor).abs() < 1e-9);
@@ -242,7 +188,8 @@ mod tests {
     #[test]
     fn critical_path_traceback() {
         let lib = vlib90::high_speed();
-        let g = TimingGraph::build(&inv_chain(3), &lib, &GraphOptions::default()).unwrap();
+        let m = inv_chain(3);
+        let g = TimingGraph::build(&m, &lib).unwrap();
         let arr = g.arrivals(Corner::typical()).unwrap();
         let path = arr.critical_path();
         // a → u0/A → u0/Z → u1/A → u1/Z → u2/A → u2/Z → r1/D
@@ -265,69 +212,46 @@ mod tests {
             .unwrap();
         m.add_cell("i1", "INVX1", &[("A", Conn::Net(n1)), ("Z", Conn::Net(n0))])
             .unwrap();
-        let g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
-        assert!(matches!(
-            g.arrivals(Corner::typical()),
-            Err(StaError::Cycle { .. })
-        ));
-    }
-
-    #[test]
-    fn parallel_wavefronts_match_serial_exactly() {
-        // Same arrivals AND same worst-predecessor choices for any worker
-        // count, across a batch of fuzzed netlists (wide enough to cross
-        // the parallel wavefront threshold).
-        let lib = vlib90::high_speed();
-        let mut rng = drd_check::Rng::new(0xA11_D0CF);
-        for case in 0..8 {
-            let params = drd_check::netgen::NetGenParams {
-                max_stages: 4,
-                max_width: 6,
-                max_cloud: 40,
-                ..drd_check::netgen::NetGenParams::default()
-            };
-            let recipe = drd_check::netgen::NetRecipe::sample(&mut rng, &params);
-            let m = recipe.build().unwrap();
-            let g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
-            let serial = g.arrivals(Corner::typical()).unwrap();
-            for workers in [2usize, 3, 8] {
-                let par = g.arrivals_with(Corner::typical(), workers).unwrap();
-                for i in 0..g.node_count() {
-                    let node = NodeId(i as u32);
-                    assert_eq!(
-                        serial.at(node).to_bits(),
-                        par.at(node).to_bits(),
-                        "case {case}, {workers} workers, node {}",
-                        g.node_name(node)
-                    );
-                    assert_eq!(
-                        serial.worst_pred[i], par.worst_pred[i],
-                        "case {case}, {workers} workers, node {}",
-                        g.node_name(node)
-                    );
-                }
-            }
+        let g = TimingGraph::build(&m, &lib).unwrap();
+        match g.arrivals(Corner::typical()) {
+            Err(StaError::Cycle { through }) => assert_eq!(through, "i0/A"),
+            other => panic!("expected a cycle, got {other:?}"),
         }
     }
 
+    /// Two groups, each a NAND fed back to itself: the error names the
+    /// first group's loop even though the second one drives an earlier
+    /// node (an output port), exactly as timing the first group alone.
     #[test]
-    fn wire_delay_adds_per_net_edge() {
+    fn cycle_report_names_the_lowest_group() {
         let lib = vlib90::high_speed();
-        let base = TimingGraph::build(&inv_chain(4), &lib, &GraphOptions::default())
+        let mut m = Module::new("two_loops");
+        m.add_port("z", PortDir::Output).unwrap();
+        let z = m.find_net("z").unwrap();
+        let n0 = m.add_net("n0").unwrap();
+        let nand = |m: &mut Module, name: &str, out| {
+            m.add_cell(
+                name,
+                "NAND2X1",
+                &[
+                    ("A", Conn::Net(out)),
+                    ("B", Conn::Net(out)),
+                    ("Z", Conn::Net(out)),
+                ],
+            )
             .unwrap()
-            .arrivals(Corner::typical())
-            .unwrap()
-            .max_endpoint_arrival();
-        let opts = GraphOptions {
-            wire_delay: 0.01,
-            ..GraphOptions::default()
         };
-        let wired = TimingGraph::build(&inv_chain(4), &lib, &opts)
-            .unwrap()
-            .arrivals(Corner::typical())
-            .unwrap()
-            .max_endpoint_arrival();
-        // 5 net hops on the critical path (a→u0, u0→u1, …, u3→r1).
-        assert!((wired - base - 0.05).abs() < 1e-9);
+        let (u0, u1) = (nand(&mut m, "u0", n0), nand(&mut m, "u1", z));
+        for (groups, expected) in [
+            (vec![vec![u0], vec![u1]], "u0/A"),
+            (vec![vec![u1], vec![u0]], "z"),
+            (vec![vec![u0, u1]], "z"),
+        ] {
+            let g = TimingGraph::build_partitioned(&m, &lib, &groups).unwrap();
+            match g.arrivals(Corner::typical()) {
+                Err(StaError::Cycle { through }) => assert_eq!(through, expected),
+                other => panic!("expected a cycle, got {other:?}"),
+            }
+        }
     }
 }

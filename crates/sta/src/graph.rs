@@ -1,23 +1,20 @@
-//! Pin-level timing-graph construction.
-
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+//! Pin-level timing-graph construction on flat arrays.
+//!
+//! Node ids are dense: the module's ports first (node `i` is port `i`),
+//! then every pin of every graph cell, each cell's pins at consecutive ids
+//! from a per-cell base. Edges live in one array — all cell arcs, then all
+//! net edges — and adjacency is two CSR index tables over it, so building
+//! and propagating do no per-pin hashing or allocation. Names are resolved
+//! on demand through the borrowed [`Module`].
 
 use drd_liberty::{LibCell, Library, SeqKind};
-use drd_netlist::{
-    CellId, CellKind, Conn, Connectivity, Design, Endpoint, KindRef, Module, NetId, PortDir,
-    PortId, Symbol,
-};
+use drd_netlist::{CellId, CellKind, Conn, Endpoint, Module, NetId, PortDir, PortId, Symbol};
 
 use crate::StaError;
 
 /// Handle to a timing-graph node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
-
-/// Handle to a timing-graph edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EdgeId(pub(crate) u32);
 
 /// What a node represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,467 +39,307 @@ pub enum EdgeKind {
     Net,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Node {
-    pub kind: NodeKind,
-    /// Pretty `instance/pin` or `port` name for reports.
-    pub name: String,
-    /// True if timing is disabled through this pin (§4.6.1).
-    pub disabled: bool,
-    /// True if this node is a timing endpoint (sequential data input or
-    /// output port).
-    pub endpoint: bool,
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Edge {
-    pub from: NodeId,
-    pub to: NodeId,
+    pub from: u32,
+    pub to: u32,
     /// Typical-corner delay (ns), already including load-dependent terms.
     pub delay: f64,
-    pub kind: EdgeKind,
-    /// Cut by loop breaking or pin disabling.
-    pub disabled: bool,
 }
 
-/// Options controlling graph construction.
-#[derive(Debug, Clone)]
-pub struct GraphOptions {
-    /// Include clock→Q / enable→Q launch arcs (default: false, so
-    /// sequential outputs become path sources).
-    pub include_clock_to_q: bool,
-    /// Treat latches as transparent (include D→Q arcs). Default: false —
-    /// latches are region boundaries, as the desynchronization timing
-    /// constraints demand (§4.5.1).
-    pub latch_transparent: bool,
-    /// Extra wire delay added to every net edge (a crude pre-layout wire
-    /// model; the backend replaces it with fanout-dependent estimates).
-    pub wire_delay: f64,
-    /// Timing arcs for module instances (black boxes), keyed by module
-    /// name: `(input port, output port, delay)` — used for delay-element
-    /// and controller instances.
-    pub instance_arcs: HashMap<String, Vec<(String, String, f64)>>,
-}
+/// `cell_base` entry of a cell outside the graph.
+const ABSENT: u32 = u32::MAX;
 
-impl Default for GraphOptions {
-    fn default() -> Self {
-        GraphOptions {
-            include_clock_to_q: false,
-            latch_transparent: false,
-            wire_delay: 0.0,
-            instance_arcs: HashMap::new(),
-        }
-    }
-}
-
-/// Timing arcs and endpoint pins of one library cell, with pin names
-/// resolved against the module's symbol table once and then replayed for
-/// every instance of that kind — arc construction never touches strings.
+/// Timing view of one library cell, with pin names resolved against the
+/// module's symbol table once and then replayed for every instance.
 #[derive(Debug, Default)]
-struct KindArcs {
-    /// `(from pin, to pin, intrinsic delay, output drive resistance)` for
-    /// every arc enabled under the current [`GraphOptions`].
+struct KindInfo {
+    /// `(from pin, to pin, intrinsic delay, output drive resistance)`.
+    /// Sequential cells have none: their outputs are path sources and
+    /// latches are region boundaries (§4.5.1).
     arcs: Vec<(Symbol, Symbol, f64, f64)>,
     /// Sequential data inputs (timing endpoints).
     endpoints: Vec<Symbol>,
+    /// Input pin capacitances.
+    caps: Vec<(Symbol, f64)>,
 }
 
-fn prepare_kind(module: &Module, lc: &LibCell, opts: &GraphOptions) -> KindArcs {
-    let mut k = KindArcs::default();
-    // Which input pin launches paths through this cell?
-    let blocked_from: Option<&str> = match &lc.seq {
-        SeqKind::None | SeqKind::CElement { .. } => None,
-        SeqKind::FlipFlop(ff) => Some(ff.clocked_on.as_str()),
-        SeqKind::Latch(l) => Some(l.enable.as_str()),
-    };
-    let is_latch = matches!(lc.seq, SeqKind::Latch(_));
-    for arc in &lc.arcs {
-        let through_clock = Some(arc.from.as_str()) == blocked_from;
-        let allowed = match &lc.seq {
-            SeqKind::None | SeqKind::CElement { .. } => true,
-            SeqKind::FlipFlop(_) => opts.include_clock_to_q && through_clock,
-            SeqKind::Latch(_) => {
-                (through_clock && opts.include_clock_to_q)
-                    || (!through_clock && (opts.latch_transparent && is_latch))
+impl KindInfo {
+    fn new(module: &Module, lc: &LibCell) -> Self {
+        let sym = |name: &str| module.lookup_sym(name);
+        let mut k = KindInfo {
+            caps: lc
+                .input_pins()
+                .filter_map(|p| Some((sym(&p.name)?, p.capacitance)))
+                .collect(),
+            ..KindInfo::default()
+        };
+        // A pin name never interned in the module is connected on no
+        // instance, so its arcs and endpoints can never materialize.
+        let clock = match &lc.seq {
+            SeqKind::None | SeqKind::CElement { .. } => {
+                for arc in &lc.arcs {
+                    if let (Some(from), Some(to)) = (sym(&arc.from), sym(&arc.to)) {
+                        let res = lc.pin(&arc.to).map_or(0.0, |p| p.drive_resistance);
+                        k.arcs.push((from, to, arc.rise.max(arc.fall), res));
+                    }
+                }
+                return k;
             }
+            SeqKind::FlipFlop(ff) => &ff.clocked_on,
+            SeqKind::Latch(l) => &l.enable,
         };
-        if !allowed {
-            continue;
-        }
-        // A pin name that was never interned in the module cannot be
-        // connected on any instance — the arc can never materialize.
-        let (Some(from), Some(to)) = (module.lookup_sym(&arc.from), module.lookup_sym(&arc.to))
-        else {
-            continue;
-        };
-        let res = lc.pin(&arc.to).map(|p| p.drive_resistance).unwrap_or(0.0);
-        k.arcs.push((from, to, arc.rise.max(arc.fall), res));
+        k.endpoints = lc
+            .input_pins()
+            .filter(|p| p.name != *clock)
+            .filter_map(|p| sym(&p.name))
+            .collect();
+        k
     }
-    if let Some(clockish) = blocked_from {
-        for pin in lc.input_pins() {
-            if pin.name == clockish {
+}
+
+/// The [`KindInfo`] of every library kind in a module, found through a
+/// dense slot per kind symbol.
+struct Kinds<'l> {
+    lib: &'l Library,
+    slot: Vec<u32>,
+    infos: Vec<KindInfo>,
+}
+
+impl<'l> Kinds<'l> {
+    fn new(lib: &'l Library) -> Self {
+        Kinds {
+            lib,
+            slot: Vec::new(),
+            infos: Vec::new(),
+        }
+    }
+
+    /// The info of library kind `kind`, prepared on first use.
+    fn get(&mut self, module: &Module, kind: Symbol) -> Result<&KindInfo, StaError> {
+        let i = kind.index();
+        if self.slot.len() <= i {
+            self.slot.resize(i + 1, ABSENT);
+        }
+        if self.slot[i] == ABSENT {
+            let name = module.resolve(kind);
+            let lc = self.lib.cell(name).ok_or_else(|| StaError::UnknownCell {
+                name: name.to_owned(),
+            })?;
+            self.slot[i] = self.infos.len() as u32;
+            self.infos.push(KindInfo::new(module, lc));
+        }
+        Ok(&self.infos[self.slot[i] as usize])
+    }
+}
+
+/// Index of the first net-connected pin of `pins` named `pin`.
+fn connected_pin(pins: &[(Symbol, Conn)], pin: Symbol) -> Option<u32> {
+    pins.iter()
+        .position(|&(p, c)| p == pin && c.net().is_some())
+        .map(|i| i as u32)
+}
+
+/// Counting-sort CSR over `edges`, keyed by `key`: `(start, items)` with
+/// each node's edge ids in edge-id order.
+fn csr(nodes: usize, edges: &[Edge], key: impl Fn(&Edge) -> u32) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; nodes + 1];
+    for e in edges {
+        start[key(e) as usize + 1] += 1;
+    }
+    for i in 0..nodes {
+        start[i + 1] += start[i];
+    }
+    let mut cursor = start[..nodes].to_vec();
+    let mut items = vec![0u32; edges.len()];
+    for (id, e) in edges.iter().enumerate() {
+        let c = &mut cursor[key(e) as usize];
+        items[*c as usize] = id as u32;
+        *c += 1;
+    }
+    (start, items)
+}
+
+/// A pin-level timing graph over a module, or over disjoint groups of its
+/// cells (see [`TimingGraph::build_partitioned`]).
+#[derive(Debug, Clone)]
+pub struct TimingGraph<'m> {
+    module: &'m Module,
+    /// Node id of each cell's first pin, by cell id; [`ABSENT`] for cells
+    /// outside the graph.
+    cell_base: Vec<u32>,
+    /// Graph cells in node order.
+    cells: Vec<CellId>,
+    /// First node id of each cell group (non-decreasing).
+    group_start: Vec<u32>,
+    nodes: usize,
+    pub(crate) edges: Vec<Edge>,
+    pub(crate) disabled: Vec<bool>,
+    /// Edges `0..arcs` are cell arcs, the rest net edges.
+    arcs: usize,
+    out_start: Vec<u32>,
+    out_edges: Vec<u32>,
+    in_start: Vec<u32>,
+    in_edges: Vec<u32>,
+    endpoints: Vec<NodeId>,
+}
+
+impl<'m> TimingGraph<'m> {
+    /// Builds the timing graph of a module of library cells. Submodule
+    /// instances get nodes but no arcs (their pins must still resolve, so
+    /// in practice the module is flat).
+    ///
+    /// # Errors
+    /// Returns [`StaError`] for unknown cells/pins or a malformed netlist.
+    pub fn build(module: &'m Module, lib: &Library) -> Result<Self, StaError> {
+        Self::build_partitioned(module, lib, &[module.cell_ids().collect()])
+    }
+
+    /// Builds one graph over disjoint `groups` of the module's cells. A
+    /// net edge is kept only when its driver and load lie in the same
+    /// group; ports belong to every group. Each group's arrivals therefore
+    /// equal those of a graph over that group's cells alone, while arc
+    /// delays still use full-module net loads. A cell listed twice keeps
+    /// its first group.
+    ///
+    /// # Errors
+    /// Returns [`StaError`] for unknown cells anywhere in the module, or a
+    /// malformed netlist.
+    pub fn build_partitioned(
+        module: &'m Module,
+        lib: &Library,
+        groups: &[Vec<CellId>],
+    ) -> Result<Self, StaError> {
+        // Net load capacitances over the whole module, summed in cell-id
+        // then pin order. This first sweep also resolves every library
+        // kind, so an unknown cell is reported as such rather than as a
+        // connectivity failure.
+        let mut kinds = Kinds::new(lib);
+        let mut net_load = vec![0.0f64; module.net_count()];
+        for cid in module.cell_ids() {
+            let CellKind::Lib(kind) = module.cell_kind(cid) else {
                 continue;
-            }
-            if let Some(s) = module.lookup_sym(&pin.name) {
-                k.endpoints.push(s);
-            }
-        }
-    }
-    k
-}
-
-/// Net load capacitances (input-pin caps of all loads), with per-kind
-/// `(pin symbol, capacitance)` tables derived once per distinct cell kind.
-fn net_loads(module: &Module, lib: &Library) -> Result<Vec<f64>, StaError> {
-    let mut kind_caps: HashMap<Symbol, Vec<(Symbol, f64)>> = HashMap::new();
-    let mut net_load: Vec<f64> = vec![0.0; module.net_count()];
-    for (_, cell) in module.cells() {
-        let CellKind::Lib(kind) = cell.kind else { continue };
-        let caps = match kind_caps.entry(kind) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let lc = lib.cell(module.resolve(kind)).ok_or_else(|| StaError::UnknownCell {
-                    name: module.resolve(kind).to_owned(),
-                })?;
-                e.insert(
-                    lc.input_pins()
-                        .filter_map(|p| module.lookup_sym(&p.name).map(|s| (s, p.capacitance)))
-                        .collect(),
-                )
-            }
-        };
-        for &(pin, c) in cell.pins() {
-            if let Conn::Net(n) = c {
-                if let Some(&(_, cap)) = caps.iter().find(|&&(s, _)| s == pin) {
+            };
+            let caps = &kinds.get(module, kind)?.caps;
+            for &(pin, c) in module.cell_pins(cid) {
+                if let (Conn::Net(n), Some(&(_, cap))) = (c, caps.iter().find(|&&(s, _)| s == pin))
+                {
                     net_load[n.index()] += cap;
                 }
             }
         }
-    }
-    Ok(net_load)
-}
-
-fn check_lib_cells(module: &Module, lib: &Library) -> Result<(), StaError> {
-    for (_, cell) in module.cells() {
-        if let KindRef::Lib(name) = cell.kind_ref() {
-            if lib.cell(name).is_none() {
-                return Err(StaError::UnknownCell {
-                    name: name.to_owned(),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Shared read-only preparation for building many per-region subset
-/// graphs of one module (see [`TimingGraph::build_subset`]): connectivity
-/// and full-module net load capacitances are derived once and then shared
-/// — the struct is `Sync`, so region tasks can build their subgraphs in
-/// parallel.
-#[derive(Debug)]
-pub struct SubsetContext<'a> {
-    module: &'a Module,
-    conn: Connectivity,
-    net_load: Vec<f64>,
-}
-
-impl<'a> SubsetContext<'a> {
-    /// Prepares subset building for `module`, which must contain library
-    /// cells only (instances are allowed but get arcs solely through
-    /// [`GraphOptions::instance_arcs`]).
-    ///
-    /// # Errors
-    /// Returns [`StaError`] for unknown cells or a malformed netlist.
-    pub fn new(module: &'a Module, lib: &Library) -> Result<Self, StaError> {
-        check_lib_cells(module, lib)?;
         let conn = module.connectivity(lib).map_err(|e| StaError::BadNetlist {
             message: e.to_string(),
         })?;
-        let net_load = net_loads(module, lib)?;
-        Ok(SubsetContext {
-            module,
-            conn,
-            net_load,
-        })
-    }
 
-    /// The module this context was prepared for.
-    pub fn module(&self) -> &'a Module {
-        self.module
-    }
-}
-
-/// A pin-level timing graph for one module.
-#[derive(Debug, Clone)]
-pub struct TimingGraph {
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) edges: Vec<Edge>,
-    pub(crate) out: Vec<Vec<EdgeId>>,
-    pin_nodes: HashMap<(CellId, u32), NodeId>,
-    port_nodes: HashMap<PortId, NodeId>,
-    /// First pin index carrying each pin-name symbol on a cell.
-    pin_ids: HashMap<(CellId, Symbol), u32>,
-}
-
-impl TimingGraph {
-    /// Builds the timing graph of a standalone module (no submodule
-    /// instances, unless they are covered by
-    /// [`GraphOptions::instance_arcs`]).
-    ///
-    /// # Errors
-    /// Returns [`StaError`] for unknown cells/pins or a malformed netlist.
-    pub fn build(module: &Module, lib: &Library, opts: &GraphOptions) -> Result<Self, StaError> {
-        let mut design = Design::new();
-        design.insert(module.clone());
-        let top = design.top();
-        Self::build_in_design(&design, top, lib, opts)
-    }
-
-    /// Builds the timing graph of `design.module(id)`, resolving instance
-    /// pin directions through the design's module ports.
-    ///
-    /// # Errors
-    /// Returns [`StaError`] for unknown cells/pins or a malformed netlist.
-    pub fn build_in_design(
-        design: &Design,
-        id: drd_netlist::ModuleId,
-        lib: &Library,
-        opts: &GraphOptions,
-    ) -> Result<Self, StaError> {
-        let module = design.module(id);
-        // Verify library references up-front so unknown cells are reported
-        // as such rather than as connectivity failures.
-        check_lib_cells(module, lib)?;
-        let dirs = design.pin_dirs(lib);
-        let conn = module
-            .connectivity(&dirs)
-            .map_err(|e| StaError::BadNetlist {
-                message: e.to_string(),
-            })?;
-
-        let mut g = TimingGraph::empty();
-        let net_load = net_loads(module, lib)?;
-
-        // Nodes for ports.
-        for (pid, port) in module.ports() {
-            g.push_port_node(pid, port.name, port.dir);
-        }
-
-        // Nodes for cell pins + intra-cell arcs (arc pin names resolved
-        // once per distinct cell kind).
-        let mut kinds: HashMap<Symbol, KindArcs> = HashMap::new();
-        for (cid, cell) in module.cells() {
-            g.push_cell_nodes(cid, cell);
-            match cell.kind {
-                CellKind::Lib(kind) => {
-                    let ka = kind_arcs(&mut kinds, module, lib, opts, kind)?;
-                    g.add_kind_arcs(module, cid, ka, &net_load);
+        // Node layout: ports, then each group's cells in the given order.
+        let ports = module.port_count();
+        let mut cell_base = vec![ABSENT; module.cell_slots()];
+        let mut cell_group = vec![ABSENT; module.cell_slots()];
+        let mut cells = Vec::new();
+        let mut group_start = Vec::with_capacity(groups.len());
+        let mut nodes = ports;
+        for (g, group) in groups.iter().enumerate() {
+            group_start.push(nodes as u32);
+            for &cid in group {
+                if cell_base[cid.index()] != ABSENT {
+                    continue;
                 }
-                CellKind::Instance(kind) => {
-                    g.add_instance_arcs(module, cid, kind, opts);
-                }
+                cell_base[cid.index()] = nodes as u32;
+                cell_group[cid.index()] = g as u32;
+                cells.push(cid);
+                nodes += module.cell_pins(cid).len();
             }
         }
 
-        // Net edges: driver → each load.
-        for (nid, _net) in module.nets() {
-            let Some(driver) = conn.driver(nid) else { continue };
-            let Some(from) = g.endpoint_node(driver) else { continue };
-            for load in conn.loads(nid) {
-                if let Some(to) = g.endpoint_node(*load) {
-                    g.push_edge(from, to, opts.wire_delay, EdgeKind::Net);
-                }
-            }
-        }
-        Ok(g)
-    }
-
-    /// Builds the timing graph restricted to `cells` (all module ports are
-    /// kept). Shared read-only preparation — connectivity and net load
-    /// capacitances — comes from `cx`, so many subset graphs of the same
-    /// module can be built concurrently without re-deriving O(design)
-    /// state per call.
-    ///
-    /// Net loads are taken from the **full** module, so arc delays match
-    /// [`TimingGraph::build`] exactly. Arrival times at the subset's
-    /// endpoints equal the full-graph arrivals whenever every path into
-    /// them stays inside `cells` — which holds for desynchronization
-    /// regions: clouds of different regions are disjoint, and with the
-    /// default [`GraphOptions`] sequential outputs and ports are zero-
-    /// arrival sources either way.
-    ///
-    /// # Errors
-    /// Returns [`StaError`] for unknown cells or pins.
-    pub fn build_subset(
-        cx: &SubsetContext<'_>,
-        lib: &Library,
-        opts: &GraphOptions,
-        cells: &[CellId],
-    ) -> Result<Self, StaError> {
-        let module = cx.module;
-        let mut g = TimingGraph::empty();
-
-        // Nodes for ports (zero-arrival sources / output endpoints).
-        for (pid, port) in module.ports() {
-            g.push_port_node(pid, port.name, port.dir);
-        }
-
-        // Nodes and arcs for the subset cells only.
-        let mut kinds: HashMap<Symbol, KindArcs> = HashMap::new();
-        for &cid in cells {
-            let cell = module.cell(cid);
-            g.push_cell_nodes(cid, cell);
-            match cell.kind {
-                CellKind::Lib(kind) => {
-                    let ka = kind_arcs(&mut kinds, module, lib, opts, kind)?;
-                    g.add_kind_arcs(module, cid, ka, &cx.net_load);
-                }
-                CellKind::Instance(kind) => {
-                    g.add_instance_arcs(module, cid, kind, opts);
-                }
-            }
-        }
-
-        // Net edges over the nets touched by the subset (plus port nets),
-        // visited in net-id order for a deterministic edge list.
-        let mut touched: Vec<NetId> = Vec::new();
-        for (_, port) in module.ports() {
-            touched.push(port.net);
-        }
-        for &cid in cells {
-            for &(_, c) in module.cell_pins(cid) {
-                if let Conn::Net(n) = c {
-                    touched.push(n);
-                }
-            }
-        }
-        touched.sort_unstable_by_key(|n| n.index());
-        touched.dedup();
-        for nid in touched {
-            let Some(driver) = cx.conn.driver(nid) else { continue };
-            let Some(from) = g.endpoint_node(driver) else { continue };
-            for load in cx.conn.loads(nid) {
-                if let Some(to) = g.endpoint_node(*load) {
-                    g.push_edge(from, to, opts.wire_delay, EdgeKind::Net);
-                }
-            }
-        }
-        Ok(g)
-    }
-
-    fn empty() -> Self {
-        TimingGraph {
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            out: Vec::new(),
-            pin_nodes: HashMap::new(),
-            port_nodes: HashMap::new(),
-            pin_ids: HashMap::new(),
-        }
-    }
-
-    fn push_port_node(&mut self, pid: PortId, name: &str, dir: PortDir) {
-        let node = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            kind: NodeKind::Port(pid),
-            name: name.to_owned(),
-            disabled: false,
-            endpoint: dir != PortDir::Input,
-        });
-        self.port_nodes.insert(pid, node);
-    }
-
-    /// Creates nodes for every net-connected pin of `cell`.
-    fn push_cell_nodes(&mut self, cid: CellId, cell: drd_netlist::Cell<'_>) {
-        for (idx, &(pin, c)) in cell.pins().iter().enumerate() {
-            if c.net().is_none() {
-                continue;
-            }
-            let node = NodeId(self.nodes.len() as u32);
-            self.nodes.push(Node {
-                kind: NodeKind::Pin {
-                    cell: cid,
-                    pin: idx as u32,
-                },
-                name: format!("{}/{}", cell.name, cell.pin_name(idx)),
-                disabled: false,
-                endpoint: false,
-            });
-            self.pin_nodes.insert((cid, idx as u32), node);
-            self.pin_ids.entry((cid, pin)).or_insert(idx as u32);
-        }
-    }
-
-    /// Replays a kind's prepared arcs onto one instance and marks its
-    /// sequential data inputs as endpoints.
-    fn add_kind_arcs(&mut self, module: &Module, cid: CellId, ka: &KindArcs, net_load: &[f64]) {
-        for &(from_sym, to_sym, intrinsic, res) in &ka.arcs {
-            let (Some(&fi), Some(&ti)) = (
-                self.pin_ids.get(&(cid, from_sym)),
-                self.pin_ids.get(&(cid, to_sym)),
-            ) else {
+        // Cell arcs and sequential endpoints, cell by cell.
+        let mut edges = Vec::new();
+        let mut endpoints: Vec<NodeId> = module
+            .ports()
+            .filter(|(_, p)| p.dir != PortDir::Input)
+            .map(|(pid, _)| NodeId(pid.index() as u32))
+            .collect();
+        for &cid in &cells {
+            let CellKind::Lib(kind) = module.cell_kind(cid) else {
                 continue;
             };
-            let from = self.pin_nodes[&(cid, fi)];
-            let to = self.pin_nodes[&(cid, ti)];
-            // Load-dependent delay on the output pin.
-            let load = module.cell_pins(cid)[ti as usize]
-                .1
-                .net()
-                .map(|n| net_load[n.index()])
-                .unwrap_or(0.0);
-            self.push_edge(from, to, intrinsic + res * load, EdgeKind::CellArc);
-        }
-        for &s in &ka.endpoints {
-            if let Some(&pi) = self.pin_ids.get(&(cid, s)) {
-                let node = self.pin_nodes[&(cid, pi)];
-                self.nodes[node.0 as usize].endpoint = true;
+            let info = kinds.get(module, kind)?;
+            let pins = module.cell_pins(cid);
+            let base = cell_base[cid.index()];
+            for &(from, to, intrinsic, res) in &info.arcs {
+                let (Some(fi), Some(ti)) = (connected_pin(pins, from), connected_pin(pins, to))
+                else {
+                    continue;
+                };
+                let load = pins[ti as usize]
+                    .1
+                    .net()
+                    .map_or(0.0, |n| net_load[n.index()]);
+                edges.push(Edge {
+                    from: base + fi,
+                    to: base + ti,
+                    delay: intrinsic + res * load,
+                });
             }
+            let first = endpoints.len();
+            for &pin in &info.endpoints {
+                if let Some(pi) = connected_pin(pins, pin) {
+                    endpoints.push(NodeId(base + pi));
+                }
+            }
+            endpoints[first..].sort_unstable();
         }
-    }
+        let arcs = edges.len();
 
-    /// Adds black-box arcs of a module instance from
-    /// [`GraphOptions::instance_arcs`]. Without arcs the instance is an
-    /// opaque boundary: its inputs are endpoints, its outputs sources.
-    fn add_instance_arcs(&mut self, module: &Module, cid: CellId, kind: Symbol, opts: &GraphOptions) {
-        let Some(arcs) = opts.instance_arcs.get(module.resolve(kind)) else {
-            return;
+        // Net edges, driver → each load, in net-id then load order.
+        let place = |e: Endpoint| match e {
+            Endpoint::Port(p) => Some((p.index() as u32, None)),
+            Endpoint::Pin(p) => {
+                let base = *cell_base.get(p.cell.index())?;
+                (base != ABSENT).then(|| (base + p.pin, Some(cell_group[p.cell.index()])))
+            }
         };
-        for (from, to, delay) in arcs {
-            let pin_node = |pin: &str| self.find_pin(cid, module.lookup_sym(pin)?);
-            let (Some(f), Some(t)) = (pin_node(from), pin_node(to)) else {
+        for n in 0..module.net_count() {
+            let net = NetId::from_index(n);
+            let Some((from, from_group)) = conn.driver(net).and_then(place) else {
                 continue;
             };
-            self.push_edge(f, t, *delay, EdgeKind::CellArc);
+            for &load in conn.loads(net) {
+                let Some((to, to_group)) = place(load) else {
+                    continue;
+                };
+                if from_group.is_none() || to_group.is_none() || from_group == to_group {
+                    edges.push(Edge {
+                        from,
+                        to,
+                        delay: 0.0,
+                    });
+                }
+            }
         }
-    }
 
-    fn endpoint_node(&self, e: Endpoint) -> Option<NodeId> {
-        match e {
-            Endpoint::Pin(p) => self.pin_nodes.get(&(p.cell, p.pin)).copied(),
-            Endpoint::Port(p) => self.port_nodes.get(&p).copied(),
-        }
-    }
-
-    fn push_edge(&mut self, from: NodeId, to: NodeId, delay: f64, kind: EdgeKind) {
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge {
-            from,
-            to,
-            delay,
-            kind,
-            disabled: false,
-        });
-        if self.out.len() < self.nodes.len() {
-            self.out.resize(self.nodes.len(), Vec::new());
-        }
-        self.out[from.0 as usize].push(id);
+        let (out_start, out_edges) = csr(nodes, &edges, |e| e.from);
+        let (in_start, in_edges) = csr(nodes, &edges, |e| e.to);
+        Ok(TimingGraph {
+            module,
+            cell_base,
+            cells,
+            group_start,
+            nodes,
+            disabled: vec![false; edges.len()],
+            edges,
+            arcs,
+            out_start,
+            out_edges,
+            in_start,
+            in_edges,
+            endpoints,
+        })
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes
     }
 
     /// Number of edges (including disabled ones).
@@ -510,22 +347,42 @@ impl TimingGraph {
         self.edges.len()
     }
 
-    /// Pretty name of a node (`instance/pin` or port name).
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0 as usize].name
-    }
-
     /// Kind of a node.
     pub fn node_kind(&self, node: NodeId) -> NodeKind {
-        self.nodes[node.0 as usize].kind
+        let ports = self.module.port_count() as u32;
+        if node.0 < ports {
+            return NodeKind::Port(PortId::from_index(node.0 as usize));
+        }
+        let cell = self.cells[self
+            .cells
+            .partition_point(|c| self.cell_base[c.index()] <= node.0)
+            - 1];
+        NodeKind::Pin {
+            cell,
+            pin: node.0 - self.cell_base[cell.index()],
+        }
+    }
+
+    /// Pretty name of a node (`instance/pin` or port name).
+    pub fn node_name(&self, node: NodeId) -> String {
+        match self.node_kind(node) {
+            NodeKind::Port(p) => self.module.port(p).name.to_owned(),
+            NodeKind::Pin { cell, pin } => {
+                let c = self.module.cell(cell);
+                format!("{}/{}", c.name, c.pin_name(pin as usize))
+            }
+        }
     }
 
     /// Finds the node of pin `pin` on `cell`: the first net-connected pin
     /// carrying that name. Callers holding names resolve them through the
     /// module ([`Module::find_cell`], [`Module::lookup_sym`]).
     pub fn find_pin(&self, cell: CellId, pin: Symbol) -> Option<NodeId> {
-        let pi = *self.pin_ids.get(&(cell, pin))?;
-        self.pin_nodes.get(&(cell, pi)).copied()
+        let base = *self.cell_base.get(cell.index())?;
+        if base == ABSENT {
+            return None;
+        }
+        connected_pin(self.module.cell_pins(cell), pin).map(|i| NodeId(base + i))
     }
 
     /// Disables timing through pin `pin` of `cell` (the paper's
@@ -535,59 +392,110 @@ impl TimingGraph {
         let Some(node) = self.find_pin(cell, pin) else {
             return false;
         };
-        self.nodes[node.0 as usize].disabled = true;
-        for e in self.edges.iter_mut() {
-            if e.from == node || e.to == node {
-                e.disabled = true;
-            }
+        let v = node.0 as usize;
+        let (ins, outs) = (
+            self.in_start[v] as usize..self.in_start[v + 1] as usize,
+            self.out_start[v] as usize..self.out_start[v + 1] as usize,
+        );
+        for &e in self.in_edges[ins].iter().chain(&self.out_edges[outs]) {
+            self.disabled[e as usize] = true;
         }
         true
     }
 
     /// Iterates over edges as `(from, to, delay, kind, disabled)`.
     pub fn edge_list(&self) -> impl Iterator<Item = (NodeId, NodeId, f64, EdgeKind, bool)> + '_ {
-        self.edges
-            .iter()
-            .map(|e| (e.from, e.to, e.delay, e.kind, e.disabled))
+        self.edges.iter().enumerate().map(|(i, e)| {
+            let kind = if i < self.arcs {
+                EdgeKind::CellArc
+            } else {
+                EdgeKind::Net
+            };
+            (
+                NodeId(e.from),
+                NodeId(e.to),
+                e.delay,
+                kind,
+                self.disabled[i],
+            )
+        })
     }
 
-    /// Iterates over the ids of all timing endpoints.
+    /// Iterates over the ids of all timing endpoints (output ports and
+    /// sequential data inputs), in node order.
     pub fn endpoints(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
+        self.endpoints.iter().copied()
+    }
+
+    /// Ids of all edges leaving node `v`, in edge-id order.
+    pub(crate) fn out_edges_of(&self, v: usize) -> &[u32] {
+        &self.out_edges[self.out_start[v] as usize..self.out_start[v + 1] as usize]
+    }
+
+    /// Ids of the active (non-disabled) edges leaving node `v`, in edge-id
+    /// order.
+    pub(crate) fn active_out(&self, v: usize) -> impl Iterator<Item = u32> + '_ {
+        self.out_edges_of(v)
             .iter()
-            .enumerate()
-            .filter(|(_, n)| n.endpoint)
-            .map(|(i, _)| NodeId(i as u32))
+            .copied()
+            .filter(|&e| !self.disabled[e as usize])
     }
 
-    /// Active (non-disabled) outgoing edges of `node`.
-    pub(crate) fn active_out(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> {
-        self.out
-            .get(node.0 as usize)
-            .into_iter()
-            .flatten()
-            .map(|&eid| (eid, &self.edges[eid.0 as usize]))
-            .filter(|(_, e)| !e.disabled)
+    /// Ids of the active edges entering node `v`, in edge-id order: the
+    /// cell's own arcs in library order, then the net edge.
+    pub(crate) fn active_in(&self, v: usize) -> impl Iterator<Item = u32> + '_ {
+        self.in_edges[self.in_start[v] as usize..self.in_start[v + 1] as usize]
+            .iter()
+            .copied()
+            .filter(|&e| !self.disabled[e as usize])
     }
-}
 
-/// Fetches (building on first use) the prepared arcs of `kind`.
-fn kind_arcs<'a>(
-    kinds: &'a mut HashMap<Symbol, KindArcs>,
-    module: &Module,
-    lib: &Library,
-    opts: &GraphOptions,
-    kind: Symbol,
-) -> Result<&'a KindArcs, StaError> {
-    Ok(match kinds.entry(kind) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(e) => {
-            let lc = lib.cell(module.resolve(kind)).ok_or_else(|| StaError::UnknownCell {
-                name: module.resolve(kind).to_owned(),
-            })?;
-            e.insert(prepare_kind(module, lc, opts))
+    /// Kahn's algorithm over the active edges: calls `visit` on every node
+    /// in a topological order (each active edge's source before its
+    /// target). Returns a node on or behind an unbroken cycle if one
+    /// remains.
+    ///
+    /// The node reported is the one a graph over the lowest cycle-holding
+    /// group alone would report: that group's first stuck node in id
+    /// order, ports first, where a stuck output port belongs to the group
+    /// of its driver. For a single-group graph this is simply the first
+    /// stuck node.
+    pub(crate) fn topological(&self, mut visit: impl FnMut(usize)) -> Option<NodeId> {
+        let n = self.nodes;
+        let mut pending: Vec<u32> = (0..n).map(|v| self.active_in(v).count() as u32).collect();
+        let mut order: Vec<u32> = (0..n as u32)
+            .filter(|&v| pending[v as usize] == 0)
+            .collect();
+        order.reserve(n - order.len());
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            visit(v as usize);
+            for e in self.active_out(v as usize) {
+                let t = self.edges[e as usize].to;
+                pending[t as usize] -= 1;
+                if pending[t as usize] == 0 {
+                    order.push(t);
+                }
+            }
         }
-    })
+        if order.len() == n {
+            return None;
+        }
+        let ports = self.module.port_count();
+        let first = (ports..n).find(|&v| pending[v] > 0)?;
+        let group = |v: u32| self.group_start.partition_point(|&s| s <= v);
+        let g = group(first as u32);
+        (0..ports)
+            .find(|&p| {
+                pending[p] > 0
+                    && self
+                        .active_in(p)
+                        .any(|e| group(self.edges[e as usize].from) == g)
+            })
+            .or(Some(first))
+            .map(|v| NodeId(v as u32))
+    }
 }
 
 #[cfg(test)]
@@ -610,7 +518,11 @@ mod tests {
         m.add_cell(
             "r1",
             "DFFX1",
-            &[("D", Conn::Net(n1)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(n2))],
+            &[
+                ("D", Conn::Net(n1)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(n2)),
+            ],
         )
         .unwrap();
         m.add_cell("u2", "INVX1", &[("A", Conn::Net(n2)), ("Z", Conn::Net(z))])
@@ -621,57 +533,71 @@ mod tests {
     #[test]
     fn graph_has_expected_shape() {
         let lib = vlib90::high_speed();
-        let g = TimingGraph::build(&chain_module(), &lib, &GraphOptions::default()).unwrap();
+        let m = chain_module();
+        let g = TimingGraph::build(&m, &lib).unwrap();
         // Ports a, clk, z + pins u1/A u1/Z r1/D r1/CK r1/Q u2/A u2/Z.
         assert_eq!(g.node_count(), 10);
-        // Arcs: u1 A→Z, u2 A→Z (no clock→Q by default).
-        let arc_count = g
-            .edges
-            .iter()
-            .filter(|e| e.kind == EdgeKind::CellArc)
-            .count();
+        // Arcs: u1 A→Z, u2 A→Z (no clock→Q: flip-flop outputs are sources).
+        let arc_count = g.edge_list().filter(|e| e.3 == EdgeKind::CellArc).count();
         assert_eq!(arc_count, 2);
         // r1/D is an endpoint; z port is an endpoint.
-        let endpoint_names: Vec<&str> = g.endpoints().map(|n| g.node_name(n)).collect();
-        assert!(endpoint_names.contains(&"r1/D"));
-        assert!(endpoint_names.contains(&"z"));
-        assert!(!endpoint_names.contains(&"r1/CK"));
-    }
-
-    #[test]
-    fn clock_to_q_arcs_are_optional() {
-        let lib = vlib90::high_speed();
-        let opts = GraphOptions {
-            include_clock_to_q: true,
-            ..GraphOptions::default()
-        };
-        let g = TimingGraph::build(&chain_module(), &lib, &opts).unwrap();
-        let arc_count = g
-            .edges
-            .iter()
-            .filter(|e| e.kind == EdgeKind::CellArc)
-            .count();
-        assert_eq!(arc_count, 3); // + CK→Q
+        let endpoint_names: Vec<String> = g.endpoints().map(|n| g.node_name(n)).collect();
+        assert!(endpoint_names.contains(&"r1/D".to_owned()));
+        assert!(endpoint_names.contains(&"z".to_owned()));
+        assert!(!endpoint_names.contains(&"r1/CK".to_owned()));
+        // Node ids are dense: ports first, then each cell's pins.
+        let u1 = m.find_cell("u1").unwrap();
+        assert_eq!(
+            g.node_kind(NodeId(2)),
+            NodeKind::Port(PortId::from_index(2))
+        );
+        assert_eq!(g.node_kind(NodeId(4)), NodeKind::Pin { cell: u1, pin: 1 });
+        assert_eq!(g.node_name(NodeId(9)), "u2/Z");
     }
 
     #[test]
     fn disable_pin_cuts_edges() {
         let lib = vlib90::high_speed();
         let m = chain_module();
-        let mut g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
+        let mut g = TimingGraph::build(&m, &lib).unwrap();
         let (u1, u2) = (m.find_cell("u1").unwrap(), m.find_cell("u2").unwrap());
         let sym = |name: &str| m.lookup_sym(name).unwrap();
         assert!(g.disable_pin(u1, sym("Z")));
         assert!(!g.disable_pin(u1, sym("D")), "u1 has no D pin");
-        let disabled = g.edges.iter().filter(|e| e.disabled).count();
-        assert!(disabled >= 2); // the A→Z arc and the net edge to r1/D
+        let disabled = g.edge_list().filter(|e| e.4).count();
+        assert_eq!(disabled, 2); // the A→Z arc and the net edge to r1/D
 
-        // A subset graph has no nodes for cells outside the subset.
-        let cx = SubsetContext::new(&m, &lib).unwrap();
-        let mut sub =
-            TimingGraph::build_subset(&cx, &lib, &GraphOptions::default(), &[u1]).unwrap();
+        // A partitioned graph has no nodes for cells outside its groups.
+        let mut sub = TimingGraph::build_partitioned(&m, &lib, &[vec![u1]]).unwrap();
         assert!(sub.find_pin(u1, sym("A")).is_some());
         assert!(!sub.disable_pin(u2, sym("Z")));
+    }
+
+    #[test]
+    fn partitions_keep_only_in_group_net_edges() {
+        let lib = vlib90::high_speed();
+        let m = chain_module();
+        let id = |name: &str| m.find_cell(name).unwrap();
+        let g =
+            TimingGraph::build_partitioned(&m, &lib, &[vec![id("u1")], vec![id("r1"), id("u2")]])
+                .unwrap();
+        let nets: Vec<(String, String)> = g
+            .edge_list()
+            .filter(|e| e.3 == EdgeKind::Net)
+            .map(|e| (g.node_name(e.0), g.node_name(e.1)))
+            .collect();
+        // Edges touching a port stay; u1/Z → r1/D crosses groups and is
+        // dropped; r1/Q → u2/A stays inside the second group. Net-id order.
+        let pair = |a: &str, b: &str| (a.to_owned(), b.to_owned());
+        assert_eq!(
+            nets,
+            [
+                pair("a", "u1/A"),
+                pair("clk", "r1/CK"),
+                pair("u2/Z", "z"),
+                pair("r1/Q", "u2/A")
+            ]
+        );
     }
 
     #[test]
@@ -679,8 +605,9 @@ mod tests {
         let lib = vlib90::high_speed();
         let mut m = Module::new("t");
         let n = m.add_net("n").unwrap();
-        m.add_cell("u", "NOT_A_CELL", &[("A", Conn::Net(n))]).unwrap();
-        match TimingGraph::build(&m, &lib, &GraphOptions::default()) {
+        m.add_cell("u", "NOT_A_CELL", &[("A", Conn::Net(n))])
+            .unwrap();
+        match TimingGraph::build(&m, &lib) {
             Err(StaError::UnknownCell { name }) => assert_eq!(name, "NOT_A_CELL"),
             other => panic!("expected UnknownCell, got {other:?}"),
         }

@@ -16,10 +16,17 @@
 //! back-edges, which the paper warns may leave the critical cycle
 //! unconstrained), and propagates arrival times topologically.
 //!
+//! The graph lives in flat arrays: dense node ids (ports, then each cell's
+//! pins from a per-cell base), one edge array and CSR adjacency, with
+//! names resolved through the borrowed module only when reported.
+//! [`TimingGraph::build_partitioned`] times many disjoint cell groups —
+//! the desynchronization regions — in one graph and one propagation,
+//! keeping only the net edges inside a group.
+//!
 //! ```
 //! use drd_liberty::{vlib90, Corner};
 //! use drd_netlist::{Conn, Module, PortDir};
-//! use drd_sta::{GraphOptions, TimingGraph};
+//! use drd_sta::TimingGraph;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let lib = vlib90::high_speed();
@@ -31,9 +38,18 @@
 //! let mid = m.add_net("mid")?;
 //! m.add_cell("u1", "INVX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(mid))])?;
 //! m.add_cell("u2", "INVX1", &[("A", Conn::Net(mid)), ("Z", Conn::Net(z))])?;
-//! let graph = TimingGraph::build(&m, &lib, &GraphOptions::default())?;
+//! let graph = TimingGraph::build(&m, &lib)?;
 //! let arrivals = graph.arrivals(Corner::typical())?;
 //! assert!(arrivals.max_arrival() > 0.0);
+//! let path: Vec<String> = arrivals.critical_path().into_iter().map(|s| s.node).collect();
+//! assert_eq!(path, ["a", "u1/A", "u1/Z", "u2/A", "u2/Z", "z"]);
+//!
+//! // Each group is timed as if alone: with u1 and u2 in different
+//! // groups, the net `mid` between them is cut.
+//! let (u1, u2) = (m.find_cell("u1").ok_or("u1")?, m.find_cell("u2").ok_or("u2")?);
+//! let split = TimingGraph::build_partitioned(&m, &lib, &[vec![u1], vec![u2]])?;
+//! let z_arrival = split.arrivals(Corner::typical())?.max_endpoint_arrival();
+//! assert!(z_arrival < arrivals.max_endpoint_arrival());
 //! # Ok(())
 //! # }
 //! ```
@@ -45,5 +61,5 @@ mod loops;
 
 pub use analysis::{Arrivals, PathStep};
 pub use error::StaError;
-pub use graph::{EdgeId, EdgeKind, GraphOptions, NodeId, NodeKind, SubsetContext, TimingGraph};
+pub use graph::{EdgeKind, NodeId, NodeKind, TimingGraph};
 pub use loops::LoopReport;

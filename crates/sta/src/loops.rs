@@ -11,7 +11,7 @@
 //! cuts, and [`TimingGraph::break_loops`] for the automatic DFS back-edge
 //! fallback.
 
-use crate::graph::{EdgeId, NodeId, TimingGraph};
+use crate::graph::{NodeId, TimingGraph};
 
 /// Result of automatic loop breaking.
 #[derive(Debug, Clone, Default)]
@@ -27,9 +27,10 @@ impl LoopReport {
     }
 }
 
-impl TimingGraph {
+impl TimingGraph<'_> {
     /// Detects cycles among the active edges and cuts every DFS back-edge,
-    /// returning what was cut. Deterministic: DFS visits nodes in id order.
+    /// returning what was cut. Deterministic: DFS visits nodes in id order
+    /// and each node's out-edges in edge-id order.
     pub fn break_loops(&mut self) -> LoopReport {
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
@@ -39,97 +40,72 @@ impl TimingGraph {
         }
         let n = self.node_count();
         let mut color = vec![Color::White; n];
-        let mut cuts: Vec<EdgeId> = Vec::new();
+        let mut cuts: Vec<u32> = Vec::new();
 
-        // Iterative DFS to survive deep graphs.
+        // Iterative DFS to survive deep graphs. Stack of (node, position
+        // in its out-edges).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
         for root in 0..n {
             if color[root] != Color::White {
                 continue;
             }
-            // Stack of (node, iterator position over out-edges).
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            stack.push((root, 0));
             color[root] = Color::Gray;
-            while let Some(&(node, pos)) = stack.last() {
-                let out = &self.out[node];
-                let mut advanced = false;
-                let mut pos = pos;
-                while pos < out.len() {
-                    let eid = out[pos];
-                    pos += 1;
-                    let edge = &self.edges[eid.0 as usize];
-                    if edge.disabled {
+            while let Some(&mut (node, ref mut pos)) = stack.last_mut() {
+                let out = self.out_edges_of(node);
+                let mut next = None;
+                while let Some(&e) = out.get(*pos) {
+                    *pos += 1;
+                    if self.disabled[e as usize] {
                         continue;
                     }
-                    let next = edge.to.0 as usize;
-                    match color[next] {
+                    let to = self.edges[e as usize].to as usize;
+                    match color[to] {
                         Color::White => {
-                            color[next] = Color::Gray;
-                            stack.last_mut().expect("stack non-empty").1 = pos;
-                            stack.push((next, 0));
-                            advanced = true;
+                            next = Some(to);
                             break;
                         }
-                        Color::Gray => {
-                            // Back edge: cut it.
-                            cuts.push(eid);
-                        }
+                        // Back edge: cut it.
+                        Color::Gray => cuts.push(e),
                         Color::Black => {}
                     }
                 }
-                if !advanced {
-                    color[node] = Color::Black;
-                    stack.pop();
+                match next {
+                    Some(to) => {
+                        color[to] = Color::Gray;
+                        stack.push((to, 0));
+                    }
+                    None => {
+                        color[node] = Color::Black;
+                        stack.pop();
+                    }
                 }
             }
         }
 
         let mut report = LoopReport::default();
-        for eid in cuts {
-            let e = &mut self.edges[eid.0 as usize];
-            e.disabled = true;
-            let (from, to) = (e.from, e.to);
+        for e in cuts {
+            self.disabled[e as usize] = true;
+            let edge = self.edges[e as usize];
             report.cut_edges.push((
-                self.node_name(from).to_owned(),
-                self.node_name(to).to_owned(),
+                self.node_name(NodeId(edge.from)),
+                self.node_name(NodeId(edge.to)),
             ));
         }
         report
     }
 
-    /// Returns a node on a remaining active cycle, or `None` if the graph
-    /// is acyclic (used to verify that manual cuts were sufficient).
+    /// Returns a node on or behind a remaining active cycle, or `None` if
+    /// the graph is acyclic (used to verify that manual cuts were
+    /// sufficient).
     pub fn find_cycle(&self) -> Option<NodeId> {
-        let n = self.node_count();
-        let mut indegree = vec![0usize; n];
-        for e in self.edges.iter().filter(|e| !e.disabled) {
-            indegree[e.to.0 as usize] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(i) = queue.pop() {
-            seen += 1;
-            for (_, e) in self.active_out(NodeId(i as u32)) {
-                let t = e.to.0 as usize;
-                indegree[t] -= 1;
-                if indegree[t] == 0 {
-                    queue.push(t);
-                }
-            }
-        }
-        if seen == n {
-            None
-        } else {
-            indegree
-                .iter()
-                .position(|&d| d > 0)
-                .map(|i| NodeId(i as u32))
-        }
+        self.topological(|_| {})
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::graph::{GraphOptions, TimingGraph};
+    use crate::graph::TimingGraph;
     use drd_liberty::vlib90;
     use drd_netlist::{Conn, Module, PortDir};
 
@@ -151,7 +127,8 @@ mod tests {
     #[test]
     fn detects_and_breaks_ring() {
         let lib = vlib90::high_speed();
-        let mut g = TimingGraph::build(&ring(), &lib, &GraphOptions::default()).unwrap();
+        let r = ring();
+        let mut g = TimingGraph::build(&r, &lib).unwrap();
         assert!(g.find_cycle().is_some());
         let report = g.break_loops();
         assert_eq!(report.cut_count(), 1);
@@ -162,7 +139,7 @@ mod tests {
     fn manual_disable_also_breaks() {
         let lib = vlib90::high_speed();
         let m = ring();
-        let mut g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
+        let mut g = TimingGraph::build(&m, &lib).unwrap();
         assert!(g.disable_pin(m.find_cell("i1").unwrap(), m.lookup_sym("Z").unwrap()));
         assert!(g.find_cycle().is_none());
         // Nothing left for the automatic pass.
@@ -178,7 +155,7 @@ mod tests {
         let n = m.add_net("n").unwrap();
         m.add_cell("u", "INVX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(n))])
             .unwrap();
-        let mut g = TimingGraph::build(&m, &lib, &GraphOptions::default()).unwrap();
+        let mut g = TimingGraph::build(&m, &lib).unwrap();
         assert!(g.find_cycle().is_none());
         assert_eq!(g.break_loops().cut_count(), 0);
     }
@@ -186,8 +163,9 @@ mod tests {
     #[test]
     fn break_is_deterministic() {
         let lib = vlib90::high_speed();
-        let mut g1 = TimingGraph::build(&ring(), &lib, &GraphOptions::default()).unwrap();
-        let mut g2 = TimingGraph::build(&ring(), &lib, &GraphOptions::default()).unwrap();
+        let r = ring();
+        let mut g1 = TimingGraph::build(&r, &lib).unwrap();
+        let mut g2 = TimingGraph::build(&r, &lib).unwrap();
         assert_eq!(g1.break_loops().cut_edges, g2.break_loops().cut_edges);
     }
 }

@@ -4,7 +4,7 @@
 use drd_check::{prop, Rng};
 use drd_liberty::{vlib90, Corner};
 use drd_netlist::{Conn, Module, PortDir};
-use drd_sta::{GraphOptions, TimingGraph};
+use drd_sta::TimingGraph;
 
 fn chain(kinds: &[u8]) -> Module {
     let mut m = Module::new("c");
@@ -57,8 +57,8 @@ fn corner_scaling_is_exact() {
         if kinds.is_empty() {
             return Ok(());
         }
-        let g = TimingGraph::build(&chain(kinds), &lib, &GraphOptions::default())
-            .map_err(|e| e.to_string())?;
+        let m = chain(kinds);
+        let g = TimingGraph::build(&m, &lib).map_err(|e| e.to_string())?;
         let typ = g
             .arrivals(Corner::typical())
             .map_err(|e| e.to_string())?
@@ -84,7 +84,7 @@ fn extending_a_chain_never_reduces_arrival() {
             return Ok(());
         }
         let arrival = |ks: &[u8]| -> Result<f64, String> {
-            Ok(TimingGraph::build(&chain(ks), &lib, &GraphOptions::default())
+            Ok(TimingGraph::build(&chain(ks), &lib)
                 .map_err(|e| e.to_string())?
                 .arrivals(Corner::typical())
                 .map_err(|e| e.to_string())?
@@ -107,8 +107,8 @@ fn critical_path_is_monotone() {
         if kinds.is_empty() {
             return Ok(());
         }
-        let g = TimingGraph::build(&chain(kinds), &lib, &GraphOptions::default())
-            .map_err(|e| e.to_string())?;
+        let m = chain(kinds);
+        let g = TimingGraph::build(&m, &lib).map_err(|e| e.to_string())?;
         let arr = g.arrivals(Corner::typical()).map_err(|e| e.to_string())?;
         let path = arr.critical_path();
         if path.is_empty() {

@@ -19,7 +19,7 @@
 #    core passes and the Verilog reader, and the Degradation schema in
 #    the golden degraded-flow artifacts, plus the interned-name guard
 #    rail (no String-keyed maps inside core/sta/sim pass modules, no
-#    symbol-table clones inside core/sta),
+#    per-pin maps in sta, no symbol-table clones inside core/sta),
 # 9. runs the parallel scaling bench (results/BENCH_scale.json), which
 #    itself fails when a pass grows faster than cells^1.2, checks its
 #    schema, gates on >= 3x flow speedup where there are >= 4 cores
@@ -220,18 +220,24 @@ echo "ok: deny attributes and Degradation schema in place"
 echo "== interned-name guard rail =="
 # Pass modules in core/sta/sim must key their maps on Symbol/NetId/CellId,
 # never on owned String names — names cross the API only at the
-# parse/write/report boundaries. The sole allowed exception is the
-# caller-facing `GraphOptions.instance_arcs` configuration map in
-# crates/sta/src/graph.rs, which is part of the public options surface
-# where callers naturally speak in names.
-string_maps=$(grep -rn 'HashMap<String' crates/core/src crates/sta/src crates/sim/src \
-  | grep -v 'crates/sta/src/graph.rs:.*instance_arcs' || true)
+# parse/write/report boundaries.
+string_maps=$(grep -rn 'HashMap<String' crates/core/src crates/sta/src crates/sim/src || true)
 if [ -n "$string_maps" ]; then
   echo "error: String-keyed map in a pass module (use Symbol/NetId/CellId):" >&2
   echo "$string_maps" >&2
   exit 1
 fi
 echo "ok: no String-keyed maps outside the name boundary"
+# The timing graph numbers a cell's pins from a per-cell base node, so a
+# pin's node is an array read; a per-pin hash map keyed on the cell must
+# not come back.
+pin_maps=$(grep -rn 'HashMap<(CellId' crates/sta/src || true)
+if [ -n "$pin_maps" ]; then
+  echo "error: per-pin map in the timing graph (use the per-cell base node):" >&2
+  echo "$pin_maps" >&2
+  exit 1
+fi
+echo "ok: no per-pin maps in sta"
 # Cloning a module's symbol table copies every name slot, so a clone per
 # flip-flop, region or net makes a pass quadratic. core and sta resolve
 # names through the Module instead; the simulator's one clone per

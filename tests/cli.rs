@@ -227,6 +227,39 @@ fn cli_flow_error_exits_3() {
     assert_eq!(out.status.code(), Some(3), "{out:?}");
 }
 
+/// A combinational loop survives into timing analysis: NAND `u0` is fed
+/// back to its `B` input through an inverter pair, which cleaning removes,
+/// leaving `u0/Z -> u0/B`. The flow fails with the STA cycle error naming
+/// the first node on the loop.
+#[test]
+fn cli_combinational_loop_is_a_timing_error() {
+    let dir = std::env::temp_dir().join("drdesync_cli_loop");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("loop.v");
+    std::fs::write(
+        &input,
+        "module looped (input clk, input a, output q);\n\
+         \x20 wire n, f1, f2;\n\
+         \x20 NAND2X1 u0 (.A(a), .B(f2), .Z(n));\n\
+         \x20 INVX1 i1 (.A(n), .Z(f1));\n\
+         \x20 INVX1 i2 (.A(f1), .Z(f2));\n\
+         \x20 DFFX1 r0 (.D(n), .CK(clk), .Q(q));\n\
+         endmodule\n",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
+        .args(["desync", input.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.lines().any(|l| l
+            == "error: timing analysis failed: timing graph contains an unbroken cycle through u0/B"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn cli_degraded_flow_exits_0_with_warning() {
     let dir = std::env::temp_dir().join("drdesync_cli_degraded");
