@@ -18,11 +18,11 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use drd_check::handshake::{handshake_spec, verify_handshake_timing};
+use drd_check::handshake::verify_handshake_timing;
 use drd_check::liveness::verify_liveness;
 use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::Rng;
-use drd_core::{DesyncError, DesyncOptions, Desynchronizer, LivenessAction};
+use drd_core::{handshake_spec, DesyncError, DesyncOptions, Desynchronizer, LivenessAction};
 use drd_liberty::vlib90;
 
 fn out_dir() -> PathBuf {

@@ -13,10 +13,11 @@
 //! at least [`GATED_PASS_NS`] on the largest step and grows faster than
 //! [`MAX_EXPONENT`] fails the run.
 //!
-//! Also guards the `Regions::region_of` fix: per-lookup cost must stay
-//! roughly flat as the design grows (the old linear scan scaled with the
-//! region sizes, making the DDG/SDC loops quadratic). On any violation the
-//! binary exits non-zero, so `scripts/verify.sh` can gate on it.
+//! Also guards `Regions::region_of`, probed with cell ids: per-lookup
+//! cost must stay roughly flat as the design grows (a linear scan would
+//! scale with the region sizes, making the DDG loop quadratic). On any
+//! violation the binary exits non-zero, so `scripts/verify.sh` can gate
+//! on it.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -26,6 +27,7 @@ use drd_check::Rng;
 use drd_core::region::{clean_for_grouping, group, GroupingOptions};
 use drd_core::{DesyncOptions, Desynchronizer};
 use drd_liberty::vlib90;
+use drd_netlist::CellId;
 
 /// (stages, cloud gates per stage, register lanes per stage) steps.
 const STEPS: [(usize, usize, usize); 5] = [
@@ -131,16 +133,16 @@ fn main() {
         let mut probe = module.clone();
         clean_for_grouping(&mut probe, &lib);
         let grouped = group(&probe, &lib, &GroupingOptions::recommended()).expect("groups");
-        let names: Vec<&str> = grouped
+        let ids: Vec<CellId> = grouped
             .regions
             .iter()
-            .flat_map(|r| r.cells.iter().map(String::as_str))
+            .flat_map(|r| r.cells.clone())
             .collect();
         const LOOKUPS: usize = 20_000;
         let start = Instant::now();
         let mut hits = 0usize;
         for i in 0..LOOKUPS {
-            hits += usize::from(grouped.region_of(names[i % names.len()]).is_some());
+            hits += usize::from(grouped.region_of(ids[i % ids.len()]).is_some());
         }
         assert_eq!(hits, LOOKUPS);
         lookup_ns.push(start.elapsed().as_nanos() as f64 / LOOKUPS as f64);
@@ -189,8 +191,8 @@ fn main() {
     }
 
     // Non-quadratic guard: per-lookup time must not scale with design
-    // size. The largest step is ~29x the smallest; the old linear scan
-    // scaled proportionally, the prebuilt map stays flat. Bound is
+    // size. The largest step is ~29x the smallest; a linear scan would
+    // scale proportionally, the dense id index stays flat. Bound is
     // generous for timer noise.
     let (first, last) = (lookup_ns[0].max(1.0), lookup_ns[lookup_ns.len() - 1]);
     let lookup_ratio = last / first;

@@ -183,7 +183,7 @@ pub fn verify_result(
 
     // Handshake-timing oracle (DESIGN.md §3f): the event-driven
     // control-network simulation must respect static timing.
-    let spec = crate::handshake::handshake_spec(&result.report, lib)
+    let spec = drd_core::handshake_spec(&result.report, lib)
         .map_err(|e| fail(recipe, &format!("handshake spec: {e}")))?;
     crate::handshake::verify_handshake_timing(&spec, lib)
         .map_err(|e| fail(recipe, &format!("handshake timing oracle: {e}")))?;

@@ -31,49 +31,8 @@
 //! `tests/handshake_stall.rs`) before export, so a deadlock here means
 //! the guard's contract was violated, not that the hazard is expected.
 
-use drd_core::{DesyncError, DesyncReport};
 use drd_liberty::Library;
-use drd_sim::{GateVariability, HandshakeNet, HandshakeSpec, RegionCycle, RegionSpec};
-
-/// Projects a desynchronization report onto the handshake simulator's
-/// spec — the same projection `drd_flow::experiment::handshake_spec`
-/// performs (duplicated here because `drd-check` sits below `drd-flow`).
-///
-/// # Errors
-/// Propagates delay-element probing errors.
-pub fn handshake_spec(
-    report: &DesyncReport,
-    lib: &Library,
-) -> Result<HandshakeSpec, DesyncError> {
-    let level_delay_ns = drd_core::delay_element::level_delay_ns(lib)?;
-    let ff = lib.cell("DFFX1").expect("vlib90 has DFFX1");
-    let regions: Vec<RegionSpec> = report
-        .regions
-        .iter()
-        .map(|r| RegionSpec {
-            name: r.name.clone(),
-            controlled: r.ffs > 0 && r.delem_levels > 0,
-            matched_levels: r.delem_levels,
-            critical_delay_ns: r.critical_delay_ns,
-            loopback_latch: report.liveness_repairs.iter().any(|lr| {
-                lr.region == r.name
-                    && matches!(lr.action, drd_core::LivenessAction::RequestLatch)
-            }),
-        })
-        .collect();
-    let slot = |name: &str| report.regions.iter().position(|r| r.name == name);
-    let edges = report
-        .ddg_edges
-        .iter()
-        .filter_map(|(a, b)| Some((slot(a)?, slot(b)?)))
-        .collect();
-    Ok(HandshakeSpec {
-        regions,
-        edges,
-        level_delay_ns,
-        ff_overhead_ns: ff.max_intrinsic_delay() + ff.setup,
-    })
-}
+use drd_sim::{GateVariability, HandshakeNet, HandshakeSpec, RegionCycle};
 
 /// Controlled regions with neither controlled predecessors nor
 /// successors (self-loops count as both): the loopback + eager-ack
@@ -166,6 +125,7 @@ pub fn verify_handshake_timing(
 mod tests {
     use super::*;
     use drd_liberty::vlib90;
+    use drd_sim::RegionSpec;
 
     fn two_stage_spec() -> HandshakeSpec {
         HandshakeSpec {

@@ -15,10 +15,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use drd_check::handshake::{handshake_spec, isolated_regions, verify_handshake_timing};
+use drd_check::handshake::{isolated_regions, verify_handshake_timing};
 use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::{prop_par_with, Config, Rng, Shrink};
-use drd_core::{DesyncOptions, Desynchronizer};
+use drd_core::{handshake_spec, DesyncOptions, Desynchronizer};
 use drd_liberty::vlib90;
 use drd_sim::{GateVariability, HandshakeNet, HandshakeSpec, RegionSpec};
 

@@ -20,9 +20,9 @@
 //! is recorded in the report, and the whole flow stays byte-identical
 //! across worker counts.
 
-use drd_check::handshake::{handshake_spec, verify_handshake_timing};
+use drd_check::handshake::verify_handshake_timing;
 use drd_check::netgen::{FfKind, FfRecipe, GateOp, NetRecipe, StageRecipe};
-use drd_core::{DesyncOptions, Desynchronizer, LivenessAction};
+use drd_core::{handshake_spec, DesyncOptions, Desynchronizer, LivenessAction};
 use drd_liberty::{vlib90, Lv};
 use drd_sim::{SimOptions, Simulator};
 

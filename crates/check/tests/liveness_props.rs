@@ -17,12 +17,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use drd_check::handshake::{handshake_spec, verify_handshake_timing};
+use drd_check::handshake::verify_handshake_timing;
 use drd_check::liveness::verify_liveness;
 use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::{prop_par_with, Config, Rng};
 use drd_core::liveness::{plan_repairs, RegionState, ResponseModel};
-use drd_core::{DesyncError, DesyncOptions, Desynchronizer, LivenessAction};
+use drd_core::{handshake_spec, DesyncError, DesyncOptions, Desynchronizer, LivenessAction};
 use drd_liberty::vlib90;
 
 #[test]

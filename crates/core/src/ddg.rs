@@ -56,7 +56,7 @@ pub fn build(module: &Module, lib: &Library, regions: &Regions) -> Result<Ddg, D
     let conn = module.connectivity(lib)?;
     let mut edge_set: HashSet<(usize, usize)> = HashSet::new();
     for (cid, cell) in module.cells() {
-        let Some(to) = regions.region_of(cell.name) else {
+        let Some(to) = regions.region_of(cid) else {
             continue;
         };
         for (_, c) in cell.pins() {
@@ -67,13 +67,12 @@ pub fn build(module: &Module, lib: &Library, regions: &Regions) -> Result<Ddg, D
             if p.cell == cid {
                 continue; // the cell's own output pin
             }
-            let driver = module.cell(p.cell);
-            let Some(from) = regions.region_of(driver.name) else {
+            let Some(from) = regions.region_of(p.cell) else {
                 continue;
             };
             if from != to {
                 edge_set.insert((from, to));
-            } else if lib.is_sequential(driver.kind_ref()) {
+            } else if lib.is_sequential(module.cell(p.cell).kind_ref()) {
                 // The cloud reads the region's own registers.
                 edge_set.insert((from, from));
             }
@@ -148,7 +147,7 @@ mod tests {
         let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
         let ddg = build(&m, &lib, &regions).unwrap();
 
-        let idx = |cell: &str| regions.region_of(cell).unwrap();
+        let idx = |cell: &str| regions.region_of(m.find_cell(cell).unwrap()).unwrap();
         let (rg1, rg2, rg0) = (idx("r1"), idx("r2"), idx("r_in"));
         // g0 → stage1, g0 → stage2 (c2 reads q0 directly), stage1 → stage2.
         assert!(ddg.edges.contains(&(rg0, rg1)));
@@ -186,10 +185,8 @@ mod tests {
         .unwrap();
         let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
         let ddg = build(&m, &lib, &regions).unwrap();
-        let (r1, r2) = (
-            regions.region_of("r1").unwrap(),
-            regions.region_of("r2").unwrap(),
-        );
+        let idx = |cell: &str| regions.region_of(m.find_cell(cell).unwrap()).unwrap();
+        let (r1, r2) = (idx("r1"), idx("r2"));
         assert!(ddg.edges.contains(&(r1, r2)));
         assert!(ddg.edges.contains(&(r2, r1)));
     }

@@ -4,6 +4,7 @@
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::{Corner, Library, SeqKind};
 use drd_netlist::{CellId, Design, Module};
+use drd_sim::{HandshakeSpec, RegionSpec};
 use drd_sta::TimingGraph;
 
 use crate::pipeline::{FlowContext, FlowTrace, Pipeline};
@@ -261,19 +262,12 @@ pub fn region_delays(
     lib: &Library,
     regions: &Regions,
 ) -> Result<Vec<f64>, DesyncError> {
-    let groups: Vec<Vec<CellId>> = regions
-        .regions
-        .iter()
-        .map(|r| r.cells.iter().filter_map(|name| module.find_cell(name)).collect())
-        .collect();
+    let groups: Vec<&[CellId]> = regions.regions.iter().map(|r| &r.cells[..]).collect();
     let graph = TimingGraph::build_partitioned(module, lib, &groups)?;
     let arrivals = graph.arrivals(Corner::typical())?;
-    let worst_data_arrival = |seq_cells: &[String]| {
+    let worst_data_arrival = |seq_cells: &[CellId]| {
         let mut worst = 0.0f64;
-        for cell_name in seq_cells {
-            let Some(cid) = module.find_cell(cell_name) else {
-                continue;
-            };
+        for &cid in seq_cells {
             let Some(lc) = lib.cell(module.cell(cid).kind_name()) else {
                 continue;
             };
@@ -304,6 +298,44 @@ pub fn region_delays(
             _ => 0.0,
         })
         .collect())
+}
+
+/// Projects a desynchronization report onto the handshake simulator's
+/// control-network spec: region rows become [`RegionSpec`]s and the DDG
+/// edges become index pairs.
+///
+/// # Errors
+/// Propagates delay-element probing errors.
+pub fn handshake_spec(report: &DesyncReport, lib: &Library) -> Result<HandshakeSpec, DesyncError> {
+    let level_delay_ns = crate::delay_element::level_delay_ns(lib)?;
+    let ff = lib.cell("DFFX1").expect("vlib90 has DFFX1");
+    let regions: Vec<RegionSpec> = report
+        .regions
+        .iter()
+        .map(|r| RegionSpec {
+            name: r.name.clone(),
+            // Degraded regions keep ffs but get no delay element; both
+            // conditions must hold for the region to carry controllers.
+            controlled: r.ffs > 0 && r.delem_levels > 0,
+            matched_levels: r.delem_levels,
+            critical_delay_ns: r.critical_delay_ns,
+            loopback_latch: report.liveness_repairs.iter().any(|lr| {
+                lr.region == r.name && matches!(lr.action, crate::LivenessAction::RequestLatch)
+            }),
+        })
+        .collect();
+    let slot = |name: &str| report.regions.iter().position(|r| r.name == name);
+    let edges = report
+        .ddg_edges
+        .iter()
+        .filter_map(|(a, b)| Some((slot(a)?, slot(b)?)))
+        .collect();
+    Ok(HandshakeSpec {
+        regions,
+        edges,
+        level_delay_ns,
+        ff_overhead_ns: ff.max_intrinsic_delay() + ff.setup,
+    })
 }
 
 #[cfg(test)]
@@ -516,9 +548,10 @@ mod tests {
             let mut m = false_path_pair(cross);
             crate::region::clean_for_grouping(&mut m, &lib);
             let regions = crate::region::group(&m, &lib, &opts).unwrap();
-            let (a, b) = (regions.region_of("a3").unwrap(), regions.region_of("b1").unwrap());
+            let region_named = |name: &str| regions.region_of(m.find_cell(name).unwrap());
+            let (a, b) = (region_named("a3").unwrap(), region_named("b1").unwrap());
             assert_ne!(a, b, "the false path splits the clouds");
-            assert_eq!(regions.region_of("r_b"), Some(b));
+            assert_eq!(region_named("r_b"), Some(b));
             region_delays(&m, &lib, &regions).unwrap()[b]
         };
         let (crossing, from_input) = (delay_of_b(true), delay_of_b(false));

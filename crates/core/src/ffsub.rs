@@ -66,12 +66,12 @@ pub fn region_degrade_reason(
     module: &Module,
     lib: &Library,
     gatefile: &Gatefile,
-    seq_cells: &[String],
+    seq_cells: &[CellId],
 ) -> Option<DegradeReason> {
-    for name in seq_cells {
-        let Some(cell_id) = module.find_cell(name) else {
+    for &cell_id in seq_cells {
+        if !module.is_cell_alive(cell_id) {
             continue; // already substituted or removed
-        };
+        }
         let kind_name = module.cell(cell_id).kind_name();
         let Some(lc) = lib.cell(kind_name) else {
             return Some(DegradeReason::UnknownCell {
@@ -90,8 +90,8 @@ pub fn region_degrade_reason(
     None
 }
 
-/// Substitutes every flip-flop named in `seq_cells` by a latch pair
-/// enabled by `gm` (master) and `gs` (slave).
+/// Substitutes every flip-flop in `seq_cells` by a latch pair enabled by
+/// `gm` (master) and `gs` (slave).
 ///
 /// # Errors
 /// Returns [`DesyncError::NoRule`] if the gatefile lacks a rule for some
@@ -100,15 +100,15 @@ pub fn substitute_ffs(
     module: &mut Module,
     lib: &Library,
     gatefile: &Gatefile,
-    seq_cells: &[String],
+    seq_cells: &[CellId],
     gm: NetId,
     gs: NetId,
 ) -> Result<SubstitutionReport, DesyncError> {
     let mut report = SubstitutionReport::default();
-    for name in seq_cells {
-        let Some(cell_id) = module.find_cell(name) else {
+    for &cell_id in seq_cells {
+        if !module.is_cell_alive(cell_id) {
             continue; // already substituted or removed
-        };
+        }
         let kind_name = module.cell(cell_id).kind_name();
         let Some(lc) = lib.cell(kind_name) else {
             return Err(DesyncError::UnknownCell {
@@ -434,7 +434,8 @@ mod tests {
             &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
         )
         .unwrap();
-        let rep = substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+        let r1 = m.find_cell("r1").unwrap();
+        let rep = substitute_ffs(&mut m, &lib, &gf, &[r1], gm, gs).unwrap();
         assert_eq!(rep.substituted, 1);
         assert_eq!(rep.extra_gates, 0);
         assert!(m.find_cell("r1").is_none());
@@ -461,7 +462,8 @@ mod tests {
             &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("QN", Conn::Net(qn))],
         )
         .unwrap();
-        let rep = substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+        let r1 = m.find_cell("r1").unwrap();
+        let rep = substitute_ffs(&mut m, &lib, &gf, &[r1], gm, gs).unwrap();
         assert_eq!(rep.extra_gates, 1);
         let inv = m.find_cell("r1_qn").expect("qn inverter");
         assert_eq!(m.cell(inv).pin("Z"), Some(Conn::Net(qn)));
@@ -487,7 +489,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let rep = substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+        let r1 = m.find_cell("r1").unwrap();
+        let rep = substitute_ffs(&mut m, &lib, &gf, &[r1], gm, gs).unwrap();
         assert_eq!(rep.extra_gates, 1);
         let mux = m.find_cell("r1_smx").expect("scan mux");
         assert_eq!(m.cell(mux).kind_name(), "MUX2X1");
@@ -517,7 +520,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let rep = substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+        let r1 = m.find_cell("r1").unwrap();
+        let rep = substitute_ffs(&mut m, &lib, &gf, &[r1], gm, gs).unwrap();
         assert_eq!(rep.extra_gates, 1);
         let and = m.find_cell("r1_srg").expect("sync reset AND");
         assert_eq!(m.cell(and).pin("B"), Some(Conn::Net(rn)));
@@ -541,7 +545,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let rep = substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+        let r1 = m.find_cell("r1").unwrap();
+        let rep = substitute_ffs(&mut m, &lib, &gf, &[r1], gm, gs).unwrap();
         assert!(rep.extra_gates >= 4, "gates: {}", rep.extra_gates);
         // Enables are gated with ORs, so the latches open on assertion.
         let lm = m.find_cell("r1_lm").unwrap();
@@ -568,7 +573,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let rep = substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+        let r1 = m.find_cell("r1").unwrap();
+        let rep = substitute_ffs(&mut m, &lib, &gf, &[r1], gm, gs).unwrap();
         assert_eq!(rep.extra_gates, 2);
         let gme = m.find_cell("r1_gme").expect("master enable AND");
         let gse = m.find_cell("r1_gse").expect("slave enable AND");
@@ -605,7 +611,8 @@ mod tests {
             if substitute {
                 let gm = m.find_net("gm").unwrap();
                 let gs = m.find_net("gs").unwrap();
-                substitute_ffs(&mut m, &lib, &gf, &["r1".into()], gm, gs).unwrap();
+                let r1 = m.find_cell("r1").unwrap();
+                substitute_ffs(&mut m, &lib, &gf, &[r1], gm, gs).unwrap();
             }
             let mut design = drd_netlist::Design::new();
             design.insert(m);

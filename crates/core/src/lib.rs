@@ -51,7 +51,7 @@ pub mod region;
 pub mod sdc;
 
 pub use desync::{
-    region_delays, DesyncOptions, DesyncReport, DesyncResult, Desynchronizer,
+    handshake_spec, region_delays, DesyncOptions, DesyncReport, DesyncResult, Desynchronizer,
     RegionSummary,
 };
 pub use error::{DegradeReason, Degradation, DesyncError};

@@ -21,7 +21,7 @@ use crate::desync::{DesyncOptions, DesyncReport, DesyncResult, RegionSummary};
 use crate::ffsub;
 use crate::network::{self, enable_net_names, NetworkReport};
 use crate::liveness::{self, LivenessAction, LivenessRepair, RegionState};
-use crate::region::{self, Regions};
+use crate::region::{self, Region, Regions};
 use crate::sdc;
 use crate::{DegradeReason, Degradation, DesyncError};
 
@@ -280,6 +280,20 @@ fn missing(what: &str, pass: &str) -> DesyncError {
     }
 }
 
+/// Region `r` left synchronous for `reason`, its flip-flops named through
+/// `module` — the name boundary of the report and trace.
+fn degradation(module: &Module, r: &Region, reason: DegradeReason) -> Degradation {
+    Degradation {
+        region: r.name.clone(),
+        reason,
+        cells: r
+            .seq_cells
+            .iter()
+            .map(|&c| module.cell(c).name.to_owned())
+            .collect(),
+    }
+}
+
 /// What one pass did, for the trace.
 #[derive(Debug, Clone, Default)]
 pub struct PassReport {
@@ -442,7 +456,8 @@ impl Pass for RegionDelaysPass {
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
         let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
-        let mut delays = crate::desync::region_delays(cx.module()?, cx.lib, regions)?;
+        let module = cx.module()?;
+        let mut delays = crate::desync::region_delays(module, cx.lib, regions)?;
         // A region whose cloud delay cannot be matched (non-finite STA
         // result) degrades to synchronous instead of poisoning the delay
         // elements downstream.
@@ -457,11 +472,11 @@ impl Pass for RegionDelaysPass {
                     message: format!("region `{}`: {message}", r.name),
                 });
             }
-            degraded.push(Degradation {
-                region: r.name.clone(),
-                reason: DegradeReason::DelayMatching { message },
-                cells: r.seq_cells.clone(),
-            });
+            degraded.push(degradation(
+                module,
+                r,
+                DegradeReason::DelayMatching { message },
+            ));
             delays[i] = 0.0;
         }
         cx.degradations.extend(degraded);
@@ -550,11 +565,7 @@ impl Pass for FfSubPass {
                             },
                         });
                     }
-                    degraded.push(Degradation {
-                        region: r.name.clone(),
-                        reason,
-                        cells: r.seq_cells.clone(),
-                    });
+                    degraded.push(degradation(cx.module()?, r, reason));
                     continue;
                 }
                 let working = cx.module_mut()?;
@@ -667,14 +678,12 @@ impl Pass for LivenessGuardPass {
             .as_deref()
             .ok_or_else(|| missing("region delays", "region-delays"))?
             .to_vec();
-        let (edges, seq_cells) = {
-            let regions =
-                cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
-            let graph = cx.ddg.as_ref().ok_or_else(|| missing("DDG", "ddg"))?;
-            let seq: Vec<Vec<String>> =
-                regions.regions.iter().map(|r| r.seq_cells.clone()).collect();
-            (graph.edges.clone(), seq)
-        };
+        let edges = cx
+            .ddg
+            .as_ref()
+            .ok_or_else(|| missing("DDG", "ddg"))?
+            .edges
+            .clone();
         let mut states: Vec<RegionState> = {
             let regions =
                 cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
@@ -790,17 +799,21 @@ impl Pass for LivenessGuardPass {
                         nr.celement_instances
                             .retain(|c| !stats.removed_cells.contains(c));
                     }
-                    cx.degradations.push(Degradation {
-                        region: rep.region.clone(),
-                        reason: DegradeReason::Liveness {
-                            message: format!(
-                                "request pulse {:.3} ns vs successor response {:.3} ns; \
-                                 deepen and latch repairs did not restore liveness",
-                                rep.rise_ns, rep.response_bound_ns
-                            ),
-                        },
-                        cells: seq_cells[i].clone(),
-                    });
+                    // The region's flip-flops were substituted; their
+                    // removed cells keep their names.
+                    let regions = cx
+                        .regions
+                        .as_ref()
+                        .ok_or_else(|| missing("regions", "group"))?;
+                    let reason = DegradeReason::Liveness {
+                        message: format!(
+                            "request pulse {:.3} ns vs successor response {:.3} ns; \
+                             deepen and latch repairs did not restore liveness",
+                            rep.rise_ns, rep.response_bound_ns
+                        ),
+                    };
+                    let d = degradation(cx.top_module(), &regions.regions[i], reason);
+                    cx.degradations.push(d);
                 }
             }
         }
@@ -1119,7 +1132,7 @@ impl Pipeline {
     /// # Errors
     /// Propagates the first pass failure.
     pub fn run(&self, cx: &mut FlowContext<'_>) -> Result<FlowTrace, DesyncError> {
-        self.run_observed(cx, None, |_, _| Ok(()))
+        self.run_until(cx, None)
     }
 
     /// Runs passes until (and including) `stop_after`, or all of them when
@@ -1133,32 +1146,26 @@ impl Pipeline {
         cx: &mut FlowContext<'_>,
         stop_after: Option<&str>,
     ) -> Result<FlowTrace, DesyncError> {
-        self.run_observed(cx, stop_after, |_, _| Ok(()))
-    }
-
-    /// [`Pipeline::run_until`] with an observer called after every
-    /// executed pass — the checkpoint hook behind `--dump-after`.
-    ///
-    /// # Errors
-    /// Returns [`DesyncError::Pipeline`] for an unknown `stop_after` name,
-    /// else propagates the first pass or observer failure.
-    pub fn run_observed(
-        &self,
-        cx: &mut FlowContext<'_>,
-        stop_after: Option<&str>,
-        observer: impl FnMut(&'static str, &FlowContext<'_>) -> Result<(), DesyncError>,
-    ) -> Result<FlowTrace, DesyncError> {
-        let (trace, err) = self.run_recording_observed(cx, stop_after, observer);
-        match err {
-            Some(e) => Err(e),
-            None => Ok(trace),
+        match self.run_recording(cx, stop_after) {
+            (_, Some(e)) => Err(e),
+            (trace, None) => Ok(trace),
         }
     }
 
-    /// Runs passes like [`Pipeline::run_until`], but never discards the
-    /// instrumentation: on a pass failure the returned [`FlowTrace`] keeps
-    /// the completed-pass list and records the failure in
-    /// [`FlowTrace::error`], and the typed [`DesyncError`] is returned
+    /// [`Pipeline::run_observed`] without an observer.
+    pub fn run_recording(
+        &self,
+        cx: &mut FlowContext<'_>,
+        stop_after: Option<&str>,
+    ) -> (FlowTrace, Option<DesyncError>) {
+        self.run_observed(cx, stop_after, |_, _| Ok(()))
+    }
+
+    /// Runs passes like [`Pipeline::run_until`], calling `observer` after
+    /// every executed pass (the checkpoint hook behind `--dump-after`),
+    /// and never discards the instrumentation: on a failure the returned
+    /// [`FlowTrace`] keeps the completed-pass list and records the failure
+    /// in [`FlowTrace::error`], and the typed [`DesyncError`] is returned
     /// alongside. The context is left exactly as the last *successful*
     /// pass left it (each pass restores its borrows on error), so callers
     /// can still inspect artifacts and the checkpoint netlist.
@@ -1169,109 +1176,84 @@ impl Pipeline {
     /// `max_nets`, `pass_deadline_ms`) are checked after every pass,
     /// turning runaway expansion into [`DesyncError::Budget`] /
     /// [`DesyncError::Deadline`]. After a caught panic the context may be
-    /// mid-mutation — inspect the trace, not the netlist.
-    pub fn run_recording(
-        &self,
-        cx: &mut FlowContext<'_>,
-        stop_after: Option<&str>,
-    ) -> (FlowTrace, Option<DesyncError>) {
-        self.run_recording_observed(cx, stop_after, |_, _| Ok(()))
-    }
-
-    fn run_recording_observed(
+    /// mid-mutation — inspect the trace, not the netlist. An unknown
+    /// `stop_after` name fails before any pass runs.
+    pub fn run_observed(
         &self,
         cx: &mut FlowContext<'_>,
         stop_after: Option<&str>,
         mut observer: impl FnMut(&'static str, &FlowContext<'_>) -> Result<(), DesyncError>,
     ) -> (FlowTrace, Option<DesyncError>) {
         let mut trace = FlowTrace::default();
-        if let Some(stop) = stop_after {
-            if !self.passes.iter().any(|p| p.name() == stop) {
-                let err = DesyncError::Pipeline {
-                    message: format!(
+        // Every failure leaves this loop as `(failing pass, error)`.
+        let outcome = (|| -> Result<(), (&'static str, DesyncError)> {
+            if let Some(stop) = stop_after {
+                if !self.passes.iter().any(|p| p.name() == stop) {
+                    let message = format!(
                         "unknown pass `{stop}` — pipeline has: {}",
                         self.pass_names().join(", ")
-                    ),
-                };
-                trace.error = Some(FlowErrorTrace {
-                    pass: "<pipeline>",
-                    message: err.to_string(),
-                });
-                return (trace, Some(err));
-            }
-        }
-        for pass in &self.passes {
-            let (cells_before, nets_before) = cx.netlist_stats();
-            let start = Instant::now();
-            // Guard: a panicking pass must not abort the flow — catch the
-            // unwind and convert it into a structured diagnostic. The
-            // context may be mid-mutation after a panic, so the run stops
-            // here either way.
-            let caught = catch_unwind(AssertUnwindSafe(|| pass.run(cx)));
-            let wall_ns = start.elapsed().as_nanos();
-            let result = match caught {
-                Ok(result) => result,
-                Err(payload) => Err(DesyncError::Panic {
-                    pass: pass.name(),
-                    message: panic_message(payload.as_ref()),
-                }),
-            };
-            let report = match result {
-                Ok(report) => report,
-                Err(e) => {
-                    trace.error = Some(FlowErrorTrace {
-                        pass: pass.name(),
-                        message: e.to_string(),
-                    });
-                    trace.degradations = cx.degradations.clone();
-            trace.liveness_repairs = cx.liveness_repairs.clone();
-                    return (trace, Some(e));
+                    );
+                    return Err(("<pipeline>", DesyncError::Pipeline { message }));
                 }
-            };
-            let (cells_after, nets_after) = cx.netlist_stats();
-            trace.total_wall_ns += wall_ns;
-            trace.passes.push(PassTrace {
-                name: pass.name(),
-                wall_ns,
-                cells_before,
-                cells_after,
-                nets_before,
-                nets_after,
-                artifacts: report.artifacts,
-                detail: report.detail,
-                workers: report.workers,
-                region_wall_ns: report.region_wall_ns,
-            });
-            // Guard: resource budgets and the wall-clock deadline are
-            // enforced after every pass (passes cannot be preempted). The
-            // violation is recorded as a structured error on top of the
-            // completed-pass trace.
-            if let Some(e) = guard_violation(&cx.opts, pass.name(), cells_after, nets_after, wall_ns)
-            {
-                trace.error = Some(FlowErrorTrace {
-                    pass: pass.name(),
-                    message: e.to_string(),
+            }
+            for pass in &self.passes {
+                let name = pass.name();
+                let (cells_before, nets_before) = cx.netlist_stats();
+                let start = Instant::now();
+                // Guard: a panicking pass must not abort the flow — catch
+                // the unwind and convert it into a structured diagnostic.
+                // The context may be mid-mutation after a panic, so the
+                // run stops here either way.
+                let caught = catch_unwind(AssertUnwindSafe(|| pass.run(cx)));
+                let wall_ns = start.elapsed().as_nanos();
+                let report = caught
+                    .unwrap_or_else(|payload| {
+                        Err(DesyncError::Panic {
+                            pass: name,
+                            message: panic_message(payload.as_ref()),
+                        })
+                    })
+                    .map_err(|e| (name, e))?;
+                let (cells_after, nets_after) = cx.netlist_stats();
+                trace.total_wall_ns += wall_ns;
+                trace.passes.push(PassTrace {
+                    name,
+                    wall_ns,
+                    cells_before,
+                    cells_after,
+                    nets_before,
+                    nets_after,
+                    artifacts: report.artifacts,
+                    detail: report.detail,
+                    workers: report.workers,
+                    region_wall_ns: report.region_wall_ns,
                 });
-                trace.degradations = cx.degradations.clone();
-            trace.liveness_repairs = cx.liveness_repairs.clone();
-                return (trace, Some(e));
+                // Guard: resource budgets and the wall-clock deadline are
+                // enforced after every pass (passes cannot be preempted).
+                // The violation is recorded as a structured error on top
+                // of the completed-pass trace.
+                if let Some(e) = guard_violation(&cx.opts, name, cells_after, nets_after, wall_ns) {
+                    return Err((name, e));
+                }
+                observer(name, cx).map_err(|e| (name, e))?;
+                if stop_after == Some(name) {
+                    break;
+                }
             }
-            if let Err(e) = observer(pass.name(), cx) {
-                trace.error = Some(FlowErrorTrace {
-                    pass: pass.name(),
-                    message: e.to_string(),
-                });
-                trace.degradations = cx.degradations.clone();
-            trace.liveness_repairs = cx.liveness_repairs.clone();
-                return (trace, Some(e));
-            }
-            if stop_after == Some(pass.name()) {
-                break;
-            }
-        }
+            Ok(())
+        })();
         trace.degradations = cx.degradations.clone();
         trace.liveness_repairs = cx.liveness_repairs.clone();
-        (trace, None)
+        match outcome {
+            Ok(()) => (trace, None),
+            Err((pass, e)) => {
+                trace.error = Some(FlowErrorTrace {
+                    pass,
+                    message: e.to_string(),
+                });
+                (trace, Some(e))
+            }
+        }
     }
 }
 
@@ -1513,6 +1495,25 @@ mod tests {
     }
 
     #[test]
+    fn degradation_after_ffsub_names_the_removed_flip_flops() {
+        // The liveness guard degrades a region after its flip-flops were
+        // substituted; their removed cells still carry the names.
+        let lib = vlib90::high_speed();
+        let tool = Desynchronizer::new(&lib).unwrap();
+        let mut cx = FlowContext::new(&lib, tool.gatefile(), toggle(), DesyncOptions::default());
+        Pipeline::standard()
+            .run_until(&mut cx, Some("control-network"))
+            .unwrap();
+        let top = cx.top_module();
+        let r = &cx.regions().unwrap().regions[0];
+        assert!(r.seq_cells.iter().all(|&c| !top.is_cell_alive(c)));
+        let reason = DegradeReason::Liveness {
+            message: String::new(),
+        };
+        assert_eq!(degradation(top, r, reason).cells, vec!["r0".to_string()]);
+    }
+
+    #[test]
     fn strict_mode_restores_fail_fast() {
         let lib = vlib90::high_speed();
         let mut gf = Gatefile::from_library(&lib).unwrap();
@@ -1621,12 +1622,11 @@ mod tests {
             DesyncOptions::default(),
         );
         let mut seen = Vec::new();
-        Pipeline::standard()
-            .run_observed(&mut cx, Some("ddg"), |name, cx| {
-                seen.push((name, cx.netlist_verilog().len()));
-                Ok(())
-            })
-            .unwrap();
+        let (trace, err) = Pipeline::standard().run_observed(&mut cx, Some("ddg"), |name, cx| {
+            seen.push((name, cx.netlist_verilog().len()));
+            Ok(())
+        });
+        assert!(err.is_none() && trace.error.is_none(), "{err:?}");
         assert_eq!(
             seen.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
             vec!["clean", "clock-id", "group", "ddg"]

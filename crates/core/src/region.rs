@@ -21,17 +21,16 @@ use std::collections::{HashMap, HashSet};
 
 use drd_liberty::{CellClass, Library, SeqKind};
 use drd_netlist::passes::{clean_logic, CleanKind, CleanStats};
-use drd_netlist::{Cell, CellId, Conn, Endpoint, Module, NetId, Symbol, SymbolTable};
+use drd_netlist::{Cell, CellId, Conn, Endpoint, Module, NetId, PinUse, Symbol};
 
 use crate::DesyncError;
 
 /// Options for the grouping pass.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupingOptions {
-    /// Use the by-name bus heuristic (Fig. 3.6). Default: true via
-    /// [`GroupingOptions::default`]? No — all fields default off except
-    /// where noted; use [`GroupingOptions::recommended`] for the paper's
-    /// configuration.
+    /// Use the by-name bus heuristic (Fig. 3.6). Off by default;
+    /// [`GroupingOptions::recommended`], the paper's configuration, turns
+    /// it on.
     pub bus_grouping: bool,
     /// Net names to ignore as false paths (§3.2.2 "False Paths").
     pub false_path_nets: Vec<String>,
@@ -55,50 +54,55 @@ impl GroupingOptions {
 pub struct Region {
     /// Region name (`g0` is the input-register region).
     pub name: String,
-    /// All member cells, by instance name.
-    pub cells: Vec<String>,
-    /// The sequential members (targets of flip-flop substitution).
-    pub seq_cells: Vec<String>,
+    /// All member cells, in id order.
+    pub cells: Vec<CellId>,
+    /// The sequential members (targets of flip-flop substitution), in id
+    /// order.
+    pub seq_cells: Vec<CellId>,
     /// True for Group 0 (input-registering flip-flops with no logic cloud).
     pub is_input_region: bool,
 }
+
+/// Marks a cell id that belongs to no region in [`Regions`]' index.
+const NO_REGION: u32 = u32::MAX;
 
 /// The grouping result.
 #[derive(Debug, Clone)]
 pub struct Regions {
     /// Regions, `g0` (if any) last.
     pub regions: Vec<Region>,
-    /// Interned cell name → region index, built once at construction.
-    /// Keeps [`Regions::region_of`] O(1); the per-cell loops in DDG
-    /// building and SDC emission call it once per cell, so a linear scan
-    /// here made those passes quadratic in design size. Member names are
-    /// interned into a private table whose symbols are dense, so the
-    /// region index is a plain vector indexed by symbol — one hash probe
-    /// per lookup, not two.
-    index: Vec<usize>,
-    syms: SymbolTable,
+    /// Region index per cell id, built once at construction, so
+    /// [`Regions::region_of`] is one array read: the per-cell loops in DDG
+    /// building call it once per pin.
+    index: Vec<u32>,
 }
 
 impl Regions {
-    /// Builds the grouping result, indexing every member cell by name.
+    /// Builds the grouping result, indexing every member cell. A cell
+    /// listed in two regions belongs to the first.
     pub fn new(regions: Vec<Region>) -> Self {
-        let mut syms = SymbolTable::default();
-        let mut index = Vec::new();
-        for (i, r) in regions.iter().enumerate() {
+        let slots = regions
+            .iter()
+            .flat_map(|r| &r.cells)
+            .map(|c| c.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut index = vec![NO_REGION; slots];
+        for (i, r) in regions.iter().enumerate().rev() {
             for c in &r.cells {
-                let sym = syms.intern(c);
-                if sym.index() == index.len() {
-                    index.push(i);
-                }
+                index[c.index()] = i as u32;
             }
         }
-        Regions { regions, index, syms }
+        Regions { regions, index }
     }
 
-    /// Index of the region containing cell `name`.
-    pub fn region_of(&self, name: &str) -> Option<usize> {
-        let sym = self.syms.lookup(name)?;
-        self.index.get(sym.index()).copied()
+    /// Index of the region containing `cell`; `None` for a cell in no
+    /// region, such as one removed before grouping or added after it.
+    pub fn region_of(&self, cell: CellId) -> Option<usize> {
+        match self.index.get(cell.index()) {
+            Some(&i) if i != NO_REGION => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// Number of regions.
@@ -213,6 +217,11 @@ impl UnionFind {
 
 /// Runs the grouping algorithm on a (cleaned) module.
 ///
+/// The union-find runs over cell ids and keeps the smaller id as a
+/// class's root, so one ascending sweep collects the classes: regions are
+/// numbered in order of their smallest member and list their members in
+/// id order.
+///
 /// # Errors
 /// Returns [`DesyncError::UnknownCell`] for cells missing from the
 /// library, and propagates connectivity errors.
@@ -221,97 +230,76 @@ pub fn group(
     lib: &Library,
     opts: &GroupingOptions,
 ) -> Result<Regions, DesyncError> {
-    let cells: Vec<(CellId, Cell<'_>)> = module.cells().collect();
-    let index_of: HashMap<CellId, usize> =
-        cells.iter().enumerate().map(|(i, (id, _))| (*id, i)).collect();
-    for (_, cell) in &cells {
-        if lib.cell_of(cell.kind_ref()).is_none() {
+    // Per-cell library facts, read once: whether the cell is sequential,
+    // and its clock/enable pin, which traversal never crosses. A clock pin
+    // name absent from the symbol table cannot be connected anywhere, so
+    // `None` is equivalent to "no clock pin".
+    let slots = module.cell_slots();
+    let mut seq = vec![false; slots];
+    let mut clock_pin: Vec<Option<Symbol>> = vec![None; slots];
+    for (id, cell) in module.cells() {
+        let Some(lc) = lib.cell_of(cell.kind_ref()) else {
             return Err(DesyncError::UnknownCell {
                 name: cell.kind_name().to_owned(),
             });
-        }
+        };
+        seq[id.index()] = lc.is_sequential();
+        clock_pin[id.index()] = match &lc.seq {
+            SeqKind::FlipFlop(ff) => module.lookup_sym(&ff.clocked_on),
+            SeqKind::Latch(l) => module.lookup_sym(&l.enable),
+            _ => None,
+        };
     }
+    let seq_of = |cells: &[CellId]| -> Vec<CellId> {
+        cells.iter().copied().filter(|c| seq[c.index()]).collect()
+    };
 
     if opts.single_group {
-        let mut all = Vec::new();
-        let mut seq = Vec::new();
-        for (_, cell) in &cells {
-            all.push(cell.name.to_owned());
-            if lib.is_sequential(cell.kind_ref()) {
-                seq.push(cell.name.to_owned());
-            }
-        }
+        let cells: Vec<CellId> = module.cell_ids().collect();
         return Ok(Regions::new(vec![Region {
             name: "g1".into(),
-            cells: all,
-            seq_cells: seq,
+            seq_cells: seq_of(&cells),
+            cells,
             is_input_region: false,
         }]));
     }
 
     // False-path nets: user-marked plus the clock.
-    let mut false_nets: HashSet<NetId> = opts
+    let mut false_net = vec![false; module.net_count()];
+    let marked = opts
         .false_path_nets
         .iter()
-        .filter_map(|n| module.find_net(n))
-        .collect();
-    if let Some(clk) = find_clock_net(module, lib) {
-        false_nets.insert(clk);
+        .filter_map(|n| module.find_net(n));
+    for net in marked.chain(find_clock_net(module, lib)) {
+        false_net[net.index()] = true;
     }
 
     let conn = module.connectivity(lib)?;
-    let mut uf = UnionFind::new(cells.len());
+    let mut uf = UnionFind::new(slots);
 
-    // Clock/enable pin symbols per seq cell kind, to skip during
-    // traversal. A clock pin name absent from the symbol table cannot be
-    // connected anywhere, so `None` is equivalent to "no clock pin".
-    let clockish_pin = |cell: &Cell<'_>| -> Option<Symbol> {
-        let name = match &lib.cell_of(cell.kind_ref())?.seq {
-            SeqKind::FlipFlop(ff) => &ff.clocked_on,
-            SeqKind::Latch(l) => &l.enable,
-            _ => return None,
+    // Steps 1 and 2, one union per driver-load pair: a combinational
+    // driver joins every cell it feeds (its gate neighbours and the
+    // sequential elements it drives); a sequential driver joins only the
+    // sequential elements it drives directly (FF→FF history chains). No
+    // union crosses a false-path net or a clock/enable pin. Union-find
+    // classes do not depend on the order of the unions.
+    for net in (0..module.net_count()).map(NetId::from_index) {
+        let Some(Endpoint::Pin(d)) = conn.driver(net) else {
+            continue;
         };
-        module.lookup_sym(name)
-    };
-
-    // Step 1: connected components over combinational connections, pulling
-    // in the driven sequential elements.
-    for (i, (cid, cell)) in cells.iter().enumerate() {
-        let is_comb = !lib.is_sequential(cell.kind_ref());
-        if !is_comb {
+        if false_net[net.index()] {
             continue;
         }
-        for (pin_idx, (_, c)) in cell.pins().iter().enumerate() {
-            let Conn::Net(net) = c else { continue };
-            if false_nets.contains(net) {
+        for load in conn.loads(net) {
+            let &Endpoint::Pin(PinUse { cell, pin }) = load else {
+                continue;
+            };
+            let (from, to) = (d.cell.index(), cell.index());
+            let clockish = clock_pin[to] == Some(module.cell_pins(cell)[pin as usize].0);
+            if clockish || (seq[from] && !seq[to]) {
                 continue;
             }
-            let driving = conn.driver(*net)
-                == Some(Endpoint::Pin(drd_netlist::PinUse {
-                    cell: *cid,
-                    pin: pin_idx as u32,
-                }));
-            if driving {
-                // Union with every load (combinational neighbours and the
-                // driven sequential elements) — but never through a
-                // sequential clock/enable pin.
-                for load in conn.loads(*net) {
-                    let Endpoint::Pin(p) = load else { continue };
-                    let load_cell = cells[index_of[&p.cell]].1;
-                    if clockish_pin(&load_cell) == Some(load_cell.pins()[p.pin as usize].0) {
-                        continue;
-                    }
-                    uf.union(i, index_of[&p.cell]);
-                }
-            } else {
-                // Union with a combinational source.
-                if let Some(Endpoint::Pin(p)) = conn.driver(*net) {
-                    let src = cells[index_of[&p.cell]].1;
-                    if !lib.is_sequential(src.kind_ref()) {
-                        uf.union(i, index_of[&p.cell]);
-                    }
-                }
-            }
+            uf.union(from, to);
         }
     }
 
@@ -321,97 +309,50 @@ pub fn group(
         let mut bus_driver: HashMap<&str, usize> = HashMap::new();
         for (nid, net) in module.nets() {
             let Some(bus) = &net.bus else { continue };
-            if false_nets.contains(&nid) {
+            if false_net[nid.index()] {
                 continue;
             }
             let Some(Endpoint::Pin(p)) = conn.driver(nid) else { continue };
-            let idx = index_of[&p.cell];
-            match bus_driver.get(bus.base) {
-                Some(&first) => uf.union(first, idx),
-                None => {
-                    bus_driver.insert(bus.base, idx);
-                }
-            }
+            let first = *bus_driver.entry(bus.base).or_insert(p.cell.index());
+            uf.union(first, p.cell.index());
         }
     }
 
-    // Step 2: sequential elements directly driven by grouped sequential
-    // elements join the driver's region.
-    for (i, (cid, cell)) in cells.iter().enumerate() {
-        if !lib.is_sequential(cell.kind_ref()) {
-            continue;
+    // Collect the classes: a root is its class's smallest id, so the
+    // ascending sweep meets it before any other member.
+    let mut class_at = vec![0u32; slots];
+    let mut classes: Vec<Vec<CellId>> = Vec::new();
+    for id in module.cell_ids() {
+        let root = uf.find(id.index());
+        if root == id.index() {
+            class_at[root] = classes.len() as u32;
+            classes.push(Vec::new());
         }
-        for (pin_idx, (_, c)) in cell.pins().iter().enumerate() {
-            let Conn::Net(net) = c else { continue };
-            if false_nets.contains(net) {
-                continue;
-            }
-            let driving = conn.driver(*net)
-                == Some(Endpoint::Pin(drd_netlist::PinUse {
-                    cell: *cid,
-                    pin: pin_idx as u32,
-                }));
-            if !driving {
-                continue;
-            }
-            for load in conn.loads(*net) {
-                let Endpoint::Pin(p) = load else { continue };
-                let load_cell = cells[index_of[&p.cell]].1;
-                if !lib.is_sequential(load_cell.kind_ref()) {
-                    continue;
-                }
-                if clockish_pin(&load_cell) == Some(load_cell.pins()[p.pin as usize].0) {
-                    continue;
-                }
-                uf.union(i, index_of[&p.cell]);
-            }
-        }
+        classes[class_at[root] as usize].push(id);
     }
 
-    // Collect classes. Classes without any combinational member and of
-    // size 1 fall into Group 0 (step 3) — as do all cells whose class
-    // contains only sequential elements with no cloud.
-    let mut class_members: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..cells.len() {
-        let root = uf.find(i);
-        class_members.entry(root).or_default().push(i);
-    }
+    // Step 3: a lone flip-flop with no cloud falls into Group 0.
     let mut regions: Vec<Region> = Vec::new();
-    let mut group0: Vec<usize> = Vec::new();
-    let mut roots: Vec<usize> = class_members.keys().copied().collect();
-    roots.sort_unstable();
-    for root in roots {
-        let members = &class_members[&root];
-        let has_comb = members
-            .iter()
-            .any(|&i| !lib.is_sequential(cells[i].1.kind_ref()));
-        let has_multiple_seq = members.len() > 1;
-        if !has_comb && !has_multiple_seq {
-            group0.extend(members.iter().copied());
-            continue;
-        }
-        let name = format!("g{}", regions.len() + 1);
-        let mut cell_names = Vec::with_capacity(members.len());
-        let mut seq_names = Vec::new();
-        for &i in members {
-            cell_names.push(cells[i].1.name.to_owned());
-            if lib.is_sequential(cells[i].1.kind_ref()) {
-                seq_names.push(cells[i].1.name.to_owned());
+    let mut group0: Vec<CellId> = Vec::new();
+    for cells in classes {
+        if let [only] = cells[..] {
+            if seq[only.index()] {
+                group0.push(only);
+                continue;
             }
         }
         regions.push(Region {
-            name,
-            cells: cell_names,
-            seq_cells: seq_names,
+            name: format!("g{}", regions.len() + 1),
+            seq_cells: seq_of(&cells),
+            cells,
             is_input_region: false,
         });
     }
     if !group0.is_empty() {
-        let cell_names: Vec<String> = group0.iter().map(|&i| cells[i].1.name.to_owned()).collect();
         regions.push(Region {
             name: "g0".into(),
-            seq_cells: cell_names.clone(),
-            cells: cell_names,
+            seq_cells: group0.clone(),
+            cells: group0,
             is_input_region: true,
         });
     }
@@ -424,6 +365,16 @@ mod tests {
     use super::*;
     use drd_liberty::vlib90;
     use drd_netlist::PortDir;
+
+    /// The region of the cell named `name` in `m`.
+    fn region_named(regions: &Regions, m: &Module, name: &str) -> Option<usize> {
+        regions.region_of(m.find_cell(name)?)
+    }
+
+    /// Whether the cells named `a` and `b` share a region.
+    fn same_region(regions: &Regions, m: &Module, a: &str, b: &str) -> bool {
+        region_named(regions, m, a) == region_named(regions, m, b)
+    }
 
     /// Builds a 2-stage pipeline: in → r_in → cloud1 → r1 → cloud2 → r2.
     fn pipeline() -> Module {
@@ -481,12 +432,12 @@ mod tests {
         let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
         // Expected: {c1, r1}, {c2, r2}, and g0 = {r_in}.
         assert_eq!(regions.len(), 3);
-        let r_c1 = regions.region_of("c1").unwrap();
-        assert_eq!(regions.region_of("r1"), Some(r_c1));
-        let r_c2 = regions.region_of("c2").unwrap();
-        assert_eq!(regions.region_of("r2"), Some(r_c2));
+        let r_c1 = region_named(&regions, &m, "c1").unwrap();
+        assert_eq!(region_named(&regions, &m, "r1"), Some(r_c1));
+        let r_c2 = region_named(&regions, &m, "c2").unwrap();
+        assert_eq!(region_named(&regions, &m, "r2"), Some(r_c2));
         assert_ne!(r_c1, r_c2);
-        let g0 = regions.region_of("r_in").unwrap();
+        let g0 = region_named(&regions, &m, "r_in").unwrap();
         assert!(regions.regions[g0].is_input_region);
         assert_eq!(regions.regions[g0].name, "g0");
     }
@@ -543,9 +494,8 @@ mod tests {
         let lib = vlib90::high_speed();
 
         let merged = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
-        assert_eq!(
-            merged.region_of("c1"),
-            merged.region_of("c2"),
+        assert!(
+            same_region(&merged, &m, "c1", "c2"),
             "global net merges clouds without false-path marking"
         );
 
@@ -555,7 +505,7 @@ mod tests {
             ..GroupingOptions::default()
         };
         let split = group(&m, &lib, &opts).unwrap();
-        assert_ne!(split.region_of("c1"), split.region_of("c2"));
+        assert!(!same_region(&split, &m, "c1", "c2"));
     }
 
     #[test]
@@ -576,12 +526,12 @@ mod tests {
         // Without cleaning the buffer is itself a comb cell connected to
         // both clouds → everything merges.
         let merged = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
-        assert_eq!(merged.region_of("c1"), merged.region_of("c2"));
+        assert!(same_region(&merged, &m, "c1", "c2"));
         // After cleaning, the regions split again.
         let stats = clean_for_grouping(&mut m, &lib);
         assert_eq!(stats.buffers_removed, 1);
         let split = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
-        assert_ne!(split.region_of("c1"), split.region_of("c2"));
+        assert!(!same_region(&split, &m, "c1", "c2"));
     }
 
     #[test]
@@ -609,9 +559,9 @@ mod tests {
             .unwrap();
         }
         let no_bus = group(&m, &lib, &GroupingOptions::default()).unwrap();
-        assert_ne!(no_bus.region_of("inv0"), no_bus.region_of("inv1"));
+        assert!(!same_region(&no_bus, &m, "inv0", "inv1"));
         let with_bus = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
-        assert_eq!(with_bus.region_of("inv0"), with_bus.region_of("inv1"));
+        assert!(same_region(&with_bus, &m, "inv0", "inv1"));
     }
 
     #[test]
@@ -629,22 +579,63 @@ mod tests {
         )
         .unwrap();
         let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
-        assert_eq!(regions.region_of("r3"), regions.region_of("r2"));
+        assert!(same_region(&regions, &m, "r3", "r2"));
     }
 
     #[test]
     fn region_lookup_uses_the_prebuilt_index() {
-        let m = pipeline();
         let lib = vlib90::high_speed();
+        let mut m = pipeline();
+        // c2 reads r1 through a buffer that cleaning removes; the history
+        // flip-flop r3 added after it puts the buffer's slot inside the index.
+        let (clk, q1, q2) = (
+            m.find_net("clk").unwrap(),
+            m.find_net("q1").unwrap(),
+            m.find_net("q2").unwrap(),
+        );
+        let (q1_buf, q3) = (m.add_net("q1_buf").unwrap(), m.add_net("q3").unwrap());
+        let c2 = m.find_cell("c2").unwrap();
+        m.set_pin(c2, "A", Conn::Net(q1_buf));
+        let buf = m
+            .add_cell(
+                "buf0",
+                "BUFX1",
+                &[("A", Conn::Net(q1)), ("Z", Conn::Net(q1_buf))],
+            )
+            .unwrap();
+        let r3 = m
+            .add_cell(
+                "r3",
+                "DFFX1",
+                &[
+                    ("D", Conn::Net(q2)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q3)),
+                ],
+            )
+            .unwrap();
+        clean_for_grouping(&mut m, &lib);
         let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
-        // Every member resolves through the name → index map, and the map
-        // agrees with a full scan of the membership lists.
+        // Every member resolves through the id index, and the index agrees
+        // with a full scan of the membership lists.
         for (i, r) in regions.regions.iter().enumerate() {
-            for c in &r.cells {
+            for &c in &r.cells {
                 assert_eq!(regions.region_of(c), Some(i), "cell {c}");
             }
         }
-        assert_eq!(regions.region_of("no_such_cell"), None);
+        // Neither the removed buffer nor a cell added after grouping (past
+        // the index's end) is in a region.
+        let late = m
+            .add_cell(
+                "late",
+                "INVX1",
+                &[("A", Conn::Net(q3)), ("Z", Conn::Net(q1_buf))],
+            )
+            .unwrap();
+        assert!(!m.is_cell_alive(buf) && buf < r3 && r3 < late);
+        assert_eq!(regions.region_of(r3), regions.region_of(c2));
+        assert_eq!(regions.region_of(buf), None);
+        assert_eq!(regions.region_of(late), None);
     }
 
     #[test]

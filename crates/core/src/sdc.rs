@@ -62,12 +62,7 @@ fn tcl_arg(name: &str) -> String {
     out
 }
 
-/// Generates the SDC text.
-pub fn generate(spec: &SdcSpec) -> String {
-    generate_with(spec, 1).0
-}
-
-/// [`generate`] with an explicit worker count.
+/// Generates the SDC text over `workers` threads.
 ///
 /// The per-controller constraint fragments (loop breaking and `size_only`)
 /// fan out one task per controlled region; fragments are concatenated
@@ -212,7 +207,7 @@ mod tests {
 
     #[test]
     fn clock_transformation_matches_figure_4_2() {
-        let sdc = generate(&sample());
+        let sdc = generate_with(&sample(), 1).0;
         assert!(sdc.contains("create_clock -name \"ClkM\" -period 2.40 -waveform {1.00 2.40}"));
         assert!(sdc.contains("create_clock -name \"ClkS\" -period 2.40 -waveform {2.40 2.80}"));
         assert!(sdc.contains("[get_pins {*_ctlm/u_g/Z}]"));
@@ -220,7 +215,7 @@ mod tests {
 
     #[test]
     fn loop_breaking_and_size_only() {
-        let sdc = generate(&sample());
+        let sdc = generate_with(&sample(), 1).0;
         assert!(sdc.contains("set_disable_timing [get_pins {drd_g1_ctlm/u_nro/A}]"));
         assert!(sdc.contains("set_disable_timing [get_pins {drd_g1_ctls/u_nro/A}]"));
         assert!(sdc.contains("set_size_only [get_cells {drd_g1_ctlm/*}]"));
@@ -228,14 +223,14 @@ mod tests {
 
     #[test]
     fn delay_elements_constrained() {
-        let sdc = generate(&sample());
+        let sdc = generate_with(&sample(), 1).0;
         assert!(sdc.contains("set_min_delay 0.840"));
         assert!(sdc.contains("set_dont_touch [get_cells {drd_g1_delem}]"));
     }
 
     #[test]
     fn clean_spec_emits_no_cdc_section() {
-        let sdc = generate(&sample());
+        let sdc = generate_with(&sample(), 1).0;
         assert!(!sdc.contains("set_clock_groups"), "{sdc}");
         assert!(
             !sdc.lines().any(|l| l.starts_with("create_clock -name \"Clk\"")),
@@ -251,7 +246,7 @@ mod tests {
         let mut spec = sample();
         spec.clock_port = "clk[0]".into();
         spec.degraded = vec!["g2".into()];
-        let sdc = generate(&spec);
+        let sdc = generate_with(&spec, 1).0;
         assert!(sdc.contains("[get_ports {clk[0]}]"), "{sdc}");
         assert!(!sdc.contains("[get_ports clk[0]]"), "{sdc}");
     }
@@ -270,7 +265,7 @@ mod tests {
         spec.controllers = (1..6)
             .map(|i| (format!("drd_g{i}_ctlm"), format!("drd_g{i}_ctls")))
             .collect();
-        let serial = generate(&spec);
+        let serial = generate_with(&spec, 1).0;
         for workers in [2, 3, 8] {
             let (par, walls) = generate_with(&spec, workers);
             assert_eq!(serial, par, "workers={workers}");
@@ -282,7 +277,7 @@ mod tests {
     fn degraded_spec_declares_clock_domain_crossing() {
         let mut spec = sample();
         spec.degraded = vec!["g2".into()];
-        let sdc = generate(&spec);
+        let sdc = generate_with(&spec, 1).0;
         assert!(
             sdc.contains("create_clock -name \"Clk\" -period 2.40 -waveform {0 1.20} [get_ports {clk}]"),
             "{sdc}"

@@ -121,7 +121,7 @@ mod tests {
         let lib = vlib90::high_speed();
         let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
         let ddg = drd_core::ddg::build(&m, &lib, &regions).unwrap();
-        let idx = |cell: &str| regions.region_of(cell).unwrap();
+        let idx = |cell: &str| regions.region_of(m.find_cell(cell).unwrap()).unwrap();
         let (g1, g2, g3, g4, g5) = (
             idx("g1_r0"),
             idx("g2_r0"),

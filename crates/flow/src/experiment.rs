@@ -2,12 +2,11 @@
 //! twice — synchronous and desynchronized — with the same library and
 //! "tools", then compare area, timing, power and variability tolerance.
 
-use drd_core::{DesyncOptions, DesyncReport, DesyncResult, Desynchronizer, FlowTrace};
+use drd_core::{handshake_spec, DesyncOptions, DesyncResult, Desynchronizer, FlowTrace};
 use drd_liberty::{Corner, Library, Lv};
 use drd_netlist::{Design, Module};
 use drd_sim::{
-    compare_capture_logs, CaptureLog, GateVariability, HandshakeNet, HandshakeSpec, RegionSpec,
-    SimOptions, Simulator,
+    compare_capture_logs, CaptureLog, GateVariability, HandshakeNet, SimOptions, Simulator,
 };
 use drd_sta::TimingGraph;
 
@@ -463,50 +462,6 @@ pub struct VariabilityStudy {
     /// Fraction of desynchronized chips faster than the synchronous
     /// worst case (the shaded ≈90 % of Fig. 5.4).
     pub fraction_faster: f64,
-}
-
-/// Projects a desynchronization report onto the handshake simulator's
-/// control-network spec. `drd-sim` sits below `drd-core` in the crate
-/// order (core *tests* with the simulator), so the projection lives on
-/// the flow side: region rows become [`RegionSpec`]s and the DDG edges
-/// become index pairs.
-///
-/// # Errors
-/// Propagates delay-element probing errors.
-pub fn handshake_spec(
-    report: &DesyncReport,
-    lib: &Library,
-) -> Result<HandshakeSpec, DesyncError> {
-    let level_delay_ns = drd_core::delay_element::level_delay_ns(lib)?;
-    let ff = lib.cell("DFFX1").expect("vlib90 has DFFX1");
-    let regions: Vec<RegionSpec> = report
-        .regions
-        .iter()
-        .map(|r| RegionSpec {
-            name: r.name.clone(),
-            // Degraded regions keep ffs but get no delay element; both
-            // conditions must hold for the region to carry controllers.
-            controlled: r.ffs > 0 && r.delem_levels > 0,
-            matched_levels: r.delem_levels,
-            critical_delay_ns: r.critical_delay_ns,
-            loopback_latch: report.liveness_repairs.iter().any(|lr| {
-                lr.region == r.name
-                    && matches!(lr.action, drd_core::LivenessAction::RequestLatch)
-            }),
-        })
-        .collect();
-    let slot = |name: &str| report.regions.iter().position(|r| r.name == name);
-    let edges = report
-        .ddg_edges
-        .iter()
-        .filter_map(|(a, b)| Some((slot(a)?, slot(b)?)))
-        .collect();
-    Ok(HandshakeSpec {
-        regions,
-        edges,
-        level_delay_ns,
-        ff_overhead_ns: ff.max_intrinsic_delay() + ff.setup,
-    })
 }
 
 /// Runs the Monte-Carlo variability study: the desynchronized circuit

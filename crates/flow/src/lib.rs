@@ -22,7 +22,8 @@ pub mod report;
 
 pub use backend::{place_and_route, BackendOptions, LayoutResult};
 pub use dft::{insert_scan, ScanReport};
+pub use drd_core::handshake_spec;
 pub use experiment::{
-    area_comparison, handshake_spec, power_sweep, timing_sweep, variability_study,
-    AreaComparison, CaseStudy, PowerSweep, TimingSweep, VariabilityStudy,
+    area_comparison, power_sweep, timing_sweep, variability_study, AreaComparison, CaseStudy,
+    PowerSweep, TimingSweep, VariabilityStudy,
 };

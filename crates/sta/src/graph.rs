@@ -192,7 +192,7 @@ impl<'m> TimingGraph<'m> {
     /// # Errors
     /// Returns [`StaError`] for unknown cells/pins or a malformed netlist.
     pub fn build(module: &'m Module, lib: &Library) -> Result<Self, StaError> {
-        Self::build_partitioned(module, lib, &[module.cell_ids().collect()])
+        Self::build_partitioned(module, lib, &[module.cell_ids().collect::<Vec<_>>()])
     }
 
     /// Builds one graph over disjoint `groups` of the module's cells. A
@@ -208,7 +208,7 @@ impl<'m> TimingGraph<'m> {
     pub fn build_partitioned(
         module: &'m Module,
         lib: &Library,
-        groups: &[Vec<CellId>],
+        groups: &[impl AsRef<[CellId]>],
     ) -> Result<Self, StaError> {
         // Net load capacitances over the whole module, summed in cell-id
         // then pin order. This first sweep also resolves every library
@@ -241,7 +241,7 @@ impl<'m> TimingGraph<'m> {
         let mut nodes = ports;
         for (g, group) in groups.iter().enumerate() {
             group_start.push(nodes as u32);
-            for &cid in group {
+            for &cid in group.as_ref() {
                 if cell_base[cid.index()] != ABSENT {
                     continue;
                 }

@@ -19,7 +19,8 @@
 #    core passes and the Verilog reader, and the Degradation schema in
 #    the golden degraded-flow artifacts, plus the interned-name guard
 #    rail (no String-keyed maps inside core/sta/sim pass modules, no
-#    per-pin maps in sta, no symbol-table clones inside core/sta),
+#    per-pin maps in sta, no symbol-table clones inside core/sta, and no
+#    SymbolTable anywhere in core, which names cells through its Module),
 # 9. runs the parallel scaling bench (results/BENCH_scale.json), which
 #    itself fails when a pass grows faster than cells^1.2, checks its
 #    schema, gates on >= 3x flow speedup where there are >= 4 cores
@@ -249,6 +250,15 @@ if [ -n "$table_clones" ]; then
   exit 1
 fi
 echo "ok: no symbol-table clones in core/sta"
+# core resolves every name through its Module: region membership is
+# CellId with one dense index, so a second interner must not come back.
+core_tables=$(grep -rn 'SymbolTable' crates/core/src || true)
+if [ -n "$core_tables" ]; then
+  echo "error: SymbolTable in crates/core (resolve names through the Module):" >&2
+  echo "$core_tables" >&2
+  exit 1
+fi
+echo "ok: no SymbolTable in core"
 
 echo "== parallel scaling bench gate (offline) =="
 # The binary itself exits non-zero if region lookup is no longer O(1),

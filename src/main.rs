@@ -469,7 +469,7 @@ fn run() -> Result<(), CliError> {
                 }
             }
             let mut cx = FlowContext::new(&lib, &gatefile, module, opts.clone());
-            let trace = pipeline.run_observed(&mut cx, stop_after, |name, cx| {
+            let (trace, err) = pipeline.run_observed(&mut cx, stop_after, |name, cx| {
                 if dump_pass.as_deref() == Some(name) {
                     std::fs::write(&dump_file, cx.netlist_verilog()).map_err(|e| {
                         DesyncError::Pipeline {
@@ -478,9 +478,14 @@ fn run() -> Result<(), CliError> {
                     })?;
                 }
                 Ok(())
-            })?;
+            });
+            // The trace is written for a failed flow too: its `error`
+            // section names the failing pass.
             if let Some(path) = flag_value(&args, "--trace") {
                 std::fs::write(path, trace.to_json())?;
+            }
+            if let Some(e) = err {
+                return Err(e.into());
             }
 
             if trace.passes.len() < pipeline.pass_names().len() {

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use drd_check::golden::{assert_golden, render_desync_report};
 use drdesync::core::{DegradeReason, DesyncOptions, Desynchronizer, FlowContext, Pipeline};
 use drdesync::liberty::{vlib90, Lv};
-use drdesync::netlist::{Conn, Design, Module};
+use drdesync::netlist::{CellId, Conn, Design, Module};
 use drdesync::sim::{SimOptions, Simulator};
 
 fn golden_dir() -> PathBuf {
@@ -129,16 +129,15 @@ fn partially_degraded_dlx_small_is_flow_equivalent_elsewhere() {
 
     // Region membership of the unmodified design (grouping runs before
     // substitution, so the degraded flow sees the same regions).
-    let regions = {
-        let mut cleaned = module.clone();
-        drdesync::core::region::clean_for_grouping(&mut cleaned, &lib);
-        drdesync::core::region::group(
-            &cleaned,
-            &lib,
-            &drdesync::core::region::GroupingOptions::recommended(),
-        )
-        .expect("grouping works")
-    };
+    let mut cleaned = module.clone();
+    drdesync::core::region::clean_for_grouping(&mut cleaned, &lib);
+    let regions = drdesync::core::region::group(
+        &cleaned,
+        &lib,
+        &drdesync::core::region::GroupingOptions::recommended(),
+    )
+    .expect("grouping works");
+    let name_of = |id: CellId| cleaned.cell(id).name.to_owned();
     // Degrade the isolated input-register region (the irq synchronizer):
     // rewrite its single flip-flop to the flavour whose rule we drop.
     let victim = regions
@@ -147,7 +146,7 @@ fn partially_degraded_dlx_small_is_flow_equivalent_elsewhere() {
         .find(|r| r.is_input_region)
         .expect("dlx has an input-register region");
     assert_eq!(victim.seq_cells.len(), 1, "{:?}", victim.seq_cells);
-    let ff_name = victim.seq_cells[0].clone();
+    let ff_name = name_of(victim.seq_cells[0]);
     let id = module.find_cell(&ff_name).expect("victim FF exists");
     let cell = module.cell(id);
     let mut pins: Vec<(String, Conn)> = (0..cell.pins().len())
@@ -187,7 +186,7 @@ fn partially_degraded_dlx_small_is_flow_equivalent_elsewhere() {
         .regions
         .iter()
         .filter(|r| !excluded.contains(&r.name))
-        .flat_map(|r| r.seq_cells.iter().cloned())
+        .flat_map(|r| r.seq_cells.iter().map(|&c| name_of(c)))
         .collect();
 
     let mut sync = Design::new();

@@ -79,8 +79,8 @@ fn grouping_partitions_all_cells() {
             .map_err(|e| format!("grouping: {e}"))?;
         let mut seen = std::collections::HashSet::new();
         for r in &regions.regions {
-            for c in &r.cells {
-                if !seen.insert(c.clone()) {
+            for &c in &r.cells {
+                if !seen.insert(c) {
                     return Err(format!("cell {c} in two regions"));
                 }
             }
