@@ -1,19 +1,21 @@
 //! Micro-benchmarks of the tool's own kernels: Verilog parsing and
 //! writing, region grouping, connectivity, STA graph build and
-//! propagation, STG reachability, event simulation throughput and full
-//! desynchronization.
+//! propagation, STG reachability, event simulation throughput,
+//! handshake-level simulation and full desynchronization.
 //!
 //! Runs on the in-tree `drd_check::bench` harness (`cargo bench -p
 //! drd-bench`) and writes `BENCH_kernels.json` next to the workspace so
 //! the perf trajectory is recorded run over run.
 
 use drd_check::bench::Bench;
+use drd_check::netgen::NetRecipe;
+use drd_check::Rng;
 use drd_core::region::{group, GroupingOptions};
-use drd_core::{DesyncOptions, Desynchronizer};
+use drd_core::{handshake_spec, DesyncOptions, Desynchronizer};
 use drd_designs::dlx::DlxParams;
 use drd_liberty::{vlib90, Corner, Lv};
 use drd_netlist::Design;
-use drd_sim::{SimOptions, Simulator};
+use drd_sim::{GateVariability, HandshakeNet, SimOptions, Simulator};
 use drd_sta::TimingGraph;
 use drd_stg::protocols::Protocol;
 
@@ -100,6 +102,33 @@ fn main() {
     let tool = Desynchronizer::new(&lib).unwrap();
     b.run("desynchronize_dlx_small", || {
         tool.run(&dlx, &DesyncOptions::default()).unwrap()
+    });
+
+    // Handshake-level simulation: a serial 256-chip Monte Carlo on the
+    // small DLX (what `simulate` pays per chip), and elaboration plus
+    // one nominal run on the largest `scale` step, 7 392 cells drawn
+    // after the four smaller steps as that bench draws it (what the
+    // liveness guard pays per check).
+    let result = tool.run(&dlx, &DesyncOptions::default()).unwrap();
+    let net =
+        HandshakeNet::elaborate(&handshake_spec(&result.report, &lib).unwrap(), &lib).unwrap();
+    let var = GateVariability::new(0xD15E_A5E0, 0.15);
+    b.run("handshake_mc_dlx_small_256", || {
+        net.monte_carlo(&var, 256, 1).unwrap()
+    });
+    let mut rng = Rng::new(0x5CA1_E0DD);
+    for (stages, cloud, width) in [(4, 60, 4), (4, 120, 6), (6, 200, 8), (8, 320, 8)] {
+        NetRecipe::stepped(&mut rng, stages, cloud, width);
+    }
+    let ladder = NetRecipe::stepped(&mut rng, 12, 600, 16).build().unwrap();
+    assert_eq!(ladder.cells().count(), 7392, "largest scale step");
+    let result = tool.run(&ladder, &DesyncOptions::default()).unwrap();
+    let spec = handshake_spec(&result.report, &lib).unwrap();
+    b.run("handshake_nominal_ladder_7392", || {
+        HandshakeNet::elaborate(std::hint::black_box(&spec), &lib)
+            .unwrap()
+            .nominal_cycle_times()
+            .unwrap()
     });
 
     // Interner kernels: string-keyed maps in pass loops were the scaling

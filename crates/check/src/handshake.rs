@@ -13,14 +13,16 @@
 //!    simulation must reproduce the nominal run bit for bit: same event
 //!    order, same femtosecond edge times, same `f64` cycle time.
 //!
-//! One topology is excluded by construction: a controlled region with
-//! *neither* controlled predecessors nor successors gets the
-//! always-ready loopback request **and** the eager acknowledge
-//! environment simultaneously (`drd_core::network`'s environment rules),
-//! which degenerates its request into a pulse shorter than the matched
-//! delay — the asymmetric delay element swallows it and the ring halts,
-//! in silicon as in simulation. The oracle reports such specs as
-//! vacuously verified rather than failing on physics.
+//! One topology is excluded: a controlled region with *neither*
+//! controlled predecessors nor successors gets the always-ready
+//! loopback request **and** the eager acknowledge environment
+//! simultaneously (`drd_core::network`'s environment rules), which
+//! degenerates its request into a short pulse. A short matched delay
+//! passes the pulse and the region free-runs (DLX's one-level
+//! input-register region `g0` cycles at 0.200 ns); a long one swallows
+//! it and the ring halts, in silicon as in simulation. The oracle
+//! reports specs with such a region as vacuously verified rather than
+//! judge that physics.
 //!
 //! A simulated deadlock on any *coupled* topology is reported as a
 //! failure, and that is deliberate: the same wedge happens at gate
@@ -36,7 +38,8 @@ use drd_sim::{GateVariability, HandshakeNet, HandshakeSpec, RegionCycle};
 
 /// Controlled regions with neither controlled predecessors nor
 /// successors (self-loops count as both): the loopback + eager-ack
-/// degenerate topology whose handshake halts by design.
+/// degenerate topology, which free-runs or halts with its matched-delay
+/// depth (see module docs).
 pub fn isolated_regions(spec: &HandshakeSpec) -> Vec<String> {
     spec.regions
         .iter()

@@ -495,8 +495,9 @@ pub fn plan_repairs(
 
 /// Validates spec-level state with the handshake simulator: `Ok(true)`
 /// when the network settles — or when the topology is vacuous (no
-/// controlled region, or an isolated controlled region whose
-/// loopback + eager-ack environment wedges by construction; the
+/// controlled region, or any isolated controlled region, whose
+/// loopback + eager-ack environment free-runs when its matched delay is
+/// short, like DLX's one-level `g0`, and wedges when it is long; the
 /// handshake-timing oracle skips the same shapes) — and `Ok(false)` on a
 /// simulated deadlock.
 ///

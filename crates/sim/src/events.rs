@@ -8,11 +8,12 @@
 //! assigns in scheduling order — scheduling is itself deterministic, so
 //! pop order is a pure function of the schedule calls.
 //!
-//! Stale-event cancellation is by versioning rather than heap surgery: a
-//! node bumps its version when it schedules a newer transition, and the
-//! simulator drops popped events whose version no longer matches. That
-//! gives inertial-delay semantics (a pulse shorter than a gate's delay is
-//! swallowed) without ever reordering or removing heap entries.
+//! Stale-event cancellation is by id rather than heap surgery: the
+//! simulator remembers the id of the last event each node scheduled and
+//! drops popped events with any other id. That gives inertial-delay
+//! semantics (a pulse shorter than a gate's delay is swallowed) without
+//! ever reordering or removing heap entries. A live event's new value is
+//! the one its node last scheduled, so the event does not carry it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,26 +44,23 @@ pub fn fs_to_ns(fs: TimeFs) -> f64 {
     fs as f64 / FS_PER_NS
 }
 
-/// One scheduled transition: node `node` changes to `value` at `time`.
+/// One scheduled transition of node `node` at `time`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Fire time (fs).
     pub time: TimeFs,
-    /// Queue-assigned id: the (time, id) pair is the total order.
+    /// Queue-assigned id: the (time, id) pair is the total order. The
+    /// simulator drops the event unless it is the last one its node
+    /// scheduled.
     pub id: u64,
     /// Target node index.
     pub node: usize,
-    /// New value.
-    pub value: bool,
-    /// Node version at scheduling time; the simulator drops the event if
-    /// the node has re-scheduled since.
-    pub version: u32,
 }
 
 impl Ord for Event {
     fn cmp(&self, other: &Event) -> std::cmp::Ordering {
         // (time, id) only: ids are unique, so this is a total order and
-        // the remaining fields never influence pop order.
+        // the node never influences pop order.
         (self.time, self.id).cmp(&(other.time, other.id))
     }
 }
@@ -87,10 +85,10 @@ impl EventQueue {
     }
 
     /// Schedules a transition and returns its id.
-    pub fn schedule(&mut self, time: TimeFs, node: usize, value: bool, version: u32) -> u64 {
+    pub fn schedule(&mut self, time: TimeFs, node: usize) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.heap.push(Reverse(Event { time, id, node, value, version }));
+        self.heap.push(Reverse(Event { time, id, node }));
         id
     }
 
@@ -127,10 +125,10 @@ mod tests {
     #[test]
     fn pops_in_time_order_with_id_tiebreak() {
         let mut q = EventQueue::new();
-        q.schedule(30, 0, true, 0);
-        q.schedule(10, 1, true, 0);
-        q.schedule(10, 2, false, 0); // same time, later id
-        q.schedule(20, 3, true, 0);
+        q.schedule(30, 0);
+        q.schedule(10, 1);
+        q.schedule(10, 2); // same time, later id
+        q.schedule(20, 3);
         let order: Vec<(TimeFs, usize)> =
             std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.node)).collect();
         assert_eq!(order, vec![(10, 1), (10, 2), (20, 3), (30, 0)]);
@@ -140,8 +138,8 @@ mod tests {
     fn same_time_ties_resolve_by_scheduling_order_not_node() {
         let mut q = EventQueue::new();
         // Schedule high node index first: it must still pop first.
-        q.schedule(5, 9, true, 0);
-        q.schedule(5, 1, true, 0);
+        q.schedule(5, 9);
+        q.schedule(5, 1);
         assert_eq!(q.pop().unwrap().node, 9);
         assert_eq!(q.pop().unwrap().node, 1);
     }
@@ -160,7 +158,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        q.schedule(7, 0, true, 0);
+        assert_eq!(q.schedule(7, 0), 0);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(7));
         assert_eq!(q.scheduled(), 1);

@@ -19,6 +19,10 @@
 //!   fs once, up front;
 //! * events pop in `(time, event-id)` order and ids are assigned in
 //!   scheduling order, which is itself deterministic;
+//! * a run stops simulating a connected component of the network once
+//!   every region in it has its edges: components share no node, so the
+//!   dropped events could change no measurement, and the remaining ones
+//!   keep their order;
 //! * per-gate process variation comes from the *keyed* draws of
 //!   [`GateVariability`] — a pure function of `(campaign_seed, chip,
 //!   gate)` — so a Monte-Carlo campaign is one independent task per chip
@@ -51,7 +55,8 @@ use crate::SimError;
 pub const DEFAULT_MAX_EDGES: usize = 12;
 
 /// Hard cap on processed events per run — a livelocked graph (which a
-/// correct elaboration cannot produce) errors instead of spinning.
+/// correct elaboration cannot produce) errors instead of spinning. Events
+/// of finished components are dropped uncounted.
 const MAX_EVENTS: u64 = 8_000_000;
 
 /// One region of a [`HandshakeSpec`] — a projection of the flow's
@@ -142,19 +147,50 @@ enum NodeKind {
     Delay(usize),
 }
 
+impl NodeKind {
+    /// The nodes driving this one, each once.
+    fn inputs(self) -> impl Iterator<Item = usize> {
+        let (a, b) = match self {
+            NodeKind::Inv(a) | NodeKind::Buf(a) | NodeKind::Delay(a) => (a, None),
+            NodeKind::And2(a, b) | NodeKind::C2 { a, b, .. } => (a, (b != a).then_some(b)),
+        };
+        std::iter::once(a).chain(b)
+    }
+}
+
+/// The value `kind` drives given its inputs' `values`; `hold` is its
+/// own current value, which a C-element keeps while its inputs differ.
+fn eval(kind: NodeKind, values: &[bool], hold: bool) -> bool {
+    match kind {
+        NodeKind::Inv(a) => !values[a],
+        NodeKind::Buf(a) | NodeKind::Delay(a) => values[a],
+        NodeKind::And2(a, b) => values[a] && values[b],
+        NodeKind::C2 { a, b, .. } => {
+            if values[a] == values[b] {
+                values[a]
+            } else {
+                hold
+            }
+        }
+    }
+}
+
+/// `nominal` fs derated by `factor`, rounded to whole femtoseconds and
+/// floored at 1 fs.
+fn derate(nominal: TimeFs, factor: f64) -> TimeFs {
+    let fs = (nominal as f64 * factor).round();
+    if fs < 1.0 {
+        1
+    } else {
+        fs as TimeFs
+    }
+}
+
 /// Unwired input sentinel during elaboration; never survives it.
 const PENDING: usize = usize::MAX;
 
-#[derive(Debug, Clone)]
-struct Node {
-    kind: NodeKind,
-    /// Nominal delay of each constituent variability gate (fs). Simple
-    /// gates have one; a matched delay has `matched_levels`.
-    levels: Vec<TimeFs>,
-    /// First variability-gate index; the node spans
-    /// `gate_base..gate_base + levels.len()`.
-    gate_base: usize,
-}
+/// Watch-table entry of a node that is no region's slave enable.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Handles into the node table for one controlled region's two
 /// controllers (`m_` master, `s_` slave) and matched delay.
@@ -181,11 +217,33 @@ struct RegionNodes {
 }
 
 /// The elaborated timed event graph plus the synchronous comparison
-/// model, ready to simulate at any drawn silicon.
+/// model, ready to simulate at any drawn silicon. Everything that does
+/// not depend on a chip's delays is computed here once, so a chip only
+/// builds its rise/fall table and runs the event loop.
 #[derive(Debug, Clone)]
 pub struct HandshakeNet {
-    nodes: Vec<Node>,
-    fanout: Vec<Vec<usize>>,
+    kinds: Vec<NodeKind>,
+    /// Node `i` spans control gates `gate_base[i]..gate_base[i + 1]`:
+    /// simple gates have one, a matched delay its chain depth.
+    gate_base: Vec<usize>,
+    /// Nominal delay of each control gate (fs), in gate-index order.
+    levels: Vec<TimeFs>,
+    /// CSR fan-out: node `i` drives
+    /// `fanout[fanout_start[i]..fanout_start[i + 1]]`, in node order.
+    fanout_start: Vec<usize>,
+    fanout: Vec<usize>,
+    /// The settled reset state every run starts from.
+    reset: Vec<bool>,
+    /// Reset-held C-elements that flip when reset is released at t = 0,
+    /// in node order.
+    release: Vec<usize>,
+    /// Region slot of each slave enable node; [`NO_SLOT`] elsewhere.
+    watch: Vec<u32>,
+    /// Connected component of each node. Components share no node, so
+    /// they never exchange an event.
+    component: Vec<u32>,
+    /// Controlled regions per component.
+    component_regions: Vec<u32>,
     regions: Vec<RegionNodes>,
     region_names: Vec<String>,
     /// Nominal matched-delay floor per controlled region (fs).
@@ -214,7 +272,8 @@ impl HandshakeNet {
     ///
     /// # Errors
     /// [`SimError::UnknownCell`] when the library misses a controller
-    /// gate; [`SimError::Handshake`] when no region is controlled.
+    /// gate; [`SimError::Handshake`] when no region is controlled or the
+    /// reset state does not settle.
     pub fn elaborate(spec: &HandshakeSpec, lib: &Library) -> Result<HandshakeNet, SimError> {
         let inv = ns_to_fs(cell_delay_ns(lib, "INVX1")?);
         let buf1 = ns_to_fs(cell_delay_ns(lib, "BUFX1")?);
@@ -238,13 +297,14 @@ impl HandshakeNet {
             });
         }
 
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut gate_count = 0usize;
-        let mut push = |nodes: &mut Vec<Node>, kind: NodeKind, levels: Vec<TimeFs>| {
-            let gate_base = gate_count;
-            gate_count += levels.len();
-            nodes.push(Node { kind, levels, gate_base });
-            nodes.len() - 1
+        let mut kinds: Vec<NodeKind> = Vec::new();
+        let mut gate_base: Vec<usize> = Vec::new();
+        let mut levels: Vec<TimeFs> = Vec::new();
+        let mut push = |kinds: &mut Vec<NodeKind>, kind: NodeKind, delay: TimeFs, gates: usize| {
+            gate_base.push(levels.len());
+            levels.resize(levels.len() + gates, delay);
+            kinds.push(kind);
+            kinds.len() - 1
         };
 
         // Pass 1: allocate every controller in region order with
@@ -255,7 +315,7 @@ impl HandshakeNet {
         let mut region_names = Vec::new();
         for &ri in &controlled {
             let r = &spec.regions[ri];
-            let base = nodes.len();
+            let base = kinds.len();
             // Fixed per-region layout (offsets 0..=14) — see RegionNodes.
             let h = RegionNodes {
                 region: ri,
@@ -275,49 +335,49 @@ impl HandshakeNet {
                 s_ai: base + 13,
                 delay: base + 14,
             };
-            let levels = r.matched_levels.max(1);
-            push(&mut nodes, NodeKind::Inv(h.m_ro), vec![inv]);
-            push(&mut nodes, NodeKind::C2 { a: h.delay, b: h.m_nro, reset: Some(false) }, vec![c2r]);
-            push(&mut nodes, NodeKind::Inv(h.s_ai), vec![inv]);
-            push(&mut nodes, NodeKind::C2 { a: h.m_a, b: h.m_nao, reset: Some(false) }, vec![c2r]);
-            push(&mut nodes, NodeKind::And2(h.m_a, h.m_nro), vec![and2]);
-            push(&mut nodes, NodeKind::Buf(h.m_g1), vec![buf2]);
-            push(&mut nodes, NodeKind::Buf(h.m_a), vec![buf1]);
-            push(&mut nodes, NodeKind::Inv(h.s_ro), vec![inv]);
-            push(&mut nodes, NodeKind::C2 { a: h.m_ro, b: h.s_nro, reset: Some(false) }, vec![c2r]);
-            push(&mut nodes, NodeKind::Inv(PENDING), vec![inv]); // s_nao: ack join, pass 2
-            push(&mut nodes, NodeKind::C2 { a: h.s_a, b: h.s_nao, reset: Some(true) }, vec![c2s]);
-            push(&mut nodes, NodeKind::And2(h.s_a, h.s_nro), vec![and2]);
-            push(&mut nodes, NodeKind::Buf(h.s_g1), vec![buf2]);
-            push(&mut nodes, NodeKind::Buf(h.s_a), vec![buf1]);
-            push(&mut nodes, NodeKind::Delay(PENDING), vec![level; levels]); // req join, pass 2
+            let depth = r.matched_levels.max(1);
+            let k = &mut kinds;
+            push(k, NodeKind::Inv(h.m_ro), inv, 1);
+            push(k, NodeKind::C2 { a: h.delay, b: h.m_nro, reset: Some(false) }, c2r, 1);
+            push(k, NodeKind::Inv(h.s_ai), inv, 1);
+            push(k, NodeKind::C2 { a: h.m_a, b: h.m_nao, reset: Some(false) }, c2r, 1);
+            push(k, NodeKind::And2(h.m_a, h.m_nro), and2, 1);
+            push(k, NodeKind::Buf(h.m_g1), buf2, 1);
+            push(k, NodeKind::Buf(h.m_a), buf1, 1);
+            push(k, NodeKind::Inv(h.s_ro), inv, 1);
+            push(k, NodeKind::C2 { a: h.m_ro, b: h.s_nro, reset: Some(false) }, c2r, 1);
+            push(k, NodeKind::Inv(PENDING), inv, 1); // s_nao: ack join, pass 2
+            push(k, NodeKind::C2 { a: h.s_a, b: h.s_nao, reset: Some(true) }, c2s, 1);
+            push(k, NodeKind::And2(h.s_a, h.s_nro), and2, 1);
+            push(k, NodeKind::Buf(h.s_g1), buf2, 1);
+            push(k, NodeKind::Buf(h.s_a), buf1, 1);
+            push(k, NodeKind::Delay(PENDING), level, depth); // req join, pass 2
             // Request-extending latch (liveness repair, DESIGN.md §3i):
             // an inverter on the master acknowledge plus a C-element that
             // holds the raw request high until the ack arrives. Allocated
             // here in region order; wired in pass 2.
             let ext = if r.loopback_latch {
-                let e_inv = push(&mut nodes, NodeKind::Inv(PENDING), vec![inv]);
-                let e_c2 =
-                    push(&mut nodes, NodeKind::C2 { a: PENDING, b: e_inv, reset: None }, vec![c2]);
+                let e_inv = push(k, NodeKind::Inv(PENDING), inv, 1);
+                let e_c2 = push(k, NodeKind::C2 { a: PENDING, b: e_inv, reset: None }, c2, 1);
                 Some((e_inv, e_c2))
             } else {
                 None
             };
             ext_handles.push(ext);
-            matched_fs.push(level.saturating_mul(levels as TimeFs));
+            matched_fs.push(level.saturating_mul(depth as TimeFs));
             region_names.push(r.name.clone());
             handles.push(h);
         }
 
         // Balanced pairwise reduction with the same chunks-of-2 shape as
         // `drd_core::celement::join` — the odd element passes up a round.
-        let mut join = |nodes: &mut Vec<Node>, inputs: &[usize]| -> usize {
+        let mut join = |kinds: &mut Vec<NodeKind>, inputs: &[usize]| -> usize {
             let mut layer: Vec<usize> = inputs.to_vec();
             while layer.len() > 1 {
                 let mut next = Vec::with_capacity(layer.len().div_ceil(2));
                 for pair in layer.chunks(2) {
                     if let [a, b] = *pair {
-                        next.push(push(nodes, NodeKind::C2 { a, b, reset: None }, vec![c2]));
+                        next.push(push(kinds, NodeKind::C2 { a, b, reset: None }, c2, 1));
                     } else {
                         next.push(pair[0]);
                     }
@@ -329,7 +389,7 @@ impl HandshakeNet {
 
         // Pass 2: join trees and cross-region wiring, in region order.
         let slot_of = |region: usize| controlled.iter().position(|&r| r == region);
-        for (slot, h) in handles.clone().into_iter().enumerate() {
+        for (slot, h) in handles.iter().enumerate() {
             let preds: Vec<usize> = spec
                 .edges
                 .iter()
@@ -346,57 +406,132 @@ impl HandshakeNet {
             // Request side: join controlled predecessors' `ros`, or loop
             // the region's own request back when it has none.
             let mut raw_req = if preds.is_empty() {
-                handles[slot].s_ro
+                h.s_ro
             } else {
                 let inputs: Vec<usize> = preds.iter().map(|&p| handles[p].s_ro).collect();
-                join(&mut nodes, &inputs)
+                join(&mut kinds, &inputs)
             };
             // Liveness repair: interpose the request-extending latch. At
             // reset both inputs are high (slave request set, master ack
             // low), so the no-reset C-element settles to the same value
             // the bare loopback wire has.
             if let Some((e_inv, e_c2)) = ext_handles[slot] {
-                nodes[e_inv].kind = NodeKind::Inv(handles[slot].m_ai);
-                if let NodeKind::C2 { a, .. } = &mut nodes[e_c2].kind {
+                kinds[e_inv] = NodeKind::Inv(h.m_ai);
+                if let NodeKind::C2 { a, .. } = &mut kinds[e_c2] {
                     *a = raw_req;
                 }
                 raw_req = e_c2;
             }
-            nodes[h.delay].kind = NodeKind::Delay(raw_req);
+            kinds[h.delay] = NodeKind::Delay(raw_req);
 
             // Acknowledge side: join controlled successors' `aim`, or
             // acknowledge eagerly from the region's own request.
             let slave_ao = if succs.is_empty() {
-                handles[slot].s_ro
+                h.s_ro
             } else {
                 let inputs: Vec<usize> = succs.iter().map(|&s| handles[s].m_ai).collect();
-                join(&mut nodes, &inputs)
+                join(&mut kinds, &inputs)
             };
-            nodes[h.s_nao].kind = NodeKind::Inv(slave_ao);
+            kinds[h.s_nao] = NodeKind::Inv(slave_ao);
         }
+        gate_base.push(levels.len());
 
-        debug_assert!(nodes.iter().all(|n| match n.kind {
-            NodeKind::Inv(a) | NodeKind::Buf(a) | NodeKind::Delay(a) => a != PENDING,
-            NodeKind::And2(a, b) | NodeKind::C2 { a, b, .. } => a != PENDING && b != PENDING,
-        }));
+        debug_assert!(kinds.iter().all(|k| k.inputs().all(|a| a != PENDING)));
+        let n = kinds.len();
 
-        let mut fanout = vec![Vec::new(); nodes.len()];
-        for (i, n) in nodes.iter().enumerate() {
-            match n.kind {
-                NodeKind::Inv(a) | NodeKind::Buf(a) | NodeKind::Delay(a) => fanout[a].push(i),
-                NodeKind::And2(a, b) | NodeKind::C2 { a, b, .. } => {
-                    fanout[a].push(i);
-                    if b != a {
-                        fanout[b].push(i);
-                    }
-                }
+        // CSR fan-out, each node's list in ascending driven-node order.
+        let mut fanout_start = vec![0usize; n + 1];
+        for k in &kinds {
+            for a in k.inputs() {
+                fanout_start[a + 1] += 1;
             }
         }
+        for i in 0..n {
+            fanout_start[i + 1] += fanout_start[i];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanout = vec![0usize; fanout_start[n]];
+        for (i, k) in kinds.iter().enumerate() {
+            for a in k.inputs() {
+                fanout[fill[a]] = i;
+                fill[a] += 1;
+            }
+        }
+
+        // Connected components: union-find over fan-in, each class rooted
+        // at its smallest node, labelled densely in node order.
+        let mut parent: Vec<usize> = (0..n).collect();
+        let find = |parent: &mut [usize], mut x: usize| {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        };
+        for (i, k) in kinds.iter().enumerate() {
+            for a in k.inputs() {
+                let (ri, ra) = (find(&mut parent, i), find(&mut parent, a));
+                parent[ri.max(ra)] = ri.min(ra);
+            }
+        }
+        let mut component = vec![0u32; n];
+        let mut component_regions: Vec<u32> = Vec::new();
+        for i in 0..n {
+            let root = find(&mut parent, i);
+            component[i] = if root == i {
+                component_regions.push(0);
+                component_regions.len() as u32 - 1
+            } else {
+                component[root]
+            };
+        }
+        let mut watch = vec![NO_SLOT; n];
+        for (slot, h) in handles.iter().enumerate() {
+            watch[h.s_g] = slot as u32;
+            component_regions[component[h.s_g] as usize] += 1;
+        }
+
+        // Reset fixed point: C2R held 0, C2S held 1, the rest settles
+        // combinationally (the DAG left after holding the loop-breaking
+        // controller C-elements). No delay enters it.
+        let held = |k: NodeKind| matches!(k, NodeKind::C2 { reset: Some(_), .. });
+        let mut reset: Vec<bool> =
+            kinds.iter().map(|k| matches!(k, NodeKind::C2 { reset: Some(true), .. })).collect();
+        let mut settled = false;
+        for _ in 0..n + 2 {
+            let mut changed = false;
+            for i in 0..n {
+                if held(kinds[i]) {
+                    continue;
+                }
+                let v = eval(kinds[i], &reset, reset[i]);
+                if v != reset[i] {
+                    reset[i] = v;
+                    changed = true;
+                }
+            }
+            if !changed {
+                settled = true;
+                break;
+            }
+        }
+        if !settled {
+            return Err(SimError::Handshake {
+                message: "reset state did not settle".into(),
+            });
+        }
+        // Releasing reset at t = 0 re-evaluates every reset-held
+        // C-element against its settled inputs.
+        let release: Vec<usize> = (0..n)
+            .filter(|&i| held(kinds[i]) && eval(kinds[i], &reset, reset[i]) != reset[i])
+            .collect();
 
         // Synchronous comparison model: each region with a combinational
         // cloud contributes one register-to-register path, decomposed
         // into level-sized gates so intra-die draws average the same way
-        // they do along the matched delay chains.
+        // they do along the matched delay chains. The paths' gates follow
+        // the control gates, in path order.
+        let mut gate_count = levels.len();
         let mut sync_paths = Vec::new();
         for r in &spec.regions {
             if r.critical_delay_ns <= 0.0 {
@@ -406,26 +541,21 @@ impl HandshakeNet {
             let per_gate = ns_to_fs(r.critical_delay_ns / depth);
             let mut path = vec![per_gate; depth as usize];
             path.push(ns_to_fs(spec.ff_overhead_ns));
-            let gate_base = gate_count;
             gate_count += path.len();
-            // Record the path's gate span via a synthetic node-free
-            // entry: sync paths are summed, never event-simulated.
-            sync_paths.push((gate_base, path));
+            sync_paths.push(path);
         }
-        let sync_paths = sync_paths
-            .into_iter()
-            .map(|(base, path)| {
-                // Stash the base in the vector by construction: gate
-                // index of element j is base + j. Recover it in
-                // `sync_period_fs` from the running offset.
-                debug_assert!(base < gate_count);
-                path
-            })
-            .collect();
 
         Ok(HandshakeNet {
-            nodes,
+            kinds,
+            gate_base,
+            levels,
+            fanout_start,
             fanout,
+            reset,
+            release,
+            watch,
+            component,
+            component_regions,
             regions: handles,
             region_names,
             matched_fs,
@@ -443,7 +573,7 @@ impl HandshakeNet {
     /// Control-network gate count (the prefix of [`gate_count`]'s range
     /// that the event simulation consumes).
     pub fn control_gate_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.levels.len()).sum()
+        self.levels.len()
     }
 
     /// Controlled region names, in elaboration order.
@@ -458,9 +588,7 @@ impl HandshakeNet {
 
     /// Per-gate delay factors for `chip`, in gate-index order.
     pub fn chip_factors(&self, var: &GateVariability, chip: usize) -> Vec<f64> {
-        (0..self.gate_count)
-            .map(|g| var.factor(chip as u64, g as u64))
-            .collect()
+        var.chip_factors(chip as u64, self.gate_count)
     }
 
     /// Simulates at unit factors: the nominal analytical model (the
@@ -469,7 +597,7 @@ impl HandshakeNet {
     /// bit.
     ///
     /// # Errors
-    /// Propagates simulation errors (deadlock, unsettled reset).
+    /// Propagates simulation errors (deadlock, event-cap overrun).
     pub fn nominal_cycle_times(&self) -> Result<Vec<RegionCycle>, SimError> {
         let factors = vec![1.0; self.gate_count];
         self.cycle_times(&factors, DEFAULT_MAX_EDGES)
@@ -481,7 +609,7 @@ impl HandshakeNet {
     ///
     /// # Errors
     /// [`SimError::Handshake`] on factor-length mismatch, handshake
-    /// deadlock, unsettled reset, or event-cap overrun.
+    /// deadlock, or event-cap overrun.
     pub fn cycle_times(
         &self,
         factors: &[f64],
@@ -514,95 +642,52 @@ impl HandshakeNet {
         let max_edges = max_edges.max(4);
 
         // Per-node rise/fall delays (fs), rounded once up front.
-        let scale_term = |nominal: TimeFs, f: f64| -> TimeFs {
-            let fs = (nominal as f64 * f).round();
-            if fs < 1.0 {
-                1
-            } else {
-                fs as TimeFs
-            }
-        };
         let delays: Vec<(TimeFs, TimeFs)> = self
-            .nodes
+            .kinds
             .iter()
-            .map(|n| {
-                let scale = if matches!(n.kind, NodeKind::Delay(_)) { matched_scale } else { 1.0 };
-                let terms: Vec<TimeFs> = n
-                    .levels
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &lv)| scale_term(lv, factors[n.gate_base + i] * scale))
-                    .collect();
-                let rise: TimeFs = terms.iter().sum();
+            .enumerate()
+            .map(|(i, kind)| {
+                let matched = matches!(kind, NodeKind::Delay(_));
+                let scale = if matched { matched_scale } else { 1.0 };
+                let term = |g: usize| derate(self.levels[g], factors[g] * scale);
+                let gates = self.gate_base[i]..self.gate_base[i + 1];
+                let rise: TimeFs = gates.clone().map(term).sum();
                 // Matched delays fall fast (one level); everything else
                 // is symmetric.
-                let fall = if matches!(n.kind, NodeKind::Delay(_)) { terms[0] } else { rise };
-                (rise.max(1), fall.max(1))
+                let fall = if matched { term(gates.start) } else { rise };
+                (rise, fall)
             })
             .collect();
 
-        // Reset fixed point: C2R held 0, C2S held 1, the rest settles
-        // combinationally (the DAG left after holding the loop-breaking
-        // controller C-elements).
-        let mut values = vec![false; self.nodes.len()];
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let NodeKind::C2 { reset: Some(r), .. } = n.kind {
-                values[i] = r;
-            }
-        }
-        let mut settled = false;
-        for _ in 0..self.nodes.len() + 2 {
-            let mut changed = false;
-            for i in 0..self.nodes.len() {
-                if let NodeKind::C2 { reset: Some(_), .. } = self.nodes[i].kind {
-                    continue; // held by reset
-                }
-                let v = self.eval(i, &values, values[i]);
-                if v != values[i] {
-                    values[i] = v;
-                    changed = true;
-                }
-            }
-            if !changed {
-                settled = true;
-                break;
-            }
-        }
-        if !settled {
-            return Err(SimError::Handshake {
-                message: "reset state did not settle".into(),
-            });
-        }
-
-        // Release reset at t = 0: every reset-held C-element re-evaluates
-        // against its settled inputs.
+        // Start from the settled reset state and release reset at t = 0.
+        // Only the last event a node scheduled is live, and its value is
+        // the node's `next_values` entry.
+        let mut values = self.reset.clone();
         let mut next_values = values.clone();
-        let mut versions = vec![0u32; self.nodes.len()];
+        let mut last = vec![u64::MAX; self.kinds.len()];
         let mut queue = EventQueue::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let NodeKind::C2 { reset: Some(_), .. } = n.kind {
-                let v = self.eval(i, &values, values[i]);
-                if v != values[i] {
-                    next_values[i] = v;
-                    versions[i] += 1;
-                    let delay = if v { delays[i].0 } else { delays[i].1 };
-                    queue.schedule(delay, i, v, versions[i]);
-                }
-            }
+        for &i in &self.release {
+            let v = !values[i];
+            next_values[i] = v;
+            let delay = if v { delays[i].0 } else { delays[i].1 };
+            last[i] = queue.schedule(delay, i);
         }
 
-        // Watch table: slave enable node → region slot.
-        let mut watch = vec![usize::MAX; self.nodes.len()];
-        for (slot, h) in self.regions.iter().enumerate() {
-            watch[h.s_g] = slot;
-        }
-        let mut edges: Vec<Vec<TimeFs>> = vec![Vec::with_capacity(max_edges); self.regions.len()];
+        // Regions per component still short of `max_edges` edges. A
+        // component with none left can change no measurement, so its
+        // events are dropped; the rest keep their scheduling order and
+        // pop in the same (time, id) order as without the drop.
+        let mut open = self.component_regions.clone();
+        let regions = self.regions.len();
+        let mut edges: Vec<TimeFs> = vec![0; regions * max_edges];
+        let mut seen = vec![0usize; regions];
         let mut done = 0usize;
 
         let mut processed: u64 = 0;
         while let Some(ev) = queue.pop() {
-            if ev.version != versions[ev.node] {
-                continue; // superseded (inertial cancellation)
+            let component = self.component[ev.node] as usize;
+            if last[ev.node] != ev.id || open[component] == 0 {
+                continue; // superseded (inertial cancellation) or finished
             }
             processed += 1;
             if processed > MAX_EVENTS {
@@ -610,31 +695,34 @@ impl HandshakeNet {
                     message: format!("event cap exceeded after {processed} events"),
                 });
             }
-            values[ev.node] = ev.value;
-            let slot = watch[ev.node];
-            if ev.value && slot != usize::MAX && edges[slot].len() < max_edges {
-                edges[slot].push(ev.time);
-                if edges[slot].len() == max_edges {
+            let value = next_values[ev.node];
+            values[ev.node] = value;
+            let slot = self.watch[ev.node] as usize;
+            if value && slot != NO_SLOT as usize && seen[slot] < max_edges {
+                edges[slot * max_edges + seen[slot]] = ev.time;
+                seen[slot] += 1;
+                if seen[slot] == max_edges {
+                    open[component] -= 1;
                     done += 1;
-                    if done == self.regions.len() {
+                    if done == regions {
                         break;
                     }
                 }
             }
-            for &f in &self.fanout[ev.node] {
-                let target = self.eval(f, &values, next_values[f]);
+            for &f in &self.fanout[self.fanout_start[ev.node]..self.fanout_start[ev.node + 1]] {
+                let target = eval(self.kinds[f], &values, next_values[f]);
                 if target != next_values[f] {
                     next_values[f] = target;
-                    versions[f] += 1;
                     let delay = if target { delays[f].0 } else { delays[f].1 };
-                    queue.schedule(ev.time + delay, f, target, versions[f]);
+                    last[f] = queue.schedule(ev.time + delay, f);
                 }
             }
         }
 
         let warmup = max_edges / 2;
-        let mut out = Vec::with_capacity(self.regions.len());
-        for (slot, times) in edges.iter().enumerate() {
+        let mut out = Vec::with_capacity(regions);
+        for (slot, times) in edges.chunks(max_edges).enumerate() {
+            let times = &times[..seen[slot]];
             if times.len() < warmup + 2 {
                 return Err(SimError::Handshake {
                     message: format!(
@@ -656,21 +744,6 @@ impl HandshakeNet {
             });
         }
         Ok(out)
-    }
-
-    fn eval(&self, i: usize, values: &[bool], hold: bool) -> bool {
-        match self.nodes[i].kind {
-            NodeKind::Inv(a) => !values[a],
-            NodeKind::Buf(a) | NodeKind::Delay(a) => values[a],
-            NodeKind::And2(a, b) => values[a] && values[b],
-            NodeKind::C2 { a, b, .. } => {
-                if values[a] == values[b] {
-                    values[a]
-                } else {
-                    hold
-                }
-            }
-        }
     }
 
     /// Closed-form steady-state period of a **single-region self-loop
@@ -695,9 +768,10 @@ impl HandshakeNet {
         let c2s = ns_to_fs(cell_delay_ns(lib, "C2SX1").ok()?);
         let buf = ns_to_fs(cell_delay_ns(lib, "BUFX1").ok()?);
         let inv = ns_to_fs(cell_delay_ns(lib, "INVX1").ok()?);
-        let delay = &self.nodes[self.regions[0].delay];
-        let rise: TimeFs = delay.levels.iter().sum();
-        let fall = delay.levels[0];
+        let delay = self.regions[0].delay;
+        let chain = &self.levels[self.gate_base[delay]..self.gate_base[delay + 1]];
+        let rise: TimeFs = chain.iter().sum();
+        let fall = chain[0];
         Some(rise + fall + 2 * (c2r + c2s + buf + inv))
     }
 
@@ -715,14 +789,7 @@ impl HandshakeNet {
             let sum: TimeFs = path
                 .iter()
                 .enumerate()
-                .map(|(j, &fs)| {
-                    let scaled = (fs as f64 * factors[base + j]).round();
-                    if scaled < 1.0 {
-                        1
-                    } else {
-                        scaled as TimeFs
-                    }
-                })
+                .map(|(j, &fs)| derate(fs, factors[base + j]))
                 .sum();
             worst = worst.max(sum);
             base += path.len();
@@ -775,8 +842,9 @@ mod tests {
         // closes the request loop through the region's own master ack.
         // (A controlled region with *neither* controlled predecessors nor
         // successors gets loopback-request plus eager-ack and its request
-        // degenerates to a pulse the asymmetric delay swallows — that
-        // topology deadlocks by design, in silicon as here.)
+        // degenerates to a short pulse: a short matched delay passes it
+        // and the region free-runs, a long one swallows it and the region
+        // deadlocks, in silicon as here.)
         HandshakeSpec {
             regions: vec![RegionSpec {
                 name: "g1".into(),
@@ -945,11 +1013,13 @@ mod tests {
     /// An open chain whose source's matched delay dwarfs the sink's
     /// response time wedges (the pulse-swallowing hazard) — and the
     /// request-extending latch of the liveness repair un-wedges it
-    /// without touching the delay imbalance.
+    /// without touching the delay imbalance. A free-running isolated
+    /// one-level region beside the chain (DLX's input registers) must
+    /// neither hide the deadlock nor change the verdict.
     #[test]
     fn loopback_latch_unwedges_the_imbalanced_open_chain() {
         let lib = vlib90::high_speed();
-        let mut spec = HandshakeSpec {
+        let chain = HandshakeSpec {
             regions: vec![
                 RegionSpec {
                     name: "src".into(),
@@ -970,16 +1040,26 @@ mod tests {
             level_delay_ns: 0.09,
             ff_overhead_ns: 0.15,
         };
-        let wedged = HandshakeNet::elaborate(&spec, &lib).unwrap();
-        let err = wedged.nominal_cycle_times().expect_err("imbalance wedges");
-        assert!(err.to_string().contains("deadlock"), "{err}");
+        let mut beside_ring = chain.clone();
+        beside_ring.regions.push(RegionSpec {
+            name: "g0".into(),
+            controlled: true,
+            matched_levels: 1,
+            critical_delay_ns: 0.0,
+            loopback_latch: false,
+        });
+        for mut spec in [chain, beside_ring] {
+            let wedged = HandshakeNet::elaborate(&spec, &lib).unwrap();
+            let err = wedged.nominal_cycle_times().expect_err("imbalance wedges");
+            assert!(err.to_string().contains("handshake deadlock: region src "), "{err}");
 
-        spec.regions[0].loopback_latch = true;
-        let repaired = HandshakeNet::elaborate(&spec, &lib).unwrap();
-        let cycles = repaired.nominal_cycle_times().expect("latched loopback settles");
-        assert_eq!(cycles.len(), 2);
-        // The source still has to traverse its full matched delay.
-        assert!(cycles[0].cycle_ns >= cycles[0].matched_delay_ns);
+            spec.regions[0].loopback_latch = true;
+            let repaired = HandshakeNet::elaborate(&spec, &lib).unwrap();
+            let cycles = repaired.nominal_cycle_times().expect("latched loopback settles");
+            assert_eq!(cycles.len(), spec.regions.len());
+            // The source still has to traverse its full matched delay.
+            assert!(cycles[0].cycle_ns >= cycles[0].matched_delay_ns);
+        }
         // The extender must not perturb a healthy balanced topology's
         // liveness either.
         let mut balanced = pipeline_spec(3);

@@ -46,12 +46,10 @@ const INTRA_DIE_FRACTION: f64 = 0.25;
 /// Order-independent per-gate delay draws, keyed by
 /// `(campaign_seed, chip_index, gate_index)`.
 ///
-/// [`ChipPopulation`] draws its process points from one sequential
-/// stream, so a caller that visits chips in a different order (or skips
-/// some) gets different silicon. This derivation instead hashes the full
-/// coordinate into a fresh SplitMix64 stream per draw: any iteration
-/// order — and any parallel schedule — sees the same chips and the same
-/// gates.
+/// Each draw hashes its full coordinate into a fresh SplitMix64 stream
+/// instead of advancing one sequential stream, so any iteration order —
+/// and any parallel schedule, or a caller that skips chips — sees the
+/// same chips and the same gates.
 ///
 /// Factors are normalized to the typical chip: `factor` divides the
 /// interpolated corner derating by the `t = 0.5` derating, so a
@@ -99,8 +97,13 @@ impl GateVariability {
     /// Gate `gate_index`'s process point on chip `chip_index`: the chip
     /// point plus a smaller intra-die deviation, clamped to `[0, 1]`.
     pub fn gate_point(&self, chip_index: u64, gate_index: u64) -> f64 {
+        self.gate_point_on(self.chip_point(chip_index), chip_index, gate_index)
+    }
+
+    /// [`GateVariability::gate_point`] on a chip whose point is drawn.
+    fn gate_point_on(&self, chip_point: f64, chip_index: u64, gate_index: u64) -> f64 {
         let z = gauss(self.key(chip_index, gate_index));
-        (self.chip_point(chip_index) + z * self.sigma * INTRA_DIE_FRACTION).clamp(0.0, 1.0)
+        (chip_point + z * self.sigma * INTRA_DIE_FRACTION).clamp(0.0, 1.0)
     }
 
     /// The typical-normalized delay factor of one gate on one chip:
@@ -110,6 +113,20 @@ impl GateVariability {
         Corner::interpolate(self.gate_point(chip_index, gate_index)).delay_factor / typical
     }
 
+    /// [`GateVariability::factor`] of gates `0..gates` on one chip, bit
+    /// for bit: the chip point and the typical-corner derating are
+    /// computed once per chip instead of once per gate.
+    pub(crate) fn chip_factors(&self, chip_index: u64, gates: usize) -> Vec<f64> {
+        let chip_point = self.chip_point(chip_index);
+        let typical = Corner::interpolate(0.5).delay_factor;
+        (0..gates as u64)
+            .map(|g| {
+                Corner::interpolate(self.gate_point_on(chip_point, chip_index, g)).delay_factor
+                    / typical
+            })
+            .collect()
+    }
+
     /// The typical-normalized worst-corner factor — what a synchronous
     /// design must be clocked for regardless of its own silicon.
     pub fn worst_corner_factor() -> f64 {
@@ -117,104 +134,9 @@ impl GateVariability {
     }
 }
 
-/// A population of fabricated chips with per-chip process points.
-#[derive(Debug, Clone)]
-pub struct ChipPopulation {
-    points: Vec<f64>,
-}
-
-impl ChipPopulation {
-    /// Samples `n` chips: `t ~ N(0.5, sigma)` clamped to `[0, 1]`.
-    pub fn sample(n: usize, sigma: f64, seed: u64) -> ChipPopulation {
-        let mut state = seed;
-        let points = (0..n)
-            .map(|_| {
-                // Box–Muller on two uniforms from the seeded RNG.
-                let u1 = uniform(&mut state).max(1e-12);
-                let u2 = uniform(&mut state);
-                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                (0.5 + z * sigma).clamp(0.0, 1.0)
-            })
-            .collect();
-        ChipPopulation { points }
-    }
-
-    /// Per-chip process points.
-    pub fn points(&self) -> &[f64] {
-        &self.points
-    }
-
-    /// The operating corner of chip `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn corner(&self, i: usize) -> Corner {
-        Corner::interpolate(self.points[i])
-    }
-
-    /// Number of chips.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Fraction of chips whose value under `f` is below `threshold` —
-    /// e.g. the fraction of desynchronized chips faster than the
-    /// synchronous worst-case period (the shaded ~90 % area of Fig. 5.4).
-    pub fn fraction_below(&self, threshold: f64, mut f: impl FnMut(Corner) -> f64) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        let below = self
-            .points
-            .iter()
-            .filter(|&&t| f(Corner::interpolate(t)) < threshold)
-            .count();
-        below as f64 / self.points.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn population_is_deterministic_and_centered() {
-        let a = ChipPopulation::sample(2000, 0.15, 1);
-        let b = ChipPopulation::sample(2000, 0.15, 1);
-        assert_eq!(a.points(), b.points());
-        assert_eq!(a.len(), 2000);
-        assert!(!a.is_empty());
-        let mean: f64 = a.points().iter().sum::<f64>() / a.len() as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-        assert!(a.points().iter().all(|&t| (0.0..=1.0).contains(&t)));
-    }
-
-    #[test]
-    fn fraction_below_tracks_distribution() {
-        let pop = ChipPopulation::sample(4000, 0.15, 7);
-        // Delay grows with t; the threshold at the worst corner's delay
-        // should be nearly always met.
-        let worst_delay = Corner::worst().delay(1.0);
-        let frac = pop.fraction_below(worst_delay, |c| c.delay(1.0));
-        assert!(frac > 0.95, "{frac}");
-        // The threshold at the typical point splits the population.
-        let mid = Corner::interpolate(0.5).delay(1.0);
-        let frac_mid = pop.fraction_below(mid, |c| c.delay(1.0));
-        assert!((0.35..0.65).contains(&frac_mid), "{frac_mid}");
-    }
-
-    #[test]
-    fn corner_accessor() {
-        let pop = ChipPopulation::sample(3, 0.1, 2);
-        let c = pop.corner(0);
-        assert!(c.delay_factor >= Corner::best().delay_factor);
-        assert!(c.delay_factor <= Corner::worst().delay_factor);
-    }
 
     #[test]
     fn gate_draws_are_order_independent() {
@@ -236,6 +158,20 @@ mod tests {
             var.factor(11, 3).to_bits(),
             GateVariability::new(0xC0FFEE, 0.15).factor(11, 3).to_bits()
         );
+    }
+
+    #[test]
+    fn chip_factors_equal_the_per_gate_draws() {
+        for sigma in [0.0, 0.15, 0.6] {
+            let var = GateVariability::new(0xC0FFEE, sigma);
+            for chip in 0..8u64 {
+                let factors = var.chip_factors(chip, 64);
+                assert_eq!(factors.len(), 64);
+                for (gate, f) in factors.iter().enumerate() {
+                    assert_eq!(f.to_bits(), var.factor(chip, gate as u64).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

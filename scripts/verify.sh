@@ -30,7 +30,8 @@
 # 10. runs the handshake-level variability Monte Carlo
 #    (results/BENCH_variability.json), checks its schema, gates on >= 3x
 #    Monte-Carlo speedup where there are >= 4 cores, and re-runs the
-#    simulator determinism suite under DRD_WORKERS=3,
+#    simulator determinism suite and the bit-level handshake golden
+#    (tests/golden/handshake_mc.txt) under DRD_WORKERS=3,
 # 11. regenerates the kernel micro-benchmarks (results/BENCH_kernels.json)
 #    and gates the streaming Verilog front end against the frozen
 #    pre-streaming baseline (>= 4x parse, >= 2x write on the full DLX),
@@ -344,7 +345,8 @@ else
   echo "note: $cores core(s) — Monte-Carlo speedup ${mc_speedup}x reported, not gated"
 fi
 DRD_WORKERS=3 cargo test -q --offline --test determinism mc_
-echo "ok: $chips-chip campaign byte-identical, simulator determinism holds at DRD_WORKERS=3"
+DRD_WORKERS=3 cargo test -q --offline --test handshake_mc
+echo "ok: $chips-chip campaign byte-identical, simulator determinism and handshake golden hold at DRD_WORKERS=3"
 
 echo "== streaming Verilog front-end gate (offline) =="
 cargo bench --offline -p drd-bench
