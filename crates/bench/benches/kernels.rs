@@ -7,6 +7,8 @@
 //! drd-bench`) and writes `BENCH_kernels.json` next to the workspace so
 //! the perf trajectory is recorded run over run.
 
+use std::collections::HashMap;
+
 use drd_check::bench::Bench;
 use drd_check::netgen::NetRecipe;
 use drd_check::Rng;
@@ -34,25 +36,48 @@ fn main() {
 
     let mut b = Bench::new("kernels").iterations(10);
 
-    // Verilog writer + parser round trip on the full DLX.
+    // Verilog writer + parser round trip on the full DLX, interleaved
+    // with the host-speed reference: scripts/verify.sh bounds their
+    // ratios to it, so the gate does not move with host speed.
     let mut design = Design::new();
     design.insert(dlx_full.clone());
     let text = drd_netlist::verilog::write_design(&design);
-    b.run("verilog_write_dlx_full", || {
-        drd_netlist::verilog::write_design(std::hint::black_box(&design))
-    });
-    b.run("verilog_parse_dlx_full", || {
-        drd_netlist::verilog::parse_design(std::hint::black_box(&text)).unwrap()
-    });
-    // The frozen pre-streaming front end on the same input: the
-    // `*_legacy / *` mean ratio is the streaming speedup, measured
-    // in-process so it is host-independent (see scripts/verify.sh).
-    b.run("verilog_write_dlx_full_legacy", || {
-        drd_netlist::verilog::legacy::write_design(std::hint::black_box(&design))
-    });
-    b.run("verilog_parse_dlx_full_legacy", || {
-        drd_netlist::verilog::legacy::parse_design(std::hint::black_box(&text)).unwrap()
-    });
+    // The reference: e2ebench's two-part calibration task, bench code
+    // only, so no change to the program moves it. A busy host slows two
+    // kinds of work differently, and the front end does both: sorting
+    // and hashing keys that fit in cache, and random reads over a table
+    // larger than any shared cache (32 MiB). A timed run allocates
+    // nothing.
+    let table: Vec<u64> = xorshift(1).take(4 << 20).collect();
+    let mut keys: Vec<u64> = Vec::with_capacity(50_000);
+    let mut index: HashMap<u64, usize> = HashMap::with_capacity(25_000);
+    let mut reference = || {
+        keys.clear();
+        index.clear();
+        keys.extend(xorshift(0).take(50_000));
+        keys.sort_unstable();
+        index.extend(keys.iter().enumerate().step_by(2).map(|(i, &k)| (k, i)));
+        let n = table.len() as u64;
+        let sum = xorshift(2)
+            .take(100_000)
+            .fold(0u64, |acc, r| acc.wrapping_add(table[(r % n) as usize]));
+        std::hint::black_box((index.len(), sum));
+    };
+    b.run_relative(
+        3,
+        100,
+        &mut [
+            ("reference_sort_hash_read", &mut reference),
+            ("verilog_parse_dlx_full", &mut || {
+                let parsed = drd_netlist::verilog::parse_design(std::hint::black_box(&text));
+                std::hint::black_box(parsed.unwrap());
+            }),
+            ("verilog_write_dlx_full", &mut || {
+                let written = drd_netlist::verilog::write_design(std::hint::black_box(&design));
+                std::hint::black_box(written);
+            }),
+        ],
+    );
 
     // Region grouping on the full DLX.
     b.run("grouping_dlx_full", || {
@@ -191,4 +216,14 @@ fn main() {
     });
 
     b.finish().expect("write BENCH_kernels.json");
+}
+
+fn xorshift(seed: u64) -> impl Iterator<Item = u64> {
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15 ^ seed;
+    std::iter::repeat_with(move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    })
 }

@@ -11,8 +11,8 @@ fn main() {
     println!();
     println!(
         "paper: DDLX faster than the synchronous worst case in ~90% of chips \
-         (1.14/1.41/2.44/2.98 ns markers); measured here: {:.0}% — same shape, \
-         larger control overhead (see EXPERIMENTS.md).",
+         (1.14/1.41/2.44/2.98 ns markers); measured here: {:.0}% — same shape \
+         (see EXPERIMENTS.md).",
         study.fraction_faster * 100.0
     );
 }

@@ -18,6 +18,7 @@ use drd_check::cover::{Bucket, Coverage};
 use drd_check::diff::DiffConfig;
 use drd_check::mutate::{run_campaign, Mutation, MutationOutcome};
 use drd_check::runner;
+use drd_json::escape;
 use drd_liberty::vlib90;
 use drd_stg::protocols::Protocol;
 
@@ -26,10 +27,6 @@ fn out_dir() -> PathBuf {
         |_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
         PathBuf::from,
     )
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -98,7 +95,7 @@ fn main() {
             mean_attempts
         );
         per_kind.push_str(&format!(
-            "    {{\"label\": \"{}\", \"attacks\": \"{}\", \"seeds\": {}, \"killed\": {}, \"mean_attempts\": {:.3}}}{}\n",
+            "    {{\"label\": {}, \"attacks\": {}, \"seeds\": {}, \"killed\": {}, \"mean_attempts\": {:.3}}}{}\n",
             escape(kind.name()),
             escape(kind.attacks()),
             of_kind.len(),

@@ -1,15 +1,12 @@
 //! Table 5.1: area results for the synchronous and desynchronized DLX.
 
-use drd_flow::experiment::{area_comparison_traced, CaseStudy};
-use drd_flow::report::{render_area_table, render_pass_timings};
+use drd_flow::experiment::{area_comparison, CaseStudy};
+use drd_flow::report::render_area_table;
 
 fn main() {
     let case = CaseStudy::dlx(&drd_designs::dlx::DlxParams::full()).unwrap();
-    let (cmp, trace) = area_comparison_traced(&case).unwrap();
+    let cmp = area_comparison(&case).unwrap();
     print!("{}", render_area_table(&cmp));
-    println!();
-    println!("desynchronization pipeline (instrumented):");
-    print!("{}", render_pass_timings(&trace));
     println!();
     println!(
         "paper: +13.44% core size, +17.66% sequential, +2.05% combinational"

@@ -1,13 +1,17 @@
 //! A dependency-free micro-benchmark runner on `std::time::Instant`.
 //!
 //! Each benchmark is warmed up once, auto-calibrated to a bounded number
-//! of timed iterations, and summarized as min/mean/max wall time. Results
-//! print as a table and are written to `BENCH_<name>.json` (directory
-//! overridable via `DRD_BENCH_DIR`) so the performance trajectory of the
-//! tool kernels is recorded run over run.
+//! of timed iterations, and summarized as min/mean/max wall time. Kernels
+//! that a gate bounds are also timed against a reference task in the
+//! same iterations ([`Bench::run_relative`]), so the bound does not move
+//! with host speed. Results print as a table and are written to
+//! `BENCH_<name>.json` (directory overridable via `DRD_BENCH_DIR`) so the
+//! performance trajectory of the tool kernels is recorded run over run.
 
 use std::path::PathBuf;
 use std::time::Instant;
+
+use drd_json::escape;
 
 /// Summary of one benchmark.
 #[derive(Debug, Clone)]
@@ -24,12 +28,26 @@ pub struct Sample {
     pub max_ns: f64,
 }
 
+/// A kernel's wall time over a reference task's, from
+/// [`Bench::run_relative`].
+#[derive(Debug, Clone)]
+struct Ratio {
+    label: String,
+    reference: String,
+    rounds: u32,
+    /// Lowest per-round ratio: the statistic a gate bounds.
+    min: f64,
+    /// Highest per-round ratio.
+    max: f64,
+}
+
 /// A named group of benchmarks.
 #[derive(Debug)]
 pub struct Bench {
     name: String,
     target_iters: u32,
     samples: Vec<Sample>,
+    ratios: Vec<Ratio>,
 }
 
 impl Bench {
@@ -39,6 +57,7 @@ impl Bench {
             name: name.to_owned(),
             target_iters: 10,
             samples: Vec::new(),
+            ratios: Vec::new(),
         }
     }
 
@@ -62,12 +81,64 @@ impl Bench {
         } else {
             self.target_iters
         };
-        let mut times = Vec::with_capacity(iters as usize);
-        for _ in 0..iters {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            times.push(t.elapsed().as_nanos() as f64);
+        let times: Vec<f64> = (0..iters).map(|_| time_ns(&mut f)).collect();
+        self.record(label, &times);
+    }
+
+    /// Times each kernel of `bodies[1..]` against the reference task
+    /// `bodies[0]`, for gates that must not move with host speed. Each of
+    /// `rounds` rounds runs `iters` iterations, and each iteration runs
+    /// every body once, reference first, so a host slow phase slows them
+    /// all alike. A kernel's ratio in a round is its fastest iteration
+    /// over the reference's fastest. A slow phase inflates only the
+    /// rounds it overlaps, while a slower kernel shows in every round, so
+    /// the lowest ratio over the rounds is what a gate bounds. Every body
+    /// is also recorded as a plain sample over all its iterations.
+    pub fn run_relative(
+        &mut self,
+        rounds: u32,
+        iters: u32,
+        bodies: &mut [(&str, &mut dyn FnMut())],
+    ) {
+        for (_, body) in bodies.iter_mut() {
+            body();
         }
+        let mut times = vec![Vec::new(); bodies.len()];
+        let mut ratios = vec![Vec::new(); bodies.len()];
+        for _ in 0..rounds {
+            let mut fastest = vec![f64::INFINITY; bodies.len()];
+            for _ in 0..iters {
+                for (i, (_, body)) in bodies.iter_mut().enumerate() {
+                    let ns = time_ns(body);
+                    fastest[i] = fastest[i].min(ns);
+                    times[i].push(ns);
+                }
+            }
+            for (ratio, f) in ratios.iter_mut().zip(&fastest) {
+                ratio.push(f / fastest[0]);
+            }
+        }
+        for ((label, _), times) in bodies.iter().zip(&times) {
+            self.record(label, times);
+        }
+        for ((label, _), ratio) in bodies.iter().zip(&ratios).skip(1) {
+            let ratio = Ratio {
+                label: (*label).to_owned(),
+                reference: bodies[0].0.to_owned(),
+                rounds,
+                min: ratio.iter().copied().fold(f64::INFINITY, f64::min),
+                max: ratio.iter().copied().fold(0.0f64, f64::max),
+            };
+            eprintln!(
+                "ratio {:<40} {:>8.3} .. {:.3} x {} ({} rounds)",
+                ratio.label, ratio.min, ratio.max, ratio.reference, rounds
+            );
+            self.ratios.push(ratio);
+        }
+    }
+
+    fn record(&mut self, label: &str, times: &[f64]) {
+        let iters = times.len() as u32;
         let min = times.iter().copied().fold(f64::INFINITY, f64::min);
         let max = times.iter().copied().fold(0.0f64, f64::max);
         let mean = times.iter().sum::<f64>() / times.len() as f64;
@@ -95,22 +166,40 @@ impl Bench {
 
     /// The JSON document for this group.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
-        out.push_str("  \"results\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"iters\": {}, \"min_ns\": {:.0}, \"mean_ns\": {:.0}, \"max_ns\": {:.0}}}{}\n",
-                escape(&s.label),
-                s.iters,
-                s.min_ns,
-                s.mean_ns,
-                s.max_ns,
-                if i + 1 == self.samples.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let results: Vec<String> = self
+            .samples
+            .iter()
+            .map(|s| {
+                format!(
+                    "    {{\"label\": {}, \"iters\": {}, \"min_ns\": {:.0}, \"mean_ns\": {:.0}, \"max_ns\": {:.0}}}",
+                    escape(&s.label),
+                    s.iters,
+                    s.min_ns,
+                    s.mean_ns,
+                    s.max_ns
+                )
+            })
+            .collect();
+        let ratios: Vec<String> = self
+            .ratios
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"label\": {}, \"reference\": {}, \"rounds\": {}, \"min\": {:.4}, \"max\": {:.4}}}",
+                    escape(&r.label),
+                    escape(&r.reference),
+                    r.rounds,
+                    r.min,
+                    r.max
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"name\": {},\n  \"results\": [\n{}\n  ],\n  \"ratios\": [\n{}\n  ]\n}}\n",
+            escape(&self.name),
+            results.join(",\n"),
+            ratios.join(",\n")
+        )
     }
 
     /// Writes `BENCH_<name>.json` and returns its path.
@@ -127,8 +216,10 @@ impl Bench {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+fn time_ns<T>(f: &mut impl FnMut() -> T) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_nanos() as f64
 }
 
 #[cfg(test)]
@@ -140,14 +231,27 @@ mod tests {
         let mut b = Bench::new("selftest").iterations(5);
         b.run("spin", || (0..1000u64).sum::<u64>());
         b.run("noop", || ());
-        assert_eq!(b.samples().len(), 2);
+        let mut spin = || {
+            std::hint::black_box((0..1000u64).sum::<u64>());
+        };
+        let mut twice = || {
+            std::hint::black_box((0..2000u64).sum::<u64>());
+        };
+        b.run_relative(
+            2,
+            3,
+            &mut [("spin_ref", &mut spin), ("spin_twice", &mut twice)],
+        );
+        assert_eq!(b.samples().len(), 4);
+        assert_eq!(b.samples()[3].iters, 6, "rounds x iterations");
+        let ratio = &b.ratios[0];
+        assert!(0.0 < ratio.min && ratio.min <= ratio.max, "{ratio:?}");
         let json = b.to_json();
         assert!(json.contains("\"name\": \"selftest\""));
         assert!(json.contains("\"label\": \"spin\""));
         assert!(json.contains("mean_ns"));
-        // Well-formed enough to be machine-readable: balanced brackets.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json.contains("\"spin_twice\", \"reference\": \"spin_ref\", \"rounds\": 2"));
+        drd_json::parse(&json).expect("valid JSON");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use drd_json::escape;
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::Library;
 use drd_netlist::{Design, Module, ModuleId};
@@ -983,41 +984,32 @@ impl FlowTrace {
         let mut out = String::from("{\n  \"flow\": \"desync\",\n  \"passes\": [\n");
         for (i, p) in self.passes.iter().enumerate() {
             out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", escape(p.name)));
+            out.push_str(&format!("\"name\": {}, ", escape(p.name)));
             if with_times {
                 out.push_str(&format!("\"wall_ns\": {}, ", p.wall_ns));
                 if p.workers > 0 {
-                    out.push_str(&format!("\"workers\": {}, ", p.workers));
-                    out.push_str("\"region_wall_ns\": [");
-                    for (j, w) in p.region_wall_ns.iter().enumerate() {
-                        out.push_str(&format!(
-                            "{}{}",
-                            w,
-                            if j + 1 == p.region_wall_ns.len() { "" } else { ", " }
-                        ));
-                    }
-                    out.push_str("], ");
+                    out.push_str(&format!(
+                        "\"workers\": {}, \"region_wall_ns\": [{}], ",
+                        p.workers,
+                        join(p.region_wall_ns.iter().map(u128::to_string))
+                    ));
                 }
             }
             out.push_str(&format!(
                 "\"cells_before\": {}, \"cells_after\": {}, \"nets_before\": {}, \"nets_after\": {}, ",
                 p.cells_before, p.cells_after, p.nets_before, p.nets_after
             ));
-            out.push_str("\"artifacts\": [");
-            for (j, a) in p.artifacts.iter().enumerate() {
-                out.push_str(&format!(
-                    "\"{}\"{}",
-                    escape(a),
-                    if j + 1 == p.artifacts.len() { "" } else { ", " }
-                ));
-            }
-            out.push_str(&format!("], \"detail\": \"{}\"}}", escape(&p.detail)));
+            out.push_str(&format!(
+                "\"artifacts\": [{}], \"detail\": {}}}",
+                join(p.artifacts.iter().map(|a| escape(a))),
+                escape(&p.detail)
+            ));
             out.push_str(if i + 1 == self.passes.len() { "\n" } else { ",\n" });
         }
         out.push_str("  ]");
         if let Some(err) = &self.error {
             out.push_str(&format!(
-                ",\n  \"error\": {{\"pass\": \"{}\", \"message\": \"{}\"}}",
+                ",\n  \"error\": {{\"pass\": {}, \"message\": {}}}",
                 escape(err.pass),
                 escape(&err.message)
             ));
@@ -1026,18 +1018,11 @@ impl FlowTrace {
             out.push_str(",\n  \"degradations\": [\n");
             for (i, d) in self.degradations.iter().enumerate() {
                 out.push_str(&format!(
-                    "    {{\"region\": \"{}\", \"reason\": \"{}\", \"cells\": [",
+                    "    {{\"region\": {}, \"reason\": {}, \"cells\": [{}]}}",
                     escape(&d.region),
-                    escape(&d.reason.to_string())
+                    escape(&d.reason.to_string()),
+                    join(d.cells.iter().map(|c| escape(c)))
                 ));
-                for (j, c) in d.cells.iter().enumerate() {
-                    out.push_str(&format!(
-                        "\"{}\"{}",
-                        escape(c),
-                        if j + 1 == d.cells.len() { "" } else { ", " }
-                    ));
-                }
-                out.push_str("]}");
                 out.push_str(if i + 1 == self.degradations.len() { "\n" } else { ",\n" });
             }
             out.push_str("  ]");
@@ -1046,7 +1031,7 @@ impl FlowTrace {
             out.push_str(",\n  \"liveness_repairs\": [\n");
             for (i, r) in self.liveness_repairs.iter().enumerate() {
                 out.push_str(&format!(
-                    "    {{\"region\": \"{}\", \"rise_ns\": {:.4}, \"response_bound_ns\": {:.4}, ",
+                    "    {{\"region\": {}, \"rise_ns\": {:.4}, \"response_bound_ns\": {:.4}, ",
                     escape(&r.region),
                     r.rise_ns,
                     r.response_bound_ns
@@ -1054,7 +1039,7 @@ impl FlowTrace {
                 match &r.action {
                     LivenessAction::DeepenSuccessor { successor, from_levels, to_levels } => {
                         out.push_str(&format!(
-                            "\"action\": \"deepen\", \"successor\": \"{}\", \
+                            "\"action\": \"deepen\", \"successor\": {}, \
                              \"from_levels\": {from_levels}, \"to_levels\": {to_levels}}}",
                             escape(successor)
                         ));
@@ -1076,8 +1061,9 @@ impl FlowTrace {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// JSON array elements, `, `-separated.
+fn join(items: impl Iterator<Item = String>) -> String {
+    items.collect::<Vec<_>>().join(", ")
 }
 
 // ---------------------------------------------------------------------------

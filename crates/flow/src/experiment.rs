@@ -2,7 +2,7 @@
 //! twice — synchronous and desynchronized — with the same library and
 //! "tools", then compare area, timing, power and variability tolerance.
 
-use drd_core::{handshake_spec, DesyncOptions, DesyncResult, Desynchronizer, FlowTrace};
+use drd_core::{handshake_spec, DesyncOptions, DesyncResult, Desynchronizer};
 use drd_liberty::{Corner, Library, Lv};
 use drd_netlist::{Design, Module};
 use drd_sim::{
@@ -95,17 +95,7 @@ impl CaseStudy {
     /// # Errors
     /// Propagates desynchronization errors.
     pub fn desynchronize(&self) -> Result<DesyncResult, DesyncError> {
-        Ok(self.desynchronize_traced()?.0)
-    }
-
-    /// Desynchronizes the case's module through the instrumented pass
-    /// pipeline, returning per-pass timings alongside the result — the
-    /// Table 5.1/5.2 drivers report them for free.
-    ///
-    /// # Errors
-    /// Propagates desynchronization errors.
-    pub fn desynchronize_traced(&self) -> Result<(DesyncResult, FlowTrace), DesyncError> {
-        Desynchronizer::new(&self.lib)?.run_traced(self.module.clone(), &self.desync)
+        Desynchronizer::new(&self.lib)?.run(&self.module, &self.desync)
     }
 
     /// Minimum synchronous clock period at the typical corner: worst
@@ -211,19 +201,8 @@ impl AreaComparison {
 /// # Errors
 /// Propagates flow errors.
 pub fn area_comparison(case: &CaseStudy) -> Result<AreaComparison, DesyncError> {
-    Ok(area_comparison_traced(case)?.0)
-}
-
-/// [`area_comparison`] plus the desynchronization pipeline's per-pass
-/// instrumentation.
-///
-/// # Errors
-/// Propagates flow errors.
-pub fn area_comparison_traced(
-    case: &CaseStudy,
-) -> Result<(AreaComparison, FlowTrace), DesyncError> {
     let sync_synth = area_row(&case.module, &case.lib);
-    let (desync, trace) = case.desynchronize_traced()?;
+    let desync = case.desynchronize()?;
     let flat = drd_netlist::flatten(&desync.design, desync.design.top())?;
     let desync_synth = area_row(&flat, &case.lib);
 
@@ -231,16 +210,13 @@ pub fn area_comparison_traced(
     sync_design.insert(case.module.clone());
     let sync_layout = place_and_route(&sync_design, &case.lib, &case.sync_backend)?;
     let desync_layout = place_and_route(&desync.design, &case.lib, &case.desync_backend)?;
-    Ok((
-        AreaComparison {
-            name: case.name.clone(),
-            sync_synth,
-            desync_synth,
-            sync_layout,
-            desync_layout,
-        },
-        trace,
-    ))
+    Ok(AreaComparison {
+        name: case.name.clone(),
+        sync_synth,
+        desync_synth,
+        sync_layout,
+        desync_layout,
+    })
 }
 
 // ---------------------------------------------------------------------------

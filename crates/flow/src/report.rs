@@ -2,37 +2,7 @@
 
 use std::fmt::Write as _;
 
-use drd_core::FlowTrace;
-
 use crate::experiment::{AreaComparison, TimingSweep, VariabilityStudy};
-
-/// Renders the per-pass instrumentation of one pipeline run.
-pub fn render_pass_timings(trace: &FlowTrace) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<18} {:>11} {:>8} {:>8}  detail",
-        "pass", "time (µs)", "Δcells", "Δnets"
-    );
-    for p in &trace.passes {
-        let _ = writeln!(
-            out,
-            "{:<18} {:>11.1} {:>+8} {:>+8}  {}",
-            p.name,
-            p.wall_ns as f64 / 1e3,
-            p.cell_delta(),
-            p.net_delta(),
-            p.detail
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{:<18} {:>11.1}",
-        "total",
-        trace.total_wall_ns as f64 / 1e3
-    );
-    out
-}
 
 /// Renders Table 5.1 / 5.2 (area results, synchronous vs desynchronized).
 pub fn render_area_table(cmp: &AreaComparison) -> String {

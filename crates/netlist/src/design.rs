@@ -79,6 +79,11 @@ impl Design {
             .map(|(i, m)| (ModuleId::from_index(i), m))
     }
 
+    /// Consumes the design, returning its modules in id order.
+    pub fn into_modules(self) -> Vec<Module> {
+        self.modules
+    }
+
     /// The designated top module.
     ///
     /// # Panics

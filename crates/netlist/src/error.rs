@@ -30,8 +30,8 @@ pub enum NetlistError {
     /// The span points at the token where the error was detected in the
     /// *borrowed input buffer*: `offset` is the byte offset, `line`/`col`
     /// the 1-based position derived from it. Producers that only know a
-    /// line (e.g. the legacy front end) set `col` and `offset` to 0;
-    /// [`std::fmt::Display`] then omits them.
+    /// line set `col` and `offset` to 0; [`std::fmt::Display`] then omits
+    /// them.
     Parse {
         /// 1-based line where the error was detected.
         line: usize,

@@ -14,9 +14,9 @@
 //! slices of the one input buffer to the parser, which interns them into
 //! the per-module symbol table as it consumes them; the writer emits into
 //! one preallocated buffer. Multi-module sources parse module-parallel
-//! with deterministic output (see [`parse_design_jobs`]). The previous
-//! front end survives verbatim in [`legacy`] as the differential-testing
-//! baseline until the streaming one has soaked for a release.
+//! with deterministic output (see [`parse_design_jobs`]). The recorded
+//! verdicts of the front end it replaced pin its behaviour
+//! (`tests/differential_frontend.rs`).
 
 // The reader is the hostile-input boundary of the whole tool: arbitrary
 // bytes must come back as `NetlistError`, never as a panic.
@@ -26,9 +26,6 @@ mod lexer;
 mod parser;
 #[deny(clippy::unwrap_used, clippy::panic)]
 mod writer;
-
-#[cfg(any(test, feature = "legacy-parser"))]
-pub mod legacy;
 
 pub use parser::{parse_design, parse_design_jobs, parse_module};
 pub use writer::{write_design, write_module};

@@ -116,8 +116,7 @@ pub fn parse_design_jobs(source: &str, jobs: Option<usize>) -> Result<Design, Ne
 /// As [`parse_design`]; additionally fails if the file does not contain
 /// exactly one module.
 pub fn parse_module(source: &str) -> Result<Module, NetlistError> {
-    let design = parse_design(source)?;
-    let mut modules: Vec<Module> = design.modules().map(|(_, m)| m.clone()).collect();
+    let mut modules = parse_design(source)?.into_modules();
     if modules.len() != 1 {
         return Err(NetlistError::Parse {
             line: 1,
@@ -1143,6 +1142,20 @@ mod tests {
             m.cell(m.find_cell("u2").unwrap()).pin("A"),
             Some(Conn::Net(m.find_net("m").unwrap()))
         );
+    }
+
+    #[test]
+    fn parse_module_rejects_zero_or_several_modules() {
+        for (src, found) in [
+            ("// no module here\n", 0),
+            ("module a (); endmodule\nmodule b (); endmodule\n", 2),
+        ] {
+            let err = parse_module(src).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("parse error at line 1: expected exactly one module, found {found}")
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! many concurrent desynchronization jobs over newline-delimited JSON,
 //! on stdin/stdout (`--stdio`) or a Unix domain socket. The pieces:
 //!
-//! * [`json`] — a dependency-free RFC 8259 reader/writer (the workspace
-//!   has no serde by policy);
+//! * [`json`] — the dependency-free RFC 8259 reader/writer of the
+//!   `drd-json` crate (the workspace has no serde by policy), re-exported
+//!   under its old path;
 //! * [`protocol`] — request/response grammar, the [`drd_core::DesyncError`]
 //!   → `error_class` mapping and the CLI exit-code taxonomy in response
 //!   `exit_code` fields;
@@ -20,7 +21,7 @@
 //! workspace root (`tests/serve_differential.rs`) holds the server to
 //! that.
 
-pub mod json;
+pub use drd_json as json;
 pub mod protocol;
 pub mod server;
 

@@ -8,9 +8,11 @@
 #    path dependency — nothing may come from a registry),
 # 2. builds and tests the whole workspace with --offline,
 # 3. lints the whole workspace with clippy, warnings denied,
-# 4. regenerates the Table 5.1 area comparison as an end-to-end smoke run,
-# 5. regenerates results/BENCH_flow_passes.json and checks it lists every
-#    pipeline pass,
+# 4. regenerates the seven paper artifacts (Tables 2.1, 5.1, 5.2 and
+#    Figs. 2.4, 5.3, 5.4, 5.5) and fails unless each one matches its
+#    results/ copy byte for byte,
+# 5. (folded into 9: the scale bench's exponents must name every pipeline
+#    pass; tests/pipeline.rs pins the pass order),
 # 6. runs the mutation campaign (results/BENCH_mutation.json) and gates on
 #    a 100% kill rate — every injected fault must be caught by an oracle,
 # 7. runs the hostile-input crash campaign (results/BENCH_hostile.json)
@@ -23,7 +25,8 @@
 #    SymbolTable anywhere in core, which names cells through its Module),
 # 9. runs the parallel scaling bench (results/BENCH_scale.json), which
 #    itself fails when a pass grows faster than cells^1.2, checks its
-#    schema, gates on >= 3x flow speedup where there are >= 4 cores
+#    schema and that its exponents name all nine pipeline passes, gates
+#    on >= 3x flow speedup where there are >= 4 cores
 #    (reported, not gated, on narrower hosts), and re-runs the
 #    determinism suite under DRD_WORKERS=3 to cross-check that worker
 #    count never leaks into artifacts,
@@ -33,10 +36,11 @@
 #    simulator determinism suite and the bit-level handshake golden
 #    (tests/golden/handshake_mc.txt) under DRD_WORKERS=3,
 # 11. regenerates the kernel micro-benchmarks (results/BENCH_kernels.json)
-#    and gates the streaming Verilog front end against the frozen
-#    pre-streaming baseline (>= 4x parse, >= 2x write on the full DLX),
-#    then re-runs the differential parser-equivalence, hostile-corpus
-#    replay and diagnostics suites that pin its behaviour,
+#    and bounds the Verilog front end's parse and write time on the full
+#    DLX by a multiple of a reference task timed in the same iterations,
+#    then re-runs the suites that pin its behaviour: the recorded
+#    verdicts of the parser it replaced, the hostile-corpus replay and
+#    the diagnostics,
 # 12. runs the liveness-guard campaign (results/BENCH_liveness.json):
 #    fuzzed imbalanced open-chain designs through the flow, gated on
 #    zero undiagnosed deadlocks (every shipped design re-verified by the
@@ -89,29 +93,20 @@ cargo test -q --workspace --offline
 echo "== cargo clippy (offline, warnings denied) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== table 5.1 end-to-end smoke (offline) =="
-cargo run --release --offline -p drd-bench --bin table_5_1
-
-echo "== per-pass flow timings (offline) =="
-cargo run --release --offline -p drd-bench --bin flow_passes
-trace_json=results/BENCH_flow_passes.json
-if [ ! -s "$trace_json" ]; then
-  echo "error: $trace_json missing or empty" >&2
-  exit 1
-fi
-for pass in clean clock-id group ddg region-delays ffsub control-network liveness sdc; do
-  if ! grep -q "\"label\": \"$pass\"" "$trace_json"; then
-    echo "error: $trace_json does not list pass \`$pass\`" >&2
+echo "== paper artifacts regenerate byte-identically (offline) =="
+# Every artifact is deterministic (per-pass wall times live in --trace
+# and results/BENCH_scale.json instead), so a stale results/ copy fails.
+fresh=$(mktemp -d)
+trap 'rm -rf "$fresh"' EXIT
+for bin in table_2_1 fig_2_4 table_5_1 table_5_2 fig_5_3 fig_5_4 fig_5_5; do
+  cargo run --release --offline -q -p drd-bench --bin "$bin" > "$fresh/$bin.txt"
+  if ! diff -u "results/$bin.txt" "$fresh/$bin.txt"; then
+    echo "error: results/$bin.txt is stale; regenerate it with" \
+         "cargo run --release -p drd-bench --bin $bin > results/$bin.txt" >&2
     exit 1
   fi
 done
-open_braces=$(grep -o '{' "$trace_json" | wc -l)
-close_braces=$(grep -o '}' "$trace_json" | wc -l)
-if [ "$open_braces" -ne "$close_braces" ]; then
-  echo "error: $trace_json is not well-formed (unbalanced braces)" >&2
-  exit 1
-fi
-echo "ok: $trace_json lists all nine passes"
+echo "ok: all seven paper artifacts match results/"
 
 echo "== mutation score gate (offline) =="
 cargo run --release --offline -p drd-bench --bin mutation
@@ -284,6 +279,16 @@ if [ "$open_braces" -ne "$close_braces" ]; then
   echo "error: $scale_json is not well-formed (unbalanced braces)" >&2
   exit 1
 fi
+# Per-pass timings live here: the exponents must name every pass of the
+# standard pipeline.
+exponents=$(grep '"exponents"' "$scale_json")
+for pass in clean clock-id group ddg region-delays ffsub control-network liveness sdc; do
+  if ! grep -q "\"$pass\": " <<< "$exponents"; then
+    echo "error: $scale_json exponents do not name pass \`$pass\`" >&2
+    exit 1
+  fi
+done
+echo "ok: $scale_json exponents name all nine passes"
 # The region fan-out must pay off where there are cores to run on; on
 # narrow hosts (CI containers, laptops on battery) only report.
 cores=$(nproc 2>/dev/null || echo 1)
@@ -355,41 +360,40 @@ if [ ! -s "$kern_json" ]; then
   echo "error: $kern_json missing or empty" >&2
   exit 1
 fi
-# Absolute thresholds derived from the frozen pre-streaming front end's
-# BENCH_kernels.json on this design (full DLX: parse mean 35113000 ns,
-# write mean 11253601 ns): >= 4x parse and >= 2x write. Gated on min_ns —
-# the minimum over 10 iterations is the noise-robust statistic (means
-# swing with ambient host load; the min does not), and the mean-derived
-# thresholds make the bar conservative.
-min_of() {
-  sed -n 's/.*"label": "'"$1"'", "iters": [0-9]*, "min_ns": \([0-9]*\),.*/\1/p' "$kern_json"
+# Parse and write of the full DLX run interleaved with a fixed reference
+# task (sort-and-hash plus random reads, bench code only) in 3 rounds
+# of 100 iterations. Each "ratios" entry holds a kernel's lowest per-round
+# ratio of fastest iterations: a host slow phase inflates only the rounds
+# it overlaps, while a slower front end shows in every round. Calibrated
+# on a 2-vCPU host (CHANGES.md): unchanged code read parse 2.32-2.56 and
+# write 1.02-1.14 over 20 runs; a deliberate 25 % parse slowdown read
+# parse 2.85-3.37 and failed all 20.
+parse_bound=2.65
+write_bound=1.30
+ratio_of() {
+  sed -n 's/.*"label": "'"$1"'", "reference": "[^"]*", "rounds": [0-9]*, "min": \([0-9.]*\),.*/\1/p' "$kern_json"
 }
-parse_min=$(min_of verilog_parse_dlx_full)
-write_min=$(min_of verilog_write_dlx_full)
-parse_legacy=$(min_of verilog_parse_dlx_full_legacy)
-write_legacy=$(min_of verilog_write_dlx_full_legacy)
-for v in "$parse_min" "$write_min" "$parse_legacy" "$write_legacy"; do
-  if [ -z "$v" ]; then
-    echo "error: $kern_json misses a verilog_{parse,write}_dlx_full[_legacy] entry" >&2
-    exit 1
-  fi
-done
-if [ "$parse_min" -gt 8778250 ]; then
-  echo "error: streaming parse min ${parse_min} ns > 8778250 ns (4x gate vs frozen baseline)" >&2
+parse_ratio=$(ratio_of verilog_parse_dlx_full)
+write_ratio=$(ratio_of verilog_write_dlx_full)
+if [ -z "$parse_ratio" ] || [ -z "$write_ratio" ]; then
+  echo "error: $kern_json misses the verilog_{parse,write}_dlx_full ratios" >&2
   exit 1
 fi
-if [ "$write_min" -gt 5626800 ]; then
-  echo "error: streaming write min ${write_min} ns > 5626800 ns (2x gate vs frozen baseline)" >&2
+if ! awk -v r="$parse_ratio" -v b="$parse_bound" 'BEGIN { exit !(r <= b) }'; then
+  echo "error: parse/reference ratio $parse_ratio > $parse_bound" >&2
   exit 1
 fi
-echo "ok: parse ${parse_min} ns (<= 8778250), write ${write_min} ns (<= 5626800);" \
-     "same-run legacy minima ${parse_legacy} / ${write_legacy} ns"
-# The behavioural pins for the rewrite: differential equivalence against
-# the frozen parser, the distilled hostile-regression corpus, and the
-# exact error-span diagnostics.
+if ! awk -v r="$write_ratio" -v b="$write_bound" 'BEGIN { exit !(r <= b) }'; then
+  echo "error: write/reference ratio $write_ratio > $write_bound" >&2
+  exit 1
+fi
+echo "ok: parse/reference ${parse_ratio} (<= $parse_bound), write/reference ${write_ratio} (<= $write_bound)"
+# The behavioural pins: the streaming parser against the recorded
+# verdicts of the parser it replaced, the distilled hostile-regression
+# corpus, and the exact error-span diagnostics.
 cargo test -q --offline --test differential_frontend --test corpus_replay
 cargo test -q --offline -p drd-netlist --test diagnostics
-echo "ok: differential equivalence, corpus replay and diagnostics suites pass"
+echo "ok: recorded-verdict, corpus replay and diagnostics suites pass"
 
 echo "== liveness-guard campaign gate (offline) =="
 # The binary itself exits non-zero when any shipped design fails the

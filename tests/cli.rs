@@ -407,24 +407,30 @@ fn cli_budget_flags_abort_with_flow_error() {
     std::fs::create_dir_all(&dir).unwrap();
     let input = write_sample(&dir);
     let trace = dir.join("trace.json");
-    let _ = std::fs::remove_file(&trace);
-    let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
-        .args(["desync", input.to_str().unwrap(), "--max-cells", "1"])
-        .args(["--trace", trace.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(3), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("cells budget"), "{stderr}");
-    // The failed flow still writes its trace, naming the failing pass.
-    let json = std::fs::read_to_string(&trace).expect("trace written on failure");
-    let doc = drd_serve::json::parse(&json).expect("trace parses");
-    let error = doc.get("error").expect("trace has an error section");
-    assert_eq!(
-        error.get("pass").and_then(|p| p.as_str()),
-        Some("clean"),
-        "{json}"
-    );
+    // A failed flow still writes its trace, naming the failing pass, and
+    // the trace stays valid JSON whatever bytes the error message carries.
+    let hostile_clock = "ck\u{1}\"x";
+    for (flags, pass, message) in [
+        (["--max-cells", "1"], "clean", "cells budget"),
+        (["--clock", hostile_clock], "clock-id", hostile_clock),
+    ] {
+        let _ = std::fs::remove_file(&trace);
+        let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
+            .args(["desync", input.to_str().unwrap()])
+            .args(flags)
+            .args(["--trace", trace.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(3), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+        let json = std::fs::read_to_string(&trace).expect("trace written on failure");
+        let doc = drd_serve::json::parse(&json).expect("trace parses");
+        let error = doc.get("error").expect("trace has an error section");
+        assert_eq!(error.get("pass").and_then(|p| p.as_str()), Some(pass), "{json}");
+        let text = error.get("message").and_then(|m| m.as_str()).unwrap_or_default();
+        assert!(text.contains(message), "{json}");
+    }
 
     // A malformed budget value is a usage error, not a flow error.
     let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))

@@ -1,31 +1,39 @@
 //! Differential parser equivalence: the streaming zero-copy front end
-//! against the frozen pre-rewrite parser (`verilog::legacy`, kept under
-//! the `legacy-parser` feature exactly as it shipped).
+//! against the recorded verdicts of the pre-streaming parser it
+//! replaced. That parser was deterministic and frozen, and every input
+//! below is fixed or seeded, so its verdicts are constants: they were
+//! recorded once with `DRD_BLESS=1` before its removal, into
+//! `tests/golden/frontend/*.txt`, one `<case>: <verdict>` line per input.
+//! The contract, per verdict:
+//! - `accept <hash>`: the old parser parsed the input, and `<hash>` is
+//!   the `content_hash128` of its design's name-resolved structural
+//!   signature followed by its re-exported Verilog. The streaming parser
+//!   must produce the same hash: the same modules, ports, nets, cells,
+//!   pins and constant ties by **resolved name** (symbol indices are an
+//!   internal detail and free to differ), re-exported byte-identically;
+//! - `reject`: the streaming parser must reject the input too.
 //!
-//! The contract, per input:
-//! - legacy parses → the streaming parser produces a *structurally
-//!   identical* design: same modules, ports, nets, cells, pins and
-//!   constant ties by **resolved name** (symbol indices are an internal
-//!   detail and free to differ), and the two designs re-export to
-//!   byte-identical Verilog;
-//! - legacy rejects → the streaming parser also rejects;
-//! - legacy panics (it predates some hostile-input hardening) → the
-//!   streaming parser must still return, never panic — its outcome may
-//!   be either a parse or a structured error.
-//!
-//! Exercised across the seeded 25-netlist fuzz corpus (`drd-check`
-//! netgen, the same generator family as the flow-equivalence fuzzer),
-//! every golden Verilog fixture, and targeted constructs around known
-//! legacy/streaming divergence risks (escaped names, wide constants,
-//! classic vs ANSI ports, assign aliases).
+//! The old parser returned on every input here (the recording would have
+//! written `legacy-panic` otherwise), and the streaming parser must never
+//! panic on any of them. No parser is left to re-record the verdicts
+//! from, so `DRD_BLESS` leaves the files alone. The inputs: the seeded 25-netlist fuzz corpus
+//! (`drd-check` netgen), the golden Verilog fixtures, and targeted
+//! constructs around known divergence risks (escaped names, wide
+//! constants, classic vs ANSI ports, assign aliases).
 
 use std::fmt::Write as _;
 use std::panic::catch_unwind;
+use std::path::PathBuf;
 
 use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::Rng;
+use drd_netlist::hash::content_hash_hex;
 use drd_netlist::verilog;
 use drd_netlist::{Conn, Design};
+
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
 
 /// A canonical, fully name-resolved dump of a design's structure. Two
 /// designs with equal signatures are the same netlist regardless of how
@@ -65,38 +73,53 @@ fn design_signature(design: &Design) -> String {
     out
 }
 
-/// Runs one input through both front ends and asserts the outcome
-/// contract described in the module docs.
-fn assert_equivalent(src: &str, what: &str) {
-    let new = catch_unwind(|| verilog::parse_design(src))
-        .unwrap_or_else(|_| panic!("streaming parser panicked on {what}"));
-    let legacy = catch_unwind(|| verilog::legacy::parse_design(src));
-    match legacy {
-        Ok(Ok(old)) => {
-            let new = match new {
-                Ok(d) => d,
-                Err(e) => panic!("streaming parser rejected {what} that legacy accepts: {e}"),
-            };
-            assert_eq!(
-                design_signature(&old),
-                design_signature(&new),
-                "structural divergence on {what}"
-            );
-            assert_eq!(
-                verilog::write_design(&old),
-                verilog::write_design(&new),
-                "re-export divergence on {what}"
-            );
+/// The `accept` hash of a parsed design: its structural signature
+/// followed by its re-exported Verilog.
+fn design_hash(design: &Design) -> String {
+    let mut text = design_signature(design);
+    text.push_str(&verilog::write_design(design));
+    content_hash_hex(text.as_bytes())
+}
+
+/// Holds the streaming parser to the recorded verdicts in
+/// `tests/golden/frontend/<file>`: one line per `(label, source)` case,
+/// in order, under the contract in the module docs.
+fn assert_matches_frozen_verdicts<L: AsRef<str>, S: AsRef<str>>(file: &str, cases: &[(L, S)]) {
+    let path = golden_dir().join("frontend").join(file);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
+    let verdicts: Vec<(&str, &str)> = text
+        .lines()
+        .map(|l| {
+            l.split_once(": ")
+                .unwrap_or_else(|| panic!("{file}: `{l}` is not `<case>: <verdict>`"))
+        })
+        .collect();
+    assert_eq!(verdicts.len(), cases.len(), "{file}: one verdict per case");
+    for ((label, src), &(recorded, verdict)) in cases.iter().zip(&verdicts) {
+        let (label, src) = (label.as_ref(), src.as_ref());
+        assert_eq!(label, recorded, "{file}: cases out of order");
+        let parsed = catch_unwind(|| verilog::parse_design(src))
+            .unwrap_or_else(|_| panic!("streaming parser panicked on {label}"));
+        match (verdict, parsed) {
+            ("reject", Err(_)) => {}
+            ("reject", Ok(_)) => {
+                panic!("streaming parser accepted {label}, which the old parser rejected")
+            }
+            (v, parsed) => {
+                let hash = v
+                    .strip_prefix("accept ")
+                    .unwrap_or_else(|| panic!("{file}: unknown verdict `{v}`"));
+                let design = parsed.unwrap_or_else(|e| {
+                    panic!("streaming parser rejected {label}, which the old parser accepts: {e}")
+                });
+                assert_eq!(
+                    design_hash(&design),
+                    hash,
+                    "structural or re-export divergence on {label}"
+                );
+            }
         }
-        Ok(Err(_)) => {
-            assert!(
-                new.is_err(),
-                "streaming parser accepted {what} that legacy rejects"
-            );
-        }
-        // Legacy panicked: the streaming parser already proved it
-        // returns (unwrapped above); either outcome is acceptable.
-        Err(_) => {}
     }
 }
 
@@ -104,33 +127,39 @@ fn assert_equivalent(src: &str, what: &str) {
 fn parsers_agree_on_25_netlist_fuzz_corpus() {
     let params = NetGenParams::default();
     let mut rng = Rng::new(0xD1FF_F00D_2026_0808);
-    for case in 0..25 {
-        let recipe = NetRecipe::sample(&mut rng, &params);
-        let src = recipe.verilog();
-        assert!(
-            src.contains("module"),
-            "netgen produced an empty case {case}"
-        );
-        assert_equivalent(&src, &format!("fuzz netlist {case}"));
-    }
+    let cases: Vec<_> = (0..25)
+        .map(|case| {
+            let src = NetRecipe::sample(&mut rng, &params).verilog();
+            assert!(
+                src.contains("module"),
+                "netgen produced an empty case {case}"
+            );
+            (format!("fuzz netlist {case}"), src)
+        })
+        .collect();
+    assert_matches_frozen_verdicts("fuzz_corpus.txt", &cases);
 }
 
+/// The `tests/golden/*.v` fixtures the verdicts were recorded on, named
+/// by the verdict file itself.
 #[test]
 fn parsers_agree_on_golden_fixtures() {
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let mut seen = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .expect("golden dir reads")
-        .map(|e| e.expect("entry reads").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "v"))
+    let listed = std::fs::read_to_string(golden_dir().join("frontend/fixtures.txt"))
+        .expect("fixture verdicts read");
+    let cases: Vec<_> = listed
+        .lines()
+        .filter_map(|l| l.split_once(": "))
+        .map(|(name, _)| {
+            let src = std::fs::read_to_string(golden_dir().join(name))
+                .unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
+            (name, src)
+        })
         .collect();
-    entries.sort();
-    for path in entries {
-        let src = std::fs::read_to_string(&path).expect("fixture reads");
-        assert_equivalent(&src, &path.display().to_string());
-        seen += 1;
-    }
-    assert!(seen >= 2, "expected at least escaped_small.v and its output");
+    assert!(
+        cases.len() >= 2,
+        "expected at least escaped_small.v and its output"
+    );
+    assert_matches_frozen_verdicts("fixtures.txt", &cases);
 }
 
 #[test]
@@ -180,8 +209,7 @@ fn parsers_agree_on_targeted_constructs() {
              module leaf(p, q);\n  input p;\n  output q;\n  \
              BUFX1 g (.A(p), .Z(q));\nendmodule\n",
         ),
-        // Known legacy weak spots: the contract degrades to
-        // "streaming must not panic" when legacy panics.
+        // The old parser's known weak spots (it returned on all three).
         (
             "constants wider than 128 bits",
             "module t(z);\n  output [199:0] z;\n  \
@@ -196,7 +224,5 @@ fn parsers_agree_on_targeted_constructs() {
             "module t(a);\n  input a;\n  always @(posedge a) q <= a;\nendmodule\n",
         ),
     ];
-    for (what, src) in cases {
-        assert_equivalent(src, what);
-    }
+    assert_matches_frozen_verdicts("constructs.txt", cases);
 }
