@@ -126,7 +126,7 @@ fn main() {
     // Full desynchronization of the small DLX.
     let tool = Desynchronizer::new(&lib).unwrap();
     b.run("desynchronize_dlx_small", || {
-        tool.run(&dlx, &DesyncOptions::default()).unwrap()
+        tool.run(dlx.clone(), &DesyncOptions::default()).0.unwrap()
     });
 
     // Handshake-level simulation: a serial 256-chip Monte Carlo on the
@@ -134,7 +134,7 @@ fn main() {
     // one nominal run on the largest `scale` step, 7 392 cells drawn
     // after the four smaller steps as that bench draws it (what the
     // liveness guard pays per check).
-    let result = tool.run(&dlx, &DesyncOptions::default()).unwrap();
+    let result = tool.run(dlx, &DesyncOptions::default()).0.unwrap();
     let net =
         HandshakeNet::elaborate(&handshake_spec(&result.report, &lib).unwrap(), &lib).unwrap();
     let var = GateVariability::new(0xD15E_A5E0, 0.15);
@@ -147,7 +147,7 @@ fn main() {
     }
     let ladder = NetRecipe::stepped(&mut rng, 12, 600, 16).build().unwrap();
     assert_eq!(ladder.cells().count(), 7392, "largest scale step");
-    let result = tool.run(&ladder, &DesyncOptions::default()).unwrap();
+    let result = tool.run(ladder, &DesyncOptions::default()).0.unwrap();
     let spec = handshake_spec(&result.report, &lib).unwrap();
     b.run("handshake_nominal_ladder_7392", || {
         HandshakeNet::elaborate(std::hint::black_box(&spec), &lib)

@@ -68,8 +68,9 @@ fn main() {
             rejected += 1;
             continue;
         };
-        match tool.run_traced(module, &DesyncOptions::default()) {
-            Ok((result, trace)) => {
+        let (result, trace) = tool.run(module, &DesyncOptions::default());
+        match result {
+            Ok(result) => {
                 completed += 1;
                 flow_ns += trace.total_wall_ns;
                 guard_ns += trace

@@ -104,7 +104,8 @@ fn main() {
             };
             let input = module.clone();
             let start = Instant::now();
-            let (result, trace) = tool.run_traced(input, &opts).expect("flow runs");
+            let (result, trace) = tool.run(input, &opts);
+            let result = result.expect("flow runs");
             let wall = start.elapsed().as_nanos();
             let verilog = drd_netlist::verilog::write_design(&result.design);
             (

@@ -2,7 +2,10 @@
 //! driven through an in-process [`drd_serve::Server`] by 1, 8 and 64
 //! concurrent clients, cold cache (every job runs the full flow) and
 //! warm cache (every job replays a prior result). Reports jobs/sec and
-//! p50/p99 response latency per configuration.
+//! p50/p99 response latency per configuration. Clients keep the raw
+//! response lines inside the timed window and the bench parses them
+//! after it, so jobs/sec measures the server, not the bench's own JSON
+//! parsing.
 //!
 //! Emits `BENCH_serve.json` (directory overridable via `DRD_BENCH_DIR`,
 //! default `results/` at the workspace root). Corpus size defaults to
@@ -48,7 +51,7 @@ fn corpus(jobs: usize) -> Vec<String> {
     while kept.len() < jobs {
         let recipe = NetRecipe::sample(&mut rng, &params);
         let Ok(module) = recipe.build() else { continue };
-        if tool.run(&module, &DesyncOptions::default()).is_ok() {
+        if tool.run(module, &DesyncOptions::default()).0.is_ok() {
             kept.push(recipe.verilog());
         }
     }
@@ -87,46 +90,50 @@ fn drive(
     failed: &mut usize,
 ) -> (RunStats, Vec<Artifacts>) {
     let next = AtomicUsize::new(0);
-    let latencies: Mutex<Vec<u128>> = Mutex::new(Vec::with_capacity(requests.len()));
-    let results: Mutex<Vec<(usize, Artifacts, bool)>> =
+    let responses: Mutex<Vec<(usize, u128, String)>> =
         Mutex::new(Vec::with_capacity(requests.len()));
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..clients {
-            scope.spawn(|| {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= requests.len() {
-                        return;
-                    }
-                    let t0 = Instant::now();
-                    let line = server.handle_line(&requests[i]);
-                    let dt = t0.elapsed().as_nanos();
-                    let v = json::parse(&line).expect("response parses");
-                    let str_of = |k: &str| {
-                        v.get(k)
-                            .and_then(json::Value::as_str)
-                            .unwrap_or_default()
-                            .to_owned()
-                    };
-                    let ok = v.get("status").and_then(json::Value::as_str) == Some("ok")
-                        && v.get("cached").and_then(json::Value::as_bool) == Some(want_cached);
-                    let art =
-                        (str_of("report"), str_of("sdc"), str_of("verilog"), str_of("trace"));
-                    latencies.lock().unwrap().push(dt);
-                    results.lock().unwrap().push((i, art, ok));
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= requests.len() {
+                    return;
                 }
+                let t0 = Instant::now();
+                let line = server.handle_line(&requests[i]);
+                let dt = t0.elapsed().as_nanos();
+                responses.lock().unwrap().push((i, dt, line));
             });
         }
     });
     let wall = start.elapsed().as_secs_f64();
 
-    let mut lat = latencies.into_inner().unwrap();
-    lat.sort_unstable();
-    let mut res = results.into_inner().unwrap();
+    let mut res = responses.into_inner().unwrap();
     res.sort_by_key(|&(i, ..)| i);
-    *failed += res.iter().filter(|&&(.., ok)| !ok).count();
-    let artifacts = res.into_iter().map(|(_, a, _)| a).collect();
+    let mut lat: Vec<u128> = res.iter().map(|&(_, dt, _)| dt).collect();
+    lat.sort_unstable();
+    let mut artifacts = Vec::with_capacity(res.len());
+    for (_, _, line) in &res {
+        let v = json::parse(line).expect("response parses");
+        let str_of = |k: &str| {
+            v.get(k)
+                .and_then(json::Value::as_str)
+                .unwrap_or_default()
+                .to_owned()
+        };
+        let ok = v.get("status").and_then(json::Value::as_str) == Some("ok")
+            && v.get("cached").and_then(json::Value::as_bool) == Some(want_cached);
+        if !ok {
+            *failed += 1;
+        }
+        artifacts.push((
+            str_of("report"),
+            str_of("sdc"),
+            str_of("verilog"),
+            str_of("trace"),
+        ));
+    }
     let stats = RunStats {
         clients,
         cache,

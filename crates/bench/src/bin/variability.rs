@@ -176,7 +176,7 @@ fn main() {
             let module = recipe(&mut rng, stages, cloud, width)
                 .build()
                 .expect("recipe builds");
-            let Ok(result) = tool.run(&module, &DesyncOptions::default()) else {
+            let Ok(result) = tool.run(module.clone(), &DesyncOptions::default()).0 else {
                 continue;
             };
             let spec = handshake_spec(&result.report, &lib).expect("spec projects");

@@ -148,7 +148,8 @@ pub fn run_differential(
         .map_err(|e| format!("recipe does not build: {e}"))?;
     let tool = Desynchronizer::new(lib).map_err(|e| format!("tool: {e}"))?;
     let result = tool
-        .run(&module, &DesyncOptions::default())
+        .run(module, &DesyncOptions::default())
+        .0
         .map_err(|e| fail(recipe, &format!("desynchronization failed: {e}")))?;
     verify_result(recipe, lib, config, &result)
 }
@@ -528,7 +529,7 @@ mod tests {
         let recipe = NetRecipe::sample(&mut Rng::new(0xFACE), &NetGenParams::default());
         let module = recipe.build().unwrap();
         let tool = Desynchronizer::new(&lib).unwrap();
-        let result = tool.run(&module, &DesyncOptions::default()).unwrap();
+        let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
         let stats = verify_result(&recipe, &lib, &DiffConfig::default(), &result)
             .expect("clean result verifies");
         assert_eq!(stats.ffs, recipe.ff_names().len());

@@ -199,7 +199,7 @@ fn probe(kind: HostileKind, seed: u64) -> Probe {
     };
     let flow = catch_unwind(AssertUnwindSafe(|| {
         let tool = Desynchronizer::new(&lib)?;
-        tool.run(&module, &opts).map(|_| ())
+        tool.run(module, &opts).0.map(|_| ())
     }));
     match flow {
         Err(_) => Probe::Panicked,

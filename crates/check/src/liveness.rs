@@ -206,7 +206,7 @@ mod tests {
         let lib = vlib90::high_speed();
         let module = imbalanced_recipe().build().unwrap();
         let tool = Desynchronizer::new(&lib).unwrap();
-        let result = tool.run(&module, &DesyncOptions::default()).unwrap();
+        let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
         assert!(!result.report.liveness_repairs.is_empty(), "repair expected");
         verify_liveness(&result.report, &result.design, &lib).expect("repaired flow verifies");
     }
@@ -216,7 +216,7 @@ mod tests {
         let lib = vlib90::high_speed();
         let module = imbalanced_recipe().build().unwrap();
         let tool = Desynchronizer::new(&lib).unwrap();
-        let mut result = tool.run(&module, &DesyncOptions::default()).unwrap();
+        let mut result = tool.run(module, &DesyncOptions::default()).0.unwrap();
         // Undo the deepen in the netlist only: swap the deepened module
         // back for a 2-level one, leaving the report pristine.
         let deepened = result
@@ -255,7 +255,7 @@ mod tests {
         let module = imbalanced_recipe().build().unwrap();
         let tool = Desynchronizer::new(&lib).unwrap();
         let opts = DesyncOptions { clock_period_ns: 0.5, ..DesyncOptions::default() };
-        let result = tool.run(&module, &opts).unwrap();
+        let result = tool.run(module, &opts).0.unwrap();
         let latched: Vec<&str> = result
             .report
             .liveness_repairs

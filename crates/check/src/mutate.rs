@@ -339,7 +339,7 @@ fn attempt(
     let Ok(tool) = Desynchronizer::new(lib) else {
         return Verdict::NotApplicable;
     };
-    let Ok(clean) = tool.run(&module, &DesyncOptions::default()) else {
+    let Ok(clean) = tool.run(module, &DesyncOptions::default()).0 else {
         return Verdict::NotApplicable;
     };
     // Only attack designs the oracles accept when unmutated, so a kill is
@@ -798,7 +798,7 @@ fn run_corruption_mutation(
         recipe: Some(recipe.clone()),
         attempts: 1,
     };
-    let (Ok(pristine), Ok(gatefile)) = (recipe.build(), Gatefile::from_library(lib)) else {
+    let (Ok(pristine), Ok(tool)) = (recipe.build(), Desynchronizer::new(lib)) else {
         return outcome(false, "no applicable fault site (recipe did not build)".into());
     };
     // Observability gate: a data fault can be behaviorally masked (an
@@ -835,22 +835,17 @@ fn run_corruption_mutation(
         attempts,
         ..outcome(killed, oracle)
     };
-    let mut cx = FlowContext::new(lib, &gatefile, module, DesyncOptions::default());
-    let (_trace, err) = Pipeline::standard().run_recording(&mut cx, None);
-    match err {
-        Some(e @ DesyncError::Panic { .. }) => {
+    match tool.run(module, &DesyncOptions::default()).0 {
+        Err(e @ DesyncError::Panic { .. }) => {
             outcome(true, brief(&format!("PANIC caught on {what}: {e}")))
         }
-        Some(e) => outcome(true, brief(&format!("guarded flow rejected {what}: {e}"))),
-        None => match cx.into_result() {
-            Err(e) => outcome(true, brief(&format!("result rejected {what}: {e}"))),
-            Ok(result) => match verify_result(&recipe, lib, config, &result) {
-                Err(why) => outcome(true, brief(&format!("oracles rejected {what}: {why}"))),
-                Ok(_) => outcome(
-                    false,
-                    format!("SURVIVED — every oracle accepted a flow over a {what}"),
-                ),
-            },
+        Err(e) => outcome(true, brief(&format!("guarded flow rejected {what}: {e}"))),
+        Ok(result) => match verify_result(&recipe, lib, config, &result) {
+            Err(why) => outcome(true, brief(&format!("oracles rejected {what}: {why}"))),
+            Ok(_) => outcome(
+                false,
+                format!("SURVIVED — every oracle accepted a flow over a {what}"),
+            ),
         },
     }
 }

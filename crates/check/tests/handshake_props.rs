@@ -36,7 +36,7 @@ fn fuzzed_flows_respect_the_sta_floor() {
         |rng: &mut Rng| NetRecipe::sample(rng, &params),
         |recipe: &NetRecipe| {
             let module = recipe.build().map_err(|e| e.to_string())?;
-            let Ok(result) = tool.run(&module, &DesyncOptions::default()) else {
+            let Ok(result) = tool.run(module, &DesyncOptions::default()).0 else {
                 return Ok(()); // flow rejection is not a simulator property
             };
             let spec = handshake_spec(&result.report, &lib).map_err(|e| e.to_string())?;

@@ -61,7 +61,10 @@ fn liveness_guard_repairs_the_gate_level_stall() {
     let recipe = imbalanced_recipe();
     let module = recipe.build().unwrap();
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&module, &DesyncOptions::default()).unwrap();
+    let result = tool
+        .run(module.clone(), &DesyncOptions::default())
+        .0
+        .unwrap();
 
     // The hazard was detected and repaired, not silently shipped: the
     // report carries at least one structural repair and no region had to
@@ -106,7 +109,8 @@ fn liveness_guard_repairs_the_gate_level_stall() {
     // any worker count — the guard's decisions are serial by design.
     let bundle = |jobs: usize| {
         let opts = DesyncOptions { jobs: Some(jobs), ..DesyncOptions::default() };
-        let (result, trace) = tool.run_traced(module.clone(), &opts).unwrap();
+        let (result, trace) = tool.run(module.clone(), &opts);
+        let result = result.unwrap();
         [
             format!("{:?}", result.report),
             result.sdc.clone(),
@@ -131,7 +135,7 @@ fn per_edge_sta_bound_never_deepens_beyond_the_linear_model() {
     let lib = vlib90::high_speed();
     let module = imbalanced_recipe().build().unwrap();
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&module, &DesyncOptions::default()).unwrap();
+    let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
 
     let model = drd_core::liveness::ResponseModel::probe(&lib).unwrap();
     let margin = DesyncOptions::default().delay_margin;

@@ -42,7 +42,7 @@ fn imbalanced_open_chains_are_repaired_or_diagnosed_never_wedged() {
         },
         |recipe: &NetRecipe| {
             let module = recipe.build().map_err(|e| e.to_string())?;
-            let result = match tool.run(&module, &DesyncOptions::default()) {
+            let result = match tool.run(module, &DesyncOptions::default()).0 {
                 Ok(result) => result,
                 // A structured liveness verdict (or any other typed flow
                 // rejection) is a diagnosis, not a wedge.
@@ -103,7 +103,7 @@ fn deepening_infeasible_corpus_exercises_latch_and_degrade_rungs() {
             // A typed rejection (`DesyncError::Liveness` or any other
             // flow error) is a diagnosis, not a wedge — only completed
             // flows are checked further.
-            if let Ok(result) = tool.run(&module, &opts) {
+            if let Ok(result) = tool.run(module, &opts).0 {
                 for lr in &result.report.liveness_repairs {
                     match lr.action {
                         LivenessAction::RequestLatch => {
@@ -178,7 +178,7 @@ fn strict_flows_never_record_a_liveness_degradation() {
         |recipe: &NetRecipe| {
             let module = recipe.build().map_err(|e| e.to_string())?;
             let opts = DesyncOptions { strict: true, ..DesyncOptions::default() };
-            match tool.run(&module, &opts) {
+            match tool.run(module, &opts).0 {
                 Ok(result) => {
                     if !result.report.degradations.is_empty() {
                         return Err("strict flow recorded a degradation".to_owned());

@@ -1,5 +1,6 @@
-//! The one-call desynchronization flow (§3.2, Fig. 2.1) — a thin
-//! compatibility wrapper over the instrumented [`crate::pipeline`].
+//! The one-call desynchronization flow (§3.2, Fig. 2.1):
+//! [`Desynchronizer::run`] is the standard [`crate::pipeline`] over a
+//! fresh context, returning the result and the run's trace.
 
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::{Corner, Library, SeqKind};
@@ -193,57 +194,24 @@ impl<'a> Desynchronizer<'a> {
         &self.gatefile
     }
 
-    /// Desynchronizes `module`. Borrowing wrapper around
-    /// [`Desynchronizer::run_owned`] — clones the input netlist once.
+    /// Desynchronizes `module` through [`Pipeline::standard`], consuming
+    /// it (no netlist copy is made). The [`FlowTrace`] comes back whether
+    /// or not the flow succeeds: on a failure it lists the passes that
+    /// completed and records the failing pass and message in
+    /// [`FlowTrace::error`].
     ///
-    /// # Errors
-    /// Returns [`DesyncError`] if the clock cannot be identified, a
-    /// flip-flop has no replacement rule, or a netlist/STA pass fails.
-    pub fn run(&self, module: &Module, opts: &DesyncOptions) -> Result<DesyncResult, DesyncError> {
-        self.run_owned(module.clone(), opts)
-    }
-
-    /// Desynchronizes `module`, consuming it — no netlist copy is made.
-    ///
-    /// # Errors
-    /// As [`Desynchronizer::run`].
-    pub fn run_owned(
-        &self,
-        module: Module,
-        opts: &DesyncOptions,
-    ) -> Result<DesyncResult, DesyncError> {
-        Ok(self.run_traced(module, opts)?.0)
-    }
-
-    /// Desynchronizes `module` through [`Pipeline::standard`], returning
-    /// the per-pass instrumentation alongside the result.
-    ///
-    /// # Errors
-    /// As [`Desynchronizer::run`].
-    pub fn run_traced(
-        &self,
-        module: Module,
-        opts: &DesyncOptions,
-    ) -> Result<(DesyncResult, FlowTrace), DesyncError> {
-        let (result, trace) = self.run_checked(module, opts);
-        Ok((result?, trace))
-    }
-
-    /// Like [`Desynchronizer::run_traced`], but a mid-run pass failure
-    /// does not discard the instrumentation: the returned [`FlowTrace`]
-    /// always lists the passes that completed, and records the failing
-    /// pass and message in [`FlowTrace::error`].
-    pub fn run_checked(
+    /// The result is a [`DesyncError`] if the clock cannot be identified,
+    /// a flip-flop has no replacement rule (under `strict`), a budget or
+    /// deadline is exceeded, or a netlist/STA pass fails.
+    pub fn run(
         &self,
         module: Module,
         opts: &DesyncOptions,
     ) -> (Result<DesyncResult, DesyncError>, FlowTrace) {
         let mut cx = FlowContext::new(self.lib, &self.gatefile, module, opts.clone());
-        let (trace, err) = Pipeline::standard().run_recording(&mut cx, None);
-        match err {
-            Some(e) => (Err(e), trace),
-            None => (cx.into_result(), trace),
-        }
+        let outcome = Pipeline::standard().run(&mut cx);
+        let trace = cx.trace().clone();
+        (outcome.and_then(|()| cx.into_result()), trace)
     }
 }
 
@@ -386,7 +354,10 @@ mod tests {
     fn report_shape() {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
-        let result = tool.run(&toggle_parity(), &DesyncOptions::default()).unwrap();
+        let result = tool
+            .run(toggle_parity(), &DesyncOptions::default())
+            .0
+            .unwrap();
         let rep = &result.report;
         assert_eq!(rep.clock_net, "clk");
         assert_eq!(rep.substituted_ffs, 2);
@@ -417,7 +388,7 @@ mod tests {
 
         // Desynchronized version, free-running after reset.
         let tool = Desynchronizer::new(&lib).unwrap();
-        let result = tool.run(&module, &DesyncOptions::default()).unwrap();
+        let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
         let mut dut = Simulator::new(&result.design, &lib, SimOptions::default()).unwrap();
         dut.poke("drd_rst", Lv::Zero).unwrap();
         dut.run_for(2.0);
@@ -441,7 +412,10 @@ mod tests {
     fn effective_period_tracks_corner() {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
-        let result = tool.run(&toggle_parity(), &DesyncOptions::default()).unwrap();
+        let result = tool
+            .run(toggle_parity(), &DesyncOptions::default())
+            .0
+            .unwrap();
         let period_at = |corner| {
             let mut sim =
                 Simulator::new(&result.design, &lib, SimOptions::at_corner(corner)).unwrap();
@@ -568,9 +542,8 @@ mod tests {
         let z = m.add_net("z").unwrap();
         m.add_cell("u", "INVX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(z))])
             .unwrap();
-        assert!(matches!(
-            tool.run(&m, &DesyncOptions::default()),
-            Err(DesyncError::Clock { .. })
-        ));
+        let (result, trace) = tool.run(m, &DesyncOptions::default());
+        assert!(matches!(result, Err(DesyncError::Clock { .. })));
+        assert_eq!(trace.error.map(|e| e.pass), Some("clock-id"));
     }
 }

@@ -5,8 +5,10 @@
 //! asynchronous, handshake-controlled — netlist, plus the backend timing
 //! constraints that let a conventional synchronous flow finish the chip.
 //!
-//! The pipeline (§3.2) is exposed both as individual passes and through
-//! the one-call [`Desynchronizer`]:
+//! The pipeline (§3.2) is exposed both as individual passes, run by
+//! [`Pipeline::run`] over a [`FlowContext`], and through the one-call
+//! [`Desynchronizer::run`], which returns the result together with the
+//! run's [`FlowTrace`]:
 //!
 //! 1. design import — [`drd_netlist::verilog`] (the netlist crate)
 //! 2. automatic region creation — [`region`] (Figs. 3.3–3.6)
@@ -26,7 +28,10 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let lib = vlib90::high_speed();
 //! let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string("chip.v")?)?;
-//! let result = Desynchronizer::new(&lib)?.run(&module, &DesyncOptions::default())?;
+//! let (result, trace) = Desynchronizer::new(&lib)?.run(module, &DesyncOptions::default());
+//! // The trace is written for a failed flow too: it names the failing pass.
+//! std::fs::write("chip_trace.json", trace.to_json())?;
+//! let result = result?;
 //! std::fs::write("chip_desync.v", drd_netlist::verilog::write_design(&result.design))?;
 //! std::fs::write("chip_desync.sdc", &result.sdc)?;
 //! # Ok(())

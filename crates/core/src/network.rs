@@ -64,8 +64,9 @@ pub struct NetworkOptions {
 /// `opts.margin`. If `opts.muxed` is set, 8-tap multiplexed delay elements
 /// are used and `dsel[2:0]` input ports are added.
 ///
-/// `degraded` names regions left synchronous by graceful degradation:
-/// they get no controller pair, no delay element and no handshake nets —
+/// `degraded` flags, in region-index order, the regions left synchronous
+/// by graceful degradation (a missing entry reads as `false`): they get
+/// no controller pair, no delay element and no handshake nets —
 /// their flip-flops keep the original clock — and requests/acknowledges
 /// of neighbouring regions simply skip them (their loads/drivers fall
 /// back to the environment rules).
@@ -80,7 +81,7 @@ pub fn insert_control_network(
     ddg: &Ddg,
     region_delays_ns: &[f64],
     lib: &Library,
-    degraded: &[String],
+    degraded: &[bool],
     opts: NetworkOptions,
 ) -> Result<NetworkReport, DesyncError> {
     let NetworkOptions { muxed, margin } = opts;
@@ -126,7 +127,8 @@ pub fn insert_control_network(
     let controlled: Vec<bool> = regions
         .regions
         .iter()
-        .map(|r| !r.seq_cells.is_empty() && !degraded.contains(&r.name))
+        .enumerate()
+        .map(|(i, r)| !r.seq_cells.is_empty() && degraded.get(i) != Some(&true))
         .collect();
 
     // Per-region handshake nets (created up-front so joins can reference
@@ -438,7 +440,9 @@ mod tests {
         let (mut design, top, regions, graph, delays) = prepared();
         let lib = vlib90::high_speed();
         let opts = NetworkOptions { muxed: false, margin: 1.1 };
-        let degraded = vec!["g1".to_string()];
+        let g1 = regions.regions.iter().position(|r| r.name == "g1").unwrap();
+        let mut degraded = vec![false; regions.len()];
+        degraded[g1] = true;
         let report = insert_control_network(
             &mut design,
             top,
@@ -452,11 +456,6 @@ mod tests {
         .unwrap();
         assert_eq!(report.controllers, 2, "only the non-degraded region");
         assert_eq!(report.delay_elements, 1);
-        let g1 = regions
-            .regions
-            .iter()
-            .position(|r| r.name == "g1")
-            .unwrap();
         assert_eq!(
             report.controller_instances[g1],
             (String::new(), String::new())

@@ -3,11 +3,15 @@
 //! The paper's flow is explicitly staged (Fig. 2.1, §3.2): import → clean
 //! → clock identification → region creation → DDG → delay sizing →
 //! flip-flop substitution → control network → constraints. Each stage is a
-//! [`Pass`] over a shared [`FlowContext`]; the [`Pipeline`] runs them in
-//! order and records a [`FlowTrace`] — per-pass wall time, top-module
-//! cell/net deltas and produced artifacts — so drivers can time, stop
-//! after, checkpoint or extend any stage. [`crate::Desynchronizer::run`]
-//! is a thin compatibility wrapper over [`Pipeline::standard`].
+//! [`Pass`] over a shared [`FlowContext`]. [`Pipeline::run`] is the one
+//! runner: it runs the passes in order under the panic guard, the budgets
+//! and the deadline, and records each completed pass — wall time,
+//! top-module cell/net deltas and produced artifacts — in the context's
+//! [`FlowTrace`]. Stopping after a stage or checkpointing it is a pipeline
+//! shape, not a run mode: [`Pipeline::split_after`] yields the head and
+//! the tail, and running both over one context accumulates one trace.
+//! [`crate::Desynchronizer::run`] is the one-call flow: the standard
+//! pipeline over a fresh context, returning the result and the trace.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -38,8 +42,8 @@ enum Netlist {
 }
 
 /// Everything the passes read and write: the working netlist, the
-/// library/gatefile handles, the run options and the accumulated
-/// artifacts of earlier passes.
+/// library/gatefile handles, the run options, the accumulated artifacts
+/// of earlier passes and the run's [`FlowTrace`].
 #[derive(Debug, Clone)]
 pub struct FlowContext<'a> {
     lib: &'a Library,
@@ -55,13 +59,14 @@ pub struct FlowContext<'a> {
     extra_gates: usize,
     network: Option<NetworkReport>,
     sdc: Option<String>,
-    degradations: Vec<Degradation>,
-    liveness_repairs: Vec<LivenessRepair>,
+    /// Per region, in region-index order: left synchronous. Set together
+    /// with the named record in the trace's `degradations`.
+    degraded: Vec<bool>,
+    trace: FlowTrace,
 }
 
 impl<'a> FlowContext<'a> {
-    /// Prepares a context owning `module` — no netlist copy is made; use
-    /// [`crate::Desynchronizer::run`] for the borrowing wrapper.
+    /// Prepares a context owning `module` — no netlist copy is made.
     pub fn new(
         lib: &'a Library,
         gatefile: &'a Gatefile,
@@ -82,8 +87,8 @@ impl<'a> FlowContext<'a> {
             extra_gates: 0,
             network: None,
             sdc: None,
-            degradations: Vec::new(),
-            liveness_repairs: Vec::new(),
+            degraded: Vec::new(),
+            trace: FlowTrace::default(),
         }
     }
 
@@ -142,16 +147,24 @@ impl<'a> FlowContext<'a> {
         self.sdc.as_deref()
     }
 
-    /// Regions left synchronous by graceful degradation so far. Empty for
-    /// a fully desynchronized (or strict) run.
-    pub fn degradations(&self) -> &[Degradation] {
-        &self.degradations
-    }
-
     /// Repairs the liveness guard applied (after `liveness`). Empty when
     /// no pulse-swallowing hazard was found.
     pub fn liveness_repairs(&self) -> &[LivenessRepair] {
-        &self.liveness_repairs
+        &self.trace.liveness_repairs
+    }
+
+    /// The run's instrumentation so far: every pass [`Pipeline::run`]
+    /// completed over this context, in order, the failure record if a
+    /// pass failed, and the degradation and repair sections.
+    pub fn trace(&self) -> &FlowTrace {
+        &self.trace
+    }
+
+    /// Leaves region `region` synchronous: sets the flag the later passes
+    /// read and appends the named record to the trace.
+    fn record_degradation(&mut self, region: usize, d: Degradation) {
+        self.degraded[region] = true;
+        self.trace.degradations.push(d);
     }
 
     /// `(cells, nets)` of the current working top module. Generated
@@ -268,8 +281,8 @@ impl<'a> FlowContext<'a> {
                 controllers: net_report.controllers,
                 celements: net_report.celements,
                 cleaned_cells: self.cleaned_cells,
-                degradations: self.degradations,
-                liveness_repairs: self.liveness_repairs,
+                degradations: self.trace.degradations,
+                liveness_repairs: self.trace.liveness_repairs,
             },
         })
     }
@@ -424,6 +437,7 @@ impl Pass for GroupPass {
         grouping.false_path_nets.push(clock_name);
         let regions = region::group(cx.module()?, cx.lib, &grouping)?;
         let detail = format!("{} regions", regions.regions.len());
+        cx.degraded = vec![false; regions.regions.len()];
         cx.regions = Some(regions);
         Ok(PassReport::new(vec!["regions"], detail))
     }
@@ -473,14 +487,15 @@ impl Pass for RegionDelaysPass {
                     message: format!("region `{}`: {message}", r.name),
                 });
             }
-            degraded.push(degradation(
-                module,
-                r,
-                DegradeReason::DelayMatching { message },
+            degraded.push((
+                i,
+                degradation(module, r, DegradeReason::DelayMatching { message }),
             ));
             delays[i] = 0.0;
         }
-        cx.degradations.extend(degraded);
+        for (i, d) in degraded {
+            cx.record_degradation(i, d);
+        }
         let worst = delays.iter().copied().fold(0.0f64, f64::max);
         cx.region_delays = Some(delays);
         Ok(PassReport::new(
@@ -509,7 +524,7 @@ impl Pass for FfSubPass {
         let strict = cx.opts.strict;
         let mut substituted = 0usize;
         let mut extra_gates = 0usize;
-        let mut degraded: Vec<Degradation> = Vec::new();
+        let mut degraded: Vec<(usize, Degradation)> = Vec::new();
         let mut region_wall_ns = vec![0u128; regions.regions.len()];
         let result = (|| -> Result<(), DesyncError> {
             // Validate every region up front, one read-only task per
@@ -521,10 +536,8 @@ impl Pass for FfSubPass {
             let skip: Vec<bool> = regions
                 .regions
                 .iter()
-                .map(|r| {
-                    r.seq_cells.is_empty()
-                        || cx.degradations.iter().any(|d| d.region == r.name)
-                })
+                .zip(&cx.degraded)
+                .map(|(r, &degraded)| r.seq_cells.is_empty() || degraded)
                 .collect();
             let checks: Vec<(Option<DegradeReason>, u128)> = {
                 let working = cx.module()?;
@@ -566,7 +579,7 @@ impl Pass for FfSubPass {
                             },
                         });
                     }
-                    degraded.push(degradation(cx.module()?, r, reason));
+                    degraded.push((i, degradation(cx.module()?, r, reason)));
                     continue;
                 }
                 let working = cx.module_mut()?;
@@ -593,7 +606,9 @@ impl Pass for FfSubPass {
                 degraded.len()
             )
         };
-        cx.degradations.extend(degraded);
+        for (i, d) in degraded {
+            cx.record_degradation(i, d);
+        }
         Ok(PassReport::parallel(
             vec!["substituted-ffs"],
             detail,
@@ -620,11 +635,6 @@ impl Pass for ControlNetworkPass {
             .region_delays
             .as_deref()
             .ok_or_else(|| missing("region delays", "region-delays"))?;
-        let degraded: Vec<String> = cx
-            .degradations
-            .iter()
-            .map(|d| d.region.clone())
-            .collect();
         let Netlist::Module(working) =
             std::mem::replace(&mut cx.netlist, Netlist::Module(Module::new("drd_empty")))
         else {
@@ -639,7 +649,7 @@ impl Pass for ControlNetworkPass {
             graph,
             delays,
             cx.lib,
-            &degraded,
+            &cx.degraded,
             network::NetworkOptions {
                 muxed: cx.opts.muxed_delay_elements,
                 margin: cx.opts.delay_margin,
@@ -814,7 +824,7 @@ impl Pass for LivenessGuardPass {
                         ),
                     };
                     let d = degradation(cx.top_module(), &regions.regions[i], reason);
-                    cx.degradations.push(d);
+                    cx.record_degradation(i, d);
                 }
             }
         }
@@ -828,7 +838,7 @@ impl Pass for LivenessGuardPass {
             count(|a| matches!(a, LivenessAction::RequestLatch)),
             count(|a| matches!(a, LivenessAction::Degrade)),
         );
-        cx.liveness_repairs.extend(repairs);
+        cx.trace.liveness_repairs.extend(repairs);
         Ok(PassReport::new(vec!["liveness-repairs"], detail))
     }
 }
@@ -855,19 +865,19 @@ impl Pass for SdcPass {
             .network
             .as_ref()
             .ok_or_else(|| missing("network report", "control-network"))?;
-        let degraded: Vec<String> = cx
-            .degradations
-            .iter()
-            .map(|d| d.region.clone())
-            .collect();
         let delem_min: Vec<(String, f64)> = regions
             .regions
             .iter()
             .enumerate()
-            .filter(|(i, r)| {
-                !r.seq_cells.is_empty() && delays[*i] > 0.0 && !degraded.contains(&r.name)
-            })
+            .filter(|&(i, r)| !r.seq_cells.is_empty() && delays[i] > 0.0 && !cx.degraded[i])
             .map(|(i, r)| (format!("drd_{}_delem", r.name), delays[i]))
+            .collect();
+        // The SDC text names the degraded regions in record order.
+        let degraded: Vec<String> = cx
+            .trace
+            .degradations
+            .iter()
+            .map(|d| d.region.clone())
             .collect();
         let spec = sdc::spec_from_report(
             cx.opts.clock_period_ns,
@@ -937,7 +947,7 @@ pub struct FlowErrorTrace {
     pub message: String,
 }
 
-/// Machine-readable record of one pipeline run.
+/// Machine-readable record of one flow run, kept on its [`FlowContext`].
 #[derive(Debug, Clone, Default)]
 pub struct FlowTrace {
     /// Executed passes, in order.
@@ -1113,134 +1123,87 @@ impl Pipeline {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
-    /// Runs every pass over `cx`.
+    /// Splits the pipeline after the pass named `name`: the passes up to
+    /// and including it, and the rest. Running the head and then the tail
+    /// over one context is the whole flow, with the context inspectable
+    /// at the split — how `--stop-after` and `--dump-after` are built.
     ///
     /// # Errors
-    /// Propagates the first pass failure.
-    pub fn run(&self, cx: &mut FlowContext<'_>) -> Result<FlowTrace, DesyncError> {
-        self.run_until(cx, None)
+    /// Returns [`DesyncError::Pipeline`] when no pass is named `name`.
+    pub fn split_after(mut self, name: &str) -> Result<(Pipeline, Pipeline), DesyncError> {
+        let Some(at) = self.passes.iter().position(|p| p.name() == name) else {
+            return Err(DesyncError::Pipeline {
+                message: format!(
+                    "unknown pass `{name}` — pipeline has: {}",
+                    self.pass_names().join(", ")
+                ),
+            });
+        };
+        let rest = self.passes.split_off(at + 1);
+        Ok((self, Pipeline { passes: rest }))
     }
 
-    /// Runs passes until (and including) `stop_after`, or all of them when
-    /// `None`.
+    /// Runs every pass over `cx`, in order, and records each completed
+    /// pass in [`FlowContext::trace`] — a run after an earlier one on the
+    /// same context extends the same trace.
+    ///
+    /// The run is guarded: a panicking pass is caught (`catch_unwind`)
+    /// and reported as [`DesyncError::Panic`] instead of aborting, and the
+    /// [`DesyncOptions`] budgets (`max_cells`, `max_nets`,
+    /// `pass_deadline_ms`) are checked after every pass, turning runaway
+    /// expansion into [`DesyncError::Budget`] / [`DesyncError::Deadline`]
+    /// (the tripping pass is still traced).
     ///
     /// # Errors
-    /// Returns [`DesyncError::Pipeline`] for an unknown pass name, else
-    /// propagates the first pass failure.
-    pub fn run_until(
-        &self,
-        cx: &mut FlowContext<'_>,
-        stop_after: Option<&str>,
-    ) -> Result<FlowTrace, DesyncError> {
-        match self.run_recording(cx, stop_after) {
-            (_, Some(e)) => Err(e),
-            (trace, None) => Ok(trace),
-        }
-    }
-
-    /// [`Pipeline::run_observed`] without an observer.
-    pub fn run_recording(
-        &self,
-        cx: &mut FlowContext<'_>,
-        stop_after: Option<&str>,
-    ) -> (FlowTrace, Option<DesyncError>) {
-        self.run_observed(cx, stop_after, |_, _| Ok(()))
-    }
-
-    /// Runs passes like [`Pipeline::run_until`], calling `observer` after
-    /// every executed pass (the checkpoint hook behind `--dump-after`),
-    /// and never discards the instrumentation: on a failure the returned
-    /// [`FlowTrace`] keeps the completed-pass list and records the failure
-    /// in [`FlowTrace::error`], and the typed [`DesyncError`] is returned
-    /// alongside. The context is left exactly as the last *successful*
-    /// pass left it (each pass restores its borrows on error), so callers
-    /// can still inspect artifacts and the checkpoint netlist.
-    ///
-    /// This is the *guarded* entry point: a panicking pass is caught
-    /// (`catch_unwind`) and reported as [`DesyncError::Panic`] instead of
-    /// aborting, and the [`DesyncOptions`] budgets (`max_cells`,
-    /// `max_nets`, `pass_deadline_ms`) are checked after every pass,
-    /// turning runaway expansion into [`DesyncError::Budget`] /
-    /// [`DesyncError::Deadline`]. After a caught panic the context may be
-    /// mid-mutation — inspect the trace, not the netlist. An unknown
-    /// `stop_after` name fails before any pass runs.
-    pub fn run_observed(
-        &self,
-        cx: &mut FlowContext<'_>,
-        stop_after: Option<&str>,
-        mut observer: impl FnMut(&'static str, &FlowContext<'_>) -> Result<(), DesyncError>,
-    ) -> (FlowTrace, Option<DesyncError>) {
-        let mut trace = FlowTrace::default();
-        // Every failure leaves this loop as `(failing pass, error)`.
-        let outcome = (|| -> Result<(), (&'static str, DesyncError)> {
-            if let Some(stop) = stop_after {
-                if !self.passes.iter().any(|p| p.name() == stop) {
-                    let message = format!(
-                        "unknown pass `{stop}` — pipeline has: {}",
-                        self.pass_names().join(", ")
-                    );
-                    return Err(("<pipeline>", DesyncError::Pipeline { message }));
-                }
-            }
-            for pass in &self.passes {
-                let name = pass.name();
-                let (cells_before, nets_before) = cx.netlist_stats();
-                let start = Instant::now();
-                // Guard: a panicking pass must not abort the flow — catch
-                // the unwind and convert it into a structured diagnostic.
-                // The context may be mid-mutation after a panic, so the
-                // run stops here either way.
-                let caught = catch_unwind(AssertUnwindSafe(|| pass.run(cx)));
-                let wall_ns = start.elapsed().as_nanos();
-                let report = caught
-                    .unwrap_or_else(|payload| {
-                        Err(DesyncError::Panic {
-                            pass: name,
-                            message: panic_message(payload.as_ref()),
-                        })
-                    })
-                    .map_err(|e| (name, e))?;
-                let (cells_after, nets_after) = cx.netlist_stats();
-                trace.total_wall_ns += wall_ns;
-                trace.passes.push(PassTrace {
-                    name,
-                    wall_ns,
-                    cells_before,
-                    cells_after,
-                    nets_before,
-                    nets_after,
-                    artifacts: report.artifacts,
-                    detail: report.detail,
-                    workers: report.workers,
-                    region_wall_ns: report.region_wall_ns,
-                });
-                // Guard: resource budgets and the wall-clock deadline are
-                // enforced after every pass (passes cannot be preempted).
-                // The violation is recorded as a structured error on top
-                // of the completed-pass trace.
-                if let Some(e) = guard_violation(&cx.opts, name, cells_after, nets_after, wall_ns) {
-                    return Err((name, e));
-                }
-                observer(name, cx).map_err(|e| (name, e))?;
-                if stop_after == Some(name) {
-                    break;
-                }
-            }
-            Ok(())
-        })();
-        trace.degradations = cx.degradations.clone();
-        trace.liveness_repairs = cx.liveness_repairs.clone();
-        match outcome {
-            Ok(()) => (trace, None),
-            Err((pass, e)) => {
-                trace.error = Some(FlowErrorTrace {
-                    pass,
+    /// Returns the first failure and records it in [`FlowTrace::error`];
+    /// the trace keeps the passes that completed before it. The context
+    /// is left as the last *successful* pass left it (each pass restores
+    /// its borrows on error), so its artifacts and checkpoint netlist can
+    /// still be inspected — except after a caught panic, when it may be
+    /// mid-mutation: inspect the trace, not the netlist.
+    pub fn run(&self, cx: &mut FlowContext<'_>) -> Result<(), DesyncError> {
+        for pass in &self.passes {
+            let name = pass.name();
+            run_guarded(pass.as_ref(), cx).inspect_err(|e| {
+                cx.trace.error = Some(FlowErrorTrace {
+                    pass: name,
                     message: e.to_string(),
                 });
-                (trace, Some(e))
-            }
+            })?;
         }
+        Ok(())
     }
+}
+
+/// Runs one pass under the panic guard, traces it, then checks the
+/// budgets and the deadline (passes cannot be preempted).
+fn run_guarded(pass: &dyn Pass, cx: &mut FlowContext<'_>) -> Result<(), DesyncError> {
+    let name = pass.name();
+    let (cells_before, nets_before) = cx.netlist_stats();
+    let start = Instant::now();
+    let caught = catch_unwind(AssertUnwindSafe(|| pass.run(cx)));
+    let wall_ns = start.elapsed().as_nanos();
+    let report = caught.unwrap_or_else(|payload| {
+        Err(DesyncError::Panic {
+            pass: name,
+            message: panic_message(payload.as_ref()),
+        })
+    })?;
+    let (cells_after, nets_after) = cx.netlist_stats();
+    cx.trace.total_wall_ns += wall_ns;
+    cx.trace.passes.push(PassTrace {
+        name,
+        wall_ns,
+        cells_before,
+        cells_after,
+        nets_before,
+        nets_after,
+        artifacts: report.artifacts,
+        detail: report.detail,
+        workers: report.workers,
+        region_wall_ns: report.region_wall_ns,
+    });
+    guard_violation(&cx.opts, name, cells_after, nets_after, wall_ns).map_or(Ok(()), Err)
 }
 
 /// Renders a caught panic payload: `&str` and `String` payloads (what
@@ -1345,9 +1308,11 @@ mod tests {
             toggle(),
             DesyncOptions::default(),
         );
-        let trace = Pipeline::standard().run(&mut cx).unwrap();
+        Pipeline::standard().run(&mut cx).unwrap();
+        let trace = cx.trace();
         assert_eq!(trace.passes.len(), 9);
         assert!(trace.passes.iter().all(|p| p.wall_ns > 0));
+        assert!(trace.error.is_none());
         let result = cx.into_result().unwrap();
         assert!(result.sdc.contains("create_clock"));
         assert_eq!(result.report.substituted_ffs, 1);
@@ -1363,8 +1328,11 @@ mod tests {
             toggle(),
             DesyncOptions::default(),
         );
-        let trace = Pipeline::standard().run_until(&mut cx, Some("group")).unwrap();
-        assert_eq!(trace.passes.len(), 3);
+        let (head, tail) = Pipeline::standard().split_after("group").unwrap();
+        assert_eq!(head.pass_names(), ["clean", "clock-id", "group"]);
+        assert_eq!(tail.pass_names().len(), 6);
+        head.run(&mut cx).unwrap();
+        assert_eq!(cx.trace().passes.len(), 3);
         assert!(cx.regions().is_some());
         assert!(cx.ddg().is_none());
         assert!(cx.sdc().is_none());
@@ -1377,18 +1345,9 @@ mod tests {
 
     #[test]
     fn unknown_stop_pass_is_an_error() {
-        let lib = vlib90::high_speed();
-        let tool = Desynchronizer::new(&lib).unwrap();
-        let mut cx = FlowContext::new(
-            &lib,
-            tool.gatefile(),
-            toggle(),
-            DesyncOptions::default(),
-        );
-        let err = Pipeline::standard()
-            .run_until(&mut cx, Some("nope"))
-            .unwrap_err();
-        assert!(err.to_string().contains("nope"));
+        let err = Pipeline::standard().split_after("nope").err().unwrap();
+        assert!(matches!(err, DesyncError::Pipeline { .. }));
+        assert!(err.to_string().contains("unknown pass `nope`"), "{err}");
     }
 
     #[test]
@@ -1401,7 +1360,8 @@ mod tests {
             toggle(),
             DesyncOptions::default(),
         );
-        let trace = Pipeline::standard().run(&mut cx).unwrap();
+        Pipeline::standard().run(&mut cx).unwrap();
+        let trace = cx.trace();
         let timed = trace.to_json();
         assert!(timed.contains("wall_ns"));
         let stable = trace.to_json_deterministic();
@@ -1455,8 +1415,9 @@ mod tests {
         let mut gf = Gatefile::from_library(&lib).unwrap();
         gf.rules.retain(|r| r.ff != "DFFRX1");
         let mut cx = FlowContext::new(&lib, &gf, two_region_mixed(), DesyncOptions::default());
-        let (trace, err) = Pipeline::standard().run_recording(&mut cx, None);
-        assert!(err.is_none(), "degraded flow completes: {err:?}");
+        let run = Pipeline::standard().run(&mut cx);
+        assert!(run.is_ok(), "degraded flow completes: {run:?}");
+        let trace = cx.trace();
         assert_eq!(trace.degradations.len(), 1, "{:?}", trace.degradations);
         assert!(trace.to_json().contains("\"degradations\""));
         let result = cx.into_result().unwrap();
@@ -1487,9 +1448,8 @@ mod tests {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
         let mut cx = FlowContext::new(&lib, tool.gatefile(), toggle(), DesyncOptions::default());
-        Pipeline::standard()
-            .run_until(&mut cx, Some("control-network"))
-            .unwrap();
+        let (head, _) = Pipeline::standard().split_after("control-network").unwrap();
+        head.run(&mut cx).unwrap();
         let top = cx.top_module();
         let r = &cx.regions().unwrap().regions[0];
         assert!(r.seq_cells.iter().all(|&c| !top.is_cell_alive(c)));
@@ -1509,12 +1469,13 @@ mod tests {
             ..DesyncOptions::default()
         };
         let mut cx = FlowContext::new(&lib, &gf, two_region_mixed(), opts);
-        let (trace, err) = Pipeline::standard().run_recording(&mut cx, None);
+        let err = Pipeline::standard().run(&mut cx);
         assert!(
-            matches!(err, Some(DesyncError::NoRule { ref cell }) if cell == "DFFRX1"),
+            matches!(err, Err(DesyncError::NoRule { ref cell }) if cell == "DFFRX1"),
             "{err:?}"
         );
-        assert!(trace.degradations.is_empty());
+        assert!(cx.trace().degradations.is_empty());
+        assert_eq!(cx.trace().error.as_ref().map(|e| e.pass), Some("ffsub"));
     }
 
     struct PanicPass;
@@ -1534,14 +1495,14 @@ mod tests {
         let mut cx = FlowContext::new(&lib, tool.gatefile(), toggle(), DesyncOptions::default());
         let mut p = Pipeline::empty();
         p.push(Box::new(PanicPass));
-        let (trace, err) = p.run_recording(&mut cx, None);
-        match err {
-            Some(DesyncError::Panic { pass, message }) => {
+        match p.run(&mut cx) {
+            Err(DesyncError::Panic { pass, message }) => {
                 assert_eq!(pass, "boom");
                 assert!(message.contains("kaboom 42"), "{message}");
             }
             other => panic!("expected Panic, got {other:?}"),
         }
+        let trace = cx.trace();
         assert_eq!(trace.error.as_ref().unwrap().pass, "boom");
         assert!(trace.passes.is_empty(), "the failed pass is not recorded as executed");
     }
@@ -1556,16 +1517,22 @@ mod tests {
         };
         // toggle() has 2 cells: the very first pass must trip the budget.
         let mut cx = FlowContext::new(&lib, tool.gatefile(), toggle(), opts);
-        let (trace, err) = Pipeline::standard().run_recording(&mut cx, None);
+        let err = Pipeline::standard().run(&mut cx);
         assert!(
             matches!(
                 err,
-                Some(DesyncError::Budget { resource: "cells", limit: 1, actual: 2, .. })
+                Err(DesyncError::Budget {
+                    resource: "cells",
+                    limit: 1,
+                    actual: 2,
+                    ..
+                })
             ),
             "{err:?}"
         );
+        let trace = cx.trace();
         assert_eq!(trace.passes.len(), 1, "the tripping pass is still traced");
-        assert!(trace.error.is_some());
+        assert_eq!(trace.error.as_ref().map(|e| e.pass), Some("clean"));
     }
 
     struct SleepPass;
@@ -1590,34 +1557,16 @@ mod tests {
         let mut cx = FlowContext::new(&lib, tool.gatefile(), toggle(), opts);
         let mut p = Pipeline::empty();
         p.push(Box::new(SleepPass));
-        let (_, err) = p.run_recording(&mut cx, None);
+        let err = p.run(&mut cx);
         assert!(
-            matches!(err, Some(DesyncError::Deadline { pass: "nap", limit_ms: 1 })),
+            matches!(
+                err,
+                Err(DesyncError::Deadline {
+                    pass: "nap",
+                    limit_ms: 1
+                })
+            ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn observer_sees_every_executed_pass() {
-        let lib = vlib90::high_speed();
-        let tool = Desynchronizer::new(&lib).unwrap();
-        let mut cx = FlowContext::new(
-            &lib,
-            tool.gatefile(),
-            toggle(),
-            DesyncOptions::default(),
-        );
-        let mut seen = Vec::new();
-        let (trace, err) = Pipeline::standard().run_observed(&mut cx, Some("ddg"), |name, cx| {
-            seen.push((name, cx.netlist_verilog().len()));
-            Ok(())
-        });
-        assert!(err.is_none() && trace.error.is_none(), "{err:?}");
-        assert_eq!(
-            seen.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-            vec!["clean", "clock-id", "group", "ddg"]
-        );
-        // Checkpoints are valid Verilog at every boundary.
-        assert!(seen.iter().all(|&(_, len)| len > 0));
     }
 }

@@ -95,7 +95,9 @@ impl CaseStudy {
     /// # Errors
     /// Propagates desynchronization errors.
     pub fn desynchronize(&self) -> Result<DesyncResult, DesyncError> {
-        Desynchronizer::new(&self.lib)?.run(&self.module, &self.desync)
+        Desynchronizer::new(&self.lib)?
+            .run(self.module.clone(), &self.desync)
+            .0
     }
 
     /// Minimum synchronous clock period at the typical corner: worst
@@ -332,7 +334,9 @@ pub fn timing_sweep(case: &CaseStudy) -> Result<TimingSweep, DesyncError> {
 
     let mut opts = case.desync.clone();
     opts.muxed_delay_elements = true;
-    let desync = Desynchronizer::new(&case.lib)?.run(&case.module, &opts)?;
+    let desync = Desynchronizer::new(&case.lib)?
+        .run(case.module.clone(), &opts)
+        .0?;
 
     // Watch the busiest region's slave enable for period measurement.
     let watch_region = desync

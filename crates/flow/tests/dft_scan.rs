@@ -62,7 +62,7 @@ fn scan_chain_survives_latch_substitution() {
     assert_eq!(report.chain, ["r0", "r1", "r2", "r3"]);
 
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&module, &DesyncOptions::default()).unwrap();
+    let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
     let top = result.design.module(result.design.top());
 
     let mut prev_link = "scan_in".to_owned();
@@ -101,7 +101,7 @@ fn scan_recipe(lib: &drd_liberty::Library, config: &DiffConfig) -> (NetRecipe, D
         }
         let Ok(module) = recipe.build() else { continue };
         let tool = Desynchronizer::new(lib).unwrap();
-        let Ok(clean) = tool.run(&module, &DesyncOptions::default()) else {
+        let Ok(clean) = tool.run(module, &DesyncOptions::default()).0 else {
             continue;
         };
         if verify_result(&recipe, lib, config, &clean).is_ok() {

@@ -179,7 +179,7 @@ impl<'a> Server<'a> {
             }
         };
 
-        let (outcome, trace) = self.tool.run_checked(module, &options);
+        let (outcome, trace) = self.tool.run(module, &options);
         {
             let mut counters = self.counters.lock().unwrap();
             for pass in &trace.passes {
@@ -520,6 +520,27 @@ mod tests {
         let parsed = json::parse(&stats).unwrap();
         assert_eq!(parsed.get("queue_depth").unwrap().as_num(), Some(0.0));
         assert!(parsed.get("cache_hit_rate").unwrap().as_num().unwrap() > 0.0);
+    }
+
+    /// A failed job's completed passes still count in `phase_wall_ms`:
+    /// the trace comes back with the error, not only on success.
+    #[test]
+    fn failed_jobs_still_count_their_pass_time() {
+        let lib = vlib90::high_speed();
+        let server = Server::new(&lib, 4).unwrap();
+        let tight = server.handle_line(&format!(
+            "{{\"id\":\"t\",\"kind\":\"desync\",\"options\":{{\"max_cells\":1}},\"verilog\":{}}}",
+            json::escape(&toy_verilog("t"))
+        ));
+        assert!(tight.contains("\"error_class\":\"budget\""), "{tight}");
+        let stats = json::parse(&server.handle_line("{\"id\":\"s\",\"kind\":\"stats\"}")).unwrap();
+        assert_eq!(stats.get("jobs_ok").unwrap().as_num(), Some(0.0));
+        assert_eq!(stats.get("jobs_failed").unwrap().as_num(), Some(1.0));
+        let phases = stats.get("phase_wall_ms").expect("phase_wall_ms present");
+        assert!(
+            phases.get("clean").is_some(),
+            "the tripping pass is timed: {phases:?}"
+        );
     }
 
     #[test]

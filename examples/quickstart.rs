@@ -13,9 +13,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module = drdesync::designs::sample::figure_2_2()?;
     println!("input: `{}` with {} cells", module.name, module.cell_count());
 
-    // 1. Desynchronize.
+    // 1. Desynchronize. The module is cloned because step 2 simulates
+    // the original; the trace comes back even when the flow fails.
     let tool = Desynchronizer::new(&lib)?;
-    let result = tool.run(&module, &DesyncOptions::default())?;
+    let (result, trace) = tool.run(module.clone(), &DesyncOptions::default());
+    let result = result?;
+    for pass in &trace.passes {
+        println!("pass {:<15} {}", pass.name, pass.detail);
+    }
     println!(
         "regions: {:?}",
         result.report.regions.iter().map(|r| &r.name).collect::<Vec<_>>()
@@ -24,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Synchronous reference simulation.
     let mut sync = Design::new();
-    sync.insert(module.clone());
+    sync.insert(module);
     let mut reference = Simulator::new(&sync, &lib, SimOptions::default())?;
     for i in 0..drdesync::designs::sample::WIDTH {
         reference.poke(&format!("din[{i}]"), Lv::from_bool(i % 2 == 0))?;

@@ -52,7 +52,12 @@
 #    on every cache-hit artifact being byte-identical to its cold-path
 #    original, and on the warm-cache p50 latency sitting >= 10x below
 #    the cold-path p50; then re-runs the serve-vs-CLI differential
-#    oracle that pins the server's artifacts to the one-shot flow.
+#    oracle that pins the server's artifacts to the one-shot flow,
+# 14. type-checks the end-to-end benchmark (e2ebench/, its own workspace
+#    building against the workspace crates by path) with its tests, on a
+#    temporary copy next to symlinks to the root Cargo.toml, src/ and
+#    crates/: its Cargo.lock is stale, so a build in place would rewrite
+#    a file that must stay as committed.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -491,5 +496,16 @@ echo "ok: warm p50 ${warm_p50} us vs cold p50 ${cold_p50} us (>= 10x)"
 cargo test -q --offline --test serve_differential --test cli
 cargo test -q --offline -p drd-serve
 echo "ok: serve-vs-CLI differential and serve protocol suites pass"
+
+echo "== e2ebench type-checks against the workspace API (offline) =="
+e2e_tmp=$(mktemp -d)
+trap 'rm -rf "$fresh" "$e2e_tmp"' EXIT
+cp -r e2ebench "$e2e_tmp/e2ebench"
+for link in Cargo.toml src crates; do
+  ln -s "$PWD/$link" "$e2e_tmp/$link"
+done
+CARGO_TARGET_DIR="$PWD/target/e2ebench-check" \
+  cargo check --offline --tests --quiet --manifest-path "$e2e_tmp/e2ebench/Cargo.toml"
+echo "ok: e2ebench and its tests type-check"
 
 echo "verify: OK"

@@ -23,8 +23,8 @@
 //! let lib = vlib90::high_speed();
 //! let src = std::fs::read_to_string("chip.v")?;
 //! let module = drdesync::netlist::verilog::parse_module(&src)?;
-//! let result = Desynchronizer::new(&lib)?.run(&module, &DesyncOptions::default())?;
-//! println!("{}", result.sdc);
+//! let (result, _trace) = Desynchronizer::new(&lib)?.run(module, &DesyncOptions::default());
+//! println!("{}", result?.sdc);
 //! # Ok(())
 //! # }
 //! ```

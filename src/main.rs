@@ -17,11 +17,12 @@
 //! ```
 //!
 //! Exit codes: `0` success (including degraded-but-completed flows, which
-//! print a warning summary on stderr), `1` usage or I/O errors, `2` parse
-//! errors in the input netlist (and invalid `--jobs` values, which are
-//! rejected before any flow starts), `3` flow errors (including an
-//! unrepairable liveness deadlock, which surfaces as a structured
-//! `liveness guard failed` diagnostic).
+//! print a warning summary on stderr), `1` usage or I/O errors (including
+//! an unknown `--stop-after`/`--dump-after` pass), `2` parse errors in the
+//! input netlist (and invalid `--jobs` values, which are rejected before
+//! any flow starts), `3` flow errors (including an unrepairable liveness
+//! deadlock, which surfaces as a structured `liveness guard failed`
+//! diagnostic).
 
 use std::process::ExitCode;
 
@@ -191,6 +192,36 @@ fn validated_jobs(args: &[String]) -> Result<Option<usize>, CliError> {
     }
 }
 
+/// The `desync` pipeline shaped by `--stop-after` and `--dump-after`:
+/// the passes through the checkpoint, the passes after it, and whether
+/// the flow stops before its last pass. Both names are checked here,
+/// before any flow work: an unknown name, or a checkpoint after the stop,
+/// is a usage error.
+fn shaped_pipeline(
+    stop_after: Option<&str>,
+    dump_after: Option<&str>,
+) -> Result<(Pipeline, Pipeline, bool), CliError> {
+    let usage = |flag: &'static str| move |e: DesyncError| CliError::Usage(format!("{flag}: {e}"));
+    let mut pipeline = Pipeline::standard();
+    let mut stopped_early = false;
+    if let Some(stop) = stop_after {
+        let (through, rest) = pipeline.split_after(stop).map_err(usage("--stop-after"))?;
+        if let Some(dump) = dump_after.filter(|d| rest.pass_names().contains(d)) {
+            return Err(CliError::Usage(format!(
+                "--dump-after pass `{dump}` runs after --stop-after pass `{stop}`, \
+                 so its checkpoint would never be written"
+            )));
+        }
+        stopped_early = !rest.pass_names().is_empty();
+        pipeline = through;
+    }
+    let (head, tail) = match dump_after {
+        Some(dump) => pipeline.split_after(dump).map_err(usage("--dump-after"))?,
+        None => (pipeline, Pipeline::empty()),
+    };
+    Ok((head, tail, stopped_early))
+}
+
 /// `simulate --check-liveness`: a per-region verdict under the liveness
 /// guard's response-bound model (DESIGN.md §3i) — topology class, rise
 /// time vs the fastest successor's response bound, and the repair the
@@ -314,7 +345,7 @@ fn run() -> Result<(), CliError> {
                 jobs,
                 ..DesyncOptions::default()
             };
-            let result = tool.run(&module, &opts)?;
+            let result = tool.run(module, &opts).0?;
             if args.iter().any(|a| a == "--check-liveness") {
                 print_liveness_verdicts(&result.report, &lib)?;
             }
@@ -408,6 +439,14 @@ fn run() -> Result<(), CliError> {
         }
         "desync" => {
             let input = args.get(1).ok_or("missing input netlist")?;
+            let dump = flag_value(&args, "--dump-after").map(|v| match v.split_once('=') {
+                Some((pass, file)) => (pass, file.to_owned()),
+                None => (v, format!("{v}.v")),
+            });
+            let (head, tail, stopped_early) = shaped_pipeline(
+                flag_value(&args, "--stop-after"),
+                dump.as_ref().map(|d| d.0),
+            )?;
             let lib = pick_lib(&args);
             let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(input)?)?;
             let mut opts = DesyncOptions::default();
@@ -436,14 +475,6 @@ fn run() -> Result<(), CliError> {
             opts.max_nets = parsed_flag(&args, "--max-nets")?;
             opts.pass_deadline_ms = parsed_flag(&args, "--pass-deadline-ms")?;
             opts.stg_state_limit = parsed_flag(&args, "--stg-state-limit")?;
-            let stop_after = flag_value(&args, "--stop-after");
-            let (dump_pass, dump_file) = match flag_value(&args, "--dump-after") {
-                Some(v) => match v.split_once('=') {
-                    Some((pass, file)) => (Some(pass.to_owned()), file.to_owned()),
-                    None => (Some(v.to_owned()), format!("{v}.v")),
-                },
-                None => (None, String::new()),
-            };
 
             let tool = Desynchronizer::new(&lib)?;
             // `--keep-sync-ff KIND` drops KIND's substitution rule, so
@@ -458,44 +489,32 @@ fn run() -> Result<(), CliError> {
                     gatefile.rules.retain(|r| &r.ff != kind);
                 }
             }
-            let pipeline = Pipeline::standard();
-            if let Some(pass) = &dump_pass {
-                if !pipeline.pass_names().contains(&pass.as_str()) {
-                    return Err(format!(
-                        "unknown pass `{pass}` for --dump-after — pipeline has: {}",
-                        pipeline.pass_names().join(", ")
-                    )
-                    .into());
-                }
-            }
-            let mut cx = FlowContext::new(&lib, &gatefile, module, opts.clone());
-            let (trace, err) = pipeline.run_observed(&mut cx, stop_after, |name, cx| {
-                if dump_pass.as_deref() == Some(name) {
-                    std::fs::write(&dump_file, cx.netlist_verilog()).map_err(|e| {
-                        DesyncError::Pipeline {
-                            message: format!("cannot write checkpoint `{dump_file}`: {e}"),
-                        }
+            // Head, checkpoint, tail: one context, so one trace.
+            let mut cx = FlowContext::new(&lib, &gatefile, module, opts);
+            let outcome = head.run(&mut cx).map_err(CliError::from).and_then(|()| {
+                if let Some((_, file)) = &dump {
+                    std::fs::write(file, cx.netlist_verilog()).map_err(|e| {
+                        CliError::Usage(format!("cannot write checkpoint `{file}`: {e}"))
                     })?;
                 }
-                Ok(())
+                tail.run(&mut cx).map_err(CliError::from)
             });
             // The trace is written for a failed flow too: its `error`
             // section names the failing pass.
+            let trace = cx.trace();
             if let Some(path) = flag_value(&args, "--trace") {
                 std::fs::write(path, trace.to_json())?;
             }
-            if let Some(e) = err {
-                return Err(e.into());
-            }
+            outcome?;
 
-            if trace.passes.len() < pipeline.pass_names().len() {
+            if stopped_early {
                 // Early stop: report partial artifacts and checkpoint the
                 // intermediate netlist instead of the finished design.
                 let last = trace.passes.last().map_or("<none>", |p| p.name);
                 eprintln!(
                     "stopped after pass `{last}` ({} of {} passes run)",
                     trace.passes.len(),
-                    pipeline.pass_names().len()
+                    Pipeline::standard().pass_names().len()
                 );
                 for p in &trace.passes {
                     eprintln!("  {}: {} [{}]", p.name, p.detail, p.artifacts.join(", "));

@@ -108,16 +108,38 @@ fn cli_trace_stop_after_and_dump_after() {
         assert!(!v.contains("drd_ctrl_master"), "{v}");
     }
 
-    // Unknown pass names are rejected for both flags.
+    // Pass names are checked before any flow work: an unknown name is a
+    // usage error for both flags, and no trace is written.
+    let bogus_trace = dir.join("bogus_trace.json");
     for flag in ["--stop-after", "--dump-after"] {
+        let _ = std::fs::remove_file(&bogus_trace);
         let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
             .args(["desync", input.to_str().unwrap(), flag, "bogus"])
+            .args(["--trace", bogus_trace.to_str().unwrap()])
             .output()
             .expect("binary runs");
-        assert!(!out.status.success(), "{flag} bogus should fail");
+        assert_eq!(out.status.code(), Some(1), "{flag} bogus: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown pass `bogus`"), "{stderr}");
+        assert!(!bogus_trace.exists(), "{flag} bogus ran the flow");
     }
+
+    // A checkpoint after the stop could never be written: a usage error
+    // naming both passes, and no checkpoint file.
+    let late = dir.join("after_ddg.v");
+    let _ = std::fs::remove_file(&late);
+    let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
+        .args(["desync", input.to_str().unwrap(), "--stop-after", "group"])
+        .args(["--dump-after", &format!("ddg={}", late.display())])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`ddg`") && stderr.contains("`group`"),
+        "{stderr}"
+    );
+    assert!(!late.exists(), "checkpoint after the stop was written");
 }
 
 #[test]

@@ -68,9 +68,10 @@ fn golden_mixed_degraded_report_trace_and_flow_equivalence() {
     gatefile.rules.retain(|r| r.ff != "DFFRX1");
 
     let mut cx = FlowContext::new(&lib, &gatefile, module.clone(), DesyncOptions::default());
-    let trace = Pipeline::standard()
-        .run_until(&mut cx, None)
+    Pipeline::standard()
+        .run(&mut cx)
         .expect("degraded flow completes");
+    let trace = cx.trace().to_json_deterministic();
     let result = cx.into_result().expect("result materializes");
     let rep = &result.report;
 
@@ -87,10 +88,7 @@ fn golden_mixed_degraded_report_trace_and_flow_equivalence() {
         golden_dir().join("mixed_degraded_report.txt"),
         &render_desync_report(rep),
     );
-    assert_golden(
-        golden_dir().join("mixed_degraded_flow_trace.json"),
-        &trace.to_json_deterministic(),
-    );
+    assert_golden(golden_dir().join("mixed_degraded_flow_trace.json"), &trace);
 
     // Region A is upstream of the degraded region, so its capture
     // sequence must still match the synchronous reference.
@@ -164,7 +162,7 @@ fn partially_degraded_dlx_small_is_flow_equivalent_elsewhere() {
     gatefile.rules.retain(|r| r.ff != "DFFRX1");
     let mut cx = FlowContext::new(&lib, &gatefile, module.clone(), DesyncOptions::default());
     Pipeline::standard()
-        .run_until(&mut cx, None)
+        .run(&mut cx)
         .expect("degraded flow completes");
     let result = cx.into_result().expect("result materializes");
     let rep = &result.report;

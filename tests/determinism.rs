@@ -130,14 +130,19 @@ fn flow_artifacts_are_byte_identical_for_any_worker_count() {
                     jobs: Some(jobs),
                     ..DesyncOptions::default()
                 };
-                match tool.run_traced(module.clone(), &opts) {
-                    Ok((result, trace)) => [
+                match tool.run(module.clone(), &opts) {
+                    (Ok(result), trace) => [
                         format!("{:?}", result.report),
                         result.sdc.clone(),
                         drdesync::netlist::verilog::write_design(&result.design),
                         trace.to_json_deterministic(),
                     ],
-                    Err(e) => [format!("flow error: {e}"), String::new(), String::new(), String::new()],
+                    (Err(e), _) => [
+                        format!("flow error: {e}"),
+                        String::new(),
+                        String::new(),
+                        String::new(),
+                    ],
                 }
             };
             let serial = bundle(1);

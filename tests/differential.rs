@@ -5,7 +5,7 @@
 //! SDC well-formedness. Failing netlists shrink to a minimal reproducer
 //! printed as Verilog.
 //!
-//! All four loops run on the work-stealing parallel runner
+//! All three loops run on the work-stealing parallel runner
 //! ([`drd_check::prop_par_with`]) with fixed seeds: case seeds are
 //! pre-generated serially, so the failing `NetRecipe` + seed printed on
 //! panic is identical for any worker count (`DRD_WORKERS` to override).
@@ -16,10 +16,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use drd_check::diff::{run_differential, DiffConfig};
-use drd_check::golden::render_desync_report;
 use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::{prop_par_with, Config, Rng};
-use drdesync::core::{DesyncOptions, Desynchronizer, FlowContext, Pipeline};
 use drdesync::liberty::vlib90;
 
 #[test]
@@ -60,52 +58,6 @@ fn differential_fuzz_scan_set_reset_mix() {
         Config::new(16).seed(0x5CA0_F1B3),
         |rng: &mut Rng| NetRecipe::sample(rng, &params),
         |recipe: &NetRecipe| run_differential(recipe, &lib, &config).map(|_| ()),
-    );
-}
-
-/// The legacy `Desynchronizer::run` wrapper and the explicit
-/// [`Pipeline`] path are the same flow: on fuzzed netlists both produce
-/// byte-identical SDC constraints, reports, and output Verilog (or fail
-/// with the same error).
-#[test]
-fn differential_pipeline_matches_legacy_wrapper() {
-    let lib = vlib90::high_speed();
-    let params = NetGenParams::default();
-    let tool = Desynchronizer::new(&lib).expect("tool builds");
-    let opts = DesyncOptions::default();
-    prop_par_with(
-        Config::new(25).seed(0x9A55_F10E),
-        |rng: &mut Rng| NetRecipe::sample(rng, &params),
-        |recipe: &NetRecipe| {
-            let module = recipe.build().map_err(|e| e.to_string())?;
-            let legacy = tool.run(&module, &opts);
-            let mut cx = FlowContext::new(&lib, tool.gatefile(), module, opts.clone());
-            let piped = Pipeline::standard()
-                .run(&mut cx)
-                .and_then(|_| cx.into_result());
-            match (legacy, piped) {
-                (Ok(a), Ok(b)) => {
-                    if a.sdc != b.sdc {
-                        return Err("SDC outputs differ".into());
-                    }
-                    if render_desync_report(&a.report) != render_desync_report(&b.report) {
-                        return Err("flow reports differ".into());
-                    }
-                    let va = drdesync::netlist::verilog::write_design(&a.design);
-                    let vb = drdesync::netlist::verilog::write_design(&b.design);
-                    if va != vb {
-                        return Err("output Verilog differs".into());
-                    }
-                    Ok(())
-                }
-                (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
-                (a, b) => Err(format!(
-                    "paths disagree: legacy {:?}, pipeline {:?}",
-                    a.map(|_| ()).map_err(|e| e.to_string()),
-                    b.map(|_| ()).map_err(|e| e.to_string()),
-                )),
-            }
-        },
     );
 }
 

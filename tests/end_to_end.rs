@@ -20,7 +20,7 @@ fn verilog_roundtrip_then_desynchronize_sample() {
     let parsed = drdesync::netlist::verilog::parse_module(&text).unwrap();
 
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&parsed, &DesyncOptions::default()).unwrap();
+    let result = tool.run(parsed, &DesyncOptions::default()).0.unwrap();
     assert!(result.report.substituted_ffs >= 20);
     assert!(result.sdc.contains("create_clock"));
 
@@ -75,7 +75,7 @@ fn dlx_flow_equivalence_with_variation() {
         delay_margin: 1.30,
         ..DesyncOptions::default()
     };
-    let result = tool.run(&module, &desync_opts).unwrap();
+    let result = tool.run(module, &desync_opts).0.unwrap();
     // Simulate with per-instance delay variation: the self-timed circuit
     // must still be flow-equivalent (the delay elements carry margin).
     let opts = SimOptions::default().with_variation(0.04, 1234);
@@ -98,7 +98,7 @@ fn desynchronized_netlist_is_portable() {
     let lib = vlib90::high_speed();
     let module = drdesync::designs::sample::figure_2_2().unwrap();
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&module, &DesyncOptions::default()).unwrap();
+    let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
 
     let text = drdesync::netlist::verilog::write_design(&result.design);
     let reparsed = drdesync::netlist::verilog::parse_design(&text).unwrap();
@@ -143,7 +143,7 @@ fn scan_design_desynchronizes() {
     opts.grouping.single_group = true;
     opts.grouping.false_path_nets.push("scan_en".into());
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&module, &opts).unwrap();
+    let result = tool.run(module, &opts).0.unwrap();
     assert_eq!(result.report.regions.len(), 1);
     // Scan muxes were synthesized around the latch pairs.
     let flat = drdesync::netlist::flatten(&result.design, result.design.top()).unwrap();
@@ -162,7 +162,10 @@ fn celement_decomposition_preserves_flow_equivalence() {
     let lib = vlib90::high_speed();
     let module = drdesync::designs::sample::figure_2_2().unwrap();
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&module, &DesyncOptions::default()).unwrap();
+    let result = tool
+        .run(module.clone(), &DesyncOptions::default())
+        .0
+        .unwrap();
     let mut flat = drdesync::netlist::flatten(&result.design, result.design.top()).unwrap();
     let n = drdesync::core::celement::decompose_celements(&mut flat, &lib).unwrap();
     assert!(n > 10, "decomposed {n} C-elements");
@@ -212,7 +215,7 @@ fn armlike_single_group_flow_equivalence() {
     opts.grouping.single_group = true;
     opts.grouping.false_path_nets.push("scan_en".into());
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&module, &opts).unwrap();
+    let result = tool.run(module, &opts).0.unwrap();
     let mut dut = Simulator::new(&result.design, &lib, SimOptions::default()).unwrap();
     for p in ["irq", "scan_in", "scan_en"] {
         dut.poke(p, Lv::Zero).unwrap();
@@ -251,7 +254,7 @@ fn muxed_delay_selection_gates_correctness() {
         ..DesyncOptions::default()
     };
     let tool = Desynchronizer::new(&lib).unwrap();
-    let result = tool.run(&module, &opts).unwrap();
+    let result = tool.run(module, &opts).0.unwrap();
 
     let watch_net = {
         let r = result

@@ -22,7 +22,10 @@ fn golden_dir() -> PathBuf {
 
 fn snapshot_case(case: &CaseStudy, stem: &str) -> DesyncResult {
     let tool = Desynchronizer::new(&case.lib).expect("tool builds");
-    let result = tool.run(&case.module, &case.desync).expect("desync runs");
+    let result = tool
+        .run(case.module.clone(), &case.desync)
+        .0
+        .expect("desync runs");
     assert_golden(golden_dir().join(format!("{stem}.sdc")), &result.sdc);
     assert_golden(
         golden_dir().join(format!("{stem}_report.txt")),
@@ -81,7 +84,8 @@ fn golden_escaped_names_round_trip() {
     let lib = drdesync::liberty::vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
     let result = tool
-        .run(&module, &drdesync::core::DesyncOptions::default())
+        .run(module, &drdesync::core::DesyncOptions::default())
+        .0
         .expect("desync runs");
     assert!(
         result.sdc.contains("[get_ports {clk[0]}]"),
@@ -103,7 +107,7 @@ fn golden_artifacts_are_deterministic() {
     let render = || {
         let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).unwrap();
         let tool = Desynchronizer::new(&case.lib).unwrap();
-        let result = tool.run(&case.module, &case.desync).unwrap();
+        let result = tool.run(case.module, &case.desync).0.unwrap();
         (result.sdc.clone(), render_desync_report(&result.report))
     };
     assert_eq!(render(), render());

@@ -33,10 +33,11 @@ use drdesync::sim::handshake::DEFAULT_MAX_EDGES;
 use drdesync::sim::{GateVariability, HandshakeNet, RegionCycle, SimError};
 
 /// Desynchronizes `module` and elaborates its control network.
-fn elaborate(name: &str, lib: &Library, module: &Module, opts: &DesyncOptions) -> HandshakeNet {
+fn elaborate(name: &str, lib: &Library, module: Module, opts: &DesyncOptions) -> HandshakeNet {
     let result = Desynchronizer::new(lib)
         .expect("tool builds")
         .run(module, opts)
+        .0
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let spec = handshake_spec(&result.report, lib).unwrap_or_else(|e| panic!("{name}: {e}"));
     HandshakeNet::elaborate(&spec, lib).unwrap_or_else(|e| panic!("{name}: {e}"))
@@ -80,7 +81,7 @@ fn handshake_simulation_is_bit_identical() {
     let mut dlx = Vec::new();
     for (name, case) in cores {
         let case = case.expect("case builds");
-        let net = elaborate(name, &case.lib, &case.module, &case.desync);
+        let net = elaborate(name, &case.lib, case.module, &case.desync);
         record_cycles(&mut out, name, net.nominal_cycle_times());
         if name.starts_with("dlx") {
             dlx.push((name, net));
@@ -101,7 +102,7 @@ fn handshake_simulation_is_bit_identical() {
             .build()
             .expect("recipe builds");
         let name = format!("scale_{stages}x{cloud}+{width}");
-        let net = elaborate(&name, &lib, &module, &DesyncOptions::default());
+        let net = elaborate(&name, &lib, module, &DesyncOptions::default());
         record_cycles(&mut out, &name, net.nominal_cycle_times());
     }
 

@@ -1,6 +1,7 @@
 //! Workspace-level tests of the instrumented pass pipeline: deterministic
-//! pass order, `stop-after` partial artifacts, delta bookkeeping, and a
-//! golden `FlowTrace` snapshot of the small DLX flow.
+//! pass order, split pipelines (`--stop-after` partial artifacts, head
+//! then tail equal to one run), delta bookkeeping, and a golden
+//! `FlowTrace` snapshot of the small DLX flow.
 //!
 //! Re-record the snapshot after an intentional change with:
 //!
@@ -13,6 +14,7 @@ use std::path::PathBuf;
 use drd_check::golden::assert_golden;
 use drdesync::core::{DesyncError, DesyncOptions, Desynchronizer, FlowContext, Pipeline};
 use drdesync::flow::experiment::CaseStudy;
+use drdesync::netlist::verilog::{parse_design, parse_module, write_design};
 use drdesync::netlist::{Conn, Module, PortDir};
 
 const STAGES: [&str; 9] = [
@@ -50,9 +52,13 @@ fn stop_after_halts_with_partial_artifacts() {
         case.module.clone(),
         case.desync.clone(),
     );
-    let trace = Pipeline::standard()
-        .run_until(&mut cx, Some("region-delays"))
-        .expect("prefix runs");
+    let (head, tail) = Pipeline::standard()
+        .split_after("region-delays")
+        .expect("standard pass");
+    assert_eq!(head.pass_names(), STAGES[..5]);
+    assert_eq!(tail.pass_names(), STAGES[5..]);
+    head.run(&mut cx).expect("prefix runs");
+    let trace = cx.trace();
     assert_eq!(trace.passes.len(), 5);
     assert_eq!(trace.passes.last().unwrap().name, "region-delays");
     // Artifacts up to the stop point exist; later ones do not.
@@ -64,7 +70,7 @@ fn stop_after_halts_with_partial_artifacts() {
     assert!(cx.sdc().is_none());
     // The checkpoint netlist is still parseable synchronous Verilog.
     let v = cx.netlist_verilog();
-    drdesync::netlist::verilog::parse_design(&v).expect("checkpoint parses");
+    parse_design(&v).expect("checkpoint parses");
     assert!(!v.contains("drd_ctrl_master"));
     // A partial context cannot be finalized.
     match cx.into_result() {
@@ -83,7 +89,8 @@ fn pass_deltas_sum_to_final_netlist_stats() {
         case.module.clone(),
         case.desync.clone(),
     );
-    let trace = Pipeline::standard().run(&mut cx).expect("flow runs");
+    Pipeline::standard().run(&mut cx).expect("flow runs");
+    let trace = cx.trace();
     assert_eq!(trace.passes.len(), STAGES.len());
 
     let first = trace.passes.first().unwrap();
@@ -118,36 +125,11 @@ fn pass_deltas_sum_to_final_netlist_stats() {
 fn golden_dlx_small_flow_trace() {
     let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).expect("case builds");
     let tool = Desynchronizer::new(&case.lib).expect("tool builds");
-    let (_result, trace) = tool
-        .run_traced(case.module.clone(), &case.desync)
-        .expect("flow runs");
+    let (result, trace) = tool.run(case.module.clone(), &case.desync);
+    result.expect("flow runs");
     assert_golden(
         golden_dir().join("dlx_small_flow_trace.json"),
         &trace.to_json_deterministic(),
-    );
-}
-
-/// The legacy one-call wrapper and a hand-driven pipeline produce the
-/// same result object on a real case study.
-#[test]
-fn wrapper_and_pipeline_agree_on_dlx_small() {
-    let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).expect("case builds");
-    let tool = Desynchronizer::new(&case.lib).expect("tool builds");
-    let legacy = tool
-        .run(&case.module, &case.desync)
-        .expect("wrapper runs");
-    let mut cx = FlowContext::new(
-        &case.lib,
-        tool.gatefile(),
-        case.module.clone(),
-        case.desync.clone(),
-    );
-    Pipeline::standard().run(&mut cx).expect("pipeline runs");
-    let piped = cx.into_result().expect("result assembles");
-    assert_eq!(legacy.sdc, piped.sdc);
-    assert_eq!(
-        drdesync::netlist::verilog::write_design(&legacy.design),
-        drdesync::netlist::verilog::write_design(&piped.design)
     );
 }
 
@@ -155,9 +137,8 @@ fn wrapper_and_pipeline_agree_on_dlx_small() {
 fn trace_json_lists_every_stage_with_timings() {
     let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).expect("case builds");
     let tool = Desynchronizer::new(&case.lib).expect("tool builds");
-    let (_result, trace) = tool
-        .run_traced(case.module.clone(), &case.desync)
-        .expect("flow runs");
+    let (result, trace) = tool.run(case.module.clone(), &case.desync);
+    result.expect("flow runs");
     let json = trace.to_json();
     for stage in STAGES {
         assert!(json.contains(&format!("\"name\": \"{stage}\"")), "{json}");
@@ -166,6 +147,71 @@ fn trace_json_lists_every_stage_with_timings() {
     assert!(json.contains("total_wall_ns"));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert_eq!(json.matches('[').count(), json.matches(']').count());
+}
+
+/// The artifacts of a finished flow: the deterministic trace JSON, the
+/// SDC, the report and the Verilog.
+fn artifacts(cx: FlowContext<'_>) -> [String; 4] {
+    let trace = cx.trace().to_json_deterministic();
+    let result = cx.into_result().expect("result assembles");
+    [
+        trace,
+        result.sdc,
+        format!("{:?}", result.report),
+        write_design(&result.design),
+    ]
+}
+
+/// `--stop-after` and `--dump-after` are pipeline shapes: split after
+/// any pass, running the head and then the tail over one context is one
+/// full run — the trace accumulates on the context — and the context at
+/// the split checkpoints as parseable Verilog. Covers the small DLX and
+/// a flow whose `ffsub` degrades a region (the degradation section then
+/// spans the split).
+#[test]
+fn split_after_each_pass_matches_one_full_run() {
+    let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).expect("case builds");
+    let tool = Desynchronizer::new(&case.lib).expect("tool builds");
+    let mut no_dffr = tool.gatefile().clone();
+    no_dffr.rules.retain(|r| r.ff != "DFFRX1");
+    let mixed = parse_module(
+        "module mix (clk, out0, out1);
+           input clk; output out0; output out1;
+           wire d0; wire d1;
+           INVX1 inv0 (.A(out0), .Z(d0));
+           DFFX1 r0 (.D(d0), .CK(clk), .Q(out0));
+           INVX1 inv1 (.A(out0), .Z(d1));
+           DFFRX1 r1 (.D(d1), .RN(1'b1), .CK(clk), .Q(out1));
+         endmodule",
+    )
+    .expect("fixture parses");
+    for (label, module, gatefile) in [
+        ("dlx_small", &case.module, tool.gatefile()),
+        ("mixed_degraded", &mixed, &no_dffr),
+    ] {
+        let fresh = || FlowContext::new(&case.lib, gatefile, module.clone(), case.desync.clone());
+        let mut whole = fresh();
+        Pipeline::standard().run(&mut whole).expect("flow runs");
+        let reference = artifacts(whole);
+        for pass in STAGES {
+            let (head, tail) = Pipeline::standard()
+                .split_after(pass)
+                .expect("standard pass");
+            let mut cx = fresh();
+            head.run(&mut cx).expect("head runs");
+            assert_eq!(cx.trace().passes.last().map(|p| p.name), Some(pass));
+            parse_design(&cx.netlist_verilog())
+                .unwrap_or_else(|e| panic!("{label}: checkpoint after `{pass}`: {e}"));
+            tail.run(&mut cx).expect("tail runs");
+            let split = artifacts(cx);
+            for (what, (a, b)) in ["trace", "sdc", "report", "verilog"]
+                .iter()
+                .zip(split.iter().zip(&reference))
+            {
+                assert!(a == b, "{label}: split after `{pass}` changed the {what}");
+            }
+        }
+    }
 }
 
 /// A two-cell module whose second cell instantiates a kind absent from
@@ -206,7 +252,10 @@ fn failing_pass_records_partial_trace_and_keeps_context_inspectable() {
         module_with_unknown_cell(),
         DesyncOptions::default(),
     );
-    let (trace, err) = Pipeline::standard().run_recording(&mut cx, None);
+    let err = Pipeline::standard()
+        .run(&mut cx)
+        .expect_err("group rejects BOGUSX1");
+    let trace = cx.trace();
 
     // Exactly the completed prefix, in order.
     let names: Vec<&str> = trace.passes.iter().map(|p| p.name).collect();
@@ -215,7 +264,7 @@ fn failing_pass_records_partial_trace_and_keeps_context_inspectable() {
     assert_eq!(e.pass, "group");
     assert!(e.message.contains("BOGUSX1"), "{}", e.message);
     match err {
-        Some(DesyncError::UnknownCell { name }) => assert_eq!(name, "BOGUSX1"),
+        DesyncError::UnknownCell { name } => assert_eq!(name, "BOGUSX1"),
         other => panic!("expected UnknownCell, got {other:?}"),
     }
 
@@ -226,7 +275,7 @@ fn failing_pass_records_partial_trace_and_keeps_context_inspectable() {
     assert!(cx.network().is_none());
     // The checkpoint netlist is intact, parseable synchronous Verilog.
     let v = cx.netlist_verilog();
-    drdesync::netlist::verilog::parse_design(&v).expect("checkpoint parses");
+    parse_design(&v).expect("checkpoint parses");
     assert!(v.contains("BOGUSX1"));
     // And the partial context still refuses to finalize.
     assert!(matches!(
@@ -248,7 +297,10 @@ fn failing_trace_json_carries_the_error_record() {
         module_with_unknown_cell(),
         DesyncOptions::default(),
     );
-    let (trace, _err) = Pipeline::standard().run_recording(&mut cx, None);
+    Pipeline::standard()
+        .run(&mut cx)
+        .expect_err("group rejects BOGUSX1");
+    let trace = cx.trace();
     for json in [trace.to_json(), trace.to_json_deterministic()] {
         assert!(json.contains("\"error\""), "{json}");
         assert!(json.contains("\"pass\": \"group\""), "{json}");
@@ -256,73 +308,25 @@ fn failing_trace_json_carries_the_error_record() {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
     // A successful run must NOT carry the key.
-    let ok = Pipeline::standard()
-        .run(&mut FlowContext::new(
-            &case.lib,
-            tool.gatefile(),
-            case.module.clone(),
-            case.desync.clone(),
-        ))
-        .expect("clean flow runs");
-    assert!(!ok.to_json().contains("\"error\""));
+    let mut ok = FlowContext::new(
+        &case.lib,
+        tool.gatefile(),
+        case.module.clone(),
+        case.desync.clone(),
+    );
+    Pipeline::standard().run(&mut ok).expect("clean flow runs");
+    assert!(!ok.trace().to_json().contains("\"error\""));
 }
 
-/// The one-call wrappers agree with the recording API on the failure.
+/// The one-call entry returns the failure and, with it, the trace of the
+/// passes that completed and the failing pass.
 #[test]
 fn wrapper_apis_propagate_the_pass_failure() {
     let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).expect("case builds");
     let tool = Desynchronizer::new(&case.lib).expect("tool builds");
-    let err = tool
-        .run_traced(module_with_unknown_cell(), &DesyncOptions::default())
-        .expect_err("broken module must not desynchronize");
-    assert!(matches!(err, DesyncError::UnknownCell { .. }));
-    let (res, trace) = tool.run_checked(module_with_unknown_cell(), &DesyncOptions::default());
-    assert!(res.is_err());
+    let (res, trace) = tool.run(module_with_unknown_cell(), &DesyncOptions::default());
+    assert!(matches!(res, Err(DesyncError::UnknownCell { .. })));
+    let names: Vec<&str> = trace.passes.iter().map(|p| p.name).collect();
+    assert_eq!(names, ["clean", "clock-id"]);
     assert_eq!(trace.error.as_ref().map(|e| e.pass), Some("group"));
-}
-
-/// Fuzz loop on the parallel runner: the hand-driven pipeline and the
-/// one-call wrapper agree on random netlists, whatever the worker count.
-/// A failure prints the `NetRecipe` and seed for replay.
-#[test]
-fn fuzz_wrapper_and_pipeline_agree_on_random_netlists() {
-    use drd_check::netgen::{NetGenParams, NetRecipe};
-    use drd_check::{prop_par_with, Config};
-
-    let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).expect("case builds");
-    let tool = Desynchronizer::new(&case.lib).expect("tool builds");
-    let params = NetGenParams::default();
-    prop_par_with(
-        Config {
-            cases: 8,
-            seed: 0x11C0_DE0F_917E,
-            ..Config::new(8)
-        },
-        |rng| NetRecipe::sample(rng, &params),
-        |recipe| {
-            let module = recipe.build().map_err(|e| e.to_string())?;
-            let legacy = tool
-                .run(&module, &DesyncOptions::default())
-                .map_err(|e| format!("wrapper failed: {e}"))?;
-            let mut cx = FlowContext::new(
-                &case.lib,
-                tool.gatefile(),
-                module,
-                DesyncOptions::default(),
-            );
-            Pipeline::standard()
-                .run(&mut cx)
-                .map_err(|e| format!("pipeline failed: {e}"))?;
-            let piped = cx.into_result().map_err(|e| e.to_string())?;
-            if legacy.sdc != piped.sdc {
-                return Err("wrapper and pipeline SDC diverge".into());
-            }
-            let a = drdesync::netlist::verilog::write_design(&legacy.design);
-            let b = drdesync::netlist::verilog::write_design(&piped.design);
-            if a != b {
-                return Err("wrapper and pipeline netlists diverge".into());
-            }
-            Ok(())
-        },
-    );
 }

@@ -103,7 +103,8 @@ fn desynchronization_structural_invariants() {
         let ff_count = m.cells().filter(|(_, c)| c.kind_name() == "DFFX1").count();
         let tool = Desynchronizer::new(&lib).map_err(|e| e.to_string())?;
         let result = tool
-            .run(&m, &DesyncOptions::default())
+            .run(m, &DesyncOptions::default())
+            .0
             .map_err(|e| e.to_string())?;
         if result.report.substituted_ffs != ff_count {
             return Err(format!(
@@ -144,7 +145,8 @@ fn sdc_covers_all_controllers() {
         let m = pipeline(*stages, *width, taps);
         let tool = Desynchronizer::new(&lib).map_err(|e| e.to_string())?;
         let result = tool
-            .run(&m, &DesyncOptions::default())
+            .run(m, &DesyncOptions::default())
+            .0
             .map_err(|e| e.to_string())?;
         let flat = drdesync::netlist::flatten(&result.design, result.design.top())
             .map_err(|e| e.to_string())?;

@@ -28,9 +28,10 @@ use drdesync::netlist::Module;
 fn record(out: &mut String, name: &str, lib: &Library, module: Module, opts: DesyncOptions) {
     let tool = Desynchronizer::new(lib).expect("tool builds");
     let mut cx = FlowContext::new(lib, tool.gatefile(), module, opts);
-    Pipeline::standard()
-        .run_until(&mut cx, Some("region-delays"))
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let (head, _) = Pipeline::standard()
+        .split_after("region-delays")
+        .expect("standard pass");
+    head.run(&mut cx).unwrap_or_else(|e| panic!("{name}: {e}"));
     let regions = cx.regions().expect("grouped");
     let delays = cx.region_delays().expect("timed");
     assert_eq!(regions.len(), delays.len(), "{name}");

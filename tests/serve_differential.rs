@@ -42,7 +42,7 @@ fn corpus() -> Vec<String> {
             recipe.imbalance(rng.range(6, 18));
         }
         let Ok(module) = recipe.build() else { continue };
-        if tool.run(&module, &DesyncOptions::default()).is_ok() {
+        if tool.run(module, &DesyncOptions::default()).0.is_ok() {
             kept.push(recipe.verilog());
         }
     }

@@ -1,6 +1,6 @@
 //! `Symbol` stability across parse → flow → write: symbols recorded on
 //! the parsed input module still resolve to the same bytes in the flow
-//! output (the flow clones the module, so its interner travels with it),
+//! output (the flow takes over the module, so its interner travels with it),
 //! and the exported Verilog spells every surviving name identically.
 
 use std::path::PathBuf;
@@ -32,10 +32,11 @@ fn symbols_survive_parse_flow_write() {
     let lib = drdesync::liberty::vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
     let result = tool
-        .run(&module, &drdesync::core::DesyncOptions::default())
+        .run(module, &drdesync::core::DesyncOptions::default())
+        .0
         .expect("desync runs");
 
-    // The flow mutates a clone of the input module, so every recorded
+    // The flow transforms the input module in place, so every recorded
     // symbol must still resolve to the exact same bytes in the output.
     let out = result.design.top_module();
     for (sym, name) in &recorded {
