@@ -5,17 +5,13 @@
 //! diagnosed error), and measures the guard pass's wall-time share of
 //! the whole flow.
 //!
-//! Emits `BENCH_liveness.json` (directory overridable via
-//! `DRD_BENCH_DIR`, default `results/` at the workspace root). Design
-//! count defaults to 60, overridable via `DRD_LIVENESS_DESIGNS`.
-//!
-//! The JSON's `undiagnosed_deadlocks` field is the verification gate
-//! consumed by `scripts/verify.sh`: every shipped design is re-checked
-//! by both the structural liveness oracle and the handshake-timing
-//! simulation, and anything above 0 means a design left the flow
-//! wedged without a diagnosis — exactly the failure the guard forbids.
+//! Emits `BENCH_liveness.json`, then gates on two counts. Every shipped
+//! design is re-checked by both the structural liveness oracle and the
+//! handshake-timing simulation, and `undiagnosed_deadlocks` above 0
+//! means a design left the flow wedged without a diagnosis — exactly
+//! the failure the guard forbids. `hazardous_designs` must be at least
+//! 1, or the generator lost the hazard and the campaign tests nothing.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use drd_check::handshake::verify_handshake_timing;
@@ -25,20 +21,12 @@ use drd_check::Rng;
 use drd_core::{handshake_spec, DesyncError, DesyncOptions, Desynchronizer, LivenessAction};
 use drd_liberty::vlib90;
 
-fn out_dir() -> PathBuf {
-    std::env::var("DRD_BENCH_DIR").map_or_else(
-        |_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-        PathBuf::from,
-    )
-}
+/// Fuzzed designs per campaign.
+const DESIGNS: usize = 60;
 
 fn main() {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
-    let designs: usize = std::env::var("DRD_LIVENESS_DESIGNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60);
     let base = NetGenParams {
         max_stages: 3,
         max_width: 2,
@@ -58,7 +46,7 @@ fn main() {
     let mut flow_ns = 0u128;
 
     let start = Instant::now();
-    for i in 0..designs {
+    for i in 0..DESIGNS {
         let mut recipe = NetRecipe::sample(&mut rng, &base);
         // Chain depths span the hazard boundary, same spread as the
         // property suite: shallow chains exercise the quiet path, deep
@@ -115,7 +103,7 @@ fn main() {
         0.0
     };
     eprintln!(
-        "{designs} imbalanced designs: {completed} completed ({hazardous_designs} needed the \
+        "{DESIGNS} imbalanced designs: {completed} completed ({hazardous_designs} needed the \
          guard: {deepened} deepen, {latched} latch, {degraded} degrade), {diagnosed_errors} \
          diagnosed, {rejected} rejected, {undiagnosed} undiagnosed deadlocks; guard \
          {guard_ns} ns of {flow_ns} ns flow ({:.2}%)",
@@ -123,7 +111,7 @@ fn main() {
     );
 
     let out = format!(
-        "{{\n  \"name\": \"liveness\",\n  \"designs\": {designs},\n  \"completed\": {completed},\n  \
+        "{{\n  \"name\": \"liveness\",\n  \"designs\": {DESIGNS},\n  \"completed\": {completed},\n  \
          \"hazardous_designs\": {hazardous_designs},\n  \"repaired_deepen\": {deepened},\n  \
          \"repaired_latch\": {latched},\n  \"degraded\": {degraded},\n  \
          \"diagnosed_errors\": {diagnosed_errors},\n  \"rejected\": {rejected},\n  \
@@ -131,14 +119,14 @@ fn main() {
          \"flow_wall_ns\": {flow_ns},\n  \"guard_fraction\": {guard_fraction:.6},\n  \
          \"campaign_wall_ns\": {wall_ns}\n}}\n"
     );
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("bench dir");
-    let path = dir.join("BENCH_liveness.json");
-    std::fs::write(&path, out).expect("bench json written");
-    eprintln!("wrote {}", path.display());
-
+    let mut failed = Vec::new();
     if undiagnosed > 0 {
-        eprintln!("error: {undiagnosed} design(s) shipped wedged without a diagnosis");
-        std::process::exit(1);
+        failed.push(format!(
+            "undiagnosed deadlocks: {undiagnosed} design(s) shipped wedged without a diagnosis"
+        ));
     }
+    if hazardous_designs == 0 {
+        failed.push("hazard: no design needed the guard — the generator lost the hazard".into());
+    }
+    drd_bench::finish("liveness", &out, &failed);
 }

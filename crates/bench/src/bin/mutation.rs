@@ -3,15 +3,11 @@
 //! rate, per-kind results, structural coverage, and mutants/second for
 //! both a single-thread and a parallel run.
 //!
-//! Emits `BENCH_mutation.json` (directory overridable via
-//! `DRD_BENCH_DIR`, default `results/` at the workspace root). Seeds per
-//! kind default to 25, overridable via `DRD_MUTATION_SEEDS`.
-//!
-//! The JSON's `kill_rate` is the verification gate consumed by
-//! `scripts/verify.sh`: anything below 1.0 means some oracle failed to
-//! notice a paper-meaningful fault.
+//! Emits `BENCH_mutation.json`, then gates: every mutant must be killed
+//! (a survivor means some oracle failed to notice a paper-meaningful
+//! fault), and on a host with at least four cores the parallel runner
+//! must reach [`MIN_SPEEDUP`].
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use drd_check::cover::{Bucket, Coverage};
@@ -22,22 +18,19 @@ use drd_json::escape;
 use drd_liberty::vlib90;
 use drd_stg::protocols::Protocol;
 
-fn out_dir() -> PathBuf {
-    std::env::var("DRD_BENCH_DIR").map_or_else(
-        |_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-        PathBuf::from,
-    )
-}
+/// Seeds per mutation kind.
+const SEEDS_PER_KIND: usize = 25;
+
+/// Parallel-over-serial throughput the work-stealing runner must reach
+/// where there are at least four cores to steal from.
+const MIN_SPEEDUP: f64 = 2.0;
 
 fn main() {
     let lib = vlib90::high_speed();
     let config = DiffConfig::default();
-    let seeds_per_kind: usize = std::env::var("DRD_MUTATION_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    let seeds: Vec<u64> = (0..seeds_per_kind as u64).collect();
+    let seeds: Vec<u64> = (0..SEEDS_PER_KIND as u64).collect();
     let workers = runner::worker_count();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Full campaign on the parallel runner.
     let start = Instant::now();
@@ -47,7 +40,7 @@ fn main() {
     // A smaller single-thread pass over the same grid prefix, for the
     // throughput comparison (re-running the full grid serially would
     // dominate the bench's wall time for no extra information).
-    let serial_seeds: Vec<u64> = seeds[..seeds_per_kind.div_ceil(5).max(1)].to_vec();
+    let serial_seeds: Vec<u64> = seeds[..SEEDS_PER_KIND.div_ceil(5)].to_vec();
     let start = Instant::now();
     let serial = run_campaign(&Mutation::ALL, &serial_seeds, &lib, &config, 1);
     let serial_ns = start.elapsed().as_nanos();
@@ -127,7 +120,7 @@ fn main() {
          \"single_thread\": {{\"mutants\": {}, \"wall_ns\": {}, \"mutants_per_s\": {:.3}}},\n  \
          \"speedup_estimate\": {:.3},\n  \"results\": [\n{}  ]\n}}\n",
         Mutation::ALL.len(),
-        seeds_per_kind,
+        SEEDS_PER_KIND,
         mutants,
         killed,
         kill_rate,
@@ -143,9 +136,16 @@ fn main() {
         per_kind
     );
 
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("bench dir");
-    let path = dir.join("BENCH_mutation.json");
-    std::fs::write(&path, out).expect("bench json written");
-    eprintln!("wrote {}", path.display());
+    let mut failed = Vec::new();
+    if mutants == 0 || killed < mutants {
+        failed.push(format!(
+            "kill rate: {killed} of {mutants} mutants killed — oracle gap"
+        ));
+    }
+    if host_cores >= 4 && speedup < MIN_SPEEDUP {
+        failed.push(format!(
+            "speedup: {speedup:.2}x < {MIN_SPEEDUP}x on a {host_cores}-core host"
+        ));
+    }
+    drd_bench::finish("mutation", &out, &failed);
 }

@@ -3,29 +3,28 @@
 //! Generates stepped synthetic pipelines via `drd_check::netgen` (one
 //! region per stage, STA-dominated clouds), runs the full flow serially
 //! (`--jobs 1`) and with the host worker count, checks the artifacts are
-//! byte-identical, and writes the speedup curve to `BENCH_scale.json`
-//! (directory overridable via `DRD_BENCH_DIR`, default `results/` at the
-//! workspace root).
+//! byte-identical, and writes the speedup curve to `BENCH_scale.json`.
 //!
 //! The serial flow runs traced, three times per step; each pass keeps its
 //! minimum wall time, and its growth exponent is the least-squares slope
 //! of log wall time against log cells over the steps. Any pass that takes
 //! at least [`GATED_PASS_NS`] on the largest step and grows faster than
-//! [`MAX_EXPONENT`] fails the run.
+//! [`MAX_EXPONENT`] fails the run, and so does any pass of the standard
+//! pipeline left without an exponent.
 //!
 //! Also guards `Regions::region_of`, probed with cell ids: per-lookup
 //! cost must stay roughly flat as the design grows (a linear scan would
-//! scale with the region sizes, making the DDG loop quadratic). On any
-//! violation the binary exits non-zero, so `scripts/verify.sh` can gate
-//! on it.
+//! scale with the region sizes, making the DDG loop quadratic). On a
+//! host with at least four cores the region fan-out must pay off:
+//! [`MIN_SPEEDUP`] at the best step. Any violation exits non-zero after
+//! the report is written.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use drd_check::netgen::NetRecipe;
 use drd_check::Rng;
 use drd_core::region::{clean_for_grouping, group, GroupingOptions};
-use drd_core::{DesyncOptions, Desynchronizer};
+use drd_core::{DesyncOptions, Desynchronizer, Pipeline};
 use drd_liberty::vlib90;
 use drd_netlist::CellId;
 
@@ -48,12 +47,15 @@ const MAX_EXPONENT: f64 = 1.2;
 /// their exponents fit timer noise.
 const GATED_PASS_NS: u128 = 1_000_000;
 
-fn out_dir() -> PathBuf {
-    std::env::var("DRD_BENCH_DIR").map_or_else(
-        |_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-        PathBuf::from,
-    )
-}
+/// Largest growth of per-lookup `region_of` cost from the smallest to the
+/// largest step. The largest step is ~29x the smallest; a linear scan
+/// would scale proportionally, the dense id index stays flat. Generous
+/// for timer noise.
+const MAX_LOOKUP_RATIO: f64 = 8.0;
+
+/// Serial-over-parallel flow speedup required on a host with at least
+/// four cores.
+const MIN_SPEEDUP: f64 = 3.0;
 
 struct Point {
     label: String,
@@ -87,6 +89,7 @@ fn main() {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("library prepares");
     let workers = drd_check::runner::worker_count();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rng = Rng::new(0x5CA1_E0DD);
 
     let mut points: Vec<Point> = Vec::new();
@@ -168,9 +171,9 @@ fn main() {
 
     // Growth exponent of every pass over the steps; super-linear passes
     // that cost something at the largest step fail the run.
+    let mut failed = Vec::new();
     let largest = points.last().expect("at least one step");
     let mut exponents: Vec<(&'static str, f64)> = Vec::new();
-    let mut too_steep: Vec<String> = Vec::new();
     for (k, &(pass, largest_ns)) in largest.pass_ns.iter().enumerate() {
         let samples: Vec<(f64, f64)> = points
             .iter()
@@ -186,23 +189,25 @@ fn main() {
             if gated { "" } else { " (not gated)" }
         );
         if gated && exp > MAX_EXPONENT {
-            too_steep.push(format!("{pass} {exp:.2}"));
+            failed.push(format!(
+                "growth: pass `{pass}` grows as cells^{exp:.2} > cells^{MAX_EXPONENT}"
+            ));
         }
         exponents.push((pass, exp));
     }
+    for pass in Pipeline::standard().pass_names() {
+        if !exponents.iter().any(|&(p, _)| p == pass) {
+            failed.push(format!("exponents: no fitted exponent for pass `{pass}`"));
+        }
+    }
 
-    // Non-quadratic guard: per-lookup time must not scale with design
-    // size. The largest step is ~29x the smallest; a linear scan would
-    // scale proportionally, the dense id index stays flat. Bound is
-    // generous for timer noise.
     let (first, last) = (lookup_ns[0].max(1.0), lookup_ns[lookup_ns.len() - 1]);
     let lookup_ratio = last / first;
-    if lookup_ratio > 8.0 {
-        eprintln!(
-            "region_of per-lookup cost grew {lookup_ratio:.1}x from the smallest to the \
-             largest design — lookup is no longer O(1)"
-        );
-        std::process::exit(1);
+    if lookup_ratio > MAX_LOOKUP_RATIO {
+        failed.push(format!(
+            "lookup: region_of per-lookup cost grew {lookup_ratio:.1}x from the smallest to \
+             the largest design — lookup is no longer O(1)"
+        ));
     }
 
     let speedup = points
@@ -241,17 +246,11 @@ fn main() {
     }
     out.push_str("  ]\n}\n");
 
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("bench dir");
-    let path = dir.join("BENCH_scale.json");
-    std::fs::write(&path, out).expect("bench json written");
-    eprintln!("wrote {} (speedup {speedup:.2}x at {workers} workers)", path.display());
-
-    if !too_steep.is_empty() {
-        eprintln!(
-            "passes grow faster than cells^{MAX_EXPONENT}: {}",
-            too_steep.join(", ")
-        );
-        std::process::exit(1);
+    eprintln!("speedup {speedup:.2}x at {workers} workers on {host_cores} cores");
+    if host_cores >= 4 && speedup < MIN_SPEEDUP {
+        failed.push(format!(
+            "speedup: {speedup:.2}x < {MIN_SPEEDUP}x on a {host_cores}-core host"
+        ));
     }
+    drd_bench::finish("scale", &out, &failed);
 }

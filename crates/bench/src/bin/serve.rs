@@ -7,21 +7,19 @@
 //! after it, so jobs/sec measures the server, not the bench's own JSON
 //! parsing.
 //!
-//! Emits `BENCH_serve.json` (directory overridable via `DRD_BENCH_DIR`,
-//! default `results/` at the workspace root). Corpus size defaults to
-//! 96 jobs, overridable via `DRD_SERVE_JOBS`.
-//!
-//! Two self-gates make the campaign a verification artifact, consumed
-//! by `scripts/verify.sh`:
+//! Emits `BENCH_serve.json`, then three gates make the campaign a
+//! verification artifact; the bench exits non-zero when any fails:
 //!
 //! * `failed_jobs` — every response of every run must be `status:"ok"`
 //!   with the expected cache disposition; anything else is a wedged or
-//!   failed job and the bench exits non-zero.
+//!   failed job.
 //! * `identity_mismatches` — every warm-cache artifact (report, SDC,
 //!   Verilog, trace) must be byte-identical to its cold-path original;
 //!   a divergence means the cache broke the determinism contract.
+//! * warm cache — a hit replays stored bytes, so the 1-client warm p50
+//!   must sit at least [`WARM_SPEEDUP`]x below the cold p50 (1 client is
+//!   the least scheduler-noisy configuration).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -32,23 +30,22 @@ use drd_core::{DesyncOptions, Desynchronizer};
 use drd_liberty::vlib90;
 use drd_serve::{json, Server};
 
-fn out_dir() -> PathBuf {
-    std::env::var("DRD_BENCH_DIR").map_or_else(
-        |_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-        PathBuf::from,
-    )
-}
+/// Vetted netlists in the corpus.
+const JOBS: usize = 96;
+
+/// How far below the cold-path p50 the warm-cache p50 must sit.
+const WARM_SPEEDUP: f64 = 10.0;
 
 /// Seeded, in-process-vetted corpus: only netlists whose flow succeeds
 /// are kept, so a non-ok response is always a server bug, never a
 /// hostile input.
-fn corpus(jobs: usize) -> Vec<String> {
+fn corpus() -> Vec<String> {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
     let mut rng = Rng::new(0xBE7C_5E12_7E00);
     let params = NetGenParams::default();
     let mut kept = Vec::new();
-    while kept.len() < jobs {
+    while kept.len() < JOBS {
         let recipe = NetRecipe::sample(&mut rng, &params);
         let Ok(module) = recipe.build() else { continue };
         if tool.run(module, &DesyncOptions::default()).0.is_ok() {
@@ -146,12 +143,8 @@ fn drive(
 
 fn main() {
     let lib = vlib90::high_speed();
-    let jobs: usize = std::env::var("DRD_SERVE_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96);
     let tokens = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let corpus = corpus(jobs);
+    let corpus = corpus();
     let requests: Vec<String> = corpus
         .iter()
         .enumerate()
@@ -201,22 +194,28 @@ fn main() {
         })
         .collect();
     let out = format!(
-        "{{\n  \"name\": \"serve\",\n  \"jobs\": {jobs},\n  \"tokens\": {tokens},\n  \
+        "{{\n  \"name\": \"serve\",\n  \"jobs\": {JOBS},\n  \"tokens\": {tokens},\n  \
          \"failed_jobs\": {failed},\n  \"identity_mismatches\": {identity_mismatches},\n  \
          \"campaign_wall_ns\": {wall_ns},\n  \"runs\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("bench dir");
-    let path = dir.join("BENCH_serve.json");
-    std::fs::write(&path, out).expect("bench json written");
-    eprintln!("wrote {}", path.display());
-
-    if failed > 0 || identity_mismatches > 0 {
-        eprintln!(
-            "error: {failed} failed/wedged job(s), {identity_mismatches} cache identity \
-             mismatch(es)"
-        );
-        std::process::exit(1);
+    let mut gates = Vec::new();
+    if failed > 0 {
+        gates.push(format!("failed jobs: {failed} failed or wedged job(s)"));
     }
+    if identity_mismatches > 0 {
+        gates.push(format!(
+            "identity: {identity_mismatches} cache-hit response(s) diverged from their \
+             cold-path artifacts"
+        ));
+    }
+    // The first level is 1 client: its cold row, then its warm row.
+    let (cold, warm) = (&runs[0], &runs[1]);
+    if warm.p50_us * WARM_SPEEDUP > cold.p50_us {
+        gates.push(format!(
+            "warm cache: 1-client warm p50 {:.3} us not {WARM_SPEEDUP}x below cold p50 {:.3} us",
+            warm.p50_us, cold.p50_us
+        ));
+    }
+    drd_bench::finish("serve", &out, &gates);
 }

@@ -20,11 +20,10 @@
 //! campaigns must reproduce the nominal simulation bit for bit. The
 //! physical claim gated on exit status is the paper's: the desynchronized
 //! *mean* degrades more slowly with sigma than the synchronous
-//! *worst case*. Any violation exits non-zero so `scripts/verify.sh`
-//! can gate on it. Output: `BENCH_variability.json` (directory
-//! overridable via `DRD_BENCH_DIR`, default `results/`).
+//! *worst case*. A broken simulation stops the run at once; the
+//! crossover and speedup gates are checked after `BENCH_variability.json`
+//! is written. Any violation exits non-zero.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use drd_check::netgen::{FfKind, FfRecipe, GateOp, NetRecipe, StageRecipe};
@@ -41,19 +40,13 @@ const STEPS: [(usize, usize, usize); 3] = [(3, 40, 3), (4, 80, 4), (6, 140, 6)];
 
 /// Monte-Carlo chips per (design, sigma) campaign.
 const CHIPS: usize = 1000;
+const _: () = assert!(CHIPS >= 1000, "a campaign needs at least 1000 chips");
 
 /// Sigma grid in percent (relative per-gate delay deviation).
 const SIGMA_PCT: [usize; 6] = [0, 5, 10, 15, 20, 25];
 
 /// The sigma used for the byte-identity / timing / histogram campaign.
 const IDENTITY_SIGMA_PCT: usize = 15;
-
-fn out_dir() -> PathBuf {
-    std::env::var("DRD_BENCH_DIR").map_or_else(
-        |_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-        PathBuf::from,
-    )
-}
 
 /// Stepped recipe with *identical* clouds in every stage: equal critical
 /// delays give every region the same matched depth, so the open-chain
@@ -313,23 +306,6 @@ fn main() {
         });
     }
 
-    // The paper's variability-tolerance claim (Fig 5.4/5.5): as sigma
-    // grows, the desynchronized mean must degrade more slowly than the
-    // synchronous population worst case, on every design.
-    for d in &designs {
-        let last = d.curve.last().expect("sigma grid non-empty");
-        let desync_norm = last.desync_mean_ns / d.nominal_desync_ns;
-        let sync_norm = last.sync_worst_ns / d.nominal_sync_ns;
-        if desync_norm >= sync_norm {
-            eprintln!(
-                "{}: no variability crossover at sigma {} — desync mean degraded {:.4}x, \
-                 sync worst case {:.4}x",
-                d.label, last.sigma, desync_norm, sync_norm
-            );
-            std::process::exit(1);
-        }
-    }
-
     let speedup = serial_total_ns as f64 / parallel_total_ns.max(1) as f64;
     eprintln!(
         "monte carlo: serial {:.1} ms, parallel({workers}) {:.1} ms, speedup {speedup:.2}x \
@@ -337,10 +313,6 @@ fn main() {
         serial_total_ns as f64 / 1e6,
         parallel_total_ns as f64 / 1e6,
     );
-    if host_cores >= 4 && workers >= 4 && speedup < 3.0 {
-        eprintln!("parallel Monte Carlo speedup {speedup:.2}x < 3x on a {host_cores}-core host");
-        std::process::exit(1);
-    }
 
     let sigma_items: Vec<String> = SIGMA_PCT
         .iter()
@@ -407,9 +379,26 @@ fn main() {
     }
     out.push_str("  ]\n}\n");
 
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("bench dir");
-    let path = dir.join("BENCH_variability.json");
-    std::fs::write(&path, out).expect("bench json written");
-    eprintln!("wrote {} (speedup {speedup:.2}x at {workers} workers)", path.display());
+    // The paper's variability-tolerance claim (Fig 5.4/5.5): as sigma
+    // grows, the desynchronized mean must degrade more slowly than the
+    // synchronous population worst case, on every design.
+    let mut failed = Vec::new();
+    for d in &designs {
+        let last = d.curve.last().expect("sigma grid non-empty");
+        let desync_norm = last.desync_mean_ns / d.nominal_desync_ns;
+        let sync_norm = last.sync_worst_ns / d.nominal_sync_ns;
+        if desync_norm >= sync_norm {
+            failed.push(format!(
+                "crossover: {}: none at sigma {} — desync mean degraded {:.4}x, sync worst \
+                 case {:.4}x",
+                d.label, last.sigma, desync_norm, sync_norm
+            ));
+        }
+    }
+    if host_cores >= 4 && workers >= 4 && speedup < 3.0 {
+        failed.push(format!(
+            "speedup: parallel Monte Carlo {speedup:.2}x < 3x on a {host_cores}-core host"
+        ));
+    }
+    drd_bench::finish("variability", &out, &failed);
 }

@@ -1,7 +1,8 @@
-//! # drd-bench — reproduction harnesses for every table and figure
+//! # drd-bench — reproduction harnesses and verification campaigns
 //!
 //! One binary per evaluation artifact of the paper (see DESIGN.md's
-//! per-experiment index):
+//! per-experiment index); each prints its artifact to stdout, and
+//! `results/<binary>.txt` holds the committed copy:
 //!
 //! | binary      | artifact   | what it prints                               |
 //! |-------------|------------|----------------------------------------------|
@@ -13,8 +14,25 @@
 //! | `fig_5_4`   | Fig. 5.4   | per-chip delay distribution vs sync worst    |
 //! | `fig_5_5`   | Fig. 5.5   | total power vs delay selection               |
 //!
-//! `benches/kernels.rs` additionally benchmarks the tool's own kernels
-//! (parsing, grouping, STA, reachability, simulation, desynchronization).
+//! The campaigns measure the tool itself, at fixed sizes. Each writes
+//! `BENCH_<name>.json` through [`finish`] and then exits non-zero naming
+//! every gate that failed, so a failing run still leaves its numbers.
+//! `crates/bench/tests/reports.rs` parses the committed reports and
+//! checks their fields.
+//!
+//! | campaign      | gates (the run fails unless all hold)                       |
+//! |---------------|-------------------------------------------------------------|
+//! | `mutation`    | every mutant of the 18 kinds × 25 seeds is killed; on a host with ≥ 4 cores, `speedup_estimate` ≥ 2.0 |
+//! | `scale`       | serial and parallel artifacts byte-identical; `region_of` cost flat (`lookup_ratio` ≤ 8); no pass of ≥ 1 ms grows faster than cells^1.2; `exponents` names every pass of `Pipeline::standard()`; on a host with ≥ 4 cores, `speedup` ≥ 3.0 |
+//! | `variability` | 1000 chips per campaign (a compile-time assert); worker splits byte-identical; zero-sigma chips bitwise nominal; desync mean degrades slower than the sync worst case; on ≥ 4 cores and workers, Monte-Carlo `speedup` ≥ 3.0 |
+//! | `liveness`    | zero undiagnosed deadlocks over 60 imbalanced designs; at least one hazardous design |
+//! | `serve`       | zero failed or wedged jobs over 96 jobs; every warm artifact byte-identical to its cold original; 1-client warm p50 × 10 ≤ cold p50 |
+//! | `kernels`     | (`cargo bench`, `benches/kernels.rs`) parse/reference ≤ 2.65 and write/reference ≤ 1.30 on the full DLX |
+//!
+//! `DRD_BENCH_DIR` redirects the reports from the workspace `results/`
+//! directory; `DRD_WORKERS` sets the worker count as everywhere else.
+
+use std::path::PathBuf;
 
 /// Medium DLX configuration used by the sweep figures: large enough to be
 /// representative, small enough that 16 two-corner simulations finish in
@@ -26,5 +44,25 @@ pub fn sweep_dlx_params() -> drd_designs::dlx::DlxParams {
         rom_log2: 5,
         ram_log2: 3,
         seed: 0xD1_5C0DE,
+    }
+}
+
+/// Ends a campaign: writes `json` as `BENCH_<name>.json` into
+/// `DRD_BENCH_DIR` (default: the workspace `results/` directory), then
+/// exits non-zero naming each entry of `failed`, one failed gate each.
+///
+/// # Panics
+/// When the report is not valid JSON or cannot be written.
+pub fn finish(name: &str, json: &str, failed: &[String]) {
+    let dir = std::env::var_os("DRD_BENCH_DIR").map_or_else(
+        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")),
+        PathBuf::from,
+    );
+    drd_check::bench::write_report(&dir, name, json).expect("report written");
+    for gate in failed {
+        eprintln!("gate failed: {name}: {gate}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
     }
 }

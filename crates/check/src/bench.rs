@@ -4,11 +4,12 @@
 //! of timed iterations, and summarized as min/mean/max wall time. Kernels
 //! that a gate bounds are also timed against a reference task in the
 //! same iterations ([`Bench::run_relative`]), so the bound does not move
-//! with host speed. Results print as a table and are written to
-//! `BENCH_<name>.json` (directory overridable via `DRD_BENCH_DIR`) so the
-//! performance trajectory of the tool kernels is recorded run over run.
+//! with host speed. Results print as a table; [`Bench::to_json`] renders
+//! them for [`write_report`], the one writer of every `BENCH_<name>.json`,
+//! so the performance trajectory of the tool kernels is recorded run
+//! over run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use drd_json::escape;
@@ -92,14 +93,15 @@ impl Bench {
     /// all alike. A kernel's ratio in a round is its fastest iteration
     /// over the reference's fastest. A slow phase inflates only the
     /// rounds it overlaps, while a slower kernel shows in every round, so
-    /// the lowest ratio over the rounds is what a gate bounds. Every body
-    /// is also recorded as a plain sample over all its iterations.
+    /// the lowest ratio over the rounds is what a gate bounds, and is
+    /// returned per kernel, in `bodies[1..]` order. Every body is also
+    /// recorded as a plain sample over all its iterations.
     pub fn run_relative(
         &mut self,
         rounds: u32,
         iters: u32,
         bodies: &mut [(&str, &mut dyn FnMut())],
-    ) {
+    ) -> Vec<f64> {
         for (_, body) in bodies.iter_mut() {
             body();
         }
@@ -121,6 +123,7 @@ impl Bench {
         for ((label, _), times) in bodies.iter().zip(&times) {
             self.record(label, times);
         }
+        let mut lowest = Vec::new();
         for ((label, _), ratio) in bodies.iter().zip(&ratios).skip(1) {
             let ratio = Ratio {
                 label: (*label).to_owned(),
@@ -133,8 +136,10 @@ impl Bench {
                 "ratio {:<40} {:>8.3} .. {:.3} x {} ({} rounds)",
                 ratio.label, ratio.min, ratio.max, ratio.reference, rounds
             );
+            lowest.push(ratio.min);
             self.ratios.push(ratio);
         }
+        lowest
     }
 
     fn record(&mut self, label: &str, times: &[f64]) {
@@ -201,19 +206,28 @@ impl Bench {
             ratios.join(",\n")
         )
     }
+}
 
-    /// Writes `BENCH_<name>.json` and returns its path.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn finish(self) -> std::io::Result<PathBuf> {
-        let dir = std::env::var("DRD_BENCH_DIR").map_or_else(|_| PathBuf::from("."), PathBuf::from);
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, self.to_json())?;
-        eprintln!("wrote {}", path.display());
-        Ok(path)
+/// Writes `json` to `dir/BENCH_<name>.json` and returns the path. Every
+/// bench report goes through here, so none is written that the shared
+/// parser cannot read back.
+///
+/// # Errors
+/// `InvalidData` when [`drd_json::parse`] rejects `json`, before anything
+/// is written; otherwise filesystem errors.
+pub fn write_report(dir: &Path, name: &str, json: &str) -> std::io::Result<PathBuf> {
+    let file = format!("BENCH_{name}.json");
+    if let Err(e) = drd_json::parse(json) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{file} is not valid JSON: {e}"),
+        ));
     }
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(file);
+    std::fs::write(&path, json)?;
+    eprintln!("wrote {}", path.display());
+    Ok(path)
 }
 
 fn time_ns<T>(f: &mut impl FnMut() -> T) -> f64 {
@@ -237,7 +251,7 @@ mod tests {
         let mut twice = || {
             std::hint::black_box((0..2000u64).sum::<u64>());
         };
-        b.run_relative(
+        let lowest = b.run_relative(
             2,
             3,
             &mut [("spin_ref", &mut spin), ("spin_twice", &mut twice)],
@@ -246,6 +260,7 @@ mod tests {
         assert_eq!(b.samples()[3].iters, 6, "rounds x iterations");
         let ratio = &b.ratios[0];
         assert!(0.0 < ratio.min && ratio.min <= ratio.max, "{ratio:?}");
+        assert_eq!(lowest, vec![ratio.min]);
         let json = b.to_json();
         assert!(json.contains("\"name\": \"selftest\""));
         assert!(json.contains("\"label\": \"spin\""));
@@ -255,14 +270,19 @@ mod tests {
     }
 
     #[test]
-    fn finish_writes_json_file() {
-        let dir = std::env::temp_dir().join("drd_check_bench_test");
-        std::env::set_var("DRD_BENCH_DIR", &dir);
+    fn write_report_writes_valid_json_and_refuses_the_rest() {
+        let dir = std::env::temp_dir().join(format!("drd_check_bench_{}", std::process::id()));
         let mut b = Bench::new("filetest");
         b.run("noop", || ());
-        let path = b.finish().unwrap();
-        std::env::remove_var("DRD_BENCH_DIR");
-        let text = std::fs::read_to_string(path).unwrap();
+        let path = write_report(&dir, "filetest", &b.to_json()).unwrap();
+        assert_eq!(path, dir.join("BENCH_filetest.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("filetest"));
+
+        let err = write_report(&dir, "broken", "{\"name\": \"broken\",}").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("BENCH_broken.json"), "{err}");
+        assert!(!dir.join("BENCH_broken.json").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -158,20 +158,6 @@ pub struct CampaignReport {
     pub first_panic: Option<(&'static str, u64)>,
 }
 
-impl CampaignReport {
-    /// Renders the report as the `BENCH_hostile.json` payload.
-    pub fn to_json(&self, workers: usize, wall_ns: u128) -> String {
-        let (kind, seed) = self.first_panic.unwrap_or(("", 0));
-        format!(
-            "{{\n  \"name\": \"hostile\",\n  \"inputs\": {},\n  \"rejected\": {},\n  \
-             \"flow_errors\": {},\n  \"completed\": {},\n  \"panics\": {},\n  \
-             \"first_panic_kind\": \"{kind}\",\n  \"first_panic_seed\": {seed},\n  \
-             \"workers\": {workers},\n  \"wall_ns\": {wall_ns}\n}}\n",
-            self.total, self.rejected, self.flow_errors, self.completed, self.panics,
-        )
-    }
-}
-
 /// Probes one `(kind, seed)` input: parse under `catch_unwind`, and when
 /// the input parses, run the guarded flow with starved budgets (so even a
 /// structurally valid bomb hits a [`drd_core::DesyncError::Budget`] or
@@ -264,7 +250,5 @@ mod tests {
         assert_eq!(report.total, 64);
         assert_eq!(report.panics, 0, "first: {:?}", report.first_panic);
         assert!(report.rejected > 0, "hostile inputs should mostly be rejected");
-        let json = report.to_json(2, 1);
-        assert!(json.contains("\"panics\": 0"), "{json}");
     }
 }

@@ -23,8 +23,9 @@
 //! * [`liveness`] — the liveness oracle: measured delay-element depths
 //!   match the report, no unrepaired pulse-swallowing hazard ships, and
 //!   request-latch records agree with the netlist both ways,
-//! * [`bench`] — a `std::time::Instant` micro-benchmark runner emitting
-//!   `BENCH_*.json` (replacing `criterion`),
+//! * [`bench`] — a `std::time::Instant` micro-benchmark runner (replacing
+//!   `criterion`) and [`bench::write_report`], the one writer of every
+//!   `BENCH_*.json`, which refuses text the shared JSON parser rejects,
 //! * [`runner`] — a dependency-free work-stealing parallel task runner on
 //!   `std::thread` with per-worker seeded scheduling streams, re-exported
 //!   from `drd-runner` (the flow passes use the same pool),

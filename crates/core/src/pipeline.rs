@@ -1351,7 +1351,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_json_is_balanced_and_deterministic_variant_has_no_times() {
+    fn trace_json_parses_and_deterministic_variant_has_no_times() {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
         let mut cx = FlowContext::new(
@@ -1362,13 +1362,13 @@ mod tests {
         );
         Pipeline::standard().run(&mut cx).unwrap();
         let trace = cx.trace();
-        let timed = trace.to_json();
-        assert!(timed.contains("wall_ns"));
-        let stable = trace.to_json_deterministic();
-        assert!(!stable.contains("wall_ns"));
-        for json in [&timed, &stable] {
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
-            assert_eq!(json.matches('[').count(), json.matches(']').count());
+        for (json, timed) in [(trace.to_json(), true), (trace.to_json_deterministic(), false)] {
+            let doc = drd_json::parse(&json).expect("trace parses");
+            let passes = doc.get("passes").and_then(drd_json::Value::as_arr).unwrap();
+            assert_eq!(passes.len(), 9);
+            for pass in passes {
+                assert_eq!(pass.get("wall_ns").is_some(), timed, "{pass:?}");
+            }
         }
     }
 

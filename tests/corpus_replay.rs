@@ -1,7 +1,7 @@
 //! Deterministic hostile-input regression corpus.
 //!
 //! `tests/corpus/hostile/` holds small Verilog fixtures distilled from
-//! the randomized 10k crash-fuzz campaign (`drd-bench --bin hostile`)
+//! the randomized 10k crash-fuzz campaign (`tests/hostile.rs`)
 //! plus handcrafted probes of every parser resource cap. The expected
 //! outcome is encoded in the file name: `reject_*` must return a
 //! structured error, `accept_*` must parse. Either way the parser must

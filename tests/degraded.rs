@@ -10,6 +10,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 use drd_check::golden::{assert_golden, render_desync_report};
+use drd_serve::json;
 use drdesync::core::{DegradeReason, DesyncOptions, Desynchronizer, FlowContext, Pipeline};
 use drdesync::liberty::{vlib90, Lv};
 use drdesync::netlist::{CellId, Conn, Design, Module};
@@ -84,11 +85,32 @@ fn golden_mixed_degraded_report_trace_and_flow_equivalence() {
         d.reason
     );
 
-    assert_golden(
-        golden_dir().join("mixed_degraded_report.txt"),
-        &render_desync_report(rep),
-    );
+    let report = render_desync_report(rep);
+    assert_golden(golden_dir().join("mixed_degraded_report.txt"), &report);
     assert_golden(golden_dir().join("mixed_degraded_flow_trace.json"), &trace);
+
+    // The Degradation schema tools consume: one entry with a string
+    // region, a string reason and the cells as an array of strings.
+    let trace = json::parse(&trace).expect("trace parses");
+    let entries = trace
+        .get("degradations")
+        .and_then(json::Value::as_arr)
+        .expect("trace lists degradations");
+    assert_eq!(entries.len(), 1, "{entries:?}");
+    let entry = &entries[0];
+    for key in ["region", "reason"] {
+        assert!(
+            entry.get(key).and_then(json::Value::as_str).is_some(),
+            "{key}: {entry:?}"
+        );
+    }
+    let cells = entry
+        .get("cells")
+        .and_then(json::Value::as_arr)
+        .expect("cells is an array");
+    assert!(cells.iter().all(|c| c.as_str().is_some()), "{cells:?}");
+    assert!(report.lines().any(|l| l == "degradations (1):"), "{report}");
+    assert!(report.contains("left synchronous"), "{report}");
 
     // Region A is upstream of the degraded region, so its capture
     // sequence must still match the synchronous reference.

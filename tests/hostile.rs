@@ -1,22 +1,18 @@
 //! Tier-1 hostile-input gate: the Verilog reader and the guarded flow
-//! must survive ≥10k seeded adversarial inputs with zero escaped panics.
-//!
-//! Input count is overridable via `DRD_HOSTILE_INPUTS` (never below the
-//! 10_000 floor — the whole point of the gate), workers via
-//! `DRD_WORKERS`.
+//! must survive 10k seeded adversarial inputs with zero escaped panics.
+//! It runs in the test profile, so overflow checks and `debug_assert!`s
+//! are on; workers follow `DRD_WORKERS`.
 
 use drd_check::hostile::run_hostile_campaign;
 use drd_check::runner;
 
+/// Seeded adversarial inputs per campaign.
+const INPUTS: usize = 10_000;
+
 #[test]
 fn hostile_campaign_has_zero_escaped_panics() {
-    let count: usize = std::env::var("DRD_HOSTILE_INPUTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000)
-        .max(10_000);
-    let report = run_hostile_campaign(count, 0x0DE5_7AC7, runner::worker_count());
-    assert_eq!(report.total, count);
+    let report = run_hostile_campaign(INPUTS, 0x0DE5_7AC7, runner::worker_count());
+    assert_eq!(report.total, INPUTS);
     assert_eq!(
         report.panics, 0,
         "escaped panic, reproduce with drd_check::hostile::generate{:?}",
