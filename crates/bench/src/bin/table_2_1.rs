@@ -24,7 +24,7 @@ fn main() {
         let inputs: Vec<NetId> = (0..n)
             .map(|i| m.find_net(&format!("i{i}")).unwrap())
             .collect();
-        let (out, rep) = join(&mut m, &inputs, "j").unwrap();
+        let (out, cells) = join(&mut m, &inputs, "j").unwrap();
         let z = m.find_net("z").unwrap();
         m.add_cell("ob", "BUFX1", &[("A", Conn::Net(out)), ("Z", Conn::Net(z))])
             .unwrap();
@@ -48,7 +48,7 @@ fn main() {
         assert_eq!((at0, at1, mixed), (Lv::Zero, Lv::One, Lv::One));
         println!(
             "  {n:>2} inputs: {} C2 cells — all-0→0, all-1→1, mixed→held  ✓",
-            rep.celements
+            cells.len()
         );
     }
 }

@@ -22,7 +22,8 @@
 //! input-register region `g0` cycles at 0.200 ns); a long one swallows
 //! it and the ring halts, in silicon as in simulation. The oracle
 //! reports specs with such a region as vacuously verified rather than
-//! judge that physics.
+//! judge that physics; the predicate is [`HandshakeSpec::isolated_regions`],
+//! the one the flow's liveness guard skips by too.
 //!
 //! A simulated deadlock on any *coupled* topology is reported as a
 //! failure, and that is deliberate: the same wedge happens at gate
@@ -35,25 +36,6 @@
 
 use drd_liberty::Library;
 use drd_sim::{GateVariability, HandshakeNet, HandshakeSpec, RegionCycle};
-
-/// Controlled regions with neither controlled predecessors nor
-/// successors (self-loops count as both): the loopback + eager-ack
-/// degenerate topology, which free-runs or halts with its matched-delay
-/// depth (see module docs).
-pub fn isolated_regions(spec: &HandshakeSpec) -> Vec<String> {
-    spec.regions
-        .iter()
-        .enumerate()
-        .filter(|(i, r)| {
-            r.controlled
-                && !spec.edges.iter().any(|&(p, s)| {
-                    (s == *i && spec.regions[p].controlled)
-                        || (p == *i && spec.regions[s].controlled)
-                })
-        })
-        .map(|(_, r)| r.name.clone())
-        .collect()
-}
 
 /// Verifies the handshake-timing oracle for one spec: elaborates the
 /// control network, simulates it nominally, and checks both properties
@@ -73,7 +55,7 @@ pub fn verify_handshake_timing(
     if !spec.regions.iter().any(|r| r.controlled) {
         return Ok(None);
     }
-    if !isolated_regions(spec).is_empty() {
+    if spec.isolated_regions().next().is_some() {
         return Ok(None);
     }
     let net = HandshakeNet::elaborate(spec, lib).map_err(|e| format!("elaboration: {e}"))?;
@@ -175,7 +157,7 @@ mod tests {
         let mut spec = two_stage_spec();
         spec.regions[1].controlled = false;
         spec.edges.clear();
-        assert_eq!(isolated_regions(&spec), vec!["g0".to_owned()]);
+        assert_eq!(spec.isolated_regions().collect::<Vec<_>>(), [0], "g0");
         assert!(verify_handshake_timing(&spec, &lib).unwrap().is_none());
     }
 
@@ -184,7 +166,7 @@ mod tests {
         let mut spec = two_stage_spec();
         spec.regions.truncate(1);
         spec.edges = vec![(0, 0)];
-        assert!(isolated_regions(&spec).is_empty());
+        assert_eq!(spec.isolated_regions().next(), None);
         let cycles = verify_handshake_timing(&spec, &vlib90::high_speed())
             .unwrap()
             .expect("ring verifies");

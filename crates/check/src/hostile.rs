@@ -179,7 +179,6 @@ fn probe(kind: HostileKind, seed: u64) -> Probe {
     let opts = DesyncOptions {
         max_cells: Some(512),
         max_nets: Some(2048),
-        stg_state_limit: Some(4096),
         pass_deadline_ms: Some(2_000),
         ..DesyncOptions::default()
     };

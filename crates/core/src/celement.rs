@@ -6,24 +6,14 @@
 //! trees of 2-input C-elements. Join trees need no reset: with all inputs
 //! equal at reset they initialize themselves.
 
-use drd_netlist::{Conn, Module, NetId};
+use drd_netlist::{CellId, Conn, Module, NetId};
 
 use crate::DesyncError;
 
-/// Report from building one C-element tree.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CTreeReport {
-    /// C-elements inserted.
-    pub celements: usize,
-    /// Instance names of the inserted C-elements — the targeted mutation
-    /// points the fault-injection harness corrupts one at a time.
-    pub cells: Vec<String>,
-}
-
 /// Joins `inputs` with a balanced tree of `C2X1` cells named with
-/// `prefix`; returns the rendezvous net (and how many cells were added).
+/// `prefix`; returns the rendezvous net and the inserted cells.
 ///
-/// A single input is returned unchanged.
+/// A single input is returned unchanged, with no cell.
 ///
 /// # Errors
 /// Propagates netlist errors.
@@ -34,9 +24,9 @@ pub fn join(
     module: &mut Module,
     inputs: &[NetId],
     prefix: &str,
-) -> Result<(NetId, CTreeReport), DesyncError> {
+) -> Result<(NetId, Vec<CellId>), DesyncError> {
     assert!(!inputs.is_empty(), "a join needs at least one input");
-    let mut report = CTreeReport::default();
+    let mut cells = Vec::new();
     let mut level: Vec<NetId> = inputs.to_vec();
     let mut stage = 0usize;
     while level.len() > 1 {
@@ -48,23 +38,21 @@ pub fn join(
             }
             let z = module.add_net_auto(&format!("{prefix}_c{stage}_{i}"));
             let name = module.unique_cell_name(&format!("{prefix}_uc{stage}_{i}"));
-            module.add_cell(
-                name.clone(),
+            cells.push(module.add_cell(
+                name,
                 "C2X1",
                 &[
                     ("A", Conn::Net(chunk[0])),
                     ("B", Conn::Net(chunk[1])),
                     ("Z", Conn::Net(z)),
                 ],
-            )?;
-            report.celements += 1;
-            report.cells.push(name);
+            )?);
             next.push(z);
         }
         level = next;
         stage += 1;
     }
-    Ok((level[0], report))
+    Ok((level[0], cells))
 }
 
 /// Lowers every primitive C-element of a *flat* module into pure standard
@@ -198,9 +186,9 @@ mod tests {
     fn single_input_is_identity() {
         let mut m = Module::new("t");
         let a = m.add_net("a").unwrap();
-        let (out, rep) = join(&mut m, &[a], "j").unwrap();
+        let (out, cells) = join(&mut m, &[a], "j").unwrap();
         assert_eq!(out, a);
-        assert_eq!(rep.celements, 0);
+        assert!(cells.is_empty());
         assert_eq!(m.cell_count(), 0);
     }
 
@@ -211,8 +199,9 @@ mod tests {
             let inputs: Vec<NetId> = (0..n)
                 .map(|i| m.add_net(format!("i{i}")).unwrap())
                 .collect();
-            let (_, rep) = join(&mut m, &inputs, "j").unwrap();
-            assert_eq!(rep.celements, expected, "n = {n}");
+            let (_, cells) = join(&mut m, &inputs, "j").unwrap();
+            assert_eq!(cells.len(), expected, "n = {n}");
+            assert!(cells.iter().all(|&c| m.cell(c).kind_name() == "C2X1"), "n = {n}");
         }
     }
 

@@ -41,8 +41,6 @@ pub struct DesyncOptions {
     /// Guard budget: ceiling on nets in the working netlist after each
     /// pass.
     pub max_nets: Option<usize>,
-    /// Guard budget: ceiling on explored STG states in protocol checks.
-    pub stg_state_limit: Option<usize>,
     /// Guard budget: per-pass wall-clock deadline in milliseconds,
     /// enforced after the pass returns (passes are not preempted).
     pub pass_deadline_ms: Option<u64>,
@@ -78,7 +76,7 @@ impl DesyncOptions {
         format!(
             "bus={};false_paths={:?};single={};clean={};margin={:?};muxed={};\
              clock={:?};period={:?};strict={};max_cells={:?};max_nets={:?};\
-             stg_limit={:?};deadline_ms={:?}",
+             deadline_ms={:?}",
             self.grouping.bus_grouping,
             nets,
             self.grouping.single_group,
@@ -90,7 +88,6 @@ impl DesyncOptions {
             self.strict,
             self.max_cells,
             self.max_nets,
-            self.stg_state_limit,
             self.pass_deadline_ms,
         )
     }
@@ -108,7 +105,6 @@ impl Default for DesyncOptions {
             strict: false,
             max_cells: None,
             max_nets: None,
-            stg_state_limit: None,
             pass_deadline_ms: None,
             jobs: None,
         }
@@ -318,6 +314,11 @@ mod tests {
     /// * region A: `r0` toggles (D = !Q0),
     /// * region B: `r1` accumulates parity (D = Q0 ^ Q1).
     fn toggle_parity() -> Module {
+        toggle_parity_with_xor("xor1")
+    }
+
+    /// [`toggle_parity`] with its XOR gate named `xor`.
+    fn toggle_parity_with_xor(xor: &str) -> Module {
         let mut m = Module::new("tp");
         m.add_port("clk", PortDir::Input).unwrap();
         m.add_port("out0", PortDir::Output).unwrap();
@@ -336,7 +337,7 @@ mod tests {
         .unwrap();
         let d1 = m.add_net("d1").unwrap();
         m.add_cell(
-            "xor1",
+            xor,
             "XOR2X1",
             &[("A", Conn::Net(q0)), ("B", Conn::Net(q1)), ("Z", Conn::Net(d1))],
         )
@@ -369,6 +370,37 @@ mod tests {
         // The exported design parses back (write → parse round trip).
         let text = drd_netlist::verilog::write_design(&result.design);
         drd_netlist::verilog::parse_design(&text).expect("exported Verilog parses");
+    }
+
+    /// A user cell carrying a generated delay-element name is never
+    /// constrained in its place: the SDC protects the inserted elements.
+    #[test]
+    fn sdc_constrains_the_inserted_delay_elements_not_their_namesake() {
+        let lib = vlib90::high_speed();
+        let tool = Desynchronizer::new(&lib).unwrap();
+        let result = tool
+            .run(toggle_parity_with_xor("drd_g1_delem"), &DesyncOptions::default())
+            .0
+            .unwrap();
+        let m = result.design.top_module();
+        let xor = m.cell(m.find_cell("drd_g1_delem").unwrap());
+        assert_eq!(xor.kind_name(), "XOR2X1");
+        let delems: Vec<&str> = m
+            .cells()
+            .filter(|(_, c)| c.kind_name().starts_with("drd_delem_"))
+            .map(|(_, c)| c.name)
+            .collect();
+        assert_eq!(delems.len(), 2, "{delems:?}");
+        for inst in delems {
+            assert!(
+                result.sdc.contains(&format!("-from [get_pins {{{inst}/in1}}]")),
+                "{}",
+                result.sdc
+            );
+            assert!(result.sdc.contains(&format!("set_dont_touch [get_cells {{{inst}}}]")));
+        }
+        assert!(!result.sdc.contains("{drd_g1_delem}"), "{}", result.sdc);
+        assert!(!result.sdc.contains("{drd_g1_delem/"), "{}", result.sdc);
     }
 
     /// The headline property: the desynchronized circuit is

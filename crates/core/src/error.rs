@@ -36,12 +36,11 @@ pub enum DesyncError {
         message: String,
     },
     /// A guarded pass exceeded a configured resource budget (see
-    /// [`crate::DesyncOptions`]'s `max_cells` / `max_nets` /
-    /// `stg_state_limit` fields).
+    /// [`crate::DesyncOptions`]'s `max_cells` / `max_nets` fields).
     Budget {
         /// The pass whose output broke the budget.
         pass: &'static str,
-        /// Which resource overflowed ("cells", "nets", "stg states").
+        /// Which resource overflowed ("cells" or "nets").
         resource: &'static str,
         /// The configured ceiling.
         limit: usize,

@@ -48,7 +48,9 @@ mod desync;
 mod error;
 #[deny(clippy::unwrap_used, clippy::panic)]
 pub mod ffsub;
+#[deny(clippy::unwrap_used, clippy::panic)]
 pub mod liveness;
+#[deny(clippy::unwrap_used, clippy::panic)]
 pub mod network;
 pub mod pipeline;
 #[deny(clippy::unwrap_used, clippy::panic)]

@@ -40,12 +40,12 @@
 use std::fmt;
 
 use drd_liberty::{Corner, Library};
-use drd_netlist::{CellId, Conn, Design, ModuleId};
-use drd_sim::{HandshakeNet, HandshakeSpec, RegionSpec};
+use drd_netlist::{Conn, Design, Module, ModuleId, NetId};
+use drd_sim::{HandshakeNet, HandshakeSpec, RegionSpec, SimError};
 use drd_sta::TimingGraph;
 
 use crate::delay_element;
-use crate::network::{delem_module_name, enable_net_names};
+use crate::network::{delem_module_name, RegionControl};
 use crate::DesyncError;
 
 /// Stages of the probe chain whose per-stage STA arrivals seed
@@ -498,8 +498,9 @@ pub fn plan_repairs(
 /// controlled region, or any isolated controlled region, whose
 /// loopback + eager-ack environment free-runs when its matched delay is
 /// short, like DLX's one-level `g0`, and wedges when it is long; the
-/// handshake-timing oracle skips the same shapes) — and `Ok(false)` on a
-/// simulated deadlock.
+/// handshake-timing oracle skips the same shapes through the same
+/// [`HandshakeSpec::isolated_regions`]) — and `Ok(false)` on a simulated
+/// [`SimError::Deadlock`].
 ///
 /// # Errors
 /// Propagates elaboration failures and non-deadlock simulation errors.
@@ -512,15 +513,6 @@ pub fn validate_with_sim(
     ff_overhead_ns: f64,
 ) -> Result<bool, DesyncError> {
     if !states.iter().any(|s| s.controlled) {
-        return Ok(true);
-    }
-    let isolated = states.iter().enumerate().any(|(i, s)| {
-        s.controlled
-            && !edges.iter().any(|&(p, q)| {
-                (q == i && states[p].controlled) || (p == i && states[q].controlled)
-            })
-    });
-    if isolated {
         return Ok(true);
     }
     let spec = HandshakeSpec {
@@ -539,36 +531,31 @@ pub fn validate_with_sim(
         level_delay_ns,
         ff_overhead_ns,
     };
+    if spec.isolated_regions().next().is_some() {
+        return Ok(true);
+    }
     let net = HandshakeNet::elaborate(&spec, lib).map_err(|e| DesyncError::Pipeline {
         message: format!("liveness validation: {e}"),
     })?;
     match net.nominal_cycle_times() {
         Ok(_) => Ok(true),
-        Err(e) => {
-            let message = e.to_string();
-            if message.contains("deadlock") {
-                Ok(false)
-            } else {
-                Err(DesyncError::Pipeline {
-                    message: format!("liveness validation: {message}"),
-                })
-            }
-        }
+        Err(SimError::Deadlock { .. }) => Ok(false),
+        Err(e) => Err(DesyncError::Pipeline {
+            message: format!("liveness validation: {e}"),
+        }),
     }
 }
 
-/// Swaps region `succ`'s delay element for a `to_levels`-deep module.
-/// The instance name (`drd_<succ>_delem`) is unchanged — SDC constraints
-/// keep matching — and the new module is created (and deduplicated) on
-/// demand.
+/// Swaps the delay element of `ctl` for a `to_levels`-deep module. The
+/// instance keeps its name and connections, so only its module changes;
+/// the new module is created (and deduplicated) on demand.
 ///
 /// # Errors
-/// [`DesyncError::Pipeline`] when the instance is missing; propagates
-/// STA errors from muxed-overhead probing.
+/// Propagates STA errors from muxed-overhead probing.
 pub fn apply_deepen(
     design: &mut Design,
     top: ModuleId,
-    succ: &str,
+    ctl: &mut RegionControl,
     to_levels: usize,
     muxed: bool,
     lib: &Library,
@@ -584,135 +571,97 @@ pub fn apply_deepen(
         design.insert(module);
     }
     let m = design.module_mut(top);
-    let inst = format!("drd_{succ}_delem");
-    let cell = m.find_cell(&inst).ok_or_else(|| DesyncError::Pipeline {
-        message: format!("liveness deepen: delay element `{inst}` missing"),
-    })?;
     let kind = m.instance_kind(&module_name);
-    m.set_cell_kind(cell, kind);
+    m.set_cell_kind(ctl.delem, kind);
+    ctl.levels = to_levels;
     Ok(())
 }
 
-/// Inserts the request-extending latch on `region`'s loopback path:
-/// `C2(ros, !aim)` between the slave request and the delay element, so
-/// the looped-back request is held high until the region's own master
-/// acknowledges. Both C-element inputs are 1 at reset (the slave request
-/// resets high, the master acknowledge low), so the element
-/// self-initializes to the bare-wire value — the same argument that lets
-/// the join trees go without explicit resets.
+/// Inserts the request-extending latch on region `region`'s loopback
+/// path: `C2(ros, !aim)` between the slave request and the delay element,
+/// so the looped-back request is held high until the region's own master
+/// acknowledges, and records the latch in `ctl`. Both C-element inputs
+/// are 1 at reset (the slave request resets high, the master acknowledge
+/// low), so the element self-initializes to the bare-wire value — the
+/// same argument that lets the join trees go without explicit resets.
 ///
 /// # Errors
-/// [`DesyncError::Pipeline`] when the region's handshake nets or delay
-/// element are missing; propagates netlist errors.
-pub fn apply_latch(design: &mut Design, top: ModuleId, region: &str) -> Result<(), DesyncError> {
-    let m = design.module_mut(top);
-    let net = |m: &drd_netlist::Module, name: &str| {
-        m.find_net(name).ok_or_else(|| DesyncError::Pipeline {
-            message: format!("liveness latch: net `{name}` missing"),
-        })
-    };
-    let ros = net(m, &format!("drd_{region}_ros"))?;
-    let aim = net(m, &format!("drd_{region}_aim"))?;
+/// Propagates netlist errors.
+pub fn apply_latch(
+    m: &mut Module,
+    ctl: &mut RegionControl,
+    region: &str,
+) -> Result<(), DesyncError> {
     let nai = m.add_net_auto(&format!("drd_{region}_reqext_nai"));
     let q = m.add_net_auto(&format!("drd_{region}_reqext_q"));
-    m.add_cell(
-        format!("drd_{region}_reqext_inv"),
-        "INVX1",
-        &[("A", Conn::Net(aim)), ("Z", Conn::Net(nai))],
-    )?;
-    m.add_cell(
-        format!("drd_{region}_reqext"),
+    let name = m.unique_cell_name(&format!("drd_{region}_reqext_inv"));
+    let inv = m.add_cell(name, "INVX1", &[("A", Conn::Net(ctl.aim)), ("Z", Conn::Net(nai))])?;
+    let name = m.unique_cell_name(&format!("drd_{region}_reqext"));
+    let latch = m.add_cell(
+        name,
         "C2X1",
-        &[("A", Conn::Net(ros)), ("B", Conn::Net(nai)), ("Z", Conn::Net(q))],
+        &[("A", Conn::Net(ctl.ros)), ("B", Conn::Net(nai)), ("Z", Conn::Net(q))],
     )?;
-    let delem_name = format!("drd_{region}_delem");
-    let delem = m.find_cell(&delem_name).ok_or_else(|| DesyncError::Pipeline {
-        message: format!("liveness latch: delay element `{delem_name}` missing"),
-    })?;
-    m.set_pin(delem, "in1", Conn::Net(q));
+    m.set_pin(ctl.delem, "in1", Conn::Net(q));
+    ctl.latch = Some((latch, inv));
     Ok(())
 }
 
-/// What [`apply_degrade`] removed, for report bookkeeping.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DegradeStats {
-    /// Names of every removed cell.
-    pub removed_cells: Vec<String>,
-    /// How many of them were C-elements.
-    pub removed_celements: usize,
-}
-
-/// Degrades source region `region` back to synchronous: removes its
-/// controller pair, delay element, request-extending latch (if any) and
-/// acknowledge-join tree, re-clocks its latch enables from `clock_net`
-/// (master transparent clock-low via an inverter, slave clock-high via a
-/// buffer — the master/slave phasing of the original flip-flops), and
-/// rewires each controlled successor's request input: a direct loopback
-/// wire becomes the successor's own loopback (the successor is now a
-/// source itself), a join-tree input is shorted through to its sibling
-/// (a C-element with equal inputs follows them).
+/// Degrades source region `region` (named `name`) back to synchronous:
+/// takes its entry out of `controls`, removes its controller pair, delay
+/// element, request-extending latch (if any) and join trees, re-clocks
+/// its latch enables from `clock` (master transparent clock-low via an
+/// inverter, slave clock-high via a buffer — the master/slave phasing of
+/// the original flip-flops), and rewires each successor in `succs` that
+/// still has a control network: a direct loopback wire becomes the
+/// successor's own loopback (the successor is now a source itself), a
+/// join-tree input is shorted through to its sibling (a C-element with
+/// equal inputs follows them).
 ///
 /// Only *sources* are ever degraded here, which is what keeps the
 /// surgery tractable: no upstream region holds a reference to a source's
 /// handshake nets.
 ///
 /// # Errors
-/// [`DesyncError::Pipeline`] when the expected structure is missing;
+/// [`DesyncError::Pipeline`] when `region` has no control network;
 /// propagates netlist errors.
 pub fn apply_degrade(
-    design: &mut Design,
-    top: ModuleId,
-    region: &str,
-    succs: &[String],
-    clock_net: &str,
-) -> Result<DegradeStats, DesyncError> {
-    let m = design.module_mut(top);
-    let ros = m
-        .find_net(&format!("drd_{region}_ros"))
+    m: &mut Module,
+    controls: &mut [Option<RegionControl>],
+    region: usize,
+    succs: &[usize],
+    clock: NetId,
+    name: &str,
+) -> Result<(), DesyncError> {
+    let ctl = controls
+        .get_mut(region)
+        .and_then(Option::take)
         .ok_or_else(|| DesyncError::Pipeline {
-            message: format!("liveness degrade: net `drd_{region}_ros` missing"),
+            message: format!("liveness degrade: region `{name}` has no control network"),
         })?;
+    let ros = Conn::Net(ctl.ros);
 
     // Rewire successors off the dying request net first.
-    for s in succs {
-        let delem_name = format!("drd_{s}_delem");
-        let delem = m.find_cell(&delem_name).ok_or_else(|| DesyncError::Pipeline {
-            message: format!("liveness degrade: delay element `{delem_name}` missing"),
-        })?;
-        let direct = m
-            .cell_pins(delem)
-            .iter()
-            .any(|&(p, c)| m.resolve(p) == "in1" && c == Conn::Net(ros));
-        if direct {
+    for succ in succs.iter().filter_map(|&s| controls.get(s)?.as_ref()) {
+        if m.cell(succ.delem).pin("in1") == Some(ros) {
             // The source was the successor's only predecessor: loop the
             // successor's own slave request back, making it a source.
-            let own = m.find_net(&format!("drd_{s}_ros")).ok_or_else(|| {
-                DesyncError::Pipeline {
-                    message: format!("liveness degrade: net `drd_{s}_ros` missing"),
-                }
-            })?;
-            m.set_pin(delem, "in1", Conn::Net(own));
+            m.set_pin(succ.delem, "in1", Conn::Net(succ.ros));
             continue;
         }
         // Request join tree: short the source's input through to its
         // sibling — C2(x, x) is a follower of x.
-        let join_prefix = format!("drd_{s}_ri_uc");
-        let joins: Vec<CellId> = m
-            .cells()
-            .filter(|(_, c)| c.name.starts_with(join_prefix.as_str()))
-            .map(|(id, _)| id)
-            .collect();
-        for id in joins {
+        for &id in &succ.request_join {
             let pins = m.cell_pins(id);
             let Some(&(hit, _)) = pins
                 .iter()
-                .find(|&&(p, c)| c == Conn::Net(ros) && m.resolve(p) != "Z")
+                .find(|&&(p, c)| c == ros && m.resolve(p) != "Z")
             else {
                 continue;
             };
             let Some(&(_, sibling)) = pins
                 .iter()
-                .find(|&&(p, c)| p != hit && c != Conn::Net(ros) && m.resolve(p) != "Z")
+                .find(|&&(p, c)| p != hit && c != ros && m.resolve(p) != "Z")
             else {
                 continue;
             };
@@ -721,58 +670,25 @@ pub fn apply_degrade(
     }
 
     // Remove the region's control machinery.
-    let exact = [
-        format!("drd_{region}_ctlm"),
-        format!("drd_{region}_ctls"),
-        format!("drd_{region}_delem"),
-        format!("drd_{region}_reqext"),
-        format!("drd_{region}_reqext_inv"),
-    ];
-    let ao_prefix = format!("drd_{region}_ao_uc");
-    let ri_prefix = format!("drd_{region}_ri_uc");
-    let mut stats = DegradeStats::default();
-    let doomed: Vec<(CellId, String, bool)> = m
-        .cells()
-        .filter(|(_, c)| {
-            exact.iter().any(|e| e.as_str() == c.name)
-                || c.name.starts_with(ao_prefix.as_str())
-                || c.name.starts_with(ri_prefix.as_str())
-        })
-        .map(|(id, c)| (id, c.name.to_owned(), c.kind_name() == "C2X1"))
-        .collect();
-    for (id, name, is_c2) in doomed {
+    let latch = ctl.latch.into_iter().flat_map(|(c, inv)| [c, inv]);
+    for id in [ctl.master, ctl.slave, ctl.delem]
+        .into_iter()
+        .chain(latch)
+        .chain(ctl.request_join)
+        .chain(ctl.ack_join)
+    {
         m.remove_cell(id);
-        if is_c2 {
-            stats.removed_celements += 1;
-        }
-        stats.removed_cells.push(name);
     }
 
     // Re-clock the latch enables from the original clock: the master
     // latch is transparent while the clock is low, the slave while it is
     // high — together an edge-triggered pair again. The enable-tree
     // buffers keep fanning the re-driven root nets out.
-    let clk = m.find_net(clock_net).ok_or_else(|| DesyncError::Pipeline {
-        message: format!("liveness degrade: clock net `{clock_net}` missing"),
-    })?;
-    let (gm_name, gs_name) = enable_net_names(region);
-    let gm = m.find_net(&gm_name).ok_or_else(|| DesyncError::Pipeline {
-        message: format!("liveness degrade: enable net `{gm_name}` missing"),
-    })?;
-    let gs = m.find_net(&gs_name).ok_or_else(|| DesyncError::Pipeline {
-        message: format!("liveness degrade: enable net `{gs_name}` missing"),
-    })?;
-    m.add_cell(
-        format!("drd_{region}_syncm"),
-        "INVX1",
-        &[("A", Conn::Net(clk)), ("Z", Conn::Net(gm))],
-    )?;
-    m.add_cell(
-        format!("drd_{region}_syncs"),
-        "BUFX1",
-        &[("A", Conn::Net(clk)), ("Z", Conn::Net(gs))],
-    )?;
-    Ok(stats)
+    let syncm = m.unique_cell_name(&format!("drd_{name}_syncm"));
+    m.add_cell(syncm, "INVX1", &[("A", Conn::Net(clock)), ("Z", Conn::Net(ctl.gm))])?;
+    let syncs = m.unique_cell_name(&format!("drd_{name}_syncs"));
+    m.add_cell(syncs, "BUFX1", &[("A", Conn::Net(clock)), ("Z", Conn::Net(ctl.gs))])?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! eager output environment (`ao = ro`).
 
 use drd_liberty::Library;
-use drd_netlist::{Conn, Design, Endpoint, Module, ModuleId, NetId, PinUse};
+use drd_netlist::{CellId, Conn, Design, Endpoint, Module, ModuleId, NetId, PinUse};
 
 use crate::celement;
 use crate::controller::{build_controller, ControllerRole};
@@ -25,27 +25,72 @@ pub fn enable_net_names(region: &str) -> (String, String) {
     (format!("drd_{region}_gm"), format!("drd_{region}_gs"))
 }
 
+/// What [`insert_control_network`] built for one controlled region, by
+/// ID. The liveness guard edits it along with the netlist (deepen, latch,
+/// degrade) and the SDC pass names its cells, so no later pass looks a
+/// generated cell or net up by its name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionControl {
+    /// Matched levels of the delay element.
+    pub levels: usize,
+    /// Master latch-enable net (created by flip-flop substitution).
+    pub gm: NetId,
+    /// Slave latch-enable net (created by flip-flop substitution).
+    pub gs: NetId,
+    /// The slave controller's request out: the loopback request of a
+    /// region without controlled predecessors, and a request input of
+    /// every controlled successor.
+    pub ros: NetId,
+    /// The master controller's acknowledge out.
+    pub aim: NetId,
+    /// Master controller instance.
+    pub master: CellId,
+    /// Slave controller instance.
+    pub slave: CellId,
+    /// Delay-element instance.
+    pub delem: CellId,
+    /// C-elements joining the controlled predecessors' requests.
+    pub request_join: Vec<CellId>,
+    /// C-elements joining the controlled successors' acknowledges.
+    pub ack_join: Vec<CellId>,
+    /// The request-extending latch `(C2X1, INVX1)`, once the liveness
+    /// guard has inserted one on the loopback.
+    pub latch: Option<(CellId, CellId)>,
+}
+
 /// Report from control-network insertion.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkReport {
-    /// Controller instances inserted (2 per controlled region).
-    pub controllers: usize,
-    /// C-elements inserted for request/acknowledge joins.
-    pub celements: usize,
-    /// Delay-element instances inserted.
-    pub delay_elements: usize,
-    /// Chain length (matched levels) per region (0 = no controller).
-    pub delem_levels: Vec<usize>,
-    /// Names of all controller instances (`(master, slave)` per region).
-    pub controller_instances: Vec<(String, String)>,
-    /// Names of every C-element cell in the request/acknowledge joins —
-    /// targeted mutation points for the fault-injection harness.
-    pub celement_instances: Vec<String>,
-    /// Names of every delay-element instance, one per controlled region —
-    /// targeted mutation points for matched-delay faults.
-    pub delay_element_instances: Vec<String>,
-    /// Buffers inserted for the low-skew enable trees.
-    pub enable_tree_buffers: usize,
+    /// Per region, in region-index order: what was built for it. `None`
+    /// for a region without flip-flops or one left synchronous.
+    pub regions: Vec<Option<RegionControl>>,
+}
+
+impl NetworkReport {
+    /// Controller instances (2 per controlled region).
+    pub fn controllers(&self) -> usize {
+        2 * self.delay_elements()
+    }
+
+    /// C-elements in the request/acknowledge joins and the
+    /// request-extending latches.
+    pub fn celements(&self) -> usize {
+        self.regions
+            .iter()
+            .flatten()
+            .map(|c| c.request_join.len() + c.ack_join.len() + usize::from(c.latch.is_some()))
+            .sum()
+    }
+
+    /// Delay-element instances (one per controlled region).
+    pub fn delay_elements(&self) -> usize {
+        self.regions.iter().flatten().count()
+    }
+
+    /// Matched levels of region `i`'s delay element (0 = no controller).
+    pub fn delem_levels(&self, i: usize) -> usize {
+        self.regions.get(i).and_then(Option::as_ref).map_or(0, |c| c.levels)
+    }
 }
 
 /// Delay-element sizing knobs for [`insert_control_network`].
@@ -55,6 +100,15 @@ pub struct NetworkOptions {
     pub muxed: bool,
     /// Safety factor on the matched delay (e.g. 1.1 = +10%).
     pub margin: f64,
+}
+
+/// The four handshake nets of one controlled region.
+#[derive(Debug, Clone, Copy)]
+struct HandshakeNets {
+    rom: NetId,
+    ros: NetId,
+    aim: NetId,
+    ais: NetId,
 }
 
 /// Inserts the full controller network into `design`'s module `top`.
@@ -85,7 +139,6 @@ pub fn insert_control_network(
     opts: NetworkOptions,
 ) -> Result<NetworkReport, DesyncError> {
     let NetworkOptions { muxed, margin } = opts;
-    let mut report = NetworkReport::default();
 
     // Controller modules (once).
     for role in [ControllerRole::Master, ControllerRole::Slave] {
@@ -123,32 +176,26 @@ pub fn insert_control_network(
         Vec::new()
     };
 
-    let n = regions.regions.len();
-    let controlled: Vec<bool> = regions
-        .regions
-        .iter()
-        .enumerate()
-        .map(|(i, r)| !r.seq_cells.is_empty() && degraded.get(i) != Some(&true))
-        .collect();
-
-    // Per-region handshake nets (created up-front so joins can reference
-    // any region).
-    let mut rom = vec![None; n];
-    let mut ros = vec![None; n];
-    let mut aim = vec![None; n];
-    let mut ais = vec![None; n];
-    {
+    // Per-region handshake nets of the controlled regions (created
+    // up-front so joins can reference any region).
+    let nets: Vec<Option<HandshakeNets>> = {
         let m = design.module_mut(top);
-        for (i, r) in regions.regions.iter().enumerate() {
-            if !controlled[i] {
-                continue;
-            }
-            rom[i] = Some(m.add_net_auto(&format!("drd_{}_rom", r.name)));
-            ros[i] = Some(m.add_net_auto(&format!("drd_{}_ros", r.name)));
-            aim[i] = Some(m.add_net_auto(&format!("drd_{}_aim", r.name)));
-            ais[i] = Some(m.add_net_auto(&format!("drd_{}_ais", r.name)));
-        }
-    }
+        regions
+            .regions
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                (!r.seq_cells.is_empty() && degraded.get(i) != Some(&true)).then(|| {
+                    HandshakeNets {
+                        rom: m.add_net_auto(&format!("drd_{}_rom", r.name)),
+                        ros: m.add_net_auto(&format!("drd_{}_ros", r.name)),
+                        aim: m.add_net_auto(&format!("drd_{}_aim", r.name)),
+                        ais: m.add_net_auto(&format!("drd_{}_ais", r.name)),
+                    }
+                })
+            })
+            .collect()
+    };
 
     // Delay-element sizing: the per-level delay is measured by STA once,
     // on first need, then each region's length is plain arithmetic;
@@ -159,9 +206,9 @@ pub fn insert_control_network(
         0
     };
     let mut level_delay_ns = None;
-    let mut delem_levels = vec![0usize; n];
-    for i in 0..n {
-        if !controlled[i] {
+    let mut delem_levels = vec![0usize; nets.len()];
+    for (i, own) in nets.iter().enumerate() {
+        if own.is_none() {
             continue;
         }
         let target = region_delays_ns.get(i).copied().unwrap_or(0.0);
@@ -184,14 +231,14 @@ pub fn insert_control_network(
             design.insert(module);
         }
     }
-    report.delem_levels = delem_levels.clone();
 
     // Wiring per region.
+    let mut controls = Vec::with_capacity(nets.len());
     for (i, r) in regions.regions.iter().enumerate() {
-        if !controlled[i] {
-            report.controller_instances.push((String::new(), String::new()));
+        let Some(own) = nets[i] else {
+            controls.push(None);
             continue;
-        }
+        };
         let m = design.module_mut(top);
         let (gm_name, gs_name) = enable_net_names(&r.name);
         let gm = m
@@ -206,17 +253,13 @@ pub fn insert_control_network(
         // Input requests: predecessors' slave ro, joined and delayed.
         let pred_reqs: Vec<NetId> = ddg.preds[i]
             .iter()
-            .filter(|&&p| controlled[p])
-            .map(|&p| ros[p].expect("controlled predecessor has nets"))
+            .filter_map(|&p| nets[p].map(|n| n.ros))
             .collect();
-        let raw_req = if pred_reqs.is_empty() {
+        let (raw_req, request_join) = if pred_reqs.is_empty() {
             // Environment loopback: always-ready input.
-            ros[i].expect("own nets exist")
+            (own.ros, Vec::new())
         } else {
-            let (net, c) = celement::join(m, &pred_reqs, &format!("drd_{}_ri", r.name))?;
-            report.celements += c.celements;
-            report.celement_instances.extend(c.cells);
-            net
+            celement::join(m, &pred_reqs, &format!("drd_{}_ri", r.name))?
         };
         let rim = m.add_net_auto(&format!("drd_{}_rim", r.name));
         let delem_name = delem_module_name(muxed, delem_levels[i]);
@@ -229,80 +272,78 @@ pub fn insert_control_network(
             }
         }
         let delem_inst = m.unique_cell_name(&format!("drd_{}_delem", r.name));
-        m.add_instance(delem_inst.clone(), delem_name, &delem_pins)?;
-        report.delay_elements += 1;
-        report.delay_element_instances.push(delem_inst);
+        let delem = m.add_instance(delem_inst, delem_name, &delem_pins)?;
 
         // Output acknowledgements: successors' master ai, joined.
         let succ_acks: Vec<NetId> = ddg.succs[i]
             .iter()
-            .filter(|&&s| controlled[s])
-            .map(|&s| aim[s].expect("controlled successor has nets"))
+            .filter_map(|&s| nets[s].map(|n| n.aim))
             .collect();
-        let slave_ao = if succ_acks.is_empty() {
+        let (slave_ao, ack_join) = if succ_acks.is_empty() {
             // Eager output environment: acknowledge own request.
-            ros[i].expect("own nets exist")
+            (own.ros, Vec::new())
         } else {
-            let (net, c) = celement::join(m, &succ_acks, &format!("drd_{}_ao", r.name))?;
-            report.celements += c.celements;
-            report.celement_instances.extend(c.cells);
-            net
+            celement::join(m, &succ_acks, &format!("drd_{}_ao", r.name))?
         };
 
         // The controller pair.
         let master_name = m.unique_cell_name(&format!("drd_{}_ctlm", r.name));
-        m.add_instance(
-            master_name.clone(),
+        let master = m.add_instance(
+            master_name,
             ControllerRole::Master.module_name(),
             &[
                 ("ri", Conn::Net(rim)),
-                ("ao", Conn::Net(ais[i].expect("own nets"))),
+                ("ao", Conn::Net(own.ais)),
                 ("rst", Conn::Net(rst)),
-                ("ai", Conn::Net(aim[i].expect("own nets"))),
-                ("ro", Conn::Net(rom[i].expect("own nets"))),
+                ("ai", Conn::Net(own.aim)),
+                ("ro", Conn::Net(own.rom)),
                 ("g", Conn::Net(gm)),
             ],
         )?;
         let slave_name = m.unique_cell_name(&format!("drd_{}_ctls", r.name));
-        m.add_instance(
-            slave_name.clone(),
+        let slave = m.add_instance(
+            slave_name,
             ControllerRole::Slave.module_name(),
             &[
-                ("ri", Conn::Net(rom[i].expect("own nets"))),
+                ("ri", Conn::Net(own.rom)),
                 ("ao", Conn::Net(slave_ao)),
                 ("rst", Conn::Net(rst)),
-                ("ai", Conn::Net(ais[i].expect("own nets"))),
-                ("ro", Conn::Net(ros[i].expect("own nets"))),
+                ("ai", Conn::Net(own.ais)),
+                ("ro", Conn::Net(own.ros)),
                 ("g", Conn::Net(gs)),
             ],
         )?;
-        report.controllers += 2;
-        report
-            .controller_instances
-            .push((master_name, slave_name));
+        controls.push(Some(RegionControl {
+            levels: delem_levels[i],
+            gm,
+            gs,
+            ros: own.ros,
+            aim: own.aim,
+            master,
+            slave,
+            delem,
+            request_join,
+            ack_join,
+            latch: None,
+        }));
     }
 
     // Low-skew enable trees: bound every enable net's fanout so large
     // regions' latch phases stay crisp (CTS's job in the paper's backend).
     // Degraded regions have no enable nets and get no tree.
-    let enable_nets: Vec<(NetId, String)> = regions
-        .regions
-        .iter()
-        .filter(|r| !r.seq_cells.is_empty())
-        .flat_map(|r| <[String; 2]>::from(enable_net_names(&r.name)))
-        .filter_map(|name| Some((design.module(top).find_net(&name)?, name)))
-        .collect();
+    let enable_nets: Vec<NetId> = controls.iter().flatten().flat_map(|c| [c.gm, c.gs]).collect();
     if !enable_nets.is_empty() {
         // One connectivity snapshot serves every tree: buffering an enable
         // net re-points only that net's own loads, so the snapshot's load
         // lists of all the other enable nets stay exact.
         let conn = design.module(top).connectivity(&design.pin_dirs(lib))?;
         let m = design.module_mut(top);
-        for (net, name) in &enable_nets {
-            report.enable_tree_buffers += buffer_enable_tree(m, *net, name, conn.loads(*net), 16)?;
+        for net in enable_nets {
+            let name = m.net(net).name.to_owned();
+            buffer_enable_tree(m, net, &name, conn.loads(net), 16)?;
         }
     }
-    Ok(report)
+    Ok(NetworkReport { regions: controls })
 }
 
 /// Builds a balanced buffer tree so the latch-enable net `net` (named
@@ -315,12 +356,11 @@ fn buffer_enable_tree(
     net_name: &str,
     loads: &[Endpoint],
     max_fanout: usize,
-) -> Result<usize, DesyncError> {
+) -> Result<(), DesyncError> {
     // After the first level the remaining loads on `net` are exactly the
     // buffers just inserted, so they are tracked directly instead of
     // rescanning the module.
     let mut current: Vec<Endpoint> = loads.to_vec();
-    let mut inserted = 0usize;
     while current.len() > max_fanout {
         let mut next: Vec<Endpoint> =
             Vec::with_capacity(current.len().div_ceil(max_fanout));
@@ -332,7 +372,6 @@ fn buffer_enable_tree(
                 "BUFX2",
                 &[("A", Conn::Net(net)), ("Z", Conn::Net(out))],
             )?;
-            inserted += 1;
             for load in chunk {
                 if let Endpoint::Pin(p) = load {
                     let pin = m.cell_pins(p.cell)[p.pin as usize].0;
@@ -345,7 +384,7 @@ fn buffer_enable_tree(
         }
         current = next;
     }
-    Ok(inserted)
+    Ok(())
 }
 
 /// Module name of a delay element: `drd_delem_<levels>` (fixed) or
@@ -361,6 +400,7 @@ pub fn delem_module_name(muxed: bool, levels: usize) -> String {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::panic)]
     use super::*;
     use crate::ddg;
     use crate::ffsub::substitute_ffs;
@@ -419,8 +459,8 @@ mod tests {
         let report =
             insert_control_network(&mut design, top, &regions, &graph, &delays, &lib, &[], opts)
                 .unwrap();
-        assert_eq!(report.controllers, 4, "2 regions × (master + slave)");
-        assert_eq!(report.delay_elements, 2);
+        assert_eq!(report.controllers(), 4, "2 regions × (master + slave)");
+        assert_eq!(report.delay_elements(), 2);
         let m = design.module(top);
         assert!(m.find_port("drd_rst").is_some());
         // The region with a predecessor has its request joined/delayed
@@ -433,6 +473,17 @@ mod tests {
             .filter(|(_, c)| c.kind_name().starts_with("drd_delem"))
             .count();
         assert_eq!(delems, 2);
+        // The table holds the IDs of what was built for each region.
+        for c in report.regions.iter().flatten() {
+            let (master, slave) = (m.cell(c.master), m.cell(c.slave));
+            assert_eq!(master.kind_name(), "drd_ctrl_master");
+            assert_eq!(slave.kind_name(), "drd_ctrl_slave");
+            assert_eq!(m.cell(c.delem).pin("out1"), master.pin("ri"));
+            assert_eq!(master.pin("ai"), Some(Conn::Net(c.aim)));
+            assert_eq!(master.pin("g"), Some(Conn::Net(c.gm)));
+            assert_eq!(slave.pin("ro"), Some(Conn::Net(c.ros)));
+            assert_eq!(slave.pin("g"), Some(Conn::Net(c.gs)));
+        }
     }
 
     #[test]
@@ -454,13 +505,10 @@ mod tests {
             opts,
         )
         .unwrap();
-        assert_eq!(report.controllers, 2, "only the non-degraded region");
-        assert_eq!(report.delay_elements, 1);
-        assert_eq!(
-            report.controller_instances[g1],
-            (String::new(), String::new())
-        );
-        assert_eq!(report.delem_levels[g1], 0);
+        assert_eq!(report.controllers(), 2, "only the non-degraded region");
+        assert_eq!(report.delay_elements(), 1);
+        assert_eq!(report.regions[g1], None);
+        assert_eq!(report.delem_levels(g1), 0);
         let m = design.module(top);
         assert!(m.find_cell("drd_g1_ctlm").is_none());
         assert!(m.find_cell("drd_g1_delem").is_none());
@@ -478,7 +526,7 @@ mod tests {
         for b in 0..3 {
             assert!(m.find_port(&format!("dsel[{b}]")).is_some());
         }
-        assert!(report.delem_levels.iter().all(|&l| l >= 1));
+        assert!(report.regions.iter().flatten().all(|c| c.levels >= 1));
         assert!(design
             .modules()
             .any(|(_, module)| module.name.starts_with("drd_delemx_")));

@@ -217,15 +217,6 @@ impl<'a> FlowContext<'a> {
         }
     }
 
-    fn design_mut(&mut self) -> Result<(&mut Design, ModuleId), DesyncError> {
-        match &mut self.netlist {
-            Netlist::Design { design, top } => Ok((design, *top)),
-            Netlist::Module(_) => {
-                Err(missing("the desynchronized design", "control-network"))
-            }
-        }
-    }
-
     /// Consumes the context into the flow result. All eight passes must
     /// have run.
     ///
@@ -255,7 +246,7 @@ impl<'a> FlowContext<'a> {
                 cells: r.cells.len(),
                 ffs: r.seq_cells.len(),
                 critical_delay_ns: delays[i],
-                delem_levels: net_report.delem_levels[i],
+                delem_levels: net_report.delem_levels(i),
             })
             .collect();
         let ddg_edges = graph
@@ -278,8 +269,8 @@ impl<'a> FlowContext<'a> {
                 ddg_edges,
                 substituted_ffs: self.substituted_ffs,
                 extra_gates: self.extra_gates,
-                controllers: net_report.controllers,
-                celements: net_report.celements,
+                controllers: net_report.controllers(),
+                celements: net_report.celements(),
                 cleaned_cells: self.cleaned_cells,
                 degradations: self.trace.degradations,
                 liveness_repairs: self.trace.liveness_repairs,
@@ -659,7 +650,9 @@ impl Pass for ControlNetworkPass {
         let net_report = inserted?;
         let detail = format!(
             "{} controllers, {} C-elements, {} delay elements",
-            net_report.controllers, net_report.celements, net_report.delay_elements
+            net_report.controllers(),
+            net_report.celements(),
+            net_report.delay_elements()
         );
         cx.network = Some(net_report);
         Ok(PassReport::new(vec!["network-report", "design"], detail))
@@ -680,10 +673,6 @@ impl Pass for LivenessGuardPass {
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
         let lib = cx.lib;
-        let clock_name = cx
-            .clock_net
-            .clone()
-            .ok_or_else(|| missing("clock net", "clock-id"))?;
         let delays = cx
             .region_delays
             .as_deref()
@@ -708,14 +697,12 @@ impl Pass for LivenessGuardPass {
                 .enumerate()
                 .map(|(i, r)| RegionState {
                     name: r.name.clone(),
-                    controlled: net_report.delem_levels[i] > 0,
-                    levels: net_report.delem_levels[i],
+                    controlled: net_report.delem_levels(i) > 0,
+                    levels: net_report.delem_levels(i),
                     latched: false,
                 })
                 .collect()
         };
-        let mut replay = states.clone();
-
         let model = liveness::ResponseModel::probe(lib)?;
         // The spec projection's FF overhead only shapes the synchronous
         // comparison inside the simulator, never the deadlock verdict —
@@ -750,84 +737,7 @@ impl Pass for LivenessGuardPass {
             ));
         }
 
-        // Apply the planned surgery serially, in record order, replaying
-        // the spec-level state so later records see earlier effects.
-        let muxed = cx.opts.muxed_delay_elements;
-        let idx_of = |replay: &[RegionState], name: &str| {
-            replay
-                .iter()
-                .position(|s| s.name == name)
-                .ok_or_else(|| DesyncError::Pipeline {
-                    message: format!("liveness repair names unknown region `{name}`"),
-                })
-        };
-        for rep in &repairs {
-            let i = idx_of(&replay, &rep.region)?;
-            match &rep.action {
-                LivenessAction::DeepenSuccessor { successor, to_levels, .. } => {
-                    let (design, top) = cx.design_mut()?;
-                    liveness::apply_deepen(design, top, successor, *to_levels, muxed, lib)?;
-                    let si = idx_of(&replay, successor)?;
-                    replay[si].levels = *to_levels;
-                    if let Some(nr) = cx.network.as_mut() {
-                        nr.delem_levels[si] = *to_levels;
-                    }
-                }
-                LivenessAction::RequestLatch => {
-                    let (design, top) = cx.design_mut()?;
-                    liveness::apply_latch(design, top, &rep.region)?;
-                    replay[i].latched = true;
-                    if let Some(nr) = cx.network.as_mut() {
-                        nr.celements += 1;
-                        nr.celement_instances.push(format!("drd_{}_reqext", rep.region));
-                    }
-                }
-                LivenessAction::Degrade => {
-                    let succs: Vec<String> = edges
-                        .iter()
-                        .filter(|&&(p, s)| p == i && s != i && replay[s].controlled)
-                        .map(|&(_, s)| replay[s].name.clone())
-                        .collect();
-                    let (design, top) = cx.design_mut()?;
-                    let stats = liveness::apply_degrade(
-                        design,
-                        top,
-                        &rep.region,
-                        &succs,
-                        &clock_name,
-                    )?;
-                    replay[i].controlled = false;
-                    replay[i].latched = false;
-                    if let Some(nr) = cx.network.as_mut() {
-                        nr.delem_levels[i] = 0;
-                        nr.controllers = nr.controllers.saturating_sub(2);
-                        nr.delay_elements = nr.delay_elements.saturating_sub(1);
-                        nr.celements =
-                            nr.celements.saturating_sub(stats.removed_celements);
-                        nr.controller_instances[i] = (String::new(), String::new());
-                        let delem = format!("drd_{}_delem", rep.region);
-                        nr.delay_element_instances.retain(|d| d != &delem);
-                        nr.celement_instances
-                            .retain(|c| !stats.removed_cells.contains(c));
-                    }
-                    // The region's flip-flops were substituted; their
-                    // removed cells keep their names.
-                    let regions = cx
-                        .regions
-                        .as_ref()
-                        .ok_or_else(|| missing("regions", "group"))?;
-                    let reason = DegradeReason::Liveness {
-                        message: format!(
-                            "request pulse {:.3} ns vs successor response {:.3} ns; \
-                             deepen and latch repairs did not restore liveness",
-                            rep.rise_ns, rep.response_bound_ns
-                        ),
-                    };
-                    let d = degradation(cx.top_module(), &regions.regions[i], reason);
-                    cx.record_degradation(i, d);
-                }
-            }
-        }
+        apply_liveness_repairs(cx, &repairs)?;
         let count = |action: fn(&LivenessAction) -> bool| {
             repairs.iter().filter(|r| action(&r.action)).count()
         };
@@ -843,6 +753,87 @@ impl Pass for LivenessGuardPass {
     }
 }
 
+/// Applies the liveness guard's planned surgery, serially and in record
+/// order, to the netlist and to the control network's ID table, so later
+/// records see earlier effects.
+fn apply_liveness_repairs(
+    cx: &mut FlowContext<'_>,
+    repairs: &[LivenessRepair],
+) -> Result<(), DesyncError> {
+    let lib = cx.lib;
+    let muxed = cx.opts.muxed_delay_elements;
+    let clock_name = cx
+        .clock_net
+        .as_deref()
+        .ok_or_else(|| missing("clock net", "clock-id"))?;
+    let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
+    let edges = &cx.ddg.as_ref().ok_or_else(|| missing("DDG", "ddg"))?.edges;
+    let network = cx
+        .network
+        .as_mut()
+        .ok_or_else(|| missing("network report", "control-network"))?;
+    let Netlist::Design { design, top } = &mut cx.netlist else {
+        return Err(missing("the desynchronized design", "control-network"));
+    };
+    let top = *top;
+    let index = |name: &str| {
+        regions
+            .regions
+            .iter()
+            .position(|r| r.name == name)
+            .ok_or_else(|| DesyncError::Pipeline {
+                message: format!("liveness repair names unknown region `{name}`"),
+            })
+    };
+    let uncontrolled = |name: &str| DesyncError::Pipeline {
+        message: format!("liveness repair: region `{name}` has no control network"),
+    };
+    let mut degraded = Vec::new();
+    for rep in repairs {
+        let i = index(&rep.region)?;
+        match &rep.action {
+            LivenessAction::DeepenSuccessor { successor, to_levels, .. } => {
+                let ctl = network.regions[index(successor)?]
+                    .as_mut()
+                    .ok_or_else(|| uncontrolled(successor))?;
+                liveness::apply_deepen(design, top, ctl, *to_levels, muxed, lib)?;
+            }
+            LivenessAction::RequestLatch => {
+                let ctl = network.regions[i]
+                    .as_mut()
+                    .ok_or_else(|| uncontrolled(&rep.region))?;
+                liveness::apply_latch(design.module_mut(top), ctl, &rep.region)?;
+            }
+            LivenessAction::Degrade => {
+                let succs: Vec<usize> = edges
+                    .iter()
+                    .filter(|&&(p, s)| p == i && s != i)
+                    .map(|&(_, s)| s)
+                    .collect();
+                let m = design.module_mut(top);
+                let clock = m.find_net(clock_name).ok_or_else(|| DesyncError::Pipeline {
+                    message: format!("liveness degrade: clock net `{clock_name}` missing"),
+                })?;
+                liveness::apply_degrade(m, &mut network.regions, i, &succs, clock, &rep.region)?;
+                // The region's flip-flops were substituted; their
+                // removed cells keep their names.
+                let reason = DegradeReason::Liveness {
+                    message: format!(
+                        "request pulse {:.3} ns vs successor response {:.3} ns; \
+                         deepen and latch repairs did not restore liveness",
+                        rep.rise_ns, rep.response_bound_ns
+                    ),
+                };
+                degraded.push((i, degradation(m, &regions.regions[i], reason)));
+            }
+        }
+    }
+    for (i, d) in degraded {
+        cx.record_degradation(i, d);
+    }
+    Ok(())
+}
+
 /// Backend constraint generation (§4.4–§4.6, Figs. 4.2/4.5).
 pub struct SdcPass;
 
@@ -856,7 +847,6 @@ impl Pass for SdcPass {
             .clock_net
             .as_deref()
             .ok_or_else(|| missing("clock net", "clock-id"))?;
-        let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
         let delays = cx
             .region_delays
             .as_deref()
@@ -865,27 +855,27 @@ impl Pass for SdcPass {
             .network
             .as_ref()
             .ok_or_else(|| missing("network report", "control-network"))?;
-        let delem_min: Vec<(String, f64)> = regions
-            .regions
-            .iter()
-            .enumerate()
-            .filter(|&(i, r)| !r.seq_cells.is_empty() && delays[i] > 0.0 && !cx.degraded[i])
-            .map(|(i, r)| (format!("drd_{}_delem", r.name), delays[i]))
-            .collect();
-        // The SDC text names the degraded regions in record order.
-        let degraded: Vec<String> = cx
-            .trace
-            .degradations
-            .iter()
-            .map(|d| d.region.clone())
-            .collect();
-        let spec = sdc::spec_from_report(
-            cx.opts.clock_period_ns,
-            clock_name,
-            net_report,
-            &delem_min,
-            &degraded,
-        );
+        // The controlled regions' cells are named here, for the SDC text
+        // only; the degraded regions are named in record order.
+        let m = cx.top_module();
+        let name = |id| m.cell(id).name.to_owned();
+        let controlled = || {
+            net_report
+                .regions
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| Some((i, c.as_ref()?)))
+        };
+        let spec = sdc::SdcSpec {
+            period_ns: cx.opts.clock_period_ns,
+            clock_port: clock_name.to_owned(),
+            controllers: controlled().map(|(_, c)| (name(c.master), name(c.slave))).collect(),
+            delay_elements: controlled()
+                .filter(|&(i, _)| delays[i] > 0.0)
+                .map(|(i, c)| (name(c.delem), delays[i]))
+                .collect(),
+            degraded: cx.trace.degradations.iter().map(|d| d.region.clone()).collect(),
+        };
         let workers = cx.opts.workers();
         let (text, region_wall_ns) = sdc::generate_with(&spec, workers);
         let detail = format!("{} SDC lines", text.lines().count());
@@ -1568,5 +1558,182 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// The liveness stall shape: source `g1` (24 NAND2X1 with tied inputs
+    /// from `din` into `ra`) feeds sink `g2` (one INVX1, named `inv`, from
+    /// `qa` into `rb`). The sink answers far faster than the source's
+    /// matched delay rises.
+    fn stall_shape(inv: &str) -> Module {
+        let mut m = Module::new("stall");
+        m.add_port("clk", PortDir::Input).unwrap();
+        m.add_port("din", PortDir::Input).unwrap();
+        m.add_port("dout", PortDir::Output).unwrap();
+        let clk = m.find_net("clk").unwrap();
+        let dout = m.find_net("dout").unwrap();
+        let mut prev = m.find_net("din").unwrap();
+        for i in 0..24 {
+            let z = m.add_net(format!("n{i}")).unwrap();
+            m.add_cell(
+                format!("nand{i}"),
+                "NAND2X1",
+                &[("A", Conn::Net(prev)), ("B", Conn::Net(prev)), ("Z", Conn::Net(z))],
+            )
+            .unwrap();
+            prev = z;
+        }
+        let qa = m.add_net("qa").unwrap();
+        m.add_cell(
+            "ra",
+            "DFFX1",
+            &[("D", Conn::Net(prev)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(qa))],
+        )
+        .unwrap();
+        let nb = m.add_net("nb").unwrap();
+        m.add_cell(inv, "INVX1", &[("A", Conn::Net(qa)), ("Z", Conn::Net(nb))])
+            .unwrap();
+        m.add_cell(
+            "rb",
+            "DFFX1",
+            &[("D", Conn::Net(nb)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(dout))],
+        )
+        .unwrap();
+        m
+    }
+
+    /// The network report's `[controllers, C-elements, delay elements]`.
+    fn network_counts(cx: &FlowContext<'_>) -> [usize; 3] {
+        let nr = cx.network().unwrap();
+        [nr.controllers(), nr.celements(), nr.delay_elements()]
+    }
+
+    /// The same three counts, taken from the top module's cell kinds.
+    fn netlist_counts(cx: &FlowContext<'_>) -> [usize; 3] {
+        let m = cx.top_module();
+        let count = |f: &dyn Fn(&str) -> bool| m.cells().filter(|(_, c)| f(c.kind_name())).count();
+        [
+            count(&|k| k == "drd_ctrl_master" || k == "drd_ctrl_slave"),
+            count(&|k| k == "C2X1"),
+            count(&|k| k.starts_with("drd_delem_")),
+        ]
+    }
+
+    /// Rung 3 of the repair ladder, which no flow input reaches: the
+    /// records the liveness pass would apply (latch, then degrade) for
+    /// the stall shape's source, through the pass's own apply code.
+    #[test]
+    fn degrade_surgery_strips_the_source_and_reclocks_it() {
+        let lib = vlib90::high_speed();
+        let tool = Desynchronizer::new(&lib).unwrap();
+        let mut cx = FlowContext::new(
+            &lib,
+            tool.gatefile(),
+            stall_shape("inv"),
+            DesyncOptions::default(),
+        );
+        let (head, _) = Pipeline::standard().split_after("control-network").unwrap();
+        head.run(&mut cx).unwrap();
+        assert_eq!(network_counts(&cx), netlist_counts(&cx));
+        assert_eq!(network_counts(&cx)[0], 4, "g1 and g2 are controlled");
+        let repair = |action| LivenessRepair {
+            region: "g1".into(),
+            rise_ns: 2.0,
+            response_bound_ns: 0.5,
+            action,
+        };
+
+        apply_liveness_repairs(&mut cx, &[repair(LivenessAction::RequestLatch)]).unwrap();
+        let latched = network_counts(&cx);
+        assert_eq!(latched, netlist_counts(&cx));
+        let latched_c2 = netlist_counts(&cx)[1];
+
+        apply_liveness_repairs(&mut cx, &[repair(LivenessAction::Degrade)]).unwrap();
+        let degraded = network_counts(&cx);
+        assert_eq!(degraded, netlist_counts(&cx));
+        assert_eq!(latched[0] - degraded[0], 2, "g1's controller pair");
+        assert_eq!(latched[1] - degraded[1], latched_c2 - netlist_counts(&cx)[1]);
+        assert_eq!(latched[1] - degraded[1], 1, "g1's request-extending latch");
+        assert_eq!(latched[2] - degraded[2], 1, "g1's delay element");
+
+        let m = cx.top_module();
+        let net = |name: &str| Conn::Net(m.find_net(name).unwrap());
+        let left: Vec<&str> = m
+            .cells()
+            .map(|(_, c)| c.name)
+            .filter(|n| n.starts_with("drd_g1_"))
+            .collect();
+        assert_eq!(left, ["drd_g1_syncm", "drd_g1_syncs"], "only the re-clocking survives");
+        for (name, kind, enable) in [
+            ("drd_g1_syncm", "INVX1", "drd_g1_gm"),
+            ("drd_g1_syncs", "BUFX1", "drd_g1_gs"),
+        ] {
+            let cell = m.cell(m.find_cell(name).unwrap());
+            assert_eq!(cell.kind_name(), kind);
+            assert_eq!(cell.pin("A"), Some(net("clk")), "{name}");
+            assert_eq!(cell.pin("Z"), Some(net(enable)), "{name}");
+        }
+        let g2_delem = m.cell(m.find_cell("drd_g2_delem").unwrap());
+        assert_eq!(g2_delem.pin("in1"), Some(net("drd_g2_ros")), "g2 loops back its own request");
+        let d = &cx.trace().degradations;
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].region, "g1");
+        assert!(matches!(d[0].reason, DegradeReason::Liveness { .. }), "{d:?}");
+
+        SdcPass.run(&mut cx).unwrap();
+        let sdc = cx.sdc().unwrap();
+        assert!(
+            sdc.contains("set_clock_groups -asynchronous -group {Clk} -group {ClkM ClkS}"),
+            "{sdc}"
+        );
+        assert!(sdc.contains("# region `g1` left on Clk"), "{sdc}");
+        assert!(!sdc.contains("drd_g1_"), "no constraint on g1's removed machinery:\n{sdc}");
+        assert!(sdc.contains("set_dont_touch [get_cells {drd_g2_delem}]"), "{sdc}");
+    }
+
+    /// A user cell that happens to carry a generated instance name is
+    /// left alone: the guard deepens the delay element `control-network`
+    /// inserted, and the SDC protects that element.
+    #[test]
+    fn liveness_repair_and_sdc_reach_the_inserted_delay_element() {
+        let lib = vlib90::high_speed();
+        let tool = Desynchronizer::new(&lib).unwrap();
+        let result = tool
+            .run(stall_shape("drd_g2_delem"), &DesyncOptions::default())
+            .0
+            .unwrap();
+        assert_eq!(
+            result.report.liveness_repairs.iter().map(|r| &r.action).collect::<Vec<_>>(),
+            [&LivenessAction::DeepenSuccessor {
+                successor: "g2".into(),
+                from_levels: 2,
+                to_levels: 18,
+            }]
+        );
+        let m = result.design.top_module();
+        let net = |name: &str| Conn::Net(m.find_net(name).unwrap());
+        let user = m.cell(m.find_cell("drd_g2_delem").unwrap());
+        assert_eq!(user.kind_name(), "INVX1");
+        assert_eq!(user.pin("A"), Some(net("qa")));
+        assert_eq!(user.pin("Z"), Some(net("nb")));
+        assert_eq!(user.pins().len(), 2, "no delay-element pins grafted on");
+
+        // The element feeding g2's master request.
+        let master = m.cell(m.find_cell("drd_g2_ctlm").unwrap());
+        let rim = master.pin("ri").unwrap();
+        let (_, delem) = m
+            .cells()
+            .find(|(_, c)| c.pin("out1") == Some(rim))
+            .expect("a delay element drives g2's master request");
+        assert_eq!(delem.kind_name(), "drd_delem_18");
+        assert_ne!(delem.name, "drd_g2_delem");
+        let inst = delem.name;
+        assert!(
+            result.sdc.contains(&format!("-from [get_pins {{{inst}/in1}}] -to [get_pins {{{inst}/out1}}]")),
+            "{}",
+            result.sdc
+        );
+        assert!(result.sdc.contains(&format!("set_dont_touch [get_cells {{{inst}}}]")));
+        assert!(!result.sdc.contains("{drd_g2_delem}"), "{}", result.sdc);
+        assert!(!result.sdc.contains("{drd_g2_delem/"), "{}", result.sdc);
     }
 }

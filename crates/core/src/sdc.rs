@@ -18,7 +18,6 @@
 use std::fmt::Write as _;
 
 use crate::controller;
-use crate::network::NetworkReport;
 
 /// Inputs for SDC generation.
 #[derive(Debug, Clone)]
@@ -27,8 +26,8 @@ pub struct SdcSpec {
     pub period_ns: f64,
     /// Original clock port name.
     pub clock_port: String,
-    /// Controller instance names per region (from
-    /// [`NetworkReport::controller_instances`]).
+    /// `(master, slave)` controller instance names, one pair per
+    /// controlled region in region-index order.
     pub controllers: Vec<(String, String)>,
     /// Delay-element instance names and their minimum matched delay (ns).
     pub delay_elements: Vec<(String, f64)>,
@@ -124,9 +123,6 @@ pub fn generate_with(spec: &SdcSpec, workers: usize) -> (String, Vec<u128>) {
         let mut disable = String::new();
         let mut size_only = String::new();
         for inst in [master, slave] {
-            if inst.is_empty() {
-                continue;
-            }
             for (cell, pin) in controller::disabled_pins() {
                 let _ = writeln!(
                     disable,
@@ -167,28 +163,6 @@ pub fn generate_with(spec: &SdcSpec, workers: usize) -> (String, Vec<u128>) {
     }
     let region_wall_ns = fragments.into_iter().map(|(_, _, w)| w).collect();
     (out, region_wall_ns)
-}
-
-/// Convenience: builds the [`SdcSpec`] from a network report.
-pub fn spec_from_report(
-    period_ns: f64,
-    clock_port: &str,
-    report: &NetworkReport,
-    delem_min_delays: &[(String, f64)],
-    degraded: &[String],
-) -> SdcSpec {
-    SdcSpec {
-        period_ns,
-        clock_port: clock_port.to_owned(),
-        controllers: report
-            .controller_instances
-            .iter()
-            .filter(|(m, _)| !m.is_empty())
-            .cloned()
-            .collect(),
-        delay_elements: delem_min_delays.to_vec(),
-        degraded: degraded.to_vec(),
-    }
 }
 
 #[cfg(test)]

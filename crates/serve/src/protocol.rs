@@ -213,7 +213,6 @@ fn parse_options(raw: &Value) -> Result<DesyncOptions, String> {
             }
             "max_cells" => opts.max_cells = Some(expect_count()? as usize),
             "max_nets" => opts.max_nets = Some(expect_count()? as usize),
-            "stg_state_limit" => opts.stg_state_limit = Some(expect_count()? as usize),
             "pass_deadline_ms" => opts.pass_deadline_ms = Some(expect_count()?),
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -311,9 +310,14 @@ mod tests {
         assert_eq!(e.id, "j1");
         assert!(e.message.contains("verilog"), "{}", e.message);
 
-        let e = parse_request(r#"{"id":"j2","kind":"desync","verilog":"m","options":{"jbos":1}}"#)
-            .unwrap_err();
-        assert!(e.message.contains("unknown option `jbos`"), "{}", e.message);
+        // A typo and a retired key are rejected alike.
+        for key in ["jbos", "stg_state_limit"] {
+            let line = format!(
+                r#"{{"id":"j2","kind":"desync","verilog":"m","options":{{"{key}":1}}}}"#
+            );
+            let e = parse_request(&line).unwrap_err();
+            assert!(e.message.contains(&format!("unknown option `{key}`")), "{}", e.message);
+        }
 
         let e = parse_request(r#"{"id":"j3","kind":"frobnicate"}"#).unwrap_err();
         assert!(e.message.contains("unknown request kind"), "{}", e.message);

@@ -21,11 +21,21 @@ pub enum SimError {
         /// Description of the problem.
         message: String,
     },
-    /// Handshake-level timing simulation failed (deadlock, unsettled
-    /// reset, event-cap overrun, or a malformed control-network spec).
+    /// Handshake-level timing simulation failed (unsettled reset,
+    /// event-cap overrun, or a malformed control-network spec).
     Handshake {
         /// Description of the problem.
         message: String,
+    },
+    /// The simulated control network wedged: a region stopped producing
+    /// slave-enable edges before its cycle could be measured.
+    Deadlock {
+        /// The first region short of edges, in region order.
+        region: String,
+        /// Rising slave-enable edges it produced.
+        edges: usize,
+        /// Edges a measurement needs.
+        needed: usize,
     },
 }
 
@@ -36,6 +46,11 @@ impl fmt::Display for SimError {
             SimError::UnknownNet { name } => write!(f, "unknown net `{name}`"),
             SimError::Elaboration { message } => write!(f, "elaboration failed: {message}"),
             SimError::Handshake { message } => write!(f, "handshake simulation failed: {message}"),
+            SimError::Deadlock { region, edges, needed } => write!(
+                f,
+                "handshake simulation failed: handshake deadlock: region {region} produced \
+                 {edges} enable edges (need {needed})"
+            ),
         }
     }
 }
@@ -50,6 +65,12 @@ mod tests {
     fn display_and_traits() {
         let e = SimError::UnknownNet { name: "clk".into() };
         assert!(e.to_string().contains("clk"));
+        let e = SimError::Deadlock { region: "g1".into(), edges: 2, needed: 8 };
+        assert_eq!(
+            e.to_string(),
+            "handshake simulation failed: handshake deadlock: region g1 produced 2 enable \
+             edges (need 8)"
+        );
         fn ok<T: Error + Send + Sync>() {}
         ok::<SimError>();
     }

@@ -43,7 +43,8 @@
 //! response time; interior regions are immune because C-element joins
 //! hold their requests until the full chain is traversed. The
 //! simulation reproduces both behaviours at gate-level fidelity
-//! (`drd-check`'s `handshake_stall` test pins the equivalence).
+//! (`drd-check`'s `handshake_stall` test pins the equivalence); a
+//! wedged run is a [`SimError::Deadlock`].
 
 use drd_liberty::Library;
 
@@ -93,6 +94,25 @@ pub struct HandshakeSpec {
     /// Flip-flop overhead (clk→Q plus setup, ns) of the synchronous
     /// comparison model.
     pub ff_overhead_ns: f64,
+}
+
+impl HandshakeSpec {
+    /// Indices of the controlled regions with neither controlled
+    /// predecessors nor successors (self-loops count as both). Such a
+    /// region gets the always-ready loopback request and the eager
+    /// acknowledge at once, which degenerates its request into a short
+    /// pulse: it free-runs when its matched delay is short and halts when
+    /// it is long. The flow's liveness guard and the handshake-timing
+    /// oracle both treat a spec with one as vacuously live.
+    pub fn isolated_regions(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.regions.len()).filter(|&i| {
+            self.regions[i].controlled
+                && !self.edges.iter().any(|&(p, s)| {
+                    (s == i && self.regions[p].controlled)
+                        || (p == i && self.regions[s].controlled)
+                })
+        })
+    }
 }
 
 /// Per-region measurement from one simulation run.
@@ -597,7 +617,8 @@ impl HandshakeNet {
     /// bit.
     ///
     /// # Errors
-    /// Propagates simulation errors (deadlock, event-cap overrun).
+    /// Propagates simulation errors ([`SimError::Deadlock`], event-cap
+    /// overrun).
     pub fn nominal_cycle_times(&self) -> Result<Vec<RegionCycle>, SimError> {
         let factors = vec![1.0; self.gate_count];
         self.cycle_times(&factors, DEFAULT_MAX_EDGES)
@@ -608,8 +629,9 @@ impl HandshakeNet {
     /// half of `max_edges` slave-enable rising edges.
     ///
     /// # Errors
-    /// [`SimError::Handshake`] on factor-length mismatch, handshake
-    /// deadlock, or event-cap overrun.
+    /// [`SimError::Deadlock`] when a region wedges;
+    /// [`SimError::Handshake`] on factor-length mismatch or event-cap
+    /// overrun.
     pub fn cycle_times(
         &self,
         factors: &[f64],
@@ -724,13 +746,10 @@ impl HandshakeNet {
         for (slot, times) in edges.chunks(max_edges).enumerate() {
             let times = &times[..seen[slot]];
             if times.len() < warmup + 2 {
-                return Err(SimError::Handshake {
-                    message: format!(
-                        "handshake deadlock: region {} produced {} enable edges (need {})",
-                        self.region_names[slot],
-                        times.len(),
-                        warmup + 2
-                    ),
+                return Err(SimError::Deadlock {
+                    region: self.region_names[slot].clone(),
+                    edges: times.len(),
+                    needed: warmup + 2,
                 });
             }
             let span_fs = times[times.len() - 1] - times[warmup];
@@ -1051,7 +1070,10 @@ mod tests {
         for mut spec in [chain, beside_ring] {
             let wedged = HandshakeNet::elaborate(&spec, &lib).unwrap();
             let err = wedged.nominal_cycle_times().expect_err("imbalance wedges");
-            assert!(err.to_string().contains("handshake deadlock: region src "), "{err}");
+            assert!(
+                matches!(&err, SimError::Deadlock { region, .. } if region == "src"),
+                "{err}"
+            );
 
             spec.regions[0].loopback_latch = true;
             let repaired = HandshakeNet::elaborate(&spec, &lib).unwrap();

@@ -19,10 +19,13 @@
 #    Figs. 2.4, 5.3, 5.4, 5.5) and fails unless each one matches its
 #    results/ copy byte for byte,
 # 5. checks the source guard rails: the panic-free lint deny attributes
-#    on the core passes and the Verilog reader, and the interned-name
-#    rails (no String-keyed maps inside core/sta/sim pass modules, no
-#    per-pin maps in sta, no symbol-table clones inside core/sta, and no
-#    SymbolTable anywhere in core, which names cells through its Module),
+#    on the core passes (the control network and the liveness guard
+#    included) and the Verilog reader, and the interned-name rails (no
+#    String-keyed maps inside core/sta/sim pass modules, no per-pin maps
+#    in sta, no symbol-table clones inside core/sta, no SymbolTable
+#    anywhere in core, which names cells through its Module, and no
+#    name-prefix scan in core outside tests: the control network's cells
+#    are reached by ID),
 # 6. runs the verification campaigns (mutation, scale, variability,
 #    liveness, serve) and then the kernel micro-benchmarks (cargo bench);
 #    each writes its report under results/ and exits non-zero naming
@@ -92,8 +95,8 @@ echo "ok: all seven paper artifacts match results/"
 echo "== panic-free guard rails =="
 # The core passes and the Verilog reader are the panic-free boundary;
 # the deny attributes must stay on their module declarations.
-for decl in controller desync ffsub region; do
-  if ! grep -B2 "mod $decl;" crates/core/src/lib.rs | grep -q 'deny(clippy::unwrap_used, clippy::panic)'; then
+for decl in controller desync ffsub liveness network region; do
+  if ! grep -B1 "mod $decl;" crates/core/src/lib.rs | grep -q 'deny(clippy::unwrap_used, clippy::panic)'; then
     echo "error: crates/core/src/lib.rs lost the deny attribute on \`mod $decl\`" >&2
     exit 1
   fi
@@ -147,6 +150,16 @@ if [ -n "$core_tables" ]; then
   exit 1
 fi
 echo "ok: no SymbolTable in core"
+# control-network records the IDs of every cell it builds, so no pass
+# finds a generated cell again by scanning names for a prefix. Test
+# modules (from `#[cfg(test)]` to the end of a file) are exempt.
+prefix_scans=$(awk '/^#\[cfg\(test\)\]/ { nextfile } /starts_with\(/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/*.rs)
+if [ -n "$prefix_scans" ]; then
+  echo "error: name-prefix scan in crates/core (reach generated cells by ID):" >&2
+  echo "$prefix_scans" >&2
+  exit 1
+fi
+echo "ok: no name-prefix scans in core"
 
 echo "== verification campaigns (offline) =="
 for bin in mutation scale variability liveness serve; do

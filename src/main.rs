@@ -474,7 +474,6 @@ fn run() -> Result<(), CliError> {
             opts.max_cells = parsed_flag(&args, "--max-cells")?;
             opts.max_nets = parsed_flag(&args, "--max-nets")?;
             opts.pass_deadline_ms = parsed_flag(&args, "--pass-deadline-ms")?;
-            opts.stg_state_limit = parsed_flag(&args, "--stg-state-limit")?;
 
             let tool = Desynchronizer::new(&lib)?;
             // `--keep-sync-ff KIND` drops KIND's substitution rule, so
