@@ -14,11 +14,9 @@
 //! slave by the slave enable net — both driven later by the region's
 //! controller pair.
 
-use std::sync::Arc;
-
 use drd_liberty::gatefile::{ControlPin, FfRule, Gatefile};
 use drd_liberty::Library;
-use drd_netlist::{CellId, Conn, Module, NetId};
+use drd_netlist::{CellId, Conn, Module, NetId, Symbol};
 
 use crate::{DegradeReason, DesyncError};
 
@@ -144,16 +142,14 @@ fn substitute_one(
     let name = module.cell(cell_id).name.to_owned();
     let mut extra = 0usize;
 
-    // Snapshot the pin connections, names resolved, before the cell is
-    // removed and the module is mutated below.
-    let pins: Vec<(Arc<str>, Conn)> = module
-        .cell_pins(cell_id)
-        .iter()
-        .map(|&(p, c)| (module.symbols().resolve_arc(p), c))
-        .collect();
-    let pin_conn = move |pin: &str| -> Conn {
-        pins.iter()
-            .find(|(p, _)| **p == *pin)
+    // Snapshot the pin connections before the cell is removed and the
+    // module is mutated below. Symbols are append-only, so a rule's pin
+    // name looked up later still finds the snapshot's symbol.
+    let pins: Vec<(Symbol, Conn)> = module.cell_pins(cell_id).to_vec();
+    let pin_conn = move |module: &Module, pin: &str| -> Conn {
+        module
+            .lookup_sym(pin)
+            .and_then(|sym| pins.iter().find(|&&(p, _)| p == sym))
             .map_or(Conn::Open, |&(_, c)| c)
     };
     let f = &rule.features;
@@ -181,7 +177,7 @@ fn substitute_one(
                           ctrl: &ControlPin,
                           suffix: &str|
      -> Result<Conn, DesyncError> {
-        let conn = pin_conn(&ctrl.pin);
+        let conn = pin_conn(module, &ctrl.pin);
         if ctrl.active_low {
             match conn {
                 Conn::Net(n) => Ok(Conn::Net(gate(
@@ -203,13 +199,13 @@ fn substitute_one(
     let mut d: Conn = f
         .data
         .as_deref()
-        .map(&pin_conn)
+        .map(|pin| pin_conn(module, pin))
         .unwrap_or(Conn::Open);
 
     // Scan mux (Fig. 3.1a).
     if let Some(scan) = &f.scan {
-        let si = pin_conn(&scan.scan_in);
-        let se = pin_conn(&scan.scan_enable);
+        let si = pin_conn(module, &scan.scan_in);
+        let se = pin_conn(module, &scan.scan_enable);
         d = Conn::Net(gate(
             module,
             &mut extra,
@@ -221,7 +217,7 @@ fn substitute_one(
     // Synchronous reset: data AND not-asserted (Fig. 3.1b).
     if let Some(sr) = &f.sync_reset {
         let enable_side = if sr.active_low {
-            pin_conn(&sr.pin) // `d & RN`
+            pin_conn(module, &sr.pin) // `d & RN`
         } else {
             // active-high reset: `d & !R`
             let a = assert_net(module, &mut extra, &ControlPin {
@@ -265,7 +261,7 @@ fn substitute_one(
     let mut gs_eff = Conn::Net(gs);
     if let Some(en_pin) = &f.clock_enable {
         // Fig. 3.1d: gate the latch-enable signals.
-        let en = pin_conn(en_pin);
+        let en = pin_conn(module, en_pin);
         gm_eff = Conn::Net(gate(
             module,
             &mut extra,
@@ -375,8 +371,11 @@ fn substitute_one(
         }
     };
 
-    let q_conn = pin_conn(&rule.q_pin);
-    let qn_conn = rule.qn_pin.as_deref().map(&pin_conn).unwrap_or(Conn::Open);
+    let q_conn = pin_conn(module, &rule.q_pin);
+    let qn_conn = rule
+        .qn_pin
+        .as_deref()
+        .map_or(Conn::Open, |pin| pin_conn(module, pin));
     let qs = match q_conn {
         Conn::Net(n) => n,
         _ => module.add_net_auto(&format!("{name}__qs")),

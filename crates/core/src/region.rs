@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 
 use drd_liberty::{CellClass, Library, SeqKind};
 use drd_netlist::passes::{clean_logic, CleanKind, CleanStats};
-use drd_netlist::{Cell, CellId, Conn, Endpoint, Module, NetId, PinUse, Symbol};
+use drd_netlist::{CellId, Conn, Endpoint, KindRef, Module, NetId, PinUse, Symbol};
 
 use crate::DesyncError;
 
@@ -148,9 +148,9 @@ pub fn find_clock_net(module: &Module, lib: &Library) -> Option<NetId> {
 }
 
 /// Classifier for the cleaning pass: buffers and inverters of `lib`.
-pub fn clean_classifier(lib: &Library) -> impl Fn(Cell<'_>) -> Option<CleanKind> + '_ {
-    |cell: Cell<'_>| {
-        let lc = lib.cell_of(cell.kind_ref())?;
+pub fn clean_classifier(lib: &Library) -> impl Fn(KindRef<'_>) -> Option<CleanKind> + '_ {
+    |kind: KindRef<'_>| {
+        let lc = lib.cell_of(kind)?;
         if lc.class() != CellClass::Combinational {
             return None;
         }

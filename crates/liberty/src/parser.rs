@@ -16,6 +16,7 @@
 //! * `celement() { inputs; reset; }` — extension group marking C-Muller
 //!   elements (§3.1.5), since stock Liberty has no native C-element kind.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use drd_netlist::PortDir;
@@ -46,16 +47,17 @@ pub fn parse_library(source: &str) -> Result<Library, LibraryError> {
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Id(String),
-    Str(String),
+/// A token; identifiers and strings borrow the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Id(&'a str),
+    Str(&'a str),
     Num(f64),
     Punct(char),
     Eof,
 }
 
-fn lex(source: &str) -> Result<Vec<(Tok, usize)>, LibraryError> {
+fn lex(source: &str) -> Result<Vec<(Tok<'_>, usize)>, LibraryError> {
     let bytes = source.as_bytes();
     let mut out = Vec::new();
     let (mut i, mut line) = (0usize, 1usize);
@@ -99,7 +101,7 @@ fn lex(source: &str) -> Result<Vec<(Tok, usize)>, LibraryError> {
                 if j >= bytes.len() {
                     return Err(LibraryError::at(line, "unterminated string"));
                 }
-                out.push((Tok::Str(source[start..j].to_owned()), line));
+                out.push((Tok::Str(&source[start..j]), line));
                 i = j + 1;
             }
             '{' | '}' | '(' | ')' | ':' | ';' | ',' => {
@@ -140,7 +142,7 @@ fn lex(source: &str) -> Result<Vec<(Tok, usize)>, LibraryError> {
                         break;
                     }
                 }
-                out.push((Tok::Id(source[start..i].to_owned()), line));
+                out.push((Tok::Id(&source[start..i]), line));
             }
             other => {
                 return Err(LibraryError::at(line, format!("unexpected character `{other}`")));
@@ -155,14 +157,14 @@ fn lex(source: &str) -> Result<Vec<(Tok, usize)>, LibraryError> {
 // Generic group tree
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Value<'a> {
+    Str(&'a str),
     Num(f64),
-    Ident(String),
+    Ident(&'a str),
 }
 
-impl Value {
+impl Value<'_> {
     fn as_str(&self) -> &str {
         match self {
             Value::Str(s) | Value::Ident(s) => s,
@@ -178,17 +180,28 @@ impl Value {
     }
 }
 
+/// A group of the source tree; names and values borrow the source.
 #[derive(Debug, Clone, Default)]
-struct Group {
-    name: String,
-    args: Vec<String>,
-    attrs: Vec<(String, Value)>,
-    groups: Vec<Group>,
+struct Group<'a> {
+    name: &'a str,
+    args: Vec<Cow<'a, str>>,
+    attrs: Vec<(&'a str, Value<'a>)>,
+    groups: Vec<Group<'a>>,
 }
 
-impl Group {
-    fn attr(&self, name: &str) -> Option<&Value> {
-        self.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+impl<'a> Group<'a> {
+    fn attr(&self, name: &str) -> Option<&Value<'a>> {
+        self.attrs.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    /// The `i`-th group argument, owned.
+    fn arg(&self, i: usize) -> Option<String> {
+        self.args.get(i).map(|a| a.to_string())
+    }
+
+    /// Every group argument, owned.
+    fn owned_args(&self) -> Vec<String> {
+        self.args.iter().map(|a| a.to_string()).collect()
     }
 
     fn attr_str(&self, name: &str) -> Option<&str> {
@@ -199,27 +212,27 @@ impl Group {
         self.attr(name).and_then(|v| v.as_num())
     }
 
-    fn children<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Group> + 'a {
+    fn children<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'s Group<'a>> + 's {
         self.groups.iter().filter(move |g| g.name == name)
     }
 }
 
-struct LibParser {
-    tokens: Vec<(Tok, usize)>,
+struct LibParser<'a> {
+    tokens: Vec<(Tok<'a>, usize)>,
     pos: usize,
 }
 
-impl LibParser {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].0
+impl<'a> LibParser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.tokens[self.pos].0
     }
 
     fn line(&self) -> usize {
         self.tokens[self.pos].1
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].0.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.tokens[self.pos].0;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -237,7 +250,7 @@ impl LibParser {
     }
 
     /// Parses `name ( args ) { body }`.
-    fn parse_group(&mut self) -> Result<Group, LibraryError> {
+    fn parse_group(&mut self) -> Result<Group<'a>, LibraryError> {
         let name = match self.bump() {
             Tok::Id(n) => n,
             other => {
@@ -251,8 +264,8 @@ impl LibParser {
         let mut args = Vec::new();
         while !matches!(self.peek(), Tok::Punct(')')) {
             match self.bump() {
-                Tok::Id(s) | Tok::Str(s) => args.push(s),
-                Tok::Num(n) => args.push(n.to_string()),
+                Tok::Id(s) | Tok::Str(s) => args.push(Cow::Borrowed(s)),
+                Tok::Num(n) => args.push(Cow::Owned(n.to_string())),
                 Tok::Punct(',') => {}
                 other => {
                     return Err(LibraryError::at(
@@ -286,7 +299,7 @@ impl LibParser {
         Ok(group)
     }
 
-    fn parse_item(&mut self, parent: &mut Group) -> Result<(), LibraryError> {
+    fn parse_item(&mut self, parent: &mut Group<'a>) -> Result<(), LibraryError> {
         // Lookahead: `id :` is a simple attribute, `id (` a nested group.
         let save = self.pos;
         let name = match self.bump() {
@@ -298,7 +311,7 @@ impl LibParser {
                 ))
             }
         };
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Punct(':') => {
                 self.bump();
                 let value = match self.bump() {
@@ -337,11 +350,7 @@ impl LibParser {
 // ---------------------------------------------------------------------------
 
 fn interpret_library(root: &Group) -> Result<Library, LibraryError> {
-    let name = root
-        .args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "unnamed".to_owned());
+    let name = root.arg(0).unwrap_or_else(|| "unnamed".to_owned());
     let mut cells = Vec::new();
     for cell_group in root.children("cell") {
         cells.push(interpret_cell(cell_group)?);
@@ -356,9 +365,7 @@ fn parse_fn(cell: &str, text: &str) -> Result<Expr, LibraryError> {
 
 fn interpret_cell(g: &Group) -> Result<LibCell, LibraryError> {
     let name = g
-        .args
-        .first()
-        .cloned()
+        .arg(0)
         .ok_or_else(|| LibraryError::new("cell group without a name"))?;
 
     let mut pins = Vec::new();
@@ -367,9 +374,7 @@ fn interpret_cell(g: &Group) -> Result<LibCell, LibraryError> {
 
     for pg in g.children("pin") {
         let pin_name = pg
-            .args
-            .first()
-            .cloned()
+            .arg(0)
             .ok_or_else(|| LibraryError::new(format!("cell `{name}`: pin without a name")))?;
         let dir = match pg.attr_str("direction") {
             Some("input") => PortDir::Input,
@@ -417,7 +422,7 @@ fn interpret_cell(g: &Group) -> Result<LibCell, LibraryError> {
     let mut seq = SeqKind::None;
     let mut state_vars: Vec<String> = Vec::new();
     if let Some(ff) = g.children("ff").next() {
-        state_vars = ff.args.clone();
+        state_vars = ff.owned_args();
         let iq = state_vars.first().cloned().unwrap_or_default();
         let iqn = state_vars.get(1).cloned();
         let next = ff.attr_str("next_state").ok_or_else(|| {
@@ -437,7 +442,7 @@ fn interpret_cell(g: &Group) -> Result<LibCell, LibraryError> {
             qn,
         });
     } else if let Some(latch) = g.children("latch").next() {
-        state_vars = latch.args.clone();
+        state_vars = latch.owned_args();
         let iq = state_vars.first().cloned().unwrap_or_default();
         let iqn = state_vars.get(1).cloned();
         let data = latch.attr_str("data_in").ok_or_else(|| {

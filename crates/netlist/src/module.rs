@@ -8,7 +8,6 @@
 //! cheap [`Copy`] views ([`Cell`], [`Net`], [`Port`]) whose `name` fields
 //! borrow the interned strings.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::symbol::{Symbol, SymbolTable, UniqueSpace};
@@ -336,7 +335,7 @@ impl Module {
     }
 
     /// The module's symbol table (for sharing with downstream consumers
-    /// such as the simulator; clones share the name allocations).
+    /// such as the simulator; a clone copies one string arena).
     pub fn symbols(&self) -> &SymbolTable {
         &self.syms
     }
@@ -444,10 +443,12 @@ impl Module {
         if let Some(i) = slot_get(&self.sym_net, sym) {
             return NetId::from_index(i as usize);
         }
-        let name = self.syms.resolve_arc(sym);
+        // Copy the bus base out before interning it: the name borrows the
+        // table's arena.
+        let bus = crate::bus::parse_bus_bit(self.syms.resolve(sym))
+            .map(|(base, index)| (base.to_owned(), index));
+        let bus = bus.map(|(base, index)| (self.syms.intern(&base), index));
         let id = NetId::from_index(self.net_name.len());
-        let bus = crate::bus::parse_bus_bit(&name)
-            .map(|(base, index)| (self.syms.intern(base), index));
         slot_set(&mut self.sym_net, sym, id.index() as u32);
         self.net_name.push(sym);
         self.net_bus.push(bus);
@@ -499,6 +500,12 @@ impl Module {
     /// The interned name symbol of net `id`.
     pub fn net_sym(&self, id: NetId) -> Symbol {
         self.net_name[id.index()]
+    }
+
+    /// Bus membership of net `id` as `(base symbol, index)`, if its name
+    /// has the form `base[index]` (the symbol form of [`Net::bus`]).
+    pub fn net_bus_sym(&self, id: NetId) -> Option<(Symbol, i64)> {
+        self.net_bus[id.index()]
     }
 
     /// Looks a net up by name.
@@ -574,6 +581,11 @@ impl Module {
     /// Looks a port up by name.
     pub fn find_port(&self, name: &str) -> Option<PortId> {
         let sym = self.syms.lookup(name)?;
+        self.find_port_sym(sym)
+    }
+
+    /// Looks a port up by interned name.
+    pub fn find_port_sym(&self, sym: Symbol) -> Option<PortId> {
         slot_get(&self.sym_port, sym).map(|i| PortId::from_index(i as usize))
     }
 
@@ -869,23 +881,22 @@ impl Module {
         }
     }
 
-    /// Rewrites many nets in a single pass over all cells.
+    /// Rewrites many nets in a single pass over all cells: every live pin
+    /// on net `n` with `map[n.index()] == Some(to)` is reconnected to `to`
+    /// (nets past the end of `map` are left alone).
     ///
-    /// Equivalent to calling [`Module::rewire_net`] for every map entry, but
+    /// Equivalent to calling [`Module::rewire_net`] for every entry, but
     /// O(pins) instead of O(nets × pins).
-    pub fn rewire_many(&mut self, map: &HashMap<NetId, Conn>) {
-        if map.is_empty() {
-            return;
-        }
+    pub fn rewire_many(&mut self, map: &[Option<Conn>]) {
         for i in 0..self.cell_name.len() {
             if !self.cell_alive[i] {
                 continue;
             }
             let (s, l) = (self.pin_start[i] as usize, self.pin_len[i] as usize);
             for (_, conn) in self.pins[s..s + l].iter_mut() {
-                if let Conn::Net(n) = conn {
-                    if let Some(to) = map.get(n) {
-                        *conn = *to;
+                if let Conn::Net(n) = *conn {
+                    if let Some(&Some(to)) = map.get(n.index()) {
+                        *conn = to;
                     }
                 }
             }

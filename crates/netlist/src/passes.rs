@@ -4,13 +4,11 @@
 //! buffers and inverter pairs inserted by synthesis for signal buffering,
 //! because such cells induce *false* logic dependencies between regions
 //! (§3.2.2, Fig. 3.5). These passes are library-agnostic: the caller
-//! supplies a classifier describing which cells are buffers/inverters.
+//! supplies a classifier describing which cell kinds are buffers/inverters.
 
-use std::collections::HashMap;
+use crate::{CellId, CellKind, Conn, Endpoint, KindRef, Module, PinDirs, Symbol};
 
-use crate::{Cell, CellId, Conn, Module, NetId, PinDirs};
-
-/// Classification of a cell for the cleaning passes.
+/// Classification of a cell kind for the cleaning passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CleanKind {
     /// A non-inverting buffer: `output = input`.
@@ -38,107 +36,110 @@ pub struct CleanStats {
     pub inverter_pairs_removed: usize,
 }
 
+/// A classified library kind with its pins as the module's symbols.
+#[derive(Debug, Clone, Copy)]
+struct Class {
+    inverter: bool,
+    input: Symbol,
+    output: Symbol,
+}
+
 /// Removes buffers and back-to-back inverter pairs, rewiring their fanout to
 /// the original source signal. Buffers driving module ports are kept so
 /// every port stays driven.
 ///
-/// Returns how many cells were eliminated. Runs to fixpoint.
+/// `classify` is asked once per library cell kind in use; submodule
+/// instances are never classified. Returns how many cells were
+/// eliminated. Runs to fixpoint: each round removes what it can without
+/// chaining two removals through one net, then rewires.
 pub fn clean_logic(
     module: &mut Module,
     dirs: &impl PinDirs,
-    classify: impl Fn(Cell<'_>) -> Option<CleanKind>,
+    classify: impl Fn(KindRef<'_>) -> Option<CleanKind>,
 ) -> CleanStats {
+    let classes = classify_kinds(module, classify);
+    let class_of = |module: &Module, cell: CellId| match module.cell_kind(cell) {
+        CellKind::Lib(kind) => classes[kind.index()],
+        CellKind::Instance(_) => None,
+    };
+    let mut port_net = vec![false; module.net_count()];
+    for (_, port) in module.ports() {
+        port_net[port.net.index()] = true;
+    }
     let mut stats = CleanStats::default();
     loop {
         let Ok(conn) = module.connectivity(dirs) else {
             // Inconsistent netlist: leave it to the caller's validation.
             return stats;
         };
-        let port_nets: std::collections::HashSet<NetId> =
-            module.ports().map(|(_, p)| p.net).collect();
-
-        let mut remap: HashMap<NetId, Conn> = HashMap::new();
+        // Per net: what its loads are rewired to; per cell slot: whether
+        // this round already removes it.
+        let mut remap: Vec<Option<Conn>> = vec![None; module.net_count()];
+        let mut touched = vec![false; module.cell_slots()];
         let mut removed: Vec<CellId> = Vec::new();
-        let mut touched: std::collections::HashSet<CellId> = std::collections::HashSet::new();
-
-        for (cid, cell) in module.cells() {
-            if touched.contains(&cid) {
+        for cid in module.cell_ids() {
+            if touched[cid.index()] {
                 continue;
             }
-            match classify(cell) {
-                Some(CleanKind::Buffer { input, output }) => {
-                    let Some(Conn::Net(out_net)) = cell.pin(&output) else {
-                        continue;
-                    };
-                    if port_nets.contains(&out_net) || remap.contains_key(&out_net) {
-                        continue;
-                    }
-                    let Some(in_conn) = cell.pin(&input) else {
-                        continue;
-                    };
-                    if let Conn::Net(in_net) = in_conn {
-                        if remap.contains_key(&in_net) {
-                            continue;
-                        }
-                    }
-                    remap.insert(out_net, in_conn);
-                    removed.push(cid);
-                    touched.insert(cid);
-                    stats.buffers_removed += 1;
+            let Some(class) = class_of(module, cid) else {
+                continue;
+            };
+            let pins = module.cell_pins(cid);
+            // Buffer: its output net; inverter: the net between the pair.
+            let Some(Conn::Net(first_out)) = pin_conn(pins, class.output) else {
+                continue;
+            };
+            if port_net[first_out.index()] || remap[first_out.index()].is_some() {
+                continue;
+            }
+            let (out_net, second) = if class.inverter {
+                // The pair's middle net feeds exactly one load: the input
+                // pin of another inverter.
+                let &[Endpoint::Pin(next)] = conn.loads(first_out) else {
+                    continue;
+                };
+                if touched[next.cell.index()] || next.cell == cid {
+                    continue;
                 }
-                Some(CleanKind::Inverter { input, output }) => {
-                    // Look for inverter pairs: this inverter's output feeds
-                    // exactly one load which is another inverter.
-                    let Some(Conn::Net(mid_net)) = cell.pin(&output) else {
-                        continue;
-                    };
-                    if port_nets.contains(&mid_net) || remap.contains_key(&mid_net) {
-                        continue;
-                    }
-                    let loads = conn.loads(mid_net);
-                    if loads.len() != 1 {
-                        continue;
-                    }
-                    let crate::Endpoint::Pin(pin_use) = loads[0] else {
-                        continue;
-                    };
-                    if touched.contains(&pin_use.cell) || pin_use.cell == cid {
-                        continue;
-                    }
-                    let second = module.cell(pin_use.cell);
-                    let Some(CleanKind::Inverter {
-                        input: in2,
-                        output: out2,
-                    }) = classify(second)
-                    else {
-                        continue;
-                    };
-                    // The mid net must enter the second inverter's input pin.
-                    if second.pin_name(pin_use.pin as usize) != in2 {
-                        continue;
-                    }
-                    let Some(Conn::Net(out_net)) = second.pin(&out2) else {
-                        continue;
-                    };
-                    if port_nets.contains(&out_net) || remap.contains_key(&out_net) {
-                        continue;
-                    }
-                    let Some(in_conn) = cell.pin(&input) else {
-                        continue;
-                    };
-                    if let Conn::Net(in_net) = in_conn {
-                        if remap.contains_key(&in_net) {
-                            continue;
-                        }
-                    }
-                    remap.insert(out_net, in_conn);
-                    removed.push(cid);
-                    removed.push(pin_use.cell);
-                    touched.insert(cid);
-                    touched.insert(pin_use.cell);
+                let Some(Class {
+                    inverter: true,
+                    input,
+                    output,
+                }) = class_of(module, next.cell)
+                else {
+                    continue;
+                };
+                let next_pins = module.cell_pins(next.cell);
+                if next_pins[next.pin as usize].0 != input {
+                    continue;
+                }
+                let Some(Conn::Net(out_net)) = pin_conn(next_pins, output) else {
+                    continue;
+                };
+                if port_net[out_net.index()] || remap[out_net.index()].is_some() {
+                    continue;
+                }
+                (out_net, Some(next.cell))
+            } else {
+                (first_out, None)
+            };
+            let Some(in_conn) = pin_conn(pins, class.input) else {
+                continue;
+            };
+            // No chain through a net this round already rewires.
+            if matches!(in_conn, Conn::Net(n) if remap[n.index()].is_some()) {
+                continue;
+            }
+            remap[out_net.index()] = Some(in_conn);
+            removed.push(cid);
+            touched[cid.index()] = true;
+            match second {
+                Some(next) => {
+                    removed.push(next);
+                    touched[next.index()] = true;
                     stats.inverter_pairs_removed += 1;
                 }
-                None => {}
+                None => stats.buffers_removed += 1,
             }
         }
 
@@ -152,61 +153,46 @@ pub fn clean_logic(
     }
 }
 
-/// Removes cells none of whose outputs reach any load (transitively), while
-/// keeping every cell for which `keep` returns true.
-///
-/// Returns the number of cells swept.
-pub fn sweep_dangling(
-    module: &mut Module,
-    dirs: &impl PinDirs,
-    keep: impl Fn(Cell<'_>) -> bool,
-) -> usize {
-    let mut swept = 0;
-    loop {
-        let Ok(conn) = module.connectivity(dirs) else {
-            return swept;
+/// Classifies every library kind the module's live cells use, once,
+/// into a table indexed by the kind's symbol. A kind whose pins the
+/// module never names cannot match a cell and stays unclassified.
+fn classify_kinds(
+    module: &Module,
+    classify: impl Fn(KindRef<'_>) -> Option<CleanKind>,
+) -> Vec<Option<Class>> {
+    let mut classes = vec![None; module.symbols().len()];
+    let mut seen = vec![false; module.symbols().len()];
+    for cid in module.cell_ids() {
+        let CellKind::Lib(kind) = module.cell_kind(cid) else {
+            continue;
         };
-        let mut removed = Vec::new();
-        for (cid, cell) in module.cells() {
-            if keep(cell) {
-                continue;
-            }
-            let mut has_load = false;
-            let mut has_output = false;
-            for (idx, (_, c)) in cell.pins().iter().enumerate() {
-                let Conn::Net(net) = c else { continue };
-                // Is this pin the driver of `net`?
-                let driving = conn.driver(*net)
-                    == Some(crate::Endpoint::Pin(crate::PinUse {
-                        cell: cid,
-                        pin: idx as u32,
-                    }));
-                if driving {
-                    has_output = true;
-                    if !conn.loads(*net).is_empty() {
-                        has_load = true;
-                        break;
-                    }
-                }
-            }
-            if has_output && !has_load {
-                removed.push(cid);
-            }
+        if std::mem::replace(&mut seen[kind.index()], true) {
+            continue;
         }
-        if removed.is_empty() {
-            return swept;
-        }
-        swept += removed.len();
-        for cid in removed {
-            module.remove_cell(cid);
-        }
+        classes[kind.index()] = classify(KindRef::Lib(module.resolve(kind))).and_then(|k| {
+            let (inverter, input, output) = match &k {
+                CleanKind::Buffer { input, output } => (false, input, output),
+                CleanKind::Inverter { input, output } => (true, input, output),
+            };
+            Some(Class {
+                inverter,
+                input: module.lookup_sym(input)?,
+                output: module.lookup_sym(output)?,
+            })
+        });
     }
+    classes
+}
+
+/// The connection of the first pin named `pin`.
+fn pin_conn(pins: &[(Symbol, Conn)], pin: Symbol) -> Option<Conn> {
+    pins.iter().find(|(p, _)| *p == pin).map(|&(_, c)| c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KindRef, PortDir};
+    use crate::{NetId, PortDir};
 
     fn dirs(_: KindRef<'_>, pin: &str) -> Option<PortDir> {
         Some(match pin {
@@ -215,8 +201,8 @@ mod tests {
         })
     }
 
-    fn classify(cell: Cell<'_>) -> Option<CleanKind> {
-        match cell.kind_name() {
+    fn classify(kind: KindRef<'_>) -> Option<CleanKind> {
+        match kind.name() {
             "BUFX1" => Some(CleanKind::Buffer {
                 input: "A".into(),
                 output: "Z".into(),
@@ -227,6 +213,113 @@ mod tests {
             }),
             _ => None,
         }
+    }
+
+    /// A module with input port `a` and `n` fresh nets `n0..`.
+    fn with_nets(n: usize) -> (Module, NetId, Vec<NetId>) {
+        let mut m = Module::new("t");
+        m.add_port("a", PortDir::Input).unwrap();
+        let a = m.find_net("a").unwrap();
+        let nets = (0..n)
+            .map(|i| m.add_net(format!("n{i}")).unwrap())
+            .collect();
+        (m, a, nets)
+    }
+
+    fn cell(m: &mut Module, name: &str, kind: &str, a: Conn, z: NetId) {
+        m.add_cell(name, kind, &[("A", a), ("Z", Conn::Net(z))])
+            .unwrap();
+    }
+
+    fn pin_a(m: &Module, name: &str) -> Option<Conn> {
+        m.cell(m.find_cell(name).unwrap()).pin("A")
+    }
+
+    #[test]
+    fn four_buffer_chain_with_two_end_loads_is_collapsed() {
+        let (mut m, a, n) = with_nets(6);
+        cell(&mut m, "u1", "BUFX1", Conn::Net(a), n[0]);
+        cell(&mut m, "u2", "BUFX1", Conn::Net(n[0]), n[1]);
+        cell(&mut m, "u3", "BUFX1", Conn::Net(n[1]), n[2]);
+        cell(&mut m, "u4", "BUFX1", Conn::Net(n[2]), n[3]);
+        cell(&mut m, "g1", "NAND2X1", Conn::Net(n[3]), n[4]);
+        cell(&mut m, "g2", "NAND2X1", Conn::Net(n[3]), n[5]);
+        let stats = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats.buffers_removed, 4);
+        assert_eq!(stats.inverter_pairs_removed, 0);
+        assert_eq!(m.cell_count(), 2);
+        assert_eq!(pin_a(&m, "g1"), Some(Conn::Net(a)));
+        assert_eq!(pin_a(&m, "g2"), Some(Conn::Net(a)));
+    }
+
+    #[test]
+    fn three_inverter_chain_loses_one_pair() {
+        let (mut m, a, n) = with_nets(4);
+        cell(&mut m, "i1", "INVX1", Conn::Net(a), n[0]);
+        cell(&mut m, "i2", "INVX1", Conn::Net(n[0]), n[1]);
+        cell(&mut m, "i3", "INVX1", Conn::Net(n[1]), n[2]);
+        cell(&mut m, "g", "NAND2X1", Conn::Net(n[2]), n[3]);
+        let stats = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats.inverter_pairs_removed, 1);
+        assert_eq!(m.cell_count(), 2);
+        assert!(m.find_cell("i1").is_none() && m.find_cell("i2").is_none());
+        assert_eq!(pin_a(&m, "i3"), Some(Conn::Net(a)));
+        assert_eq!(pin_a(&m, "g"), Some(Conn::Net(n[2])));
+    }
+
+    #[test]
+    fn inverter_pair_with_shared_middle_net_is_kept() {
+        let (mut m, a, n) = with_nets(4);
+        cell(&mut m, "i1", "INVX1", Conn::Net(a), n[0]);
+        cell(&mut m, "i2", "INVX1", Conn::Net(n[0]), n[1]);
+        cell(&mut m, "g1", "NAND2X1", Conn::Net(n[1]), n[2]);
+        cell(&mut m, "g2", "NAND2X1", Conn::Net(n[0]), n[3]);
+        let stats = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats, CleanStats::default());
+        assert_eq!(m.cell_count(), 4);
+        assert_eq!(pin_a(&m, "g1"), Some(Conn::Net(n[1])));
+        assert_eq!(pin_a(&m, "g2"), Some(Conn::Net(n[0])));
+    }
+
+    #[test]
+    fn buffer_of_a_constant_hands_the_constant_to_its_loads() {
+        let (mut m, _, n) = with_nets(3);
+        cell(&mut m, "u", "BUFX1", Conn::Const1, n[0]);
+        cell(&mut m, "g1", "NAND2X1", Conn::Net(n[0]), n[1]);
+        cell(&mut m, "g2", "NAND2X1", Conn::Net(n[0]), n[2]);
+        let stats = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats.buffers_removed, 1);
+        assert_eq!(m.cell_count(), 2);
+        assert_eq!(pin_a(&m, "g1"), Some(Conn::Const1));
+        assert_eq!(pin_a(&m, "g2"), Some(Conn::Const1));
+    }
+
+    #[test]
+    fn buffer_and_inverter_pair_driving_output_ports_are_kept() {
+        let (mut m, a, n) = with_nets(1);
+        m.add_port("z", PortDir::Output).unwrap();
+        m.add_port("y", PortDir::Output).unwrap();
+        let (z, y) = (m.find_net("z").unwrap(), m.find_net("y").unwrap());
+        cell(&mut m, "u", "BUFX1", Conn::Net(a), z);
+        cell(&mut m, "i1", "INVX1", Conn::Net(a), n[0]);
+        cell(&mut m, "i2", "INVX1", Conn::Net(n[0]), y);
+        let stats = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats, CleanStats::default());
+        assert_eq!(m.cell_count(), 3);
+        assert_eq!(pin_a(&m, "i2"), Some(Conn::Net(n[0])));
+    }
+
+    #[test]
+    fn submodule_instance_is_never_classified() {
+        let (mut m, a, n) = with_nets(2);
+        // Named like the library buffer, but an instance of a module.
+        m.add_instance("s", "BUFX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(n[0]))])
+            .unwrap();
+        cell(&mut m, "g", "NAND2X1", Conn::Net(n[0]), n[1]);
+        let stats = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats, CleanStats::default());
+        assert_eq!(m.cell_count(), 2);
+        assert_eq!(pin_a(&m, "g"), Some(Conn::Net(n[0])));
     }
 
     #[test]
@@ -297,34 +390,6 @@ mod tests {
             .unwrap();
         let stats = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.buffers_removed, 0);
-        assert_eq!(m.cell_count(), 1);
-    }
-
-    #[test]
-    fn sweep_removes_transitively_dangling() {
-        let mut m = Module::new("t");
-        m.add_port("a", PortDir::Input).unwrap();
-        let a = m.find_net("a").unwrap();
-        let n1 = m.add_net("n1").unwrap();
-        let n2 = m.add_net("n2").unwrap();
-        m.add_cell("u1", "INVX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(n1))])
-            .unwrap();
-        m.add_cell("u2", "INVX1", &[("A", Conn::Net(n1)), ("Z", Conn::Net(n2))])
-            .unwrap();
-        let swept = sweep_dangling(&mut m, &dirs, |_| false);
-        assert_eq!(swept, 2);
-        assert_eq!(m.cell_count(), 0);
-    }
-
-    #[test]
-    fn sweep_respects_keep() {
-        let mut m = Module::new("t");
-        let a = m.add_net("a").unwrap();
-        let n = m.add_net("n").unwrap();
-        m.add_cell("u", "DFFX1", &[("D", Conn::Net(a)), ("Q", Conn::Net(n))])
-            .unwrap();
-        let swept = sweep_dangling(&mut m, &dirs, |c| c.kind_name().starts_with("DFF"));
-        assert_eq!(swept, 0);
         assert_eq!(m.cell_count(), 1);
     }
 }

@@ -34,7 +34,6 @@
 //! `module`…`endmodule` at the top level; those parse serially.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use super::lexer::{error_at, line_col, Lexer, TokenKind};
@@ -1067,18 +1066,17 @@ impl ModuleCtx {
         involved.sort_unstable();
         involved.dedup();
 
-        let mut remap: HashMap<NetId, Conn> = HashMap::new();
+        let mut remap: Vec<Option<Conn>> = vec![None; n];
         for &i in &involved {
             let root = uf.find(i);
             let target = rep[root].expect("every class has a representative");
             match consts[root] {
                 Some(v) => {
-                    let conn = if v { Conn::Const1 } else { Conn::Const0 };
-                    remap.insert(NetId::from_index(i), conn);
+                    remap[i] = Some(if v { Conn::Const1 } else { Conn::Const0 });
                     self.module.add_const_tie(NetId::from_index(i), v);
                 }
                 None if i != target.index() => {
-                    remap.insert(NetId::from_index(i), Conn::Net(target));
+                    remap[i] = Some(Conn::Net(target));
                     self.module.merge_port_net(NetId::from_index(i), target);
                 }
                 None => {}

@@ -1,17 +1,19 @@
 //! Structural Verilog emission.
 //!
-//! The writer streams every module into one preallocated output buffer:
-//! identifiers are resolved from the module's symbol table and appended
-//! in place ([`push_id`]), declaration grouping borrows net/port names
-//! instead of copying them, and instance pins take a no-allocation fast
-//! path whenever a cell has no bit-blasted (`pin[i]`) pins — the common
-//! case in technology-mapped netlists. Output is byte-identical to the
-//! pre-streaming writer.
+//! The writer streams every module into one preallocated output buffer.
+//! Per write it computes two facts once per symbol of the module ([`Ids`]):
+//! whether the name is a simple identifier and whether it has `base[index]`
+//! bus-bit shape. Every identifier is then appended straight from the
+//! symbol table, escaped or not by one table read; declarations are
+//! grouped by the `(base symbol, index)` the module records for every net;
+//! and instance pins take a no-allocation fast path whenever a cell has no
+//! bit-blasted (`pin[i]`) pins — the common case in technology-mapped
+//! netlists. Output is byte-identical to the pre-streaming writer.
 
 use std::fmt::Write as _;
 
 use crate::hash::{FastHashMap, FastHashSet};
-use crate::{Cell, Conn, Design, Module, PortDir};
+use crate::{Cell, Conn, Design, Module, PortDir, Symbol};
 
 /// Writes all modules of `design` (top first) as structural Verilog.
 pub fn write_design(design: &Design) -> String {
@@ -50,18 +52,25 @@ fn estimate_module(module: &Module) -> usize {
 
 /// True if `name` is a plain Verilog identifier needing no escape.
 fn is_simple_id(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
+    match name.as_bytes() {
+        [first, rest @ ..] => {
+            (first.is_ascii_alphabetic() || *first == b'_')
+                && rest
+                    .iter()
+                    .all(|&b| b.is_ascii_alphanumeric() || b == b'_' || b == b'$')
+        }
+        [] => false,
     }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '$')
 }
 
 /// Appends an identifier, escaping it if necessary. Escaped identifiers
 /// carry their mandatory trailing space.
 fn push_id(out: &mut String, name: &str) {
-    if is_simple_id(name) {
+    push_name(out, name, is_simple_id(name));
+}
+
+fn push_name(out: &mut String, name: &str, simple: bool) {
+    if simple {
         out.push_str(name);
     } else {
         out.push('\\');
@@ -70,70 +79,136 @@ fn push_id(out: &mut String, name: &str) {
     }
 }
 
-/// Appends a pin connection (net name, constant or nothing for open).
-fn push_conn(out: &mut String, module: &Module, conn: Conn) {
-    match conn {
-        Conn::Net(n) => push_id(out, module.net(n).name),
-        Conn::Const0 => out.push_str("1'b0"),
-        Conn::Const1 => out.push_str("1'b1"),
-        Conn::Open => {}
+/// [`Ids`] flag: the name is a simple identifier.
+const SIMPLE: u8 = 1;
+/// [`Ids`] flag: the name has `base[index]` bus-bit shape.
+const BUS_BIT: u8 = 2;
+
+/// One write's view of a module's names: a flag byte per symbol, so each
+/// name is checked once per write however often it is referenced.
+struct Ids<'m> {
+    module: &'m Module,
+    flags: Vec<u8>,
+}
+
+impl<'m> Ids<'m> {
+    fn new(module: &'m Module) -> Self {
+        let syms = module.symbols();
+        let flags = (0..syms.len())
+            .map(|i| {
+                let name = syms.resolve(Symbol::from_index(i));
+                let mut flags = 0;
+                if is_simple_id(name) {
+                    flags |= SIMPLE;
+                }
+                if crate::bus::parse_bus_bit(name).is_some() {
+                    flags |= BUS_BIT;
+                }
+                flags
+            })
+            .collect();
+        Ids { module, flags }
+    }
+
+    fn has(&self, sym: Symbol, flag: u8) -> bool {
+        self.flags[sym.index()] & flag != 0
+    }
+
+    /// Appends the name of `sym`, escaped if it is not simple.
+    fn push(&self, out: &mut String, sym: Symbol) {
+        push_name(out, self.module.resolve(sym), self.has(sym, SIMPLE));
+    }
+
+    /// Appends a pin connection (net name, constant or nothing for open).
+    fn push_conn(&self, out: &mut String, conn: Conn) {
+        match conn {
+            Conn::Net(n) => self.push(out, self.module.net_sym(n)),
+            Conn::Const0 => out.push_str("1'b0"),
+            Conn::Const1 => out.push_str("1'b1"),
+            Conn::Open => {}
+        }
     }
 }
 
-/// A declaration group: either one scalar name or a contiguous bus. Names
-/// borrow from the module's symbol table.
+/// A declaration group: one scalar name or a contiguous bus, as the
+/// symbol of the name or of the bus base.
 #[derive(Debug)]
-struct DeclGroup<'a> {
-    base: &'a str,
+struct DeclGroup {
+    name: Symbol,
     /// `None` for scalars, `Some((msb, lsb))` for buses.
     range: Option<(i64, i64)>,
 }
 
-/// Groups names (in first-seen order) into scalar and bus declarations. A
-/// name participates in a bus only if it has `base[idx]` form, the base is a
-/// simple identifier, and no scalar of the same base name exists.
-fn group_decls<'a>(names: impl Iterator<Item = &'a str>) -> Vec<DeclGroup<'a>> {
-    let names: Vec<&str> = names.collect();
-    let scalar_names: FastHashSet<&str> = names
-        .iter()
-        .copied()
-        .filter(|n| crate::bus::parse_bus_bit(n).is_none())
-        .collect();
-    let mut order: Vec<&str> = Vec::new();
-    let mut buses: FastHashMap<&str, (i64, i64)> = FastHashMap::default();
-    let mut scalars: FastHashSet<&str> = FastHashSet::default();
-    for name in names {
-        match crate::bus::parse_bus_bit(name) {
-            Some((base, index)) if is_simple_id(base) && !scalar_names.contains(base) => {
-                match buses.get_mut(base) {
-                    Some((msb, lsb)) => {
-                        *msb = (*msb).max(index);
-                        *lsb = (*lsb).min(index);
-                    }
-                    None => {
-                        buses.insert(base, (index, index));
-                        order.push(base);
-                    }
-                }
-            }
-            _ => {
-                if scalars.insert(name) {
-                    order.push(name);
-                }
-            }
+/// [`group_by_symbol`] scratch slot of a symbol no group uses.
+const FREE: u32 = u32::MAX;
+/// [`group_by_symbol`] scratch slot of a declared scalar name.
+const SCALAR: u32 = u32::MAX - 1;
+
+/// Groups declared names, each given as `(name, bus)` with the
+/// `(base, index)` the module records for the net of that name, in
+/// first-seen order into scalar and bus declarations. A name joins a bus
+/// only if it has `base[index]` form, the base is a simple identifier,
+/// and no scalar of the base's name is declared alongside.
+fn group_by_symbol(
+    ids: &Ids<'_>,
+    names: &[(Symbol, Option<(Symbol, i64)>)],
+    slot: &mut [u32],
+) -> Vec<DeclGroup> {
+    for &(name, bus) in names {
+        if bus.is_none() {
+            slot[name.index()] = SCALAR;
         }
     }
-    order
-        .into_iter()
-        .map(|base| DeclGroup {
-            range: buses.get(base).copied(),
-            base,
-        })
-        .collect()
+    let mut groups: Vec<DeclGroup> = Vec::new();
+    for &(name, bus) in names {
+        match bus {
+            Some((base, index)) if ids.has(base, SIMPLE) && slot[base.index()] != SCALAR => {
+                match slot[base.index()] {
+                    FREE => {
+                        slot[base.index()] = groups.len() as u32;
+                        groups.push(DeclGroup {
+                            name: base,
+                            range: Some((index, index)),
+                        });
+                    }
+                    g => {
+                        if let Some((msb, lsb)) = &mut groups[g as usize].range {
+                            *msb = (*msb).max(index);
+                            *lsb = (*lsb).min(index);
+                        }
+                    }
+                }
+            }
+            _ => groups.push(DeclGroup { name, range: None }),
+        }
+    }
+    // Leave the scratch table free for the next grouping.
+    for &(name, bus) in names {
+        slot[name.index()] = FREE;
+        if let Some((base, _)) = bus {
+            slot[base.index()] = FREE;
+        }
+    }
+    groups
 }
 
 fn write_module_into(module: &Module, out: &mut String) {
-    let port_groups = group_decls(module.ports().map(|(_, p)| p.name));
+    let ids = Ids::new(module);
+    let mut slot = vec![FREE; module.symbols().len()];
+    // Ports and the nets named like them (every port name names a net).
+    let ports: Vec<(Symbol, Option<(Symbol, i64)>)> = module
+        .ports()
+        .map(|(pid, _)| {
+            let name = module.port_sym(pid);
+            (
+                name,
+                module
+                    .find_net_sym(name)
+                    .and_then(|n| module.net_bus_sym(n)),
+            )
+        })
+        .collect();
+    let port_groups = group_by_symbol(&ids, &ports, &mut slot);
     out.push_str("module ");
     push_id(out, &module.name);
     out.push_str(" (");
@@ -141,71 +216,69 @@ fn write_module_into(module: &Module, out: &mut String) {
         if i > 0 {
             out.push_str(", ");
         }
-        push_id(out, g.base);
+        ids.push(out, g.name);
     }
     out.push_str(");\n");
 
-    // Port direction declarations (one per group; direction taken from the
-    // first member port).
-    let dir_of: FastHashMap<&str, PortDir> = module.ports().map(|(_, p)| (p.name, p.dir)).collect();
+    // Port direction declarations (one per group; a bus takes the
+    // direction of its `base[msb]` port).
     let mut sample = String::new();
     for g in &port_groups {
-        let key = match g.range {
+        let port = match g.range {
             Some((msb, _)) => {
                 sample.clear();
-                let _ = write!(sample, "{}[{msb}]", g.base);
-                sample.as_str()
+                let _ = write!(sample, "{}[{msb}]", module.resolve(g.name));
+                module.find_port(&sample)
             }
-            None => g.base,
+            None => module.find_port_sym(g.name),
         };
-        let dir = dir_of.get(key).copied().unwrap_or(PortDir::Input);
+        let dir = port.map_or(PortDir::Input, |p| module.port(p).dir);
         let _ = write!(out, "  {dir} ");
         if let Some((msb, lsb)) = g.range {
             let _ = write!(out, "[{msb}:{lsb}] ");
         }
-        push_id(out, g.base);
+        ids.push(out, g.name);
         out.push_str(";\n");
     }
 
-    // Wire declarations for non-port nets.
-    let port_nets: FastHashSet<&str> = module
-        .ports()
-        .map(|(_, p)| module.net(p.net).name)
-        .chain(module.ports().map(|(_, p)| p.name))
+    // Wire declarations for nets that neither are a port's net nor share
+    // a port's name.
+    let mut port_name = vec![false; module.symbols().len()];
+    for (pid, port) in module.ports() {
+        port_name[module.port_sym(pid).index()] = true;
+        port_name[module.net_sym(port.net).index()] = true;
+    }
+    let wires: Vec<(Symbol, Option<(Symbol, i64)>)> = module
+        .nets()
+        .map(|(id, _)| (module.net_sym(id), module.net_bus_sym(id)))
+        .filter(|&(name, _)| !port_name[name.index()])
         .collect();
-    let wire_groups = group_decls(
-        module
-            .nets()
-            .map(|(_, n)| n.name)
-            .filter(|n| !port_nets.contains(n)),
-    );
-    for g in &wire_groups {
+    for g in group_by_symbol(&ids, &wires, &mut slot) {
         out.push_str("  wire ");
         if let Some((msb, lsb)) = g.range {
             let _ = write!(out, "[{msb}:{lsb}] ");
         }
-        push_id(out, g.base);
+        ids.push(out, g.name);
         out.push_str(";\n");
     }
 
     // Residual continuous assignments: constant ties on port nets and ports
     // whose net was merged into a different net by `assign` resolution.
-    let port_name_set: FastHashSet<&str> = module.ports().map(|(_, p)| p.name).collect();
     for &(net, value) in module.const_ties() {
-        let name = module.net(net).name;
-        if port_name_set.contains(name) {
+        let name = module.net_sym(net);
+        if module.find_port_sym(name).is_some() {
             out.push_str("  assign ");
-            push_id(out, name);
+            ids.push(out, name);
             let _ = writeln!(out, " = 1'b{};", u8::from(value));
         }
     }
-    for (_, port) in module.ports() {
-        let net_name = module.net(port.net).name;
-        if net_name != port.name && port.dir != PortDir::Input {
+    for (pid, port) in module.ports() {
+        let (name, net_name) = (module.port_sym(pid), module.net_sym(port.net));
+        if net_name != name && port.dir != PortDir::Input {
             out.push_str("  assign ");
-            push_id(out, port.name);
+            ids.push(out, name);
             out.push_str(" = ");
-            push_id(out, net_name);
+            ids.push(out, net_name);
             out.push_str(";\n");
         }
     }
@@ -213,11 +286,11 @@ fn write_module_into(module: &Module, out: &mut String) {
     // Instances.
     for (_, cell) in module.cells() {
         out.push_str("  ");
-        push_id(out, cell.kind_name());
+        ids.push(out, cell.kind.sym());
         out.push(' ');
-        push_id(out, cell.name);
+        ids.push(out, cell.name_sym());
         out.push_str(" (");
-        render_pins_into(module, &cell, out);
+        render_pins_into(&ids, &cell, out);
         out.push_str(");\n");
     }
     out.push_str("endmodule\n");
@@ -228,18 +301,17 @@ fn write_module_into(module: &Module, out: &mut String) {
 ///
 /// Cells with no `pin[i]`-shaped pins — the overwhelmingly common case —
 /// take a direct streaming path with no intermediate collections.
-fn render_pins_into(module: &Module, cell: &Cell<'_>, out: &mut String) {
+fn render_pins_into(ids: &Ids<'_>, cell: &Cell<'_>, out: &mut String) {
     let pins = cell.pins();
-    let any_bus = (0..pins.len()).any(|i| crate::bus::parse_bus_bit(cell.pin_name(i)).is_some());
-    if !any_bus {
-        for (i, (_, conn)) in pins.iter().enumerate() {
+    if !pins.iter().any(|&(pin, _)| ids.has(pin, BUS_BIT)) {
+        for (i, &(pin, conn)) in pins.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
             out.push('.');
-            push_id(out, cell.pin_name(i));
+            ids.push(out, pin);
             out.push('(');
-            push_conn(out, module, *conn);
+            ids.push_conn(out, conn);
             out.push(')');
         }
         return;
@@ -259,7 +331,7 @@ fn render_pins_into(module: &Module, cell: &Cell<'_>, out: &mut String) {
     }
     let mut done: FastHashSet<&str> = FastHashSet::default();
     let mut first = true;
-    for (i, (_, conn)) in pins.iter().enumerate() {
+    for (i, &(pin_sym, conn)) in pins.iter().enumerate() {
         let pin = cell.pin_name(i);
         match crate::bus::parse_bus_bit(pin) {
             Some((base, _)) if multi.contains(base) => {
@@ -282,7 +354,7 @@ fn render_pins_into(module: &Module, cell: &Cell<'_>, out: &mut String) {
                     if k > 0 {
                         out.push_str(", ");
                     }
-                    push_conn(out, module, *c);
+                    ids.push_conn(out, *c);
                 }
                 out.push_str("})");
             }
@@ -292,9 +364,9 @@ fn render_pins_into(module: &Module, cell: &Cell<'_>, out: &mut String) {
                 }
                 first = false;
                 out.push('.');
-                push_id(out, pin);
+                ids.push(out, pin_sym);
                 out.push('(');
-                push_conn(out, module, *conn);
+                ids.push_conn(out, conn);
                 out.push(')');
             }
         }

@@ -1,9 +1,12 @@
 //! Interner edge cases: escaped Verilog identifiers survive interning
 //! byte-for-byte, fuzzed prefixes never produce colliding unique names,
-//! and `Symbol` values stay stable while the module is mutated.
+//! `Symbol` values stay stable while the module is mutated, and the
+//! symbol table agrees with a `HashMap` model through its growths.
+
+use std::collections::HashMap;
 
 use drd_check::{prop, Rng};
-use drd_netlist::{Conn, Module, Symbol};
+use drd_netlist::{Conn, Module, Symbol, SymbolTable};
 
 /// Escaped identifiers exercise every character class the interner must
 /// treat as opaque bytes: brackets, dots, plus/minus, hashes, spaces are
@@ -175,4 +178,121 @@ fn symbols_stay_stable_under_mutation() {
         assert_eq!(m.symbols().resolve(*sym), name.as_str());
         assert_eq!(m.symbols().lookup(name), Some(*sym));
     }
+}
+
+/// One generated name per seed: multi-byte UTF-8, the empty string, an
+/// escaped-identifier shape, a name that differs from an earlier one only
+/// in its last byte, or plain ASCII.
+fn draw_name(seed: u64, earlier: &[String]) -> String {
+    const UTF8: &[&str] = &["é", "名", "🦀", "ß", "ü", "\u{0}", "Ω"];
+    let mut rng = Rng::new(seed);
+    let len = rng.range(0, 12);
+    match rng.range(0, 6) {
+        0 => (0..len).map(|_| *rng.choose(UTF8)).collect(),
+        1 => String::new(),
+        2 => NASTY[rng.range(0, NASTY.len())].to_owned(),
+        3 if !earlier.is_empty() => {
+            // The same bytes up to a last one that is any ASCII letter.
+            let mut near = earlier[rng.range(0, earlier.len())].clone();
+            near.pop();
+            near.push(char::from(b'a' + rng.range(0, 26) as u8));
+            near
+        }
+        _ => (0..len)
+            .map(|_| char::from(b'a' + rng.range(0, 4) as u8))
+            .collect(),
+    }
+}
+
+/// `intern`/`lookup`/`resolve`/`len` agree with a `HashMap<String, u32>`
+/// model over hundreds of names (several table growths from the default
+/// size), and a clone is independent: interning into it changes neither
+/// the original's length nor its lookups.
+#[test]
+fn symbol_table_matches_a_hashmap_model_through_growth() {
+    prop(
+        64,
+        |rng: &mut Rng| {
+            let n = rng.range(0, 600);
+            (0..n).map(|_| rng.next_u64()).collect::<Vec<u64>>()
+        },
+        |seeds: &Vec<u64>| {
+            let mut table = SymbolTable::default();
+            let mut model: HashMap<String, u32> = HashMap::new();
+            let mut order: Vec<String> = Vec::new();
+            let check = |table: &SymbolTable, model: &HashMap<String, u32>, order: &[String]| {
+                if table.len() != model.len() {
+                    return Err(format!("len {} != model {}", table.len(), model.len()));
+                }
+                for (i, name) in order.iter().enumerate() {
+                    let sym = Symbol::from_index(i);
+                    if table.resolve(sym) != name {
+                        return Err(format!(
+                            "resolve({i}) = {:?} != {name:?}",
+                            table.resolve(sym)
+                        ));
+                    }
+                    if table.lookup(name) != Some(sym) {
+                        return Err(format!("lookup({name:?}) = {:?}", table.lookup(name)));
+                    }
+                }
+                Ok(())
+            };
+            let half = seeds.len() / 2;
+            let mut snapshot = None;
+            for (k, &seed) in seeds.iter().enumerate() {
+                if k == half {
+                    snapshot = Some((table.clone(), model.clone(), order.clone()));
+                }
+                let name = draw_name(seed, &order);
+                let expect = match model.get(&name) {
+                    Some(&i) => i,
+                    None => {
+                        let i = order.len() as u32;
+                        model.insert(name.clone(), i);
+                        order.push(name.clone());
+                        i
+                    }
+                };
+                let sym = table.intern(&name);
+                if sym.index() != expect as usize {
+                    return Err(format!(
+                        "intern({name:?}) = {} != model {expect}",
+                        sym.index()
+                    ));
+                }
+                if table.len() != model.len() {
+                    return Err(format!("len {} after {name:?}", table.len()));
+                }
+            }
+            check(&table, &model, &order)?;
+            // The clone taken halfway saw none of the later names.
+            if let Some((clone, model_then, order_then)) = snapshot {
+                check(&clone, &model_then, &order_then)?;
+                for name in order.iter().skip(order_then.len()) {
+                    if clone.lookup(name).is_some() {
+                        return Err(format!("clone sees later name {name:?}"));
+                    }
+                }
+                // Interning into a clone leaves the original as it was.
+                let mut fork = table.clone();
+                for name in ["fork-only", "名前", ""] {
+                    fork.intern(name);
+                    fork.intern(&format!("{name}#fork"));
+                }
+                check(&table, &model, &order)?;
+                if !model.contains_key("fork-only") && table.lookup("fork-only").is_some() {
+                    return Err("original sees a name interned into its clone".into());
+                }
+            }
+            // Names never interned miss.
+            for name in order.iter().take(8) {
+                let miss = format!("{name}\u{1}");
+                if !model.contains_key(&miss) && table.lookup(&miss).is_some() {
+                    return Err(format!("lookup({miss:?}) hit"));
+                }
+            }
+            Ok(())
+        },
+    );
 }

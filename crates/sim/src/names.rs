@@ -4,9 +4,9 @@
 //! need the same bidirectional lookup: a dense `u32` slot per name for
 //! hot-path indexing, plus name resolution at the API boundary. Instead
 //! of duplicating every name into an owned `String` table, the slots are
-//! keyed on the netlist's interned [`Symbol`]s and share the module's
-//! [`SymbolTable`] (a clone costs one refcount bump per name). Strings
-//! only appear at `poke`/`peek`/report boundaries.
+//! keyed on the netlist's interned [`Symbol`]s over a clone of the
+//! module's [`SymbolTable`] (one copy of its string arena). Strings only
+//! appear at `poke`/`peek`/report boundaries.
 
 use std::collections::HashMap;
 
@@ -21,7 +21,7 @@ pub(crate) struct SymSlots {
 }
 
 impl SymSlots {
-    /// An empty slot table sharing `syms` (typically a clone of the
+    /// An empty slot table over `syms` (typically a clone of the
     /// elaborated module's table, so registering existing names is
     /// allocation-free).
     pub fn from_table(syms: SymbolTable) -> Self {

@@ -24,6 +24,7 @@
 //! deadlock, which surfaces as a structured `liveness guard failed`
 //! diagnostic).
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use drd_core::{DesyncError, DesyncOptions, Desynchronizer, FlowContext, Pipeline};
@@ -530,40 +531,8 @@ fn run() -> Result<(), CliError> {
             }
 
             let result = cx.into_result()?;
-            let rep = &result.report;
-            eprintln!(
-                "desynchronized: clock `{}`, {} regions, {} flip-flops substituted, \
-                 {} controllers, {} C-elements",
-                rep.clock_net,
-                rep.regions.len(),
-                rep.substituted_ffs,
-                rep.controllers,
-                rep.celements
-            );
-            if !rep.liveness_repairs.is_empty() {
-                eprintln!(
-                    "warning: liveness guard repaired {} pulse-swallowing hazard record(s):",
-                    rep.liveness_repairs.len()
-                );
-                for lr in &rep.liveness_repairs {
-                    eprintln!("  {lr}");
-                }
-            }
-            if !rep.degradations.is_empty() {
-                eprintln!(
-                    "warning: {} region(s) left synchronous (run with --strict to fail instead):",
-                    rep.degradations.len()
-                );
-                for d in &rep.degradations {
-                    eprintln!("  {d}");
-                }
-            }
-            for r in &rep.regions {
-                eprintln!(
-                    "  {}: {} cells, {} ffs, cloud {:.3} ns, delay element {} levels",
-                    r.name, r.cells, r.ffs, r.critical_delay_ns, r.delem_levels
-                );
-            }
+            // The summary goes to (unbuffered) stderr in one write.
+            eprint!("{}", summary(&result.report));
             let verilog = drd_netlist::verilog::write_design(&result.design);
             match flag_value(&args, "-o") {
                 Some(path) => std::fs::write(path, verilog)?,
@@ -588,6 +557,48 @@ fn run() -> Result<(), CliError> {
             Err(format!("unknown command `{other}`").into())
         }
     }
+}
+
+/// The summary `desync` prints: the clock line, the liveness repairs,
+/// the regions left synchronous and one line per region.
+fn summary(rep: &drd_core::DesyncReport) -> String {
+    let mut out = format!(
+        "desynchronized: clock `{}`, {} regions, {} flip-flops substituted, \
+         {} controllers, {} C-elements\n",
+        rep.clock_net,
+        rep.regions.len(),
+        rep.substituted_ffs,
+        rep.controllers,
+        rep.celements
+    );
+    if !rep.liveness_repairs.is_empty() {
+        let _ = writeln!(
+            out,
+            "warning: liveness guard repaired {} pulse-swallowing hazard record(s):",
+            rep.liveness_repairs.len()
+        );
+        for lr in &rep.liveness_repairs {
+            let _ = writeln!(out, "  {lr}");
+        }
+    }
+    if !rep.degradations.is_empty() {
+        let _ = writeln!(
+            out,
+            "warning: {} region(s) left synchronous (run with --strict to fail instead):",
+            rep.degradations.len()
+        );
+        for d in &rep.degradations {
+            let _ = writeln!(out, "  {d}");
+        }
+    }
+    for r in &rep.regions {
+        let _ = writeln!(
+            out,
+            "  {}: {} cells, {} ffs, cloud {:.3} ns, delay element {} levels",
+            r.name, r.cells, r.ffs, r.critical_delay_ns, r.delem_levels
+        );
+    }
+    out
 }
 
 fn main() -> ExitCode {

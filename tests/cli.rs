@@ -461,3 +461,66 @@ fn cli_budget_flags_abort_with_flow_error() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
+
+/// Two regions: a source behind a 24-NAND chain (a long matched delay)
+/// feeding a one-inverter successor (a fast acknowledge), so the
+/// liveness guard has a pulse-swallowing hazard to repair.
+fn write_imbalanced(dir: &std::path::Path) -> std::path::PathBuf {
+    let mut src =
+        String::from("module chain (clk, din, q0, q1);\n  input clk, din; output q0, q1;\n");
+    let mut prev = "din".to_owned();
+    for c in 0..24 {
+        src.push_str(&format!(
+            "  NAND2X1 g{c} (.A({prev}), .B(din), .Z(c{c}));\n"
+        ));
+        prev = format!("c{c}");
+    }
+    src.push_str(&format!("  DFFX1 r0 (.D({prev}), .CK(clk), .Q(q0));\n"));
+    src.push_str(
+        "  INVX1 i1 (.A(q0), .Z(n1));\n  DFFX1 r1 (.D(n1), .CK(clk), .Q(q1));\nendmodule\n",
+    );
+    let path = dir.join("chain.v");
+    std::fs::write(&path, src).unwrap();
+    path
+}
+
+/// The whole summary `desync` prints on stderr, byte for byte: the clock
+/// line, the liveness repairs, the degraded regions and one line per
+/// region.
+#[test]
+fn cli_desync_summary_is_pinned() {
+    let dir = std::env::temp_dir().join("drdesync_cli_summary");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_v = dir.join("out.v");
+    let repaired = write_imbalanced(&dir);
+    let mixed = write_mixed(&dir);
+    for (input, extra, expected) in [
+        (
+            &repaired,
+            &[][..],
+            "desynchronized: clock `clk`, 2 regions, 2 flip-flops substituted, 4 controllers, 0 C-elements\n\
+             warning: liveness guard repaired 1 pulse-swallowing hazard record(s):\n\
+             \x20 region `g1`: request rise 0.611 ns vs successor response 0.205 ns — deepened `g2`'s delay element 2 → 16 levels\n\
+             \x20 g1: 25 cells, 1 ffs, cloud 0.535 ns, delay element 17 levels\n\
+             \x20 g2: 2 cells, 1 ffs, cloud 0.066 ns, delay element 16 levels\n",
+        ),
+        (
+            &mixed,
+            &["--keep-sync-ff", "DFFRX1"][..],
+            "desynchronized: clock `clk`, 2 regions, 1 flip-flops substituted, 2 controllers, 0 C-elements\n\
+             warning: 1 region(s) left synchronous (run with --strict to fail instead):\n\
+             \x20 region `g2` left synchronous: unsupported flip-flop `DFFRX1` (no gatefile rule) (1 cell)\n\
+             \x20 g1: 2 cells, 1 ffs, cloud 0.066 ns, delay element 2 levels\n\
+             \x20 g2: 2 cells, 1 ffs, cloud 0.066 ns, delay element 0 levels\n",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
+            .args(["desync", input.to_str().unwrap(), "-o", out_v.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), expected);
+        assert!(out.stdout.is_empty(), "{out:?}");
+    }
+}
