@@ -102,9 +102,8 @@ fn kernels(doc: &Value) -> Vec<String> {
             ("results[].max_ns", num),
             ("ratios[].label", text),
             ("ratios[].reference", text),
-            ("ratios[].rounds", num),
-            ("ratios[].min", num),
-            ("ratios[].max", num),
+            ("ratios[].iters", num),
+            ("ratios[].ratio", num),
         ],
     );
     let ratios = doc

@@ -35,11 +35,10 @@ pub struct Sample {
 struct Ratio {
     label: String,
     reference: String,
-    rounds: u32,
-    /// Lowest per-round ratio: the statistic a gate bounds.
-    min: f64,
-    /// Highest per-round ratio.
-    max: f64,
+    iters: u32,
+    /// The kernel's fastest iteration over the reference's fastest: the
+    /// statistic a gate bounds.
+    ratio: f64,
 }
 
 /// A named group of benchmarks.
@@ -87,59 +86,79 @@ impl Bench {
     }
 
     /// Times each kernel of `bodies[1..]` against the reference task
-    /// `bodies[0]`, for gates that must not move with host speed. Each of
-    /// `rounds` rounds runs `iters` iterations, and each iteration runs
-    /// every body once, reference first, so a host slow phase slows them
-    /// all alike. A kernel's ratio in a round is its fastest iteration
-    /// over the reference's fastest. A slow phase inflates only the
-    /// rounds it overlaps, while a slower kernel shows in every round, so
-    /// the lowest ratio over the rounds is what a gate bounds, and is
-    /// returned per kernel, in `bodies[1..]` order. Every body is also
-    /// recorded as a plain sample over all its iterations.
+    /// `bodies[0]`, for gates that must not move with host speed. Each
+    /// iteration runs every body once, reference first, and a kernel's
+    /// ratio is its fastest iteration over the reference's fastest. A
+    /// busy host slows the iterations it overlaps but not the fastest
+    /// ones, so the ratio compares the bodies at the host's quietest.
+    ///
+    /// Timing runs in batches of `iters` iterations. While some kernel's
+    /// ratio is above its bound (`bounds`, one per kernel), up to three
+    /// more batches follow. More iterations only bring each body's
+    /// fastest closer to its speed on a quiet host, where a slower kernel
+    /// is still above its bound, while a host busy through one batch is
+    /// seldom busy through four. Returns the ratios in `bodies[1..]`
+    /// order; every body is also recorded as a plain sample over all its
+    /// iterations.
+    ///
+    /// The timing loop allocates nothing of its own, so each body finds
+    /// the heap as it left it in the iteration before.
     pub fn run_relative(
         &mut self,
-        rounds: u32,
         iters: u32,
+        bounds: &[f64],
         bodies: &mut [(&str, &mut dyn FnMut())],
     ) -> Vec<f64> {
+        const BATCHES: usize = 4;
+        // One 30 MiB block, allocated and freed before timing. Freeing a
+        // block that large from its own mapping (glibc caps this at
+        // 32 MiB) makes glibc's malloc serve every smaller block from the
+        // heap and keep up to twice that much free heap before returning
+        // pages to the kernel, so the bodies' buffers reuse pages faulted
+        // in once. Without it the heap's layout decided whether a body
+        // faulted fresh pages in on every call: in a probe the DLX writer
+        // took 326 faults a call and ran a quarter slower, and in this
+        // bench some processes read it that slow and others did not.
+        drop(std::hint::black_box(vec![0u8; 30 << 20]));
         for (_, body) in bodies.iter_mut() {
             body();
         }
-        let mut times = vec![Vec::new(); bodies.len()];
-        let mut ratios = vec![Vec::new(); bodies.len()];
-        for _ in 0..rounds {
-            let mut fastest = vec![f64::INFINITY; bodies.len()];
+        let mut times: Vec<Vec<f64>> = bodies
+            .iter()
+            .map(|_| Vec::with_capacity(iters as usize * BATCHES))
+            .collect();
+        let fastest = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
+        let mut ratios = Vec::with_capacity(bodies.len());
+        for _ in 0..BATCHES {
             for _ in 0..iters {
-                for (i, (_, body)) in bodies.iter_mut().enumerate() {
-                    let ns = time_ns(body);
-                    fastest[i] = fastest[i].min(ns);
-                    times[i].push(ns);
+                for ((_, body), times) in bodies.iter_mut().zip(&mut times) {
+                    times.push(time_ns(body));
                 }
             }
-            for (ratio, f) in ratios.iter_mut().zip(&fastest) {
-                ratio.push(f / fastest[0]);
+            let reference = fastest(&times[0]);
+            ratios.clear();
+            ratios.extend(times[1..].iter().map(|t| fastest(t) / reference));
+            if ratios.iter().zip(bounds).all(|(r, bound)| r <= bound) {
+                break;
             }
         }
         for ((label, _), times) in bodies.iter().zip(&times) {
             self.record(label, times);
         }
-        let mut lowest = Vec::new();
-        for ((label, _), ratio) in bodies.iter().zip(&ratios).skip(1) {
+        for ((label, _), &ratio) in bodies[1..].iter().zip(&ratios) {
             let ratio = Ratio {
                 label: (*label).to_owned(),
                 reference: bodies[0].0.to_owned(),
-                rounds,
-                min: ratio.iter().copied().fold(f64::INFINITY, f64::min),
-                max: ratio.iter().copied().fold(0.0f64, f64::max),
+                iters: times[0].len() as u32,
+                ratio,
             };
             eprintln!(
-                "ratio {:<40} {:>8.3} .. {:.3} x {} ({} rounds)",
-                ratio.label, ratio.min, ratio.max, ratio.reference, rounds
+                "ratio {:<40} {:>8.3} x {} ({} iters)",
+                ratio.label, ratio.ratio, ratio.reference, ratio.iters
             );
-            lowest.push(ratio.min);
             self.ratios.push(ratio);
         }
-        lowest
+        ratios
     }
 
     fn record(&mut self, label: &str, times: &[f64]) {
@@ -190,12 +209,11 @@ impl Bench {
             .iter()
             .map(|r| {
                 format!(
-                    "    {{\"label\": {}, \"reference\": {}, \"rounds\": {}, \"min\": {:.4}, \"max\": {:.4}}}",
+                    "    {{\"label\": {}, \"reference\": {}, \"iters\": {}, \"ratio\": {:.4}}}",
                     escape(&r.label),
                     escape(&r.reference),
-                    r.rounds,
-                    r.min,
-                    r.max
+                    r.iters,
+                    r.ratio
                 )
             })
             .collect();
@@ -251,22 +269,41 @@ mod tests {
         let mut twice = || {
             std::hint::black_box((0..2000u64).sum::<u64>());
         };
-        let lowest = b.run_relative(
-            2,
+        let ratios = b.run_relative(
             3,
+            &[f64::INFINITY],
             &mut [("spin_ref", &mut spin), ("spin_twice", &mut twice)],
         );
         assert_eq!(b.samples().len(), 4);
-        assert_eq!(b.samples()[3].iters, 6, "rounds x iterations");
+        assert_eq!(b.samples()[3].iters, 3, "within its bound: one batch");
         let ratio = &b.ratios[0];
-        assert!(0.0 < ratio.min && ratio.min <= ratio.max, "{ratio:?}");
-        assert_eq!(lowest, vec![ratio.min]);
+        assert!(ratio.ratio > 0.0, "{ratio:?}");
+        assert_eq!(ratios, vec![ratio.ratio]);
         let json = b.to_json();
         assert!(json.contains("\"name\": \"selftest\""));
         assert!(json.contains("\"label\": \"spin\""));
         assert!(json.contains("mean_ns"));
-        assert!(json.contains("\"spin_twice\", \"reference\": \"spin_ref\", \"rounds\": 2"));
+        assert!(json.contains("\"spin_twice\", \"reference\": \"spin_ref\", \"iters\": 3"));
         drd_json::parse(&json).expect("valid JSON");
+    }
+
+    #[test]
+    fn a_kernel_over_its_bound_is_timed_in_more_batches() {
+        let mut b = Bench::new("batches");
+        let mut spin = || {
+            std::hint::black_box((0..1000u64).sum::<u64>());
+        };
+        let mut twice = || {
+            std::hint::black_box((0..2000u64).sum::<u64>());
+        };
+        let ratios = b.run_relative(
+            3,
+            &[0.0],
+            &mut [("spin_ref", &mut spin), ("spin_twice", &mut twice)],
+        );
+        assert!(ratios[0] > 0.0);
+        assert_eq!(b.samples()[1].iters, 12, "four batches of three");
+        assert_eq!(b.ratios[0].iters, 12);
     }
 
     #[test]
