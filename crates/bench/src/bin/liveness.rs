@@ -80,7 +80,7 @@ fn main() {
                 // The gate: what shipped must be live — structurally
                 // (repairs really in the netlist) and behaviourally
                 // (the handshake network settles).
-                let verdict = verify_liveness(&result.report, &result.design, &lib)
+                let verdict = verify_liveness(&result, &lib)
                     .and_then(|()| {
                         let spec = handshake_spec(&result.report, &lib)
                             .map_err(|e| e.to_string())?;

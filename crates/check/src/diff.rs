@@ -192,7 +192,7 @@ pub fn verify_result(
     // Liveness oracle (DESIGN.md §3i): the netlist must carry the
     // repairs the guard reported, and the shipped delay-element depths
     // must leave no pulse-swallowing hazard behind.
-    crate::liveness::verify_liveness(&result.report, &result.design, lib)
+    crate::liveness::verify_liveness(result, lib)
         .map_err(|e| fail(recipe, &format!("liveness oracle: {e}")))?;
 
     let reference = simulate_reference(recipe, lib, config)?;
@@ -472,11 +472,14 @@ fn lint_sdc(recipe: &NetRecipe, result: &DesyncResult) -> Result<(), String> {
     // Zero-delay regions (e.g. the input-register region `g0`) carry a
     // minimum one-level element with no floor to preserve, and degraded
     // regions (clock fallback, `delem_levels == 0`) carry none at all.
-    for r in &result.report.regions {
+    for (i, r) in result.report.regions.iter().enumerate() {
         if r.ffs == 0 || r.delem_levels == 0 || r.critical_delay_ns <= 0.0 {
             continue;
         }
-        let inst = format!("drd_{}_delem", r.name);
+        let Some(ctl) = result.network.regions.get(i).and_then(Option::as_ref) else {
+            return Err(fail(recipe, &format!("region {} has no delay element", r.name)));
+        };
+        let inst = result.design.top_module().cell(ctl.delem).name;
         let min_delay = format!("-from [get_pins {{{inst}/in1}}] -to [get_pins {{{inst}/out1}}]");
         let dont_touch = format!("set_dont_touch [get_cells {{{inst}}}]");
         let has_min = sdc

@@ -2,6 +2,11 @@
 //! liveness guard reported, and the repaired network must screen clean
 //! under the guard's own response-bound model (DESIGN.md §3i).
 //!
+//! The oracle reaches the generated cells through the result's control
+//! table ([`DesyncResult::network`]) and enable table
+//! ([`DesyncResult::substitution`]), never by their names, so it also
+//! runs on inputs whose names collide with generated ones.
+//!
 //! Three structural properties, each killing a class of injected fault
 //! the behavioural oracle can miss on a lucky workload:
 //!
@@ -16,17 +21,23 @@
 //!    nothing: every loopback source either satisfies the response
 //!    bound or carries a request-extending latch.
 //! 3. **Latch accounting** — a `RequestLatch` record implies the
-//!    `drd_<r>_reqext` C-element exists and feeds the region's delay
-//!    element, and every `reqext` cell in the netlist is backed by a
-//!    record (no unexplained latches).
+//!    region's request-extending C-element is alive and feeds its delay
+//!    element, and every latch in the table is backed by a record (no
+//!    unexplained latches).
 //!
-//! Degraded regions are checked for clean excision: no controller pair,
-//! no delay element, and the synchronous re-clocking cells present.
+//! Degraded regions are checked for clean excision: no control network
+//! left, and any enable nets substitution gave the region driven by one
+//! clock-fed cell alone. Nor may anything generated escape the table:
+//! every live controller, delay element and C-element the flow appended
+//! after substitution must belong to a controlled region's entry, so a
+//! latch the table does not record, or a cell a degrade left, is caught.
 
+use drd_core::controller::ControllerRole;
 use drd_core::liveness::{hazards, RegionState, ResponseModel};
-use drd_core::{DesyncReport, LivenessAction};
+use drd_core::network::RegionControl;
+use drd_core::{DesyncResult, LivenessAction};
 use drd_liberty::Library;
-use drd_netlist::Design;
+use drd_netlist::{CellId, Conn, Endpoint};
 
 /// Parses the level count out of a delay-element module name
 /// (`drd_delem_12` → 12, `drd_delemx_7` → 7).
@@ -42,26 +53,24 @@ fn delem_levels_of(kind: &str) -> Option<usize> {
 ///
 /// # Errors
 /// A description of the first violated property.
-pub fn verify_liveness(
-    report: &DesyncReport,
-    design: &Design,
-    lib: &Library,
-) -> Result<(), String> {
-    let top = design.module(design.top());
+pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), String> {
+    let (report, top) = (&result.report, result.design.top_module());
     let model = ResponseModel::probe(lib).map_err(|e| format!("response model: {e}"))?;
-    let degraded =
-        |name: &str| report.degradations.iter().any(|d| d.region == name);
+    let alive = |id: CellId| top.is_cell_alive(id).then_some(id);
+    let latched = |lr: &drd_core::LivenessRepair| {
+        lr.action == LivenessAction::RequestLatch
+            && !report.degradations.iter().any(|d| d.region == lr.region)
+    };
 
     // Property 1: measured delay-element depths match the report.
     let mut states = Vec::with_capacity(report.regions.len());
-    for r in &report.regions {
-        let inst = format!("drd_{}_delem", r.name);
-        let measured = top
-            .find_cell(&inst)
-            .map(|id| top.cell(id).kind_name().to_owned());
+    let mut listed = vec![false; top.cell_slots()];
+    for (i, r) in report.regions.iter().enumerate() {
         let controlled = r.ffs > 0 && r.delem_levels > 0;
-        match (&measured, controlled) {
-            (Some(kind), true) => {
+        let control = result.network.regions.get(i).and_then(Option::as_ref).filter(|_| controlled);
+        match (control.and_then(|c| alive(c.delem)), controlled) {
+            (Some(delem), _) => {
+                let (inst, kind) = (top.cell(delem).name, top.cell(delem).kind_name());
                 let levels = delem_levels_of(kind)
                     .ok_or_else(|| format!("{inst} has non-delay module `{kind}`"))?;
                 if levels != r.delem_levels {
@@ -71,21 +80,15 @@ pub fn verify_liveness(
                     ));
                 }
             }
-            (None, true) => return Err(format!("region {}: delay element {inst} missing", r.name)),
-            (Some(_), false) => {
-                return Err(format!(
-                    "region {}: uncontrolled but delay element {inst} survives",
-                    r.name
-                ))
-            }
+            (None, true) => return Err(format!("region {}: delay element missing", r.name)),
             (None, false) => {}
         }
-        let latched = top.find_cell(&format!("drd_{}_reqext", r.name)).is_some();
+        control.into_iter().flat_map(RegionControl::cells).for_each(|id| listed[id.index()] = true);
         states.push(RegionState {
             name: r.name.clone(),
             controlled,
             levels: r.delem_levels,
-            latched,
+            latched: control.and_then(|c| alive(c.latch?.0)).is_some(),
         });
     }
 
@@ -108,65 +111,65 @@ pub fn verify_liveness(
         ));
     }
 
-    // Property 3: latch records and latch cells agree both ways.
-    for lr in &report.liveness_repairs {
-        if !matches!(lr.action, LivenessAction::RequestLatch) {
-            continue;
-        }
-        if degraded(&lr.region) {
-            continue; // a later Degrade rung excised the latch with the region
-        }
-        let inst = format!("drd_{}_reqext", lr.region);
-        let Some(cell) = top.find_cell(&inst) else {
-            return Err(format!(
-                "region {}: request latch recorded but {inst} is missing",
-                lr.region
-            ));
+    // Property 3: latch records and latch cells agree both ways. A later
+    // Degrade rung excises a latch with its region.
+    for lr in report.liveness_repairs.iter().filter(|lr| latched(lr)) {
+        let ctl = result
+            .control(&lr.region)
+            .ok_or_else(|| format!("region {}: latched but no control network", lr.region))?;
+        let Some(latch) = ctl.latch.and_then(|(c2, _)| alive(c2)) else {
+            return Err(format!("region {}: request latch recorded but missing", lr.region));
         };
         // The latch output must be what the delay element samples.
-        let q = top.cell(cell).pin("Z").and_then(|c| c.net());
-        let delem = top
-            .find_cell(&format!("drd_{}_delem", lr.region))
-            .ok_or_else(|| format!("region {}: latched but no delay element", lr.region))?;
-        let in1 = top.cell(delem).pin("in1").and_then(|c| c.net());
+        let q = top.cell(latch).pin("Z").and_then(Conn::net);
+        let in1 = top.cell(ctl.delem).pin("in1").and_then(Conn::net);
         if q.is_none() || q != in1 {
             return Err(format!(
-                "region {}: request latch {inst} does not feed the delay element",
-                lr.region
+                "region {}: request latch {} does not feed the delay element",
+                lr.region,
+                top.cell(latch).name
             ));
         }
     }
-    for r in &report.regions {
-        let inst = format!("drd_{}_reqext", r.name);
-        if top.find_cell(&inst).is_some()
-            && !report.liveness_repairs.iter().any(|lr| {
-                lr.region == r.name && matches!(lr.action, LivenessAction::RequestLatch)
-            })
-        {
-            return Err(format!("region {}: unexplained request latch {inst}", r.name));
+    for (r, state) in report.regions.iter().zip(&states) {
+        let recorded = report.liveness_repairs.iter().any(|lr| lr.region == r.name && latched(lr));
+        if state.latched && !recorded {
+            return Err(format!("region {}: unexplained request latch", r.name));
         }
     }
 
-    // Degraded regions: the control machinery must be fully excised and
-    // the synchronous re-clocking in place.
+    // Degraded regions: the control network must be fully excised and
+    // any enable nets driven from the clock, by one cell alone.
+    let clock = top.find_net(&report.clock_net);
     for d in &report.degradations {
-        for suffix in ["ctlm", "ctls", "delem", "reqext"] {
-            let inst = format!("drd_{}_{suffix}", d.region);
-            if top.find_cell(&inst).is_some() {
-                return Err(format!(
-                    "degraded region {}: control cell {inst} survives",
-                    d.region
-                ));
-            }
+        let i = slot(&d.region).ok_or_else(|| format!("degraded region {} unknown", d.region))?;
+        if result.control(&d.region).is_some() {
+            return Err(format!("degraded region {}: control network survives", d.region));
         }
-        for suffix in ["syncm", "syncs"] {
-            let inst = format!("drd_{}_{suffix}", d.region);
-            if top.find_cell(&inst).is_none() {
-                return Err(format!(
-                    "degraded region {}: re-clocking cell {inst} missing",
-                    d.region
-                ));
-            }
+        let Some((gm, gs)) = result.substitution.enables.get(i).copied().flatten() else {
+            continue;
+        };
+        let conn = top
+            .connectivity(&result.design.pin_dirs(lib))
+            .map_err(|e| format!("degraded region {}: {e}", d.region))?;
+        let from_clock = |net| match conn.driver(net) {
+            Some(Endpoint::Pin(p)) => top.cell(p.cell).pin("A").and_then(Conn::net) == clock,
+            _ => false,
+        };
+        if !from_clock(gm) || !from_clock(gs) {
+            return Err(format!("degraded region {}: enables not re-clocked", d.region));
+        }
+    }
+
+    // Nothing generated escapes the table. User cells, ffsub's composite
+    // latches included, sit in the slots before the range.
+    let roles = [ControllerRole::Master, ControllerRole::Slave];
+    let generated = (result.substitution.cells.end..top.cell_slots()).map(CellId::from_index);
+    for id in generated.filter(|&id| alive(id).is_some() && !listed[id.index()]) {
+        let (name, kind) = (top.cell(id).name, top.cell(id).kind_name());
+        let controller = roles.iter().any(|r| r.module_name() == kind);
+        if controller || kind == "C2X1" || delem_levels_of(kind).is_some() {
+            return Err(format!("control cell {name} ({kind}) belongs to no controlled region"));
         }
     }
     Ok(())
@@ -175,9 +178,64 @@ pub fn verify_liveness(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{verify_result, DiffConfig};
+    use crate::mutate::{self, Mutation};
     use crate::netgen::{FfKind, FfRecipe, GateOp, NetRecipe, StageRecipe};
-    use drd_core::{DesyncOptions, Desynchronizer};
+    use drd_core::{DegradeReason, Degradation, DesyncOptions, Desynchronizer, LivenessRepair};
     use drd_liberty::vlib90;
+
+    /// The control-table entry of region `name`.
+    fn control<'r>(result: &'r DesyncResult, name: &str) -> &'r RegionControl {
+        result.control(name).unwrap()
+    }
+
+    /// Degrades source region `name` as the liveness guard's Degrade rung
+    /// does, records it in the report, and first lets `leave` edit the
+    /// control entry the surgery reads: a cell it drops from the entry
+    /// stays in the netlist.
+    fn degrade(result: &mut DesyncResult, name: &str, leave: impl FnOnce(&mut RegionControl)) {
+        let slot = |r: &str| result.report.regions.iter().position(|s| s.name == r).unwrap();
+        let i = slot(name);
+        let edges = &result.report.ddg_edges;
+        let succs: Vec<usize> =
+            edges.iter().filter(|(a, b)| a == name && b != name).map(|(_, b)| slot(b)).collect();
+        let mut controls = result.network.regions.clone();
+        leave(controls[i].as_mut().unwrap());
+        let enable = result.substitution.enables[i].unwrap();
+        let m = result.design.top_module_mut();
+        let clock = m.find_net(&result.report.clock_net).unwrap();
+        drd_core::liveness::apply_degrade(m, &mut controls, i, &succs, clock, enable, name)
+            .unwrap();
+        result.network.regions = controls;
+        let report = &mut result.report;
+        report.regions[i].delem_levels = 0;
+        report.liveness_repairs.push(LivenessRepair {
+            region: name.into(),
+            rise_ns: 0.0,
+            response_bound_ns: 0.0,
+            action: LivenessAction::Degrade,
+        });
+        let reason = DegradeReason::Liveness { message: "forced".into() };
+        report.degradations.push(Degradation { region: name.into(), reason, cells: Vec::new() });
+    }
+
+    /// A flow forced onto the latch rung, and the latched source region.
+    fn latched_flow(lib: &Library) -> (DesyncResult, String) {
+        let module = imbalanced_recipe().build().unwrap();
+        let tool = Desynchronizer::new(lib).unwrap();
+        // A clock budget too small to deepen into.
+        let opts = DesyncOptions { clock_period_ns: 0.5, ..DesyncOptions::default() };
+        let result = tool.run(module, &opts).0.unwrap();
+        let source = result
+            .report
+            .liveness_repairs
+            .iter()
+            .find(|lr| lr.action == LivenessAction::RequestLatch)
+            .expect("tight budget must force the latch rung")
+            .region
+            .clone();
+        (result, source)
+    }
 
     /// The stall-test shape: a 24-NAND source feeding a 1-inverter sink —
     /// guaranteed to exercise the repair ladder.
@@ -208,7 +266,7 @@ mod tests {
         let tool = Desynchronizer::new(&lib).unwrap();
         let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
         assert!(!result.report.liveness_repairs.is_empty(), "repair expected");
-        verify_liveness(&result.report, &result.design, &lib).expect("repaired flow verifies");
+        verify_liveness(&result, &lib).expect("repaired flow verifies");
     }
 
     #[test]
@@ -237,13 +295,12 @@ mod tests {
                 .design
                 .insert(drd_core::delay_element::build_fixed(&shallow, from));
         }
-        let top = result.design.top();
-        let m = result.design.module_mut(top);
-        let cell = m.find_cell(&format!("drd_{succ}_delem")).unwrap();
+        let cell = control(&result, &succ).delem;
+        let m = result.design.top_module_mut();
         let kind = m.instance_kind(&shallow);
         m.set_cell_kind(cell, kind);
 
-        let err = verify_liveness(&result.report, &result.design, &lib)
+        let err = verify_liveness(&result, &lib)
             .expect_err("shallowed delay element must be caught");
         assert!(err.contains("levels deep"), "{err}");
     }
@@ -251,36 +308,101 @@ mod tests {
     #[test]
     fn oracle_catches_a_stripped_request_latch() {
         let lib = vlib90::high_speed();
-        // Force the latch rung: a clock budget too small to deepen into.
-        let module = imbalanced_recipe().build().unwrap();
-        let tool = Desynchronizer::new(&lib).unwrap();
-        let opts = DesyncOptions { clock_period_ns: 0.5, ..DesyncOptions::default() };
-        let result = tool.run(module, &opts).0.unwrap();
-        let latched: Vec<&str> = result
-            .report
-            .liveness_repairs
-            .iter()
-            .filter(|lr| matches!(lr.action, drd_core::LivenessAction::RequestLatch))
-            .map(|lr| lr.region.as_str())
-            .collect();
-        assert!(!latched.is_empty(), "tight budget must force the latch rung");
-        verify_liveness(&result.report, &result.design, &lib).expect("latched flow verifies");
+        let (result, source) = latched_flow(&lib);
+        verify_liveness(&result, &lib).expect("latched flow verifies");
 
         // Strip the latch but leave the record: both directions of the
         // accounting must catch it (here: record without cell).
         let mut broken = result.clone();
-        let region = latched[0].to_owned();
-        let top = broken.design.top();
-        let m = broken.design.module_mut(top);
-        let ros = m.find_net(&format!("drd_{region}_ros")).unwrap();
-        let delem = m.find_cell(&format!("drd_{region}_delem")).unwrap();
-        m.set_pin(delem, "in1", drd_netlist::Conn::Net(ros));
-        let latch = m.find_cell(&format!("drd_{region}_reqext")).unwrap();
-        m.remove_cell(latch);
+        let ctl = control(&result, &source);
+        let m = broken.design.top_module_mut();
+        m.set_pin(ctl.delem, "in1", Conn::Net(ctl.ros));
+        m.remove_cell(ctl.latch.unwrap().0);
         // The hazard recheck sees the unlatched source first; the latch
         // accounting is the backstop for non-hazardous regions.
-        let err = verify_liveness(&broken.report, &broken.design, &lib)
+        let err = verify_liveness(&broken, &lib)
             .expect_err("stripped latch must be caught");
-        assert!(err.contains("hazard") || err.contains("reqext"), "{err}");
+        assert!(err.contains("hazard") || err.contains("request latch"), "{err}");
+    }
+
+    /// A request latch in the netlist that the control table does not
+    /// record is caught, though it feeds the delay element correctly.
+    #[test]
+    fn oracle_catches_a_latch_the_table_does_not_record() {
+        let lib = vlib90::high_speed();
+        let tool = Desynchronizer::new(&lib).unwrap();
+        let module = imbalanced_recipe().build().unwrap();
+        let mut result = tool.run(module, &DesyncOptions::default()).0.unwrap();
+        let source = result.report.liveness_repairs[0].region.clone();
+        let mut ctl = control(&result, &source).clone();
+        let m = result.design.top_module_mut();
+        drd_core::liveness::apply_latch(m, &mut ctl, &source).unwrap();
+        let err = verify_liveness(&result, &lib).expect_err("unrecorded latch must be caught");
+        assert!(err.contains("(C2X1) belongs to no controlled region"), "{err}");
+    }
+
+    /// A degrade that excises the region's whole control network passes.
+    /// One that leaves the master controller, the delay element or the
+    /// request latch behind does not, and neither does a region whose
+    /// enables lost their clock-fed driver.
+    #[test]
+    fn oracle_checks_a_degraded_region_for_left_overs() {
+        let lib = vlib90::high_speed();
+        let (latched, source) = latched_flow(&lib);
+        let mut clean = latched.clone();
+        degrade(&mut clean, &source, |_| {});
+        verify_liveness(&clean, &lib).expect("a clean degrade verifies");
+
+        // The master still drives the re-clocked enable; the delay element
+        // and the latch are left dangling.
+        let mut broken = latched.clone();
+        degrade(&mut broken, &source, |c| c.master = c.slave);
+        let err = verify_liveness(&broken, &lib).expect_err("left-over master");
+        assert!(err.contains("has multiple drivers"), "{err}");
+        let mut broken = latched.clone();
+        degrade(&mut broken, &source, |c| c.delem = c.slave);
+        let err = verify_liveness(&broken, &lib).expect_err("left-over delay element");
+        assert!(err.contains("(drd_delem_") && err.contains("belongs to no controlled"), "{err}");
+        let mut broken = latched.clone();
+        degrade(&mut broken, &source, |c| c.latch = None);
+        let err = verify_liveness(&broken, &lib).expect_err("left-over latch");
+        assert!(err.contains("(C2X1) belongs to no controlled region"), "{err}");
+
+        let i = clean.report.regions.iter().position(|r| r.name == source).unwrap();
+        let (gm, _) = clean.substitution.enables[i].unwrap();
+        let m = clean.design.top_module_mut();
+        let syncm = m.cells().find(|(_, c)| c.pin("Z") == Some(Conn::Net(gm))).unwrap().0;
+        m.remove_cell(syncm);
+        let err = verify_liveness(&clean, &lib).expect_err("unclocked enable must be caught");
+        assert!(err.contains("enables not re-clocked"), "{err}");
+    }
+
+    /// User cells named like a delay element or a request latch are not
+    /// taken for them: the oracle reads the control table, and the
+    /// swallowed-request mutant undoes the repair the guard made.
+    #[test]
+    fn oracle_and_mutant_see_past_colliding_cell_names() {
+        let lib = vlib90::high_speed();
+        let tool = Desynchronizer::new(&lib).unwrap();
+        let config = DiffConfig::default();
+        let recipe = imbalanced_recipe();
+        for sink in ["drd_g2_delem", "drd_g1_reqext"] {
+            // The sink region's one inverter, renamed.
+            let text = recipe.verilog().replace("INVX1 g1_0 (", &format!("INVX1 {sink} ("));
+            let module = drd_netlist::verilog::parse_module(&text).unwrap();
+            let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
+            let m = result.design.top_module();
+            assert_eq!(m.cell(m.find_cell(sink).unwrap()).kind_name(), "INVX1");
+            assert!(!result.report.liveness_repairs.is_empty(), "{sink}: repair expected");
+            verify_liveness(&result, &lib).unwrap_or_else(|e| panic!("{sink}: {e}"));
+            verify_result(&recipe, &lib, &config, &result)
+                .unwrap_or_else(|e| panic!("{sink}: {e}"));
+            let mutant = mutate::apply(Mutation::SwallowedRequest, 0, &recipe, &result, &lib)
+                .expect("a repair to undo");
+            assert!(
+                verify_result(&recipe, &lib, &config, &mutant).is_err(),
+                "{sink}: swallowed-request mutant survives"
+            );
+        }
     }
 }

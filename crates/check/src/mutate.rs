@@ -38,8 +38,8 @@ use drd_core::pipeline::{
     CleanPass, ClockIdPass, ControlNetworkPass, DdgPass, GroupPass, RegionDelaysPass, SdcPass,
 };
 use drd_core::{
-    ffsub, network::enable_net_names, DesyncError, DesyncOptions, DesyncResult, Desynchronizer,
-    FlowContext, Pass, PassReport, Pipeline,
+    ffsub, DesyncError, DesyncOptions, DesyncResult, Desynchronizer, FlowContext, LivenessAction,
+    Pass, PassReport, Pipeline,
 };
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::{Library, Lv};
@@ -427,21 +427,12 @@ pub fn apply(
                     sdc.push('\n');
                 }
             }
-            Some(DesyncResult {
-                design: clean.design.clone(),
-                sdc,
-                report: clean.report.clone(),
-            })
+            Some(DesyncResult { sdc, ..clean.clone() })
         }
         _ => {
-            let mut design = clean.design.clone();
-            let top = design.top();
-            apply_netlist(mutation, design.module_mut(top), &mut rng)?;
-            Some(DesyncResult {
-                design,
-                sdc: clean.sdc.clone(),
-                report: clean.report.clone(),
-            })
+            let mut mutant = clean.clone();
+            apply_netlist(mutation, mutant.design.top_module_mut(), &mut rng)?;
+            Some(mutant)
         }
     }
 }
@@ -554,14 +545,14 @@ fn apply_netlist(mutation: Mutation, m: &mut Module, rng: &mut Rng) -> Option<()
 
 /// Undoes one seed-selected liveness repair in the netlist while the
 /// report keeps claiming it — the repaired spec still *projects* live,
-/// so only the structural liveness oracle sees the reopened hazard.
+/// so only the structural liveness oracle sees the reopened hazard. The
+/// repaired cells are reached through the result's control table.
 /// `None` when the clean flow recorded no undoable repair.
 fn apply_swallowed_request(
     clean: &DesyncResult,
     lib: &Library,
     rng: &mut Rng,
 ) -> Option<DesyncResult> {
-    use drd_core::LivenessAction;
     let undoable: Vec<&drd_core::LivenessRepair> = clean
         .report
         .liveness_repairs
@@ -572,16 +563,13 @@ fn apply_swallowed_request(
         return None;
     }
     let lr = *rng.choose(&undoable);
-    let mut design = clean.design.clone();
+    let mut mutant = clean.clone();
+    let design = &mut mutant.design;
     let top = design.top();
     match &lr.action {
         LivenessAction::DeepenSuccessor { successor, from_levels, .. } => {
-            let inst = format!("drd_{successor}_delem");
-            let muxed = {
-                let m = design.module(top);
-                let id = m.find_cell(&inst)?;
-                m.cell(id).kind_name().starts_with("drd_delemx_")
-            };
+            let id = clean.control(successor)?.delem;
+            let muxed = design.module(top).cell(id).kind_name().starts_with("drd_delemx_");
             let shallow = drd_core::network::delem_module_name(muxed, *from_levels);
             if design.find_module(&shallow).is_none() {
                 let module = if muxed {
@@ -593,32 +581,25 @@ fn apply_swallowed_request(
                 design.insert(module);
             }
             let m = design.module_mut(top);
-            let id = m.find_cell(&inst)?;
             let kind = m.instance_kind(&shallow);
             m.set_cell_kind(id, kind);
         }
         LivenessAction::RequestLatch => {
+            let ctl = clean.control(&lr.region)?;
+            let (latch, inv) = ctl.latch?;
             let m = design.module_mut(top);
-            let ros = m.find_net(&format!("drd_{}_ros", lr.region))?;
-            let delem = m.find_cell(&format!("drd_{}_delem", lr.region))?;
-            m.set_pin(delem, "in1", Conn::Net(ros));
-            let latch = m.find_cell(&format!("drd_{}_reqext", lr.region))?;
+            m.set_pin(ctl.delem, "in1", Conn::Net(ctl.ros));
             m.remove_cell(latch);
-            if let Some(inv) = m.find_cell(&format!("drd_{}_reqext_inv", lr.region)) {
-                m.remove_cell(inv);
-            }
+            m.remove_cell(inv);
         }
         LivenessAction::Degrade => unreachable!("filtered above"),
     }
-    Some(DesyncResult {
-        design,
-        sdc: clean.sdc.clone(),
-        report: clean.report.clone(),
-    })
+    Some(mutant)
 }
 
 /// A standard-flow variant whose `ffsub` stage creates every region's
-/// enable nets but skips one region's substitution.
+/// enable nets, and records them for `control-network` as `ffsub` does,
+/// but skips one region's substitution.
 struct SkipOneFfSub {
     selector: u64,
 }
@@ -651,20 +632,21 @@ impl Pass for SkipOneFfSub {
         let lib = cx.library();
         let gatefile = cx.gatefile();
         let mut substituted = 0usize;
-        for (i, r) in regions.regions.iter().enumerate() {
-            if r.seq_cells.is_empty() {
-                continue;
-            }
+        let mut enables = vec![None; regions.regions.len()];
+        let first_cell = cx.working_module_mut()?.cell_slots();
+        for &i in &controlled {
+            let r = &regions.regions[i];
             let working = cx.working_module_mut()?;
-            let (gm_name, gs_name) = enable_net_names(&r.name);
-            let gm = working.add_net(gm_name)?;
-            let gs = working.add_net(gs_name)?;
+            let (gm, gs) = ffsub::add_enable_nets(working, &r.name);
+            enables[i] = Some((gm, gs));
             if i == skip {
                 continue;
             }
             let rep = ffsub::substitute_ffs(working, lib, gatefile, &r.seq_cells, gm, gs)?;
             substituted += rep.substituted;
         }
+        let cells = first_cell..cx.working_module_mut()?.cell_slots();
+        cx.record_substitution(ffsub::Substitution { enables, cells });
         Ok(PassReport::new(
             vec!["substituted-ffs"],
             format!("{substituted} flip-flops substituted, region {skip} skipped"),
@@ -693,9 +675,8 @@ fn apply_skip_ffsub(
     pipe.run(&mut cx).ok()?;
     let mutated = cx.into_result().ok()?;
     Some(DesyncResult {
-        design: mutated.design,
-        sdc: mutated.sdc,
         report: clean.report.clone(),
+        ..mutated
     })
 }
 

@@ -155,6 +155,6 @@ fn per_edge_sta_bound_never_deepens_beyond_the_linear_model() {
     }
     assert!(deepens > 0, "the stall design must still be repaired by deepening");
 
-    drd_check::liveness::verify_liveness(&result.report, &result.design, &lib)
+    drd_check::liveness::verify_liveness(&result, &lib)
         .expect("repaired design re-screens clean");
 }

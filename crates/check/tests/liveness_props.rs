@@ -53,7 +53,7 @@ fn imbalanced_open_chains_are_repaired_or_diagnosed_never_wedged() {
                 repaired.fetch_add(1, Ordering::Relaxed);
             }
             // Structural: the reported repairs are really in the netlist.
-            verify_liveness(&result.report, &result.design, &lib)?;
+            verify_liveness(&result, &lib)?;
             // Behavioural: the shipped network settles — a deadlock here
             // would be exactly the undiagnosed wedge the guard forbids.
             let spec = handshake_spec(&result.report, &lib).map_err(|e| e.to_string())?;
@@ -115,7 +115,7 @@ fn deepening_infeasible_corpus_exercises_latch_and_degrade_rungs() {
                         LivenessAction::DeepenSuccessor { .. } => {}
                     }
                 }
-                verify_liveness(&result.report, &result.design, &lib)?;
+                verify_liveness(&result, &lib)?;
                 let spec = handshake_spec(&result.report, &lib).map_err(|e| e.to_string())?;
                 verify_handshake_timing(&spec, &lib)
                     .map_err(|e| format!("undiagnosed deadlock shipped: {e}"))?;

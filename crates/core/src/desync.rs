@@ -163,6 +163,20 @@ pub struct DesyncResult {
     pub sdc: String,
     /// What happened.
     pub report: DesyncReport,
+    /// What `control-network` built, by ID into the top module, as the
+    /// liveness guard left it: readers find generated cells through it.
+    pub network: crate::network::NetworkReport,
+    /// What flip-flop substitution created, by ID into the top module. A
+    /// region the liveness guard degraded keeps its enables, re-clocked.
+    pub substitution: crate::ffsub::Substitution,
+}
+
+impl DesyncResult {
+    /// The control-table entry of region `region`, if it has one.
+    pub fn control(&self, region: &str) -> Option<&crate::network::RegionControl> {
+        let i = self.report.regions.iter().position(|r| r.name == region)?;
+        self.network.regions.get(i)?.as_ref()
+    }
 }
 
 /// The desynchronization tool.

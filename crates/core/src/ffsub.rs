@@ -12,7 +12,8 @@
 //!
 //! The master latch is enabled by the region's master enable net, the
 //! slave by the slave enable net — both driven later by the region's
-//! controller pair.
+//! controller pair. The `ffsub` pass hands each region's pair and the
+//! cells it appended on by ID, as a [`Substitution`].
 
 use drd_liberty::gatefile::{ControlPin, FfRule, Gatefile};
 use drd_liberty::Library;
@@ -20,27 +21,27 @@ use drd_netlist::{CellId, Conn, Module, NetId, Symbol};
 
 use crate::{DegradeReason, DesyncError};
 
-/// Suffixes of cells synthesized by the substitution around the latch
-/// pair. For area accounting these count as *sequential* logic, as in the
-/// paper's tables: "The combinational logic overhead because of the scan
-/// flip-flops substitution is included in the sequential logic overhead"
-/// (§5.3.1) — the composite latch is one sequential module (§3.1.2).
-pub const COMPOSITE_SUFFIXES: [&str; 19] = [
-    "_lm", "_ls", "_qn", "_smx", "_srg", "_sri", "_srn", "_ssg", "_ssi",
-    "_gme", "_gse", "_aci", "_acn", "_acd", "_acm", "_acs", "_api", "_apd",
-    "_asd",
-];
+/// What flip-flop substitution created, by ID into the top module: the
+/// hand-off to `control-network` and, through [`crate::DesyncResult`],
+/// to the flow's readers, so none finds these objects again by name.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Substitution {
+    /// Per region: the master and slave latch-enable nets, `None` for a
+    /// region that kept its flip-flops (none, or left synchronous before
+    /// substitution). A region gets a controller pair exactly when it has
+    /// a pair here.
+    pub enables: Vec<Option<(NetId, NetId)>>,
+    /// The cell slots the pass appended: every composite latch's latches
+    /// and gates, sequential logic in the paper's area split (§5.3.1).
+    /// Removal only tombstones a slot, so the range stays exact.
+    pub cells: std::ops::Range<usize>,
+}
 
-/// True if `cell_name` was synthesized by flip-flop substitution (part of
-/// a composite latch).
-pub fn is_substitution_cell(cell_name: &str) -> bool {
-    // Suffix may carry a uniquifying counter: `r1_smx` or `r1_smx_42`.
-    let base = match cell_name.rfind('_') {
-        Some(i) if cell_name[i + 1..].chars().all(|c| c.is_ascii_digit()) => &cell_name[..i],
-        _ => cell_name,
-    };
-    COMPOSITE_SUFFIXES.iter().any(|s| base.ends_with(s))
-        || ["_apm", "_aps"].iter().any(|s| base.ends_with(s))
+/// Creates a region's master and slave latch-enable nets, named
+/// `drd_<region>_gm`/`_gs`, uniquified if the input already uses that.
+pub fn add_enable_nets(module: &mut Module, region: &str) -> (NetId, NetId) {
+    let gm = module.add_net_auto(&format!("drd_{region}_gm"));
+    (gm, module.add_net_auto(&format!("drd_{region}_gs")))
 }
 
 /// Statistics from a substitution run.

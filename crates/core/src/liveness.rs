@@ -610,13 +610,13 @@ pub fn apply_latch(
 /// Degrades source region `region` (named `name`) back to synchronous:
 /// takes its entry out of `controls`, removes its controller pair, delay
 /// element, request-extending latch (if any) and join trees, re-clocks
-/// its latch enables from `clock` (master transparent clock-low via an
-/// inverter, slave clock-high via a buffer — the master/slave phasing of
-/// the original flip-flops), and rewires each successor in `succs` that
-/// still has a control network: a direct loopback wire becomes the
-/// successor's own loopback (the successor is now a source itself), a
-/// join-tree input is shorted through to its sibling (a C-element with
-/// equal inputs follows them).
+/// its latch enables `(gm, gs)` from `clock` (master transparent
+/// clock-low via an inverter, slave clock-high via a buffer — the
+/// master/slave phasing of the original flip-flops), and rewires each
+/// successor in `succs` that still has a control network: a direct
+/// loopback wire becomes the successor's own loopback (the successor is
+/// now a source itself), a join-tree input is shorted through to its
+/// sibling (a C-element with equal inputs follows them).
 ///
 /// Only *sources* are ever degraded here, which is what keeps the
 /// surgery tractable: no upstream region holds a reference to a source's
@@ -631,6 +631,7 @@ pub fn apply_degrade(
     region: usize,
     succs: &[usize],
     clock: NetId,
+    (gm, gs): (NetId, NetId),
     name: &str,
 ) -> Result<(), DesyncError> {
     let ctl = controls
@@ -670,13 +671,7 @@ pub fn apply_degrade(
     }
 
     // Remove the region's control machinery.
-    let latch = ctl.latch.into_iter().flat_map(|(c, inv)| [c, inv]);
-    for id in [ctl.master, ctl.slave, ctl.delem]
-        .into_iter()
-        .chain(latch)
-        .chain(ctl.request_join)
-        .chain(ctl.ack_join)
-    {
+    for id in ctl.cells() {
         m.remove_cell(id);
     }
 
@@ -685,9 +680,9 @@ pub fn apply_degrade(
     // high — together an edge-triggered pair again. The enable-tree
     // buffers keep fanning the re-driven root nets out.
     let syncm = m.unique_cell_name(&format!("drd_{name}_syncm"));
-    m.add_cell(syncm, "INVX1", &[("A", Conn::Net(clock)), ("Z", Conn::Net(ctl.gm))])?;
+    m.add_cell(syncm, "INVX1", &[("A", Conn::Net(clock)), ("Z", Conn::Net(gm))])?;
     let syncs = m.unique_cell_name(&format!("drd_{name}_syncs"));
-    m.add_cell(syncs, "BUFX1", &[("A", Conn::Net(clock)), ("Z", Conn::Net(ctl.gs))])?;
+    m.add_cell(syncs, "BUFX1", &[("A", Conn::Net(clock)), ("Z", Conn::Net(gs))])?;
     Ok(())
 }
 

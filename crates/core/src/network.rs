@@ -20,11 +20,6 @@ use crate::delay_element;
 use crate::region::Regions;
 use crate::DesyncError;
 
-/// Naming helper: the master/slave enable nets of a region.
-pub fn enable_net_names(region: &str) -> (String, String) {
-    (format!("drd_{region}_gm"), format!("drd_{region}_gs"))
-}
-
 /// What [`insert_control_network`] built for one controlled region, by
 /// ID. The liveness guard edits it along with the netlist (deepen, latch,
 /// degrade) and the SDC pass names its cells, so no later pass looks a
@@ -33,10 +28,6 @@ pub fn enable_net_names(region: &str) -> (String, String) {
 pub struct RegionControl {
     /// Matched levels of the delay element.
     pub levels: usize,
-    /// Master latch-enable net (created by flip-flop substitution).
-    pub gm: NetId,
-    /// Slave latch-enable net (created by flip-flop substitution).
-    pub gs: NetId,
     /// The slave controller's request out: the loopback request of a
     /// region without controlled predecessors, and a request input of
     /// every controlled successor.
@@ -56,6 +47,18 @@ pub struct RegionControl {
     /// The request-extending latch `(C2X1, INVX1)`, once the liveness
     /// guard has inserted one on the loopback.
     pub latch: Option<(CellId, CellId)>,
+}
+
+impl RegionControl {
+    /// Every cell of the region's control network: the controller pair,
+    /// the delay element, the request-extending latch and the joins.
+    pub fn cells(&self) -> impl Iterator<Item = CellId> + '_ {
+        let latch = self.latch.into_iter().flat_map(|(c, inv)| [c, inv]);
+        [self.master, self.slave, self.delem]
+            .into_iter()
+            .chain(latch)
+            .chain(self.request_join.iter().chain(&self.ack_join).copied())
+    }
 }
 
 /// Report from control-network insertion.
@@ -118,12 +121,12 @@ struct HandshakeNets {
 /// `opts.margin`. If `opts.muxed` is set, 8-tap multiplexed delay elements
 /// are used and `dsel[2:0]` input ports are added.
 ///
-/// `degraded` flags, in region-index order, the regions left synchronous
-/// by graceful degradation (a missing entry reads as `false`): they get
-/// no controller pair, no delay element and no handshake nets —
-/// their flip-flops keep the original clock — and requests/acknowledges
-/// of neighbouring regions simply skip them (their loads/drivers fall
-/// back to the environment rules).
+/// `enables` holds, in region-index order, the latch-enable nets
+/// flip-flop substitution created (a missing entry reads as `None`). A
+/// region without a pair — no flip-flops, or left synchronous — gets no
+/// controller pair, no delay element and no handshake nets (its
+/// flip-flops keep the original clock), and requests/acknowledges of
+/// neighbouring regions simply skip it (environment rules apply).
 ///
 /// # Errors
 /// Propagates netlist and STA errors.
@@ -135,7 +138,7 @@ pub fn insert_control_network(
     ddg: &Ddg,
     region_delays_ns: &[f64],
     lib: &Library,
-    degraded: &[bool],
+    enables: &[Option<(NetId, NetId)>],
     opts: NetworkOptions,
 ) -> Result<NetworkReport, DesyncError> {
     let NetworkOptions { muxed, margin } = opts;
@@ -185,13 +188,11 @@ pub fn insert_control_network(
             .iter()
             .enumerate()
             .map(|(i, r)| {
-                (!r.seq_cells.is_empty() && degraded.get(i) != Some(&true)).then(|| {
-                    HandshakeNets {
-                        rom: m.add_net_auto(&format!("drd_{}_rom", r.name)),
-                        ros: m.add_net_auto(&format!("drd_{}_ros", r.name)),
-                        aim: m.add_net_auto(&format!("drd_{}_aim", r.name)),
-                        ais: m.add_net_auto(&format!("drd_{}_ais", r.name)),
-                    }
+                enables.get(i).copied().flatten().map(|_| HandshakeNets {
+                    rom: m.add_net_auto(&format!("drd_{}_rom", r.name)),
+                    ros: m.add_net_auto(&format!("drd_{}_ros", r.name)),
+                    aim: m.add_net_auto(&format!("drd_{}_aim", r.name)),
+                    ais: m.add_net_auto(&format!("drd_{}_ais", r.name)),
                 })
             })
             .collect()
@@ -235,20 +236,11 @@ pub fn insert_control_network(
     // Wiring per region.
     let mut controls = Vec::with_capacity(nets.len());
     for (i, r) in regions.regions.iter().enumerate() {
-        let Some(own) = nets[i] else {
+        let (Some(own), Some((gm, gs))) = (nets[i], enables.get(i).copied().flatten()) else {
             controls.push(None);
             continue;
         };
         let m = design.module_mut(top);
-        let (gm_name, gs_name) = enable_net_names(&r.name);
-        let gm = m
-            .find_net(&gm_name)
-            .ok_or_else(|| DesyncError::Clock {
-                message: format!("enable net `{gm_name}` missing (run ffsub first)"),
-            })?;
-        let gs = m.find_net(&gs_name).ok_or_else(|| DesyncError::Clock {
-            message: format!("enable net `{gs_name}` missing (run ffsub first)"),
-        })?;
 
         // Input requests: predecessors' slave ro, joined and delayed.
         let pred_reqs: Vec<NetId> = ddg.preds[i]
@@ -315,8 +307,6 @@ pub fn insert_control_network(
         )?;
         controls.push(Some(RegionControl {
             levels: delem_levels[i],
-            gm,
-            gs,
             ros: own.ros,
             aim: own.aim,
             master,
@@ -331,7 +321,7 @@ pub fn insert_control_network(
     // Low-skew enable trees: bound every enable net's fanout so large
     // regions' latch phases stay crisp (CTS's job in the paper's backend).
     // Degraded regions have no enable nets and get no tree.
-    let enable_nets: Vec<NetId> = controls.iter().flatten().flat_map(|c| [c.gm, c.gs]).collect();
+    let enable_nets: Vec<NetId> = enables.iter().flatten().flat_map(|&(m, s)| [m, s]).collect();
     if !enable_nets.is_empty() {
         // One connectivity snapshot serves every tree: buffering an enable
         // net re-points only that net's own loads, so the snapshot's load
@@ -409,8 +399,11 @@ mod tests {
     use drd_liberty::vlib90;
     use drd_netlist::PortDir;
 
-    /// 2-region pipeline ready for network insertion.
-    fn prepared() -> (Design, ModuleId, Regions, Ddg, Vec<f64>) {
+    type Enables = Vec<Option<(NetId, NetId)>>;
+
+    /// 2-region pipeline ready for network insertion, with the enable
+    /// nets substitution created.
+    fn prepared() -> (Design, ModuleId, Regions, Ddg, Vec<f64>, Enables) {
         let lib = vlib90::high_speed();
         let gf = Gatefile::from_library(&lib).unwrap();
         let mut m = Module::new("p");
@@ -439,26 +432,28 @@ mod tests {
         let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
         let graph = ddg::build(&m, &lib, &regions).unwrap();
         // Substitute each region's flip-flops.
+        let mut enables = Vec::new();
         for r in &regions.regions {
-            let (gm_name, gs_name) = enable_net_names(&r.name);
-            let gm = m.add_net(gm_name).unwrap();
-            let gs = m.add_net(gs_name).unwrap();
+            let gm = m.add_net_auto(&format!("{}_gm", r.name));
+            let gs = m.add_net_auto(&format!("{}_gs", r.name));
             substitute_ffs(&mut m, &lib, &gf, &r.seq_cells, gm, gs).unwrap();
+            enables.push(Some((gm, gs)));
         }
         let delays = vec![0.1; regions.regions.len()];
         let mut design = Design::new();
         let top = design.insert(m);
-        (design, top, regions, graph, delays)
+        (design, top, regions, graph, delays, enables)
     }
 
     #[test]
     fn network_insertion_wires_controller_pairs() {
-        let (mut design, top, regions, graph, delays) = prepared();
+        let (mut design, top, regions, graph, delays, enables) = prepared();
         let lib = vlib90::high_speed();
         let opts = NetworkOptions { muxed: false, margin: 1.1 };
-        let report =
-            insert_control_network(&mut design, top, &regions, &graph, &delays, &lib, &[], opts)
-                .unwrap();
+        let report = insert_control_network(
+            &mut design, top, &regions, &graph, &delays, &lib, &enables, opts,
+        )
+        .unwrap();
         assert_eq!(report.controllers(), 4, "2 regions × (master + slave)");
         assert_eq!(report.delay_elements(), 2);
         let m = design.module(top);
@@ -473,39 +468,33 @@ mod tests {
             .filter(|(_, c)| c.kind_name().starts_with("drd_delem"))
             .count();
         assert_eq!(delems, 2);
-        // The table holds the IDs of what was built for each region.
-        for c in report.regions.iter().flatten() {
+        // The table holds the IDs of what was built for each region,
+        // and the controllers drive the enable nets they were handed.
+        for (c, enable) in report.regions.iter().zip(&enables) {
+            let (c, (gm, gs)) = (c.as_ref().unwrap(), enable.unwrap());
             let (master, slave) = (m.cell(c.master), m.cell(c.slave));
             assert_eq!(master.kind_name(), "drd_ctrl_master");
             assert_eq!(slave.kind_name(), "drd_ctrl_slave");
             assert_eq!(m.cell(c.delem).pin("out1"), master.pin("ri"));
             assert_eq!(master.pin("ai"), Some(Conn::Net(c.aim)));
-            assert_eq!(master.pin("g"), Some(Conn::Net(c.gm)));
+            assert_eq!(master.pin("g"), Some(Conn::Net(gm)));
             assert_eq!(slave.pin("ro"), Some(Conn::Net(c.ros)));
-            assert_eq!(slave.pin("g"), Some(Conn::Net(c.gs)));
+            assert_eq!(slave.pin("g"), Some(Conn::Net(gs)));
         }
     }
 
     #[test]
-    fn degraded_region_gets_no_controller_or_delay_element() {
-        let (mut design, top, regions, graph, delays) = prepared();
+    fn region_without_enable_nets_gets_no_controller_or_delay_element() {
+        let (mut design, top, regions, graph, delays, mut enables) = prepared();
         let lib = vlib90::high_speed();
         let opts = NetworkOptions { muxed: false, margin: 1.1 };
         let g1 = regions.regions.iter().position(|r| r.name == "g1").unwrap();
-        let mut degraded = vec![false; regions.len()];
-        degraded[g1] = true;
+        enables[g1] = None;
         let report = insert_control_network(
-            &mut design,
-            top,
-            &regions,
-            &graph,
-            &delays,
-            &lib,
-            &degraded,
-            opts,
+            &mut design, top, &regions, &graph, &delays, &lib, &enables, opts,
         )
         .unwrap();
-        assert_eq!(report.controllers(), 2, "only the non-degraded region");
+        assert_eq!(report.controllers(), 2, "only the region with enable nets");
         assert_eq!(report.delay_elements(), 1);
         assert_eq!(report.regions[g1], None);
         assert_eq!(report.delem_levels(g1), 0);
@@ -516,12 +505,13 @@ mod tests {
 
     #[test]
     fn muxed_network_adds_sel_ports() {
-        let (mut design, top, regions, graph, delays) = prepared();
+        let (mut design, top, regions, graph, delays, enables) = prepared();
         let lib = vlib90::high_speed();
         let opts = NetworkOptions { muxed: true, margin: 1.1 };
-        let report =
-            insert_control_network(&mut design, top, &regions, &graph, &delays, &lib, &[], opts)
-                .unwrap();
+        let report = insert_control_network(
+            &mut design, top, &regions, &graph, &delays, &lib, &enables, opts,
+        )
+        .unwrap();
         let m = design.module(top);
         for b in 0..3 {
             assert!(m.find_port(&format!("dsel[{b}]")).is_some());

@@ -23,8 +23,8 @@ use drd_netlist::{Design, Module, ModuleId};
 
 use crate::ddg::{self, Ddg};
 use crate::desync::{DesyncOptions, DesyncReport, DesyncResult, RegionSummary};
-use crate::ffsub;
-use crate::network::{self, enable_net_names, NetworkReport};
+use crate::ffsub::{self, Substitution};
+use crate::network::{self, NetworkReport};
 use crate::liveness::{self, LivenessAction, LivenessRepair, RegionState};
 use crate::region::{self, Region, Regions};
 use crate::sdc;
@@ -57,6 +57,7 @@ pub struct FlowContext<'a> {
     region_delays: Option<Vec<f64>>,
     substituted_ffs: usize,
     extra_gates: usize,
+    substitution: Option<Substitution>,
     network: Option<NetworkReport>,
     sdc: Option<String>,
     /// Per region, in region-index order: left synchronous. Set together
@@ -85,6 +86,7 @@ impl<'a> FlowContext<'a> {
             region_delays: None,
             substituted_ffs: 0,
             extra_gates: 0,
+            substitution: None,
             network: None,
             sdc: None,
             degraded: Vec::new(),
@@ -132,9 +134,9 @@ impl<'a> FlowContext<'a> {
         self.region_delays.as_deref()
     }
 
-    /// Flip-flops substituted so far (after `ffsub`).
-    pub fn substituted_ffs(&self) -> usize {
-        self.substituted_ffs
+    /// Records what a custom pass standing in for `ffsub` created.
+    pub fn record_substitution(&mut self, substitution: Substitution) {
+        self.substitution = Some(substitution);
     }
 
     /// The control-network report (after `control-network`).
@@ -275,6 +277,8 @@ impl<'a> FlowContext<'a> {
                 degradations: self.trace.degradations,
                 liveness_repairs: self.trace.liveness_repairs,
             },
+            network: net_report,
+            substitution: self.substitution.ok_or_else(|| missing("enable nets", "ffsub"))?,
         })
     }
 }
@@ -517,6 +521,8 @@ impl Pass for FfSubPass {
         let mut extra_gates = 0usize;
         let mut degraded: Vec<(usize, Degradation)> = Vec::new();
         let mut region_wall_ns = vec![0u128; regions.regions.len()];
+        let mut enables = vec![None; regions.regions.len()];
+        let first_cell = cx.module()?.cell_slots();
         let result = (|| -> Result<(), DesyncError> {
             // Validate every region up front, one read-only task per
             // region: substitution is destructive, so degradation must be
@@ -574,11 +580,10 @@ impl Pass for FfSubPass {
                     continue;
                 }
                 let working = cx.module_mut()?;
-                let (gm_name, gs_name) = enable_net_names(&r.name);
-                let gm = working.add_net(gm_name)?;
-                let gs = working.add_net(gs_name)?;
+                let (gm, gs) = ffsub::add_enable_nets(working, &r.name);
                 let rep =
                     ffsub::substitute_ffs(working, lib, gatefile, &r.seq_cells, gm, gs)?;
+                enables[i] = Some((gm, gs));
                 substituted += rep.substituted;
                 extra_gates += rep.extra_gates;
             }
@@ -588,6 +593,8 @@ impl Pass for FfSubPass {
         result?;
         cx.substituted_ffs = substituted;
         cx.extra_gates = extra_gates;
+        let cells = first_cell..cx.module()?.cell_slots();
+        cx.substitution = Some(Substitution { enables, cells });
         let detail = if degraded.is_empty() {
             format!("{substituted} flip-flops → latch pairs, {extra_gates} extra gates")
         } else {
@@ -626,6 +633,8 @@ impl Pass for ControlNetworkPass {
             .region_delays
             .as_deref()
             .ok_or_else(|| missing("region delays", "region-delays"))?;
+        let substitution =
+            cx.substitution.as_ref().ok_or_else(|| missing("enable nets", "ffsub"))?;
         let Netlist::Module(working) =
             std::mem::replace(&mut cx.netlist, Netlist::Module(Module::new("drd_empty")))
         else {
@@ -640,7 +649,7 @@ impl Pass for ControlNetworkPass {
             graph,
             delays,
             cx.lib,
-            &cx.degraded,
+            &substitution.enables,
             network::NetworkOptions {
                 muxed: cx.opts.muxed_delay_elements,
                 margin: cx.opts.delay_margin,
@@ -768,6 +777,7 @@ fn apply_liveness_repairs(
         .ok_or_else(|| missing("clock net", "clock-id"))?;
     let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
     let edges = &cx.ddg.as_ref().ok_or_else(|| missing("DDG", "ddg"))?.edges;
+    let substitution = cx.substitution.as_ref().ok_or_else(|| missing("enable nets", "ffsub"))?;
     let network = cx
         .network
         .as_mut()
@@ -814,7 +824,9 @@ fn apply_liveness_repairs(
                 let clock = m.find_net(clock_name).ok_or_else(|| DesyncError::Pipeline {
                     message: format!("liveness degrade: clock net `{clock_name}` missing"),
                 })?;
-                liveness::apply_degrade(m, &mut network.regions, i, &succs, clock, &rep.region)?;
+                let enable = substitution.enables[i].ok_or_else(|| uncontrolled(&rep.region))?;
+                let controls = &mut network.regions;
+                liveness::apply_degrade(m, controls, i, &succs, clock, enable, &rep.region)?;
                 // The region's flip-flops were substituted; their
                 // removed cells keep their names.
                 let reason = DegradeReason::Liveness {
@@ -1562,9 +1574,14 @@ mod tests {
 
     /// The liveness stall shape: source `g1` (24 NAND2X1 with tied inputs
     /// from `din` into `ra`) feeds sink `g2` (one INVX1, named `inv`, from
-    /// `qa` into `rb`). The sink answers far faster than the source's
-    /// matched delay rises.
+    /// `ra`'s output net `qa` into `rb`). The sink answers far faster than
+    /// the source's matched delay rises.
     fn stall_shape(inv: &str) -> Module {
+        stall_shape_named(inv, "qa")
+    }
+
+    /// [`stall_shape`] with `ra`'s output net named `qa`.
+    fn stall_shape_named(inv: &str, qa: &str) -> Module {
         let mut m = Module::new("stall");
         m.add_port("clk", PortDir::Input).unwrap();
         m.add_port("din", PortDir::Input).unwrap();
@@ -1582,7 +1599,7 @@ mod tests {
             .unwrap();
             prev = z;
         }
-        let qa = m.add_net("qa").unwrap();
+        let qa = m.add_net(qa).unwrap();
         m.add_cell(
             "ra",
             "DFFX1",
@@ -1735,5 +1752,34 @@ mod tests {
         assert!(result.sdc.contains(&format!("set_dont_touch [get_cells {{{inst}}}]")));
         assert!(!result.sdc.contains("{drd_g2_delem}"), "{}", result.sdc);
         assert!(!result.sdc.contains("{drd_g2_delem/"), "{}", result.sdc);
+    }
+
+    /// A user net named like a generated enable net keeps its driver and
+    /// loads: ffsub gives `g2` a fresh pair, and `control-network` drives
+    /// the pair it was handed.
+    #[test]
+    fn user_net_named_like_an_enable_net_is_left_alone() {
+        let lib = vlib90::high_speed();
+        let tool = Desynchronizer::new(&lib).unwrap();
+        let result = tool
+            .run(stall_shape_named("inv", "drd_g2_gm"), &DesyncOptions::default())
+            .0
+            .unwrap();
+        let g2 = result.report.regions.iter().position(|r| r.name == "g2").unwrap();
+        let (gm, _) = result.substitution.enables[g2].unwrap();
+        let m = result.design.top_module();
+        let user = m.find_net("drd_g2_gm").unwrap();
+        assert_ne!(gm, user);
+        let master = m.cell(result.control("g2").unwrap().master);
+        assert_eq!(master.pin("g"), Some(Conn::Net(gm)));
+        let on_user: Vec<(&str, &str)> = m
+            .cells()
+            .flat_map(|(_, c)| {
+                (0..c.pins().len())
+                    .filter(move |&i| c.pins()[i].1 == Conn::Net(user))
+                    .map(move |i| (c.name, c.pin_name(i)))
+            })
+            .collect();
+        assert_eq!(on_user, [("inv", "A"), ("ra_ls", "Q")], "driver and load kept");
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * high-fanout nets get buffer trees (`max_fanout` loads per driver),
 //! * every clock-like net — the synchronous clock, or each controller
-//!   latch-enable in the desynchronized circuit — gets a low-skew buffer
-//!   tree (CTS),
+//!   latch-enable net in the desynchronized circuit, handed over by ID
+//!   from the flow result — gets a low-skew buffer tree (CTS),
 //! * utilization is a floorplan input; the paper's runs used ≈95 %
 //!   (synchronous DLX), ≈91 % (desynchronized DLX, whose many independent
 //!   enable trees demand routing margin), and a pre-existing fixed
@@ -18,7 +18,7 @@
 //!   latter.
 
 use drd_liberty::Library;
-use drd_netlist::{Conn, Design, Endpoint, Module};
+use drd_netlist::{Conn, Design, Endpoint, Module, NetId};
 
 use drd_core::DesyncError;
 
@@ -29,11 +29,6 @@ pub struct BackendOptions {
     pub utilization: f64,
     /// Maximum loads per driver before a buffer tree is inserted.
     pub max_fanout: usize,
-    /// Clock-like nets that receive low-skew trees, by name. When empty,
-    /// the clock is auto-detected; desynchronized designs should list
-    /// their `drd_*_gm`/`drd_*_gs` nets (done automatically for nets with
-    /// that prefix).
-    pub clock_like: Vec<String>,
     /// Use a pre-existing floorplan of this size (the paper's ARM case).
     pub fixed_core_size: Option<f64>,
 }
@@ -43,7 +38,6 @@ impl Default for BackendOptions {
         BackendOptions {
             utilization: 0.95,
             max_fanout: 16,
-            clock_like: Vec::new(),
             fixed_core_size: None,
         }
     }
@@ -70,45 +64,44 @@ pub struct LayoutResult {
 
 /// Runs the analytical backend over `design`'s top (flattened first).
 ///
+/// `enables` are a desynchronized design's per-region latch-enable nets,
+/// by ID into its top module ([`drd_core::ffsub::Substitution::enables`]);
+/// each gets a clock tree. When there are none, the clock is
+/// auto-detected and gets the tree instead.
+///
 /// # Errors
 /// Propagates netlist errors.
 pub fn place_and_route(
     design: &Design,
     lib: &Library,
     opts: &BackendOptions,
+    enables: &[Option<(NetId, NetId)>],
 ) -> Result<LayoutResult, DesyncError> {
     let mut flat = drd_netlist::flatten(design, design.top())?;
 
-    // Collect clock-like nets: explicit + auto-detected.
-    let mut clock_like: Vec<String> = opts.clock_like.clone();
-    for (_, net) in flat.nets() {
-        let n = net.name;
-        if (n.starts_with("drd_") && (n.ends_with("_gm") || n.ends_with("_gs")))
-            && !clock_like.iter().any(|c| c == n)
-        {
-            clock_like.push(n.to_owned());
-        }
-    }
+    // Clock-like nets: a top-level net keeps its name through
+    // flattening, which is how each enable net crosses into `flat`.
+    let top = design.top_module();
+    let mut clock_like: Vec<NetId> = (enables.iter().flatten())
+        .flat_map(|&(gm, gs)| [gm, gs])
+        .filter_map(|n| flat.find_net(top.net(n).name))
+        .collect();
     if clock_like.is_empty() {
-        if let Some(clk) = drd_core::region::find_clock_net(&flat, lib) {
-            clock_like.push(flat.net(clk).name.to_owned());
-        }
+        clock_like.extend(drd_core::region::find_clock_net(&flat, lib));
     }
 
     // CTS: buffer trees on clock-like nets.
     let mut tree_buffers = 0usize;
-    for name in &clock_like {
-        if let Some(net) = flat.find_net(name) {
-            tree_buffers += buffer_tree(&mut flat, lib, net, opts.max_fanout, "cts")?;
-        }
+    for &net in &clock_like {
+        tree_buffers += buffer_tree(&mut flat, lib, net, opts.max_fanout, "cts")?;
     }
     // Fanout buffering on ordinary nets.
     let mut fanout_buffers = 0usize;
     loop {
         let conn = flat.connectivity(lib)?;
         let mut worst: Option<(drd_netlist::NetId, usize)> = None;
-        for (nid, net) in flat.nets() {
-            if clock_like.iter().any(|c| c == net.name) {
+        for (nid, _) in flat.nets() {
+            if clock_like.contains(&nid) {
                 continue;
             }
             let loads = conn.loads(nid).len();
@@ -215,13 +208,45 @@ mod tests {
             max_fanout: 8,
             ..BackendOptions::default()
         };
-        let result = place_and_route(&d, &lib, &opts).unwrap();
+        let result = place_and_route(&d, &lib, &opts, &[]).unwrap();
         // 40 clock loads → tree buffers; 40 data loads → fanout buffers.
         assert!(result.tree_buffers >= 5, "{result:?}");
         assert!(result.fanout_buffers >= 5, "{result:?}");
         assert_eq!(result.cells, 40 + result.tree_buffers + result.fanout_buffers);
         assert!(result.core_size > result.std_cell_area);
         assert!((result.utilization - 95.0).abs() < 1e-9);
+    }
+
+    /// `star(fanout)` plus a data net `name` with `loads` loads.
+    fn star_with_net(fanout: usize, name: &str, loads: usize) -> Design {
+        let mut d = star(fanout);
+        let m = d.top_module_mut();
+        let a = m.find_net("a").unwrap();
+        let n = m.add_net(name).unwrap();
+        m.add_cell("drv", "INVX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(n))])
+            .unwrap();
+        for i in 0..loads {
+            let z = m.add_net(format!("z{i}")).unwrap();
+            m.add_cell(format!("l{i}"), "INVX1", &[("A", Conn::Net(n)), ("Z", Conn::Net(z))])
+                .unwrap();
+        }
+        d
+    }
+
+    /// A user net named like a generated enable net is an ordinary net:
+    /// the clock, not it, gets the tree.
+    #[test]
+    fn user_net_named_like_an_enable_net_gets_no_clock_tree() {
+        let lib = vlib90::high_speed();
+        let opts = BackendOptions {
+            max_fanout: 8,
+            ..BackendOptions::default()
+        };
+        let layout =
+            |name| place_and_route(&star_with_net(20, name, 40), &lib, &opts, &[]).unwrap();
+        let (user, twin) = (layout("drd_a_gm"), layout("n_a"));
+        assert_eq!(user, twin);
+        assert!(twin.tree_buffers >= 3, "{twin:?}");
     }
 
     #[test]
@@ -232,7 +257,7 @@ mod tests {
             fixed_core_size: Some(2000.0),
             ..BackendOptions::default()
         };
-        let result = place_and_route(&d, &lib, &opts).unwrap();
+        let result = place_and_route(&d, &lib, &opts, &[]).unwrap();
         assert_eq!(result.core_size, 2000.0);
         assert!(result.utilization < 95.0);
     }
@@ -245,7 +270,7 @@ mod tests {
             max_fanout: 8,
             ..BackendOptions::default()
         };
-        let _ = place_and_route(&d, &lib, &opts).unwrap();
+        let _ = place_and_route(&d, &lib, &opts, &[]).unwrap();
         // Rebuild to verify invariant on the flattened result: rerun and
         // inspect manually.
         let mut flat = drd_netlist::flatten(&d, d.top()).unwrap();

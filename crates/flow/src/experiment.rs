@@ -2,9 +2,11 @@
 //! twice — synchronous and desynchronized — with the same library and
 //! "tools", then compare area, timing, power and variability tolerance.
 
+use std::collections::HashSet;
+
 use drd_core::{handshake_spec, DesyncOptions, DesyncResult, Desynchronizer};
 use drd_liberty::{Corner, Library, Lv};
-use drd_netlist::{Design, Module};
+use drd_netlist::{CellId, Design, Module};
 use drd_sim::{
     compare_capture_logs, CaptureLog, GateVariability, HandshakeNet, SimOptions, Simulator,
 };
@@ -133,20 +135,18 @@ pub struct AreaRow {
     pub sequential: f64,
 }
 
-fn area_row(module: &Module, lib: &Library) -> AreaRow {
+/// The area row of `module`, whose cells `composite` (flip-flop
+/// substitution's gates) count as sequential whatever their kind,
+/// matching the paper's accounting (§5.3.1).
+fn area_row(module: &Module, lib: &Library, composite: &HashSet<CellId>) -> AreaRow {
     let counts = drd_netlist::stats::counts(module);
-    // Composite-latch gates count as sequential, matching the paper's
-    // accounting (§5.3.1) — walk cells directly so the classifier can see
-    // instance names.
     let mut cell_area = 0.0;
     let mut combinational = 0.0;
     let mut sequential = 0.0;
-    for (_, cell) in module.cells() {
+    for (id, cell) in module.cells() {
         let a = lib.area_of(cell.kind_ref());
         cell_area += a;
-        if lib.is_sequential(cell.kind_ref())
-            || drd_core::ffsub::is_substitution_cell(cell.name)
-        {
+        if lib.is_sequential(cell.kind_ref()) || composite.contains(&id) {
             sequential += a;
         } else {
             combinational += a;
@@ -203,15 +203,22 @@ impl AreaComparison {
 /// # Errors
 /// Propagates flow errors.
 pub fn area_comparison(case: &CaseStudy) -> Result<AreaComparison, DesyncError> {
-    let sync_synth = area_row(&case.module, &case.lib);
+    let sync_synth = area_row(&case.module, &case.lib, &HashSet::new());
     let desync = case.desynchronize()?;
     let flat = drd_netlist::flatten(&desync.design, desync.design.top())?;
-    let desync_synth = area_row(&flat, &case.lib);
+    // Substitution's cells are top-level library cells, which keep their
+    // names through flattening.
+    let top = desync.design.top_module();
+    let composite: HashSet<CellId> = (desync.substitution.cells.clone())
+        .filter_map(|slot| flat.find_cell(top.cell(CellId::from_index(slot)).name))
+        .collect();
+    let desync_synth = area_row(&flat, &case.lib, &composite);
 
     let mut sync_design = Design::new();
     sync_design.insert(case.module.clone());
-    let sync_layout = place_and_route(&sync_design, &case.lib, &case.sync_backend)?;
-    let desync_layout = place_and_route(&desync.design, &case.lib, &case.desync_backend)?;
+    let sync_layout = place_and_route(&sync_design, &case.lib, &case.sync_backend, &[])?;
+    let enables = &desync.substitution.enables;
+    let desync_layout = place_and_route(&desync.design, &case.lib, &case.desync_backend, enables)?;
     Ok(AreaComparison {
         name: case.name.clone(),
         sync_synth,
@@ -338,18 +345,17 @@ pub fn timing_sweep(case: &CaseStudy) -> Result<TimingSweep, DesyncError> {
         .run(case.module.clone(), &opts)
         .0?;
 
-    // Watch the busiest region's slave enable for period measurement.
-    let watch_region = desync
-        .report
-        .regions
-        .iter()
-        .filter(|r| r.ffs > 0)
-        .max_by_key(|r| r.ffs)
-        .map(|r| r.name.clone())
+    // Watch the busiest region's slave enable for period measurement,
+    // named only for the simulator.
+    let watch_gs = (desync.report.regions.iter().enumerate())
+        .filter(|(_, r)| r.ffs > 0)
+        .max_by_key(|(_, r)| r.ffs)
+        .and_then(|(i, _)| desync.substitution.enables.get(i).copied().flatten())
         .ok_or_else(|| DesyncError::Clock {
             message: "no controlled regions".into(),
-        })?;
-    let watch_net = format!("drd_{watch_region}_gs");
+        })?
+        .1;
+    let watch_net = desync.design.top_module().net(watch_gs).name;
 
     let run_one = |corner: Corner, selection: u8| -> Result<SweepRow, DesyncError> {
         let mut sim =
@@ -363,7 +369,7 @@ pub fn timing_sweep(case: &CaseStudy) -> Result<TimingSweep, DesyncError> {
             )
             .map_err(sim_err)?;
         }
-        sim.watch(&watch_net).map_err(sim_err)?;
+        sim.watch(watch_net).map_err(sim_err)?;
         sim.poke("drd_rst", Lv::Zero).map_err(sim_err)?;
         sim.run_for(5.0 * corner.delay_factor);
         sim.poke("drd_rst", Lv::One).map_err(sim_err)?;
@@ -372,7 +378,7 @@ pub fn timing_sweep(case: &CaseStudy) -> Result<TimingSweep, DesyncError> {
         sim.run_for(window * 0.2);
         sim.reset_power_window();
         sim.run_for(window);
-        let edges = sim.rising_edges(&watch_net);
+        let edges = sim.rising_edges(watch_net);
         let period = if edges.len() >= 4 {
             (edges[edges.len() - 1] - edges[2]) / (edges.len() - 3) as f64
         } else {
@@ -491,6 +497,47 @@ mod tests {
 
     fn small_case() -> CaseStudy {
         CaseStudy::dlx(&DlxParams::small()).unwrap()
+    }
+
+    /// A toggle flip-flop whose inverter is named `inv`.
+    fn toggle_case(inv: &str) -> CaseStudy {
+        use drd_netlist::{Conn, PortDir};
+        let mut m = Module::new("t");
+        m.add_port("clk", PortDir::Input).unwrap();
+        m.add_port("out", PortDir::Output).unwrap();
+        let (clk, q) = (m.find_net("clk").unwrap(), m.find_net("out").unwrap());
+        let d = m.add_net("d").unwrap();
+        m.add_cell(inv, "INVX1", &[("A", Conn::Net(q)), ("Z", Conn::Net(d))])
+            .unwrap();
+        m.add_cell(
+            "r0",
+            "DFFX1",
+            &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+        )
+        .unwrap();
+        CaseStudy {
+            name: inv.into(),
+            module: m,
+            lib: drd_liberty::vlib90::high_speed(),
+            desync: DesyncOptions::default(),
+            sync_backend: BackendOptions::default(),
+            desync_backend: BackendOptions::default(),
+            reference_cycles: 4,
+        }
+    }
+
+    /// The area split reads which cells substitution created, not their
+    /// names: a user inverter named like a composite-latch cell is
+    /// combinational logic.
+    #[test]
+    fn user_cell_named_like_a_substitution_cell_is_combinational() {
+        let (user, twin) = (toggle_case("x_ls"), toggle_case("inv"));
+        let user_cmp = area_comparison(&user).unwrap();
+        let twin_cmp = area_comparison(&twin).unwrap();
+        let inv = user.lib.area_of(drd_netlist::KindRef::Lib("INVX1"));
+        assert_eq!(user_cmp.sync_synth.combinational, inv);
+        assert_eq!(user_cmp.sync_synth, twin_cmp.sync_synth);
+        assert_eq!(user_cmp.desync_synth, twin_cmp.desync_synth);
     }
 
     #[test]

@@ -72,9 +72,11 @@ pub fn clean_logic(
             // Inconsistent netlist: leave it to the caller's validation.
             return stats;
         };
-        // Per net: what its loads are rewired to; per cell slot: whether
-        // this round already removes it.
+        // Per net: what its loads are rewired to, and whether it is the
+        // target of such a rewire; per cell slot: whether this round
+        // already removes it.
         let mut remap: Vec<Option<Conn>> = vec![None; module.net_count()];
+        let mut target = vec![false; module.net_count()];
         let mut touched = vec![false; module.cell_slots()];
         let mut removed: Vec<CellId> = Vec::new();
         for cid in module.cell_ids() {
@@ -126,11 +128,17 @@ pub fn clean_logic(
             let Some(in_conn) = pin_conn(pins, class.input) else {
                 continue;
             };
-            // No chain through a net this round already rewires.
-            if matches!(in_conn, Conn::Net(n) if remap[n.index()].is_some()) {
+            // No chain through a net this round already rewires, or onto
+            // which it already moves loads.
+            if target[out_net.index()]
+                || matches!(in_conn, Conn::Net(n) if remap[n.index()].is_some())
+            {
                 continue;
             }
             remap[out_net.index()] = Some(in_conn);
+            if let Conn::Net(n) = in_conn {
+                target[n.index()] = true;
+            }
             removed.push(cid);
             touched[cid.index()] = true;
             match second {
@@ -250,6 +258,39 @@ mod tests {
         assert_eq!(m.cell_count(), 2);
         assert_eq!(pin_a(&m, "g1"), Some(Conn::Net(a)));
         assert_eq!(pin_a(&m, "g2"), Some(Conn::Net(a)));
+    }
+
+    /// A chain listed downstream-first: the round that removes the
+    /// downstream buffer keeps the upstream one, so the load never lands
+    /// on the middle net once its driver is gone; the next round removes
+    /// it.
+    #[test]
+    fn buffer_chain_written_downstream_first_keeps_its_load_driven() {
+        let (mut m, a, n) = with_nets(3);
+        cell(&mut m, "u2", "BUFX1", Conn::Net(n[0]), n[1]);
+        cell(&mut m, "u1", "BUFX1", Conn::Net(a), n[0]);
+        cell(&mut m, "g", "NAND2X1", Conn::Net(n[1]), n[2]);
+        let stats = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats.buffers_removed, 2);
+        assert_eq!(m.cell_count(), 1);
+        assert_eq!(pin_a(&m, "g"), Some(Conn::Net(a)));
+    }
+
+    /// An inverter pair listed downstream-first behind a buffer: the pair
+    /// goes first and the buffer in the next round, and the load reads
+    /// the source.
+    #[test]
+    fn inverter_pair_written_downstream_first_next_to_a_buffer_keeps_its_load_driven() {
+        let (mut m, a, n) = with_nets(4);
+        cell(&mut m, "i2", "INVX1", Conn::Net(n[1]), n[2]);
+        cell(&mut m, "i1", "INVX1", Conn::Net(n[0]), n[1]);
+        cell(&mut m, "u", "BUFX1", Conn::Net(a), n[0]);
+        cell(&mut m, "g", "NAND2X1", Conn::Net(n[2]), n[3]);
+        let stats = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats.inverter_pairs_removed, 1);
+        assert_eq!(stats.buffers_removed, 1);
+        assert_eq!(m.cell_count(), 1);
+        assert_eq!(pin_a(&m, "g"), Some(Conn::Net(a)));
     }
 
     #[test]

@@ -23,9 +23,11 @@
 #    included) and the Verilog reader, and the interned-name rails (no
 #    String-keyed maps inside core/sta/sim pass modules, no per-pin maps
 #    in sta, no symbol-table clones inside core/sta, no SymbolTable
-#    anywhere in core, which names cells through its Module, and no
+#    anywhere in core, which names cells through its Module, no
 #    name-prefix scan in core outside tests: the control network's cells
-#    are reached by ID),
+#    are reached by ID, and no generated name rebuilt with
+#    `format!("drd_…")` outside tests in check or flow, which read the
+#    flow's output through the IDs in DesyncResult),
 # 6. runs the verification campaigns (mutation, scale, variability,
 #    liveness, serve) and then the kernel micro-benchmarks (cargo bench);
 #    each writes its report under results/ and exits non-zero naming
@@ -160,6 +162,17 @@ if [ -n "$prefix_scans" ]; then
   exit 1
 fi
 echo "ok: no name-prefix scans in core"
+# The flow hands what it generated on by ID (the control table, and the
+# enable nets and cells of flip-flop substitution, in DesyncResult), so
+# the crates that read its output never rebuild a generated name. Test
+# modules are exempt.
+rebuilt_names=$(awk '/^#\[cfg\(test\)\]/ { nextfile } /format!\("drd_/ { print FILENAME ":" FNR ": " $0 }' crates/check/src/*.rs crates/flow/src/*.rs)
+if [ -n "$rebuilt_names" ]; then
+  echo "error: generated name rebuilt in check/flow (read the IDs in DesyncResult):" >&2
+  echo "$rebuilt_names" >&2
+  exit 1
+fi
+echo "ok: no generated names rebuilt in check/flow"
 
 echo "== verification campaigns (offline) =="
 for bin in mutation scale variability liveness serve; do

@@ -524,3 +524,40 @@ fn cli_desync_summary_is_pinned() {
         assert!(out.stdout.is_empty(), "{out:?}");
     }
 }
+
+/// Two flip-flops joined by an inverter pair whose middle wire is named
+/// `mid`; cleaning removes the pair, and the wire's name stays taken.
+fn write_named_pair(dir: &std::path::Path, mid: &str) -> std::path::PathBuf {
+    let src = format!(
+        "module pair (clk, din, q0, q1);\n  input clk, din; output q0, q1;\n  wire {mid}, n1;\n\
+         \x20 DFFX1 r0 (.D(din), .CK(clk), .Q(q0));\n\
+         \x20 INVX1 i0 (.A(q0), .Z({mid}));\n  INVX1 i1 (.A({mid}), .Z(n1));\n\
+         \x20 DFFX1 r1 (.D(n1), .CK(clk), .Q(q1));\nendmodule\n"
+    );
+    let path = dir.join(format!("pair_{mid}.v"));
+    std::fs::write(&path, src).unwrap();
+    path
+}
+
+/// A user wire named like a generated enable net is legal input: the run
+/// completes with the same report as its twin whose wire is named
+/// otherwise.
+#[test]
+fn cli_user_net_named_like_an_enable_net_desynchronizes() {
+    let dir = std::env::temp_dir().join("drdesync_cli_collision");
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = |mid: &str| {
+        let input = write_named_pair(&dir, mid);
+        let (out_v, rep) = (dir.join(format!("{mid}.v.out")), dir.join(format!("{mid}.report")));
+        let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
+            .args(["desync", input.to_str().unwrap(), "-o", out_v.to_str().unwrap()])
+            .args(["--report", rep.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{mid}: {out:?}");
+        std::fs::read_to_string(rep).unwrap()
+    };
+    let (user, twin) = (report("drd_g1_gm"), report("mid"));
+    assert!(twin.contains("name: \"g1\""), "{twin}");
+    assert_eq!(user, twin);
+}
