@@ -22,7 +22,7 @@
 //! input-register region `g0` cycles at 0.200 ns); a long one swallows
 //! it and the ring halts, in silicon as in simulation. The oracle
 //! reports specs with such a region as vacuously verified rather than
-//! judge that physics; the predicate is [`HandshakeSpec::isolated_regions`],
+//! judge that physics; the predicate is [`HandshakeSpec::is_vacuous`],
 //! the one the flow's liveness guard skips by too.
 //!
 //! A simulated deadlock on any *coupled* topology is reported as a
@@ -52,10 +52,7 @@ pub fn verify_handshake_timing(
     spec: &HandshakeSpec,
     lib: &Library,
 ) -> Result<Option<Vec<RegionCycle>>, String> {
-    if !spec.regions.iter().any(|r| r.controlled) {
-        return Ok(None);
-    }
-    if spec.isolated_regions().next().is_some() {
+    if spec.is_vacuous() {
         return Ok(None);
     }
     let net = HandshakeNet::elaborate(spec, lib).map_err(|e| format!("elaboration: {e}"))?;

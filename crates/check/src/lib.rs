@@ -7,7 +7,7 @@
 //!
 //! * [`rng`] — a deterministic SplitMix64 PRNG (replacing `rand`),
 //!   re-exported from `drd-runner`,
-//! * [`prop`] — a minimal property-testing harness with seed reporting
+//! * [`prop`](mod@prop) — a minimal property-testing harness with seed reporting
 //!   and greedy input shrinking (replacing `proptest`),
 //! * [`netgen`] — a random synchronous gate-level netlist generator over
 //!   the `vlib90` cells (parameterized FF count, cloud depth, bus widths,
@@ -23,7 +23,7 @@
 //! * [`liveness`] — the liveness oracle: measured delay-element depths
 //!   match the report, no unrepaired pulse-swallowing hazard ships, and
 //!   request-latch records agree with the netlist both ways,
-//! * [`bench`] — a `std::time::Instant` micro-benchmark runner (replacing
+//! * [`bench`](mod@bench) — a `std::time::Instant` micro-benchmark runner (replacing
 //!   `criterion`) and [`bench::write_report`], the one writer of every
 //!   `BENCH_*.json`, which refuses text the shared JSON parser rejects,
 //! * [`runner`] — a dependency-free work-stealing parallel task runner on

@@ -17,8 +17,9 @@
 //!    pulse-width budget back into hazard territory without touching any
 //!    other census.
 //! 2. **Hazard recheck** — re-running [`drd_core::liveness::hazards`]
-//!    over the *measured* depths and the report's DDG edges must flag
-//!    nothing: every loopback source either satisfies the response
+//!    over the result's [`drd_core::handshake_spec`], with the depths
+//!    just measured and the request latches the netlist carries, must
+//!    flag nothing: every loopback source either satisfies the response
 //!    bound or carries a request-extending latch.
 //! 3. **Latch accounting** — a `RequestLatch` record implies the
 //!    region's request-extending C-element is alive and feeds its delay
@@ -33,9 +34,9 @@
 //! latch the table does not record, or a cell a degrade left, is caught.
 
 use drd_core::controller::ControllerRole;
-use drd_core::liveness::{hazards, RegionState, ResponseModel};
+use drd_core::liveness::{hazards, ResponseModel};
 use drd_core::network::RegionControl;
-use drd_core::{DesyncResult, LivenessAction};
+use drd_core::{handshake_spec, DesyncResult, LivenessAction};
 use drd_liberty::Library;
 use drd_netlist::{CellId, Conn, Endpoint};
 
@@ -56,6 +57,7 @@ fn delem_levels_of(kind: &str) -> Option<usize> {
 pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), String> {
     let (report, top) = (&result.report, result.design.top_module());
     let model = ResponseModel::probe(lib).map_err(|e| format!("response model: {e}"))?;
+    let mut spec = handshake_spec(report, lib).map_err(|e| format!("handshake spec: {e}"))?;
     let alive = |id: CellId| top.is_cell_alive(id).then_some(id);
     let latched = |lr: &drd_core::LivenessRepair| {
         lr.action == LivenessAction::RequestLatch
@@ -63,20 +65,19 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
     };
 
     // Property 1: measured delay-element depths match the report.
-    let mut states = Vec::with_capacity(report.regions.len());
     let mut listed = vec![false; top.cell_slots()];
-    for (i, r) in report.regions.iter().enumerate() {
-        let controlled = r.ffs > 0 && r.delem_levels > 0;
-        let control = result.network.regions.get(i).and_then(Option::as_ref).filter(|_| controlled);
-        match (control.and_then(|c| alive(c.delem)), controlled) {
+    for (i, r) in spec.regions.iter_mut().enumerate() {
+        let control = result.network.regions.get(i).and_then(Option::as_ref);
+        let control = control.filter(|_| r.controlled);
+        match (control.and_then(|c| alive(c.delem)), r.controlled) {
             (Some(delem), _) => {
                 let (inst, kind) = (top.cell(delem).name, top.cell(delem).kind_name());
                 let levels = delem_levels_of(kind)
                     .ok_or_else(|| format!("{inst} has non-delay module `{kind}`"))?;
-                if levels != r.delem_levels {
+                if levels != r.matched_levels {
                     return Err(format!(
                         "region {}: delay element is {levels} levels deep, report says {}",
-                        r.name, r.delem_levels
+                        r.name, r.matched_levels
                     ));
                 }
             }
@@ -84,26 +85,15 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
             (None, false) => {}
         }
         control.into_iter().flat_map(RegionControl::cells).for_each(|id| listed[id.index()] = true);
-        states.push(RegionState {
-            name: r.name.clone(),
-            controlled,
-            levels: r.delem_levels,
-            latched: control.and_then(|c| alive(c.latch?.0)).is_some(),
-        });
+        r.loopback_latch = control.and_then(|c| alive(c.latch?.0)).is_some();
     }
 
     // Property 2: the shipped depths screen clean — every unlatched
     // loopback source's rise time stays inside the fastest successor's
     // response bound (the margin only widens the deepening target, not
     // the hazard condition, so 1.0 is exact here).
-    let slot = |name: &str| report.regions.iter().position(|r| r.name == name);
-    let edges: Vec<(usize, usize)> = report
-        .ddg_edges
-        .iter()
-        .filter_map(|(a, b)| Some((slot(a)?, slot(b)?)))
-        .collect();
-    if let Some(h) = hazards(&model, &states, &edges, 1.0).first() {
-        let r = &states[h.region];
+    if let Some(h) = hazards(&model, &spec, 1.0).first() {
+        let r = &spec.regions[h.region];
         return Err(format!(
             "region {}: unrepaired pulse-swallowing hazard shipped (rise {:.3} ns >= \
              successor response {:.3} ns, no request latch)",
@@ -131,9 +121,9 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
             ));
         }
     }
-    for (r, state) in report.regions.iter().zip(&states) {
+    for r in &spec.regions {
         let recorded = report.liveness_repairs.iter().any(|lr| lr.region == r.name && latched(lr));
-        if state.latched && !recorded {
+        if r.loopback_latch && !recorded {
             return Err(format!("region {}: unexplained request latch", r.name));
         }
     }
@@ -142,7 +132,8 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
     // any enable nets driven from the clock, by one cell alone.
     let clock = top.find_net(&report.clock_net);
     for d in &report.degradations {
-        let i = slot(&d.region).ok_or_else(|| format!("degraded region {} unknown", d.region))?;
+        let slot = spec.regions.iter().position(|r| r.name == d.region);
+        let i = slot.ok_or_else(|| format!("degraded region {} unknown", d.region))?;
         if result.control(&d.region).is_some() {
             return Err(format!("degraded region {}: control network survives", d.region));
         }

@@ -131,7 +131,7 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Every mutation kind, netlist-level first. Append-only: [`salt`]
+    /// Every mutation kind, netlist-level first. Append-only: `salt`
     /// is position-based, so reordering would reshuffle seed streams.
     pub const ALL: [Mutation; 18] = [
         Mutation::DropCElement,

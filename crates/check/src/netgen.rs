@@ -64,7 +64,7 @@ pub struct FfRecipe {
     pub aux1: usize,
 }
 
-/// One combinational cloud gate: `kind` indexes [`GATES`], `a`/`b` index
+/// One combinational cloud gate: `kind` indexes the gate table `GATES`, `a`/`b` index
 /// the candidate pool (modulo its size).
 #[derive(Debug, Clone)]
 pub struct GateOp {

@@ -21,9 +21,10 @@ use drd_check::handshake::verify_handshake_timing;
 use drd_check::liveness::verify_liveness;
 use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::{prop_par_with, Config, Rng};
-use drd_core::liveness::{plan_repairs, RegionState, ResponseModel};
+use drd_core::liveness::{plan_repairs, ResponseModel};
 use drd_core::{handshake_spec, DesyncError, DesyncOptions, Desynchronizer, LivenessAction};
 use drd_liberty::vlib90;
+use drd_sim::{HandshakeSpec, RegionSpec};
 
 #[test]
 fn imbalanced_open_chains_are_repaired_or_diagnosed_never_wedged() {
@@ -125,26 +126,32 @@ fn deepening_infeasible_corpus_exercises_latch_and_degrade_rungs() {
             // one region per stage in a chain, the injected validator
             // deadlocks until something has been degraded, so the
             // ladder must walk latch → degrade to terminate.
-            let mut states: Vec<RegionState> = recipe
+            let regions: Vec<RegionSpec> = recipe
                 .stages
                 .iter()
                 .enumerate()
-                .map(|(i, s)| RegionState {
+                .map(|(i, s)| RegionSpec {
                     name: format!("g{i}"),
                     controlled: true,
-                    levels: s.cloud.len().max(1),
-                    latched: false,
+                    matched_levels: s.cloud.len().max(1),
+                    critical_delay_ns: 0.0,
+                    loopback_latch: false,
                 })
                 .collect();
-            let edges: Vec<(usize, usize)> = (1..states.len()).map(|i| (i - 1, i)).collect();
+            let edges = (1..regions.len()).map(|i| (i - 1, i)).collect();
+            let mut spec = HandshakeSpec {
+                regions,
+                edges,
+                level_delay_ns: model.level_delay_ns,
+                ff_overhead_ns: 0.0,
+            };
             let repairs = plan_repairs(
                 &model,
-                &mut states,
-                &edges,
+                &mut spec,
                 period,
                 1.08,
                 false,
-                |st: &[RegionState]| Ok(st.iter().any(|s| !s.controlled)),
+                |s: &HandshakeSpec| Ok(s.regions.iter().any(|r| !r.controlled)),
             )
             .map_err(|e| format!("planner wedged instead of degrading: {e}"))?;
             if !repairs.iter().any(|r| matches!(r.action, LivenessAction::Degrade)) {

@@ -280,40 +280,47 @@ pub fn region_delays(
 
 /// Projects a desynchronization report onto the handshake simulator's
 /// control-network spec: region rows become [`RegionSpec`]s and the DDG
-/// edges become index pairs.
+/// edges become index pairs. This is the one projection of a finished
+/// result onto the liveness model; the liveness oracle and `simulate
+/// --check-liveness` start from it.
 ///
 /// # Errors
 /// Propagates delay-element probing errors.
 pub fn handshake_spec(report: &DesyncReport, lib: &Library) -> Result<HandshakeSpec, DesyncError> {
-    let level_delay_ns = crate::delay_element::level_delay_ns(lib)?;
-    let ff = lib.cell("DFFX1").expect("vlib90 has DFFX1");
-    let regions: Vec<RegionSpec> = report
-        .regions
-        .iter()
-        .map(|r| RegionSpec {
-            name: r.name.clone(),
-            // Degraded regions keep ffs but get no delay element; both
-            // conditions must hold for the region to carry controllers.
-            controlled: r.ffs > 0 && r.delem_levels > 0,
-            matched_levels: r.delem_levels,
-            critical_delay_ns: r.critical_delay_ns,
-            loopback_latch: report.liveness_repairs.iter().any(|lr| {
-                lr.region == r.name && matches!(lr.action, crate::LivenessAction::RequestLatch)
-            }),
-        })
-        .collect();
     let slot = |name: &str| report.regions.iter().position(|r| r.name == name);
-    let edges = report
-        .ddg_edges
-        .iter()
-        .filter_map(|(a, b)| Some((slot(a)?, slot(b)?)))
-        .collect();
     Ok(HandshakeSpec {
-        regions,
-        edges,
-        level_delay_ns,
-        ff_overhead_ns: ff.max_intrinsic_delay() + ff.setup,
+        regions: report
+            .regions
+            .iter()
+            .map(|r| RegionSpec {
+                name: r.name.clone(),
+                // Degraded regions keep ffs but get no delay element; both
+                // conditions must hold for the region to carry controllers.
+                controlled: r.ffs > 0 && r.delem_levels > 0,
+                matched_levels: r.delem_levels,
+                critical_delay_ns: r.critical_delay_ns,
+                loopback_latch: report.liveness_repairs.iter().any(|lr| {
+                    lr.region == r.name && matches!(lr.action, crate::LivenessAction::RequestLatch)
+                }),
+            })
+            .collect(),
+        edges: report
+            .ddg_edges
+            .iter()
+            .filter_map(|(a, b)| Some((slot(a)?, slot(b)?)))
+            .collect(),
+        level_delay_ns: crate::delay_element::level_delay_ns(lib)?,
+        ff_overhead_ns: ff_overhead_ns(lib),
     })
+}
+
+/// Flip-flop overhead of a synchronous reference period (ns): `DFFX1`'s
+/// clk→Q plus setup, or 0 in a library without `DFFX1`. It shapes the
+/// handshake simulator's synchronous comparison model and a case study's
+/// minimum clock period, never a deadlock verdict.
+pub fn ff_overhead_ns(lib: &Library) -> f64 {
+    lib.cell("DFFX1")
+        .map_or(0.0, |c| c.max_intrinsic_delay() + c.setup)
 }
 
 #[cfg(test)]
@@ -591,5 +598,45 @@ mod tests {
         let (result, trace) = tool.run(m, &DesyncOptions::default());
         assert!(matches!(result, Err(DesyncError::Clock { .. })));
         assert_eq!(trace.error.map(|e| e.pass), Some("clock-id"));
+    }
+
+    /// A library without `DFFX1` still projects: the flip-flop overhead
+    /// of the synchronous reference model falls back to 0.
+    #[test]
+    fn handshake_spec_without_dffx1_has_no_ff_overhead() {
+        let cells = vlib90::high_speed()
+            .cells()
+            .filter(|c| c.name != "DFFX1")
+            .cloned()
+            .collect();
+        let lib = Library::from_cells("no_dffx1", cells).unwrap();
+        assert!(lib.cell("DFFX1").is_none());
+        let mut m = Module::new("toggle");
+        m.add_port("clk", PortDir::Input).unwrap();
+        m.add_port("out0", PortDir::Output).unwrap();
+        let (clk, q) = (m.find_net("clk").unwrap(), m.find_net("out0").unwrap());
+        let d = m.add_net("d").unwrap();
+        m.add_cell("inv", "INVX1", &[("A", Conn::Net(q)), ("Z", Conn::Net(d))])
+            .unwrap();
+        let pins = [
+            ("D", Conn::Net(d)),
+            ("RN", Conn::Const1),
+            ("CK", Conn::Net(clk)),
+            ("Q", Conn::Net(q)),
+        ];
+        m.add_cell("r", "DFFRX1", &pins).unwrap();
+        let tool = Desynchronizer::new(&lib).unwrap();
+        let result = tool.run(m, &DesyncOptions::default()).0.unwrap();
+        assert_eq!(
+            (result.report.substituted_ffs, result.report.controllers),
+            (1, 2)
+        );
+        let spec = handshake_spec(&result.report, &lib).unwrap();
+        assert_eq!(spec.ff_overhead_ns, 0.0);
+        assert!(
+            spec.regions.iter().any(|r| r.controlled),
+            "{:?}",
+            spec.regions
+        );
     }
 }

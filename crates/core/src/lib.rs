@@ -58,8 +58,8 @@ pub mod region;
 pub mod sdc;
 
 pub use desync::{
-    handshake_spec, region_delays, DesyncOptions, DesyncReport, DesyncResult, Desynchronizer,
-    RegionSummary,
+    ff_overhead_ns, handshake_spec, region_delays, DesyncOptions, DesyncReport, DesyncResult,
+    Desynchronizer, RegionSummary,
 };
 pub use error::{DegradeReason, Degradation, DesyncError};
 pub use liveness::{LivenessAction, LivenessRepair};

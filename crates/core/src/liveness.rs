@@ -26,6 +26,12 @@
 //!    wedges — a strict run turns this rung into
 //!    [`DesyncError::Liveness`] instead.
 //!
+//! The planner's state is the [`HandshakeSpec`] the simulator
+//! elaborates — the same model `crate::handshake_spec` projects from a
+//! finished report for the liveness oracle and `simulate
+//! --check-liveness` — so the guard, the oracle and the CLI screen one
+//! model with one window formula ([`pulse_window`]).
+//!
 //! Every decision is recorded as a [`LivenessRepair`] and the repaired
 //! network is validated by `drd_sim::handshake`: the planner keeps
 //! repairing until the previously-deadlocking topology settles, and an
@@ -41,7 +47,7 @@ use std::fmt;
 
 use drd_liberty::{Corner, Library};
 use drd_netlist::{Conn, Design, Module, ModuleId, NetId};
-use drd_sim::{HandshakeNet, HandshakeSpec, RegionSpec, SimError};
+use drd_sim::{HandshakeNet, HandshakeSpec, SimError};
 use drd_sta::TimingGraph;
 
 use crate::delay_element;
@@ -63,7 +69,7 @@ const CHAIN_PROBE_LEVELS: usize = 40;
 /// one worst-case intrinsic delay of each gate in that path.
 ///
 /// The chain term is per-edge STA, not a linear average: [`Self::probe`]
-/// runs one timing analysis over a [`CHAIN_PROBE_LEVELS`]-stage delay
+/// runs one timing analysis over a 40-stage (`CHAIN_PROBE_LEVELS`) delay
 /// element and records the arrival at every stage output, so wire/fanout
 /// load (the BUFX2 feed segmentation, the shared fast-fall net) is in
 /// the bound. The table only ever *raises* the response bound over the
@@ -99,7 +105,7 @@ impl ResponseModel {
     }
 
     /// Probes the model's constants from `lib` by STA, including the
-    /// per-stage arrival table of a [`CHAIN_PROBE_LEVELS`]-deep chain.
+    /// per-stage arrival table of a 40-deep (`CHAIN_PROBE_LEVELS`) chain.
     ///
     /// # Errors
     /// [`DesyncError::UnknownCell`] when a controller gate is missing;
@@ -200,36 +206,48 @@ impl ResponseModel {
 /// Number of controlled predecessors feeding region `s`'s request join —
 /// the fan-in that sizes its C-element join tree in the elaborated
 /// control network.
-pub fn join_fanin(states: &[RegionState], edges: &[(usize, usize)], s: usize) -> usize {
-    edges
+pub fn join_fanin(spec: &HandshakeSpec, s: usize) -> usize {
+    spec.edges
         .iter()
-        .filter(|&&(p, q)| q == s && p != s && states[p].controlled)
+        .filter(|&&(p, q)| q == s && p != s && spec.regions[p].controlled)
         .count()
-}
-
-/// The planner's view of one region — the spec-level state the ladder
-/// operates on before any netlist surgery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionState {
-    /// Region name (`g0`, …).
-    pub name: String,
-    /// Carries a controller pair and delay element.
-    pub controlled: bool,
-    /// Matched delay-element levels.
-    pub levels: usize,
-    /// A request-extending latch holds the loopback request.
-    pub latched: bool,
 }
 
 /// Whether region `i` is a loopback source: controlled, no controlled
 /// predecessors (a self-loop counts as a predecessor) and at least one
 /// controlled successor to swallow its pulse.
-pub fn is_source(states: &[RegionState], edges: &[(usize, usize)], i: usize) -> bool {
-    states[i].controlled
-        && !edges.iter().any(|&(p, s)| s == i && states[p].controlled)
-        && edges
+pub fn is_source(spec: &HandshakeSpec, i: usize) -> bool {
+    spec.regions[i].controlled
+        && !spec
+            .edges
             .iter()
-            .any(|&(p, s)| p == i && s != i && states[s].controlled)
+            .any(|&(p, s)| s == i && spec.regions[p].controlled)
+        && successors(spec, i).next().is_some()
+}
+
+/// Region `i`'s controlled successors other than itself, in edge order.
+fn successors(spec: &HandshakeSpec, i: usize) -> impl Iterator<Item = usize> + '_ {
+    spec.edges
+        .iter()
+        .filter(move |&&(p, s)| p == i && s != i && spec.regions[s].controlled)
+        .map(|&(_, s)| s)
+}
+
+/// Per-edge response bound of successor `s` (ns).
+fn edge_response(model: &ResponseModel, spec: &HandshakeSpec, s: usize) -> f64 {
+    model.edge_response_ns(spec.regions[s].matched_levels, join_fanin(spec, s))
+}
+
+/// Region `i`'s pulse window `(rise, bound)` (ns): the rise time of its
+/// request chain, and the response bound of its fastest controlled
+/// successor — the width of the loopback pulse, infinite with no
+/// controlled successor.
+pub fn pulse_window(model: &ResponseModel, spec: &HandshakeSpec, i: usize) -> (f64, f64) {
+    let rise = model.rise_ns(spec.regions[i].matched_levels);
+    let bound = successors(spec, i)
+        .map(|s| edge_response(model, spec, s))
+        .fold(f64::INFINITY, f64::min);
+    (rise, bound)
 }
 
 /// One flagged pulse-swallowing hazard.
@@ -247,30 +265,17 @@ pub struct Hazard {
 
 /// Flags every unlatched source whose rise time reaches the fastest
 /// successor's response bound, in region-index order.
-pub fn hazards(
-    model: &ResponseModel,
-    states: &[RegionState],
-    edges: &[(usize, usize)],
-    margin: f64,
-) -> Vec<Hazard> {
-    (0..states.len())
-        .filter(|&i| is_source(states, edges, i) && !states[i].latched)
+pub fn hazards(model: &ResponseModel, spec: &HandshakeSpec, margin: f64) -> Vec<Hazard> {
+    (0..spec.regions.len())
+        .filter(|&i| is_source(spec, i) && !spec.regions[i].loopback_latch)
         .filter_map(|i| {
-            let rise = model.rise_ns(states[i].levels);
-            let succs: Vec<usize> = edges
-                .iter()
-                .filter(|&&(p, s)| p == i && s != i && states[s].controlled)
-                .map(|&(_, s)| s)
-                .collect();
-            let edge = |s: usize| {
-                model.edge_response_ns(states[s].levels, join_fanin(states, edges, s))
-            };
-            let bound = succs.iter().map(|&s| edge(s)).fold(f64::INFINITY, f64::min);
+            let (rise, bound) = pulse_window(model, spec, i);
             if rise < bound {
                 return None;
             }
-            let deficient: Vec<usize> =
-                succs.iter().copied().filter(|&s| edge(s) < rise * margin).collect();
+            let deficient = successors(spec, i)
+                .filter(|&s| edge_response(model, spec, s) < rise * margin)
+                .collect();
             Some(Hazard { region: i, rise_ns: rise, bound_ns: bound, deficient })
         })
         .collect()
@@ -329,22 +334,7 @@ impl fmt::Display for LivenessRepair {
     }
 }
 
-fn rise_and_bound(
-    model: &ResponseModel,
-    states: &[RegionState],
-    edges: &[(usize, usize)],
-    i: usize,
-) -> (f64, f64) {
-    let rise = model.rise_ns(states[i].levels);
-    let bound = edges
-        .iter()
-        .filter(|&&(p, s)| p == i && s != i && states[s].controlled)
-        .map(|&(_, s)| model.edge_response_ns(states[s].levels, join_fanin(states, edges, s)))
-        .fold(f64::INFINITY, f64::min);
-    (rise, bound)
-}
-
-/// Plans the repair ladder over spec-level state.
+/// Plans the repair ladder over the control-network model.
 ///
 /// Phase A screens statically: each hazard (one per round, region-index
 /// order) either deepens all deficient successors — sized so their
@@ -356,32 +346,39 @@ fn rise_and_bound(
 /// `strict` mode). A deadlock that survives all rungs is
 /// [`DesyncError::Liveness`].
 ///
-/// `validate` receives the candidate state and returns `Ok(true)` when
+/// `validate` receives the candidate spec and returns `Ok(true)` when
 /// the network settles (or the topology is vacuous — the caller decides).
-/// `states` is mutated to the final planned state; the returned records
+/// `spec` is mutated to the final planned state; the returned records
 /// are the repairs in application order.
 ///
 /// # Errors
 /// [`DesyncError::Liveness`] as above; propagates validator errors.
 pub fn plan_repairs(
     model: &ResponseModel,
-    states: &mut [RegionState],
-    edges: &[(usize, usize)],
+    spec: &mut HandshakeSpec,
     clock_period_ns: f64,
     margin: f64,
     strict: bool,
-    mut validate: impl FnMut(&[RegionState]) -> Result<bool, DesyncError>,
+    mut validate: impl FnMut(&HandshakeSpec) -> Result<bool, DesyncError>,
 ) -> Result<Vec<LivenessRepair>, DesyncError> {
-    let n = states.len();
+    let n = spec.regions.len();
     let mut repairs = Vec::new();
+    let repair =
+        |spec: &HandshakeSpec, i: usize, (rise_ns, response_bound_ns), action| LivenessRepair {
+            region: spec.regions[i].name.clone(),
+            rise_ns,
+            response_bound_ns,
+            action,
+        };
 
     // Phase A: static screening. Deepening only raises successor
     // response times and latching removes a source from the hazard set,
     // so one hazard per round converges; the cap is pure defence.
     for _ in 0..(2 * n + 2) {
-        let Some(h) = hazards(model, states, edges, margin).into_iter().next() else {
+        let Some(h) = hazards(model, spec, margin).into_iter().next() else {
             break;
         };
+        let window = (h.rise_ns, h.bound_ns);
         // Per-successor deepen target: the smallest depth whose per-edge
         // response covers margin × rise. The upward search replaces the
         // old closed-form linear target; because the STA table only
@@ -392,8 +389,8 @@ pub fn plan_repairs(
             .deficient
             .iter()
             .map(|&s| {
-                let fanin = join_fanin(states, edges, s);
-                let floor = states[s].levels + 1;
+                let fanin = join_fanin(spec, s);
+                let floor = spec.regions[s].matched_levels + 1;
                 let mut to = floor;
                 while model.edge_response_ns(to, fanin) < h.rise_ns * margin
                     && model.rise_ns(to) <= clock_period_ns
@@ -408,27 +405,18 @@ pub fn plan_repairs(
             wanted.iter().all(|&(_, to)| model.rise_ns(to) <= clock_period_ns);
         if within_budget && !wanted.is_empty() {
             for (s, to) in wanted {
-                let from = states[s].levels;
-                states[s].levels = to;
-                repairs.push(LivenessRepair {
-                    region: states[h.region].name.clone(),
-                    rise_ns: h.rise_ns,
-                    response_bound_ns: h.bound_ns,
-                    action: LivenessAction::DeepenSuccessor {
-                        successor: states[s].name.clone(),
-                        from_levels: from,
-                        to_levels: to,
-                    },
-                });
+                let from = std::mem::replace(&mut spec.regions[s].matched_levels, to);
+                let successor = spec.regions[s].name.clone();
+                let action = LivenessAction::DeepenSuccessor {
+                    successor,
+                    from_levels: from,
+                    to_levels: to,
+                };
+                repairs.push(repair(spec, h.region, window, action));
             }
         } else {
-            states[h.region].latched = true;
-            repairs.push(LivenessRepair {
-                region: states[h.region].name.clone(),
-                rise_ns: h.rise_ns,
-                response_bound_ns: h.bound_ns,
-                action: LivenessAction::RequestLatch,
-            });
+            spec.regions[h.region].loopback_latch = true;
+            repairs.push(repair(spec, h.region, window, LivenessAction::RequestLatch));
         }
     }
 
@@ -438,27 +426,22 @@ pub fn plan_repairs(
     let cap = 3 * n + 3;
     let mut iterations = 0usize;
     loop {
-        if validate(states)? {
+        if validate(spec)? {
             return Ok(repairs);
         }
         iterations += 1;
-        let sources: Vec<usize> = (0..n).filter(|&i| is_source(states, edges, i)).collect();
+        let sources: Vec<usize> = (0..n).filter(|&i| is_source(spec, i)).collect();
         if iterations <= cap {
-            if let Some(&i) = sources.iter().find(|&&i| !states[i].latched) {
-                let (rise, bound) = rise_and_bound(model, states, edges, i);
-                states[i].latched = true;
-                repairs.push(LivenessRepair {
-                    region: states[i].name.clone(),
-                    rise_ns: rise,
-                    response_bound_ns: bound,
-                    action: LivenessAction::RequestLatch,
-                });
+            if let Some(&i) = sources.iter().find(|&&i| !spec.regions[i].loopback_latch) {
+                let window = pulse_window(model, spec, i);
+                spec.regions[i].loopback_latch = true;
+                repairs.push(repair(spec, i, window, LivenessAction::RequestLatch));
                 continue;
             }
             if let Some(&i) = sources.first() {
                 if strict {
                     return Err(DesyncError::Liveness {
-                        region: states[i].name.clone(),
+                        region: spec.regions[i].name.clone(),
                         message: format!(
                             "network still deadlocks after {} repair(s); the region \
                              would be degraded to synchronous (strict mode)",
@@ -466,15 +449,10 @@ pub fn plan_repairs(
                         ),
                     });
                 }
-                let (rise, bound) = rise_and_bound(model, states, edges, i);
-                states[i].controlled = false;
-                states[i].latched = false;
-                repairs.push(LivenessRepair {
-                    region: states[i].name.clone(),
-                    rise_ns: rise,
-                    response_bound_ns: bound,
-                    action: LivenessAction::Degrade,
-                });
+                let window = pulse_window(model, spec, i);
+                spec.regions[i].controlled = false;
+                spec.regions[i].loopback_latch = false;
+                repairs.push(repair(spec, i, window, LivenessAction::Degrade));
                 continue;
             }
         }
@@ -482,7 +460,7 @@ pub fn plan_repairs(
         // is not the source-pulse hazard — refuse to ship it silently.
         let region = sources
             .first()
-            .map_or_else(|| "<network>".to_owned(), |&i| states[i].name.clone());
+            .map_or_else(|| "<network>".to_owned(), |&i| spec.regions[i].name.clone());
         return Err(DesyncError::Liveness {
             region,
             message: format!(
@@ -493,48 +471,22 @@ pub fn plan_repairs(
     }
 }
 
-/// Validates spec-level state with the handshake simulator: `Ok(true)`
-/// when the network settles — or when the topology is vacuous (no
+/// Validates a candidate spec with the handshake simulator: `Ok(true)`
+/// when the network settles — or when the spec is vacuous (no
 /// controlled region, or any isolated controlled region, whose
 /// loopback + eager-ack environment free-runs when its matched delay is
 /// short, like DLX's one-level `g0`, and wedges when it is long; the
-/// handshake-timing oracle skips the same shapes through the same
-/// [`HandshakeSpec::isolated_regions`]) — and `Ok(false)` on a simulated
+/// handshake-timing oracle skips the same specs through the same
+/// [`HandshakeSpec::is_vacuous`]) — and `Ok(false)` on a simulated
 /// [`SimError::Deadlock`].
 ///
 /// # Errors
 /// Propagates elaboration failures and non-deadlock simulation errors.
-pub fn validate_with_sim(
-    states: &[RegionState],
-    edges: &[(usize, usize)],
-    critical_delays_ns: &[f64],
-    lib: &Library,
-    level_delay_ns: f64,
-    ff_overhead_ns: f64,
-) -> Result<bool, DesyncError> {
-    if !states.iter().any(|s| s.controlled) {
+pub fn validate_with_sim(spec: &HandshakeSpec, lib: &Library) -> Result<bool, DesyncError> {
+    if spec.is_vacuous() {
         return Ok(true);
     }
-    let spec = HandshakeSpec {
-        regions: states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| RegionSpec {
-                name: s.name.clone(),
-                controlled: s.controlled,
-                matched_levels: s.levels,
-                critical_delay_ns: critical_delays_ns.get(i).copied().unwrap_or(0.0),
-                loopback_latch: s.latched,
-            })
-            .collect(),
-        edges: edges.to_vec(),
-        level_delay_ns,
-        ff_overhead_ns,
-    };
-    if spec.isolated_regions().next().is_some() {
-        return Ok(true);
-    }
-    let net = HandshakeNet::elaborate(&spec, lib).map_err(|e| DesyncError::Pipeline {
+    let net = HandshakeNet::elaborate(spec, lib).map_err(|e| DesyncError::Pipeline {
         message: format!("liveness validation: {e}"),
     })?;
     match net.nominal_cycle_times() {
@@ -691,14 +643,32 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::panic)]
     use super::*;
     use drd_liberty::vlib90;
+    use drd_sim::RegionSpec;
 
-    fn st(name: &str, levels: usize) -> RegionState {
-        RegionState { name: name.into(), controlled: true, levels, latched: false }
+    /// A spec of controlled, unlatched regions of the given depths.
+    fn spec(levels: &[usize], edges: &[(usize, usize)]) -> HandshakeSpec {
+        let regions = levels
+            .iter()
+            .enumerate()
+            .map(|(i, &matched_levels)| RegionSpec {
+                name: format!("g{i}"),
+                controlled: true,
+                matched_levels,
+                critical_delay_ns: 0.0,
+                loopback_latch: false,
+            })
+            .collect();
+        HandshakeSpec {
+            regions,
+            edges: edges.to_vec(),
+            level_delay_ns: 0.09,
+            ff_overhead_ns: 0.0,
+        }
     }
 
     /// Source g0 (24 levels) → sink g1 (2 levels): the stall-test shape.
-    fn imbalanced() -> (Vec<RegionState>, Vec<(usize, usize)>) {
-        (vec![st("g0", 24), st("g1", 2)], vec![(0, 1)])
+    fn imbalanced() -> HandshakeSpec {
+        spec(&[24, 2], &[(0, 1)])
     }
 
     #[test]
@@ -741,12 +711,10 @@ mod tests {
 
     #[test]
     fn join_fanin_counts_controlled_predecessors_only() {
-        let states = vec![st("g0", 4), st("g1", 4), st("g2", 4)];
-        let edges = vec![(0, 2), (1, 2), (2, 2)];
-        assert_eq!(join_fanin(&states, &edges, 2), 2, "self-loop excluded");
-        let mut half = states;
-        half[1].controlled = false;
-        assert_eq!(join_fanin(&half, &edges, 2), 1);
+        let mut three = spec(&[4, 4, 4], &[(0, 2), (1, 2), (2, 2)]);
+        assert_eq!(join_fanin(&three, 2), 2, "self-loop excluded");
+        three.regions[1].controlled = false;
+        assert_eq!(join_fanin(&three, 2), 1);
     }
 
     #[test]
@@ -758,10 +726,8 @@ mod tests {
         let probed = ResponseModel::probe(&vlib90::high_speed()).unwrap();
         let flat = ResponseModel::flat(probed.level_delay_ns, probed.ctrl_response_ns);
         let to_levels = |model: &ResponseModel| {
-            let (mut states, edges) = imbalanced();
             let repairs =
-                plan_repairs(model, &mut states, &edges, 10.0, 1.08, false, |_| Ok(true))
-                    .unwrap();
+                plan_repairs(model, &mut imbalanced(), 10.0, 1.08, false, |_| Ok(true)).unwrap();
             match &repairs[0].action {
                 LivenessAction::DeepenSuccessor { to_levels, .. } => *to_levels,
                 other => panic!("expected a deepen, got {other:?}"),
@@ -773,34 +739,31 @@ mod tests {
     #[test]
     fn hazard_classification_flags_the_imbalanced_source_only() {
         let model = ResponseModel::flat(0.09, 0.3);
-        let (states, edges) = imbalanced();
-        let found = hazards(&model, &states, &edges, 1.08);
+        let found = hazards(&model, &imbalanced(), 1.08);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].region, 0);
         assert_eq!(found[0].deficient, vec![1]);
         assert!(found[0].rise_ns > found[0].bound_ns);
+        assert_eq!(
+            pulse_window(&model, &imbalanced(), 0),
+            (found[0].rise_ns, found[0].bound_ns)
+        );
 
         // Balanced chain: no hazard.
-        let states = vec![st("g0", 4), st("g1", 4)];
-        assert!(hazards(&model, &states, &edges, 1.08).is_empty());
+        assert!(hazards(&model, &spec(&[4, 4], &[(0, 1)]), 1.08).is_empty());
 
         // Interior regions are never flagged: give the source a pred.
-        let (states, _) = imbalanced();
-        let ring = vec![(0, 1), (1, 0)];
-        assert!(hazards(&model, &states, &ring, 1.08).is_empty());
+        assert!(hazards(&model, &spec(&[24, 2], &[(0, 1), (1, 0)]), 1.08).is_empty());
 
         // A self-loop counts as a predecessor.
-        let (states, _) = imbalanced();
-        let looped = vec![(0, 1), (0, 0)];
-        assert!(hazards(&model, &states, &looped, 1.08).is_empty());
+        assert!(hazards(&model, &spec(&[24, 2], &[(0, 1), (0, 0)]), 1.08).is_empty());
     }
 
     #[test]
     fn planner_deepens_within_budget() {
         let model = ResponseModel::flat(0.09, 0.3);
-        let (mut states, edges) = imbalanced();
-        let repairs =
-            plan_repairs(&model, &mut states, &edges, 10.0, 1.08, false, |_| Ok(true)).unwrap();
+        let mut planned = imbalanced();
+        let repairs = plan_repairs(&model, &mut planned, 10.0, 1.08, false, |_| Ok(true)).unwrap();
         assert_eq!(repairs.len(), 1, "{repairs:?}");
         let r = &repairs[0];
         assert_eq!(r.region, "g0");
@@ -810,25 +773,24 @@ mod tests {
                 assert_eq!(*from_levels, 2);
                 // Sized so the successor's response covers margin × rise.
                 assert!(model.response_ns(*to_levels) >= r.rise_ns * 1.08, "{repairs:?}");
-                assert_eq!(states[1].levels, *to_levels);
+                assert_eq!(planned.regions[1].matched_levels, *to_levels);
             }
             other => panic!("expected a deepen, got {other:?}"),
         }
         // The repaired state screens clean.
-        assert!(hazards(&model, &states, &edges, 1.08).is_empty());
+        assert!(hazards(&model, &planned, 1.08).is_empty());
     }
 
     #[test]
     fn planner_latches_when_deepening_breaks_the_budget() {
         let model = ResponseModel::flat(0.09, 0.3);
-        let (mut states, edges) = imbalanced();
+        let mut planned = imbalanced();
         // Budget below even the source's own chain: deepening impossible.
-        let repairs =
-            plan_repairs(&model, &mut states, &edges, 1.0, 1.08, false, |_| Ok(true)).unwrap();
+        let repairs = plan_repairs(&model, &mut planned, 1.0, 1.08, false, |_| Ok(true)).unwrap();
         assert_eq!(repairs.len(), 1, "{repairs:?}");
         assert_eq!(repairs[0].action, LivenessAction::RequestLatch);
-        assert!(states[0].latched);
-        assert_eq!(states[1].levels, 2, "successor untouched");
+        assert!(planned.regions[0].loopback_latch);
+        assert_eq!(planned.regions[1].matched_levels, 2, "successor untouched");
     }
 
     #[test]
@@ -837,12 +799,11 @@ mod tests {
         // Statically clean (balanced) but the validator insists on a
         // wedge until the source is degraded — the unreachable-in-flow
         // rung, exercised through the injected validator.
-        let mut states = vec![st("g0", 4), st("g1", 4)];
-        let edges = vec![(0, 1)];
+        let mut planned = spec(&[4, 4], &[(0, 1)]);
         let mut calls = 0usize;
-        let repairs = plan_repairs(&model, &mut states, &edges, 10.0, 1.08, false, |s| {
+        let repairs = plan_repairs(&model, &mut planned, 10.0, 1.08, false, |s| {
             calls += 1;
-            Ok(!s[0].controlled)
+            Ok(!s.regions[0].controlled)
         })
         .unwrap();
         assert!(calls >= 3, "validated after every rung: {calls}");
@@ -851,17 +812,20 @@ mod tests {
             vec![&LivenessAction::RequestLatch, &LivenessAction::Degrade],
             "{repairs:?}"
         );
-        assert!(!states[0].controlled);
+        assert!(!planned.regions[0].controlled);
     }
 
     #[test]
     fn strict_mode_turns_degrade_into_a_liveness_error() {
         let model = ResponseModel::flat(0.09, 0.3);
-        let mut states = vec![st("g0", 4), st("g1", 4)];
-        let edges = vec![(0, 1)];
-        let err = plan_repairs(&model, &mut states, &edges, 10.0, 1.08, true, |s| {
-            Ok(!s[0].controlled)
-        })
+        let err = plan_repairs(
+            &model,
+            &mut spec(&[4, 4], &[(0, 1)]),
+            10.0,
+            1.08,
+            true,
+            |s| Ok(!s.regions[0].controlled),
+        )
         .unwrap_err();
         assert!(
             matches!(&err, DesyncError::Liveness { region, .. } if region == "g0"),
@@ -873,10 +837,8 @@ mod tests {
     fn unrepairable_deadlock_is_a_structured_error() {
         let model = ResponseModel::flat(0.09, 0.3);
         // A ring has no source at all: nothing to latch or degrade.
-        let mut states = vec![st("g0", 4), st("g1", 4)];
-        let edges = vec![(0, 1), (1, 0)];
-        let err = plan_repairs(&model, &mut states, &edges, 10.0, 1.08, false, |_| Ok(false))
-            .unwrap_err();
+        let mut ring = spec(&[4, 4], &[(0, 1), (1, 0)]);
+        let err = plan_repairs(&model, &mut ring, 10.0, 1.08, false, |_| Ok(false)).unwrap_err();
         match err {
             DesyncError::Liveness { region, message } => {
                 assert_eq!(region, "<network>");

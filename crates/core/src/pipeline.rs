@@ -20,12 +20,13 @@ use drd_json::escape;
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::Library;
 use drd_netlist::{Design, Module, ModuleId};
+use drd_sim::{HandshakeSpec, RegionSpec};
 
 use crate::ddg::{self, Ddg};
-use crate::desync::{DesyncOptions, DesyncReport, DesyncResult, RegionSummary};
+use crate::desync::{ff_overhead_ns, DesyncOptions, DesyncReport, DesyncResult, RegionSummary};
 use crate::ffsub::{self, Substitution};
 use crate::network::{self, NetworkReport};
-use crate::liveness::{self, LivenessAction, LivenessRepair, RegionState};
+use crate::liveness::{self, LivenessAction, LivenessRepair};
 use crate::region::{self, Region, Regions};
 use crate::sdc;
 use crate::{DegradeReason, Degradation, DesyncError};
@@ -685,59 +686,46 @@ impl Pass for LivenessGuardPass {
         let delays = cx
             .region_delays
             .as_deref()
-            .ok_or_else(|| missing("region delays", "region-delays"))?
-            .to_vec();
+            .ok_or_else(|| missing("region delays", "region-delays"))?;
         let edges = cx
             .ddg
             .as_ref()
             .ok_or_else(|| missing("DDG", "ddg"))?
             .edges
             .clone();
-        let mut states: Vec<RegionState> = {
-            let regions =
-                cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
-            let net_report = cx
-                .network
-                .as_ref()
-                .ok_or_else(|| missing("network report", "control-network"))?;
-            regions
+        let regions = cx
+            .regions
+            .as_ref()
+            .ok_or_else(|| missing("regions", "group"))?;
+        let net_report = cx
+            .network
+            .as_ref()
+            .ok_or_else(|| missing("network report", "control-network"))?;
+        let model = liveness::ResponseModel::probe(lib)?;
+        let mut spec = HandshakeSpec {
+            regions: regions
                 .regions
                 .iter()
                 .enumerate()
-                .map(|(i, r)| RegionState {
+                .map(|(i, r)| RegionSpec {
                     name: r.name.clone(),
                     controlled: net_report.delem_levels(i) > 0,
-                    levels: net_report.delem_levels(i),
-                    latched: false,
+                    matched_levels: net_report.delem_levels(i),
+                    critical_delay_ns: delays.get(i).copied().unwrap_or(0.0),
+                    loopback_latch: false,
                 })
-                .collect()
+                .collect(),
+            edges,
+            level_delay_ns: model.level_delay_ns,
+            ff_overhead_ns: ff_overhead_ns(lib),
         };
-        let model = liveness::ResponseModel::probe(lib)?;
-        // The spec projection's FF overhead only shapes the synchronous
-        // comparison inside the simulator, never the deadlock verdict —
-        // a missing DFFX1 must not fail the guard.
-        let ff_overhead_ns = lib
-            .cell("DFFX1")
-            .map_or(0.0, |c| c.max_intrinsic_delay() + c.setup);
-        let validate_edges = edges.clone();
-        let validate_delays = delays.clone();
         let repairs = liveness::plan_repairs(
             &model,
-            &mut states,
-            &edges,
+            &mut spec,
             cx.opts.clock_period_ns,
             cx.opts.delay_margin,
             cx.opts.strict,
-            |s| {
-                liveness::validate_with_sim(
-                    s,
-                    &validate_edges,
-                    &validate_delays,
-                    lib,
-                    model.level_delay_ns,
-                    ff_overhead_ns,
-                )
-            },
+            |s| liveness::validate_with_sim(s, lib),
         )?;
         if repairs.is_empty() {
             return Ok(PassReport::new(

@@ -4,7 +4,7 @@
 
 use std::collections::HashSet;
 
-use drd_core::{handshake_spec, DesyncOptions, DesyncResult, Desynchronizer};
+use drd_core::{ff_overhead_ns, handshake_spec, DesyncOptions, DesyncResult, Desynchronizer};
 use drd_liberty::{Corner, Library, Lv};
 use drd_netlist::{CellId, Design, Module};
 use drd_sim::{
@@ -103,16 +103,15 @@ impl CaseStudy {
     }
 
     /// Minimum synchronous clock period at the typical corner: worst
-    /// register-to-register arrival plus clk→Q and setup.
+    /// register-to-register arrival plus clk→Q and setup
+    /// ([`ff_overhead_ns`]).
     ///
     /// # Errors
     /// Propagates STA errors.
     pub fn sync_min_period(&self) -> Result<f64, DesyncError> {
         let graph = TimingGraph::build(&self.module, &self.lib)?;
         let arr = graph.arrivals(Corner::typical())?;
-        let ff = self.lib.cell("DFFX1").expect("vlib90 has DFFX1");
-        let overhead = ff.max_intrinsic_delay() + ff.setup;
-        Ok(arr.max_endpoint_arrival() + overhead)
+        Ok(arr.max_endpoint_arrival() + ff_overhead_ns(&self.lib))
     }
 }
 

@@ -25,7 +25,7 @@ const MAX_FLATTEN_DEPTH: usize = 64;
 /// # Errors
 /// Returns [`NetlistError::UnknownName`] if an instance references a
 /// module that does not exist, [`NetlistError::Unsupported`] if instances
-/// nest deeper than [`MAX_FLATTEN_DEPTH`] levels (which catches recursive
+/// nest deeper than `MAX_FLATTEN_DEPTH` (64) levels (which catches recursive
 /// instantiation), and propagates name-collision errors (which cannot
 /// happen for names produced by the `/` prefixing scheme unless the design
 /// already uses such names).

@@ -35,6 +35,13 @@
 //! crate below `drd-core` in the dependency order lets the core flow
 //! keep using `drd-sim` in its own tests.
 //!
+//! The spec is also the flow's one liveness model. `drd_core::liveness`
+//! plans its repairs on a spec (deepening `matched_levels`, setting
+//! `loopback_latch`, clearing `controlled`) and validates each candidate
+//! by elaborating it; the liveness oracle and `drdesync simulate
+//! --check-liveness` screen the spec `drd_core::handshake_spec`
+//! projects from the finished report.
+//!
 //! Faithfulness includes the construction's deadlocks. The matched
 //! delay swallows any request pulse shorter than its chain (each AND
 //! stage is fed by the input), so a *source* region — whose loopback
@@ -61,7 +68,8 @@ pub const DEFAULT_MAX_EDGES: usize = 12;
 const MAX_EVENTS: u64 = 8_000_000;
 
 /// One region of a [`HandshakeSpec`] — a projection of the flow's
-/// per-region report row.
+/// per-region report row, and the liveness guard's planning state for
+/// the region.
 #[derive(Debug, Clone)]
 pub struct RegionSpec {
     /// Region name (`g0` = input registers).
@@ -102,8 +110,7 @@ impl HandshakeSpec {
     /// region gets the always-ready loopback request and the eager
     /// acknowledge at once, which degenerates its request into a short
     /// pulse: it free-runs when its matched delay is short and halts when
-    /// it is long. The flow's liveness guard and the handshake-timing
-    /// oracle both treat a spec with one as vacuously live.
+    /// it is long. A spec with one is vacuous ([`Self::is_vacuous`]).
     pub fn isolated_regions(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.regions.len()).filter(|&i| {
             self.regions[i].controlled
@@ -112,6 +119,14 @@ impl HandshakeSpec {
                         || (p == i && self.regions[s].controlled)
                 })
         })
+    }
+
+    /// Whether the spec is vacuously live: no region is controlled, or
+    /// one is isolated ([`Self::isolated_regions`]). The flow's liveness
+    /// guard and the handshake-timing oracle skip a spec through this
+    /// one predicate.
+    pub fn is_vacuous(&self) -> bool {
+        !self.regions.iter().any(|r| r.controlled) || self.isolated_regions().next().is_some()
     }
 }
 
@@ -590,7 +605,7 @@ impl HandshakeNet {
         self.gate_count
     }
 
-    /// Control-network gate count (the prefix of [`gate_count`]'s range
+    /// Control-network gate count (the prefix of [`Self::gate_count`]'s range
     /// that the event simulation consumes).
     pub fn control_gate_count(&self) -> usize {
         self.levels.len()
@@ -624,7 +639,7 @@ impl HandshakeNet {
         self.cycle_times(&factors, DEFAULT_MAX_EDGES)
     }
 
-    /// Simulates with per-gate `factors` (length [`gate_count`]) and
+    /// Simulates with per-gate `factors` (length [`Self::gate_count`]) and
     /// measures each region's effective cycle time over the trailing
     /// half of `max_edges` slave-enable rising edges.
     ///
@@ -640,12 +655,12 @@ impl HandshakeNet {
         self.cycle_times_scaled(factors, 1.0, max_edges)
     }
 
-    /// [`cycle_times`] with the matched-delay chains scaled by
+    /// [`Self::cycle_times`] with the matched-delay chains scaled by
     /// `matched_scale` — the Fig. 5.3 tap-selection sweep (selection `k`
     /// scales the matched delay by `tap_factor(k)`).
     ///
     /// # Errors
-    /// As [`cycle_times`].
+    /// As [`Self::cycle_times`].
     pub fn cycle_times_scaled(
         &self,
         factors: &[f64],
@@ -794,7 +809,7 @@ impl HandshakeNet {
         Some(rise + fall + 2 * (c2r + c2s + buf + inv))
     }
 
-    /// [`analytical_ring_cycle_fs`] in nanoseconds.
+    /// [`Self::analytical_ring_cycle_fs`] in nanoseconds.
     pub fn analytical_ring_cycle_ns(&self, lib: &Library) -> Option<f64> {
         self.analytical_ring_cycle_fs(lib).map(fs_to_ns)
     }

@@ -1,6 +1,6 @@
 //! Executable flow-equivalence checking for latch-enable protocols.
 //!
-//! Flow equivalence (§2.1, [4], [7]) demands that "each individual
+//! Flow equivalence (§2.1, \[4\], \[7\]) demands that "each individual
 //! sequential element in the desynchronized circuit will possess the exact
 //! same data sequence as its synchronous counterpart". This module checks
 //! that property for a candidate two-latch protocol by *executing* it on a

@@ -25,10 +25,10 @@
 //! composes the *same* two-signal protocol across every adjacent latch
 //! pair and explores all interleavings. That abstraction is conservative:
 //! it admits pipelines more weakly synchronized than the full
-//! desynchronization construction of [4] (where the proof tracks the
+//! desynchronization construction of \[4\] (where the proof tracks the
 //! master/slave structure of each stage), and under it the two most
 //! concurrent models admit a data-overwriting interleaving. Their flow
-//! equivalence is established by the finer-grained proof in [4]; here we
+//! equivalence is established by the finer-grained proof in \[4\]; here we
 //! verify their liveness, consistency, boundedness and the concurrency
 //! ordering of Fig. 2.4, and [`Protocol::executable_fe`] records which
 //! rows the executable check covers.

@@ -14,7 +14,9 @@
 #    DRD_WORKERS=3, so worker count never leaks into artifacts (the
 #    workspace tests include crates/bench/tests/reports.rs, which parses
 #    every committed bench report and checks its fields),
-# 3. lints the whole workspace with clippy, warnings denied,
+# 3. lints the whole workspace with clippy, warnings denied, then builds
+#    the workspace's API docs with rustdoc warnings denied, so a doc link
+#    to a renamed or deleted item (or to a private one) fails,
 # 4. regenerates the seven paper artifacts (Tables 2.1, 5.1, 5.2 and
 #    Figs. 2.4, 5.3, 5.4, 5.5) and fails unless each one matches its
 #    results/ copy byte for byte,
@@ -78,6 +80,10 @@ echo "ok: artifacts and handshake golden byte-identical at DRD_WORKERS=3"
 
 echo "== cargo clippy (offline, warnings denied) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (offline, rustdoc warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
+echo "ok: API docs build without warnings"
 
 echo "== paper artifacts regenerate byte-identically (offline) =="
 # Every artifact is deterministic (per-pass wall times live in --trace

@@ -73,8 +73,8 @@ fn usage() -> &'static str {
        campaign seed --seed, workers --jobs). Data goes to stdout and is\n\
        byte-identical for any worker count; progress goes to stderr.\n\
        --check-liveness prints a per-region liveness verdict (source /\n\
-       interior topology, request rise vs successor response bound, and\n\
-       which repair the guard applied, if any).\n\
+       interior / isolated topology, request rise vs successor response\n\
+       bound, and which repair the guard applied, if any).\n\
      \n\
      ROBUSTNESS:\n\
        --strict             fail fast instead of degrading unsupported regions\n\
@@ -223,68 +223,52 @@ fn shaped_pipeline(
     Ok((head, tail, stopped_early))
 }
 
-/// `simulate --check-liveness`: a per-region verdict under the liveness
-/// guard's response-bound model (DESIGN.md §3i) — topology class, rise
-/// time vs the fastest successor's response bound, and the repair the
-/// flow recorded for the region, if any.
+/// `simulate --check-liveness`: a per-region verdict on the flow's
+/// liveness model `spec` (DESIGN.md §3i) — topology class, rise time vs
+/// the fastest successor's response bound, and the `repairs` the flow
+/// recorded.
 fn print_liveness_verdicts(
-    report: &drd_core::DesyncReport,
+    spec: &drd_sim::HandshakeSpec,
+    repairs: &[drd_core::LivenessRepair],
     lib: &Library,
 ) -> Result<(), CliError> {
-    use drd_core::liveness::{is_source, join_fanin, RegionState, ResponseModel};
+    use drd_core::liveness::{is_source, pulse_window, ResponseModel};
     let model = ResponseModel::probe(lib)?;
-    let states: Vec<RegionState> = report
-        .regions
-        .iter()
-        .map(|r| RegionState {
-            name: r.name.clone(),
-            controlled: r.ffs > 0 && r.delem_levels > 0,
-            levels: r.delem_levels,
-            latched: report.liveness_repairs.iter().any(|lr| {
-                lr.region == r.name
-                    && matches!(lr.action, drd_core::LivenessAction::RequestLatch)
-            }),
-        })
-        .collect();
-    let slot = |name: &str| report.regions.iter().position(|r| r.name == name);
-    let edges: Vec<(usize, usize)> = report
-        .ddg_edges
-        .iter()
-        .filter_map(|(a, b)| Some((slot(a)?, slot(b)?)))
-        .collect();
-    for (i, s) in states.iter().enumerate() {
-        if !s.controlled {
-            println!("liveness {}: synchronous (not handshake-controlled)", s.name);
-            continue;
-        }
-        if !is_source(&states, &edges, i) {
+    let isolated: Vec<usize> = spec.isolated_regions().collect();
+    for (i, r) in spec.regions.iter().enumerate() {
+        if !r.controlled {
+            println!(
+                "liveness {}: synchronous (not handshake-controlled)",
+                r.name
+            );
+        } else if isolated.contains(&i) {
+            println!(
+                "liveness {}: isolated — no controlled predecessor or successor, \
+                 not screened by the liveness guard",
+                r.name
+            );
+        } else if !is_source(spec, i) {
             println!(
                 "liveness {}: interior — requests held by C-element joins, no pulse hazard",
-                s.name
+                r.name
             );
-            continue;
-        }
-        let rise = model.rise_ns(s.levels);
-        let bound = edges
-            .iter()
-            .filter(|&&(p, q)| p == i && q != i && states[q].controlled)
-            .map(|&(_, q)| {
-                model.edge_response_ns(states[q].levels, join_fanin(&states, &edges, q))
-            })
-            .fold(f64::INFINITY, f64::min);
-        let verdict = if s.latched {
-            "request latch holds the loopback"
-        } else if rise < bound {
-            "rise inside the response window"
         } else {
-            "HAZARD — pulse can be swallowed"
-        };
-        println!(
-            "liveness {}: source — rise {:.3} ns vs successor response {:.3} ns: {verdict}",
-            s.name, rise, bound
-        );
+            let (rise, bound) = pulse_window(&model, spec, i);
+            let verdict = if r.loopback_latch {
+                "request latch holds the loopback"
+            } else if rise < bound {
+                "rise inside the response window"
+            } else {
+                "HAZARD — pulse can be swallowed"
+            };
+            println!(
+                "liveness {}: source — rise {rise:.3} ns vs successor response {bound:.3} ns: \
+                 {verdict}",
+                r.name
+            );
+        }
     }
-    for lr in &report.liveness_repairs {
+    for lr in repairs {
         println!("liveness repair: {lr}");
     }
     Ok(())
@@ -347,10 +331,10 @@ fn run() -> Result<(), CliError> {
                 ..DesyncOptions::default()
             };
             let result = tool.run(module, &opts).0?;
-            if args.iter().any(|a| a == "--check-liveness") {
-                print_liveness_verdicts(&result.report, &lib)?;
-            }
             let spec = drd_flow::handshake_spec(&result.report, &lib)?;
+            if args.iter().any(|a| a == "--check-liveness") {
+                print_liveness_verdicts(&spec, &result.report.liveness_repairs, &lib)?;
+            }
             if !spec.regions.iter().any(|r| r.controlled) {
                 println!("no controlled regions — nothing to simulate");
                 return Ok(());

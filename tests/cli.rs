@@ -462,14 +462,14 @@ fn cli_budget_flags_abort_with_flow_error() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
 
-/// Two regions: a source behind a 24-NAND chain (a long matched delay)
-/// feeding a one-inverter successor (a fast acknowledge), so the
+/// Two regions: a source behind a `levels`-NAND chain (a long matched
+/// delay) feeding a one-inverter successor (a fast acknowledge), so the
 /// liveness guard has a pulse-swallowing hazard to repair.
-fn write_imbalanced(dir: &std::path::Path) -> std::path::PathBuf {
+fn write_imbalanced(dir: &std::path::Path, levels: usize) -> std::path::PathBuf {
     let mut src =
         String::from("module chain (clk, din, q0, q1);\n  input clk, din; output q0, q1;\n");
     let mut prev = "din".to_owned();
-    for c in 0..24 {
+    for c in 0..levels {
         src.push_str(&format!(
             "  NAND2X1 g{c} (.A({prev}), .B(din), .Z(c{c}));\n"
         ));
@@ -479,7 +479,7 @@ fn write_imbalanced(dir: &std::path::Path) -> std::path::PathBuf {
     src.push_str(
         "  INVX1 i1 (.A(q0), .Z(n1));\n  DFFX1 r1 (.D(n1), .CK(clk), .Q(q1));\nendmodule\n",
     );
-    let path = dir.join("chain.v");
+    let path = dir.join(format!("chain{levels}.v"));
     std::fs::write(&path, src).unwrap();
     path
 }
@@ -492,7 +492,7 @@ fn cli_desync_summary_is_pinned() {
     let dir = std::env::temp_dir().join("drdesync_cli_summary");
     std::fs::create_dir_all(&dir).unwrap();
     let out_v = dir.join("out.v");
-    let repaired = write_imbalanced(&dir);
+    let repaired = write_imbalanced(&dir, 24);
     let mixed = write_mixed(&dir);
     for (input, extra, expected) in [
         (
@@ -560,4 +560,82 @@ fn cli_user_net_named_like_an_enable_net_desynchronizes() {
     let (user, twin) = (report("drd_g1_gm"), report("mid"));
     assert!(twin.contains("name: \"g1\""), "{twin}");
     assert_eq!(user, twin);
+}
+
+/// The `liveness …` lines of `simulate --seeds 0 --check-liveness` on
+/// `input`, which must exit with `code`.
+fn liveness_lines(input: &std::path::Path, code: i32) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
+        .args([
+            "simulate",
+            input.to_str().unwrap(),
+            "--seeds",
+            "0",
+            "--check-liveness",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(code), "{out:?}");
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| l.starts_with("liveness "))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// The whole `--check-liveness` block, byte for byte, on a source the
+/// guard deepens (24 NANDs: `g2` 2 → 16) and on one it latches (6 NANDs:
+/// the deepen still leaves a hazard, so the loopback is latched).
+#[test]
+fn cli_check_liveness_block_is_pinned() {
+    let dir = std::env::temp_dir().join("drdesync_cli_liveness");
+    std::fs::create_dir_all(&dir).unwrap();
+    let deepened = liveness_lines(&write_imbalanced(&dir, 24), 0);
+    assert_eq!(
+        deepened,
+        "liveness g1: source — rise 0.611 ns vs successor response 0.679 ns: rise inside the response window\n\
+         liveness g2: interior — requests held by C-element joins, no pulse hazard\n\
+         liveness repair: region `g1`: request rise 0.611 ns vs successor response 0.205 ns — deepened `g2`'s delay element 2 → 16 levels\n"
+    );
+    let latched = liveness_lines(&write_imbalanced(&dir, 6), 0);
+    assert_eq!(
+        latched,
+        "liveness g1: source — rise 0.216 ns vs successor response 0.239 ns: request latch holds the loopback\n\
+         liveness g2: interior — requests held by C-element joins, no pulse hazard\n\
+         liveness repair: region `g1`: request rise 0.216 ns vs successor response 0.205 ns — deepened `g2`'s delay element 2 → 3 levels\n\
+         liveness repair: region `g1`: request rise 0.216 ns vs successor response 0.239 ns — request-extending latch inserted on the loopback\n"
+    );
+}
+
+/// A controlled region with no controlled neighbour has no C-element
+/// join, and the liveness guard does not screen it: its verdict says so
+/// rather than calling it interior. One register behind an inverter
+/// free-runs; seed 430's default netgen draw wedges in simulation (the
+/// verdict is what is pinned here, not the deadlock).
+#[test]
+fn cli_check_liveness_names_isolated_regions() {
+    use drd_check::netgen::{NetGenParams, NetRecipe};
+    let dir = std::env::temp_dir().join("drdesync_cli_isolated");
+    std::fs::create_dir_all(&dir).unwrap();
+    let isolated = |region: &str| {
+        format!(
+            "liveness {region}: isolated — no controlled predecessor or successor, \
+             not screened by the liveness guard\n"
+        )
+    };
+    let one = dir.join("one_register.v");
+    std::fs::write(
+        &one,
+        "module one (clk, din, dout);\n  input clk, din; output dout;\n\
+         \x20 INVX1 i0 (.A(din), .Z(n0));\n  DFFX1 r0 (.D(n0), .CK(clk), .Q(dout));\nendmodule\n",
+    )
+    .unwrap();
+    assert_eq!(liveness_lines(&one, 0), isolated("g1"));
+    let recipe = NetRecipe::sample(
+        &mut drd_check::Rng::new(0xC311_0DE4 ^ 430),
+        &NetGenParams::default(),
+    );
+    let seed_430 = dir.join("seed_430.v");
+    std::fs::write(&seed_430, recipe.verilog()).unwrap();
+    assert_eq!(liveness_lines(&seed_430, 3), isolated("g1"));
 }
