@@ -16,9 +16,9 @@
 //! * `identity_mismatches` — every warm-cache artifact (report, SDC,
 //!   Verilog, trace) must be byte-identical to its cold-path original;
 //!   a divergence means the cache broke the determinism contract.
-//! * warm cache — a hit replays stored bytes, so the 1-client warm p50
-//!   must sit at least [`WARM_SPEEDUP`]x below the cold p50 (1 client is
-//!   the least scheduler-noisy configuration).
+//! * warm cache — a hit copies one stored response tail, so the 1-client
+//!   warm p50 must sit at least [`WARM_SPEEDUP`]x below the cold p50 (1
+//!   client is the least scheduler-noisy configuration).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -33,8 +33,11 @@ use drd_serve::{json, Server};
 /// Vetted netlists in the corpus.
 const JOBS: usize = 96;
 
-/// How far below the cold-path p50 the warm-cache p50 must sit.
-const WARM_SPEEDUP: f64 = 10.0;
+/// How far below the cold-path p50 the warm-cache p50 must sit. A hit
+/// copies one cached response tail. Calibrated over 20 interleaved runs
+/// on a 2-vCPU host: 30–100x with the tail cached, 13–31x when every hit
+/// escapes every artifact again (18 of those 20 runs fail at 25).
+const WARM_SPEEDUP: f64 = 25.0;
 
 /// Seeded, in-process-vetted corpus: only netlists whose flow succeeds
 /// are kept, so a non-ok response is always a server bug, never a

@@ -46,6 +46,7 @@ pub mod delay_element;
 #[deny(clippy::unwrap_used, clippy::panic)]
 mod desync;
 mod error;
+mod facts;
 #[deny(clippy::unwrap_used, clippy::panic)]
 pub mod ffsub;
 #[deny(clippy::unwrap_used, clippy::panic)]
@@ -62,6 +63,7 @@ pub use desync::{
     Desynchronizer, RegionSummary,
 };
 pub use error::{DegradeReason, Degradation, DesyncError};
+pub use facts::LibraryFacts;
 pub use liveness::{LivenessAction, LivenessRepair};
 pub use pipeline::{
     FlowContext, FlowErrorTrace, FlowTrace, LivenessGuardPass, Pass, PassReport, PassTrace,

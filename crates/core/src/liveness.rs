@@ -45,6 +45,7 @@
 
 use std::fmt;
 
+use drd_liberty::gatefile::MeasuredDelays;
 use drd_liberty::{Corner, Library};
 use drd_netlist::{Conn, Design, Module, ModuleId, NetId};
 use drd_sim::{HandshakeNet, HandshakeSpec, SimError};
@@ -52,7 +53,7 @@ use drd_sta::TimingGraph;
 
 use crate::delay_element;
 use crate::network::{delem_module_name, RegionControl};
-use crate::DesyncError;
+use crate::{DesyncError, LibraryFacts};
 
 /// Stages of the probe chain whose per-stage STA arrivals seed
 /// [`ResponseModel::chain_delay_ns`]; deeper chains extrapolate with the
@@ -106,12 +107,25 @@ impl ResponseModel {
 
     /// Probes the model's constants from `lib` by STA, including the
     /// per-stage arrival table of a 40-deep (`CHAIN_PROBE_LEVELS`) chain.
+    /// Every call measures again; the flow reads
+    /// [`crate::LibraryFacts::response`], which measures once per
+    /// prepared gatefile.
     ///
     /// # Errors
     /// [`DesyncError::UnknownCell`] when a controller gate is missing;
     /// propagates STA errors from the chain probe.
     pub fn probe(lib: &Library) -> Result<Self, DesyncError> {
-        let level_delay_ns = delay_element::level_delay_ns(lib)?;
+        LibraryFacts::new(lib, &MeasuredDelays::default()).response()
+    }
+
+    /// The model on a measured level delay and per-stage chain arrival
+    /// table ([`chain_arrival_ns`]), with the controller constants read
+    /// from `lib`.
+    pub(crate) fn measured(
+        lib: &Library,
+        level_delay_ns: f64,
+        chain_arrival_ns: Vec<f64>,
+    ) -> Result<Self, DesyncError> {
         let d = |name: &str| {
             lib.cell(name)
                 .map(|c| c.max_intrinsic_delay())
@@ -119,22 +133,6 @@ impl ResponseModel {
         };
         let ctrl_response_ns = d("C2RX1")? + d("BUFX1")? + d("INVX1")? + d("C2SX1")?;
         let join_stage_ns = d("C2X1")?;
-
-        let probe = delay_element::build_fixed("drd_delem_edge_probe", CHAIN_PROBE_LEVELS);
-        let graph = TimingGraph::build(&probe, lib)?;
-        let arrivals = graph.arrivals(Corner::typical())?;
-        let z = probe.lookup_sym("Z");
-        let mut chain_arrival_ns = Vec::with_capacity(CHAIN_PROBE_LEVELS);
-        for i in 0..CHAIN_PROBE_LEVELS {
-            let stage = probe.find_cell(&format!("u{i}"));
-            let node = stage
-                .zip(z)
-                .and_then(|(c, z)| graph.find_pin(c, z))
-                .ok_or_else(|| DesyncError::Pipeline {
-                    message: format!("response-model probe: chain stage u{i} missing"),
-                })?;
-            chain_arrival_ns.push(arrivals.at(node));
-        }
         Ok(ResponseModel {
             level_delay_ns,
             ctrl_response_ns,
@@ -201,6 +199,31 @@ impl ResponseModel {
     pub fn response_ns(&self, levels: usize) -> f64 {
         self.edge_response_ns(levels, 0)
     }
+}
+
+/// STA arrival at each stage output of a `CHAIN_PROBE_LEVELS`-deep delay
+/// element (ns): entry `i` is the measured delay of an `(i+1)`-level
+/// element with its real wire load.
+///
+/// # Errors
+/// Propagates STA errors.
+pub(crate) fn chain_arrival_ns(lib: &Library) -> Result<Vec<f64>, DesyncError> {
+    let probe = delay_element::build_fixed("drd_delem_edge_probe", CHAIN_PROBE_LEVELS);
+    let graph = TimingGraph::build(&probe, lib)?;
+    let arrivals = graph.arrivals(Corner::typical())?;
+    let z = probe.lookup_sym("Z");
+    let mut chain_arrival_ns = Vec::with_capacity(CHAIN_PROBE_LEVELS);
+    for i in 0..CHAIN_PROBE_LEVELS {
+        let stage = probe.find_cell(&format!("u{i}"));
+        let node = stage
+            .zip(z)
+            .and_then(|(c, z)| graph.find_pin(c, z))
+            .ok_or_else(|| DesyncError::Pipeline {
+                message: format!("response-model probe: chain stage u{i} missing"),
+            })?;
+        chain_arrival_ns.push(arrivals.at(node));
+    }
+    Ok(chain_arrival_ns)
 }
 
 /// Number of controlled predecessors feeding region `s`'s request join —
@@ -510,13 +533,12 @@ pub fn apply_deepen(
     ctl: &mut RegionControl,
     to_levels: usize,
     muxed: bool,
-    lib: &Library,
+    facts: &LibraryFacts<'_>,
 ) -> Result<(), DesyncError> {
     let module_name = delem_module_name(muxed, to_levels);
     if design.find_module(&module_name).is_none() {
         let module = if muxed {
-            let overhead = delay_element::mux_overhead_levels(lib)?;
-            delay_element::build_muxed(&module_name, to_levels, overhead)
+            delay_element::build_muxed(&module_name, to_levels, facts.mux_overhead()?)
         } else {
             delay_element::build_fixed(&module_name, to_levels)
         };

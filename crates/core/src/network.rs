@@ -10,7 +10,6 @@
 //! re-sampling its inputs every cycle; regions without successors get an
 //! eager output environment (`ao = ro`).
 
-use drd_liberty::Library;
 use drd_netlist::{CellId, Conn, Design, Endpoint, Module, ModuleId, NetId, PinUse};
 
 use crate::celement;
@@ -18,7 +17,7 @@ use crate::controller::{build_controller, ControllerRole};
 use crate::ddg::Ddg;
 use crate::delay_element;
 use crate::region::Regions;
-use crate::DesyncError;
+use crate::{DesyncError, LibraryFacts};
 
 /// What [`insert_control_network`] built for one controlled region, by
 /// ID. The liveness guard edits it along with the netlist (deepen, latch,
@@ -137,7 +136,7 @@ pub fn insert_control_network(
     regions: &Regions,
     ddg: &Ddg,
     region_delays_ns: &[f64],
-    lib: &Library,
+    facts: &LibraryFacts<'_>,
     enables: &[Option<(NetId, NetId)>],
     opts: NetworkOptions,
 ) -> Result<NetworkReport, DesyncError> {
@@ -198,15 +197,10 @@ pub fn insert_control_network(
             .collect()
     };
 
-    // Delay-element sizing: the per-level delay is measured by STA once,
-    // on first need, then each region's length is plain arithmetic;
-    // modules are created deduplicated, in region-index order.
-    let overhead = if muxed {
-        delay_element::mux_overhead_levels(lib)?
-    } else {
-        0
-    };
-    let mut level_delay_ns = None;
+    // Delay-element sizing: the per-level delay is a library fact,
+    // measured on first need, then each region's length is plain
+    // arithmetic; modules are created deduplicated, in region-index order.
+    let overhead = if muxed { facts.mux_overhead()? } else { 0 };
     let mut delem_levels = vec![0usize; nets.len()];
     for (i, own) in nets.iter().enumerate() {
         if own.is_none() {
@@ -216,11 +210,7 @@ pub fn insert_control_network(
         delem_levels[i] = if target <= 0.0 {
             1
         } else {
-            let per_level = match level_delay_ns {
-                Some(d) => d,
-                None => *level_delay_ns.insert(delay_element::level_delay_ns(lib)?),
-            };
-            delay_element::levels_for_delay(target, margin, per_level)
+            delay_element::levels_for_delay(target, margin, facts.level_delay()?)
         };
         let module_name = delem_module_name(muxed, delem_levels[i]);
         if design.find_module(&module_name).is_none() {
@@ -326,7 +316,7 @@ pub fn insert_control_network(
         // One connectivity snapshot serves every tree: buffering an enable
         // net re-points only that net's own loads, so the snapshot's load
         // lists of all the other enable nets stay exact.
-        let conn = design.module(top).connectivity(&design.pin_dirs(lib))?;
+        let conn = design.module(top).connectivity(&design.pin_dirs(facts.library()))?;
         let m = design.module_mut(top);
         for net in enable_nets {
             let name = m.net(net).name.to_owned();
@@ -395,7 +385,7 @@ mod tests {
     use crate::ddg;
     use crate::ffsub::substitute_ffs;
     use crate::region::{group, GroupingOptions};
-    use drd_liberty::gatefile::Gatefile;
+    use drd_liberty::gatefile::{Gatefile, MeasuredDelays};
     use drd_liberty::vlib90;
     use drd_netlist::PortDir;
 
@@ -450,8 +440,10 @@ mod tests {
         let (mut design, top, regions, graph, delays, enables) = prepared();
         let lib = vlib90::high_speed();
         let opts = NetworkOptions { muxed: false, margin: 1.1 };
+        let measured = MeasuredDelays::default();
+        let facts = LibraryFacts::new(&lib, &measured);
         let report = insert_control_network(
-            &mut design, top, &regions, &graph, &delays, &lib, &enables, opts,
+            &mut design, top, &regions, &graph, &delays, &facts, &enables, opts,
         )
         .unwrap();
         assert_eq!(report.controllers(), 4, "2 regions × (master + slave)");
@@ -490,8 +482,10 @@ mod tests {
         let opts = NetworkOptions { muxed: false, margin: 1.1 };
         let g1 = regions.regions.iter().position(|r| r.name == "g1").unwrap();
         enables[g1] = None;
+        let measured = MeasuredDelays::default();
+        let facts = LibraryFacts::new(&lib, &measured);
         let report = insert_control_network(
-            &mut design, top, &regions, &graph, &delays, &lib, &enables, opts,
+            &mut design, top, &regions, &graph, &delays, &facts, &enables, opts,
         )
         .unwrap();
         assert_eq!(report.controllers(), 2, "only the region with enable nets");
@@ -508,8 +502,10 @@ mod tests {
         let (mut design, top, regions, graph, delays, enables) = prepared();
         let lib = vlib90::high_speed();
         let opts = NetworkOptions { muxed: true, margin: 1.1 };
+        let measured = MeasuredDelays::default();
+        let facts = LibraryFacts::new(&lib, &measured);
         let report = insert_control_network(
-            &mut design, top, &regions, &graph, &delays, &lib, &enables, opts,
+            &mut design, top, &regions, &graph, &delays, &facts, &enables, opts,
         )
         .unwrap();
         let m = design.module(top);

@@ -23,13 +23,13 @@ use drd_netlist::{Design, Module, ModuleId};
 use drd_sim::{HandshakeSpec, RegionSpec};
 
 use crate::ddg::{self, Ddg};
-use crate::desync::{ff_overhead_ns, DesyncOptions, DesyncReport, DesyncResult, RegionSummary};
+use crate::desync::{DesyncOptions, DesyncReport, DesyncResult, RegionSummary};
 use crate::ffsub::{self, Substitution};
 use crate::network::{self, NetworkReport};
 use crate::liveness::{self, LivenessAction, LivenessRepair};
 use crate::region::{self, Region, Regions};
 use crate::sdc;
-use crate::{DegradeReason, Degradation, DesyncError};
+use crate::{DegradeReason, Degradation, DesyncError, LibraryFacts};
 
 /// The working netlist: a bare module through substitution, a design (top
 /// plus generated controller/delay-element modules) afterwards.
@@ -108,6 +108,12 @@ impl<'a> FlowContext<'a> {
     /// The prepared gatefile.
     pub fn gatefile(&self) -> &'a Gatefile {
         self.gatefile
+    }
+
+    /// The library's facts, kept with the gatefile: measured by the first
+    /// run that needs them, then read by every later run.
+    pub fn facts(&self) -> LibraryFacts<'a> {
+        LibraryFacts::new(self.lib, &self.gatefile.measured)
     }
 
     /// Cells removed by the `clean` pass.
@@ -649,7 +655,7 @@ impl Pass for ControlNetworkPass {
             regions,
             graph,
             delays,
-            cx.lib,
+            &cx.facts(),
             &substitution.enables,
             network::NetworkOptions {
                 muxed: cx.opts.muxed_delay_elements,
@@ -701,7 +707,8 @@ impl Pass for LivenessGuardPass {
             .network
             .as_ref()
             .ok_or_else(|| missing("network report", "control-network"))?;
-        let model = liveness::ResponseModel::probe(lib)?;
+        let facts = cx.facts();
+        let model = facts.response()?;
         let mut spec = HandshakeSpec {
             regions: regions
                 .regions
@@ -717,7 +724,7 @@ impl Pass for LivenessGuardPass {
                 .collect(),
             edges,
             level_delay_ns: model.level_delay_ns,
-            ff_overhead_ns: ff_overhead_ns(lib),
+            ff_overhead_ns: facts.ff_overhead(),
         };
         let repairs = liveness::plan_repairs(
             &model,
@@ -757,7 +764,7 @@ fn apply_liveness_repairs(
     cx: &mut FlowContext<'_>,
     repairs: &[LivenessRepair],
 ) -> Result<(), DesyncError> {
-    let lib = cx.lib;
+    let facts = cx.facts();
     let muxed = cx.opts.muxed_delay_elements;
     let clock_name = cx
         .clock_net
@@ -794,7 +801,7 @@ fn apply_liveness_repairs(
                 let ctl = network.regions[index(successor)?]
                     .as_mut()
                     .ok_or_else(|| uncontrolled(successor))?;
-                liveness::apply_deepen(design, top, ctl, *to_levels, muxed, lib)?;
+                liveness::apply_deepen(design, top, ctl, *to_levels, muxed, &facts)?;
             }
             LivenessAction::RequestLatch => {
                 let ctl = network.regions[i]

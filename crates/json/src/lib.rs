@@ -286,22 +286,33 @@ fn parse_object(text: &str, pos: &mut usize) -> Result<Value, String> {
 }
 
 /// Appends `text` to `out` as a quoted JSON string, escaping quotes,
-/// backslashes and control characters.
+/// backslashes and control characters. Runs of bytes that need no escape
+/// are copied as one slice: every byte that does is ASCII, so each run
+/// starts and ends on a char boundary.
 pub fn escape_into(out: &mut String, text: &str) {
+    out.reserve(text.len() + 2);
     out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in text.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&text[run..i]);
+        match short {
+            Some(s) => out.push_str(s),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&text[run..]);
     out.push('"');
 }
 
@@ -336,6 +347,64 @@ mod tests {
         let nasty = "line1\nline\\2 \"quoted\"\ttab\u{0007}bell\u{1F600}";
         let encoded = escape(nasty);
         assert_eq!(parse(&encoded).unwrap().as_str(), Some(nasty));
+    }
+
+    /// The char-by-char escaper the run-copying [`escape_into`] replaced,
+    /// kept as the reference it must match.
+    fn reference_escape(text: &str) -> String {
+        let mut out = String::from('"');
+        for c in text.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Seeded random strings drawn from every byte class — control bytes,
+    /// quote, backslash, plain ASCII and 2- to 4-byte scalars — escape to
+    /// the reference's bytes and decode back to themselves.
+    #[test]
+    fn run_copying_escape_matches_the_char_by_char_reference() {
+        // SplitMix64: the crate has no dependencies, not even a PRNG.
+        let mut state = 0x5EED_E5CA_9E00_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let scalar = |range: (u32, u32), pick: u64| {
+            let code = range.0 + (pick % u64::from(range.1 - range.0 + 1)) as u32;
+            char::from_u32(code).unwrap_or('\u{fffd}')
+        };
+        for case in 0..2000 {
+            let len = if case % 100 == 0 { 4096 } else { next(64) };
+            let text: String = (0..len)
+                .map(|_| match next(6) {
+                    0 => scalar((0x00, 0x1f), next(1 << 32)),
+                    1 => '"',
+                    2 => '\\',
+                    3 => scalar((0x20, 0x7f), next(1 << 32)),
+                    4 => scalar((0x80, 0x7ff), next(1 << 32)),
+                    _ if next(2) == 0 => scalar((0x800, 0xffff), next(1 << 32)),
+                    _ => scalar((0x1_0000, 0x10_ffff), next(1 << 32)),
+                })
+                .collect();
+            let got = escape(&text);
+            assert_eq!(got, reference_escape(&text), "case {case}: {text:?}");
+            assert_eq!(parse(&got).unwrap().as_str(), Some(text.as_str()), "case {case}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! expressions — Fig. 3.1 of the paper).
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use drd_netlist::PortDir;
 
@@ -106,6 +107,25 @@ pub struct GateRecord {
     pub pins: Vec<(String, PortDir)>,
 }
 
+/// Delays the flow measures on the library by STA over probe netlists
+/// (§3.1.4: "we implement delay elements of variable logic depth … and
+/// perform STA to measure their delay values"). The probes are in
+/// `drd-core` (`drd_core::LibraryFacts`), which measures each value on
+/// first use and keeps it here, so every run against one prepared
+/// gatefile reads the same number instead of measuring it again. Not
+/// part of the gatefile's text.
+#[derive(Debug, Clone, Default)]
+pub struct MeasuredDelays {
+    /// Typical-corner delay of one AND level of a delay element (ns).
+    pub level_delay_ns: OnceLock<f64>,
+    /// Typical-corner arrival at each stage output of a delay-element
+    /// probe chain (ns): the liveness guard's per-edge response table.
+    pub chain_arrival_ns: OnceLock<Vec<f64>>,
+    /// AND levels the 8:1 mux tree of a multiplexed delay element is
+    /// worth (measured only for multiplexed runs).
+    pub mux_overhead_levels: OnceLock<usize>,
+}
+
 /// The gatefile: library metadata prepared once per library migration.
 #[derive(Debug, Clone)]
 pub struct Gatefile {
@@ -115,6 +135,8 @@ pub struct Gatefile {
     pub records: Vec<GateRecord>,
     /// Flip-flop replacement rules.
     pub rules: Vec<FfRule>,
+    /// The library's probe-measured delays, filled on first use.
+    pub measured: MeasuredDelays,
 }
 
 impl Gatefile {
@@ -161,6 +183,7 @@ impl Gatefile {
             library: library.name().to_owned(),
             records,
             rules,
+            measured: MeasuredDelays::default(),
         })
     }
 

@@ -20,11 +20,11 @@
 //! millisecond tasks" granularity).
 //!
 //! The worker count comes from `DRD_WORKERS` when set, else from
-//! [`std::thread::available_parallelism`].
+//! [`std::thread::available_parallelism`], read once per process.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::governor;
 use crate::rng::Rng;
@@ -34,16 +34,20 @@ use crate::rng::Rng;
 const SCHED_SEED: u64 = 0x5EED_0F57_EA1E_2500;
 
 /// The number of workers the runner will use: `DRD_WORKERS` if set (>= 1),
-/// else [`std::thread::available_parallelism`], else 1.
+/// else [`std::thread::available_parallelism`], else 1. Resolved once per
+/// process: `available_parallelism` reads cgroup files on every call.
 pub fn worker_count() -> usize {
-    if let Ok(raw) = std::env::var("DRD_WORKERS") {
-        let n: usize = raw
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("DRD_WORKERS={raw} is not a number"));
-        return n.max(1);
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        if let Ok(raw) = std::env::var("DRD_WORKERS") {
+            let n: usize = raw
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("DRD_WORKERS={raw} is not a number"));
+            return n.max(1);
+        }
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    })
 }
 
 /// Runs `work` over every task index `0..tasks`, in parallel on `workers`

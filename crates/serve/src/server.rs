@@ -1,11 +1,15 @@
 //! The long-running desynchronization server.
 //!
 //! One [`Server`] owns the prepared [`Desynchronizer`] (the gatefile is
-//! built once and shared immutably by every job), the flow cache and the
-//! observability counters. The serve loops ([`serve_stream`] for
+//! built once and shared immutably by every job, and so are the library
+//! facts the flow measures on the gatefile's first run), the flow cache
+//! and the observability counters. The serve loops ([`serve_stream`] for
 //! stdin/stdout or a socket connection, [`serve_unix`] for a Unix
-//! listener) read request lines, answer `stats` inline, and spawn one
-//! scoped thread per `desync` job so many jobs run concurrently.
+//! listener) read request lines and answer `stats` and every cache hit on
+//! the connection's reader thread, and spawn one scoped thread per cache
+//! miss, so many flows run concurrently while a hit costs one hash, one
+//! lookup and one copy. A hit is written before the next line is read, so
+//! a client must keep reading replies while it sends.
 //!
 //! **Cross-job scheduling.** [`Server::new`] installs the process-wide
 //! [`drd_runner::governor`] with one token per core. Every per-region
@@ -22,10 +26,12 @@
 //! raw source bytes, so a warm hit answers without parsing a single
 //! token of Verilog; the options half is the canonicalized option string
 //! (sorted/deduped false paths, `jobs` excluded because worker count
-//! never changes artifacts). A hit replays the stored report, SDC,
-//! Verilog and deterministic trace byte-identically. Only successful
-//! flows are cached — errors re-run, so a transient budget/deadline
-//! failure is not sticky.
+//! never changes artifacts). Each entry is the response's tail — the
+//! netlist hash, report, SDC, Verilog and deterministic trace fields —
+//! escaped once when the flow finishes; the cold response and every hit
+//! copy it behind their own `id` and `cached` flag, so a hit replays the
+//! cold artifacts byte-identically. Only successful flows are cached —
+//! errors re-run, so a transient budget/deadline failure is not sticky.
 //!
 //! **Deadlines.** A job's `deadline_ms` is enforced twice: a job whose
 //! budget expired while it sat behind other work is answered with a
@@ -44,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use drd_core::{DesyncError, Desynchronizer};
+use drd_core::{DesyncError, DesyncResult, Desynchronizer, FlowTrace};
 use drd_liberty::Library;
 use drd_netlist::hash::content_hash128;
 use drd_runner::governor;
@@ -52,21 +58,9 @@ use drd_runner::governor;
 use crate::json;
 use crate::protocol::{self, DesyncJob, Request};
 
-/// The finished artifact set of one successful flow — exactly the bytes
-/// a cache hit must replay.
-#[derive(Debug)]
-struct Artifacts {
-    /// `content_hash_hex` of the input netlist bytes.
-    netlist_hash: String,
-    /// `{:?}` rendering of the [`drd_core::DesyncReport`].
-    report: String,
-    /// The SDC constraint file.
-    sdc: String,
-    /// The desynchronized design, written back to Verilog.
-    verilog: String,
-    /// The deterministic flow trace (`FlowTrace::to_json_deterministic`).
-    trace: String,
-}
+/// A flow-cache key: the content hash of the request's raw Verilog and
+/// the canonical options string.
+type Key = (u128, String);
 
 /// Monotonic counters behind one lock (every update is a handful of
 /// integer bumps; jobs spend their time in the flow, not here).
@@ -84,7 +78,8 @@ struct Counters {
 pub struct Server<'a> {
     lib: &'a Library,
     tool: Desynchronizer<'a>,
-    cache: Mutex<HashMap<(u128, String), Arc<Artifacts>>>,
+    /// Per successful flow, its response tail (see [`response_tail`]).
+    cache: Mutex<HashMap<Key, Arc<str>>>,
     counters: Mutex<Counters>,
     in_flight: AtomicUsize,
 }
@@ -115,14 +110,16 @@ impl<'a> Server<'a> {
     }
 
     /// Executes one parsed request and returns its response line
-    /// (without trailing newline). Synchronous — the serve loops call
-    /// this from per-job threads. `received` is when the request line
+    /// (without trailing newline). Synchronous: a cache miss runs the
+    /// flow on the calling thread. `received` is when the request line
     /// was read, the anchor for the job deadline.
     pub fn execute(&self, request: &Request, received: Instant) -> String {
         match request {
             Request::Stats { id } => self.stats_response(id),
             Request::Shutdown { id } => self.shutdown_response(id),
-            Request::Desync(job) => self.run_job(job, received),
+            Request::Desync(job) => self
+                .lookup(job)
+                .unwrap_or_else(|key| self.run_miss(job, key, received)),
         }
     }
 
@@ -136,20 +133,31 @@ impl<'a> Server<'a> {
         }
     }
 
-    fn run_job(&self, job: &DesyncJob, received: Instant) -> String {
+    /// A cache hit's response line, or on a miss the job's cache key,
+    /// for [`Self::run_miss`].
+    fn lookup(&self, job: &DesyncJob) -> Result<String, Key> {
         let _depth = InFlight::enter(&self.in_flight);
-        let netlist_hash = content_hash128(job.verilog.as_bytes());
-        let key = (netlist_hash, job.options.cache_key());
-
-        if let Some(hit) = self.cache.lock().unwrap().get(&key).map(Arc::clone) {
-            let mut counters = self.counters.lock().unwrap();
-            counters.cache_hits += 1;
-            counters.jobs_ok += 1;
-            drop(counters);
-            return ok_response(&job.id, true, &hit);
+        let key = (content_hash128(job.verilog.as_bytes()), job.options.cache_key());
+        let hit = self.cache.lock().unwrap().get(&key).map(Arc::clone);
+        let mut counters = self.counters.lock().unwrap();
+        match hit {
+            Some(tail) => {
+                counters.cache_hits += 1;
+                counters.jobs_ok += 1;
+                drop(counters);
+                Ok(ok_response(&job.id, true, &tail))
+            }
+            None => {
+                counters.cache_misses += 1;
+                Err(key)
+            }
         }
-        self.counters.lock().unwrap().cache_misses += 1;
+    }
 
+    /// Runs the flow for a job [`Self::lookup`] missed, caching a
+    /// success under `key`.
+    fn run_miss(&self, job: &DesyncJob, key: Key, received: Instant) -> String {
+        let _depth = InFlight::enter(&self.in_flight);
         // The queue-side half of the deadline: a job that waited past its
         // whole budget is answered without running at all.
         let mut options = job.options.clone();
@@ -197,16 +205,10 @@ impl<'a> Server<'a> {
                 )
             }
             Ok(result) => {
-                let artifacts = Arc::new(Artifacts {
-                    netlist_hash: format!("{netlist_hash:032x}"),
-                    report: format!("{:?}", result.report),
-                    sdc: result.sdc,
-                    verilog: drd_netlist::verilog::write_design(&result.design),
-                    trace: trace.to_json_deterministic(),
-                });
-                self.cache.lock().unwrap().insert(key, Arc::clone(&artifacts));
+                let tail: Arc<str> = response_tail(key.0, &result, &trace).into();
+                self.cache.lock().unwrap().insert(key, Arc::clone(&tail));
                 self.counters.lock().unwrap().jobs_ok += 1;
-                ok_response(&job.id, false, &artifacts)
+                ok_response(&job.id, false, &tail)
             }
         }
     }
@@ -272,38 +274,50 @@ impl Drop for InFlight<'_> {
     }
 }
 
-fn ok_response(id: &str, cached: bool, artifacts: &Artifacts) -> String {
-    let mut out = String::with_capacity(
-        artifacts.report.len() + artifacts.sdc.len() + artifacts.verilog.len()
-            + artifacts.trace.len()
-            + 160,
-    );
-    out.push_str("{\"id\":");
-    json::escape_into(&mut out, id);
-    out.push_str(&format!(
-        ",\"status\":\"ok\",\"exit_code\":0,\"cached\":{cached},\"netlist_hash\":\"{}\",",
-        artifacts.netlist_hash
-    ));
-    out.push_str("\"report\":");
-    json::escape_into(&mut out, &artifacts.report);
+/// The part of a successful `desync` response after its `cached` flag —
+/// `"netlist_hash":…,"report":…,"sdc":…,"verilog":…,"trace":…}` — with
+/// every artifact escaped: exactly the bytes a cache hit must replay.
+fn response_tail(netlist_hash: u128, result: &DesyncResult, trace: &FlowTrace) -> String {
+    let report = format!("{:?}", result.report);
+    let verilog = drd_netlist::verilog::write_design(&result.design);
+    let trace = trace.to_json_deterministic();
+    let mut out =
+        String::with_capacity(report.len() + result.sdc.len() + verilog.len() + trace.len() + 128);
+    out.push_str(&format!("\"netlist_hash\":\"{netlist_hash:032x}\",\"report\":"));
+    json::escape_into(&mut out, &report);
     out.push_str(",\"sdc\":");
-    json::escape_into(&mut out, &artifacts.sdc);
+    json::escape_into(&mut out, &result.sdc);
     out.push_str(",\"verilog\":");
-    json::escape_into(&mut out, &artifacts.verilog);
+    json::escape_into(&mut out, &verilog);
     // The deterministic trace is pretty-printed (multi-line) JSON, so it
     // rides as an escaped string — a raw embed would break the
     // one-line-per-response NDJSON contract.
     out.push_str(",\"trace\":");
-    json::escape_into(&mut out, &artifacts.trace);
+    json::escape_into(&mut out, &trace);
     out.push('}');
     out
 }
 
+/// A successful `desync` response: `id` and `cached` ahead of the
+/// cached response tail.
+fn ok_response(id: &str, cached: bool, tail: &str) -> String {
+    let mut out = String::with_capacity(id.len() + tail.len() + 64);
+    out.push_str("{\"id\":");
+    json::escape_into(&mut out, id);
+    out.push_str(",\"status\":\"ok\",\"exit_code\":0,\"cached\":");
+    out.push_str(if cached { "true," } else { "false," });
+    out.push_str(tail);
+    out
+}
+
 /// Serves one NDJSON stream until EOF, a `shutdown` request, or `stop`
-/// is raised by another connection. Desync jobs run on their own scoped
-/// threads (responses interleave in completion order, matched by `id`);
-/// `stats` answers inline so it reflects the live queue. Returns `true`
-/// when this stream received the shutdown request.
+/// is raised by another connection. `stats` and cache hits are answered
+/// on this (the reader) thread — `stats` so it reflects the live queue, a
+/// hit because it costs less than a thread spawn; each cache miss runs
+/// the flow on its own scoped thread (responses interleave in completion
+/// order, matched by `id`). The reader writes those answers before it
+/// reads on, so a client must keep reading replies while it sends.
+/// Returns `true` when this stream received the shutdown request.
 ///
 /// The reader may be on a socket with a read timeout: `WouldBlock` /
 /// `TimedOut` reads just re-check `stop` and continue (a partially-read
@@ -349,20 +363,25 @@ where
                                 shutdown_id = Some(id);
                                 return Ok(());
                             }
-                            Ok(request @ Request::Stats { .. }) => {
-                                write_line(&server.execute(&request, Instant::now()))?;
+                            Ok(Request::Stats { id }) => {
+                                write_line(&server.stats_response(&id))?;
                             }
-                            Ok(request) => {
+                            Ok(Request::Desync(job)) => {
                                 let received = Instant::now();
-                                let write_line = &write_line;
-                                let failure = &failure;
-                                scope.spawn(move || {
-                                    let response = server.execute(&request, received);
-                                    if let Err(e) = write_line(&response) {
-                                        let mut slot = failure.lock().unwrap();
-                                        slot.get_or_insert(e);
+                                match server.lookup(&job) {
+                                    Ok(hit) => write_line(&hit)?,
+                                    Err(key) => {
+                                        let write_line = &write_line;
+                                        let failure = &failure;
+                                        scope.spawn(move || {
+                                            let response = server.run_miss(&job, key, received);
+                                            if let Err(e) = write_line(&response) {
+                                                let mut slot = failure.lock().unwrap();
+                                                slot.get_or_insert(e);
+                                            }
+                                        });
                                     }
-                                });
+                                }
                             }
                         }
                     }

@@ -29,7 +29,10 @@
 #    name-prefix scan in core outside tests: the control network's cells
 #    are reached by ID, and no generated name rebuilt with
 #    `format!("drd_…")` outside tests in check or flow, which read the
-#    flow's output through the IDs in DesyncResult),
+#    flow's output through the IDs in DesyncResult), and the library-facts
+#    rail (no per-run `level_delay_ns(`, `ResponseModel::probe(` or
+#    `mux_overhead_levels(` outside tests in the pipeline, control-network
+#    and liveness modules, which read LibraryFacts),
 # 6. runs the verification campaigns (mutation, scale, variability,
 #    liveness, serve) and then the kernel micro-benchmarks (cargo bench);
 #    each writes its report under results/ and exits non-zero naming
@@ -179,6 +182,17 @@ if [ -n "$rebuilt_names" ]; then
   exit 1
 fi
 echo "ok: no generated names rebuilt in check/flow"
+# The library facts (level delay, response model, mux overhead) are
+# measured once per prepared gatefile and read through LibraryFacts, so
+# no pass probes the library again on every run. Test modules are
+# exempt.
+probes=$(awk '/^#\[cfg\(test\)\]/ { nextfile } /level_delay_ns\(|ResponseModel::probe\(|mux_overhead_levels\(/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/pipeline.rs crates/core/src/network.rs crates/core/src/liveness.rs)
+if [ -n "$probes" ]; then
+  echo "error: per-run library probe in a pass (read LibraryFacts):" >&2
+  echo "$probes" >&2
+  exit 1
+fi
+echo "ok: passes read the library facts, no per-run probes"
 
 echo "== verification campaigns (offline) =="
 for bin in mutation scale variability liveness serve; do

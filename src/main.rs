@@ -11,23 +11,27 @@
 //!                 [--trace FILE] [--stop-after PASS] [--dump-after PASS[=FILE]]
 //! drdesync gatefile [--lib hs|ll]
 //! drdesync regions <input.v> [--lib hs|ll]
-//! drdesync simulate <input.v> [--lib hs|ll] [--seeds N] [--sigma S]
-//!                   [--seed HEX] [--jobs N] [--check-liveness]
+//! drdesync simulate <input.v> [desync's flow flags, --lib to --jobs]
+//!                   [--seeds N] [--sigma S] [--seed HEX] [--check-liveness]
 //! drdesync serve (--stdio | --socket PATH) [--lib hs|ll] [--jobs N]
 //! ```
 //!
+//! Each command takes only its own flags: an unknown flag, a flag missing
+//! its value or a stray argument is a usage error.
+//!
 //! Exit codes: `0` success (including degraded-but-completed flows, which
 //! print a warning summary on stderr), `1` usage or I/O errors (including
-//! an unknown `--stop-after`/`--dump-after` pass), `2` parse errors in the
-//! input netlist (and invalid `--jobs` values, which are rejected before
-//! any flow starts), `3` flow errors (including an unrepairable liveness
-//! deadlock, which surfaces as a structured `liveness guard failed`
-//! diagnostic).
+//! an unknown flag and an unknown `--stop-after`/`--dump-after` pass), `2`
+//! parse errors in the input netlist (and invalid `--jobs` values, which
+//! are rejected before any flow starts), `3` flow errors (including an
+//! unrepairable liveness deadlock, which surfaces as a structured
+//! `liveness guard failed` diagnostic).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use drd_core::{DesyncError, DesyncOptions, Desynchronizer, FlowContext, Pipeline};
+use drd_core::{DesyncError, DesyncOptions, Desynchronizer, FlowContext, LibraryFacts, Pipeline};
 use drd_liberty::gatefile::Gatefile;
 use drd_liberty::{vlib90, Library};
 use drd_netlist::NetlistError;
@@ -49,8 +53,8 @@ fn usage() -> &'static str {
                             cores; outputs are byte-identical for any count)\n\
        drdesync gatefile [--lib hs|ll]\n\
        drdesync regions <input.v> [--lib hs|ll]\n\
-       drdesync simulate <input.v> [--lib hs|ll] [--seeds N] [--sigma S]\n\
-                         [--seed HEX] [--jobs N] [--check-liveness]\n\
+       drdesync simulate <input.v> [desync's flow flags, --lib to --jobs]\n\
+                         [--seeds N] [--sigma S] [--seed HEX] [--check-liveness]\n\
        drdesync serve (--stdio | --socket PATH) [--lib hs|ll] [--jobs N]\n\
      \n\
      SERVE:\n\
@@ -66,8 +70,9 @@ fn usage() -> &'static str {
        the cross-job core-token pool (default: all cores). See README.\n\
      \n\
      SIMULATE:\n\
-       desynchronizes the input, elaborates the handshake control network\n\
-       and measures each region's effective cycle time with the\n\
+       desynchronizes the input as desync does with the same flow flags,\n\
+       elaborates the handshake control network and measures each\n\
+       region's effective cycle time with the\n\
        event-driven timing simulator; --seeds N (default 256) adds a\n\
        Monte-Carlo campaign of N chips at per-gate sigma S (default 0.15,\n\
        campaign seed --seed, workers --jobs). Data goes to stdout and is\n\
@@ -155,41 +160,191 @@ impl From<drd_liberty::LibraryError> for CliError {
     }
 }
 
-fn pick_lib(args: &[String]) -> Library {
-    match args.iter().position(|a| a == "--lib") {
-        Some(i) if args.get(i + 1).map(String::as_str) == Some("ll") => vlib90::low_leakage(),
-        _ => vlib90::high_speed(),
+/// Whether a flag stands alone or takes the next argument as its value.
+#[derive(Clone, Copy)]
+enum Arity {
+    Switch,
+    Value,
+}
+
+use Arity::{Switch, Value};
+
+/// The flags that shape the flow, taken alike by `desync` and
+/// `simulate`: both run the flow the same flags describe.
+const FLOW_FLAGS: &[(&str, Arity)] = &[
+    ("--lib", Value),
+    ("--single-group", Switch),
+    ("--muxed", Switch),
+    ("--strict", Switch),
+    ("--keep-sync-ff", Value),
+    ("--false-path", Value),
+    ("--clock", Value),
+    ("--period", Value),
+    ("--max-cells", Value),
+    ("--max-nets", Value),
+    ("--pass-deadline-ms", Value),
+    ("--jobs", Value),
+];
+
+/// `desync`'s output and checkpoint flags.
+const DESYNC_FLAGS: &[(&str, Arity)] = &[
+    ("-o", Value),
+    ("--sdc", Value),
+    ("--blif", Value),
+    ("--report", Value),
+    ("--trace", Value),
+    ("--stop-after", Value),
+    ("--dump-after", Value),
+];
+
+/// `simulate`'s campaign flags.
+const SIMULATE_FLAGS: &[(&str, Arity)] = &[
+    ("--seeds", Value),
+    ("--sigma", Value),
+    ("--seed", Value),
+    ("--check-liveness", Switch),
+];
+
+/// The one flag of `gatefile` and `regions`.
+const LIB_FLAG: &[(&str, Arity)] = &[("--lib", Value)];
+
+/// `serve`'s flags.
+const SERVE_FLAGS: &[(&str, Arity)] = &[
+    ("--stdio", Switch),
+    ("--socket", Value),
+    ("--lib", Value),
+    ("--jobs", Value),
+];
+
+/// A command's arguments, checked against the flags it takes: its input
+/// netlist (for the commands that read one) and each flag with its
+/// value, in command-line order.
+struct Args {
+    /// The input netlist path; empty for a command that reads none.
+    input: String,
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Parses `args` (the words after the command `command`). A flag the
+    /// command does not take, a flag missing its value and a stray word
+    /// are usage errors.
+    fn parse(
+        command: &str,
+        args: &[String],
+        takes_input: bool,
+        tables: &[&[(&str, Arity)]],
+    ) -> Result<Args, CliError> {
+        let mut words = args.iter();
+        let input = if takes_input {
+            words.next().ok_or("missing input netlist")?.clone()
+        } else {
+            String::new()
+        };
+        let mut flags = Vec::new();
+        while let Some(word) = words.next() {
+            let arity = tables
+                .iter()
+                .flat_map(|t| t.iter())
+                .find(|(flag, _)| flag == word)
+                .map(|&(_, arity)| arity);
+            let value = match arity {
+                Some(Switch) => None,
+                Some(Value) => Some(
+                    words
+                        .next()
+                        .ok_or_else(|| format!("{word} expects a value"))?
+                        .clone(),
+                ),
+                None if word.starts_with('-') => {
+                    return Err(format!("`{command}` does not take the flag `{word}`").into())
+                }
+                None => return Err(format!("`{command}`: unexpected argument `{word}`").into()),
+            };
+            flags.push((word.clone(), value));
+        }
+        Ok(Args { input, flags })
     }
-}
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Parses a `--flag N` numeric budget value.
-fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, CliError> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(raw) => raw.parse().map(Some).map_err(|_| {
-            CliError::Usage(format!("{flag} expects a number, found `{raw}`"))
-        }),
+    /// Every value given to `flag`, in order.
+    fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'s str> {
+        self.flags
+            .iter()
+            .filter(move |(f, _)| f == flag)
+            .filter_map(|(_, v)| v.as_deref())
     }
-}
 
-/// Parses `--jobs N`, rejecting `0`: a zero-worker pool cannot run any
-/// task, and silently clamping it up would hide the typo. Rejected as a
-/// [`CliError::Parse`] (exit 2) before any flow work starts.
-fn validated_jobs(args: &[String]) -> Result<Option<usize>, CliError> {
-    match parsed_flag::<usize>(args, "--jobs")? {
-        Some(0) => Err(CliError::Parse(
-            "--jobs must be at least 1 (a zero-worker pool can run nothing); \
-             pass --jobs N with N >= 1, or omit --jobs to use all cores"
-                .to_owned(),
-        )),
-        other => Ok(other),
+    /// The first value given to `flag`.
+    fn value(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().find(|(f, _)| f == flag)?;
+        value.as_deref()
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// Parses a `--flag N` numeric value.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(raw) => raw.parse().map(Some).map_err(|_| {
+                CliError::Usage(format!("{flag} expects a number, found `{raw}`"))
+            }),
+        }
+    }
+
+    /// Parses `--jobs N`, rejecting `0`: a zero-worker pool cannot run
+    /// any task, and silently clamping it up would hide the typo.
+    /// Rejected as a [`CliError::Parse`] (exit 2) before any flow work
+    /// starts.
+    fn jobs(&self) -> Result<Option<usize>, CliError> {
+        match self.parsed::<usize>("--jobs")? {
+            Some(0) => Err(CliError::Parse(
+                "--jobs must be at least 1 (a zero-worker pool can run nothing); \
+                 pass --jobs N with N >= 1, or omit --jobs to use all cores"
+                    .to_owned(),
+            )),
+            other => Ok(other),
+        }
+    }
+
+    fn library(&self) -> Library {
+        match self.value("--lib") {
+            Some("ll") => vlib90::low_leakage(),
+            _ => vlib90::high_speed(),
+        }
+    }
+
+    /// The flow options [`FLOW_FLAGS`] describe.
+    fn flow_options(&self) -> Result<DesyncOptions, CliError> {
+        let mut opts = DesyncOptions::default();
+        opts.grouping.single_group = self.has("--single-group");
+        opts.muxed_delay_elements = self.has("--muxed");
+        opts.strict = self.has("--strict");
+        opts.grouping
+            .false_path_nets
+            .extend(self.values("--false-path").map(str::to_owned));
+        opts.clock_port = self.value("--clock").map(str::to_owned);
+        if let Some(period) = self.parsed("--period")? {
+            opts.clock_period_ns = period;
+        }
+        opts.jobs = self.jobs()?;
+        opts.max_cells = self.parsed("--max-cells")?;
+        opts.max_nets = self.parsed("--max-nets")?;
+        opts.pass_deadline_ms = self.parsed("--pass-deadline-ms")?;
+        Ok(opts)
+    }
+
+    /// `tool`'s gatefile without the rule of each `--keep-sync-ff KIND`,
+    /// so regions containing KIND stay synchronous (or, with --strict,
+    /// fail the flow); copied only when a rule is dropped.
+    fn gatefile<'t>(&self, tool: &'t Desynchronizer<'_>) -> Cow<'t, Gatefile> {
+        let mut gatefile = Cow::Borrowed(tool.gatefile());
+        for kind in self.values("--keep-sync-ff") {
+            gatefile.to_mut().rules.retain(|r| r.ff != kind);
+        }
+        gatefile
     }
 }
 
@@ -230,10 +385,10 @@ fn shaped_pipeline(
 fn print_liveness_verdicts(
     spec: &drd_sim::HandshakeSpec,
     repairs: &[drd_core::LivenessRepair],
-    lib: &Library,
+    facts: &LibraryFacts<'_>,
 ) -> Result<(), CliError> {
-    use drd_core::liveness::{is_source, pulse_window, ResponseModel};
-    let model = ResponseModel::probe(lib)?;
+    use drd_core::liveness::{is_source, pulse_window};
+    let model = facts.response()?;
     let isolated: Vec<usize> = spec.isolated_regions().collect();
     for (i, r) in spec.regions.iter().enumerate() {
         if !r.controlled {
@@ -280,17 +435,19 @@ fn run() -> Result<(), CliError> {
         eprint!("{}", usage());
         return Err("missing command".into());
     };
+    let rest = &args[1..];
     match command.as_str() {
         "gatefile" => {
-            let lib = pick_lib(&args);
-            let gf = Gatefile::from_library(&lib)?;
+            let args = Args::parse(command, rest, false, &[LIB_FLAG])?;
+            let gf = Gatefile::from_library(&args.library())?;
             print!("{}", gf.to_text());
             Ok(())
         }
         "regions" => {
-            let input = args.get(1).ok_or("missing input netlist")?;
-            let lib = pick_lib(&args);
-            let mut module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(input)?)?;
+            let args = Args::parse(command, rest, true, &[LIB_FLAG])?;
+            let lib = args.library();
+            let mut module =
+                drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
             drd_core::region::clean_for_grouping(&mut module, &lib);
             let regions = drd_core::region::group(
                 &module,
@@ -309,12 +466,12 @@ fn run() -> Result<(), CliError> {
             Ok(())
         }
         "simulate" => {
-            let input = args.get(1).ok_or("missing input netlist")?;
-            let lib = pick_lib(&args);
-            let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(input)?)?;
-            let chips: usize = parsed_flag(&args, "--seeds")?.unwrap_or(256);
-            let sigma: f64 = parsed_flag(&args, "--sigma")?.unwrap_or(0.15);
-            let seed = match flag_value(&args, "--seed") {
+            let args = Args::parse(command, rest, true, &[FLOW_FLAGS, SIMULATE_FLAGS])?;
+            let lib = args.library();
+            let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
+            let chips: usize = args.parsed("--seeds")?.unwrap_or(256);
+            let sigma: f64 = args.parsed("--sigma")?.unwrap_or(0.15);
+            let seed = match args.value("--seed") {
                 None => 0xD15E_A5E0,
                 Some(raw) => {
                     u64::from_str_radix(raw.trim_start_matches("0x"), 16).map_err(|_| {
@@ -322,18 +479,18 @@ fn run() -> Result<(), CliError> {
                     })?
                 }
             };
-            let jobs: Option<usize> = validated_jobs(&args)?;
-            let workers = jobs.unwrap_or_else(drd_runner::runner::worker_count);
+            let opts = args.flow_options()?;
+            let workers = opts.workers();
 
             let tool = Desynchronizer::new(&lib)?;
-            let opts = DesyncOptions {
-                jobs,
-                ..DesyncOptions::default()
-            };
-            let result = tool.run(module, &opts).0?;
+            let gatefile = args.gatefile(&tool);
+            let mut cx = FlowContext::new(&lib, &gatefile, module, opts);
+            Pipeline::standard().run(&mut cx)?;
+            let facts = cx.facts();
+            let result = cx.into_result()?;
             let spec = drd_flow::handshake_spec(&result.report, &lib)?;
-            if args.iter().any(|a| a == "--check-liveness") {
-                print_liveness_verdicts(&spec, &result.report.liveness_repairs, &lib)?;
+            if args.has("--check-liveness") {
+                print_liveness_verdicts(&spec, &result.report.liveness_repairs, &facts)?;
             }
             if !spec.regions.iter().any(|r| r.controlled) {
                 println!("no controlled regions — nothing to simulate");
@@ -404,17 +561,18 @@ fn run() -> Result<(), CliError> {
             Ok(())
         }
         "serve" => {
-            let lib = pick_lib(&args);
-            let tokens = validated_jobs(&args)?.unwrap_or_else(drd_runner::runner::worker_count);
+            let args = Args::parse(command, rest, false, &[SERVE_FLAGS])?;
+            let lib = args.library();
+            let tokens = args.jobs()?.unwrap_or_else(drd_runner::runner::worker_count);
             let server = drd_serve::Server::new(&lib, tokens)?;
-            if args.iter().any(|a| a == "--stdio") {
+            if args.has("--stdio") {
                 let stdin = std::io::stdin().lock();
                 // `Stdout` (not the non-Send lock) — job threads share it.
                 let stdout = std::io::stdout();
                 let stop = std::sync::atomic::AtomicBool::new(false);
                 drd_serve::serve_stream(&server, stdin, stdout, &stop)?;
                 Ok(())
-            } else if let Some(path) = flag_value(&args, "--socket") {
+            } else if let Some(path) = args.value("--socket") {
                 eprintln!("serving on unix socket `{path}` with {tokens} core token(s)");
                 drd_serve::serve_unix(&server, std::path::Path::new(path))?;
                 Ok(())
@@ -423,56 +581,19 @@ fn run() -> Result<(), CliError> {
             }
         }
         "desync" => {
-            let input = args.get(1).ok_or("missing input netlist")?;
-            let dump = flag_value(&args, "--dump-after").map(|v| match v.split_once('=') {
+            let args = Args::parse(command, rest, true, &[FLOW_FLAGS, DESYNC_FLAGS])?;
+            let dump = args.value("--dump-after").map(|v| match v.split_once('=') {
                 Some((pass, file)) => (pass, file.to_owned()),
                 None => (v, format!("{v}.v")),
             });
-            let (head, tail, stopped_early) = shaped_pipeline(
-                flag_value(&args, "--stop-after"),
-                dump.as_ref().map(|d| d.0),
-            )?;
-            let lib = pick_lib(&args);
-            let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(input)?)?;
-            let mut opts = DesyncOptions::default();
-            if args.iter().any(|a| a == "--single-group") {
-                opts.grouping.single_group = true;
-            }
-            if args.iter().any(|a| a == "--muxed") {
-                opts.muxed_delay_elements = true;
-            }
-            for (i, a) in args.iter().enumerate() {
-                if a == "--false-path" {
-                    if let Some(net) = args.get(i + 1) {
-                        opts.grouping.false_path_nets.push(net.clone());
-                    }
-                }
-            }
-            if let Some(port) = flag_value(&args, "--clock") {
-                opts.clock_port = Some(port.to_owned());
-            }
-            if let Some(period) = parsed_flag(&args, "--period")? {
-                opts.clock_period_ns = period;
-            }
-            opts.strict = args.iter().any(|a| a == "--strict");
-            opts.jobs = validated_jobs(&args)?;
-            opts.max_cells = parsed_flag(&args, "--max-cells")?;
-            opts.max_nets = parsed_flag(&args, "--max-nets")?;
-            opts.pass_deadline_ms = parsed_flag(&args, "--pass-deadline-ms")?;
+            let (head, tail, stopped_early) =
+                shaped_pipeline(args.value("--stop-after"), dump.as_ref().map(|d| d.0))?;
+            let lib = args.library();
+            let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
+            let opts = args.flow_options()?;
 
             let tool = Desynchronizer::new(&lib)?;
-            // `--keep-sync-ff KIND` drops KIND's substitution rule, so
-            // regions containing it stay synchronous (or, with --strict,
-            // fail the flow).
-            let mut gatefile = tool.gatefile().clone();
-            for (i, a) in args.iter().enumerate() {
-                if a == "--keep-sync-ff" {
-                    let kind = args
-                        .get(i + 1)
-                        .ok_or("--keep-sync-ff expects a flip-flop kind")?;
-                    gatefile.rules.retain(|r| &r.ff != kind);
-                }
-            }
+            let gatefile = args.gatefile(&tool);
             // Head, checkpoint, tail: one context, so one trace.
             let mut cx = FlowContext::new(&lib, &gatefile, module, opts);
             let outcome = head.run(&mut cx).map_err(CliError::from).and_then(|()| {
@@ -486,7 +607,7 @@ fn run() -> Result<(), CliError> {
             // The trace is written for a failed flow too: its `error`
             // section names the failing pass.
             let trace = cx.trace();
-            if let Some(path) = flag_value(&args, "--trace") {
+            if let Some(path) = args.value("--trace") {
                 std::fs::write(path, trace.to_json())?;
             }
             outcome?;
@@ -504,11 +625,11 @@ fn run() -> Result<(), CliError> {
                     eprintln!("  {}: {} [{}]", p.name, p.detail, p.artifacts.join(", "));
                 }
                 let verilog = cx.netlist_verilog();
-                match flag_value(&args, "-o") {
+                match args.value("-o") {
                     Some(path) => std::fs::write(path, verilog)?,
                     None => print!("{verilog}"),
                 }
-                if flag_value(&args, "--sdc").is_some() || flag_value(&args, "--blif").is_some() {
+                if args.value("--sdc").is_some() || args.value("--blif").is_some() {
                     eprintln!("note: --sdc/--blif skipped — flow stopped before completion");
                 }
                 return Ok(());
@@ -518,19 +639,19 @@ fn run() -> Result<(), CliError> {
             // The summary goes to (unbuffered) stderr in one write.
             eprint!("{}", summary(&result.report));
             let verilog = drd_netlist::verilog::write_design(&result.design);
-            match flag_value(&args, "-o") {
+            match args.value("-o") {
                 Some(path) => std::fs::write(path, verilog)?,
                 None => print!("{verilog}"),
             }
-            if let Some(path) = flag_value(&args, "--sdc") {
+            if let Some(path) = args.value("--sdc") {
                 std::fs::write(path, &result.sdc)?;
             }
-            if let Some(path) = flag_value(&args, "--report") {
+            if let Some(path) = args.value("--report") {
                 // Identical bytes to a serve response's `report` field —
                 // the differential oracle compares the two directly.
                 std::fs::write(path, format!("{:?}", result.report))?;
             }
-            if let Some(path) = flag_value(&args, "--blif") {
+            if let Some(path) = args.value("--blif") {
                 let flat = drd_netlist::flatten(&result.design, result.design.top())?;
                 std::fs::write(path, drd_netlist::blif::write_blif(&flat))?;
             }

@@ -639,3 +639,60 @@ fn cli_check_liveness_names_isolated_regions() {
     std::fs::write(&seed_430, recipe.verilog()).unwrap();
     assert_eq!(liveness_lines(&seed_430, 3), isolated("g1"));
 }
+
+/// Each command takes only its own flags, and `simulate` reads the flow
+/// flags as `desync` does: an unknown flag and a malformed `--period`
+/// are usage errors in both, and `simulate` on ARM-small with
+/// `--lib ll --single-group --false-path scan_en` screens exactly the
+/// regions `desync` ships with the same flags.
+#[test]
+fn cli_flags_are_checked_and_shared_by_desync_and_simulate() {
+    let dir = std::env::temp_dir().join("drdesync_cli_flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let sample = write_sample(&dir);
+    let out_v = dir.join("out.v");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_drdesync"))
+            .args(args)
+            .output()
+            .expect("binary runs")
+    };
+    let (sample, out_v) = (sample.to_str().unwrap(), out_v.to_str().unwrap());
+
+    let out = run(&["desync", sample, "-o", out_v, "--bogus-flag"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`--bogus-flag`"), "{out:?}");
+
+    for args in [
+        &["desync", sample, "-o", out_v, "--period", "abc"][..],
+        &["simulate", sample, "--seeds", "0", "--period", "abc"][..],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--period"), "{out:?}");
+    }
+
+    let arm = drdesync::flow::CaseStudy::armlike(&drdesync::designs::armlike::ArmParams::small())
+        .unwrap()
+        .module;
+    let arm_v = dir.join("armlike_small.v");
+    std::fs::write(&arm_v, drdesync::netlist::verilog::write_module(&arm)).unwrap();
+    let arm_v = arm_v.to_str().unwrap();
+    let flow_flags = ["--lib", "ll", "--single-group", "--false-path", "scan_en"];
+    let desync = run(&[&["desync", arm_v, "-o", out_v][..], &flow_flags].concat());
+    assert_eq!(desync.status.code(), Some(0), "{desync:?}");
+    let shipped: Vec<String> = String::from_utf8_lossy(&desync.stderr)
+        .lines()
+        .filter_map(|l| l.strip_prefix("  ")?.split_once(": ").map(|(r, _)| r.to_owned()))
+        .filter(|r| r.starts_with('g'))
+        .collect();
+    let simulate = [&["simulate", arm_v, "--seeds", "0", "--check-liveness"][..], &flow_flags];
+    let simulate = run(&simulate.concat());
+    assert_eq!(simulate.status.code(), Some(0), "{simulate:?}");
+    let screened: Vec<String> = String::from_utf8_lossy(&simulate.stdout)
+        .lines()
+        .filter_map(|l| l.strip_prefix("liveness ")?.split_once(": ").map(|(r, _)| r.to_owned()))
+        .collect();
+    assert_eq!(shipped, ["g1"], "{desync:?}");
+    assert_eq!(screened, shipped, "{simulate:?}");
+}

@@ -6,7 +6,9 @@
 //! * `drdesync serve --stdio` with one request in flight (cold cache),
 //! * `drdesync serve --stdio` with eight requests in flight (cold
 //!   cache, cross-job scheduling active),
-//! * warm-cache replays of both serve runs (`cached:true` responses).
+//! * warm-cache replays of both serve runs (`cached:true` responses),
+//!   whose whole response lines must equal the cold lines but for the
+//!   `id` and the `cached` flag.
 //!
 //! The corpus is 25 fuzzed netlists (seeded netgen, vetted in-process so
 //! every flow succeeds; a third carry the imbalanced liveness-hazard
@@ -115,10 +117,15 @@ fn response_artifacts(line: &str, want_cached: bool) -> (String, Artifacts) {
     )
 }
 
+/// One job's response line and the artifacts it carries.
+type Answer = (String, Artifacts);
+
 /// Runs the corpus through one `serve --stdio` process: a cold pass with
 /// `window` requests in flight, then a warm replay of the whole corpus.
 /// Responses are matched by id — with several jobs in flight completion
-/// order is schedule-dependent.
+/// order is schedule-dependent. Each warm line must equal its cold line
+/// but for the id and the `cached` flag, so the replayed `netlist_hash`
+/// and `trace` are pinned too.
 fn serve_artifacts(corpus: &[String], window: usize) -> (Vec<Artifacts>, Vec<Artifacts>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_drdesync"))
         .args(["serve", "--stdio"])
@@ -137,8 +144,8 @@ fn serve_artifacts(corpus: &[String], window: usize) -> (Vec<Artifacts>, Vec<Art
         line
     };
 
-    let mut run_pass = |prefix: &str, want_cached: bool| -> Vec<Artifacts> {
-        let mut got: HashMap<String, Artifacts> = HashMap::new();
+    let mut run_pass = |prefix: &str, want_cached: bool| -> Vec<Answer> {
+        let mut got: HashMap<String, Answer> = HashMap::new();
         for chunk in corpus.chunks(window) {
             let base = got.len();
             for (j, v) in chunk.iter().enumerate() {
@@ -146,8 +153,9 @@ fn serve_artifacts(corpus: &[String], window: usize) -> (Vec<Artifacts>, Vec<Art
                 writeln!(stdin, "{req}").expect("request written");
             }
             for _ in chunk {
-                let (id, art) = response_artifacts(&read_line(), want_cached);
-                assert!(got.insert(id, art).is_none(), "duplicate response id");
+                let line = read_line();
+                let (id, art) = response_artifacts(&line, want_cached);
+                assert!(got.insert(id, (line, art)).is_none(), "duplicate response id");
             }
         }
         (0..corpus.len())
@@ -157,13 +165,23 @@ fn serve_artifacts(corpus: &[String], window: usize) -> (Vec<Artifacts>, Vec<Art
 
     let cold = run_pass("c", false);
     let warm = run_pass("w", true);
+    for (i, ((cold_line, _), (warm_line, _))) in cold.iter().zip(&warm).enumerate() {
+        let replayed = cold_line
+            .replacen(&format!("{{\"id\":\"c{i}\","), &format!("{{\"id\":\"w{i}\","), 1)
+            .replacen(",\"cached\":false,", ",\"cached\":true,", 1);
+        assert_eq!(
+            warm_line, &replayed,
+            "netlist {i}: the warm line is not the cold line with a new id and cached:true"
+        );
+    }
 
     writeln!(stdin, "{{\"id\":\"bye\",\"kind\":\"shutdown\"}}").expect("shutdown written");
     let bye = read_line();
     assert!(bye.contains("\"shutdown\""), "unexpected shutdown response: {bye}");
     drop(stdin);
     assert!(child.wait().expect("server exits").success());
-    (cold, warm)
+    let artifacts = |answers: Vec<Answer>| answers.into_iter().map(|(_, art)| art).collect();
+    (artifacts(cold), artifacts(warm))
 }
 
 #[test]
