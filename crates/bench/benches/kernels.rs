@@ -5,10 +5,11 @@
 //!
 //! Runs on the in-tree `drd_check::bench` harness (`cargo bench -p
 //! drd-bench`) and writes `BENCH_kernels.json` so the perf trajectory is
-//! recorded run over run, then gates the Verilog front end: parse and
-//! write of the full DLX, each as a ratio to a reference task timed in
-//! the same iterations, must stay within [`PARSE_BOUND`] and
-//! [`WRITE_BOUND`].
+//! recorded run over run, then gates the Verilog front end and the
+//! handshake simulator: parse and write of the full DLX and a serial
+//! 16-chip Monte Carlo of the small DLX, each as a ratio to a reference
+//! task timed in the same iterations, must stay within [`PARSE_BOUND`],
+//! [`WRITE_BOUND`] and [`MC_BOUND`].
 
 use drd_check::bench::Bench;
 use drd_check::netgen::NetRecipe;
@@ -33,10 +34,27 @@ use drd_stg::protocols::Protocol;
 const PARSE_BOUND: f64 = 8.2;
 const WRITE_BOUND: f64 = 1.55;
 
+/// Bound on the serial 16-chip DLX-small Monte Carlo's ratio to the same
+/// reference, timed in the same iterations as parse and write. Checked
+/// on a 2-vCPU host over 20 rounds, each running the unchanged code and
+/// a copy whose `HandshakeNet::cycle_times_scaled` spins for a quarter
+/// of its own time: every unchanged run passed in its first batch
+/// (2.26-2.49), and every slowed run failed after four batches
+/// (2.80-2.97) while passing parse and write.
+const MC_BOUND: f64 = 2.6;
+
 fn main() {
     let lib = vlib90::high_speed();
     let dlx = drd_designs::dlx::build(&DlxParams::small()).expect("dlx builds");
     let dlx_full = drd_designs::dlx::build(&DlxParams::full()).expect("dlx builds");
+    let tool = Desynchronizer::new(&lib).unwrap();
+
+    // The small DLX's control network at sigma 0.15: what `simulate`
+    // pays per chip is its factor draws and one event simulation.
+    let result = tool.run(dlx.clone(), &DesyncOptions::default()).0.unwrap();
+    let net =
+        HandshakeNet::elaborate(&handshake_spec(&result.report, &lib).unwrap(), &lib).unwrap();
+    let var = GateVariability::new(0xD15E_A5E0, 0.15);
 
     let mut b = Bench::new("kernels").iterations(10);
 
@@ -60,7 +78,7 @@ fn main() {
     };
     let ratios = b.run_relative(
         500,
-        &[PARSE_BOUND, WRITE_BOUND],
+        &[PARSE_BOUND, WRITE_BOUND, MC_BOUND],
         &mut [
             ("reference_sort", &mut reference),
             ("verilog_parse_dlx_full", &mut || {
@@ -70,6 +88,9 @@ fn main() {
             ("verilog_write_dlx_full", &mut || {
                 let written = drd_netlist::verilog::write_design(std::hint::black_box(&design));
                 std::hint::black_box(written);
+            }),
+            ("handshake_mc_dlx_small_16", &mut || {
+                std::hint::black_box(net.monte_carlo(&var, 16, 1).unwrap());
             }),
         ],
     );
@@ -119,20 +140,14 @@ fn main() {
     });
 
     // Full desynchronization of the small DLX.
-    let tool = Desynchronizer::new(&lib).unwrap();
     b.run("desynchronize_dlx_small", || {
         tool.run(dlx.clone(), &DesyncOptions::default()).0.unwrap()
     });
 
     // Handshake-level simulation: a serial 256-chip Monte Carlo on the
-    // small DLX (what `simulate` pays per chip), and elaboration plus
-    // one nominal run on the largest `scale` step, 7 392 cells drawn
-    // after the four smaller steps as that bench draws it (what the
-    // liveness guard pays per check).
-    let result = tool.run(dlx, &DesyncOptions::default()).0.unwrap();
-    let net =
-        HandshakeNet::elaborate(&handshake_spec(&result.report, &lib).unwrap(), &lib).unwrap();
-    let var = GateVariability::new(0xD15E_A5E0, 0.15);
+    // small DLX, and elaboration plus one nominal run on the largest
+    // `scale` step, 7 392 cells drawn after the four smaller steps as
+    // that bench draws it (what the liveness guard pays per check).
     b.run("handshake_mc_dlx_small_256", || {
         net.monte_carlo(&var, 256, 1).unwrap()
     });
@@ -214,6 +229,7 @@ fn main() {
     for (kernel, ratio, bound) in [
         ("parse", ratios[0], PARSE_BOUND),
         ("write", ratios[1], WRITE_BOUND),
+        ("mc", ratios[2], MC_BOUND),
     ] {
         if ratio > bound {
             failed.push(format!("{kernel}/reference ratio {ratio:.4} > {bound}"));

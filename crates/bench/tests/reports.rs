@@ -110,7 +110,11 @@ fn kernels(doc: &Value) -> Vec<String> {
         .get("ratios")
         .and_then(Value::as_arr)
         .unwrap_or_default();
-    for kernel in ["verilog_parse_dlx_full", "verilog_write_dlx_full"] {
+    for kernel in [
+        "verilog_parse_dlx_full",
+        "verilog_write_dlx_full",
+        "handshake_mc_dlx_small_16",
+    ] {
         if !ratios
             .iter()
             .any(|r| r.get("label").and_then(Value::as_str) == Some(kernel))

@@ -8,6 +8,16 @@
 //! assigns in scheduling order — scheduling is itself deterministic, so
 //! pop order is a pure function of the schedule calls.
 //!
+//! Each event is one packed `u128` key, `time << 64 | id << NODE_BITS |
+//! node`, so ordering the heap is one integer comparison; ids are
+//! unique, so the node bits never decide an order. The queue is its own
+//! binary heap over those keys. Besides `schedule` and `pop` it has the
+//! fused [`EventQueue::pop_and_schedule`]: a simulator that processes
+//! the earliest event overwrites it with the first event it schedules,
+//! one sift instead of a pop's and a push's, and pops only when it
+//! schedules none. The set of keys, and so the pop order, is the same
+//! either way.
+//!
 //! Stale-event cancellation is by id rather than heap surgery: the
 //! simulator remembers the id of the last event each node scheduled and
 //! drops popped events with any other id. That gives inertial-delay
@@ -15,14 +25,21 @@
 //! ever reordering or removing heap entries. A live event's new value is
 //! the one its node last scheduled, so the event does not carry it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 /// Simulation time in femtoseconds.
 pub type TimeFs = u64;
 
 /// Femtoseconds per nanosecond.
 pub const FS_PER_NS: f64 = 1.0e6;
+
+/// Low bits of a packed key that hold the node index.
+pub(crate) const NODE_BITS: u32 = 20;
+
+/// Nodes a queue can address: node indices are below this.
+pub const MAX_NODES: usize = 1 << NODE_BITS;
+
+/// Bits of a packed key that hold the event id: ids are below
+/// `1 << ID_BITS`.
+pub(crate) const ID_BITS: u32 = 64 - NODE_BITS;
 
 /// Converts nanoseconds to femtoseconds, rounding to the nearest
 /// femtosecond and flooring at 1 fs so every gate keeps positive delay
@@ -53,28 +70,33 @@ pub struct Event {
     /// simulator drops the event unless it is the last one its node
     /// scheduled.
     pub id: u64,
-    /// Target node index.
-    pub node: usize,
+    /// Target node index (below [`MAX_NODES`]).
+    pub node: u32,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Event) -> std::cmp::Ordering {
-        // (time, id) only: ids are unique, so this is a total order and
-        // the node never influences pop order.
-        (self.time, self.id).cmp(&(other.time, other.id))
+const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
+
+impl Event {
+    fn key(self) -> u128 {
+        u128::from(self.time) << 64 | u128::from(self.id << NODE_BITS | u64::from(self.node))
     }
-}
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Event) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn from_key(key: u128) -> Event {
+        let low = key as u64;
+        Event {
+            time: (key >> 64) as TimeFs,
+            id: low >> NODE_BITS,
+            node: (low & NODE_MASK) as u32,
+        }
     }
 }
 
 /// A min-heap of [`Event`]s with stable `(time, event-id)` ordering.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Event>>,
+    /// Packed keys in heap order: each is at most its two children,
+    /// `heap[2i + 1]` and `heap[2i + 2]`.
+    heap: Vec<u128>,
     next_id: u64,
 }
 
@@ -84,22 +106,95 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Schedules a transition and returns its id.
-    pub fn schedule(&mut self, time: TimeFs, node: usize) -> u64 {
+    /// The next event's key, taking its id.
+    fn next_key(&mut self, time: TimeFs, node: u32) -> (u128, u64) {
         let id = self.next_id;
+        debug_assert!((node as usize) < MAX_NODES, "node {node} out of key range");
+        debug_assert!(id < 1 << ID_BITS, "event id {id} out of key range");
         self.next_id += 1;
-        self.heap.push(Reverse(Event { time, id, node }));
+        (Event { time, id, node }.key(), id)
+    }
+
+    /// Schedules a transition and returns its id.
+    pub fn schedule(&mut self, time: TimeFs, node: u32) -> u64 {
+        let (key, id) = self.next_key(time, node);
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1);
         id
+    }
+
+    /// The earliest event (ties by id), left in the queue.
+    pub fn peek(&self) -> Option<Event> {
+        self.heap.first().map(|&key| Event::from_key(key))
     }
 
     /// Pops the earliest event (ties by id, i.e. scheduling order).
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|Reverse(e)| e)
+        let last = self.heap.pop()?;
+        let top = match self.heap.first_mut() {
+            Some(root) => std::mem::replace(root, last),
+            None => last,
+        };
+        self.sift_down(0);
+        Some(Event::from_key(top))
+    }
+
+    /// Pops the earliest event and schedules a transition in its place,
+    /// returning the new event's id: the same as [`Self::pop`] then
+    /// [`Self::schedule`], in one sift from the root.
+    pub fn pop_and_schedule(&mut self, time: TimeFs, node: u32) -> u64 {
+        let (key, id) = self.next_key(time, node);
+        match self.heap.first_mut() {
+            Some(root) => {
+                *root = key;
+                self.sift_down(0);
+            }
+            None => self.heap.push(key),
+        }
+        id
+    }
+
+    /// Moves the key at `pos` up to its place.
+    fn sift_up(&mut self, mut pos: usize) {
+        let heap = &mut self.heap[..];
+        let key = heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if heap[parent] <= key {
+                break;
+            }
+            heap[pos] = heap[parent];
+            pos = parent;
+        }
+        heap[pos] = key;
+    }
+
+    /// Moves the key at `pos` down to its place. The smaller child is
+    /// picked by adding a comparison's outcome, not by a branch: which
+    /// child is smaller is a coin toss the branch predictor cannot learn.
+    fn sift_down(&mut self, mut pos: usize) {
+        let heap = &mut self.heap[..];
+        let Some(&key) = heap.get(pos) else { return };
+        let len = heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child + 1 < len {
+                child += usize::from(heap[child + 1] < heap[child]);
+            } else if child >= len {
+                break;
+            }
+            if key <= heap[child] {
+                break;
+            }
+            heap[pos] = heap[child];
+            pos = child;
+        }
+        heap[pos] = key;
     }
 
     /// Earliest pending fire time.
     pub fn peek_time(&self) -> Option<TimeFs> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.peek().map(|e| e.time)
     }
 
     /// Number of pending events (including stale ones not yet dropped).
@@ -121,6 +216,8 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order_with_id_tiebreak() {
@@ -129,7 +226,7 @@ mod tests {
         q.schedule(10, 1);
         q.schedule(10, 2); // same time, later id
         q.schedule(20, 3);
-        let order: Vec<(TimeFs, usize)> =
+        let order: Vec<(TimeFs, u32)> =
             std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.node)).collect();
         assert_eq!(order, vec![(10, 1), (10, 2), (20, 3), (30, 0)]);
     }
@@ -164,5 +261,70 @@ mod tests {
         assert_eq!(q.scheduled(), 1);
         q.pop();
         assert!(q.is_empty());
+        // On an empty queue the fused operation only schedules.
+        assert_eq!(q.pop_and_schedule(3, 4), 1);
+        assert_eq!(q.peek(), Some(Event { time: 3, id: 1, node: 4 }));
+    }
+
+    #[test]
+    fn keys_round_trip_at_the_field_limits() {
+        let e = Event {
+            time: u64::MAX,
+            id: (1 << ID_BITS) - 1,
+            node: (MAX_NODES - 1) as u32,
+        };
+        assert_eq!(Event::from_key(e.key()), e);
+    }
+
+    /// Random schedules against `std`'s `BinaryHeap` of `(time, id,
+    /// node)`: every pop, and every fused pop-and-schedule, yields what
+    /// the reference pops.
+    #[test]
+    fn fused_operation_matches_a_binary_heap_on_random_schedules() {
+        let mut state = 0x5EED_F0E7_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..200 {
+            let mut q = EventQueue::new();
+            let mut reference: BinaryHeap<Reverse<(TimeFs, u64, u32)>> = BinaryHeap::new();
+            let mut now: TimeFs = 0;
+            // Narrow time ranges in some rounds, so same-time ties are
+            // common and the id decides.
+            let spread = [4, 64, 1 << 20][round % 3];
+            for _ in 0..400 {
+                let node = (next() % MAX_NODES as u64) as u32;
+                let time = now + next() % spread;
+                match next() % 4 {
+                    0 => {
+                        let id = q.schedule(time, node);
+                        reference.push(Reverse((time, id, node)));
+                    }
+                    1 => {
+                        let got = q.pop();
+                        let want = reference.pop().map(|Reverse(e)| e);
+                        assert_eq!(got.map(|e| (e.time, e.id, e.node)), want);
+                        now = want.map_or(now, |(t, _, _)| t);
+                    }
+                    _ => {
+                        let want = reference.pop().map(|Reverse(e)| e);
+                        assert_eq!(q.peek().map(|e| (e.time, e.id, e.node)), want);
+                        now = want.map_or(now, |(t, _, _)| t);
+                        let time = now + next() % spread;
+                        let id = q.pop_and_schedule(time, node);
+                        reference.push(Reverse((time, id, node)));
+                    }
+                }
+                assert_eq!(q.len(), reference.len());
+            }
+            while let Some(Reverse(want)) = reference.pop() {
+                let got = q.pop().expect("queue drains with the reference");
+                assert_eq!((got.time, got.id, got.node), want);
+            }
+            assert!(q.is_empty());
+        }
     }
 }

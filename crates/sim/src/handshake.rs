@@ -14,6 +14,15 @@
 //! (`gs`) rising edges, exactly like the Fig. 5.3 measurement harness
 //! does on the full netlist.
 //!
+//! The elaborated graph is one flat node table: per node an op code and
+//! two inputs, evaluated through a 32-entry truth table over the op, both
+//! input values and the node's held value, so neither the reset fixed
+//! point nor the event loop branches on a kind of node. A chip's run
+//! reads a `[fall, rise]` delay table indexed by the value a transition
+//! drives, and processes each event where it sits in the queue: the
+//! first transition it schedules takes its place
+//! ([`EventQueue::pop_and_schedule`]).
+//!
 //! Determinism rules (DESIGN.md §3f):
 //! * all times are integer femtoseconds; every gate delay is rounded to
 //!   fs once, up front;
@@ -55,7 +64,7 @@
 
 use drd_liberty::Library;
 
-use crate::events::{fs_to_ns, ns_to_fs, EventQueue, TimeFs};
+use crate::events::{fs_to_ns, ns_to_fs, EventQueue, TimeFs, MAX_NODES};
 use crate::variability::GateVariability;
 use crate::SimError;
 
@@ -66,6 +75,11 @@ pub const DEFAULT_MAX_EDGES: usize = 12;
 /// correct elaboration cannot produce) errors instead of spinning. Events
 /// of finished components are dropped uncounted.
 const MAX_EVENTS: u64 = 8_000_000;
+
+// Event ids stay below `MAX_NODES * (MAX_EVENTS + 1)` (see the event
+// loop), which the queue's packed keys must hold.
+const _: () =
+    assert!((MAX_EVENTS + 1).saturating_mul(MAX_NODES as u64) <= 1 << crate::events::ID_BITS);
 
 /// One region of a [`HandshakeSpec`] — a projection of the flow's
 /// per-region report row, and the liveness guard's planning state for
@@ -160,53 +174,72 @@ pub struct ChipSample {
     pub sync_period_ns: f64,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum NodeKind {
-    /// INVX1.
-    Inv(usize),
-    /// BUFX1 / BUFX2 (enable and acknowledge buffering).
-    Buf(usize),
-    /// AND2X1 — the controller's `g` pulse shaper.
-    And2(usize, usize),
-    /// A Muller C-element. `reset` is the value held while the handshake
-    /// reset is asserted: `Some(false)` for C2RX1, `Some(true)` for
-    /// C2SX1, `None` for the join-tree C2X1 (no reset pin — it settles
-    /// from its inputs).
-    C2 {
-        a: usize,
-        b: usize,
-        reset: Option<bool>,
-    },
-    /// Asymmetric matched delay: slow rise (the full chain), fast fall
-    /// (one level — the AND chain's fast-fall shortcut).
-    Delay(usize),
-}
+/// The op of an INVX1 node. A node's op picks its row of [`TRUTH`].
+const INV: u8 = 0;
+/// BUFX1 / BUFX2 (enable and acknowledge buffering), and the asymmetric
+/// matched delay, which differs from a buffer only in timing: slow rise
+/// (the full chain), fast fall (one level — the AND chain's fast-fall
+/// shortcut).
+const BUF: u8 = 1;
+/// AND2X1 — the controller's `g` pulse shaper.
+const AND2: u8 = 2;
+/// A Muller C-element: follows its inputs when they agree, holds its
+/// value while they differ.
+const C2: u8 = 3;
 
-impl NodeKind {
-    /// The nodes driving this one, each once.
-    fn inputs(self) -> impl Iterator<Item = usize> {
-        let (a, b) = match self {
-            NodeKind::Inv(a) | NodeKind::Buf(a) | NodeKind::Delay(a) => (a, None),
-            NodeKind::And2(a, b) | NodeKind::C2 { a, b, .. } => (a, (b != a).then_some(b)),
-        };
-        std::iter::once(a).chain(b)
-    }
-}
-
-/// The value `kind` drives given its inputs' `values`; `hold` is its
-/// own current value, which a C-element keeps while its inputs differ.
-fn eval(kind: NodeKind, values: &[bool], hold: bool) -> bool {
-    match kind {
-        NodeKind::Inv(a) => !values[a],
-        NodeKind::Buf(a) | NodeKind::Delay(a) => values[a],
-        NodeKind::And2(a, b) => values[a] && values[b],
-        NodeKind::C2 { a, b, .. } => {
-            if values[a] == values[b] {
-                values[a]
-            } else {
-                hold
+/// The value every op drives: bit `op << 3 | a << 2 | b << 1 | hold` is
+/// the output for inputs `a`, `b` and the node's held value `hold`.
+const TRUTH: u32 = {
+    let mut table = 0u32;
+    let mut row = 0;
+    while row < 32 {
+        let (a, b, hold) = (row >> 2 & 1 == 1, row >> 1 & 1 == 1, row & 1 == 1);
+        let out = match (row >> 3) as u8 {
+            INV => !a,
+            BUF => a,
+            AND2 => a && b,
+            _ => {
+                if a == b {
+                    a
+                } else {
+                    hold
+                }
             }
-        }
+        };
+        table |= (out as u32) << row;
+        row += 1;
+    }
+    table
+};
+
+/// One node of the flat node table: its op and its two inputs (a
+/// one-input node reads `a` twice).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    op: u8,
+    a: u32,
+    b: u32,
+}
+
+impl Node {
+    fn unary(op: u8, a: u32) -> Node {
+        Node { op, a, b: a }
+    }
+
+    /// The nodes driving this one, each once.
+    fn inputs(self) -> impl Iterator<Item = u32> {
+        std::iter::once(self.a).chain((self.b != self.a).then_some(self.b))
+    }
+
+    /// The value this node drives given its inputs' `values`; `hold` is
+    /// its own current value, which a C-element keeps while its inputs
+    /// differ.
+    fn eval(self, values: &[bool], hold: bool) -> bool {
+        let row = u32::from(self.op) << 3
+            | u32::from(values[self.a as usize]) << 2
+            | u32::from(values[self.b as usize]) << 1
+            | u32::from(hold);
+        TRUTH >> row & 1 == 1
     }
 }
 
@@ -222,7 +255,7 @@ fn derate(nominal: TimeFs, factor: f64) -> TimeFs {
 }
 
 /// Unwired input sentinel during elaboration; never survives it.
-const PENDING: usize = usize::MAX;
+const PENDING: u32 = u32::MAX;
 
 /// Watch-table entry of a node that is no region's slave enable.
 const NO_SLOT: u32 = u32::MAX;
@@ -232,23 +265,23 @@ const NO_SLOT: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy)]
 struct RegionNodes {
     region: usize,
-    m_nro: usize,
-    m_a: usize,
-    m_nao: usize,
-    m_ro: usize,
-    m_g1: usize,
+    m_nro: u32,
+    m_a: u32,
+    m_nao: u32,
+    m_ro: u32,
+    m_g1: u32,
     /// Master latch-enable buffer; elaborated for delay fidelity, only
     /// the slave enable is watched for cycle measurement.
-    _m_g: usize,
-    m_ai: usize,
-    s_nro: usize,
-    s_a: usize,
-    s_nao: usize,
-    s_ro: usize,
-    s_g1: usize,
-    s_g: usize,
-    s_ai: usize,
-    delay: usize,
+    _m_g: u32,
+    m_ai: u32,
+    s_nro: u32,
+    s_a: u32,
+    s_nao: u32,
+    s_ro: u32,
+    s_g1: u32,
+    s_g: u32,
+    s_ai: u32,
+    delay: u32,
 }
 
 /// The elaborated timed event graph plus the synchronous comparison
@@ -257,7 +290,8 @@ struct RegionNodes {
 /// builds its rise/fall table and runs the event loop.
 #[derive(Debug, Clone)]
 pub struct HandshakeNet {
-    kinds: Vec<NodeKind>,
+    /// The flat node table: each node's op and inputs.
+    nodes: Vec<Node>,
     /// Node `i` spans control gates `gate_base[i]..gate_base[i + 1]`:
     /// simple gates have one, a matched delay its chain depth.
     gate_base: Vec<usize>,
@@ -265,13 +299,13 @@ pub struct HandshakeNet {
     levels: Vec<TimeFs>,
     /// CSR fan-out: node `i` drives
     /// `fanout[fanout_start[i]..fanout_start[i + 1]]`, in node order.
-    fanout_start: Vec<usize>,
-    fanout: Vec<usize>,
+    fanout_start: Vec<u32>,
+    fanout: Vec<u32>,
     /// The settled reset state every run starts from.
     reset: Vec<bool>,
     /// Reset-held C-elements that flip when reset is released at t = 0,
     /// in node order.
-    release: Vec<usize>,
+    release: Vec<u32>,
     /// Region slot of each slave enable node; [`NO_SLOT`] elsewhere.
     watch: Vec<u32>,
     /// Connected component of each node. Components share no node, so
@@ -332,25 +366,31 @@ impl HandshakeNet {
             });
         }
 
-        let mut kinds: Vec<NodeKind> = Vec::new();
+        // The flat node table, and per node the value a reset-held
+        // C-element keeps while reset is asserted (C2RX1 0, C2SX1 1;
+        // `None` for every node that settles from its inputs).
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut hold: Vec<Option<bool>> = Vec::new();
         let mut gate_base: Vec<usize> = Vec::new();
         let mut levels: Vec<TimeFs> = Vec::new();
-        let mut push = |kinds: &mut Vec<NodeKind>, kind: NodeKind, delay: TimeFs, gates: usize| {
-            gate_base.push(levels.len());
-            levels.resize(levels.len() + gates, delay);
-            kinds.push(kind);
-            kinds.len() - 1
-        };
+        let mut push =
+            |nodes: &mut Vec<Node>, node: Node, held: Option<bool>, delay: TimeFs, gates: usize| {
+                gate_base.push(levels.len());
+                levels.resize(levels.len() + gates, delay);
+                hold.push(held);
+                nodes.push(node);
+                nodes.len() as u32 - 1
+            };
 
         // Pass 1: allocate every controller in region order with
         // intra-region wiring; cross-region inputs stay PENDING.
         let mut handles: Vec<RegionNodes> = Vec::new();
-        let mut ext_handles: Vec<Option<(usize, usize)>> = Vec::new();
+        let mut ext_handles: Vec<Option<(u32, u32)>> = Vec::new();
         let mut matched_fs = Vec::new();
         let mut region_names = Vec::new();
         for &ri in &controlled {
             let r = &spec.regions[ri];
-            let base = kinds.len();
+            let base = nodes.len() as u32;
             // Fixed per-region layout (offsets 0..=14) — see RegionNodes.
             let h = RegionNodes {
                 region: ri,
@@ -371,29 +411,29 @@ impl HandshakeNet {
                 delay: base + 14,
             };
             let depth = r.matched_levels.max(1);
-            let k = &mut kinds;
-            push(k, NodeKind::Inv(h.m_ro), inv, 1);
-            push(k, NodeKind::C2 { a: h.delay, b: h.m_nro, reset: Some(false) }, c2r, 1);
-            push(k, NodeKind::Inv(h.s_ai), inv, 1);
-            push(k, NodeKind::C2 { a: h.m_a, b: h.m_nao, reset: Some(false) }, c2r, 1);
-            push(k, NodeKind::And2(h.m_a, h.m_nro), and2, 1);
-            push(k, NodeKind::Buf(h.m_g1), buf2, 1);
-            push(k, NodeKind::Buf(h.m_a), buf1, 1);
-            push(k, NodeKind::Inv(h.s_ro), inv, 1);
-            push(k, NodeKind::C2 { a: h.m_ro, b: h.s_nro, reset: Some(false) }, c2r, 1);
-            push(k, NodeKind::Inv(PENDING), inv, 1); // s_nao: ack join, pass 2
-            push(k, NodeKind::C2 { a: h.s_a, b: h.s_nao, reset: Some(true) }, c2s, 1);
-            push(k, NodeKind::And2(h.s_a, h.s_nro), and2, 1);
-            push(k, NodeKind::Buf(h.s_g1), buf2, 1);
-            push(k, NodeKind::Buf(h.s_a), buf1, 1);
-            push(k, NodeKind::Delay(PENDING), level, depth); // req join, pass 2
+            let k = &mut nodes;
+            push(k, Node::unary(INV, h.m_ro), None, inv, 1);
+            push(k, Node { op: C2, a: h.delay, b: h.m_nro }, Some(false), c2r, 1);
+            push(k, Node::unary(INV, h.s_ai), None, inv, 1);
+            push(k, Node { op: C2, a: h.m_a, b: h.m_nao }, Some(false), c2r, 1);
+            push(k, Node { op: AND2, a: h.m_a, b: h.m_nro }, None, and2, 1);
+            push(k, Node::unary(BUF, h.m_g1), None, buf2, 1);
+            push(k, Node::unary(BUF, h.m_a), None, buf1, 1);
+            push(k, Node::unary(INV, h.s_ro), None, inv, 1);
+            push(k, Node { op: C2, a: h.m_ro, b: h.s_nro }, Some(false), c2r, 1);
+            push(k, Node::unary(INV, PENDING), None, inv, 1); // s_nao: ack join, pass 2
+            push(k, Node { op: C2, a: h.s_a, b: h.s_nao }, Some(true), c2s, 1);
+            push(k, Node { op: AND2, a: h.s_a, b: h.s_nro }, None, and2, 1);
+            push(k, Node::unary(BUF, h.s_g1), None, buf2, 1);
+            push(k, Node::unary(BUF, h.s_a), None, buf1, 1);
+            push(k, Node::unary(BUF, PENDING), None, level, depth); // req join, pass 2
             // Request-extending latch (liveness repair, DESIGN.md §3i):
             // an inverter on the master acknowledge plus a C-element that
             // holds the raw request high until the ack arrives. Allocated
             // here in region order; wired in pass 2.
             let ext = if r.loopback_latch {
-                let e_inv = push(k, NodeKind::Inv(PENDING), inv, 1);
-                let e_c2 = push(k, NodeKind::C2 { a: PENDING, b: e_inv, reset: None }, c2, 1);
+                let e_inv = push(k, Node::unary(INV, PENDING), None, inv, 1);
+                let e_c2 = push(k, Node { op: C2, a: PENDING, b: e_inv }, None, c2, 1);
                 Some((e_inv, e_c2))
             } else {
                 None
@@ -406,13 +446,13 @@ impl HandshakeNet {
 
         // Balanced pairwise reduction with the same chunks-of-2 shape as
         // `drd_core::celement::join` — the odd element passes up a round.
-        let mut join = |kinds: &mut Vec<NodeKind>, inputs: &[usize]| -> usize {
-            let mut layer: Vec<usize> = inputs.to_vec();
+        let mut join = |nodes: &mut Vec<Node>, inputs: &[u32]| -> u32 {
+            let mut layer: Vec<u32> = inputs.to_vec();
             while layer.len() > 1 {
                 let mut next = Vec::with_capacity(layer.len().div_ceil(2));
                 for pair in layer.chunks(2) {
                     if let [a, b] = *pair {
-                        next.push(push(kinds, NodeKind::C2 { a, b, reset: None }, c2, 1));
+                        next.push(push(nodes, Node { op: C2, a, b }, None, c2, 1));
                     } else {
                         next.push(pair[0]);
                     }
@@ -443,53 +483,56 @@ impl HandshakeNet {
             let mut raw_req = if preds.is_empty() {
                 h.s_ro
             } else {
-                let inputs: Vec<usize> = preds.iter().map(|&p| handles[p].s_ro).collect();
-                join(&mut kinds, &inputs)
+                let inputs: Vec<u32> = preds.iter().map(|&p| handles[p].s_ro).collect();
+                join(&mut nodes, &inputs)
             };
             // Liveness repair: interpose the request-extending latch. At
             // reset both inputs are high (slave request set, master ack
             // low), so the no-reset C-element settles to the same value
             // the bare loopback wire has.
             if let Some((e_inv, e_c2)) = ext_handles[slot] {
-                kinds[e_inv] = NodeKind::Inv(h.m_ai);
-                if let NodeKind::C2 { a, .. } = &mut kinds[e_c2] {
-                    *a = raw_req;
-                }
+                nodes[e_inv as usize] = Node::unary(INV, h.m_ai);
+                nodes[e_c2 as usize].a = raw_req;
                 raw_req = e_c2;
             }
-            kinds[h.delay] = NodeKind::Delay(raw_req);
+            nodes[h.delay as usize] = Node::unary(BUF, raw_req);
 
             // Acknowledge side: join controlled successors' `aim`, or
             // acknowledge eagerly from the region's own request.
             let slave_ao = if succs.is_empty() {
                 h.s_ro
             } else {
-                let inputs: Vec<usize> = succs.iter().map(|&s| handles[s].m_ai).collect();
-                join(&mut kinds, &inputs)
+                let inputs: Vec<u32> = succs.iter().map(|&s| handles[s].m_ai).collect();
+                join(&mut nodes, &inputs)
             };
-            kinds[h.s_nao] = NodeKind::Inv(slave_ao);
+            nodes[h.s_nao as usize] = Node::unary(INV, slave_ao);
         }
         gate_base.push(levels.len());
 
-        debug_assert!(kinds.iter().all(|k| k.inputs().all(|a| a != PENDING)));
-        let n = kinds.len();
+        debug_assert!(nodes.iter().all(|k| k.inputs().all(|a| a != PENDING)));
+        let n = nodes.len();
+        if n > MAX_NODES {
+            return Err(SimError::Handshake {
+                message: format!("{n} control nodes exceed the event queue's {MAX_NODES}"),
+            });
+        }
 
         // CSR fan-out, each node's list in ascending driven-node order.
-        let mut fanout_start = vec![0usize; n + 1];
-        for k in &kinds {
+        let mut fanout_start = vec![0u32; n + 1];
+        for k in &nodes {
             for a in k.inputs() {
-                fanout_start[a + 1] += 1;
+                fanout_start[a as usize + 1] += 1;
             }
         }
         for i in 0..n {
             fanout_start[i + 1] += fanout_start[i];
         }
         let mut fill = fanout_start.clone();
-        let mut fanout = vec![0usize; fanout_start[n]];
-        for (i, k) in kinds.iter().enumerate() {
+        let mut fanout = vec![0u32; fanout_start[n] as usize];
+        for (i, k) in nodes.iter().enumerate() {
             for a in k.inputs() {
-                fanout[fill[a]] = i;
-                fill[a] += 1;
+                fanout[fill[a as usize] as usize] = i as u32;
+                fill[a as usize] += 1;
             }
         }
 
@@ -503,9 +546,9 @@ impl HandshakeNet {
             }
             x
         };
-        for (i, k) in kinds.iter().enumerate() {
+        for (i, k) in nodes.iter().enumerate() {
             for a in k.inputs() {
-                let (ri, ra) = (find(&mut parent, i), find(&mut parent, a));
+                let (ri, ra) = (find(&mut parent, i), find(&mut parent, a as usize));
                 parent[ri.max(ra)] = ri.min(ra);
             }
         }
@@ -522,24 +565,22 @@ impl HandshakeNet {
         }
         let mut watch = vec![NO_SLOT; n];
         for (slot, h) in handles.iter().enumerate() {
-            watch[h.s_g] = slot as u32;
-            component_regions[component[h.s_g] as usize] += 1;
+            watch[h.s_g as usize] = slot as u32;
+            component_regions[component[h.s_g as usize] as usize] += 1;
         }
 
         // Reset fixed point: C2R held 0, C2S held 1, the rest settles
         // combinationally (the DAG left after holding the loop-breaking
         // controller C-elements). No delay enters it.
-        let held = |k: NodeKind| matches!(k, NodeKind::C2 { reset: Some(_), .. });
-        let mut reset: Vec<bool> =
-            kinds.iter().map(|k| matches!(k, NodeKind::C2 { reset: Some(true), .. })).collect();
+        let mut reset: Vec<bool> = hold.iter().map(|&h| h == Some(true)).collect();
         let mut settled = false;
         for _ in 0..n + 2 {
             let mut changed = false;
             for i in 0..n {
-                if held(kinds[i]) {
+                if hold[i].is_some() {
                     continue;
                 }
-                let v = eval(kinds[i], &reset, reset[i]);
+                let v = nodes[i].eval(&reset, reset[i]);
                 if v != reset[i] {
                     reset[i] = v;
                     changed = true;
@@ -557,8 +598,9 @@ impl HandshakeNet {
         }
         // Releasing reset at t = 0 re-evaluates every reset-held
         // C-element against its settled inputs.
-        let release: Vec<usize> = (0..n)
-            .filter(|&i| held(kinds[i]) && eval(kinds[i], &reset, reset[i]) != reset[i])
+        let release: Vec<u32> = (0..n)
+            .filter(|&i| hold[i].is_some() && nodes[i].eval(&reset, reset[i]) != reset[i])
+            .map(|i| i as u32)
             .collect();
 
         // Synchronous comparison model: each region with a combinational
@@ -581,7 +623,7 @@ impl HandshakeNet {
         }
 
         Ok(HandshakeNet {
-            kinds,
+            nodes,
             gate_base,
             levels,
             fanout_start,
@@ -667,6 +709,17 @@ impl HandshakeNet {
         matched_scale: f64,
         max_edges: usize,
     ) -> Result<Vec<RegionCycle>, SimError> {
+        self.run(factors, matched_scale, max_edges, MAX_EVENTS)
+    }
+
+    /// [`Self::cycle_times_scaled`] with the event cap `max_events`.
+    fn run(
+        &self,
+        factors: &[f64],
+        matched_scale: f64,
+        max_edges: usize,
+        max_events: u64,
+    ) -> Result<Vec<RegionCycle>, SimError> {
         if factors.len() < self.control_gate_count() {
             return Err(SimError::Handshake {
                 message: format!(
@@ -678,36 +731,37 @@ impl HandshakeNet {
         }
         let max_edges = max_edges.max(4);
 
-        // Per-node rise/fall delays (fs), rounded once up front.
-        let delays: Vec<(TimeFs, TimeFs)> = self
-            .kinds
+        // Per-node delays (fs), rounded once up front and indexed by the
+        // value a transition drives: `[fall, rise]`. Every node but a
+        // matched delay is one symmetric gate; a matched delay rises
+        // through its whole chain, scaled by `matched_scale`, and falls
+        // fast (one level).
+        let n = self.nodes.len();
+        let mut delays: Vec<[TimeFs; 2]> = self.gate_base[..n]
             .iter()
-            .enumerate()
-            .map(|(i, kind)| {
-                let matched = matches!(kind, NodeKind::Delay(_));
-                let scale = if matched { matched_scale } else { 1.0 };
-                let term = |g: usize| derate(self.levels[g], factors[g] * scale);
-                let gates = self.gate_base[i]..self.gate_base[i + 1];
-                let rise: TimeFs = gates.clone().map(term).sum();
-                // Matched delays fall fast (one level); everything else
-                // is symmetric.
-                let fall = if matched { term(gates.start) } else { rise };
-                (rise, fall)
+            .map(|&g| {
+                let d = derate(self.levels[g], factors[g]);
+                [d, d]
             })
             .collect();
+        for h in &self.regions {
+            let node = h.delay as usize;
+            let term = |g: usize| derate(self.levels[g], factors[g] * matched_scale);
+            let gates = self.gate_base[node]..self.gate_base[node + 1];
+            delays[node] = [term(gates.start), gates.map(term).sum()];
+        }
 
         // Start from the settled reset state and release reset at t = 0.
         // Only the last event a node scheduled is live, and its value is
         // the node's `next_values` entry.
         let mut values = self.reset.clone();
         let mut next_values = values.clone();
-        let mut last = vec![u64::MAX; self.kinds.len()];
+        let mut last = vec![u64::MAX; n];
         let mut queue = EventQueue::new();
         for &i in &self.release {
-            let v = !values[i];
-            next_values[i] = v;
-            let delay = if v { delays[i].0 } else { delays[i].1 };
-            last[i] = queue.schedule(delay, i);
+            let v = !values[i as usize];
+            next_values[i as usize] = v;
+            last[i as usize] = queue.schedule(delays[i as usize][usize::from(v)], i);
         }
 
         // Regions per component still short of `max_edges` edges. A
@@ -720,21 +774,30 @@ impl HandshakeNet {
         let mut seen = vec![0usize; regions];
         let mut done = 0usize;
 
+        // The earliest event stays in the queue while it is processed:
+        // the first transition it schedules takes its place in one sift
+        // (`pop_and_schedule`), and it is popped only if it schedules
+        // none. Ids: the loop schedules only while it has processed at
+        // most `max_events` events, each scheduling at most one event per
+        // distinct fan-out node, so ids stay below
+        // `MAX_NODES * (MAX_EVENTS + 1)`, inside the queue's id bits.
         let mut processed: u64 = 0;
-        while let Some(ev) = queue.pop() {
-            let component = self.component[ev.node] as usize;
-            if last[ev.node] != ev.id || open[component] == 0 {
+        while let Some(ev) = queue.peek() {
+            let node = ev.node as usize;
+            let component = self.component[node] as usize;
+            if last[node] != ev.id || open[component] == 0 {
+                queue.pop();
                 continue; // superseded (inertial cancellation) or finished
             }
             processed += 1;
-            if processed > MAX_EVENTS {
+            if processed > max_events {
                 return Err(SimError::Handshake {
                     message: format!("event cap exceeded after {processed} events"),
                 });
             }
-            let value = next_values[ev.node];
-            values[ev.node] = value;
-            let slot = self.watch[ev.node] as usize;
+            let value = next_values[node];
+            values[node] = value;
+            let slot = self.watch[node] as usize;
             if value && slot != NO_SLOT as usize && seen[slot] < max_edges {
                 edges[slot * max_edges + seen[slot]] = ev.time;
                 seen[slot] += 1;
@@ -746,13 +809,24 @@ impl HandshakeNet {
                     }
                 }
             }
-            for &f in &self.fanout[self.fanout_start[ev.node]..self.fanout_start[ev.node + 1]] {
-                let target = eval(self.kinds[f], &values, next_values[f]);
-                if target != next_values[f] {
-                    next_values[f] = target;
-                    let delay = if target { delays[f].0 } else { delays[f].1 };
-                    last[f] = queue.schedule(ev.time + delay, f);
+            let mut popped = false;
+            let fanout = self.fanout_start[node] as usize..self.fanout_start[node + 1] as usize;
+            for &f in &self.fanout[fanout] {
+                let fi = f as usize;
+                let target = self.nodes[fi].eval(&values, next_values[fi]);
+                if target != next_values[fi] {
+                    next_values[fi] = target;
+                    let time = ev.time + delays[fi][usize::from(target)];
+                    last[fi] = if popped {
+                        queue.schedule(time, f)
+                    } else {
+                        popped = true;
+                        queue.pop_and_schedule(time, f)
+                    };
                 }
+            }
+            if !popped {
+                queue.pop();
             }
         }
 
@@ -802,7 +876,7 @@ impl HandshakeNet {
         let c2s = ns_to_fs(cell_delay_ns(lib, "C2SX1").ok()?);
         let buf = ns_to_fs(cell_delay_ns(lib, "BUFX1").ok()?);
         let inv = ns_to_fs(cell_delay_ns(lib, "INVX1").ok()?);
-        let delay = self.regions[0].delay;
+        let delay = self.regions[0].delay as usize;
         let chain = &self.levels[self.gate_base[delay]..self.gate_base[delay + 1]];
         let rise: TimeFs = chain.iter().sum();
         let fall = chain[0];
@@ -1105,10 +1179,351 @@ mod tests {
         net.nominal_cycle_times().expect("balanced chain still settles");
     }
 
+    /// A random spec: 1–12 regions, some uncontrolled, some latched,
+    /// matched levels 1–30, and random DDG edges with self-loops, so
+    /// isolated, source, sink and wedging regions all occur.
+    fn random_spec(rng: &mut impl FnMut() -> u64) -> HandshakeSpec {
+        let count = 1 + (rng() % 12) as usize;
+        let regions = (0..count)
+            .map(|i| RegionSpec {
+                name: format!("g{i}"),
+                controlled: !rng().is_multiple_of(6),
+                matched_levels: 1 + (rng() % 30) as usize,
+                critical_delay_ns: (rng() % 4) as f64 * 0.35,
+                loopback_latch: rng().is_multiple_of(4),
+            })
+            .collect();
+        let edges = (0..count as u64 / 2 + rng() % (2 * count as u64 + 1))
+            .map(|_| ((rng() % count as u64) as usize, (rng() % count as u64) as usize))
+            .collect();
+        HandshakeSpec {
+            regions,
+            edges,
+            level_delay_ns: [0.09, 0.05, 0.12][(rng() % 3) as usize],
+            ff_overhead_ns: 0.15,
+        }
+    }
+
+    /// The event loop against the kept reference loop on 200 random
+    /// specs that elaborate: identical results, errors included, at unit factors (where
+    /// same-femtosecond ties occur), at three sigmas × four chips, at the
+    /// tap scales 0.7, 1.0 and 1.75, and under a small event cap.
+    #[test]
+    fn event_loop_matches_the_reference_loop_on_random_specs() {
+        let lib = vlib90::high_speed();
+        let mut state = 0xD1FF_E4E7_u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut compared, mut deadlocks, mut capped) = (0, 0, 0);
+        for case in 0u64.. {
+            if compared == 200 {
+                break;
+            }
+            let spec = random_spec(&mut rng);
+            let Ok(net) = HandshakeNet::elaborate(&spec, &lib) else {
+                assert!(!spec.regions.iter().any(|r| r.controlled), "case {case}: {spec:?}");
+                continue;
+            };
+            compared += 1;
+            let ones = vec![1.0; net.gate_count()];
+            let mut runs: Vec<(Vec<f64>, f64, u64)> = [0.7, 1.0, 1.75]
+                .iter()
+                .map(|&scale| (ones.clone(), scale, MAX_EVENTS))
+                .collect();
+            for sigma in [0.05, 0.15, 0.3] {
+                let var = GateVariability::new(case, sigma);
+                runs.extend((0..4).map(|chip| (net.chip_factors(&var, chip), 1.0, MAX_EVENTS)));
+            }
+            runs.push((ones, 1.0, 150));
+            for (factors, scale, cap) in &runs {
+                let got = net.run(factors, *scale, DEFAULT_MAX_EDGES, *cap);
+                let want =
+                    reference::cycle_times_scaled(&net, factors, *scale, DEFAULT_MAX_EDGES, *cap);
+                assert_eq!(got, want, "case {case}, scale {scale}, cap {cap}: {spec:?}");
+                match got {
+                    Err(SimError::Deadlock { .. }) => deadlocks += 1,
+                    Err(SimError::Handshake { .. }) => capped += 1,
+                    _ => {}
+                }
+            }
+        }
+        // The corpus must reach every outcome the loop distinguishes.
+        assert!(deadlocks > 0 && capped > 0, "{deadlocks} deadlocks, {capped} capped runs");
+    }
+
     #[test]
     fn factor_length_mismatch_is_rejected() {
         let lib = vlib90::high_speed();
         let net = HandshakeNet::elaborate(&ring_spec(4), &lib).unwrap();
         assert!(net.cycle_times(&[1.0], DEFAULT_MAX_EDGES).is_err());
+    }
+}
+
+/// The event loop as it stood before the flat node table and the fused
+/// queue operation, kept verbatim as the differential reference of
+/// [`HandshakeNet::cycle_times_scaled`]: `NodeKind` matching, the reset
+/// fixed point over kinds, and a `BinaryHeap` of `(time, id, node)`.
+#[cfg(test)]
+mod reference {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::{derate, HandshakeNet, RegionCycle, NO_SLOT};
+    use crate::events::{fs_to_ns, TimeFs};
+    use crate::SimError;
+
+    #[derive(Debug, Clone, Copy)]
+    enum NodeKind {
+        Inv(usize),
+        Buf(usize),
+        And2(usize, usize),
+        C2 {
+            a: usize,
+            b: usize,
+            reset: Option<bool>,
+        },
+        Delay(usize),
+    }
+
+    impl NodeKind {
+        /// The nodes driving this one, each once.
+        fn inputs(self) -> impl Iterator<Item = usize> {
+            let (a, b) = match self {
+                NodeKind::Inv(a) | NodeKind::Buf(a) | NodeKind::Delay(a) => (a, None),
+                NodeKind::And2(a, b) | NodeKind::C2 { a, b, .. } => (a, (b != a).then_some(b)),
+            };
+            std::iter::once(a).chain(b)
+        }
+    }
+
+    fn eval(kind: NodeKind, values: &[bool], hold: bool) -> bool {
+        match kind {
+            NodeKind::Inv(a) => !values[a],
+            NodeKind::Buf(a) | NodeKind::Delay(a) => values[a],
+            NodeKind::And2(a, b) => values[a] && values[b],
+            NodeKind::C2 { a, b, .. } => {
+                if values[a] == values[b] {
+                    values[a]
+                } else {
+                    hold
+                }
+            }
+        }
+    }
+
+    /// `net`'s nodes as kinds: the reset-held C-elements and the matched
+    /// delays are read off each region's fixed controller layout, not off
+    /// the flat table's reset bookkeeping.
+    fn kinds(net: &HandshakeNet) -> Vec<NodeKind> {
+        let mut kinds: Vec<NodeKind> = net
+            .nodes
+            .iter()
+            .map(|n| {
+                let (a, b) = (n.a as usize, n.b as usize);
+                match n.op {
+                    super::INV => NodeKind::Inv(a),
+                    super::BUF => NodeKind::Buf(a),
+                    super::AND2 => NodeKind::And2(a, b),
+                    _ => NodeKind::C2 { a, b, reset: None },
+                }
+            })
+            .collect();
+        for h in &net.regions {
+            for (node, held) in [(h.m_a, false), (h.m_ro, false), (h.s_a, false), (h.s_ro, true)] {
+                if let NodeKind::C2 { reset, .. } = &mut kinds[node as usize] {
+                    *reset = Some(held);
+                }
+            }
+            if let NodeKind::Buf(a) = kinds[h.delay as usize] {
+                kinds[h.delay as usize] = NodeKind::Delay(a);
+            }
+        }
+        kinds
+    }
+
+    /// The reference run: `HandshakeNet::cycle_times_scaled` before the
+    /// flat node table, with the event cap `max_events`.
+    pub(super) fn cycle_times_scaled(
+        net: &HandshakeNet,
+        factors: &[f64],
+        matched_scale: f64,
+        max_edges: usize,
+        max_events: u64,
+    ) -> Result<Vec<RegionCycle>, SimError> {
+        let kinds = kinds(net);
+        let n = kinds.len();
+
+        // CSR fan-out, reset fixed point and release, as `elaborate` built them.
+        let mut fanout_start = vec![0usize; n + 1];
+        for k in &kinds {
+            for a in k.inputs() {
+                fanout_start[a + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            fanout_start[i + 1] += fanout_start[i];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanout = vec![0usize; fanout_start[n]];
+        for (i, k) in kinds.iter().enumerate() {
+            for a in k.inputs() {
+                fanout[fill[a]] = i;
+                fill[a] += 1;
+            }
+        }
+        let held = |k: NodeKind| matches!(k, NodeKind::C2 { reset: Some(_), .. });
+        let mut reset: Vec<bool> =
+            kinds.iter().map(|k| matches!(k, NodeKind::C2 { reset: Some(true), .. })).collect();
+        let mut settled = false;
+        for _ in 0..n + 2 {
+            let mut changed = false;
+            for i in 0..n {
+                if held(kinds[i]) {
+                    continue;
+                }
+                let v = eval(kinds[i], &reset, reset[i]);
+                if v != reset[i] {
+                    reset[i] = v;
+                    changed = true;
+                }
+            }
+            if !changed {
+                settled = true;
+                break;
+            }
+        }
+        if !settled {
+            return Err(SimError::Handshake {
+                message: "reset state did not settle".into(),
+            });
+        }
+        let release: Vec<usize> = (0..n)
+            .filter(|&i| held(kinds[i]) && eval(kinds[i], &reset, reset[i]) != reset[i])
+            .collect();
+
+        if factors.len() < net.control_gate_count() {
+            return Err(SimError::Handshake {
+                message: format!(
+                    "{} delay factors for {} control gates",
+                    factors.len(),
+                    net.control_gate_count()
+                ),
+            });
+        }
+        let max_edges = max_edges.max(4);
+
+        // Per-node rise/fall delays (fs), rounded once up front.
+        let delays: Vec<(TimeFs, TimeFs)> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, kind)| {
+                let matched = matches!(kind, NodeKind::Delay(_));
+                let scale = if matched { matched_scale } else { 1.0 };
+                let term = |g: usize| derate(net.levels[g], factors[g] * scale);
+                let gates = net.gate_base[i]..net.gate_base[i + 1];
+                let rise: TimeFs = gates.clone().map(term).sum();
+                // Matched delays fall fast (one level); everything else
+                // is symmetric.
+                let fall = if matched { term(gates.start) } else { rise };
+                (rise, fall)
+            })
+            .collect();
+
+        // The queue: a min-heap of `(time, id, node)`, ids in scheduling
+        // order.
+        let mut heap: BinaryHeap<Reverse<(TimeFs, u64, usize)>> = BinaryHeap::new();
+        let mut next_id = 0u64;
+        let mut schedule = |heap: &mut BinaryHeap<Reverse<(TimeFs, u64, usize)>>, time, node| {
+            let id = next_id;
+            next_id += 1;
+            heap.push(Reverse((time, id, node)));
+            id
+        };
+
+        // Start from the settled reset state and release reset at t = 0.
+        // Only the last event a node scheduled is live, and its value is
+        // the node's `next_values` entry.
+        let mut values = reset.clone();
+        let mut next_values = values.clone();
+        let mut last = vec![u64::MAX; kinds.len()];
+        for &i in &release {
+            let v = !values[i];
+            next_values[i] = v;
+            let delay = if v { delays[i].0 } else { delays[i].1 };
+            last[i] = schedule(&mut heap, delay, i);
+        }
+
+        // Regions per component still short of `max_edges` edges. A
+        // component with none left can change no measurement, so its
+        // events are dropped; the rest keep their scheduling order and
+        // pop in the same (time, id) order as without the drop.
+        let mut open = net.component_regions.clone();
+        let regions = net.regions.len();
+        let mut edges: Vec<TimeFs> = vec![0; regions * max_edges];
+        let mut seen = vec![0usize; regions];
+        let mut done = 0usize;
+
+        let mut processed: u64 = 0;
+        while let Some(Reverse((time, id, node))) = heap.pop() {
+            let component = net.component[node] as usize;
+            if last[node] != id || open[component] == 0 {
+                continue; // superseded (inertial cancellation) or finished
+            }
+            processed += 1;
+            if processed > max_events {
+                return Err(SimError::Handshake {
+                    message: format!("event cap exceeded after {processed} events"),
+                });
+            }
+            let value = next_values[node];
+            values[node] = value;
+            let slot = net.watch[node] as usize;
+            if value && slot != NO_SLOT as usize && seen[slot] < max_edges {
+                edges[slot * max_edges + seen[slot]] = time;
+                seen[slot] += 1;
+                if seen[slot] == max_edges {
+                    open[component] -= 1;
+                    done += 1;
+                    if done == regions {
+                        break;
+                    }
+                }
+            }
+            for &f in &fanout[fanout_start[node]..fanout_start[node + 1]] {
+                let target = eval(kinds[f], &values, next_values[f]);
+                if target != next_values[f] {
+                    next_values[f] = target;
+                    let delay = if target { delays[f].0 } else { delays[f].1 };
+                    last[f] = schedule(&mut heap, time + delay, f);
+                }
+            }
+        }
+
+        let warmup = max_edges / 2;
+        let mut out = Vec::with_capacity(regions);
+        for (slot, times) in edges.chunks(max_edges).enumerate() {
+            let times = &times[..seen[slot]];
+            if times.len() < warmup + 2 {
+                return Err(SimError::Deadlock {
+                    region: net.region_names[slot].clone(),
+                    edges: times.len(),
+                    needed: warmup + 2,
+                });
+            }
+            let span_fs = times[times.len() - 1] - times[warmup];
+            let cycles = times.len() - 1 - warmup;
+            out.push(RegionCycle {
+                region: net.region_names[slot].clone(),
+                cycle_ns: fs_to_ns(span_fs) / cycles as f64,
+                span_fs,
+                cycles,
+                matched_delay_ns: fs_to_ns((net.matched_fs[slot] as f64 * matched_scale) as TimeFs),
+            });
+        }
+        Ok(out)
     }
 }

@@ -74,9 +74,10 @@ fn usage() -> &'static str {
        elaborates the handshake control network and measures each\n\
        region's effective cycle time with the\n\
        event-driven timing simulator; --seeds N (default 256) adds a\n\
-       Monte-Carlo campaign of N chips at per-gate sigma S (default 0.15,\n\
-       campaign seed --seed, workers --jobs). Data goes to stdout and is\n\
-       byte-identical for any worker count; progress goes to stderr.\n\
+       Monte-Carlo campaign of N chips at per-gate sigma S (a finite S >= 0,\n\
+       default 0.15; campaign seed --seed, workers --jobs). Data goes to\n\
+       stdout and is byte-identical for any worker count; progress goes\n\
+       to stderr.\n\
        --check-liveness prints a per-region liveness verdict (source /\n\
        interior / isolated topology, request rise vs successor response\n\
        bound, and which repair the guard applied, if any).\n\
@@ -309,6 +310,20 @@ impl Args {
         }
     }
 
+    /// Parses `--sigma S` (default 0.15). A sigma is a spread, so it
+    /// must be finite and at least 0: a NaN or infinite one would reach
+    /// the per-gate delay draws, and a negative one means nothing.
+    fn sigma(&self) -> Result<f64, CliError> {
+        let sigma: f64 = self.parsed("--sigma")?.unwrap_or(0.15);
+        if sigma.is_finite() && sigma >= 0.0 {
+            return Ok(sigma);
+        }
+        let raw = self.value("--sigma").unwrap_or_default();
+        Err(CliError::Usage(format!(
+            "--sigma expects a finite number of at least 0, found `{raw}`"
+        )))
+    }
+
     fn library(&self) -> Library {
         match self.value("--lib") {
             Some("ll") => vlib90::low_leakage(),
@@ -467,10 +482,8 @@ fn run() -> Result<(), CliError> {
         }
         "simulate" => {
             let args = Args::parse(command, rest, true, &[FLOW_FLAGS, SIMULATE_FLAGS])?;
-            let lib = args.library();
-            let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
             let chips: usize = args.parsed("--seeds")?.unwrap_or(256);
-            let sigma: f64 = args.parsed("--sigma")?.unwrap_or(0.15);
+            let sigma = args.sigma()?;
             let seed = match args.value("--seed") {
                 None => 0xD15E_A5E0,
                 Some(raw) => {
@@ -479,6 +492,8 @@ fn run() -> Result<(), CliError> {
                     })?
                 }
             };
+            let lib = args.library();
+            let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
             let opts = args.flow_options()?;
             let workers = opts.workers();
 

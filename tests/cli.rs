@@ -188,6 +188,27 @@ fn cli_simulate_reports_cycle_times_and_is_worker_stable() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
 
+/// A sigma that is NaN, infinite or negative is a usage error naming the
+/// flag and the value, before any chip is drawn: NaN used to panic a
+/// worker in the corner interpolation, infinity ran into the event cap,
+/// and a negative spread was accepted.
+#[test]
+fn cli_simulate_rejects_a_sigma_that_is_not_finite_and_non_negative() {
+    let dir = std::env::temp_dir().join("drdesync_cli_sigma");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = write_sample(&dir);
+    for sigma in ["nan", "inf", "-0.5"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
+            .args(["simulate", input.to_str().unwrap(), "--seeds", "4", "--sigma", sigma])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "--sigma {sigma}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--sigma") && stderr.contains(&format!("`{sigma}`")), "{stderr}");
+        assert!(out.stdout.is_empty(), "--sigma {sigma}: {out:?}");
+    }
+}
+
 #[test]
 fn cli_rejects_unknown_command() {
     let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
