@@ -80,12 +80,10 @@ fn main() {
                 // The gate: what shipped must be live — structurally
                 // (repairs really in the netlist) and behaviourally
                 // (the handshake network settles).
-                let verdict = verify_liveness(&result, &lib)
-                    .and_then(|()| {
-                        let spec = handshake_spec(&result.report, &lib)
-                            .map_err(|e| e.to_string())?;
-                        verify_handshake_timing(&spec, &lib).map(|_| ())
-                    });
+                let verdict = verify_liveness(&result, &lib).and_then(|()| {
+                    let spec = handshake_spec(&result.report, &lib).map_err(|e| e.to_string())?;
+                    verify_handshake_timing(&spec, &lib).map(|_| ())
+                });
                 if let Err(e) = verdict {
                     undiagnosed += 1;
                     eprintln!("UNDIAGNOSED DEADLOCK: design {i}: {e}");

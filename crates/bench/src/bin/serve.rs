@@ -167,8 +167,7 @@ fn main() {
         // Fresh server per level: the cold pass really runs the flow,
         // the warm pass replays the exact artifacts just cached.
         let server = Server::new(&lib, tokens).expect("server builds");
-        let (cold, cold_art) =
-            drive(&server, &requests, clients, false, "cold", &mut failed);
+        let (cold, cold_art) = drive(&server, &requests, clients, false, "cold", &mut failed);
         let (warm, warm_art) = drive(&server, &requests, clients, true, "warm", &mut failed);
         identity_mismatches += cold_art
             .iter()
@@ -178,7 +177,11 @@ fn main() {
         eprintln!(
             "{clients:>2} client(s): cold {:8.1} jobs/s (p50 {:9.1} us, p99 {:9.1} us), \
              warm {:8.1} jobs/s (p50 {:9.1} us, p99 {:9.1} us)",
-            cold.jobs_per_sec, cold.p50_us, cold.p99_us, warm.jobs_per_sec, warm.p50_us,
+            cold.jobs_per_sec,
+            cold.p50_us,
+            cold.p99_us,
+            warm.jobs_per_sec,
+            warm.p50_us,
             warm.p99_us
         );
         runs.push(cold);

@@ -8,9 +8,7 @@ fn main() {
     let cmp = area_comparison(&case).unwrap();
     print!("{}", render_area_table(&cmp));
     println!();
-    println!(
-        "paper: +13.44% core size, +17.66% sequential, +2.05% combinational"
-    );
+    println!("paper: +13.44% core size, +17.66% sequential, +2.05% combinational");
     println!(
         "here : {:+.2}% core size, {:+.2}% sequential, {:+.2}% combinational",
         cmp.core_overhead(),

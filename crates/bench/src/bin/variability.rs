@@ -322,7 +322,10 @@ fn main() {
     out.push_str(&format!("  \"chips\": {CHIPS},\n"));
     out.push_str(&format!("  \"workers\": {workers},\n"));
     out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    out.push_str(&format!("  \"sigma_grid\": [{}],\n", sigma_items.join(", ")));
+    out.push_str(&format!(
+        "  \"sigma_grid\": [{}],\n",
+        sigma_items.join(", ")
+    ));
     out.push_str(&format!("  \"serial_ns\": {serial_total_ns},\n"));
     out.push_str(&format!("  \"parallel_ns\": {parallel_total_ns},\n"));
     out.push_str(&format!("  \"speedup\": {speedup:.3},\n"));

@@ -101,8 +101,7 @@ impl RecipeFeatures {
             let mut classify = |idx: usize, local_len: usize| {
                 // Cloud nets (indices past the shared pool) are local and
                 // combinational — never feedback.
-                if let Some(t) = stage_of(idx % local_len).filter(|_| idx % local_len < pool_len)
-                {
+                if let Some(t) = stage_of(idx % local_len).filter(|_| idx % local_len < pool_len) {
                     if t >= s {
                         has_feedback = true;
                     } else if s - t > 1 {
@@ -138,7 +137,12 @@ impl RecipeFeatures {
             ff_kinds,
             stages: recipe.stages.len(),
             width: widths.iter().sum(),
-            max_cloud: recipe.stages.iter().map(|s| s.cloud.len()).max().unwrap_or(0),
+            max_cloud: recipe
+                .stages
+                .iter()
+                .map(|s| s.cloud.len())
+                .max()
+                .unwrap_or(0),
             inputs,
             has_feedback,
             has_skip_edge,
@@ -301,7 +305,12 @@ mod tests {
             plain.len()
         );
         // The guided run must reach every FF flavour within the budget.
-        for k in [FfKind::Plain, FfKind::SyncReset, FfKind::SyncSet, FfKind::Scan] {
+        for k in [
+            FfKind::Plain,
+            FfKind::SyncReset,
+            FfKind::SyncSet,
+            FfKind::Scan,
+        ] {
             assert!(guided.contains(Bucket::FfKind(k)), "{k:?} uncovered");
         }
     }
@@ -316,7 +325,12 @@ mod tests {
             input_bits: 0,
             stages: vec![StageRecipe {
                 cloud: vec![],
-                ffs: vec![FfRecipe { kind: FfKind::Plain, d: 1, aux0: 0, aux1: 0 }],
+                ffs: vec![FfRecipe {
+                    kind: FfKind::Plain,
+                    d: 1,
+                    aux0: 0,
+                    aux1: 0,
+                }],
             }],
         };
         assert!(RecipeFeatures::of(&fb).has_feedback);
@@ -326,7 +340,12 @@ mod tests {
             input_bits: 0,
             stages: vec![StageRecipe {
                 cloud: vec![],
-                ffs: vec![FfRecipe { kind: FfKind::Plain, d: 0, aux0: 0, aux1: 0 }],
+                ffs: vec![FfRecipe {
+                    kind: FfKind::Plain,
+                    d: 0,
+                    aux0: 0,
+                    aux1: 0,
+                }],
             }],
         };
         assert!(!RecipeFeatures::of(&ff).has_feedback);

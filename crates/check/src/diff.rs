@@ -90,7 +90,10 @@ pub struct DiffStats {
 }
 
 fn fail(recipe: &NetRecipe, what: &str) -> String {
-    format!("{what}\n--- failing synchronous netlist ---\n{}", recipe.verilog())
+    format!(
+        "{what}\n--- failing synchronous netlist ---\n{}",
+        recipe.verilog()
+    )
 }
 
 /// Simulates the clocked reference and checks every flip-flop captured
@@ -114,7 +117,12 @@ fn simulate_reference(
             .map_err(|e| fail(recipe, &format!("sync poke: {e}")))?;
     }
     reference
-        .schedule_clock("clk", config.clock_period_ns, config.clock_period_ns / 2.0, config.sync_cycles)
+        .schedule_clock(
+            "clk",
+            config.clock_period_ns,
+            config.clock_period_ns / 2.0,
+            config.sync_cycles,
+        )
         .map_err(|e| fail(recipe, &format!("sync clock: {e}")))?;
     reference.run_for(config.clock_period_ns * (config.sync_cycles + 2) as f64);
     for ff in &recipe.ff_names() {
@@ -233,16 +241,29 @@ pub fn verify_result(
             events,
             controllers,
         }),
-        other => Err(fail(recipe, &format!("flow equivalence violated: {other:?}"))),
+        other => Err(fail(
+            recipe,
+            &format!("flow equivalence violated: {other:?}"),
+        )),
     }
 }
 
 /// Structural invariants of the substitution and control network.
-fn check_structure(recipe: &NetRecipe, result: &DesyncResult, ff_count: usize) -> Result<usize, String> {
+fn check_structure(
+    recipe: &NetRecipe,
+    result: &DesyncResult,
+    ff_count: usize,
+) -> Result<usize, String> {
     let flat = drd_netlist::flatten(&result.design, result.design.top())
         .map_err(|e| fail(recipe, &format!("flatten: {e}")))?;
-    let masters = flat.cells().filter(|(_, c)| c.name.ends_with("_lm")).count();
-    let slaves = flat.cells().filter(|(_, c)| c.name.ends_with("_ls")).count();
+    let masters = flat
+        .cells()
+        .filter(|(_, c)| c.name.ends_with("_lm"))
+        .count();
+    let slaves = flat
+        .cells()
+        .filter(|(_, c)| c.name.ends_with("_ls"))
+        .count();
     if masters != ff_count || slaves != ff_count {
         return Err(fail(
             recipe,
@@ -254,13 +275,19 @@ fn check_structure(recipe: &NetRecipe, result: &DesyncResult, ff_count: usize) -
         .filter(|(_, c)| c.kind_name().starts_with("DFF") || c.kind_name().starts_with("SDFF"))
         .count();
     if dffs != 0 {
-        return Err(fail(recipe, &format!("{dffs} flip-flops survived substitution")));
+        return Err(fail(
+            recipe,
+            &format!("{dffs} flip-flops survived substitution"),
+        ));
     }
 
     // Join-tree census: dropped or duplicated C-elements can be
     // sequentially benign on constant inputs, so count them exactly (the
     // controllers' internal C-elements are C2RX1/C2SX1, never C2X1).
-    let c2 = flat.cells().filter(|(_, c)| c.kind_name() == "C2X1").count();
+    let c2 = flat
+        .cells()
+        .filter(|(_, c)| c.kind_name() == "C2X1")
+        .count();
     if c2 != result.report.celements {
         return Err(fail(
             recipe,
@@ -303,13 +330,14 @@ fn check_structure(recipe: &NetRecipe, result: &DesyncResult, ff_count: usize) -
             continue;
         };
         let g = cell.pin("G").unwrap_or(Conn::Open);
-        let ok = g
-            .net()
-            .is_some_and(|n| flat.net(n).name.contains(want));
+        let ok = g.net().is_some_and(|n| flat.net(n).name.contains(want));
         if !ok {
             return Err(fail(
                 recipe,
-                &format!("latch {} enable is not a {want} net (found {g:?})", cell.name),
+                &format!(
+                    "latch {} enable is not a {want} net (found {g:?})",
+                    cell.name
+                ),
             ));
         }
     }
@@ -477,7 +505,10 @@ fn lint_sdc(recipe: &NetRecipe, result: &DesyncResult) -> Result<(), String> {
             continue;
         }
         let Some(ctl) = result.network.regions.get(i).and_then(Option::as_ref) else {
-            return Err(fail(recipe, &format!("region {} has no delay element", r.name)));
+            return Err(fail(
+                recipe,
+                &format!("region {} has no delay element", r.name),
+            ));
         };
         let inst = result.design.top_module().cell(ctl.delem).name;
         let min_delay = format!("-from [get_pins {{{inst}/in1}}] -to [get_pins {{{inst}/out1}}]");
@@ -486,7 +517,10 @@ fn lint_sdc(recipe: &NetRecipe, result: &DesyncResult) -> Result<(), String> {
             .lines()
             .any(|l| l.starts_with("set_min_delay") && l.contains(&min_delay));
         if !has_min {
-            return Err(fail(recipe, &format!("SDC misses set_min_delay for {inst}")));
+            return Err(fail(
+                recipe,
+                &format!("SDC misses set_min_delay for {inst}"),
+            ));
         }
         if !sdc.contains(&dont_touch) {
             return Err(fail(recipe, &format!("SDC misses dont_touch for {inst}")));

@@ -59,10 +59,50 @@ impl HostileKind {
 /// Tokens the soup generator draws from. Biased toward constructs that
 /// exercise the parser's resource guards.
 const SOUP: &[&str] = &[
-    "module", "endmodule", "input", "output", "inout", "wire", "tri", "assign", "top",
-    "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "=", "#", "(*", "*)", "/*", "*/", "//",
-    "INVX1", "DFFX1", "u1", "\\a+b[3]", "0", "1", "7", "65535", "65537", "999999999999",
-    "1'b0", "8'hFF", "4'd10", "4294967295'b1", "99999999999'hx", "'", "\u{00A0}", "é",
+    "module",
+    "endmodule",
+    "input",
+    "output",
+    "inout",
+    "wire",
+    "tri",
+    "assign",
+    "top",
+    "(",
+    ")",
+    "[",
+    "]",
+    "{",
+    "}",
+    ",",
+    ";",
+    ":",
+    ".",
+    "=",
+    "#",
+    "(*",
+    "*)",
+    "/*",
+    "*/",
+    "//",
+    "INVX1",
+    "DFFX1",
+    "u1",
+    "\\a+b[3]",
+    "0",
+    "1",
+    "7",
+    "65535",
+    "65537",
+    "999999999999",
+    "1'b0",
+    "8'hFF",
+    "4'd10",
+    "4294967295'b1",
+    "99999999999'hx",
+    "'",
+    "\u{00A0}",
+    "é",
 ];
 
 /// Deterministically generates one hostile input for `(kind, seed)`.
@@ -248,6 +288,9 @@ mod tests {
         let report = run_hostile_campaign(64, 0xD5, 2);
         assert_eq!(report.total, 64);
         assert_eq!(report.panics, 0, "first: {:?}", report.first_panic);
-        assert!(report.rejected > 0, "hostile inputs should mostly be rejected");
+        assert!(
+            report.rejected > 0,
+            "hostile inputs should mostly be rejected"
+        );
     }
 }

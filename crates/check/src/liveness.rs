@@ -84,7 +84,10 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
             (None, true) => return Err(format!("region {}: delay element missing", r.name)),
             (None, false) => {}
         }
-        control.into_iter().flat_map(RegionControl::cells).for_each(|id| listed[id.index()] = true);
+        control
+            .into_iter()
+            .flat_map(RegionControl::cells)
+            .for_each(|id| listed[id.index()] = true);
         r.loopback_latch = control.and_then(|c| alive(c.latch?.0)).is_some();
     }
 
@@ -108,7 +111,10 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
             .control(&lr.region)
             .ok_or_else(|| format!("region {}: latched but no control network", lr.region))?;
         let Some(latch) = ctl.latch.and_then(|(c2, _)| alive(c2)) else {
-            return Err(format!("region {}: request latch recorded but missing", lr.region));
+            return Err(format!(
+                "region {}: request latch recorded but missing",
+                lr.region
+            ));
         };
         // The latch output must be what the delay element samples.
         let q = top.cell(latch).pin("Z").and_then(Conn::net);
@@ -122,7 +128,10 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
         }
     }
     for r in &spec.regions {
-        let recorded = report.liveness_repairs.iter().any(|lr| lr.region == r.name && latched(lr));
+        let recorded = report
+            .liveness_repairs
+            .iter()
+            .any(|lr| lr.region == r.name && latched(lr));
         if r.loopback_latch && !recorded {
             return Err(format!("region {}: unexplained request latch", r.name));
         }
@@ -135,7 +144,10 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
         let slot = spec.regions.iter().position(|r| r.name == d.region);
         let i = slot.ok_or_else(|| format!("degraded region {} unknown", d.region))?;
         if result.control(&d.region).is_some() {
-            return Err(format!("degraded region {}: control network survives", d.region));
+            return Err(format!(
+                "degraded region {}: control network survives",
+                d.region
+            ));
         }
         let Some((gm, gs)) = result.substitution.enables.get(i).copied().flatten() else {
             continue;
@@ -148,7 +160,10 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
             _ => false,
         };
         if !from_clock(gm) || !from_clock(gs) {
-            return Err(format!("degraded region {}: enables not re-clocked", d.region));
+            return Err(format!(
+                "degraded region {}: enables not re-clocked",
+                d.region
+            ));
         }
     }
 
@@ -160,7 +175,9 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
         let (name, kind) = (top.cell(id).name, top.cell(id).kind_name());
         let controller = roles.iter().any(|r| r.module_name() == kind);
         if controller || kind == "C2X1" || delem_levels_of(kind).is_some() {
-            return Err(format!("control cell {name} ({kind}) belongs to no controlled region"));
+            return Err(format!(
+                "control cell {name} ({kind}) belongs to no controlled region"
+            ));
         }
     }
     Ok(())
@@ -172,7 +189,7 @@ mod tests {
     use crate::diff::{verify_result, DiffConfig};
     use crate::mutate::{self, Mutation};
     use crate::netgen::{FfKind, FfRecipe, GateOp, NetRecipe, StageRecipe};
-    use drd_core::{DegradeReason, Degradation, DesyncOptions, Desynchronizer, LivenessRepair};
+    use drd_core::{Degradation, DegradeReason, DesyncOptions, Desynchronizer, LivenessRepair};
     use drd_liberty::vlib90;
 
     /// The control-table entry of region `name`.
@@ -185,11 +202,21 @@ mod tests {
     /// control entry the surgery reads: a cell it drops from the entry
     /// stays in the netlist.
     fn degrade(result: &mut DesyncResult, name: &str, leave: impl FnOnce(&mut RegionControl)) {
-        let slot = |r: &str| result.report.regions.iter().position(|s| s.name == r).unwrap();
+        let slot = |r: &str| {
+            result
+                .report
+                .regions
+                .iter()
+                .position(|s| s.name == r)
+                .unwrap()
+        };
         let i = slot(name);
         let edges = &result.report.ddg_edges;
-        let succs: Vec<usize> =
-            edges.iter().filter(|(a, b)| a == name && b != name).map(|(_, b)| slot(b)).collect();
+        let succs: Vec<usize> = edges
+            .iter()
+            .filter(|(a, b)| a == name && b != name)
+            .map(|(_, b)| slot(b))
+            .collect();
         let mut controls = result.network.regions.clone();
         leave(controls[i].as_mut().unwrap());
         let enable = result.substitution.enables[i].unwrap();
@@ -206,8 +233,14 @@ mod tests {
             response_bound_ns: 0.0,
             action: LivenessAction::Degrade,
         });
-        let reason = DegradeReason::Liveness { message: "forced".into() };
-        report.degradations.push(Degradation { region: name.into(), reason, cells: Vec::new() });
+        let reason = DegradeReason::Liveness {
+            message: "forced".into(),
+        };
+        report.degradations.push(Degradation {
+            region: name.into(),
+            reason,
+            cells: Vec::new(),
+        });
     }
 
     /// A flow forced onto the latch rung, and the latched source region.
@@ -215,7 +248,10 @@ mod tests {
         let module = imbalanced_recipe().build().unwrap();
         let tool = Desynchronizer::new(lib).unwrap();
         // A clock budget too small to deepen into.
-        let opts = DesyncOptions { clock_period_ns: 0.5, ..DesyncOptions::default() };
+        let opts = DesyncOptions {
+            clock_period_ns: 0.5,
+            ..DesyncOptions::default()
+        };
         let result = tool.run(module, &opts).0.unwrap();
         let source = result
             .report
@@ -232,7 +268,11 @@ mod tests {
     /// guaranteed to exercise the repair ladder.
     fn imbalanced_recipe() -> NetRecipe {
         let chain: Vec<GateOp> = (0..24)
-            .map(|c| GateOp { kind: 2, a: if c == 0 { 0 } else { 3 + c - 1 }, b: 0 })
+            .map(|c| GateOp {
+                kind: 2,
+                a: if c == 0 { 0 } else { 3 + c - 1 },
+                b: 0,
+            })
             .collect();
         NetRecipe {
             inputs: 1,
@@ -240,11 +280,25 @@ mod tests {
             stages: vec![
                 StageRecipe {
                     cloud: chain,
-                    ffs: vec![FfRecipe { kind: FfKind::Plain, d: 3 + 23, aux0: 0, aux1: 0 }],
+                    ffs: vec![FfRecipe {
+                        kind: FfKind::Plain,
+                        d: 3 + 23,
+                        aux0: 0,
+                        aux1: 0,
+                    }],
                 },
                 StageRecipe {
-                    cloud: vec![GateOp { kind: 0, a: 1, b: 0 }],
-                    ffs: vec![FfRecipe { kind: FfKind::Plain, d: 3, aux0: 0, aux1: 0 }],
+                    cloud: vec![GateOp {
+                        kind: 0,
+                        a: 1,
+                        b: 0,
+                    }],
+                    ffs: vec![FfRecipe {
+                        kind: FfKind::Plain,
+                        d: 3,
+                        aux0: 0,
+                        aux1: 0,
+                    }],
                 },
             ],
         }
@@ -256,7 +310,10 @@ mod tests {
         let module = imbalanced_recipe().build().unwrap();
         let tool = Desynchronizer::new(&lib).unwrap();
         let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
-        assert!(!result.report.liveness_repairs.is_empty(), "repair expected");
+        assert!(
+            !result.report.liveness_repairs.is_empty(),
+            "repair expected"
+        );
         verify_liveness(&result, &lib).expect("repaired flow verifies");
     }
 
@@ -273,9 +330,11 @@ mod tests {
             .liveness_repairs
             .iter()
             .find_map(|lr| match &lr.action {
-                drd_core::LivenessAction::DeepenSuccessor { successor, from_levels, .. } => {
-                    Some((successor.clone(), *from_levels))
-                }
+                drd_core::LivenessAction::DeepenSuccessor {
+                    successor,
+                    from_levels,
+                    ..
+                } => Some((successor.clone(), *from_levels)),
                 _ => None,
             })
             .expect("flow deepened a successor");
@@ -291,8 +350,8 @@ mod tests {
         let kind = m.instance_kind(&shallow);
         m.set_cell_kind(cell, kind);
 
-        let err = verify_liveness(&result, &lib)
-            .expect_err("shallowed delay element must be caught");
+        let err =
+            verify_liveness(&result, &lib).expect_err("shallowed delay element must be caught");
         assert!(err.contains("levels deep"), "{err}");
     }
 
@@ -311,9 +370,11 @@ mod tests {
         m.remove_cell(ctl.latch.unwrap().0);
         // The hazard recheck sees the unlatched source first; the latch
         // accounting is the backstop for non-hazardous regions.
-        let err = verify_liveness(&broken, &lib)
-            .expect_err("stripped latch must be caught");
-        assert!(err.contains("hazard") || err.contains("request latch"), "{err}");
+        let err = verify_liveness(&broken, &lib).expect_err("stripped latch must be caught");
+        assert!(
+            err.contains("hazard") || err.contains("request latch"),
+            "{err}"
+        );
     }
 
     /// A request latch in the netlist that the control table does not
@@ -329,7 +390,10 @@ mod tests {
         let m = result.design.top_module_mut();
         drd_core::liveness::apply_latch(m, &mut ctl, &source).unwrap();
         let err = verify_liveness(&result, &lib).expect_err("unrecorded latch must be caught");
-        assert!(err.contains("(C2X1) belongs to no controlled region"), "{err}");
+        assert!(
+            err.contains("(C2X1) belongs to no controlled region"),
+            "{err}"
+        );
     }
 
     /// A degrade that excises the region's whole control network passes.
@@ -353,16 +417,31 @@ mod tests {
         let mut broken = latched.clone();
         degrade(&mut broken, &source, |c| c.delem = c.slave);
         let err = verify_liveness(&broken, &lib).expect_err("left-over delay element");
-        assert!(err.contains("(drd_delem_") && err.contains("belongs to no controlled"), "{err}");
+        assert!(
+            err.contains("(drd_delem_") && err.contains("belongs to no controlled"),
+            "{err}"
+        );
         let mut broken = latched.clone();
         degrade(&mut broken, &source, |c| c.latch = None);
         let err = verify_liveness(&broken, &lib).expect_err("left-over latch");
-        assert!(err.contains("(C2X1) belongs to no controlled region"), "{err}");
+        assert!(
+            err.contains("(C2X1) belongs to no controlled region"),
+            "{err}"
+        );
 
-        let i = clean.report.regions.iter().position(|r| r.name == source).unwrap();
+        let i = clean
+            .report
+            .regions
+            .iter()
+            .position(|r| r.name == source)
+            .unwrap();
         let (gm, _) = clean.substitution.enables[i].unwrap();
         let m = clean.design.top_module_mut();
-        let syncm = m.cells().find(|(_, c)| c.pin("Z") == Some(Conn::Net(gm))).unwrap().0;
+        let syncm = m
+            .cells()
+            .find(|(_, c)| c.pin("Z") == Some(Conn::Net(gm)))
+            .unwrap()
+            .0;
         m.remove_cell(syncm);
         let err = verify_liveness(&clean, &lib).expect_err("unclocked enable must be caught");
         assert!(err.contains("enables not re-clocked"), "{err}");
@@ -379,12 +458,17 @@ mod tests {
         let recipe = imbalanced_recipe();
         for sink in ["drd_g2_delem", "drd_g1_reqext"] {
             // The sink region's one inverter, renamed.
-            let text = recipe.verilog().replace("INVX1 g1_0 (", &format!("INVX1 {sink} ("));
+            let text = recipe
+                .verilog()
+                .replace("INVX1 g1_0 (", &format!("INVX1 {sink} ("));
             let module = drd_netlist::verilog::parse_module(&text).unwrap();
             let result = tool.run(module, &DesyncOptions::default()).0.unwrap();
             let m = result.design.top_module();
             assert_eq!(m.cell(m.find_cell(sink).unwrap()).kind_name(), "INVX1");
-            assert!(!result.report.liveness_repairs.is_empty(), "{sink}: repair expected");
+            assert!(
+                !result.report.liveness_repairs.is_empty(),
+                "{sink}: repair expected"
+            );
             verify_liveness(&result, &lib).unwrap_or_else(|e| panic!("{sink}: {e}"));
             verify_result(&recipe, &lib, &config, &result)
                 .unwrap_or_else(|e| panic!("{sink}: {e}"));

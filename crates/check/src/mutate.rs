@@ -427,7 +427,10 @@ pub fn apply(
                     sdc.push('\n');
                 }
             }
-            Some(DesyncResult { sdc, ..clean.clone() })
+            Some(DesyncResult {
+                sdc,
+                ..clean.clone()
+            })
         }
         _ => {
             let mut mutant = clean.clone();
@@ -438,7 +441,11 @@ pub fn apply(
 }
 
 /// Seeded pick over the cells matching `select`.
-fn pick_cell(m: &Module, rng: &mut Rng, select: impl Fn(&drd_netlist::Cell) -> bool) -> Option<CellId> {
+fn pick_cell(
+    m: &Module,
+    rng: &mut Rng,
+    select: impl Fn(&drd_netlist::Cell) -> bool,
+) -> Option<CellId> {
     let targets: Vec<CellId> = m
         .cells()
         .filter(|(_, c)| select(c))
@@ -468,8 +475,12 @@ fn apply_netlist(mutation: Mutation, m: &mut Module, rng: &mut Rng) -> Option<()
             let base = cell.name.to_owned();
             let dangling = m.add_net_auto(&format!("{base}_dup"));
             let name = m.unique_cell_name(&format!("{base}_dup"));
-            m.add_cell(name, "C2X1", &[("A", a), ("B", b), ("Z", Conn::Net(dangling))])
-                .ok()?;
+            m.add_cell(
+                name,
+                "C2X1",
+                &[("A", a), ("B", b), ("Z", Conn::Net(dangling))],
+            )
+            .ok()?;
         }
         Mutation::CElementToOr => {
             let id = pick_cell(m, rng, |c| c.kind_name() == "C2X1")?;
@@ -479,8 +490,7 @@ fn apply_netlist(mutation: Mutation, m: &mut Module, rng: &mut Rng) -> Option<()
                 .map(|i| (cell.pin_name(i).to_owned(), cell.pins()[i].1))
                 .collect();
             m.remove_cell(id);
-            let pin_refs: Vec<(&str, Conn)> =
-                pins.iter().map(|(p, c)| (p.as_str(), *c)).collect();
+            let pin_refs: Vec<(&str, Conn)> = pins.iter().map(|(p, c)| (p.as_str(), *c)).collect();
             m.add_cell(name, "OR2X1", &pin_refs).ok()?;
         }
         Mutation::SwapLatchPhases => {
@@ -567,9 +577,17 @@ fn apply_swallowed_request(
     let design = &mut mutant.design;
     let top = design.top();
     match &lr.action {
-        LivenessAction::DeepenSuccessor { successor, from_levels, .. } => {
+        LivenessAction::DeepenSuccessor {
+            successor,
+            from_levels,
+            ..
+        } => {
             let id = clean.control(successor)?.delem;
-            let muxed = design.module(top).cell(id).kind_name().starts_with("drd_delemx_");
+            let muxed = design
+                .module(top)
+                .cell(id)
+                .kind_name()
+                .starts_with("drd_delemx_");
             let shallow = drd_core::network::delem_module_name(muxed, *from_levels);
             if design.find_module(&shallow).is_none() {
                 let module = if muxed {
@@ -669,7 +687,9 @@ fn apply_skip_ffsub(
         .push(Box::new(GroupPass))
         .push(Box::new(DdgPass))
         .push(Box::new(RegionDelaysPass))
-        .push(Box::new(SkipOneFfSub { selector: rng.next_u64() }))
+        .push(Box::new(SkipOneFfSub {
+            selector: rng.next_u64(),
+        }))
         .push(Box::new(ControlNetworkPass))
         .push(Box::new(SdcPass));
     pipe.run(&mut cx).ok()?;
@@ -726,8 +746,12 @@ fn corrupt_input(m: &mut Module, rng: &mut Rng) -> &'static str {
             if !driven.is_empty() {
                 let victim = *rng.choose(&driven);
                 let name = m.unique_cell_name("corrupt_drv");
-                if m.add_cell(name, "INVX1", &[("A", Conn::Const0), ("Z", Conn::Net(victim))])
-                    .is_ok()
+                if m.add_cell(
+                    name,
+                    "INVX1",
+                    &[("A", Conn::Const0), ("Z", Conn::Net(victim))],
+                )
+                .is_ok()
                 {
                     return "multiply-driven net";
                 }
@@ -780,7 +804,10 @@ fn run_corruption_mutation(
         attempts: 1,
     };
     let (Ok(pristine), Ok(tool)) = (recipe.build(), Desynchronizer::new(lib)) else {
-        return outcome(false, "no applicable fault site (recipe did not build)".into());
+        return outcome(
+            false,
+            "no applicable fault site (recipe did not build)".into(),
+        );
     };
     // Observability gate: a data fault can be behaviorally masked (an
     // asserted async set/reset dominates `D`, a never-initialized
@@ -794,7 +821,10 @@ fn run_corruption_mutation(
     for attempt in 1..=MAX_ATTEMPTS {
         let mut candidate = pristine.clone();
         let what = corrupt_input(&mut candidate, &mut rng);
-        let observable = match (&reference, sync_sim(&recipe, candidate.clone(), lib, config)) {
+        let observable = match (
+            &reference,
+            sync_sim(&recipe, candidate.clone(), lib, config),
+        ) {
             (_, None) | (None, _) => true,
             (Some(r), Some(c)) => recipe
                 .ff_names()
@@ -877,7 +907,10 @@ fn run_protocol_mutation(mutation: Mutation, seed: u64) -> MutationOutcome {
             false,
             "SURVIVED — the flow-equivalence oracle accepted the mutant protocol".to_owned(),
         ),
-        Ok(other) => (true, brief(&format!("flow equivalence rejected: {other:?}"))),
+        Ok(other) => (
+            true,
+            brief(&format!("flow equivalence rejected: {other:?}")),
+        ),
         Err(e) => (true, brief(&format!("STG oracle rejected: {e}"))),
     };
     MutationOutcome {
@@ -930,7 +963,12 @@ mod tests {
         // One seed per droppable arc: every non-redundant arc removal must
         // be rejected by the flow-equivalence oracle.
         for seed in 0..DROPPABLE_ARCS.len() as u64 {
-            let out = run_mutation(Mutation::ProtocolDropArc, seed, &vlib90::high_speed(), &DiffConfig::default());
+            let out = run_mutation(
+                Mutation::ProtocolDropArc,
+                seed,
+                &vlib90::high_speed(),
+                &DiffConfig::default(),
+            );
             assert!(out.killed, "arc {seed} survived: {}", out.oracle);
         }
         let out = run_mutation(
@@ -960,7 +998,10 @@ mod tests {
         }
         // The seed range must exercise every corruption shape.
         for shape in ["multiply-driven", "undriven net", "dangling instance pin"] {
-            assert!(oracles.contains(shape), "`{shape}` never injected:\n{oracles}");
+            assert!(
+                oracles.contains(shape),
+                "`{shape}` never injected:\n{oracles}"
+            );
         }
     }
 

@@ -235,7 +235,12 @@ impl NetRecipe {
         if self.stages.len() < 2 {
             self.stages.push(StageRecipe {
                 cloud: Vec::new(),
-                ffs: vec![FfRecipe { kind: FfKind::Plain, d: 0, aux0: 0, aux1: 0 }],
+                ffs: vec![FfRecipe {
+                    kind: FfKind::Plain,
+                    d: 0,
+                    aux0: 0,
+                    aux1: 0,
+                }],
             });
         }
         let total_ffs: usize = self.stages.iter().map(|s| s.ffs.len()).sum();
@@ -255,7 +260,14 @@ impl NetRecipe {
         }
         let q0_0 = self.inputs.max(1);
         let stage1 = &mut self.stages[1];
-        stage1.cloud.insert(0, GateOp { kind: 0, a: q0_0, b: 0 });
+        stage1.cloud.insert(
+            0,
+            GateOp {
+                kind: 0,
+                a: q0_0,
+                b: 0,
+            },
+        );
         if let Some(ff) = stage1.ffs.first_mut() {
             ff.kind = FfKind::Plain;
             ff.d = base;
@@ -276,12 +288,16 @@ impl NetRecipe {
         self.imbalance(levels);
         let total_ffs: usize = self.stages.iter().map(|s| s.ffs.len()).sum();
         let base = self.inputs.max(1) + total_ffs; // first local cloud-net index
-        // After `imbalance`, stage 1's cloud slot 0 is the inverter on
-        // `q0_0` (local net `base`); the chain continues from it, every
-        // gate also fed by `din` like the source chain.
+                                                   // After `imbalance`, stage 1's cloud slot 0 is the inverter on
+                                                   // `q0_0` (local net `base`); the chain continues from it, every
+                                                   // gate also fed by `din` like the source chain.
         let succ_levels = (levels / 8).max(2);
         let chain: Vec<GateOp> = (0..succ_levels)
-            .map(|c| GateOp { kind: 2, a: base + c, b: 0 })
+            .map(|c| GateOp {
+                kind: 2,
+                a: base + c,
+                b: 0,
+            })
             .collect();
         let stage1 = &mut self.stages[1];
         stage1.cloud.splice(1..1, chain);
@@ -345,10 +361,18 @@ impl NetRecipe {
                     m.add_cell(
                         format!("g{s}_{c}"),
                         gate,
-                        &[("A", Conn::Net(a)), ("B", Conn::Net(b)), ("Z", Conn::Net(z))],
+                        &[
+                            ("A", Conn::Net(a)),
+                            ("B", Conn::Net(b)),
+                            ("Z", Conn::Net(z)),
+                        ],
                     )?;
                 } else {
-                    m.add_cell(format!("g{s}_{c}"), gate, &[("A", Conn::Net(a)), ("Z", Conn::Net(z))])?;
+                    m.add_cell(
+                        format!("g{s}_{c}"),
+                        gate,
+                        &[("A", Conn::Net(a)), ("Z", Conn::Net(z))],
+                    )?;
                 }
                 local.push(z);
             }
@@ -361,7 +385,11 @@ impl NetRecipe {
                         m.add_cell(
                             name,
                             "DFFX1",
-                            &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+                            &[
+                                ("D", Conn::Net(d)),
+                                ("CK", Conn::Net(clk)),
+                                ("Q", Conn::Net(q)),
+                            ],
                         )?;
                     }
                     FfKind::SyncReset => {
@@ -491,7 +519,11 @@ impl Shrink for NetRecipe {
             let mut r = self.clone();
             for s in &mut r.stages {
                 for g in &mut s.cloud {
-                    *g = GateOp { kind: 0, a: 0, b: 0 };
+                    *g = GateOp {
+                        kind: 0,
+                        a: 0,
+                        b: 0,
+                    };
                 }
                 for f in &mut s.ffs {
                     f.d = 0;

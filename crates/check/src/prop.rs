@@ -202,8 +202,12 @@ where
         };
         let input = strategy(&mut Rng::new(case_seed));
         if let Err(original) = check(&input) {
-            let (min, min_err, steps) =
-                shrink_failure(input.clone(), original.clone(), &mut check, config.max_shrink_steps);
+            let (min, min_err, steps) = shrink_failure(
+                input.clone(),
+                original.clone(),
+                &mut check,
+                config.max_shrink_steps,
+            );
             panic!(
                 "property failed at case {case}/{cases} \
                  (base seed {base_seed:#018x}, case seed {case_seed:#018x})\n\
@@ -257,10 +261,8 @@ where
             }
         });
 
-    if let Some((case, Some((input, original)))) = outcomes
-        .into_iter()
-        .enumerate()
-        .find(|(_, o)| o.is_some())
+    if let Some((case, Some((input, original)))) =
+        outcomes.into_iter().enumerate().find(|(_, o)| o.is_some())
     {
         let case_seed = case_seeds[case];
         let mut recheck = |t: &T| check(t);
@@ -282,7 +284,12 @@ where
     }
 }
 
-fn shrink_failure<T, C>(mut current: T, mut err: String, check: &mut C, max_steps: u32) -> (T, String, u32)
+fn shrink_failure<T, C>(
+    mut current: T,
+    mut err: String,
+    check: &mut C,
+    max_steps: u32,
+) -> (T, String, u32)
 where
     T: Clone + std::fmt::Debug + Shrink,
     C: FnMut(&T) -> Result<(), String>,
@@ -329,7 +336,13 @@ mod tests {
             prop(
                 64,
                 |rng: &mut Rng| rng.range(0, 1000),
-                |&v: &usize| if v < 500 { Ok(()) } else { Err(format!("{v} too big")) },
+                |&v: &usize| {
+                    if v < 500 {
+                        Ok(())
+                    } else {
+                        Err(format!("{v} too big"))
+                    }
+                },
             );
         }));
         let msg = *caught.expect_err("must fail").downcast::<String>().unwrap();
@@ -411,7 +424,13 @@ mod tests {
         prop_par_with(
             Config::new(128),
             |rng: &mut Rng| rng.range(0, 100),
-            |&v: &usize| if v < 100 { Ok(()) } else { Err("impossible".into()) },
+            |&v: &usize| {
+                if v < 100 {
+                    Ok(())
+                } else {
+                    Err("impossible".into())
+                }
+            },
         );
     }
 

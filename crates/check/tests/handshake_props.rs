@@ -47,7 +47,10 @@ fn fuzzed_flows_respect_the_sta_floor() {
         },
     );
     let hits = non_vacuous.load(Ordering::Relaxed);
-    assert!(hits >= 10, "only {hits} non-vacuous control networks simulated");
+    assert!(
+        hits >= 10,
+        "only {hits} non-vacuous control networks simulated"
+    );
 }
 
 /// Local wrapper so the foreign spec types ride the prop harness (the
@@ -111,7 +114,11 @@ fn zero_sigma_chips_and_worker_splits_are_bitwise_stable() {
         Config::new(24).seed(0x000B_1757_AB1E),
         random_spec,
         |SpecCase(spec): &SpecCase| {
-            assert_eq!(spec.isolated_regions().next(), None, "generator keeps regions coupled");
+            assert_eq!(
+                spec.isolated_regions().next(),
+                None,
+                "generator keeps regions coupled"
+            );
             let net = HandshakeNet::elaborate(spec, &lib).map_err(|e| e.to_string())?;
             let nominal = net.nominal_cycle_times().map_err(|e| e.to_string())?;
             let worst = nominal.iter().map(|c| c.cycle_ns).fold(0.0f64, f64::max);
@@ -128,15 +135,14 @@ fn zero_sigma_chips_and_worker_splits_are_bitwise_stable() {
             let var = GateVariability::new(0xFACE_0FF5, 0.12);
             let serial = net.monte_carlo(&var, 12, 1).map_err(|e| e.to_string())?;
             for workers in [2, 8] {
-                let par = net.monte_carlo(&var, 12, workers).map_err(|e| e.to_string())?;
+                let par = net
+                    .monte_carlo(&var, 12, workers)
+                    .map_err(|e| e.to_string())?;
                 for (a, b) in serial.iter().zip(&par) {
                     if a.desync_cycle_ns.to_bits() != b.desync_cycle_ns.to_bits()
                         || a.sync_period_ns.to_bits() != b.sync_period_ns.to_bits()
                     {
-                        return Err(format!(
-                            "chip {} diverged at {workers} workers",
-                            a.chip
-                        ));
+                        return Err(format!("chip {} diverged at {workers} workers", a.chip));
                     }
                 }
             }

@@ -43,13 +43,27 @@ fn imbalanced_recipe() -> NetRecipe {
         stages: vec![
             StageRecipe {
                 cloud: chain,
-                ffs: vec![FfRecipe { kind: FfKind::Plain, d: 3 + 23, aux0: 0, aux1: 0 }],
+                ffs: vec![FfRecipe {
+                    kind: FfKind::Plain,
+                    d: 3 + 23,
+                    aux0: 0,
+                    aux1: 0,
+                }],
             },
             StageRecipe {
                 // One inverter reading q0_0 keeps the stages in separate
                 // regions (a direct FF→FF edge would merge them).
-                cloud: vec![GateOp { kind: 0, a: 1, b: 0 }],
-                ffs: vec![FfRecipe { kind: FfKind::Plain, d: 3, aux0: 0, aux1: 0 }],
+                cloud: vec![GateOp {
+                    kind: 0,
+                    a: 1,
+                    b: 0,
+                }],
+                ffs: vec![FfRecipe {
+                    kind: FfKind::Plain,
+                    d: 3,
+                    aux0: 0,
+                    aux1: 0,
+                }],
             },
         ],
     }
@@ -70,22 +84,37 @@ fn liveness_guard_repairs_the_gate_level_stall() {
     // report carries at least one structural repair and no region had to
     // fall back to the clock.
     let repairs = &result.report.liveness_repairs;
-    assert!(!repairs.is_empty(), "pulse-swallowing hazard must be repaired");
     assert!(
-        repairs
-            .iter()
-            .any(|lr| matches!(lr.action, LivenessAction::DeepenSuccessor { .. })
-                | matches!(lr.action, LivenessAction::RequestLatch)),
+        !repairs.is_empty(),
+        "pulse-swallowing hazard must be repaired"
+    );
+    assert!(
+        repairs.iter().any(
+            |lr| matches!(lr.action, LivenessAction::DeepenSuccessor { .. })
+                | matches!(lr.action, LivenessAction::RequestLatch)
+        ),
         "repair ladder must act structurally, got: {repairs:?}"
     );
-    assert!(result.report.degradations.is_empty(), "no clock fallback expected");
+    assert!(
+        result.report.degradations.is_empty(),
+        "no clock fallback expected"
+    );
 
     // The repaired shape: the successor's delay element was brought up
     // far enough that the source's rise fits inside its response window.
     let regions = &result.report.regions;
-    let source = regions.iter().find(|r| r.ffs > 0 && r.critical_delay_ns > 0.4).unwrap();
-    let sink = regions.iter().find(|r| r.ffs > 0 && r.critical_delay_ns < 0.2).unwrap();
-    assert!(source.delem_levels > 0 && sink.delem_levels > 0, "both regions stay controlled");
+    let source = regions
+        .iter()
+        .find(|r| r.ffs > 0 && r.critical_delay_ns > 0.4)
+        .unwrap();
+    let sink = regions
+        .iter()
+        .find(|r| r.ffs > 0 && r.critical_delay_ns < 0.2)
+        .unwrap();
+    assert!(
+        source.delem_levels > 0 && sink.delem_levels > 0,
+        "both regions stay controlled"
+    );
 
     // Gate level: the source region's latches keep capturing — before
     // the guard this design wedged after at most 2 captures in 240 ns.
@@ -96,7 +125,10 @@ fn liveness_guard_repairs_the_gate_level_stall() {
     dut.poke("drd_rst", Lv::One).unwrap();
     dut.run_for(240.0);
     let captures = dut.captures().capture_count("r0_0_ls");
-    assert!(captures > 10, "expected a live ring, saw only {captures} captures in 240 ns");
+    assert!(
+        captures > 10,
+        "expected a live ring, saw only {captures} captures in 240 ns"
+    );
 
     // Handshake level: the timing oracle verifies the repaired network.
     let spec = handshake_spec(&result.report, &lib).unwrap();
@@ -108,7 +140,10 @@ fn liveness_guard_repairs_the_gate_level_stall() {
     // Determinism: the repaired flow's artifacts are byte-identical for
     // any worker count — the guard's decisions are serial by design.
     let bundle = |jobs: usize| {
-        let opts = DesyncOptions { jobs: Some(jobs), ..DesyncOptions::default() };
+        let opts = DesyncOptions {
+            jobs: Some(jobs),
+            ..DesyncOptions::default()
+        };
         let (result, trace) = tool.run(module.clone(), &opts);
         let result = result.unwrap();
         [
@@ -141,10 +176,14 @@ fn per_edge_sta_bound_never_deepens_beyond_the_linear_model() {
     let margin = DesyncOptions::default().delay_margin;
     let mut deepens = 0usize;
     for lr in &result.report.liveness_repairs {
-        if let LivenessAction::DeepenSuccessor { from_levels, to_levels, .. } = &lr.action {
+        if let LivenessAction::DeepenSuccessor {
+            from_levels,
+            to_levels,
+            ..
+        } = &lr.action
+        {
             deepens += 1;
-            let linear = (((lr.rise_ns * margin - model.ctrl_response_ns)
-                / model.level_delay_ns)
+            let linear = (((lr.rise_ns * margin - model.ctrl_response_ns) / model.level_delay_ns)
                 .ceil() as usize)
                 .max(from_levels + 1);
             assert!(
@@ -153,8 +192,10 @@ fn per_edge_sta_bound_never_deepens_beyond_the_linear_model() {
             );
         }
     }
-    assert!(deepens > 0, "the stall design must still be repaired by deepening");
+    assert!(
+        deepens > 0,
+        "the stall design must still be repaired by deepening"
+    );
 
-    drd_check::liveness::verify_liveness(&result, &lib)
-        .expect("repaired design re-screens clean");
+    drd_check::liveness::verify_liveness(&result, &lib).expect("repaired design re-screens clean");
 }

@@ -30,7 +30,11 @@ use drd_sim::{HandshakeSpec, RegionSpec};
 fn imbalanced_open_chains_are_repaired_or_diagnosed_never_wedged() {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
-    let base = NetGenParams { max_stages: 3, max_width: 2, ..NetGenParams::default() };
+    let base = NetGenParams {
+        max_stages: 3,
+        max_width: 2,
+        ..NetGenParams::default()
+    };
     let repaired = AtomicUsize::new(0);
     prop_par_with(
         Config::new(40).seed(0x11FE_6A2D_5AFE),
@@ -64,7 +68,10 @@ fn imbalanced_open_chains_are_repaired_or_diagnosed_never_wedged() {
         },
     );
     let hits = repaired.load(Ordering::Relaxed);
-    assert!(hits >= 5, "guard fired on only {hits} designs — generator lost the hazard");
+    assert!(
+        hits >= 5,
+        "guard fired on only {hits} designs — generator lost the hazard"
+    );
 }
 
 /// Every rung of the repair ladder must actually fire across a corpus
@@ -100,7 +107,10 @@ fn deepening_infeasible_corpus_exercises_latch_and_degrade_rungs() {
         },
         |recipe: &NetRecipe| {
             let module = recipe.build().map_err(|e| e.to_string())?;
-            let opts = DesyncOptions { clock_period_ns: period, ..DesyncOptions::default() };
+            let opts = DesyncOptions {
+                clock_period_ns: period,
+                ..DesyncOptions::default()
+            };
             // A typed rejection (`DesyncError::Liveness` or any other
             // flow error) is a diagnosis, not a wedge — only completed
             // flows are checked further.
@@ -154,7 +164,10 @@ fn deepening_infeasible_corpus_exercises_latch_and_degrade_rungs() {
                 |s: &HandshakeSpec| Ok(s.regions.iter().any(|r| !r.controlled)),
             )
             .map_err(|e| format!("planner wedged instead of degrading: {e}"))?;
-            if !repairs.iter().any(|r| matches!(r.action, LivenessAction::Degrade)) {
+            if !repairs
+                .iter()
+                .any(|r| matches!(r.action, LivenessAction::Degrade))
+            {
                 return Err("injected deadlock never reached the degrade rung".to_owned());
             }
             degraded.fetch_add(1, Ordering::Relaxed);
@@ -174,7 +187,11 @@ fn deepening_infeasible_corpus_exercises_latch_and_degrade_rungs() {
 fn strict_flows_never_record_a_liveness_degradation() {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
-    let base = NetGenParams { max_stages: 2, max_width: 1, ..NetGenParams::default() };
+    let base = NetGenParams {
+        max_stages: 2,
+        max_width: 1,
+        ..NetGenParams::default()
+    };
     prop_par_with(
         Config::new(12).seed(0x57FF_1C7D_0C75),
         |rng: &mut Rng| {
@@ -184,7 +201,10 @@ fn strict_flows_never_record_a_liveness_degradation() {
         },
         |recipe: &NetRecipe| {
             let module = recipe.build().map_err(|e| e.to_string())?;
-            let opts = DesyncOptions { strict: true, ..DesyncOptions::default() };
+            let opts = DesyncOptions {
+                strict: true,
+                ..DesyncOptions::default()
+            };
             match tool.run(module, &opts).0 {
                 Ok(result) => {
                     if !result.report.degradations.is_empty() {

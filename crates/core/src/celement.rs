@@ -78,7 +78,12 @@ pub fn decompose_celements(
         .filter_map(|(id, cell)| {
             let lc = lib.cell_of(cell.kind_ref())?;
             match &lc.seq {
-                SeqKind::CElement { inputs, reset, set, q } => Some((
+                SeqKind::CElement {
+                    inputs,
+                    reset,
+                    set,
+                    q,
+                } => Some((
                     id,
                     cell.name.to_owned(),
                     inputs.clone(),
@@ -121,7 +126,11 @@ pub fn decompose_celements(
         module.add_cell(
             cname,
             "AND2X1",
-            &[("A", Conn::Net(or_ab)), ("B", Conn::Net(z_net)), ("Z", Conn::Net(hold))],
+            &[
+                ("A", Conn::Net(or_ab)),
+                ("B", Conn::Net(z_net)),
+                ("Z", Conn::Net(hold)),
+            ],
         )?;
         // Output stage, with reset/set folded in.
         match (rn, sn) {
@@ -131,7 +140,11 @@ pub fn decompose_celements(
                 module.add_cell(
                     cname,
                     "OR2X1",
-                    &[("A", Conn::Net(and_ab)), ("B", Conn::Net(hold)), ("Z", Conn::Net(pre))],
+                    &[
+                        ("A", Conn::Net(and_ab)),
+                        ("B", Conn::Net(hold)),
+                        ("Z", Conn::Net(pre)),
+                    ],
                 )?;
                 let cname = module.unique_cell_name(&format!("{name}_mrst"));
                 module.add_cell(
@@ -147,19 +160,23 @@ pub fn decompose_celements(
                 module.add_cell(
                     cname,
                     "OR2X1",
-                    &[("A", Conn::Net(and_ab)), ("B", Conn::Net(hold)), ("Z", Conn::Net(pre))],
+                    &[
+                        ("A", Conn::Net(and_ab)),
+                        ("B", Conn::Net(hold)),
+                        ("Z", Conn::Net(pre)),
+                    ],
                 )?;
                 let cname = module.unique_cell_name(&format!("{name}_mnsn"));
-                module.add_cell(
-                    cname,
-                    "INVX1",
-                    &[("A", sn), ("Z", Conn::Net(nsn))],
-                )?;
+                module.add_cell(cname, "INVX1", &[("A", sn), ("Z", Conn::Net(nsn))])?;
                 let cname = module.unique_cell_name(&format!("{name}_mset"));
                 module.add_cell(
                     cname,
                     "OR2X1",
-                    &[("A", Conn::Net(pre)), ("B", Conn::Net(nsn)), ("Z", Conn::Net(z_net))],
+                    &[
+                        ("A", Conn::Net(pre)),
+                        ("B", Conn::Net(nsn)),
+                        ("Z", Conn::Net(z_net)),
+                    ],
                 )?;
             }
             _ => {
@@ -167,7 +184,11 @@ pub fn decompose_celements(
                 module.add_cell(
                     cname,
                     "OR2X1",
-                    &[("A", Conn::Net(and_ab)), ("B", Conn::Net(hold)), ("Z", Conn::Net(z_net))],
+                    &[
+                        ("A", Conn::Net(and_ab)),
+                        ("B", Conn::Net(hold)),
+                        ("Z", Conn::Net(z_net)),
+                    ],
                 )?;
             }
         }
@@ -201,7 +222,10 @@ mod tests {
                 .collect();
             let (_, cells) = join(&mut m, &inputs, "j").unwrap();
             assert_eq!(cells.len(), expected, "n = {n}");
-            assert!(cells.iter().all(|&c| m.cell(c).kind_name() == "C2X1"), "n = {n}");
+            assert!(
+                cells.iter().all(|&c| m.cell(c).kind_name() == "C2X1"),
+                "n = {n}"
+            );
         }
     }
 
@@ -221,7 +245,11 @@ mod tests {
         m.add_cell(
             "c",
             "C2X1",
-            &[("A", Conn::Net(a)), ("B", Conn::Net(b)), ("Z", Conn::Net(z))],
+            &[
+                ("A", Conn::Net(a)),
+                ("B", Conn::Net(b)),
+                ("Z", Conn::Net(z)),
+            ],
         )
         .unwrap();
         let n = decompose_celements(&mut m, &lib).unwrap();
@@ -262,8 +290,12 @@ mod tests {
             .collect();
         let (out, _) = join(&mut m, &inputs, "j").unwrap();
         let z = m.find_net("z").unwrap();
-        m.add_cell("obuf", "BUFX1", &[("A", Conn::Net(out)), ("Z", Conn::Net(z))])
-            .unwrap();
+        m.add_cell(
+            "obuf",
+            "BUFX1",
+            &[("A", Conn::Net(out)), ("Z", Conn::Net(z))],
+        )
+        .unwrap();
         let mut design = Design::new();
         design.insert(m);
         let mut sim = Simulator::new(&design, &lib, SimOptions::default()).unwrap();

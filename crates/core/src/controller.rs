@@ -124,7 +124,11 @@ pub fn build_controller(role: ControllerRole) -> Module {
     m.add_cell(
         "u_gp",
         "AND2X1",
-        &[("A", Conn::Net(a)), ("B", Conn::Net(nro)), ("Z", Conn::Net(g_int))],
+        &[
+            ("A", Conn::Net(a)),
+            ("B", Conn::Net(nro)),
+            ("Z", Conn::Net(g_int)),
+        ],
     )
     .expect("fresh name");
     m.add_cell(

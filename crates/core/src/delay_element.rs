@@ -61,7 +61,11 @@ pub fn build_fixed(name: &str, levels: usize) -> Module {
         m.add_cell(
             format!("u{i}"),
             "AND2X1",
-            &[("A", Conn::Net(prev)), ("B", Conn::Net(feed)), ("Z", Conn::Net(next))],
+            &[
+                ("A", Conn::Net(prev)),
+                ("B", Conn::Net(feed)),
+                ("Z", Conn::Net(next)),
+            ],
         )
         .expect("fresh name");
         prev = next;
@@ -89,7 +93,10 @@ pub fn mux_overhead_levels(lib: &Library) -> Result<usize, DesyncError> {
 /// # Panics
 /// Panics if `matched_levels == 0`.
 pub fn build_muxed(name: &str, matched_levels: usize, overhead_levels: usize) -> Module {
-    assert!(matched_levels > 0, "a delay element needs at least one level");
+    assert!(
+        matched_levels > 0,
+        "a delay element needs at least one level"
+    );
     let tap_levels: Vec<usize> = (0..MUX_TAPS)
         .map(|k| {
             // Total tap delay should be factor(k) × matched; the mux tree
@@ -129,7 +136,11 @@ pub fn build_muxed(name: &str, matched_levels: usize, overhead_levels: usize) ->
         m.add_cell(
             format!("u{i}"),
             "AND2X1",
-            &[("A", Conn::Net(prev)), ("B", Conn::Net(feed)), ("Z", Conn::Net(next))],
+            &[
+                ("A", Conn::Net(prev)),
+                ("B", Conn::Net(feed)),
+                ("Z", Conn::Net(next)),
+            ],
         )
         .expect("fresh name");
         stage_nets.push(next);
@@ -140,9 +151,7 @@ pub fn build_muxed(name: &str, matched_levels: usize, overhead_levels: usize) ->
     let taps: Vec<_> = tap_levels.iter().map(|&l| stage_nets[l]).collect();
     let mut level: Vec<drd_netlist::NetId> = taps;
     for bit in 0..3 {
-        let sel = m
-            .find_net(&format!("sel[{bit}]"))
-            .expect("sel port net");
+        let sel = m.find_net(&format!("sel[{bit}]")).expect("sel port net");
         let mut next_level = Vec::with_capacity(level.len() / 2);
         for (pair, chunk) in level.chunks(2).enumerate() {
             let z = if level.len() == 2 {

@@ -57,7 +57,8 @@ impl DesyncOptions {
     /// [`drd_runner::worker_count`] (`DRD_WORKERS` override or available
     /// parallelism).
     pub fn workers(&self) -> usize {
-        self.jobs.map_or_else(drd_runner::worker_count, |j| j.max(1))
+        self.jobs
+            .map_or_else(drd_runner::worker_count, |j| j.max(1))
     }
 
     /// Canonical serialization of every option that can change the
@@ -348,25 +349,41 @@ mod tests {
         let q0 = m.find_net("out0").unwrap();
         let q1 = m.find_net("out1").unwrap();
         let d0 = m.add_net("d0").unwrap();
-        m.add_cell("inv0", "INVX1", &[("A", Conn::Net(q0)), ("Z", Conn::Net(d0))])
-            .unwrap();
+        m.add_cell(
+            "inv0",
+            "INVX1",
+            &[("A", Conn::Net(q0)), ("Z", Conn::Net(d0))],
+        )
+        .unwrap();
         m.add_cell(
             "r0",
             "DFFX1",
-            &[("D", Conn::Net(d0)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q0))],
+            &[
+                ("D", Conn::Net(d0)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q0)),
+            ],
         )
         .unwrap();
         let d1 = m.add_net("d1").unwrap();
         m.add_cell(
             xor,
             "XOR2X1",
-            &[("A", Conn::Net(q0)), ("B", Conn::Net(q1)), ("Z", Conn::Net(d1))],
+            &[
+                ("A", Conn::Net(q0)),
+                ("B", Conn::Net(q1)),
+                ("Z", Conn::Net(d1)),
+            ],
         )
         .unwrap();
         m.add_cell(
             "r1",
             "DFFX1",
-            &[("D", Conn::Net(d1)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q1))],
+            &[
+                ("D", Conn::Net(d1)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q1)),
+            ],
         )
         .unwrap();
         m
@@ -400,7 +417,10 @@ mod tests {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
         let result = tool
-            .run(toggle_parity_with_xor("drd_g1_delem"), &DesyncOptions::default())
+            .run(
+                toggle_parity_with_xor("drd_g1_delem"),
+                &DesyncOptions::default(),
+            )
             .0
             .unwrap();
         let m = result.design.top_module();
@@ -414,11 +434,15 @@ mod tests {
         assert_eq!(delems.len(), 2, "{delems:?}");
         for inst in delems {
             assert!(
-                result.sdc.contains(&format!("-from [get_pins {{{inst}/in1}}]")),
+                result
+                    .sdc
+                    .contains(&format!("-from [get_pins {{{inst}/in1}}]")),
                 "{}",
                 result.sdc
             );
-            assert!(result.sdc.contains(&format!("set_dont_touch [get_cells {{{inst}}}]")));
+            assert!(result
+                .sdc
+                .contains(&format!("set_dont_touch [get_cells {{{inst}}}]")));
         }
         assert!(!result.sdc.contains("{drd_g1_delem}"), "{}", result.sdc);
         assert!(!result.sdc.contains("{drd_g1_delem/"), "{}", result.sdc);
@@ -453,9 +477,8 @@ mod tests {
             dut.captures().capture_count("r0_ls")
         );
 
-        let check = compare_capture_logs(reference.captures(), dut.captures(), |n| {
-            format!("{n}_ls")
-        });
+        let check =
+            compare_capture_logs(reference.captures(), dut.captures(), |n| format!("{n}_ls"));
         assert!(check.is_equivalent(), "flow equivalence: {check:?}");
     }
 
@@ -540,7 +563,11 @@ mod tests {
             m.add_cell(
                 name,
                 "DFFX1",
-                &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+                &[
+                    ("D", Conn::Net(d)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q)),
+                ],
             )
             .unwrap();
         };
@@ -548,17 +575,32 @@ mod tests {
             m.add_cell(
                 name,
                 kind,
-                &[("A", Conn::Net(a)), ("B", Conn::Net(b)), ("Z", Conn::Net(z))],
+                &[
+                    ("A", Conn::Net(a)),
+                    ("B", Conn::Net(b)),
+                    ("Z", Conn::Net(z)),
+                ],
             )
             .unwrap();
         };
         dff(&mut m, "r_in", din, q0);
-        m.add_cell("a1", "INVX1", &[("A", Conn::Net(q0)), ("Z", Conn::Net(na1))])
-            .unwrap();
+        m.add_cell(
+            "a1",
+            "INVX1",
+            &[("A", Conn::Net(q0)), ("Z", Conn::Net(na1))],
+        )
+        .unwrap();
         gate(&mut m, "a2", "NAND2X1", na1, q0, da);
         gate(&mut m, "a3", "AND2X1", na1, qa, fp);
         dff(&mut m, "r_a", da, qa);
-        gate(&mut m, "b1", "NAND2X1", if cross { fp } else { fp_in }, qb, nb1);
+        gate(
+            &mut m,
+            "b1",
+            "NAND2X1",
+            if cross { fp } else { fp_in },
+            qb,
+            nb1,
+        );
         gate(&mut m, "b2", "XOR2X1", nb1, qb, db);
         dff(&mut m, "r_b", db, qb);
         m

@@ -227,7 +227,9 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = DesyncError::NoRule { cell: "DFFZ".into() };
+        let e = DesyncError::NoRule {
+            cell: "DFFZ".into(),
+        };
         assert!(e.to_string().contains("DFFZ"));
         let e: DesyncError = drd_liberty::LibraryError::new("boom").into();
         assert!(e.source().is_some());
@@ -241,8 +243,14 @@ mod tests {
             limit: 10,
             actual: 42,
         };
-        assert_eq!(e.to_string(), "pass `ffsub` exceeded the cells budget: 42 > 10");
-        let e = DesyncError::Deadline { pass: "ddg", limit_ms: 5 };
+        assert_eq!(
+            e.to_string(),
+            "pass `ffsub` exceeded the cells budget: 42 > 10"
+        );
+        let e = DesyncError::Deadline {
+            pass: "ddg",
+            limit_ms: 5,
+        };
         assert!(e.to_string().contains("5 ms deadline"));
         let e = DesyncError::Panic {
             pass: "sdc",
@@ -255,7 +263,9 @@ mod tests {
     fn degradation_display_lists_region_and_reason() {
         let d = Degradation {
             region: "g2".into(),
-            reason: DegradeReason::UnsupportedFf { kind: "DFFQX9".into() },
+            reason: DegradeReason::UnsupportedFf {
+                kind: "DFFQX9".into(),
+            },
             cells: vec!["r0".into()],
         };
         let text = d.to_string();

@@ -159,10 +159,10 @@ fn substitute_one(
 
     // Helper: insert a gate returning its output net.
     let gate = |module: &mut Module,
-                    extra: &mut usize,
-                    kind: &str,
-                    suffix: &str,
-                    pins: &[(&str, Conn)]|
+                extra: &mut usize,
+                kind: &str,
+                suffix: &str,
+                pins: &[(&str, Conn)]|
      -> Result<NetId, DesyncError> {
         let out = module.add_net_auto(&format!("{name}__{suffix}"));
         let mut all: Vec<(&str, Conn)> = pins.to_vec();
@@ -174,9 +174,9 @@ fn substitute_one(
     };
     // Helper: active-high assertion signal of a control pin.
     let assert_net = |module: &mut Module,
-                          extra: &mut usize,
-                          ctrl: &ControlPin,
-                          suffix: &str|
+                      extra: &mut usize,
+                      ctrl: &ControlPin,
+                      suffix: &str|
      -> Result<Conn, DesyncError> {
         let conn = pin_conn(module, &ctrl.pin);
         if ctrl.active_low {
@@ -221,10 +221,15 @@ fn substitute_one(
             pin_conn(module, &sr.pin) // `d & RN`
         } else {
             // active-high reset: `d & !R`
-            let a = assert_net(module, &mut extra, &ControlPin {
-                pin: sr.pin.clone(),
-                active_low: false,
-            }, "sri")?;
+            let a = assert_net(
+                module,
+                &mut extra,
+                &ControlPin {
+                    pin: sr.pin.clone(),
+                    active_low: false,
+                },
+                "sri",
+            )?;
             match a {
                 Conn::Net(n) => Conn::Net(gate(
                     module,
@@ -431,7 +436,11 @@ mod tests {
         m.add_cell(
             "r1",
             "DFFX1",
-            &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+            &[
+                ("D", Conn::Net(d)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q)),
+            ],
         )
         .unwrap();
         let r1 = m.find_cell("r1").unwrap();
@@ -459,7 +468,11 @@ mod tests {
         m.add_cell(
             "r1",
             "DFFX1",
-            &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("QN", Conn::Net(qn))],
+            &[
+                ("D", Conn::Net(d)),
+                ("CK", Conn::Net(clk)),
+                ("QN", Conn::Net(qn)),
+            ],
         )
         .unwrap();
         let r1 = m.find_cell("r1").unwrap();
@@ -470,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_ff_gets_mux(){
+    fn scan_ff_gets_mux() {
         let (mut m, lib, gf, gm, gs) = setup();
         let d = m.find_net("d").unwrap();
         let clk = m.find_net("clk").unwrap();
@@ -605,7 +618,11 @@ mod tests {
             m.add_cell(
                 "r1",
                 "DFFX1",
-                &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+                &[
+                    ("D", Conn::Net(d)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q)),
+                ],
             )
             .unwrap();
             if substitute {

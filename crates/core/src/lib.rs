@@ -62,7 +62,7 @@ pub use desync::{
     ff_overhead_ns, handshake_spec, region_delays, DesyncOptions, DesyncReport, DesyncResult,
     Desynchronizer, RegionSummary,
 };
-pub use error::{DegradeReason, Degradation, DesyncError};
+pub use error::{Degradation, DegradeReason, DesyncError};
 pub use facts::LibraryFacts;
 pub use liveness::{LivenessAction, LivenessRepair};
 pub use pipeline::{

@@ -129,7 +129,9 @@ impl ResponseModel {
         let d = |name: &str| {
             lib.cell(name)
                 .map(|c| c.max_intrinsic_delay())
-                .ok_or_else(|| DesyncError::UnknownCell { name: name.to_owned() })
+                .ok_or_else(|| DesyncError::UnknownCell {
+                    name: name.to_owned(),
+                })
         };
         let ctrl_response_ns = d("C2RX1")? + d("BUFX1")? + d("INVX1")? + d("C2SX1")?;
         let join_stage_ns = d("C2X1")?;
@@ -299,7 +301,12 @@ pub fn hazards(model: &ResponseModel, spec: &HandshakeSpec, margin: f64) -> Vec<
             let deficient = successors(spec, i)
                 .filter(|&s| edge_response(model, spec, s) < rise * margin)
                 .collect();
-            Some(Hazard { region: i, rise_ns: rise, bound_ns: bound, deficient })
+            Some(Hazard {
+                region: i,
+                rise_ns: rise,
+                bound_ns: bound,
+                deficient,
+            })
         })
         .collect()
 }
@@ -345,7 +352,11 @@ impl fmt::Display for LivenessRepair {
             self.region, self.rise_ns, self.response_bound_ns
         )?;
         match &self.action {
-            LivenessAction::DeepenSuccessor { successor, from_levels, to_levels } => write!(
+            LivenessAction::DeepenSuccessor {
+                successor,
+                from_levels,
+                to_levels,
+            } => write!(
                 f,
                 "deepened `{successor}`'s delay element {from_levels} → {to_levels} levels"
             ),
@@ -424,8 +435,9 @@ pub fn plan_repairs(
                 (s, to)
             })
             .collect();
-        let within_budget =
-            wanted.iter().all(|&(_, to)| model.rise_ns(to) <= clock_period_ns);
+        let within_budget = wanted
+            .iter()
+            .all(|&(_, to)| model.rise_ns(to) <= clock_period_ns);
         if within_budget && !wanted.is_empty() {
             for (s, to) in wanted {
                 let from = std::mem::replace(&mut spec.regions[s].matched_levels, to);
@@ -569,12 +581,20 @@ pub fn apply_latch(
     let nai = m.add_net_auto(&format!("drd_{region}_reqext_nai"));
     let q = m.add_net_auto(&format!("drd_{region}_reqext_q"));
     let name = m.unique_cell_name(&format!("drd_{region}_reqext_inv"));
-    let inv = m.add_cell(name, "INVX1", &[("A", Conn::Net(ctl.aim)), ("Z", Conn::Net(nai))])?;
+    let inv = m.add_cell(
+        name,
+        "INVX1",
+        &[("A", Conn::Net(ctl.aim)), ("Z", Conn::Net(nai))],
+    )?;
     let name = m.unique_cell_name(&format!("drd_{region}_reqext"));
     let latch = m.add_cell(
         name,
         "C2X1",
-        &[("A", Conn::Net(ctl.ros)), ("B", Conn::Net(nai)), ("Z", Conn::Net(q))],
+        &[
+            ("A", Conn::Net(ctl.ros)),
+            ("B", Conn::Net(nai)),
+            ("Z", Conn::Net(q)),
+        ],
     )?;
     m.set_pin(ctl.delem, "in1", Conn::Net(q));
     ctl.latch = Some((latch, inv));
@@ -628,9 +648,7 @@ pub fn apply_degrade(
         // sibling — C2(x, x) is a follower of x.
         for &id in &succ.request_join {
             let pins = m.cell_pins(id);
-            let Some(&(hit, _)) = pins
-                .iter()
-                .find(|&&(p, c)| c == ros && m.resolve(p) != "Z")
+            let Some(&(hit, _)) = pins.iter().find(|&&(p, c)| c == ros && m.resolve(p) != "Z")
             else {
                 continue;
             };
@@ -654,9 +672,17 @@ pub fn apply_degrade(
     // high — together an edge-triggered pair again. The enable-tree
     // buffers keep fanning the re-driven root nets out.
     let syncm = m.unique_cell_name(&format!("drd_{name}_syncm"));
-    m.add_cell(syncm, "INVX1", &[("A", Conn::Net(clock)), ("Z", Conn::Net(gm))])?;
+    m.add_cell(
+        syncm,
+        "INVX1",
+        &[("A", Conn::Net(clock)), ("Z", Conn::Net(gm))],
+    )?;
     let syncs = m.unique_cell_name(&format!("drd_{name}_syncs"));
-    m.add_cell(syncs, "BUFX1", &[("A", Conn::Net(clock)), ("Z", Conn::Net(gs))])?;
+    m.add_cell(
+        syncs,
+        "BUFX1",
+        &[("A", Conn::Net(clock)), ("Z", Conn::Net(gs))],
+    )?;
     Ok(())
 }
 
@@ -790,11 +816,18 @@ mod tests {
         let r = &repairs[0];
         assert_eq!(r.region, "g0");
         match &r.action {
-            LivenessAction::DeepenSuccessor { successor, from_levels, to_levels } => {
+            LivenessAction::DeepenSuccessor {
+                successor,
+                from_levels,
+                to_levels,
+            } => {
                 assert_eq!(successor, "g1");
                 assert_eq!(*from_levels, 2);
                 // Sized so the successor's response covers margin × rise.
-                assert!(model.response_ns(*to_levels) >= r.rise_ns * 1.08, "{repairs:?}");
+                assert!(
+                    model.response_ns(*to_levels) >= r.rise_ns * 1.08,
+                    "{repairs:?}"
+                );
                 assert_eq!(planned.regions[1].matched_levels, *to_levels);
             }
             other => panic!("expected a deepen, got {other:?}"),
@@ -884,9 +917,15 @@ mod tests {
         };
         let text = r.to_string();
         assert!(text.contains("`g0`") && text.contains("2 → 26"), "{text}");
-        let l = LivenessRepair { action: LivenessAction::RequestLatch, ..r.clone() };
+        let l = LivenessRepair {
+            action: LivenessAction::RequestLatch,
+            ..r.clone()
+        };
         assert!(l.to_string().contains("latch"), "{l}");
-        let d = LivenessRepair { action: LivenessAction::Degrade, ..r };
+        let d = LivenessRepair {
+            action: LivenessAction::Degrade,
+            ..r
+        };
         assert!(d.to_string().contains("synchronous"), "{d}");
     }
 }

@@ -91,7 +91,10 @@ impl NetworkReport {
 
     /// Matched levels of region `i`'s delay element (0 = no controller).
     pub fn delem_levels(&self, i: usize) -> usize {
-        self.regions.get(i).and_then(Option::as_ref).map_or(0, |c| c.levels)
+        self.regions
+            .get(i)
+            .and_then(Option::as_ref)
+            .map_or(0, |c| c.levels)
     }
 }
 
@@ -311,12 +314,18 @@ pub fn insert_control_network(
     // Low-skew enable trees: bound every enable net's fanout so large
     // regions' latch phases stay crisp (CTS's job in the paper's backend).
     // Degraded regions have no enable nets and get no tree.
-    let enable_nets: Vec<NetId> = enables.iter().flatten().flat_map(|&(m, s)| [m, s]).collect();
+    let enable_nets: Vec<NetId> = enables
+        .iter()
+        .flatten()
+        .flat_map(|&(m, s)| [m, s])
+        .collect();
     if !enable_nets.is_empty() {
         // One connectivity snapshot serves every tree: buffering an enable
         // net re-points only that net's own loads, so the snapshot's load
         // lists of all the other enable nets stay exact.
-        let conn = design.module(top).connectivity(&design.pin_dirs(facts.library()))?;
+        let conn = design
+            .module(top)
+            .connectivity(&design.pin_dirs(facts.library()))?;
         let m = design.module_mut(top);
         for net in enable_nets {
             let name = m.net(net).name.to_owned();
@@ -342,8 +351,7 @@ fn buffer_enable_tree(
     // rescanning the module.
     let mut current: Vec<Endpoint> = loads.to_vec();
     while current.len() > max_fanout {
-        let mut next: Vec<Endpoint> =
-            Vec::with_capacity(current.len().div_ceil(max_fanout));
+        let mut next: Vec<Endpoint> = Vec::with_capacity(current.len().div_ceil(max_fanout));
         for (g, chunk) in current.chunks(max_fanout).enumerate() {
             let out = m.add_net_auto(&format!("{net_name}_ct{g}"));
             let cell = m.unique_cell_name(&format!("{net_name}_ctb"));
@@ -407,7 +415,11 @@ mod tests {
         m.add_cell(
             "r_in",
             "DFFX1",
-            &[("D", Conn::Net(din)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q0))],
+            &[
+                ("D", Conn::Net(din)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q0)),
+            ],
         )
         .unwrap();
         let n1 = m.add_net("n1").unwrap();
@@ -416,7 +428,11 @@ mod tests {
         m.add_cell(
             "r1",
             "DFFX1",
-            &[("D", Conn::Net(n1)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(dout))],
+            &[
+                ("D", Conn::Net(n1)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(dout)),
+            ],
         )
         .unwrap();
         let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
@@ -439,11 +455,21 @@ mod tests {
     fn network_insertion_wires_controller_pairs() {
         let (mut design, top, regions, graph, delays, enables) = prepared();
         let lib = vlib90::high_speed();
-        let opts = NetworkOptions { muxed: false, margin: 1.1 };
+        let opts = NetworkOptions {
+            muxed: false,
+            margin: 1.1,
+        };
         let measured = MeasuredDelays::default();
         let facts = LibraryFacts::new(&lib, &measured);
         let report = insert_control_network(
-            &mut design, top, &regions, &graph, &delays, &facts, &enables, opts,
+            &mut design,
+            top,
+            &regions,
+            &graph,
+            &delays,
+            &facts,
+            &enables,
+            opts,
         )
         .unwrap();
         assert_eq!(report.controllers(), 4, "2 regions × (master + slave)");
@@ -479,13 +505,23 @@ mod tests {
     fn region_without_enable_nets_gets_no_controller_or_delay_element() {
         let (mut design, top, regions, graph, delays, mut enables) = prepared();
         let lib = vlib90::high_speed();
-        let opts = NetworkOptions { muxed: false, margin: 1.1 };
+        let opts = NetworkOptions {
+            muxed: false,
+            margin: 1.1,
+        };
         let g1 = regions.regions.iter().position(|r| r.name == "g1").unwrap();
         enables[g1] = None;
         let measured = MeasuredDelays::default();
         let facts = LibraryFacts::new(&lib, &measured);
         let report = insert_control_network(
-            &mut design, top, &regions, &graph, &delays, &facts, &enables, opts,
+            &mut design,
+            top,
+            &regions,
+            &graph,
+            &delays,
+            &facts,
+            &enables,
+            opts,
         )
         .unwrap();
         assert_eq!(report.controllers(), 2, "only the region with enable nets");
@@ -501,11 +537,21 @@ mod tests {
     fn muxed_network_adds_sel_ports() {
         let (mut design, top, regions, graph, delays, enables) = prepared();
         let lib = vlib90::high_speed();
-        let opts = NetworkOptions { muxed: true, margin: 1.1 };
+        let opts = NetworkOptions {
+            muxed: true,
+            margin: 1.1,
+        };
         let measured = MeasuredDelays::default();
         let facts = LibraryFacts::new(&lib, &measured);
         let report = insert_control_network(
-            &mut design, top, &regions, &graph, &delays, &facts, &enables, opts,
+            &mut design,
+            top,
+            &regions,
+            &graph,
+            &delays,
+            &facts,
+            &enables,
+            opts,
         )
         .unwrap();
         let m = design.module(top);

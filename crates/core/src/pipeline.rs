@@ -25,11 +25,11 @@ use drd_sim::{HandshakeSpec, RegionSpec};
 use crate::ddg::{self, Ddg};
 use crate::desync::{DesyncOptions, DesyncReport, DesyncResult, RegionSummary};
 use crate::ffsub::{self, Substitution};
-use crate::network::{self, NetworkReport};
 use crate::liveness::{self, LivenessAction, LivenessRepair};
+use crate::network::{self, NetworkReport};
 use crate::region::{self, Region, Regions};
 use crate::sdc;
-use crate::{DegradeReason, Degradation, DesyncError, LibraryFacts};
+use crate::{Degradation, DegradeReason, DesyncError, LibraryFacts};
 
 /// The working netlist: a bare module through substitution, a design (top
 /// plus generated controller/delay-element modules) afterwards.
@@ -235,7 +235,9 @@ impl<'a> FlowContext<'a> {
         let Netlist::Design { design, .. } = self.netlist else {
             return Err(missing("the desynchronized design", "control-network"));
         };
-        let clock_name = self.clock_net.ok_or_else(|| missing("clock net", "clock-id"))?;
+        let clock_name = self
+            .clock_net
+            .ok_or_else(|| missing("clock net", "clock-id"))?;
         let regions = self.regions.ok_or_else(|| missing("regions", "group"))?;
         let graph = self.ddg.ok_or_else(|| missing("DDG", "ddg"))?;
         let delays = self
@@ -285,7 +287,9 @@ impl<'a> FlowContext<'a> {
                 liveness_repairs: self.trace.liveness_repairs,
             },
             network: net_report,
-            substitution: self.substitution.ok_or_else(|| missing("enable nets", "ffsub"))?,
+            substitution: self
+                .substitution
+                .ok_or_else(|| missing("enable nets", "ffsub"))?,
         })
     }
 }
@@ -406,11 +410,9 @@ impl Pass for ClockIdPass {
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
         let module = cx.module()?;
         let clock_net = match &cx.opts.clock_port {
-            Some(port) => module
-                .find_net(port)
-                .ok_or_else(|| DesyncError::Clock {
-                    message: format!("clock port `{port}` not found"),
-                })?,
+            Some(port) => module.find_net(port).ok_or_else(|| DesyncError::Clock {
+                message: format!("clock port `{port}` not found"),
+            })?,
             None => region::find_clock_net(module, cx.lib).ok_or_else(|| DesyncError::Clock {
                 message: "no sequential cells, nothing to desynchronize".into(),
             })?,
@@ -454,7 +456,10 @@ impl Pass for DdgPass {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
-        let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
+        let regions = cx
+            .regions
+            .as_ref()
+            .ok_or_else(|| missing("regions", "group"))?;
         let graph = ddg::build(cx.module()?, cx.lib, regions)?;
         let detail = format!("{} dependency edges", graph.edges.len());
         cx.ddg = Some(graph);
@@ -472,7 +477,10 @@ impl Pass for RegionDelaysPass {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
-        let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
+        let regions = cx
+            .regions
+            .as_ref()
+            .ok_or_else(|| missing("regions", "group"))?;
         let module = cx.module()?;
         let mut delays = crate::desync::region_delays(module, cx.lib, regions)?;
         // A region whose cloud delay cannot be matched (non-finite STA
@@ -588,8 +596,7 @@ impl Pass for FfSubPass {
                 }
                 let working = cx.module_mut()?;
                 let (gm, gs) = ffsub::add_enable_nets(working, &r.name);
-                let rep =
-                    ffsub::substitute_ffs(working, lib, gatefile, &r.seq_cells, gm, gs)?;
+                let rep = ffsub::substitute_ffs(working, lib, gatefile, &r.seq_cells, gm, gs)?;
                 enables[i] = Some((gm, gs));
                 substituted += rep.substituted;
                 extra_gates += rep.extra_gates;
@@ -634,14 +641,19 @@ impl Pass for ControlNetworkPass {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
-        let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
+        let regions = cx
+            .regions
+            .as_ref()
+            .ok_or_else(|| missing("regions", "group"))?;
         let graph = cx.ddg.as_ref().ok_or_else(|| missing("DDG", "ddg"))?;
         let delays = cx
             .region_delays
             .as_deref()
             .ok_or_else(|| missing("region delays", "region-delays"))?;
-        let substitution =
-            cx.substitution.as_ref().ok_or_else(|| missing("enable nets", "ffsub"))?;
+        let substitution = cx
+            .substitution
+            .as_ref()
+            .ok_or_else(|| missing("enable nets", "ffsub"))?;
         let Netlist::Module(working) =
             std::mem::replace(&mut cx.netlist, Netlist::Module(Module::new("drd_empty")))
         else {
@@ -770,9 +782,15 @@ fn apply_liveness_repairs(
         .clock_net
         .as_deref()
         .ok_or_else(|| missing("clock net", "clock-id"))?;
-    let regions = cx.regions.as_ref().ok_or_else(|| missing("regions", "group"))?;
+    let regions = cx
+        .regions
+        .as_ref()
+        .ok_or_else(|| missing("regions", "group"))?;
     let edges = &cx.ddg.as_ref().ok_or_else(|| missing("DDG", "ddg"))?.edges;
-    let substitution = cx.substitution.as_ref().ok_or_else(|| missing("enable nets", "ffsub"))?;
+    let substitution = cx
+        .substitution
+        .as_ref()
+        .ok_or_else(|| missing("enable nets", "ffsub"))?;
     let network = cx
         .network
         .as_mut()
@@ -797,7 +815,11 @@ fn apply_liveness_repairs(
     for rep in repairs {
         let i = index(&rep.region)?;
         match &rep.action {
-            LivenessAction::DeepenSuccessor { successor, to_levels, .. } => {
+            LivenessAction::DeepenSuccessor {
+                successor,
+                to_levels,
+                ..
+            } => {
                 let ctl = network.regions[index(successor)?]
                     .as_mut()
                     .ok_or_else(|| uncontrolled(successor))?;
@@ -816,9 +838,11 @@ fn apply_liveness_repairs(
                     .map(|&(_, s)| s)
                     .collect();
                 let m = design.module_mut(top);
-                let clock = m.find_net(clock_name).ok_or_else(|| DesyncError::Pipeline {
-                    message: format!("liveness degrade: clock net `{clock_name}` missing"),
-                })?;
+                let clock = m
+                    .find_net(clock_name)
+                    .ok_or_else(|| DesyncError::Pipeline {
+                        message: format!("liveness degrade: clock net `{clock_name}` missing"),
+                    })?;
                 let enable = substitution.enables[i].ok_or_else(|| uncontrolled(&rep.region))?;
                 let controls = &mut network.regions;
                 liveness::apply_degrade(m, controls, i, &succs, clock, enable, &rep.region)?;
@@ -876,18 +900,30 @@ impl Pass for SdcPass {
         let spec = sdc::SdcSpec {
             period_ns: cx.opts.clock_period_ns,
             clock_port: clock_name.to_owned(),
-            controllers: controlled().map(|(_, c)| (name(c.master), name(c.slave))).collect(),
+            controllers: controlled()
+                .map(|(_, c)| (name(c.master), name(c.slave)))
+                .collect(),
             delay_elements: controlled()
                 .filter(|&(i, _)| delays[i] > 0.0)
                 .map(|(i, c)| (name(c.delem), delays[i]))
                 .collect(),
-            degraded: cx.trace.degradations.iter().map(|d| d.region.clone()).collect(),
+            degraded: cx
+                .trace
+                .degradations
+                .iter()
+                .map(|d| d.region.clone())
+                .collect(),
         };
         let workers = cx.opts.workers();
         let (text, region_wall_ns) = sdc::generate_with(&spec, workers);
         let detail = format!("{} SDC lines", text.lines().count());
         cx.sdc = Some(text);
-        Ok(PassReport::parallel(vec!["sdc"], detail, workers, region_wall_ns))
+        Ok(PassReport::parallel(
+            vec!["sdc"],
+            detail,
+            workers,
+            region_wall_ns,
+        ))
     }
 }
 
@@ -1011,7 +1047,11 @@ impl FlowTrace {
                 join(p.artifacts.iter().map(|a| escape(a))),
                 escape(&p.detail)
             ));
-            out.push_str(if i + 1 == self.passes.len() { "\n" } else { ",\n" });
+            out.push_str(if i + 1 == self.passes.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         out.push_str("  ]");
         if let Some(err) = &self.error {
@@ -1030,7 +1070,11 @@ impl FlowTrace {
                     escape(&d.reason.to_string()),
                     join(d.cells.iter().map(|c| escape(c)))
                 ));
-                out.push_str(if i + 1 == self.degradations.len() { "\n" } else { ",\n" });
+                out.push_str(if i + 1 == self.degradations.len() {
+                    "\n"
+                } else {
+                    ",\n"
+                });
             }
             out.push_str("  ]");
         }
@@ -1044,7 +1088,11 @@ impl FlowTrace {
                     r.response_bound_ns
                 ));
                 match &r.action {
-                    LivenessAction::DeepenSuccessor { successor, from_levels, to_levels } => {
+                    LivenessAction::DeepenSuccessor {
+                        successor,
+                        from_levels,
+                        to_levels,
+                    } => {
                         out.push_str(&format!(
                             "\"action\": \"deepen\", \"successor\": {}, \
                              \"from_levels\": {from_levels}, \"to_levels\": {to_levels}}}",
@@ -1056,7 +1104,11 @@ impl FlowTrace {
                     }
                     LivenessAction::Degrade => out.push_str("\"action\": \"degrade\"}"),
                 }
-                out.push_str(if i + 1 == self.liveness_repairs.len() { "\n" } else { ",\n" });
+                out.push_str(if i + 1 == self.liveness_repairs.len() {
+                    "\n"
+                } else {
+                    ",\n"
+                });
             }
             out.push_str("  ]");
         }
@@ -1271,7 +1323,11 @@ mod tests {
         m.add_cell(
             "r0",
             "DFFX1",
-            &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+            &[
+                ("D", Conn::Net(d)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q)),
+            ],
         )
         .unwrap();
         m
@@ -1299,12 +1355,7 @@ mod tests {
     fn full_run_produces_result_and_trace() {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
-        let mut cx = FlowContext::new(
-            &lib,
-            tool.gatefile(),
-            toggle(),
-            DesyncOptions::default(),
-        );
+        let mut cx = FlowContext::new(&lib, tool.gatefile(), toggle(), DesyncOptions::default());
         Pipeline::standard().run(&mut cx).unwrap();
         let trace = cx.trace();
         assert_eq!(trace.passes.len(), 9);
@@ -1319,12 +1370,7 @@ mod tests {
     fn stop_after_halts_with_partial_artifacts() {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
-        let mut cx = FlowContext::new(
-            &lib,
-            tool.gatefile(),
-            toggle(),
-            DesyncOptions::default(),
-        );
+        let mut cx = FlowContext::new(&lib, tool.gatefile(), toggle(), DesyncOptions::default());
         let (head, tail) = Pipeline::standard().split_after("group").unwrap();
         assert_eq!(head.pass_names(), ["clean", "clock-id", "group"]);
         assert_eq!(tail.pass_names().len(), 6);
@@ -1351,15 +1397,13 @@ mod tests {
     fn trace_json_parses_and_deterministic_variant_has_no_times() {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
-        let mut cx = FlowContext::new(
-            &lib,
-            tool.gatefile(),
-            toggle(),
-            DesyncOptions::default(),
-        );
+        let mut cx = FlowContext::new(&lib, tool.gatefile(), toggle(), DesyncOptions::default());
         Pipeline::standard().run(&mut cx).unwrap();
         let trace = cx.trace();
-        for (json, timed) in [(trace.to_json(), true), (trace.to_json_deterministic(), false)] {
+        for (json, timed) in [
+            (trace.to_json(), true),
+            (trace.to_json_deterministic(), false),
+        ] {
             let doc = drd_json::parse(&json).expect("trace parses");
             let passes = doc.get("passes").and_then(drd_json::Value::as_arr).unwrap();
             assert_eq!(passes.len(), 9);
@@ -1381,17 +1425,29 @@ mod tests {
         let q0 = m.find_net("out0").unwrap();
         let q1 = m.find_net("out1").unwrap();
         let d0 = m.add_net("d0").unwrap();
-        m.add_cell("inv0", "INVX1", &[("A", Conn::Net(q0)), ("Z", Conn::Net(d0))])
-            .unwrap();
+        m.add_cell(
+            "inv0",
+            "INVX1",
+            &[("A", Conn::Net(q0)), ("Z", Conn::Net(d0))],
+        )
+        .unwrap();
         m.add_cell(
             "r0",
             "DFFX1",
-            &[("D", Conn::Net(d0)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q0))],
+            &[
+                ("D", Conn::Net(d0)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q0)),
+            ],
         )
         .unwrap();
         let d1 = m.add_net("d1").unwrap();
-        m.add_cell("inv1", "INVX1", &[("A", Conn::Net(q0)), ("Z", Conn::Net(d1))])
-            .unwrap();
+        m.add_cell(
+            "inv1",
+            "INVX1",
+            &[("A", Conn::Net(q0)), ("Z", Conn::Net(d1))],
+        )
+        .unwrap();
         m.add_cell(
             "r1",
             "DFFRX1",
@@ -1435,7 +1491,11 @@ mod tests {
         assert_eq!(top.cell(r1).kind_name(), "DFFRX1");
         assert!(top.find_cell(&format!("drd_{}_ctlm", d.region)).is_none());
         // The SDC declares the clock-domain crossing.
-        assert!(result.sdc.contains("set_clock_groups -asynchronous"), "{}", result.sdc);
+        assert!(
+            result.sdc.contains("set_clock_groups -asynchronous"),
+            "{}",
+            result.sdc
+        );
     }
 
     #[test]
@@ -1501,7 +1561,10 @@ mod tests {
         }
         let trace = cx.trace();
         assert_eq!(trace.error.as_ref().unwrap().pass, "boom");
-        assert!(trace.passes.is_empty(), "the failed pass is not recorded as executed");
+        assert!(
+            trace.passes.is_empty(),
+            "the failed pass is not recorded as executed"
+        );
     }
 
     #[test]
@@ -1589,7 +1652,11 @@ mod tests {
             m.add_cell(
                 format!("nand{i}"),
                 "NAND2X1",
-                &[("A", Conn::Net(prev)), ("B", Conn::Net(prev)), ("Z", Conn::Net(z))],
+                &[
+                    ("A", Conn::Net(prev)),
+                    ("B", Conn::Net(prev)),
+                    ("Z", Conn::Net(z)),
+                ],
             )
             .unwrap();
             prev = z;
@@ -1598,7 +1665,11 @@ mod tests {
         m.add_cell(
             "ra",
             "DFFX1",
-            &[("D", Conn::Net(prev)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(qa))],
+            &[
+                ("D", Conn::Net(prev)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(qa)),
+            ],
         )
         .unwrap();
         let nb = m.add_net("nb").unwrap();
@@ -1607,7 +1678,11 @@ mod tests {
         m.add_cell(
             "rb",
             "DFFX1",
-            &[("D", Conn::Net(nb)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(dout))],
+            &[
+                ("D", Conn::Net(nb)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(dout)),
+            ],
         )
         .unwrap();
         m
@@ -1663,7 +1738,10 @@ mod tests {
         let degraded = network_counts(&cx);
         assert_eq!(degraded, netlist_counts(&cx));
         assert_eq!(latched[0] - degraded[0], 2, "g1's controller pair");
-        assert_eq!(latched[1] - degraded[1], latched_c2 - netlist_counts(&cx)[1]);
+        assert_eq!(
+            latched[1] - degraded[1],
+            latched_c2 - netlist_counts(&cx)[1]
+        );
         assert_eq!(latched[1] - degraded[1], 1, "g1's request-extending latch");
         assert_eq!(latched[2] - degraded[2], 1, "g1's delay element");
 
@@ -1674,7 +1752,11 @@ mod tests {
             .map(|(_, c)| c.name)
             .filter(|n| n.starts_with("drd_g1_"))
             .collect();
-        assert_eq!(left, ["drd_g1_syncm", "drd_g1_syncs"], "only the re-clocking survives");
+        assert_eq!(
+            left,
+            ["drd_g1_syncm", "drd_g1_syncs"],
+            "only the re-clocking survives"
+        );
         for (name, kind, enable) in [
             ("drd_g1_syncm", "INVX1", "drd_g1_gm"),
             ("drd_g1_syncs", "BUFX1", "drd_g1_gs"),
@@ -1685,11 +1767,18 @@ mod tests {
             assert_eq!(cell.pin("Z"), Some(net(enable)), "{name}");
         }
         let g2_delem = m.cell(m.find_cell("drd_g2_delem").unwrap());
-        assert_eq!(g2_delem.pin("in1"), Some(net("drd_g2_ros")), "g2 loops back its own request");
+        assert_eq!(
+            g2_delem.pin("in1"),
+            Some(net("drd_g2_ros")),
+            "g2 loops back its own request"
+        );
         let d = &cx.trace().degradations;
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].region, "g1");
-        assert!(matches!(d[0].reason, DegradeReason::Liveness { .. }), "{d:?}");
+        assert!(
+            matches!(d[0].reason, DegradeReason::Liveness { .. }),
+            "{d:?}"
+        );
 
         SdcPass.run(&mut cx).unwrap();
         let sdc = cx.sdc().unwrap();
@@ -1698,8 +1787,14 @@ mod tests {
             "{sdc}"
         );
         assert!(sdc.contains("# region `g1` left on Clk"), "{sdc}");
-        assert!(!sdc.contains("drd_g1_"), "no constraint on g1's removed machinery:\n{sdc}");
-        assert!(sdc.contains("set_dont_touch [get_cells {drd_g2_delem}]"), "{sdc}");
+        assert!(
+            !sdc.contains("drd_g1_"),
+            "no constraint on g1's removed machinery:\n{sdc}"
+        );
+        assert!(
+            sdc.contains("set_dont_touch [get_cells {drd_g2_delem}]"),
+            "{sdc}"
+        );
     }
 
     /// A user cell that happens to carry a generated instance name is
@@ -1714,7 +1809,12 @@ mod tests {
             .0
             .unwrap();
         assert_eq!(
-            result.report.liveness_repairs.iter().map(|r| &r.action).collect::<Vec<_>>(),
+            result
+                .report
+                .liveness_repairs
+                .iter()
+                .map(|r| &r.action)
+                .collect::<Vec<_>>(),
             [&LivenessAction::DeepenSuccessor {
                 successor: "g2".into(),
                 from_levels: 2,
@@ -1740,11 +1840,15 @@ mod tests {
         assert_ne!(delem.name, "drd_g2_delem");
         let inst = delem.name;
         assert!(
-            result.sdc.contains(&format!("-from [get_pins {{{inst}/in1}}] -to [get_pins {{{inst}/out1}}]")),
+            result.sdc.contains(&format!(
+                "-from [get_pins {{{inst}/in1}}] -to [get_pins {{{inst}/out1}}]"
+            )),
             "{}",
             result.sdc
         );
-        assert!(result.sdc.contains(&format!("set_dont_touch [get_cells {{{inst}}}]")));
+        assert!(result
+            .sdc
+            .contains(&format!("set_dont_touch [get_cells {{{inst}}}]")));
         assert!(!result.sdc.contains("{drd_g2_delem}"), "{}", result.sdc);
         assert!(!result.sdc.contains("{drd_g2_delem/"), "{}", result.sdc);
     }
@@ -1757,10 +1861,18 @@ mod tests {
         let lib = vlib90::high_speed();
         let tool = Desynchronizer::new(&lib).unwrap();
         let result = tool
-            .run(stall_shape_named("inv", "drd_g2_gm"), &DesyncOptions::default())
+            .run(
+                stall_shape_named("inv", "drd_g2_gm"),
+                &DesyncOptions::default(),
+            )
             .0
             .unwrap();
-        let g2 = result.report.regions.iter().position(|r| r.name == "g2").unwrap();
+        let g2 = result
+            .report
+            .regions
+            .iter()
+            .position(|r| r.name == "g2")
+            .unwrap();
         let (gm, _) = result.substitution.enables[g2].unwrap();
         let m = result.design.top_module();
         let user = m.find_net("drd_g2_gm").unwrap();
@@ -1775,6 +1887,10 @@ mod tests {
                     .map(move |i| (c.name, c.pin_name(i)))
             })
             .collect();
-        assert_eq!(on_user, [("inv", "A"), ("ra_ls", "Q")], "driver and load kept");
+        assert_eq!(
+            on_user,
+            [("inv", "A"), ("ra_ls", "Q")],
+            "driver and load kept"
+        );
     }
 }

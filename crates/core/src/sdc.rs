@@ -53,7 +53,10 @@ fn tcl_arg(name: &str) -> String {
     }
     let mut out = String::with_capacity(name.len() + 4);
     for c in name.chars() {
-        if matches!(c, '{' | '}' | '\\' | '[' | ']' | '$' | '"' | ';' | ' ' | '\t') {
+        if matches!(
+            c,
+            '{' | '}' | '\\' | '[' | ']' | '$' | '"' | ';' | ' ' | '\t'
+        ) {
             out.push('\\');
         }
         out.push(c);
@@ -207,7 +210,8 @@ mod tests {
         let sdc = generate_with(&sample(), 1).0;
         assert!(!sdc.contains("set_clock_groups"), "{sdc}");
         assert!(
-            !sdc.lines().any(|l| l.starts_with("create_clock -name \"Clk\"")),
+            !sdc.lines()
+                .any(|l| l.starts_with("create_clock -name \"Clk\"")),
             "{sdc}"
         );
     }
@@ -253,7 +257,9 @@ mod tests {
         spec.degraded = vec!["g2".into()];
         let sdc = generate_with(&spec, 1).0;
         assert!(
-            sdc.contains("create_clock -name \"Clk\" -period 2.40 -waveform {0 1.20} [get_ports {clk}]"),
+            sdc.contains(
+                "create_clock -name \"Clk\" -period 2.40 -waveform {0 1.20} [get_ports {clk}]"
+            ),
             "{sdc}"
         );
         assert!(

@@ -90,7 +90,11 @@ fn multiplier(b: &mut Builder<'_>, a: &Word, x: &Word) -> Result<Word, NetlistEr
                     b.module().add_cell(
                         cell,
                         "AND2X1",
-                        &[("A", Conn::Net(ab)), ("B", Conn::Net(xb)), ("Z", Conn::Net(z))],
+                        &[
+                            ("A", Conn::Net(ab)),
+                            ("B", Conn::Net(xb)),
+                            ("Z", Conn::Net(z)),
+                        ],
                     )?;
                     z
                 }
@@ -190,7 +194,12 @@ mod tests {
     fn armlike_is_larger_than_dlx() {
         let arm = build(&ArmParams::small()).unwrap();
         let dlx = crate::dlx::build(&DlxParams::small()).unwrap();
-        assert!(arm.cell_count() > dlx.cell_count() + 50, "arm {} vs dlx {}", arm.cell_count(), dlx.cell_count());
+        assert!(
+            arm.cell_count() > dlx.cell_count() + 50,
+            "arm {} vs dlx {}",
+            arm.cell_count(),
+            dlx.cell_count()
+        );
     }
 
     #[test]

@@ -122,7 +122,11 @@ impl<'m> Builder<'m> {
         self.module.add_cell(
             cell,
             kind,
-            &[("A", Conn::Net(a)), ("B", Conn::Net(b)), ("Z", Conn::Net(z))],
+            &[
+                ("A", Conn::Net(a)),
+                ("B", Conn::Net(b)),
+                ("Z", Conn::Net(z)),
+            ],
         )?;
         Ok(z)
     }
@@ -136,13 +140,7 @@ impl<'m> Builder<'m> {
         Ok(z)
     }
 
-    fn bitwise(
-        &mut self,
-        kind: &str,
-        tag: &str,
-        a: &Word,
-        b: &Word,
-    ) -> Result<Word, NetlistError> {
+    fn bitwise(&mut self, kind: &str, tag: &str, a: &Word, b: &Word) -> Result<Word, NetlistError> {
         assert_eq!(a.width(), b.width(), "width mismatch in {tag}");
         let mut out = Vec::with_capacity(a.width());
         for i in 0..a.width() {
@@ -364,12 +362,7 @@ impl<'m> Builder<'m> {
     ///
     /// # Errors
     /// Propagates netlist errors.
-    pub fn register(
-        &mut self,
-        name: &str,
-        d: &Word,
-        clk: NetId,
-    ) -> Result<Word, NetlistError> {
+    pub fn register(&mut self, name: &str, d: &Word, clk: NetId) -> Result<Word, NetlistError> {
         let q = self.wire(name, d.width())?;
         for i in 0..d.width() {
             let cell = format!("{name}_r{i}");
@@ -461,7 +454,12 @@ impl<'m> Builder<'m> {
                         self.module.add_cell(
                             cell,
                             "MUX2X1",
-                            &[("A", conn(a)), ("B", conn(b)), ("S", Conn::Net(s)), ("Z", Conn::Net(z))],
+                            &[
+                                ("A", conn(a)),
+                                ("B", conn(b)),
+                                ("S", Conn::Net(s)),
+                                ("Z", Conn::Net(z)),
+                            ],
                         )?;
                         V::Net(z)
                     }
@@ -480,7 +478,10 @@ impl<'m> Builder<'m> {
                 self.module.add_cell(
                     cell,
                     "BUFX1",
-                    &[("A", if b { Conn::Const1 } else { Conn::Const0 }), ("Z", Conn::Net(z))],
+                    &[
+                        ("A", if b { Conn::Const1 } else { Conn::Const0 }),
+                        ("Z", Conn::Net(z)),
+                    ],
                 )?;
                 Ok(z)
             }
@@ -499,7 +500,11 @@ impl<'m> Builder<'m> {
         for k in 0..n {
             let mut acc = en;
             for b in 0..sel.width() {
-                let lit = if (k >> b) & 1 == 1 { sel.0[b] } else { nsel.0[b] };
+                let lit = if (k >> b) & 1 == 1 {
+                    sel.0[b]
+                } else {
+                    nsel.0[b]
+                };
                 acc = self.gate2("AND2X1", "dec", acc, lit)?;
             }
             outs.push(acc);
@@ -528,7 +533,8 @@ mod tests {
             } else {
                 format!("{name}[{i}]")
             };
-            sim.poke(&net, Lv::from_bool((value >> i) & 1 == 1)).unwrap();
+            sim.poke(&net, Lv::from_bool((value >> i) & 1 == 1))
+                .unwrap();
         }
     }
 
@@ -695,7 +701,11 @@ mod tests {
                     let cell = format!("k{k}_drv");
                     let kind = if k % 2 == 0 { "BUFX1" } else { "INVX1" };
                     b.module()
-                        .add_cell(cell, kind, &[("A", Conn::Net(eq)), ("Z", Conn::Net(w.0[0]))])
+                        .add_cell(
+                            cell,
+                            kind,
+                            &[("A", Conn::Net(eq)), ("Z", Conn::Net(w.0[0]))],
+                        )
                         .unwrap();
                     w
                 })

@@ -126,7 +126,10 @@ pub fn build(p: &DlxParams) -> Result<Module, NetlistError> {
         b.module().add_cell(
             format!("pc_nx{i}"),
             "BUFX1",
-            &[("A", Conn::Net(pc_inc.0[i])), ("Z", Conn::Net(pc_next.0[i]))],
+            &[
+                ("A", Conn::Net(pc_inc.0[i])),
+                ("Z", Conn::Net(pc_next.0[i])),
+            ],
         )?;
     }
     let instr = b.rom(&pc, &program(p), 7 + 3 * rl + imm_w)?;
@@ -233,7 +236,10 @@ pub fn build(p: &DlxParams) -> Result<Module, NetlistError> {
         b.module().add_cell(
             format!("wbv{i}"),
             "BUFX1",
-            &[("A", Conn::Net(wb_mux.0[i])), ("Z", Conn::Net(wb_value.0[i]))],
+            &[
+                ("A", Conn::Net(wb_mux.0[i])),
+                ("Z", Conn::Net(wb_value.0[i])),
+            ],
         )?;
     }
     for i in 0..rl {

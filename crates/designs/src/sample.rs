@@ -129,7 +129,15 @@ mod tests {
             idx("g4_r0"),
             idx("g5_r0"),
         );
-        for edge in [(g1, g2), (g1, g3), (g2, g4), (g3, g4), (g3, g5), (g4, g2), (g5, g5)] {
+        for edge in [
+            (g1, g2),
+            (g1, g3),
+            (g2, g4),
+            (g3, g4),
+            (g3, g5),
+            (g4, g2),
+            (g5, g5),
+        ] {
             assert!(ddg.edges.contains(&edge), "missing edge {edge:?}");
         }
     }

@@ -114,11 +114,8 @@ pub fn place_and_route(
     }
 
     let counts = drd_netlist::stats::counts(&flat);
-    let area = drd_netlist::stats::area_breakdown(
-        &flat,
-        |k| lib.area_of(k),
-        |k| lib.is_sequential(k),
-    );
+    let area =
+        drd_netlist::stats::area_breakdown(&flat, |k| lib.area_of(k), |k| lib.is_sequential(k));
     let (core_size, utilization) = match opts.fixed_core_size {
         Some(core) => (core, area.cell_area / core),
         None => (area.cell_area / opts.utilization, opts.utilization),
@@ -191,7 +188,11 @@ mod tests {
             m.add_cell(
                 format!("r{i}"),
                 "DFFX1",
-                &[("D", Conn::Net(a)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+                &[
+                    ("D", Conn::Net(a)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q)),
+                ],
             )
             .unwrap();
         }
@@ -212,7 +213,10 @@ mod tests {
         // 40 clock loads → tree buffers; 40 data loads → fanout buffers.
         assert!(result.tree_buffers >= 5, "{result:?}");
         assert!(result.fanout_buffers >= 5, "{result:?}");
-        assert_eq!(result.cells, 40 + result.tree_buffers + result.fanout_buffers);
+        assert_eq!(
+            result.cells,
+            40 + result.tree_buffers + result.fanout_buffers
+        );
         assert!(result.core_size > result.std_cell_area);
         assert!((result.utilization - 95.0).abs() < 1e-9);
     }
@@ -227,8 +231,12 @@ mod tests {
             .unwrap();
         for i in 0..loads {
             let z = m.add_net(format!("z{i}")).unwrap();
-            m.add_cell(format!("l{i}"), "INVX1", &[("A", Conn::Net(n)), ("Z", Conn::Net(z))])
-                .unwrap();
+            m.add_cell(
+                format!("l{i}"),
+                "INVX1",
+                &[("A", Conn::Net(n)), ("Z", Conn::Net(z))],
+            )
+            .unwrap();
         }
         d
     }

@@ -73,7 +73,9 @@ pub fn insert_scan(module: &mut Module, lib: &Library) -> Result<ScanReport, Des
     let targets: Vec<(String, String, String)> = module
         .cells()
         .filter_map(|(_, cell)| {
-            let KindRef::Lib(kind) = cell.kind_ref() else { return None };
+            let KindRef::Lib(kind) = cell.kind_ref() else {
+                return None;
+            };
             let lc = lib.cell(kind)?;
             if lc.class() != drd_liberty::CellClass::FlipFlop {
                 return None;
@@ -146,7 +148,11 @@ mod tests {
             m.add_cell(
                 format!("r{i}"),
                 "DFFX1",
-                &[("D", Conn::Net(prev)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+                &[
+                    ("D", Conn::Net(prev)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q)),
+                ],
             )
             .unwrap();
             prev = q;

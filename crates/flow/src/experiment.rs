@@ -193,7 +193,10 @@ impl AreaComparison {
 
     /// Combinational-area overhead (%).
     pub fn combinational_overhead(&self) -> f64 {
-        Self::pct(self.sync_synth.combinational, self.desync_synth.combinational)
+        Self::pct(
+            self.sync_synth.combinational,
+            self.desync_synth.combinational,
+        )
     }
 }
 
@@ -357,9 +360,8 @@ pub fn timing_sweep(case: &CaseStudy) -> Result<TimingSweep, DesyncError> {
     let watch_net = desync.design.top_module().net(watch_gs).name;
 
     let run_one = |corner: Corner, selection: u8| -> Result<SweepRow, DesyncError> {
-        let mut sim =
-            Simulator::new(&desync.design, &case.lib, SimOptions::at_corner(corner))
-                .map_err(sim_err)?;
+        let mut sim = Simulator::new(&desync.design, &case.lib, SimOptions::at_corner(corner))
+            .map_err(sim_err)?;
         init_inputs(&mut sim, &case.module);
         for b in 0..3 {
             sim.poke(
@@ -476,10 +478,7 @@ pub fn variability_study(
         .map_err(sim_err)?;
     let desync_periods: Vec<f64> = samples.iter().map(|s| s.desync_cycle_ns).collect();
     let sync_worst = typ_period * Corner::worst().delay_factor;
-    let faster = desync_periods
-        .iter()
-        .filter(|&&p| p < sync_worst)
-        .count();
+    let faster = desync_periods.iter().filter(|&&p| p < sync_worst).count();
     Ok(VariabilityStudy {
         name: case.name.clone(),
         sync_worst_period: sync_worst,
@@ -511,7 +510,11 @@ mod tests {
         m.add_cell(
             "r0",
             "DFFX1",
-            &[("D", Conn::Net(d)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+            &[
+                ("D", Conn::Net(d)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q)),
+            ],
         )
         .unwrap();
         CaseStudy {
@@ -578,7 +581,11 @@ mod tests {
         let study = variability_study(&case, 500, 0.15, 7).unwrap();
         assert_eq!(study.desync_periods.len(), 500);
         assert!(study.sync_worst_period > study.sync_best_period);
-        let min = study.desync_periods.iter().cloned().fold(f64::INFINITY, f64::min);
+        let min = study
+            .desync_periods
+            .iter()
+            .cloned()
+            .fold(f64::INFINITY, f64::min);
         let max = study.desync_periods.iter().cloned().fold(0.0f64, f64::max);
         // Per-chip periods span the process spread (elastic, §2.5).
         assert!(max > 1.2 * min, "spread {min:.3}..{max:.3}");
@@ -586,6 +593,9 @@ mod tests {
         // typical case (control overhead) but same order of magnitude.
         let mean = study.desync_periods.iter().sum::<f64>() / 500.0;
         let typ = case.sync_min_period().unwrap();
-        assert!(mean > typ && mean < 3.0 * typ, "mean {mean:.3} vs typ {typ:.3}");
+        assert!(
+            mean > typ && mean < 3.0 * typ,
+            "mean {mean:.3} vs typ {typ:.3}"
+        );
     }
 }

@@ -24,7 +24,11 @@ pub fn render_area_table(cmp: &AreaComparison) -> String {
         ("post-synth  # nets", s.nets as f64, d.nets as f64),
         ("post-synth  # cells", s.cells as f64, d.cells as f64),
         ("post-synth  cell area", s.cell_area, d.cell_area),
-        ("post-synth  combinational", s.combinational, d.combinational),
+        (
+            "post-synth  combinational",
+            s.combinational,
+            d.combinational,
+        ),
         ("post-synth  sequential", s.sequential, d.sequential),
     ];
     for (name, a, b) in rows {
@@ -35,7 +39,11 @@ pub fn render_area_table(cmp: &AreaComparison) -> String {
     let rows = [
         ("post-layout # nets", sl.nets as f64, dl.nets as f64),
         ("post-layout # cells", sl.cells as f64, dl.cells as f64),
-        ("post-layout std cell area", sl.std_cell_area, dl.std_cell_area),
+        (
+            "post-layout std cell area",
+            sl.std_cell_area,
+            dl.std_cell_area,
+        ),
         ("post-layout core size", sl.core_size, dl.core_size),
     ];
     for (name, a, b) in rows {
@@ -127,11 +135,7 @@ pub fn render_variability_figure(study: &VariabilityStudy) -> String {
         .iter()
         .copied()
         .fold(f64::INFINITY, f64::min);
-    let max = study
-        .desync_periods
-        .iter()
-        .copied()
-        .fold(0.0f64, f64::max);
+    let max = study.desync_periods.iter().copied().fold(0.0f64, f64::max);
     const BINS: usize = 24;
     let mut bins = [0usize; BINS];
     for &p in &study.desync_periods {

@@ -39,7 +39,11 @@ fn inverting_shift_register(n: usize) -> Module {
         m.add_cell(
             format!("r{i}"),
             "DFFX1",
-            &[("D", Conn::Net(nd)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+            &[
+                ("D", Conn::Net(nd)),
+                ("CK", Conn::Net(clk)),
+                ("Q", Conn::Net(q)),
+            ],
         )
         .unwrap();
         prev = q;
@@ -78,9 +82,18 @@ fn scan_chain_survives_latch_substitution() {
         // One shared scan enable selects the whole chain.
         assert_eq!(pin_net(top, &mux, "S").as_deref(), Some("scan_en"));
         // Functional leg still the inverted data, mux into the master.
-        assert_eq!(pin_net(top, &mux, "A").as_deref(), Some(format!("nd{i}").as_str()));
-        assert_eq!(pin_net(top, &mux, "Z"), pin_net(top, &format!("{ff}_lm"), "D"));
-        assert!(top.find_cell(&format!("{ff}_ls")).is_some(), "{ff}_ls missing");
+        assert_eq!(
+            pin_net(top, &mux, "A").as_deref(),
+            Some(format!("nd{i}").as_str())
+        );
+        assert_eq!(
+            pin_net(top, &mux, "Z"),
+            pin_net(top, &format!("{ff}_lm"), "D")
+        );
+        assert!(
+            top.find_cell(&format!("{ff}_ls")).is_some(),
+            "{ff}_ls missing"
+        );
         prev_link = format!("q{i}");
     }
 }

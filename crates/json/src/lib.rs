@@ -403,16 +403,17 @@ mod tests {
                 .collect();
             let got = escape(&text);
             assert_eq!(got, reference_escape(&text), "case {case}: {text:?}");
-            assert_eq!(parse(&got).unwrap().as_str(), Some(text.as_str()), "case {case}");
+            assert_eq!(
+                parse(&got).unwrap().as_str(),
+                Some(text.as_str()),
+                "case {case}"
+            );
         }
     }
 
     #[test]
     fn surrogate_pairs_and_unicode_escapes_decode() {
-        assert_eq!(
-            parse(r#""A😀""#).unwrap().as_str(),
-            Some("A\u{1F600}")
-        );
+        assert_eq!(parse(r#""A😀""#).unwrap().as_str(), Some("A\u{1F600}"));
         assert!(parse(r#""\ud83d""#).is_err(), "lone surrogate rejected");
     }
 

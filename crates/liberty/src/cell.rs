@@ -157,7 +157,10 @@ impl LibCell {
     /// small integers (STA, simulation) use this as the shared pin-id space
     /// for a given library cell.
     pub fn pin_index(&self, name: &str) -> Option<u32> {
-        self.pins.iter().position(|p| p.name == name).map(|i| i as u32)
+        self.pins
+            .iter()
+            .position(|p| p.name == name)
+            .map(|i| i as u32)
     }
 
     /// Iterator over input pins.

@@ -37,7 +37,11 @@ pub struct ParseFunctionError {
 
 impl fmt::Display for ParseFunctionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "function parse error at byte {}: {}", self.at, self.message)
+        write!(
+            f,
+            "function parse error at byte {}: {}",
+            self.at, self.message
+        )
     }
 }
 
@@ -267,19 +271,37 @@ mod tests {
 
     #[test]
     fn simple_gates() {
-        assert_eq!(eval_with("A & B", &[("A", Lv::One), ("B", Lv::One)]), Lv::One);
-        assert_eq!(eval_with("A | B", &[("A", Lv::Zero), ("B", Lv::One)]), Lv::One);
+        assert_eq!(
+            eval_with("A & B", &[("A", Lv::One), ("B", Lv::One)]),
+            Lv::One
+        );
+        assert_eq!(
+            eval_with("A | B", &[("A", Lv::Zero), ("B", Lv::One)]),
+            Lv::One
+        );
         assert_eq!(eval_with("!A", &[("A", Lv::Zero)]), Lv::One);
-        assert_eq!(eval_with("A ^ B", &[("A", Lv::One), ("B", Lv::One)]), Lv::Zero);
+        assert_eq!(
+            eval_with("A ^ B", &[("A", Lv::One), ("B", Lv::One)]),
+            Lv::Zero
+        );
     }
 
     #[test]
     fn liberty_operator_aliases() {
-        assert_eq!(eval_with("A * B", &[("A", Lv::One), ("B", Lv::One)]), Lv::One);
-        assert_eq!(eval_with("A + B", &[("A", Lv::Zero), ("B", Lv::Zero)]), Lv::Zero);
+        assert_eq!(
+            eval_with("A * B", &[("A", Lv::One), ("B", Lv::One)]),
+            Lv::One
+        );
+        assert_eq!(
+            eval_with("A + B", &[("A", Lv::Zero), ("B", Lv::Zero)]),
+            Lv::Zero
+        );
         assert_eq!(eval_with("A'", &[("A", Lv::One)]), Lv::Zero);
         // Juxtaposition is AND.
-        assert_eq!(eval_with("A B", &[("A", Lv::One), ("B", Lv::Zero)]), Lv::Zero);
+        assert_eq!(
+            eval_with("A B", &[("A", Lv::One), ("B", Lv::Zero)]),
+            Lv::Zero
+        );
     }
 
     #[test]
@@ -324,7 +346,10 @@ mod tests {
 
     #[test]
     fn bus_style_pin_names() {
-        assert_eq!(eval_with("D[1] & D[0]", &[("D[1]", Lv::One), ("D[0]", Lv::One)]), Lv::One);
+        assert_eq!(
+            eval_with("D[1] & D[0]", &[("D[1]", Lv::One), ("D[0]", Lv::One)]),
+            Lv::One
+        );
     }
 
     #[test]

@@ -306,8 +306,11 @@ fn recognize_features(
         let state1 = is_state_ref(&when1, state_var);
         if state0 || state1 {
             // Clock enable: state recirculates when the enable is off.
-            let (enable_active_high, data_branch) =
-                if state0 { (true, when1) } else { (false, when0) };
+            let (enable_active_high, data_branch) = if state0 {
+                (true, when1)
+            } else {
+                (false, when0)
+            };
             let _ = enable_active_high;
             features.clock_enable = Some(sel);
             expr = data_branch;
@@ -401,8 +404,7 @@ fn and_decompositions(expr: &Expr) -> Vec<(Literal, Expr)> {
 
 /// True when an OR's two sides form the mux pattern.
 fn is_mux_shape(parts: &[Expr]) -> bool {
-    parts.len() == 2
-        && match_mux(&Expr::Or(parts.to_vec())).is_some()
+    parts.len() == 2 && match_mux(&Expr::Or(parts.to_vec())).is_some()
 }
 
 /// Context for interpreting a control literal's polarity:
@@ -457,7 +459,7 @@ fn split_literal(parts: &[Expr], ctx: LitContext) -> Option<(ControlPin, Expr)> 
         let ctrl_is_data = matches!(&parts[ctrl], Expr::Var(v) if looks_like_data(v));
         // Lower key = preferred.
         (
-            ctrl_is_data,               // never peel a data pin if avoidable
+            ctrl_is_data, // never peel a data pin if avoidable
             !(rest_is_complex || rest_is_data),
         )
     });

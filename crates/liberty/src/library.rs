@@ -64,10 +64,7 @@ impl Library {
         let mut index = HashMap::with_capacity(cells.len());
         for (i, cell) in cells.iter().enumerate() {
             if index.insert(cell.name.clone(), i).is_some() {
-                return Err(LibraryError::new(format!(
-                    "duplicate cell `{}`",
-                    cell.name
-                )));
+                return Err(LibraryError::new(format!("duplicate cell `{}`", cell.name)));
             }
         }
         Ok(Library {
@@ -107,7 +104,9 @@ impl Library {
 
     /// Whether the named cell is sequential (FF, latch or C-element).
     pub fn is_sequential(&self, kind: KindRef<'_>) -> bool {
-        self.cell_of(kind).map(|c| c.is_sequential()).unwrap_or(false)
+        self.cell_of(kind)
+            .map(|c| c.is_sequential())
+            .unwrap_or(false)
     }
 
     /// Classification of the named cell.

@@ -113,12 +113,15 @@ fn lex(source: &str) -> Result<Vec<(Tok<'_>, usize)>, LibraryError> {
                 i += 1;
                 while i < bytes.len() {
                     let c = bytes[i] as char;
-                    if c.is_ascii_digit() || c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+'
+                    if c.is_ascii_digit()
+                        || c == '.'
+                        || c == 'e'
+                        || c == 'E'
+                        || c == '-'
+                        || c == '+'
                     {
                         // Only allow +/- right after an exponent marker.
-                        if (c == '-' || c == '+')
-                            && !matches!(bytes[i - 1], b'e' | b'E')
-                        {
+                        if (c == '-' || c == '+') && !matches!(bytes[i - 1], b'e' | b'E') {
                             break;
                         }
                         i += 1;
@@ -145,7 +148,10 @@ fn lex(source: &str) -> Result<Vec<(Tok<'_>, usize)>, LibraryError> {
                 out.push((Tok::Id(&source[start..i]), line));
             }
             other => {
-                return Err(LibraryError::at(line, format!("unexpected character `{other}`")));
+                return Err(LibraryError::at(
+                    line,
+                    format!("unexpected character `{other}`"),
+                ));
             }
         }
     }
@@ -534,7 +540,6 @@ fn opt_fn(
     }
 }
 
-
 /// Finds the inverted state output: a pin whose function is the second
 /// state variable (`IQN`) plainly, or the negation of the first (`!IQ`).
 fn find_qn_pin(
@@ -696,7 +701,13 @@ mod tests {
     fn celement_cell() {
         let lib = parse_library(SAMPLE).unwrap();
         let c = lib.cell("C2RX1").unwrap();
-        let SeqKind::CElement { inputs, reset, set, q } = &c.seq else {
+        let SeqKind::CElement {
+            inputs,
+            reset,
+            set,
+            q,
+        } = &c.seq
+        else {
             panic!("C2RX1 should be a C-element");
         };
         assert_eq!(inputs, &["A", "B"]);
@@ -708,7 +719,10 @@ mod tests {
     #[test]
     fn syntax_errors_are_reported() {
         assert!(parse_library("cell (X) {}").is_err());
-        assert!(parse_library("library (x) { cell (A) { pin (P) { direction : sideways; } } }").is_err());
+        assert!(
+            parse_library("library (x) { cell (A) { pin (P) { direction : sideways; } } }")
+                .is_err()
+        );
         assert!(parse_library("library (x) { cell () {} }").is_err());
     }
 }

@@ -68,8 +68,22 @@ pub fn source(variant: Variant) -> String {
     b.comb("BUFX1", 2.60, 1.3, &["A"], "A", 0.024);
     b.comb("BUFX2", 3.12, 0.7, &["A"], "A", 0.020);
     b.comb("NAND2X1", 2.60, 1.4, &["A", "B"], "!(A & B)", 0.016);
-    b.comb("NAND3X1", 3.64, 1.5, &["A", "B", "C"], "!(A & B & C)", 0.022);
-    b.comb("NAND4X1", 4.68, 1.6, &["A", "B", "C", "D"], "!(A & B & C & D)", 0.028);
+    b.comb(
+        "NAND3X1",
+        3.64,
+        1.5,
+        &["A", "B", "C"],
+        "!(A & B & C)",
+        0.022,
+    );
+    b.comb(
+        "NAND4X1",
+        4.68,
+        1.6,
+        &["A", "B", "C", "D"],
+        "!(A & B & C & D)",
+        0.028,
+    );
     b.comb("NOR2X1", 2.60, 1.6, &["A", "B"], "!(A | B)", 0.020);
     b.comb("NOR3X1", 3.64, 1.8, &["A", "B", "C"], "!(A | B | C)", 0.028);
     b.comb("AND2X1", 3.12, 1.3, &["A", "B"], "A & B", 0.030);
@@ -78,8 +92,22 @@ pub fn source(variant: Variant) -> String {
     b.comb("OR3X1", 3.64, 1.4, &["A", "B", "C"], "A | B | C", 0.040);
     b.comb("XOR2X1", 4.68, 1.5, &["A", "B"], "A ^ B", 0.045);
     b.comb("XNOR2X1", 4.68, 1.5, &["A", "B"], "!(A ^ B)", 0.046);
-    b.comb("AOI21X1", 3.12, 1.5, &["A1", "A2", "B"], "!((A1 & A2) | B)", 0.026);
-    b.comb("OAI21X1", 3.12, 1.5, &["A1", "A2", "B"], "!((A1 | A2) & B)", 0.025);
+    b.comb(
+        "AOI21X1",
+        3.12,
+        1.5,
+        &["A1", "A2", "B"],
+        "!((A1 & A2) | B)",
+        0.026,
+    );
+    b.comb(
+        "OAI21X1",
+        3.12,
+        1.5,
+        &["A1", "A2", "B"],
+        "!((A1 | A2) & B)",
+        0.025,
+    );
     b.comb(
         "AOI22X1",
         3.64,
@@ -211,8 +239,17 @@ impl Builder<'_> {
         )
     }
 
-    fn comb(&mut self, name: &str, area: f64, res: f64, inputs: &[&str], function: &str, delay: f64) {
-        self.out.push_str(&format!("  cell ({name}) {{\n    area : {area:.2};\n"));
+    fn comb(
+        &mut self,
+        name: &str,
+        area: f64,
+        res: f64,
+        inputs: &[&str],
+        function: &str,
+        delay: f64,
+    ) {
+        self.out
+            .push_str(&format!("  cell ({name}) {{\n    area : {area:.2};\n"));
         let power = self.power_attrs(area);
         self.out.push_str(&power);
         for input in inputs {
@@ -230,7 +267,8 @@ impl Builder<'_> {
     }
 
     fn multi_out(&mut self, name: &str, area: f64, inputs: &[&str], outputs: &[(&str, &str, f64)]) {
-        self.out.push_str(&format!("  cell ({name}) {{\n    area : {area:.2};\n"));
+        self.out
+            .push_str(&format!("  cell ({name}) {{\n    area : {area:.2};\n"));
         let power = self.power_attrs(area);
         self.out.push_str(&power);
         for input in inputs {
@@ -269,7 +307,8 @@ impl Builder<'_> {
         let power = self.power_attrs(area);
         self.out.push_str(&power);
         self.out.push_str("    ff (IQ, IQN) {\n");
-        self.out.push_str(&format!("      next_state : \"{next_state}\";\n"));
+        self.out
+            .push_str(&format!("      next_state : \"{next_state}\";\n"));
         self.out.push_str("      clocked_on : \"CK\";\n");
         if let Some((_, cond)) = clear {
             self.out.push_str(&format!("      clear : \"{cond}\";\n"));
@@ -340,7 +379,8 @@ impl Builder<'_> {
         set: Option<&str>,
         delay: f64,
     ) {
-        self.out.push_str(&format!("  cell ({name}) {{\n    area : {area:.2};\n"));
+        self.out
+            .push_str(&format!("  cell ({name}) {{\n    area : {area:.2};\n"));
         let power = self.power_attrs(area);
         self.out.push_str(&power);
         let input_list = inputs.join(" ");
@@ -365,9 +405,8 @@ impl Builder<'_> {
             let p = self.input_pin(sn, 0.0020);
             self.out.push_str(&p);
         }
-        self.out.push_str(
-            "    pin (Z) {\n      direction : output;\n      drive_resistance : 1.40;\n",
-        );
+        self.out
+            .push_str("    pin (Z) {\n      direction : output;\n      drive_resistance : 1.40;\n");
         for input in inputs {
             let t = self.timing(input, delay);
             self.out.push_str(&t);
@@ -415,7 +454,10 @@ mod tests {
         let mux = lib.cell("MUX2X1").unwrap().area;
         let scan_ratio = (mux + 2.0 * latch) / sdff;
         // Table 5.2: +40.7 % sequential overhead for the scan design.
-        assert!(scan_ratio > 1.3 && scan_ratio < 1.5, "scan ratio {scan_ratio}");
+        assert!(
+            scan_ratio > 1.3 && scan_ratio < 1.5,
+            "scan ratio {scan_ratio}"
+        );
     }
 
     #[test]
@@ -453,7 +495,9 @@ mod tests {
                 assert!(cell.area > 0.0, "{} area", cell.name);
                 assert!(!cell.pins.is_empty(), "{} pins", cell.name);
                 assert!(
-                    cell.pins.iter().any(|p| p.dir == drd_netlist::PortDir::Output),
+                    cell.pins
+                        .iter()
+                        .any(|p| p.dir == drd_netlist::PortDir::Output),
                     "{} must have an output",
                     cell.name
                 );

@@ -51,12 +51,7 @@ pub fn write_blif(module: &Module) -> String {
     for &(net, value) in module.const_ties() {
         used_consts.insert(value);
         let src = if value { "$true" } else { "$false" };
-        let _ = writeln!(
-            gate_lines,
-            ".names {} {}\n1 1",
-            src,
-            module.net(net).name
-        );
+        let _ = writeln!(gate_lines, ".names {} {}\n1 1", src, module.net(net).name);
     }
     if used_consts.contains(&false) {
         out.push_str(".names $false\n");
@@ -86,7 +81,11 @@ mod tests {
         module.add_cell(
             "u1",
             "NAND2X1",
-            &[("A", Conn::Net(a)), ("B", Conn::Const1), ("Z", Conn::Net(z))],
+            &[
+                ("A", Conn::Net(a)),
+                ("B", Conn::Const1),
+                ("Z", Conn::Net(z)),
+            ],
         )?;
         let blif = write_blif(d.module(m));
         assert!(blif.starts_with(".model top\n"));

@@ -183,9 +183,7 @@ mod tests {
         let top = d.add_module("top");
         let sub = d.add_module("sub");
         d.module_mut(sub).add_port("in1", PortDir::Input).unwrap();
-        d.module_mut(sub)
-            .add_port("out1", PortDir::Output)
-            .unwrap();
+        d.module_mut(sub).add_port("out1", PortDir::Output).unwrap();
         let n1 = d.module_mut(top).add_net("n1").unwrap();
         let n2 = d.module_mut(top).add_net("n2").unwrap();
         d.module_mut(top)

@@ -39,10 +39,12 @@ pub fn flatten(design: &Design, top: ModuleId) -> Result<Module, NetlistError> {
     let mut net_map: HashMap<NetId, NetId> = HashMap::new();
     for (_, port) in src.ports() {
         let name = src.net(port.net).name;
-        let new = out.find_net(name).ok_or_else(|| NetlistError::UnknownName {
-            kind: "net",
-            name: name.to_owned(),
-        })?;
+        let new = out
+            .find_net(name)
+            .ok_or_else(|| NetlistError::UnknownName {
+                kind: "net",
+                name: name.to_owned(),
+            })?;
         net_map.insert(port.net, new);
     }
     flatten_into(design, top, "", &mut out, &mut net_map, 0)?;
@@ -58,10 +60,13 @@ fn mapped(
     module: &Module,
     net: NetId,
 ) -> Result<NetId, NetlistError> {
-    net_map.get(&net).copied().ok_or_else(|| NetlistError::UnknownName {
-        kind: "net",
-        name: module.net(net).name.to_owned(),
-    })
+    net_map
+        .get(&net)
+        .copied()
+        .ok_or_else(|| NetlistError::UnknownName {
+            kind: "net",
+            name: module.net(net).name.to_owned(),
+        })
 }
 
 /// Recursively copies `module`'s contents into `out` with `prefix`.
@@ -187,10 +192,18 @@ mod tests {
             let a = m.find_net("a").unwrap();
             let z = m.find_net("z").unwrap();
             let mid = m.add_net("mid").unwrap();
-            m.add_instance("u1", "pair", &[("in1", Conn::Net(a)), ("out1", Conn::Net(mid))])
-                .unwrap();
-            m.add_instance("u2", "pair", &[("in1", Conn::Net(mid)), ("out1", Conn::Net(z))])
-                .unwrap();
+            m.add_instance(
+                "u1",
+                "pair",
+                &[("in1", Conn::Net(a)), ("out1", Conn::Net(mid))],
+            )
+            .unwrap();
+            m.add_instance(
+                "u2",
+                "pair",
+                &[("in1", Conn::Net(mid)), ("out1", Conn::Net(z))],
+            )
+            .unwrap();
         }
         d
     }
@@ -218,14 +231,15 @@ mod tests {
         let top = d.top();
         let m = d.module_mut(top);
         let z2 = m.add_net("z2").unwrap();
-        m.add_instance("u3", "pair", &[("in1", Conn::Const1), ("out1", Conn::Net(z2))])
-            .unwrap();
+        m.add_instance(
+            "u3",
+            "pair",
+            &[("in1", Conn::Const1), ("out1", Conn::Net(z2))],
+        )
+        .unwrap();
         let flat = flatten(&d, d.top()).unwrap();
         let tie_net = flat.find_net("u3/in1").expect("tie net exists");
-        assert!(flat
-            .const_ties()
-            .iter()
-            .any(|&(n, v)| n == tie_net && v));
+        assert!(flat.const_ties().iter().any(|&(n, v)| n == tie_net && v));
     }
 
     #[test]
@@ -234,7 +248,8 @@ mod tests {
         let top = d.add_module("top");
         let m = d.module_mut(top);
         let n = m.add_net("n").unwrap();
-        m.add_instance("u", "ghost", &[("p", Conn::Net(n))]).unwrap();
+        m.add_instance("u", "ghost", &[("p", Conn::Net(n))])
+            .unwrap();
         assert!(matches!(
             flatten(&d, d.top()),
             Err(NetlistError::UnknownName { kind: "module", .. })
@@ -250,13 +265,15 @@ mod tests {
             let m = d.module_mut(looper);
             m.add_port("x", PortDir::Input).unwrap();
             let x = m.find_net("x").unwrap();
-            m.add_instance("again", "looper", &[("x", Conn::Net(x))]).unwrap();
+            m.add_instance("again", "looper", &[("x", Conn::Net(x))])
+                .unwrap();
         }
         {
             let m = d.module_mut(top);
             m.add_port("a", PortDir::Input).unwrap();
             let a = m.find_net("a").unwrap();
-            m.add_instance("u", "looper", &[("x", Conn::Net(a))]).unwrap();
+            m.add_instance("u", "looper", &[("x", Conn::Net(a))])
+                .unwrap();
         }
         let err = flatten(&d, d.top()).unwrap_err();
         assert!(

@@ -90,8 +90,12 @@ impl Hasher for FastHasher {
 /// collision-resistant against an adversary — callers that cache on this
 /// key trade that away exactly like the name maps above do.
 pub fn content_hash128(bytes: &[u8]) -> u128 {
-    let mut a = FastHasher { hash: 0xC0DE_CAFE_0000_0001 };
-    let mut b = FastHasher { hash: 0x5EED_FACE_0000_0002 };
+    let mut a = FastHasher {
+        hash: 0xC0DE_CAFE_0000_0001,
+    };
+    let mut b = FastHasher {
+        hash: 0x5EED_FACE_0000_0002,
+    };
     a.write(bytes);
     b.write(bytes);
     (u128::from(a.finish()) << 64) | u128::from(b.finish())
@@ -142,7 +146,10 @@ mod tests {
     fn content_hash_is_stable_wide_and_sensitive() {
         let v = b"module t (clk); endmodule\n";
         assert_eq!(content_hash128(v), content_hash128(v));
-        assert_ne!(content_hash128(v), content_hash128(b"module t (clk); endmodule"));
+        assert_ne!(
+            content_hash128(v),
+            content_hash128(b"module t (clk); endmodule")
+        );
         assert_ne!(content_hash128(b""), content_hash128(b"\0"));
         let hex = content_hash_hex(v);
         assert_eq!(hex.len(), 32);

@@ -374,8 +374,8 @@ impl Module {
             });
         }
         let id = NetId::from_index(self.net_name.len());
-        let bus = crate::bus::parse_bus_bit(name)
-            .map(|(base, index)| (self.syms.intern(base), index));
+        let bus =
+            crate::bus::parse_bus_bit(name).map(|(base, index)| (self.syms.intern(base), index));
         slot_set(&mut self.sym_net, sym, id.index() as u32);
         self.net_name.push(sym);
         self.net_bus.push(bus);
@@ -401,8 +401,8 @@ impl Module {
             return NetId::from_index(i as usize);
         }
         let id = NetId::from_index(self.net_name.len());
-        let bus = crate::bus::parse_bus_bit(name)
-            .map(|(base, index)| (self.syms.intern(base), index));
+        let bus =
+            crate::bus::parse_bus_bit(name).map(|(base, index)| (self.syms.intern(base), index));
         slot_set(&mut self.sym_net, sym, id.index() as u32);
         self.net_name.push(sym);
         self.net_bus.push(bus);
@@ -591,8 +591,7 @@ impl Module {
 
     /// Iterates over all ports as `(id, port)`.
     pub fn ports(&self) -> impl Iterator<Item = (PortId, Port<'_>)> {
-        (0..self.port_name.len())
-            .map(|i| (PortId::from_index(i), self.port(PortId::from_index(i))))
+        (0..self.port_name.len()).map(|i| (PortId::from_index(i), self.port(PortId::from_index(i))))
     }
 
     /// Number of ports.
@@ -1032,7 +1031,8 @@ impl Module {
         // pass 1, so per-net load order matches the historical
         // `Vec<Vec<_>>` build exactly.
         let mut cursor: Vec<u32> = load_start[..nets].to_vec();
-        let mut load_items: Vec<Endpoint> = vec![Endpoint::Port(PortId::from_index(0)); total as usize];
+        let mut load_items: Vec<Endpoint> =
+            vec![Endpoint::Port(PortId::from_index(0)); total as usize];
         let mut push_load = |net: NetId, ep: Endpoint, cursor: &mut Vec<u32>| {
             let c = &mut cursor[net.index()];
             load_items[*c as usize] = ep;

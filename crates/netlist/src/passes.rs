@@ -379,7 +379,11 @@ mod tests {
         m.add_cell(
             "g",
             "NAND2X1",
-            &[("A", Conn::Net(b2)), ("B", Conn::Net(a)), ("Z", Conn::Net(z))],
+            &[
+                ("A", Conn::Net(b2)),
+                ("B", Conn::Net(a)),
+                ("Z", Conn::Net(z)),
+            ],
         )
         .unwrap();
         let stats = clean_logic(&mut m, &dirs, classify);
@@ -407,7 +411,11 @@ mod tests {
         m.add_cell(
             "g",
             "NAND2X1",
-            &[("A", Conn::Net(n2)), ("B", Conn::Net(a)), ("Z", Conn::Net(z))],
+            &[
+                ("A", Conn::Net(n2)),
+                ("B", Conn::Net(a)),
+                ("Z", Conn::Net(z)),
+            ],
         )
         .unwrap();
         // A lone inverter driving a port must survive.

@@ -87,7 +87,14 @@ mod tests {
             .add_cell("u", "INVX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(z))])
             .unwrap();
         let c = counts(&m);
-        assert_eq!(c, Counts { nets: 2, cells: 1, ports: 1 });
+        assert_eq!(
+            c,
+            Counts {
+                nets: 2,
+                cells: 1,
+                ports: 1
+            }
+        );
         m.remove_cell(u);
         let c = counts(&m);
         assert_eq!(c.cells, 0);

@@ -42,12 +42,8 @@ mod tests {
         let module = design.module_mut(m);
         module.add_port("clk", PortDir::Input).unwrap();
         for i in 0..4 {
-            module
-                .add_port(format!("d[{i}]"), PortDir::Input)
-                .unwrap();
-            module
-                .add_port(format!("q[{i}]"), PortDir::Output)
-                .unwrap();
+            module.add_port(format!("d[{i}]"), PortDir::Input).unwrap();
+            module.add_port(format!("q[{i}]"), PortDir::Output).unwrap();
         }
         let clk = module.find_net("clk").unwrap();
         for i in 0..4 {

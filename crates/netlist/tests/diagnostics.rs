@@ -43,7 +43,10 @@ fn bad_constant_base_points_at_the_constant() {
     let (line, col, offset, msg) = parse_span(src, &err, "4'q0");
     assert_eq!((line, col, offset), (3, 15, 39));
     assert_eq!(msg, "unknown constant base `q`");
-    assert_eq!(err.to_string(), "parse error at line 3:15: unknown constant base `q`");
+    assert_eq!(
+        err.to_string(),
+        "parse error at line 3:15: unknown constant base `q`"
+    );
 }
 
 #[test]
@@ -52,7 +55,10 @@ fn oversized_range_points_at_the_bound() {
     let err = parse_design(src).expect_err("huge range rejected");
     let (line, col, offset, msg) = parse_span(src, &err, "99999999");
     assert_eq!((line, col, offset), (3, 9, 32));
-    assert_eq!(msg, "bit index 99999999 exceeds the supported maximum 65536");
+    assert_eq!(
+        msg,
+        "bit index 99999999 exceeds the supported maximum 65536"
+    );
 }
 
 #[test]

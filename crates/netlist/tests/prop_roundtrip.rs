@@ -36,7 +36,11 @@ fn build(recipe: &[u8], buses: bool) -> Design {
                 m.add_cell(
                     format!("u{i}"),
                     "NAND2X1",
-                    &[("A", Conn::Net(a)), ("B", Conn::Net(c)), ("Z", Conn::Net(z))],
+                    &[
+                        ("A", Conn::Net(a)),
+                        ("B", Conn::Net(c)),
+                        ("Z", Conn::Net(z)),
+                    ],
                 )
                 .unwrap();
             }
@@ -44,7 +48,11 @@ fn build(recipe: &[u8], buses: bool) -> Design {
                 m.add_cell(
                     format!("u{i}"),
                     "DFFX1",
-                    &[("D", Conn::Net(a)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(z))],
+                    &[
+                        ("D", Conn::Net(a)),
+                        ("CK", Conn::Net(clk)),
+                        ("Q", Conn::Net(z)),
+                    ],
                 )
                 .unwrap();
             }
@@ -52,7 +60,11 @@ fn build(recipe: &[u8], buses: bool) -> Design {
                 m.add_cell(
                     format!("u{i}"),
                     "AND2X1",
-                    &[("A", Conn::Net(a)), ("B", Conn::Const1), ("Z", Conn::Net(z))],
+                    &[
+                        ("A", Conn::Net(a)),
+                        ("B", Conn::Const1),
+                        ("Z", Conn::Net(z)),
+                    ],
                 )
                 .unwrap();
             }

@@ -69,7 +69,9 @@ where
         return Vec::new();
     }
     if workers == 1 {
-        return (0..tasks).map(|i| governor::with_token(|| work(i))).collect();
+        return (0..tasks)
+            .map(|i| governor::with_token(|| work(i)))
+            .collect();
     }
 
     // Round-robin initial distribution: task i starts on deque i % workers.

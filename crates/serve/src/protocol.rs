@@ -103,12 +103,18 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         .and_then(Value::as_str)
         .unwrap_or_default()
         .to_owned();
-    let fail = |message: String| RequestError { id: id.clone(), message };
+    let fail = |message: String| RequestError {
+        id: id.clone(),
+        message,
+    };
     let Value::Obj(members) = &value else {
         return Err(fail("request must be a JSON object".to_owned()));
     };
     for (key, _) in members {
-        if !matches!(key.as_str(), "id" | "kind" | "verilog" | "deadline_ms" | "options") {
+        if !matches!(
+            key.as_str(),
+            "id" | "kind" | "verilog" | "deadline_ms" | "options"
+        ) {
             return Err(fail(format!("unknown request field `{key}`")));
         }
     }
@@ -136,7 +142,12 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 None => DesyncOptions::default(),
                 Some(raw) => parse_options(raw).map_err(&fail)?,
             };
-            Ok(Request::Desync(DesyncJob { id, verilog, deadline_ms, options }))
+            Ok(Request::Desync(DesyncJob {
+                id,
+                verilog,
+                deadline_ms,
+                options,
+            }))
         }
         other => Err(fail(format!("unknown request kind `{other}`"))),
     }
@@ -180,7 +191,10 @@ fn parse_options(raw: &Value) -> Result<DesyncOptions, String> {
     };
     let mut opts = DesyncOptions::default();
     for (key, v) in members {
-        let expect_bool = || v.as_bool().ok_or(format!("option `{key}` expects a boolean"));
+        let expect_bool = || {
+            v.as_bool()
+                .ok_or(format!("option `{key}` expects a boolean"))
+        };
         let expect_num = || v.as_num().ok_or(format!("option `{key}` expects a number"));
         let expect_count = || parse_count(v).map_err(|m| format!("option `{key}`: {m}"));
         match key.as_str() {
@@ -200,8 +214,11 @@ fn parse_options(raw: &Value) -> Result<DesyncOptions, String> {
             "strict" => opts.strict = expect_bool()?,
             "margin" => opts.delay_margin = expect_num()?,
             "clock" => {
-                opts.clock_port =
-                    Some(v.as_str().ok_or("option `clock` expects a string")?.to_owned());
+                opts.clock_port = Some(
+                    v.as_str()
+                        .ok_or("option `clock` expects a string")?
+                        .to_owned(),
+                );
             }
             "period_ns" => opts.clock_period_ns = expect_num()?,
             "jobs" => {
@@ -278,7 +295,9 @@ mod tests {
                            "max_cells":1000,"pass_deadline_ms":250}}"#,
         )
         .unwrap();
-        let Request::Desync(job) = req else { panic!("expected desync") };
+        let Request::Desync(job) = req else {
+            panic!("expected desync")
+        };
         assert_eq!(job.id, "j7");
         assert_eq!(job.deadline_ms, Some(500));
         assert!(job.options.grouping.single_group);
@@ -312,11 +331,14 @@ mod tests {
 
         // A typo and a retired key are rejected alike.
         for key in ["jbos", "stg_state_limit"] {
-            let line = format!(
-                r#"{{"id":"j2","kind":"desync","verilog":"m","options":{{"{key}":1}}}}"#
-            );
+            let line =
+                format!(r#"{{"id":"j2","kind":"desync","verilog":"m","options":{{"{key}":1}}}}"#);
             let e = parse_request(&line).unwrap_err();
-            assert!(e.message.contains(&format!("unknown option `{key}`")), "{}", e.message);
+            assert!(
+                e.message.contains(&format!("unknown option `{key}`")),
+                "{}",
+                e.message
+            );
         }
 
         let e = parse_request(r#"{"id":"j3","kind":"frobnicate"}"#).unwrap_err();
@@ -325,7 +347,11 @@ mod tests {
         // Truncated JSON: the id still comes back via textual recovery.
         let e = parse_request(r#"{"id":"j4","kind":"desync","verilog":"#).unwrap_err();
         assert_eq!(e.id, "j4");
-        assert!(e.message.contains("malformed request JSON"), "{}", e.message);
+        assert!(
+            e.message.contains("malformed request JSON"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

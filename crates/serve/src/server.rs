@@ -137,7 +137,10 @@ impl<'a> Server<'a> {
     /// for [`Self::run_miss`].
     fn lookup(&self, job: &DesyncJob) -> Result<String, Key> {
         let _depth = InFlight::enter(&self.in_flight);
-        let key = (content_hash128(job.verilog.as_bytes()), job.options.cache_key());
+        let key = (
+            content_hash128(job.verilog.as_bytes()),
+            job.options.cache_key(),
+        );
         let hit = self.cache.lock().unwrap().get(&key).map(Arc::clone);
         let mut counters = self.counters.lock().unwrap();
         match hit {
@@ -169,14 +172,15 @@ impl<'a> Server<'a> {
                     &job.id,
                     "flow",
                     "deadline",
-                    &format!(
-                        "job spent {waited_ms} ms queued, past its {deadline_ms} ms deadline"
-                    ),
+                    &format!("job spent {waited_ms} ms queued, past its {deadline_ms} ms deadline"),
                 );
             }
             let remaining = deadline_ms - waited_ms;
-            options.pass_deadline_ms =
-                Some(options.pass_deadline_ms.map_or(remaining, |p| p.min(remaining)));
+            options.pass_deadline_ms = Some(
+                options
+                    .pass_deadline_ms
+                    .map_or(remaining, |p| p.min(remaining)),
+            );
         }
 
         let module = match drd_netlist::verilog::parse_module(&job.verilog) {
@@ -197,12 +201,7 @@ impl<'a> Server<'a> {
         match outcome {
             Err(e) => {
                 self.counters.lock().unwrap().jobs_failed += 1;
-                protocol::error_response(
-                    &job.id,
-                    "flow",
-                    protocol::error_class(&e),
-                    &e.to_string(),
-                )
+                protocol::error_response(&job.id, "flow", protocol::error_class(&e), &e.to_string())
             }
             Ok(result) => {
                 let tail: Arc<str> = response_tail(key.0, &result, &trace).into();
@@ -218,7 +217,11 @@ impl<'a> Server<'a> {
         let hits = counters.cache_hits;
         let misses = counters.cache_misses;
         let lookups = hits + misses;
-        let hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+        let hit_rate = if lookups == 0 {
+            0.0
+        } else {
+            hits as f64 / lookups as f64
+        };
         let (capacity, available, waiting) = governor::stats().unwrap_or((0, 0, 0));
         let mut phases = String::from("{");
         for (i, (name, wall_ns)) in counters.phase_wall_ns.iter().enumerate() {
@@ -283,7 +286,9 @@ fn response_tail(netlist_hash: u128, result: &DesyncResult, trace: &FlowTrace) -
     let trace = trace.to_json_deterministic();
     let mut out =
         String::with_capacity(report.len() + result.sdc.len() + verilog.len() + trace.len() + 128);
-    out.push_str(&format!("\"netlist_hash\":\"{netlist_hash:032x}\",\"report\":"));
+    out.push_str(&format!(
+        "\"netlist_hash\":\"{netlist_hash:032x}\",\"report\":"
+    ));
     json::escape_into(&mut out, &report);
     out.push_str(",\"sdc\":");
     json::escape_into(&mut out, &result.sdc);
@@ -492,8 +497,13 @@ mod tests {
         assert!(cold.contains("\"status\":\"ok\""), "{cold}");
         assert!(cold.contains("\"cached\":false"), "{cold}");
         assert!(cold.contains("\"exit_code\":0"));
-        for field in ["\"report\":", "\"sdc\":", "\"verilog\":", "\"trace\":", "\"netlist_hash\":"]
-        {
+        for field in [
+            "\"report\":",
+            "\"sdc\":",
+            "\"verilog\":",
+            "\"trace\":",
+            "\"netlist_hash\":",
+        ] {
             assert!(cold.contains(field), "missing {field} in {cold}");
         }
 
@@ -501,8 +511,10 @@ mod tests {
         let warm = server.handle_line(&request_line("j2", &toy_verilog("t")));
         assert!(warm.contains("\"cached\":true"), "{warm}");
         assert_eq!(
-            cold.replace("\"id\":\"j1\"", "").replace("\"cached\":false", ""),
-            warm.replace("\"id\":\"j2\"", "").replace("\"cached\":true", ""),
+            cold.replace("\"id\":\"j1\"", "")
+                .replace("\"cached\":false", ""),
+            warm.replace("\"id\":\"j2\"", "")
+                .replace("\"cached\":true", ""),
             "cache hit must replay the cold artifacts byte-identically"
         );
 
@@ -573,7 +585,10 @@ mod tests {
         .unwrap();
         let long_ago = Instant::now() - Duration::from_millis(50);
         let response = server.execute(&request, long_ago);
-        assert!(response.contains("\"error_class\":\"deadline\""), "{response}");
+        assert!(
+            response.contains("\"error_class\":\"deadline\""),
+            "{response}"
+        );
         assert!(response.contains("queued"), "{response}");
     }
 
@@ -601,9 +616,21 @@ mod tests {
         for id in ["\"id\":\"a\"", "\"id\":\"b\"", "\"id\":\"c\""] {
             assert_eq!(lines.iter().filter(|l| l.contains(id)).count(), 1, "{text}");
         }
-        assert_eq!(lines.iter().filter(|l| l.contains("\"error_kind\":\"request\"")).count(), 1);
-        assert!(lines.last().unwrap().contains("\"kind\":\"shutdown\""), "{text}");
-        assert!(lines.last().unwrap().contains("\"jobs_served\":3"), "{text}");
+        assert_eq!(
+            lines
+                .iter()
+                .filter(|l| l.contains("\"error_kind\":\"request\""))
+                .count(),
+            1
+        );
+        assert!(
+            lines.last().unwrap().contains("\"kind\":\"shutdown\""),
+            "{text}"
+        );
+        assert!(
+            lines.last().unwrap().contains("\"jobs_served\":3"),
+            "{text}"
+        );
         // Every response line is valid JSON.
         for l in &lines {
             json::parse(l).unwrap_or_else(|e| panic!("bad response line {l}: {e}"));

@@ -186,7 +186,12 @@ mod tests {
         let a = log(&[("r1", &[Lv::One, Lv::Zero])]);
         let b = log(&[("r1", &[Lv::One, Lv::One])]);
         match compare_capture_logs(&a, &b, |n| n.to_owned()) {
-            FlowCheck::Diverged { element, at, expected, actual } => {
+            FlowCheck::Diverged {
+                element,
+                at,
+                expected,
+                actual,
+            } => {
                 assert_eq!(element, "r1");
                 assert_eq!(at, 1);
                 assert_eq!(expected, Lv::Zero);

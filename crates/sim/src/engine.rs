@@ -1,7 +1,7 @@
 //! The event-driven simulation engine.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 use drd_liberty::function::Expr;
 use drd_liberty::{Library, Lv, SeqKind};
@@ -148,11 +148,10 @@ impl Simulator {
     /// # Errors
     /// Returns [`SimError`] for unknown cells or elaboration failures.
     pub fn new(design: &Design, lib: &Library, opts: SimOptions) -> Result<Self, SimError> {
-        let flat = drd_netlist::flatten(design, design.top()).map_err(|e| {
-            SimError::Elaboration {
+        let flat =
+            drd_netlist::flatten(design, design.top()).map_err(|e| SimError::Elaboration {
                 message: e.to_string(),
-            }
-        })?;
+            })?;
         Self::from_flat(&flat, lib, opts)
     }
 
@@ -187,9 +186,11 @@ impl Simulator {
         // Net load capacitances for the delay model.
         let mut net_cap = vec![0.0f64; net_count];
         for (_, cell) in flat.cells() {
-            let lc = lib.cell_of(cell.kind_ref()).ok_or_else(|| SimError::UnknownCell {
-                name: cell.kind_name().to_owned(),
-            })?;
+            let lc = lib
+                .cell_of(cell.kind_ref())
+                .ok_or_else(|| SimError::UnknownCell {
+                    name: cell.kind_name().to_owned(),
+                })?;
             for (i, &(_, conn)) in cell.pins().iter().enumerate() {
                 if let Conn::Net(n) = conn {
                     if let Some(p) = lc.pin(cell.pin_name(i)) {
@@ -775,7 +776,11 @@ mod tests {
             m.add_cell(
                 "g1",
                 "NAND2X1",
-                &[("A", Conn::Net(a)), ("B", Conn::Net(b)), ("Z", Conn::Net(n))],
+                &[
+                    ("A", Conn::Net(a)),
+                    ("B", Conn::Net(b)),
+                    ("Z", Conn::Net(n)),
+                ],
             )
             .unwrap();
             m.add_cell("g2", "INVX1", &[("A", Conn::Net(n)), ("Z", Conn::Net(z))])
@@ -803,7 +808,11 @@ mod tests {
             m.add_cell(
                 "r",
                 "DFFX1",
-                &[("D", Conn::Net(dn)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+                &[
+                    ("D", Conn::Net(dn)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q)),
+                ],
             )
             .unwrap();
         });
@@ -837,7 +846,11 @@ mod tests {
             m.add_cell(
                 "l",
                 "LDX1",
-                &[("D", Conn::Net(dn)), ("G", Conn::Net(g)), ("Q", Conn::Net(q))],
+                &[
+                    ("D", Conn::Net(dn)),
+                    ("G", Conn::Net(g)),
+                    ("Q", Conn::Net(q)),
+                ],
             )
             .unwrap();
         });
@@ -914,7 +927,11 @@ mod tests {
                 m.add_cell(
                     "g0",
                     "NAND2X1",
-                    &[("A", Conn::Net(n2)), ("B", Conn::Net(en)), ("Z", Conn::Net(n0))],
+                    &[
+                        ("A", Conn::Net(n2)),
+                        ("B", Conn::Net(en)),
+                        ("Z", Conn::Net(n0)),
+                    ],
                 )
                 .unwrap();
                 m.add_cell("g1", "INVX1", &[("A", Conn::Net(n0)), ("Z", Conn::Net(n1))])
@@ -925,8 +942,8 @@ mod tests {
         };
         let measure = |corner| {
             let d = ring(());
-            let mut s = Simulator::new(&d, &vlib90::high_speed(), SimOptions::at_corner(corner))
-                .unwrap();
+            let mut s =
+                Simulator::new(&d, &vlib90::high_speed(), SimOptions::at_corner(corner)).unwrap();
             s.poke("en", Lv::One).unwrap();
             s.poke("n2", Lv::One).unwrap();
             s.watch("n0").unwrap();
@@ -983,7 +1000,11 @@ mod tests {
             let z = m.find_net("z").unwrap();
             let mut prev = a;
             for i in 0..8 {
-                let next = if i == 7 { z } else { m.add_net(format!("n{i}")).unwrap() };
+                let next = if i == 7 {
+                    z
+                } else {
+                    m.add_net(format!("n{i}")).unwrap()
+                };
                 m.add_cell(
                     format!("u{i}"),
                     "BUFX1",

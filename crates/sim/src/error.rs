@@ -46,7 +46,11 @@ impl fmt::Display for SimError {
             SimError::UnknownNet { name } => write!(f, "unknown net `{name}`"),
             SimError::Elaboration { message } => write!(f, "elaboration failed: {message}"),
             SimError::Handshake { message } => write!(f, "handshake simulation failed: {message}"),
-            SimError::Deadlock { region, edges, needed } => write!(
+            SimError::Deadlock {
+                region,
+                edges,
+                needed,
+            } => write!(
                 f,
                 "handshake simulation failed: handshake deadlock: region {region} produced \
                  {edges} enable edges (need {needed})"
@@ -65,7 +69,11 @@ mod tests {
     fn display_and_traits() {
         let e = SimError::UnknownNet { name: "clk".into() };
         assert!(e.to_string().contains("clk"));
-        let e = SimError::Deadlock { region: "g1".into(), edges: 2, needed: 8 };
+        let e = SimError::Deadlock {
+            region: "g1".into(),
+            edges: 2,
+            needed: 8,
+        };
         assert_eq!(
             e.to_string(),
             "handshake simulation failed: handshake deadlock: region g1 produced 2 enable \

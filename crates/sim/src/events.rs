@@ -226,8 +226,9 @@ mod tests {
         q.schedule(10, 1);
         q.schedule(10, 2); // same time, later id
         q.schedule(20, 3);
-        let order: Vec<(TimeFs, u32)> =
-            std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.node)).collect();
+        let order: Vec<(TimeFs, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time, e.node))
+            .collect();
         assert_eq!(order, vec![(10, 1), (10, 2), (20, 3), (30, 0)]);
     }
 
@@ -263,7 +264,14 @@ mod tests {
         assert!(q.is_empty());
         // On an empty queue the fused operation only schedules.
         assert_eq!(q.pop_and_schedule(3, 4), 1);
-        assert_eq!(q.peek(), Some(Event { time: 3, id: 1, node: 4 }));
+        assert_eq!(
+            q.peek(),
+            Some(Event {
+                time: 3,
+                id: 1,
+                node: 4
+            })
+        );
     }
 
     #[test]

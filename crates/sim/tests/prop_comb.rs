@@ -42,7 +42,11 @@ fn build(recipe: &[u8]) -> (Design, Vec<(u8, usize, usize)>) {
             m.add_cell(
                 format!("u{k}"),
                 gate,
-                &[("A", Conn::Net(nets[a])), ("B", Conn::Net(nets[c])), ("Z", Conn::Net(z))],
+                &[
+                    ("A", Conn::Net(nets[a])),
+                    ("B", Conn::Net(nets[c])),
+                    ("Z", Conn::Net(z)),
+                ],
             )
             .unwrap();
         }

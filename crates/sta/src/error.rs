@@ -29,7 +29,10 @@ impl fmt::Display for StaError {
             StaError::UnknownCell { name } => write!(f, "unknown library cell `{name}`"),
             StaError::BadNetlist { message } => write!(f, "bad netlist: {message}"),
             StaError::Cycle { through } => {
-                write!(f, "timing graph contains an unbroken cycle through {through}")
+                write!(
+                    f,
+                    "timing graph contains an unbroken cycle through {through}"
+                )
             }
         }
     }

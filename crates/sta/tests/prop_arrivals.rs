@@ -21,13 +21,21 @@ fn chain(kinds: &[u8]) -> Module {
             _ => "XOR2X1",
         };
         if k % 4 < 2 {
-            m.add_cell(format!("u{i}"), gate, &[("A", Conn::Net(prev)), ("Z", Conn::Net(z))])
-                .unwrap();
+            m.add_cell(
+                format!("u{i}"),
+                gate,
+                &[("A", Conn::Net(prev)), ("Z", Conn::Net(z))],
+            )
+            .unwrap();
         } else {
             m.add_cell(
                 format!("u{i}"),
                 gate,
-                &[("A", Conn::Net(prev)), ("B", Conn::Net(prev)), ("Z", Conn::Net(z))],
+                &[
+                    ("A", Conn::Net(prev)),
+                    ("B", Conn::Net(prev)),
+                    ("Z", Conn::Net(z)),
+                ],
             )
             .unwrap();
         }
@@ -37,7 +45,11 @@ fn chain(kinds: &[u8]) -> Module {
     m.add_cell(
         "r",
         "DFFX1",
-        &[("D", Conn::Net(prev)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+        &[
+            ("D", Conn::Net(prev)),
+            ("CK", Conn::Net(clk)),
+            ("Q", Conn::Net(q)),
+        ],
     )
     .unwrap();
     m
@@ -116,7 +128,10 @@ fn critical_path_is_monotone() {
         }
         for w in path.windows(2) {
             if w[1].arrival < w[0].arrival {
-                return Err(format!("arrival drops: {} -> {}", w[0].arrival, w[1].arrival));
+                return Err(format!(
+                    "arrival drops: {} -> {}",
+                    w[0].arrival, w[1].arrival
+                ));
             }
         }
         Ok(())

@@ -65,7 +65,11 @@ impl<'a> Conformance<'a> {
     /// # Errors
     /// Returns [`ConformanceError`] if the edge is not enabled.
     pub fn observe(&mut self, signal: &str, rising: bool) -> Result<(), ConformanceError> {
-        let pol = if rising { Polarity::Plus } else { Polarity::Minus };
+        let pol = if rising {
+            Polarity::Plus
+        } else {
+            Polarity::Minus
+        };
         let label = format!("{signal}{pol}");
         let trans = self.stg.transition(&label).ok();
         let enabled = self.stg.enabled(&self.marking);

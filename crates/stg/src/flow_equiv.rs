@@ -67,9 +67,8 @@ pub fn compose_pipeline(protocol: &Stg, stages: usize) -> Result<Stg, StgError> 
         for arc in protocol.arcs() {
             let (fs, fp) = protocol.signal_of(arc.from);
             let (ts, tp) = protocol.signal_of(arc.to);
-            let rename = |sig: usize, pol: Polarity| -> String {
-                format!("L{}{}", pair + sig, pol)
-            };
+            let rename =
+                |sig: usize, pol: Polarity| -> String { format!("L{}{}", pair + sig, pol) };
             let from = rename(fs, fp);
             let to = rename(ts, tp);
             if seen.insert((from.clone(), to.clone(), arc.initial_tokens)) {
@@ -136,7 +135,7 @@ pub fn check_flow_equivalence(
     let mut init = State {
         marking: pipeline.initial_marking(),
         values: pipeline.initial_values().to_vec(),
-        item: vec![None; n], // reset contents everywhere
+        item: vec![None; n],  // reset contents everywhere
         captures: vec![0; n], // next expected real capture is item 0
         next_input: 0,
     };

@@ -153,7 +153,9 @@ impl Stg {
         while changed {
             changed = false;
             for &(from, t, to) in reach.edges() {
-                let Some(v) = values[from].clone() else { continue };
+                let Some(v) = values[from].clone() else {
+                    continue;
+                };
                 let (sig, pol) = self.signal_of(t);
                 let expected_pre = matches!(pol, crate::Polarity::Minus);
                 if v[sig] != expected_pre {

@@ -226,8 +226,7 @@ impl Stg {
             .iter()
             .enumerate()
             .filter(|(_, tr)| {
-                !tr.consumes.is_empty()
-                    && tr.consumes.iter().all(|&a| marking.0[a as usize] > 0)
+                !tr.consumes.is_empty() && tr.consumes.iter().all(|&a| marking.0[a as usize] > 0)
             })
             .map(|(i, _)| TransId(i as u32))
             .collect()

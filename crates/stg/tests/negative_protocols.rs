@@ -112,11 +112,8 @@ fn duplicated_capture_pulse_is_rejected() {
 #[test]
 fn early_request_withdrawal_is_rejected() {
     let s = semi_decoupled_controller_stg();
-    let err = check_trace(
-        &s,
-        [("ri", true), ("ro", true), ("g", true), ("ro", false)],
-    )
-    .unwrap_err();
+    let err =
+        check_trace(&s, [("ri", true), ("ro", true), ("g", true), ("ro", false)]).unwrap_err();
     assert_eq!(err.at, 3);
     assert_eq!(err.event, "ro-");
 }

@@ -11,7 +11,11 @@ use drdesync::sim::{compare_capture_logs, SimOptions, Simulator};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = vlib90::high_speed();
     let module = drdesync::designs::sample::figure_2_2()?;
-    println!("input: `{}` with {} cells", module.name, module.cell_count());
+    println!(
+        "input: `{}` with {} cells",
+        module.name,
+        module.cell_count()
+    );
 
     // 1. Desynchronize. The module is cloned because step 2 simulates
     // the original; the trace comes back even when the flow fails.
@@ -23,9 +27,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "regions: {:?}",
-        result.report.regions.iter().map(|r| &r.name).collect::<Vec<_>>()
+        result
+            .report
+            .regions
+            .iter()
+            .map(|r| &r.name)
+            .collect::<Vec<_>>()
     );
-    println!("data dependencies (Fig. 2.6): {:?}", result.report.ddg_edges);
+    println!(
+        "data dependencies (Fig. 2.6): {:?}",
+        result.report.ddg_edges
+    );
 
     // 2. Synchronous reference simulation.
     let mut sync = Design::new();

@@ -289,9 +289,10 @@ impl Args {
     fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
         match self.value(flag) {
             None => Ok(None),
-            Some(raw) => raw.parse().map(Some).map_err(|_| {
-                CliError::Usage(format!("{flag} expects a number, found `{raw}`"))
-            }),
+            Some(raw) => raw
+                .parse()
+                .map(Some)
+                .map_err(|_| CliError::Usage(format!("{flag} expects a number, found `{raw}`"))),
         }
     }
 
@@ -475,7 +476,11 @@ fn run() -> Result<(), CliError> {
                     r.name,
                     r.cells.len(),
                     r.seq_cells.len(),
-                    if r.is_input_region { " (input registers)" } else { "" }
+                    if r.is_input_region {
+                        " (input registers)"
+                    } else {
+                        ""
+                    }
                 );
             }
             Ok(())
@@ -493,7 +498,8 @@ fn run() -> Result<(), CliError> {
                 }
             };
             let lib = args.library();
-            let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
+            let module =
+                drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
             let opts = args.flow_options()?;
             let workers = opts.workers();
 
@@ -578,7 +584,9 @@ fn run() -> Result<(), CliError> {
         "serve" => {
             let args = Args::parse(command, rest, false, &[SERVE_FLAGS])?;
             let lib = args.library();
-            let tokens = args.jobs()?.unwrap_or_else(drd_runner::runner::worker_count);
+            let tokens = args
+                .jobs()?
+                .unwrap_or_else(drd_runner::runner::worker_count);
             let server = drd_serve::Server::new(&lib, tokens)?;
             if args.has("--stdio") {
                 let stdin = std::io::stdin().lock();
@@ -604,7 +612,8 @@ fn run() -> Result<(), CliError> {
             let (head, tail, stopped_early) =
                 shaped_pipeline(args.value("--stop-after"), dump.as_ref().map(|d| d.0))?;
             let lib = args.library();
-            let module = drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
+            let module =
+                drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
             let opts = args.flow_options()?;
 
             let tool = Desynchronizer::new(&lib)?;

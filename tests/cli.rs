@@ -199,12 +199,22 @@ fn cli_simulate_rejects_a_sigma_that_is_not_finite_and_non_negative() {
     let input = write_sample(&dir);
     for sigma in ["nan", "inf", "-0.5"] {
         let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
-            .args(["simulate", input.to_str().unwrap(), "--seeds", "4", "--sigma", sigma])
+            .args([
+                "simulate",
+                input.to_str().unwrap(),
+                "--seeds",
+                "4",
+                "--sigma",
+                sigma,
+            ])
             .output()
             .expect("binary runs");
         assert_eq!(out.status.code(), Some(1), "--sigma {sigma}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--sigma") && stderr.contains(&format!("`{sigma}`")), "{stderr}");
+        assert!(
+            stderr.contains("--sigma") && stderr.contains(&format!("`{sigma}`")),
+            "{stderr}"
+        );
         assert!(out.stdout.is_empty(), "--sigma {sigma}: {out:?}");
     }
 }
@@ -297,8 +307,10 @@ fn cli_combinational_loop_is_a_timing_error() {
     assert_eq!(out.status.code(), Some(3), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.lines().any(|l| l
-            == "error: timing analysis failed: timing graph contains an unbroken cycle through u0/B"),
+        stderr.lines().any(|l| {
+            l
+            == "error: timing analysis failed: timing graph contains an unbroken cycle through u0/B"
+        }),
         "{stderr}"
     );
 }
@@ -367,7 +379,14 @@ fn cli_jobs_zero_is_rejected_before_any_flow_runs() {
     let input = write_sample(&dir);
     let invocations: [&[&str]; 3] = [
         &["desync", input.to_str().unwrap(), "--jobs", "0"],
-        &["simulate", input.to_str().unwrap(), "--seeds", "1", "--jobs", "0"],
+        &[
+            "simulate",
+            input.to_str().unwrap(),
+            "--seeds",
+            "1",
+            "--jobs",
+            "0",
+        ],
         &["serve", "--stdio", "--jobs", "0"],
     ];
     for args in invocations {
@@ -378,12 +397,20 @@ fn cli_jobs_zero_is_rejected_before_any_flow_runs() {
             .expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--jobs must be at least 1"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--jobs must be at least 1"),
+            "{args:?}: {stderr}"
+        );
         assert!(stderr.contains("omit --jobs"), "{args:?}: {stderr}");
     }
     // `--jobs 1` stays valid.
     let status = Command::new(env!("CARGO_BIN_EXE_drdesync"))
-        .args(["desync", input.to_str().unwrap(), "-o", dir.join("j1.v").to_str().unwrap()])
+        .args([
+            "desync",
+            input.to_str().unwrap(),
+            "-o",
+            dir.join("j1.v").to_str().unwrap(),
+        ])
         .args(["--jobs", "1"])
         .status()
         .expect("binary runs");
@@ -425,10 +452,20 @@ fn cli_serve_stdio_answers_jobs_stats_and_shutdown() {
         reader.read_line(&mut line).unwrap();
         line
     };
-    let cold = ask(&format!("{{\"id\":\"a\",\"kind\":\"desync\",\"verilog\":\"{escaped}\"}}"));
-    assert!(cold.contains("\"id\":\"a\"") && cold.contains("\"cached\":false"), "{cold}");
-    let warm = ask(&format!("{{\"id\":\"b\",\"kind\":\"desync\",\"verilog\":\"{escaped}\"}}"));
-    assert!(warm.contains("\"id\":\"b\"") && warm.contains("\"cached\":true"), "{warm}");
+    let cold = ask(&format!(
+        "{{\"id\":\"a\",\"kind\":\"desync\",\"verilog\":\"{escaped}\"}}"
+    ));
+    assert!(
+        cold.contains("\"id\":\"a\"") && cold.contains("\"cached\":false"),
+        "{cold}"
+    );
+    let warm = ask(&format!(
+        "{{\"id\":\"b\",\"kind\":\"desync\",\"verilog\":\"{escaped}\"}}"
+    ));
+    assert!(
+        warm.contains("\"id\":\"b\"") && warm.contains("\"cached\":true"),
+        "{warm}"
+    );
     let bad = ask("this is not json");
     assert!(
         bad.contains("\"error_kind\":\"request\"") && bad.contains("\"exit_code\":1"),
@@ -470,8 +507,15 @@ fn cli_budget_flags_abort_with_flow_error() {
         let json = std::fs::read_to_string(&trace).expect("trace written on failure");
         let doc = drd_serve::json::parse(&json).expect("trace parses");
         let error = doc.get("error").expect("trace has an error section");
-        assert_eq!(error.get("pass").and_then(|p| p.as_str()), Some(pass), "{json}");
-        let text = error.get("message").and_then(|m| m.as_str()).unwrap_or_default();
+        assert_eq!(
+            error.get("pass").and_then(|p| p.as_str()),
+            Some(pass),
+            "{json}"
+        );
+        let text = error
+            .get("message")
+            .and_then(|m| m.as_str())
+            .unwrap_or_default();
         assert!(text.contains(message), "{json}");
     }
 
@@ -569,9 +613,17 @@ fn cli_user_net_named_like_an_enable_net_desynchronizes() {
     std::fs::create_dir_all(&dir).unwrap();
     let report = |mid: &str| {
         let input = write_named_pair(&dir, mid);
-        let (out_v, rep) = (dir.join(format!("{mid}.v.out")), dir.join(format!("{mid}.report")));
+        let (out_v, rep) = (
+            dir.join(format!("{mid}.v.out")),
+            dir.join(format!("{mid}.report")),
+        );
         let out = Command::new(env!("CARGO_BIN_EXE_drdesync"))
-            .args(["desync", input.to_str().unwrap(), "-o", out_v.to_str().unwrap()])
+            .args([
+                "desync",
+                input.to_str().unwrap(),
+                "-o",
+                out_v.to_str().unwrap(),
+            ])
             .args(["--report", rep.to_str().unwrap()])
             .output()
             .expect("binary runs");
@@ -682,7 +734,10 @@ fn cli_flags_are_checked_and_shared_by_desync_and_simulate() {
 
     let out = run(&["desync", sample, "-o", out_v, "--bogus-flag"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("`--bogus-flag`"), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("`--bogus-flag`"),
+        "{out:?}"
+    );
 
     for args in [
         &["desync", sample, "-o", out_v, "--period", "abc"][..],
@@ -690,7 +745,10 @@ fn cli_flags_are_checked_and_shared_by_desync_and_simulate() {
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("--period"), "{out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("--period"),
+            "{out:?}"
+        );
     }
 
     let arm = drdesync::flow::CaseStudy::armlike(&drdesync::designs::armlike::ArmParams::small())
@@ -704,15 +762,26 @@ fn cli_flags_are_checked_and_shared_by_desync_and_simulate() {
     assert_eq!(desync.status.code(), Some(0), "{desync:?}");
     let shipped: Vec<String> = String::from_utf8_lossy(&desync.stderr)
         .lines()
-        .filter_map(|l| l.strip_prefix("  ")?.split_once(": ").map(|(r, _)| r.to_owned()))
+        .filter_map(|l| {
+            l.strip_prefix("  ")?
+                .split_once(": ")
+                .map(|(r, _)| r.to_owned())
+        })
         .filter(|r| r.starts_with('g'))
         .collect();
-    let simulate = [&["simulate", arm_v, "--seeds", "0", "--check-liveness"][..], &flow_flags];
+    let simulate = [
+        &["simulate", arm_v, "--seeds", "0", "--check-liveness"][..],
+        &flow_flags,
+    ];
     let simulate = run(&simulate.concat());
     assert_eq!(simulate.status.code(), Some(0), "{simulate:?}");
     let screened: Vec<String> = String::from_utf8_lossy(&simulate.stdout)
         .lines()
-        .filter_map(|l| l.strip_prefix("liveness ")?.split_once(": ").map(|(r, _)| r.to_owned()))
+        .filter_map(|l| {
+            l.strip_prefix("liveness ")?
+                .split_once(": ")
+                .map(|(r, _)| r.to_owned())
+        })
         .collect();
     assert_eq!(shipped, ["g1"], "{desync:?}");
     assert_eq!(screened, shipped, "{simulate:?}");

@@ -26,7 +26,11 @@ fn hostile_corpus_replays_with_expected_outcomes() {
         .filter(|p| p.extension().is_some_and(|x| x == "v"))
         .collect();
     paths.sort();
-    assert!(paths.len() >= 15, "corpus unexpectedly small: {}", paths.len());
+    assert!(
+        paths.len() >= 15,
+        "corpus unexpectedly small: {}",
+        paths.len()
+    );
 
     for path in paths {
         let name = path

@@ -129,10 +129,16 @@ fn golden_mixed_degraded_report_trace_and_flow_equivalence() {
     dut.run_for(2.0);
     dut.poke("drd_rst", Lv::One).unwrap();
     dut.run_for(200.0);
-    assert!(dut.captures().capture_count("r1") > 0, "degraded FF still clocks");
+    assert!(
+        dut.captures().capture_count("r1") > 0,
+        "degraded FF still clocks"
+    );
 
     let ref_seq = reference.captures().sequence("r0").unwrap();
-    let dut_seq = dut.captures().sequence("r0_ls").expect("r0 was desynchronized");
+    let dut_seq = dut
+        .captures()
+        .sequence("r0_ls")
+        .expect("r0 was desynchronized");
     let n = ref_seq.len().min(dut_seq.len());
     assert!(n >= 10, "common prefix long enough: {n}");
     assert_eq!(ref_seq[..n], dut_seq[..n], "region A stays flow-equivalent");

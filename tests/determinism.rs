@@ -42,9 +42,15 @@ fn mc_sample_vectors_are_byte_identical_for_any_worker_count() {
     // to actually reach the samples.
     let distinct: std::collections::HashSet<u64> =
         serial.iter().map(|s| s.desync_cycle_ns.to_bits()).collect();
-    assert!(distinct.len() > 900, "only {} distinct cycles", distinct.len());
+    assert!(
+        distinct.len() > 900,
+        "only {} distinct cycles",
+        distinct.len()
+    );
     for workers in [2, 8] {
-        let par = net.monte_carlo(&var, 1000, workers).expect("parallel campaign");
+        let par = net
+            .monte_carlo(&var, 1000, workers)
+            .expect("parallel campaign");
         assert_eq!(par.len(), serial.len(), "workers={workers}");
         for (a, b) in serial.iter().zip(&par) {
             assert_eq!(a.chip, b.chip, "workers={workers}");
@@ -79,7 +85,11 @@ fn parallel_parse_is_byte_identical_for_any_job_count() {
         let name = format!("fuzz_{i}");
         // netgen always emits `module fuzz (...)`; rename so the three
         // generated modules can share one source file.
-        src.push_str(&recipe.verilog().replacen("module fuzz ", &format!("module {name} "), 1));
+        src.push_str(
+            &recipe
+                .verilog()
+                .replacen("module fuzz ", &format!("module {name} "), 1),
+        );
         tops.push(name);
     }
     // A top module instantiating the generated ones, so the parallel
@@ -93,7 +103,10 @@ fn parallel_parse_is_byte_identical_for_any_job_count() {
     let serial = drdesync::netlist::verilog::parse_design_jobs(&src, Some(1))
         .expect("serial parse succeeds");
     let serial_text = drdesync::netlist::verilog::write_design(&serial);
-    assert!(serial_text.contains("fuzz_2"), "all modules survive the merge");
+    assert!(
+        serial_text.contains("fuzz_2"),
+        "all modules survive the merge"
+    );
     for jobs in [2, 8] {
         let par = drdesync::netlist::verilog::parse_design_jobs(&src, Some(jobs))
             .expect("parallel parse succeeds");

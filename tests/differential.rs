@@ -36,7 +36,10 @@ fn differential_fuzz_100_random_netlists() {
         },
     );
     let total_events = total_events.load(Ordering::Relaxed);
-    assert!(total_events > 1000, "compared {total_events} capture events");
+    assert!(
+        total_events > 1000,
+        "compared {total_events} capture events"
+    );
 }
 
 /// The scan / sync-set / sync-reset substitution flavours (Fig. 3.1) stay

@@ -240,7 +240,8 @@ fn armlike_single_group_flow_equivalence() {
 #[test]
 fn muxed_delay_selection_gates_correctness() {
     let lib = vlib90::high_speed();
-    let module = drdesync::designs::dlx::build(&drdesync::designs::dlx::DlxParams::small()).unwrap();
+    let module =
+        drdesync::designs::dlx::build(&drdesync::designs::dlx::DlxParams::small()).unwrap();
 
     let mut sync = Design::new();
     sync.insert(module.clone());
@@ -271,8 +272,11 @@ fn muxed_delay_selection_gates_correctness() {
         dut.poke("irq", Lv::Zero).unwrap();
         dut.watch(&watch_net).unwrap();
         for b in 0..3 {
-            dut.poke(&format!("dsel[{b}]"), Lv::from_bool((selection >> b) & 1 == 1))
-                .unwrap();
+            dut.poke(
+                &format!("dsel[{b}]"),
+                Lv::from_bool((selection >> b) & 1 == 1),
+            )
+            .unwrap();
         }
         dut.poke("drd_rst", Lv::Zero).unwrap();
         dut.run_for(3.0);

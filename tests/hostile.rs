@@ -19,7 +19,10 @@ fn hostile_campaign_has_zero_escaped_panics() {
         report.first_panic
     );
     // Sanity: the campaign exercised both sides of the parser.
-    assert!(report.rejected > 0, "no input was rejected — generator broken?");
+    assert!(
+        report.rejected > 0,
+        "no input was rejected — generator broken?"
+    );
     assert!(
         report.flow_errors + report.completed > 0,
         "no input parsed — truncation/splice families broken?"

@@ -38,7 +38,9 @@ fn both_orders(seed: u64) -> (String, String) {
                 .iter()
                 .any(|k| line.starts_with(k))
     };
-    let slots: Vec<usize> = (0..lines.len()).filter(|&i| is_instance(lines[i])).collect();
+    let slots: Vec<usize> = (0..lines.len())
+        .filter(|&i| is_instance(lines[i]))
+        .collect();
     let mut order: Vec<&str> = slots.iter().map(|&i| lines[i]).collect();
     for k in (1..order.len()).rev() {
         let j = (rng.next_u64() % (k as u64 + 1)) as usize;
@@ -102,14 +104,24 @@ fn violations(seed: u64, lib: &Library) -> Vec<String> {
     for (order, result) in [("source", &a), ("shuffled", &b)] {
         let nets = undriven(result, lib);
         if !nets.is_empty() {
-            found.push(format!("seed {seed}: {order} order ships undriven {nets:?}"));
+            found.push(format!(
+                "seed {seed}: {order} order ships undriven {nets:?}"
+            ));
         }
     }
     if regions(&a) != regions(&b) {
-        found.push(format!("seed {seed}: regions {:?} vs {:?}", regions(&a), regions(&b)));
+        found.push(format!(
+            "seed {seed}: regions {:?} vs {:?}",
+            regions(&a),
+            regions(&b)
+        ));
     }
     if counts(&a) != counts(&b) {
-        found.push(format!("seed {seed}: counts {:?} vs {:?}", counts(&a), counts(&b)));
+        found.push(format!(
+            "seed {seed}: counts {:?} vs {:?}",
+            counts(&a),
+            counts(&b)
+        ));
     }
     found
 }
@@ -117,7 +129,10 @@ fn violations(seed: u64, lib: &Library) -> Vec<String> {
 #[test]
 fn cut_wire_seeds_ship_the_same_result_in_any_cell_order() {
     let lib = vlib90::high_speed();
-    let found: Vec<String> = CUT_WIRE_SEEDS.iter().flat_map(|&s| violations(s, &lib)).collect();
+    let found: Vec<String> = CUT_WIRE_SEEDS
+        .iter()
+        .flat_map(|&s| violations(s, &lib))
+        .collect();
     assert!(found.is_empty(), "{}", found.join("\n"));
 }
 

@@ -233,7 +233,11 @@ fn module_with_unknown_cell() -> Module {
     m.add_cell(
         "r0",
         "DFFX1",
-        &[("D", Conn::Net(x)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+        &[
+            ("D", Conn::Net(x)),
+            ("CK", Conn::Net(clk)),
+            ("Q", Conn::Net(q)),
+        ],
     )
     .unwrap();
     m

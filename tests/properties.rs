@@ -22,7 +22,11 @@ fn pipeline(stages: usize, width: usize, taps: &[u8]) -> Module {
             m.add_cell(
                 format!("r0_{i}"),
                 "DFFX1",
-                &[("D", Conn::Net(din)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+                &[
+                    ("D", Conn::Net(din)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q)),
+                ],
             )
             .unwrap();
             q
@@ -47,7 +51,11 @@ fn pipeline(stages: usize, width: usize, taps: &[u8]) -> Module {
             m.add_cell(
                 format!("r{s}_{i}"),
                 "DFFX1",
-                &[("D", Conn::Net(z)), ("CK", Conn::Net(clk)), ("Q", Conn::Net(q))],
+                &[
+                    ("D", Conn::Net(z)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q)),
+                ],
             )
             .unwrap();
             next.push(q);
@@ -86,7 +94,11 @@ fn grouping_partitions_all_cells() {
             }
         }
         if seen.len() != m.cell_count() {
-            return Err(format!("{} grouped of {} cells", seen.len(), m.cell_count()));
+            return Err(format!(
+                "{} grouped of {} cells",
+                seen.len(),
+                m.cell_count()
+            ));
         }
         Ok(())
     });
@@ -115,10 +127,18 @@ fn desynchronization_structural_invariants() {
 
         let flat = drdesync::netlist::flatten(&result.design, result.design.top())
             .map_err(|e| e.to_string())?;
-        let masters = flat.cells().filter(|(_, c)| c.name.ends_with("_lm")).count();
-        let slaves = flat.cells().filter(|(_, c)| c.name.ends_with("_ls")).count();
+        let masters = flat
+            .cells()
+            .filter(|(_, c)| c.name.ends_with("_lm"))
+            .count();
+        let slaves = flat
+            .cells()
+            .filter(|(_, c)| c.name.ends_with("_ls"))
+            .count();
         if masters != ff_count || slaves != ff_count {
-            return Err(format!("{masters} masters / {slaves} slaves for {ff_count} ffs"));
+            return Err(format!(
+                "{masters} masters / {slaves} slaves for {ff_count} ffs"
+            ));
         }
         // No flip-flops remain.
         let dffs = flat

@@ -99,7 +99,11 @@ fn desync_request(id: &str, verilog: &str) -> String {
 /// disposition, and extracts its artifacts.
 fn response_artifacts(line: &str, want_cached: bool) -> (String, Artifacts) {
     let v = json::parse(line).expect("response parses");
-    let id = v.get("id").and_then(json::Value::as_str).expect("id").to_owned();
+    let id = v
+        .get("id")
+        .and_then(json::Value::as_str)
+        .expect("id")
+        .to_owned();
     assert_eq!(
         v.get("status").and_then(json::Value::as_str),
         Some("ok"),
@@ -110,10 +114,19 @@ fn response_artifacts(line: &str, want_cached: bool) -> (String, Artifacts) {
         Some(want_cached),
         "job {id}: wrong cache disposition"
     );
-    let field = |k: &str| v.get(k).and_then(json::Value::as_str).expect("artifact").to_owned();
+    let field = |k: &str| {
+        v.get(k)
+            .and_then(json::Value::as_str)
+            .expect("artifact")
+            .to_owned()
+    };
     (
         id,
-        Artifacts { report: field("report"), sdc: field("sdc"), verilog: field("verilog") },
+        Artifacts {
+            report: field("report"),
+            sdc: field("sdc"),
+            verilog: field("verilog"),
+        },
     )
 }
 
@@ -155,11 +168,17 @@ fn serve_artifacts(corpus: &[String], window: usize) -> (Vec<Artifacts>, Vec<Art
             for _ in chunk {
                 let line = read_line();
                 let (id, art) = response_artifacts(&line, want_cached);
-                assert!(got.insert(id, (line, art)).is_none(), "duplicate response id");
+                assert!(
+                    got.insert(id, (line, art)).is_none(),
+                    "duplicate response id"
+                );
             }
         }
         (0..corpus.len())
-            .map(|i| got.remove(&format!("{prefix}{i}")).expect("response for every job"))
+            .map(|i| {
+                got.remove(&format!("{prefix}{i}"))
+                    .expect("response for every job")
+            })
             .collect()
     };
 
@@ -167,7 +186,11 @@ fn serve_artifacts(corpus: &[String], window: usize) -> (Vec<Artifacts>, Vec<Art
     let warm = run_pass("w", true);
     for (i, ((cold_line, _), (warm_line, _))) in cold.iter().zip(&warm).enumerate() {
         let replayed = cold_line
-            .replacen(&format!("{{\"id\":\"c{i}\","), &format!("{{\"id\":\"w{i}\","), 1)
+            .replacen(
+                &format!("{{\"id\":\"c{i}\","),
+                &format!("{{\"id\":\"w{i}\","),
+                1,
+            )
             .replacen(",\"cached\":false,", ",\"cached\":true,", 1);
         assert_eq!(
             warm_line, &replayed,
@@ -177,7 +200,10 @@ fn serve_artifacts(corpus: &[String], window: usize) -> (Vec<Artifacts>, Vec<Art
 
     writeln!(stdin, "{{\"id\":\"bye\",\"kind\":\"shutdown\"}}").expect("shutdown written");
     let bye = read_line();
-    assert!(bye.contains("\"shutdown\""), "unexpected shutdown response: {bye}");
+    assert!(
+        bye.contains("\"shutdown\""),
+        "unexpected shutdown response: {bye}"
+    );
     drop(stdin);
     assert!(child.wait().expect("server exits").success());
     let artifacts = |answers: Vec<Answer>| answers.into_iter().map(|(_, art)| art).collect();
@@ -190,8 +216,11 @@ fn serve_and_cli_artifacts_are_byte_identical_across_all_paths() {
     let dir = std::env::temp_dir().join(format!("drd_serve_diff_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
-    let cli: Vec<Artifacts> =
-        corpus.iter().enumerate().map(|(i, v)| cli_artifacts(&dir, i, v)).collect();
+    let cli: Vec<Artifacts> = corpus
+        .iter()
+        .enumerate()
+        .map(|(i, v)| cli_artifacts(&dir, i, v))
+        .collect();
     let (cold1, warm1) = serve_artifacts(&corpus, 1);
     let (cold8, warm8) = serve_artifacts(&corpus, 8);
 
@@ -202,12 +231,17 @@ fn serve_and_cli_artifacts_are_byte_identical_across_all_paths() {
             ("serve@8 cold", &cold8[i]),
             ("serve@8 warm", &warm8[i]),
         ] {
-            assert_eq!(want, got, "netlist {i}: {path} diverged from the CLI artifacts");
+            assert_eq!(
+                want, got,
+                "netlist {i}: {path} diverged from the CLI artifacts"
+            );
         }
     }
     // The corpus must not be trivially empty-artifact: every flow ships
     // a netlist and an SDC.
-    assert!(cli.iter().all(|a| !a.verilog.is_empty() && !a.sdc.is_empty()));
+    assert!(cli
+        .iter()
+        .all(|a| !a.verilog.is_empty() && !a.sdc.is_empty()));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
