@@ -5,18 +5,21 @@
 //!
 //! Runs on the in-tree `drd_check::bench` harness (`cargo bench -p
 //! drd-bench`) and writes `BENCH_kernels.json` so the perf trajectory is
-//! recorded run over run, then gates the Verilog front end and the
-//! handshake simulator: parse and write of the full DLX and a serial
-//! 16-chip Monte Carlo of the small DLX, each as a ratio to a reference
-//! task timed in the same iterations, must stay within [`PARSE_BOUND`],
-//! [`WRITE_BOUND`] and [`MC_BOUND`].
+//! recorded run over run, then gates the Verilog front end, the handshake
+//! simulator and the whole flow: parse and write of the full DLX and a
+//! serial 16-chip Monte Carlo of the small DLX, each as a ratio to a
+//! reference task timed in the same iterations, must stay within
+//! [`PARSE_BOUND`], [`WRITE_BOUND`] and [`MC_BOUND`], and one serial
+//! `Desynchronizer::run` of DLX32 plus one of ARM32 within [`FLOW_BOUND`].
 
 use drd_check::bench::Bench;
 use drd_check::netgen::NetRecipe;
 use drd_check::Rng;
 use drd_core::region::{group, GroupingOptions};
 use drd_core::{handshake_spec, DesyncOptions, Desynchronizer};
+use drd_designs::armlike::ArmParams;
 use drd_designs::dlx::DlxParams;
+use drd_flow::CaseStudy;
 use drd_liberty::{vlib90, Corner, Lv};
 use drd_netlist::Design;
 use drd_sim::{GateVariability, HandshakeNet, SimOptions, Simulator};
@@ -31,7 +34,7 @@ use drd_stg::protocols::Protocol;
 /// write: every unchanged run passed (parse 7.04-8.03, write 1.32-1.54;
 /// two runs needed more batches), and every slowed run failed its own
 /// bound after four batches (parse 8.88-9.34, write 1.65-1.74).
-const PARSE_BOUND: f64 = 8.2;
+const PARSE_BOUND: f64 = 4.5;
 const WRITE_BOUND: f64 = 1.55;
 
 /// Bound on the serial 16-chip DLX-small Monte Carlo's ratio to the same
@@ -42,6 +45,13 @@ const WRITE_BOUND: f64 = 1.55;
 /// (2.26-2.49), and every slowed run failed after four batches
 /// (2.80-2.97) while passing parse and write.
 const MC_BOUND: f64 = 2.6;
+
+/// Bound on the ratio of one serial `Desynchronizer::run` of DLX32 plus
+/// one of ARM32 (scan inserted, the paper's single group) to the same
+/// reference, each run on a prebuilt module cloned in the timed body, in
+/// batches of [`FLOW_ITERS`]. Calibrated with the parse bound (CHANGES.md).
+const FLOW_BOUND: f64 = 19.0;
+const FLOW_ITERS: u32 = 250;
 
 fn main() {
     let lib = vlib90::high_speed();
@@ -94,6 +104,32 @@ fn main() {
             }),
         ],
     );
+
+    // The whole flow, serially, as `drdesync desync --jobs 1` runs it
+    // once the netlist is parsed, on both full-size cores in one body. The
+    // flow takes the module over, so the timed body clones it first.
+    let cases = [
+        CaseStudy::dlx(&DlxParams::full()).expect("DLX32 builds"),
+        CaseStudy::armlike(&ArmParams::full()).expect("ARM32 builds"),
+    ];
+    let flows = cases.each_ref().map(|case| {
+        let mut opts = case.desync.clone();
+        opts.jobs = Some(1);
+        (Desynchronizer::new(&case.lib).unwrap(), opts, &case.module)
+    });
+    let flow_ratio = b.run_relative(
+        FLOW_ITERS,
+        &[FLOW_BOUND],
+        &mut [
+            ("reference_sort", &mut reference),
+            ("desync_flow_dlx32_arm32", &mut || {
+                for (tool, opts, module) in &flows {
+                    let module = std::hint::black_box(*module).clone();
+                    std::hint::black_box(tool.run(module, opts).0.unwrap());
+                }
+            }),
+        ],
+    )[0];
 
     // Region grouping on the full DLX.
     b.run("grouping_dlx_full", || {
@@ -230,6 +266,7 @@ fn main() {
         ("parse", ratios[0], PARSE_BOUND),
         ("write", ratios[1], WRITE_BOUND),
         ("mc", ratios[2], MC_BOUND),
+        ("flow", flow_ratio, FLOW_BOUND),
     ] {
         if ratio > bound {
             failed.push(format!("{kernel}/reference ratio {ratio:.4} > {bound}"));

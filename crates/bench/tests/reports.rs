@@ -114,6 +114,7 @@ fn kernels(doc: &Value) -> Vec<String> {
         "verilog_parse_dlx_full",
         "verilog_write_dlx_full",
         "handshake_mc_dlx_small_16",
+        "desync_flow_dlx32_arm32",
     ] {
         if !ratios
             .iter()

@@ -14,9 +14,11 @@
 #    DRD_WORKERS=3, so worker count never leaks into artifacts (the
 #    workspace tests include crates/bench/tests/reports.rs, which parses
 #    every committed bench report and checks its fields),
-# 3. lints the whole workspace with clippy, warnings denied, then builds
-#    the workspace's API docs with rustdoc warnings denied, so a doc link
-#    to a renamed or deleted item (or to a private one) fails,
+# 3. checks that the workspace is rustfmt-clean (`cargo fmt --all --
+#    --check`; e2ebench/ is a workspace of its own and is not checked),
+#    lints it with clippy, warnings denied, then builds the workspace's
+#    API docs with rustdoc warnings denied, so a doc link to a renamed or
+#    deleted item (or to a private one) fails,
 # 4. regenerates the seven paper artifacts (Tables 2.1, 5.1, 5.2 and
 #    Figs. 2.4, 5.3, 5.4, 5.5) and fails unless each one matches its
 #    results/ copy byte for byte,
@@ -80,6 +82,10 @@ echo "== cargo test -q (offline, whole workspace) =="
 cargo test -q --workspace --offline
 DRD_WORKERS=3 cargo test -q --offline --test determinism --test handshake_mc
 echo "ok: artifacts and handshake golden byte-identical at DRD_WORKERS=3"
+
+echo "== cargo fmt --check (root workspace) =="
+cargo fmt --all -- --check
+echo "ok: the workspace is rustfmt-clean"
 
 echo "== cargo clippy (offline, warnings denied) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
