@@ -27,6 +27,7 @@
 //! | `variability` | 1000 chips per campaign (a compile-time assert); worker splits byte-identical; zero-sigma chips bitwise nominal; desync mean degrades slower than the sync worst case; on ≥ 4 cores and workers, Monte-Carlo `speedup` ≥ 3.0 |
 //! | `liveness`    | zero undiagnosed deadlocks over 60 imbalanced designs; at least one hazardous design |
 //! | `serve`       | zero failed or wedged jobs over 96 jobs; every warm artifact byte-identical to its cold original; 1-client warm p50 × 25 ≤ cold p50 |
+//! | `allocs`      | (`cargo bench`, `benches/allocs.rs`, a counting allocator) allocations and bytes requested by each vlib90 build and by DLX32's and ARM32's parse, nine passes (`jobs = Some(1)`) and write repeat exactly over three runs after a warm-up, and none is above its committed ceiling |
 //! | `kernels`     | (`cargo bench`, `benches/kernels.rs`) parse/reference ≤ 4.5 and write/reference ≤ 1.55 on the full DLX, a serial 16-chip DLX-small Monte Carlo/reference ≤ 2.6, and one serial `Desynchronizer::run` of DLX32 plus one of ARM32/reference ≤ 19.0, fastest iterations against a sort reference |
 //!
 //! `DRD_BENCH_DIR` redirects the reports from the workspace `results/`

@@ -38,7 +38,8 @@ type Check = fn(&Value) -> Vec<String>;
 
 /// The campaigns that write a `BENCH_<name>.json`, each with the check of
 /// its fields.
-const PRODUCERS: [(&str, Check); 6] = [
+const PRODUCERS: [(&str, Check); 7] = [
+    ("allocs", allocs),
     ("kernels", kernels),
     ("liveness", liveness),
     ("mutation", mutation),
@@ -86,6 +87,45 @@ fn missing<S: AsRef<str>>(doc: &Value, fields: &[(S, Kind)]) -> Vec<String> {
                 problems.push(format!("{path}: wrong kind"));
             }
             Ok(_) => {}
+        }
+    }
+    problems
+}
+
+fn allocs(doc: &Value) -> Vec<String> {
+    let mut problems = missing(
+        doc,
+        &[
+            ("warmup_runs", num as Kind),
+            ("counted_runs", num),
+            ("jobs", num),
+            ("results[].label", text),
+            ("results[].allocations", num),
+            ("results[].bytes", num),
+            ("results[].max_allocations", num),
+            ("results[].max_bytes", num),
+            ("results[].repeats", flag),
+        ],
+    );
+    let results = doc
+        .get("results")
+        .and_then(Value::as_arr)
+        .unwrap_or_default();
+    for kernel in [
+        "vlib90_hs",
+        "vlib90_ll",
+        "parse_dlx32",
+        "flow_dlx32",
+        "write_dlx32",
+        "parse_arm32",
+        "flow_arm32",
+        "write_arm32",
+    ] {
+        if !results
+            .iter()
+            .any(|r| r.get("label").and_then(Value::as_str) == Some(kernel))
+        {
+            problems.push(format!("results: no `{kernel}`"));
         }
     }
     problems
