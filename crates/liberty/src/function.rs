@@ -159,36 +159,38 @@ impl FnParser<'_> {
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseFunctionError> {
-        let mut terms = vec![self.parse_and()?];
+        let mut terms = Vec::new();
+        let mut term = self.parse_and()?;
         while matches!(self.peek(), Some('|') | Some('+')) {
             self.pos += 1;
-            terms.push(self.parse_and()?);
+            terms.push(term);
+            term = self.parse_and()?;
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("one term")
+        Ok(if terms.is_empty() {
+            term
         } else {
+            terms.push(term);
             Expr::Or(terms)
         })
     }
 
     fn parse_and(&mut self) -> Result<Expr, ParseFunctionError> {
-        let mut factors = vec![self.parse_xor()?];
+        let mut factors = Vec::new();
+        let mut factor = self.parse_xor()?;
         loop {
             match self.peek() {
-                Some('&') | Some('*') => {
-                    self.pos += 1;
-                    factors.push(self.parse_xor()?);
-                }
+                Some('&') | Some('*') => self.pos += 1,
                 // Juxtaposition: a following primary begins a new AND factor.
-                Some(c) if c == '!' || c == '(' || c.is_ascii_alphanumeric() || c == '_' => {
-                    factors.push(self.parse_xor()?);
-                }
+                Some(c) if c == '!' || c == '(' || c.is_ascii_alphanumeric() || c == '_' => {}
                 _ => break,
             }
+            factors.push(factor);
+            factor = self.parse_xor()?;
         }
-        Ok(if factors.len() == 1 {
-            factors.pop().expect("one factor")
+        Ok(if factors.is_empty() {
+            factor
         } else {
+            factors.push(factor);
             Expr::And(factors)
         })
     }
