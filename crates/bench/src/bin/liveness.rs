@@ -18,7 +18,9 @@ use drd_check::handshake::verify_handshake_timing;
 use drd_check::liveness::verify_liveness;
 use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::Rng;
-use drd_core::{handshake_spec, DesyncError, DesyncOptions, Desynchronizer, LivenessAction};
+use drd_core::{
+    handshake_spec_with, DesyncError, DesyncOptions, Desynchronizer, LibraryFacts, LivenessAction,
+};
 use drd_liberty::vlib90;
 
 /// Fuzzed designs per campaign.
@@ -27,6 +29,7 @@ const DESIGNS: usize = 60;
 fn main() {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
+    let facts = LibraryFacts::new(&lib, &tool.gatefile().measured);
     let base = NetGenParams {
         max_stages: 3,
         max_width: 2,
@@ -80,8 +83,9 @@ fn main() {
                 // The gate: what shipped must be live — structurally
                 // (repairs really in the netlist) and behaviourally
                 // (the handshake network settles).
-                let verdict = verify_liveness(&result, &lib).and_then(|()| {
-                    let spec = handshake_spec(&result.report, &lib).map_err(|e| e.to_string())?;
+                let verdict = verify_liveness(&result, &facts).and_then(|()| {
+                    let spec =
+                        handshake_spec_with(&result.report, &facts).map_err(|e| e.to_string())?;
                     verify_handshake_timing(&spec, &lib).map(|_| ())
                 });
                 if let Err(e) = verdict {

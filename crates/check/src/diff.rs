@@ -45,7 +45,8 @@
 //! mutation harness in [`crate::mutate`] builds on: it corrupts a clean
 //! [`DesyncResult`] and asserts `verify_result` now fails.
 
-use drd_core::{DesyncOptions, DesyncResult, Desynchronizer};
+use drd_core::{DesyncOptions, DesyncResult, Desynchronizer, LibraryFacts};
+use drd_liberty::gatefile::MeasuredDelays;
 use drd_liberty::{Library, Lv};
 use drd_netlist::{Conn, Design};
 use drd_sim::{compare_capture_logs, FlowCheck, SimOptions, Simulator};
@@ -190,9 +191,14 @@ pub fn verify_result(
     check_scan_chain(recipe, lib, result)?;
     lint_sdc(recipe, result)?;
 
+    // Both control oracles read one set of library facts, so each probe
+    // runs once per call.
+    let measured = MeasuredDelays::default();
+    let facts = LibraryFacts::new(lib, &measured);
+
     // Handshake-timing oracle (DESIGN.md §3f): the event-driven
     // control-network simulation must respect static timing.
-    let spec = drd_core::handshake_spec(&result.report, lib)
+    let spec = drd_core::handshake_spec_with(&result.report, &facts)
         .map_err(|e| fail(recipe, &format!("handshake spec: {e}")))?;
     crate::handshake::verify_handshake_timing(&spec, lib)
         .map_err(|e| fail(recipe, &format!("handshake timing oracle: {e}")))?;
@@ -200,7 +206,7 @@ pub fn verify_result(
     // Liveness oracle (DESIGN.md §3i): the netlist must carry the
     // repairs the guard reported, and the shipped delay-element depths
     // must leave no pulse-swallowing hazard behind.
-    crate::liveness::verify_liveness(result, lib)
+    crate::liveness::verify_liveness(result, &facts)
         .map_err(|e| fail(recipe, &format!("liveness oracle: {e}")))?;
 
     let reference = simulate_reference(recipe, lib, config)?;

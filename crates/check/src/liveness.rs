@@ -34,10 +34,9 @@
 //! latch the table does not record, or a cell a degrade left, is caught.
 
 use drd_core::controller::ControllerRole;
-use drd_core::liveness::{hazards, ResponseModel};
+use drd_core::liveness::hazards;
 use drd_core::network::RegionControl;
-use drd_core::{handshake_spec, DesyncResult, LivenessAction};
-use drd_liberty::Library;
+use drd_core::{handshake_spec_with, DesyncResult, LibraryFacts, LivenessAction};
 use drd_netlist::{CellId, Conn, Endpoint};
 
 /// Parses the level count out of a delay-element module name
@@ -50,14 +49,18 @@ fn delem_levels_of(kind: &str) -> Option<usize> {
 }
 
 /// Verifies the liveness guard's contract on a finished flow result —
-/// see the module docs for the three properties.
+/// see the module docs for the three properties. The response model and
+/// the level delay are read from `facts`.
 ///
 /// # Errors
 /// A description of the first violated property.
-pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), String> {
+pub fn verify_liveness(result: &DesyncResult, facts: &LibraryFacts<'_>) -> Result<(), String> {
     let (report, top) = (&result.report, result.design.top_module());
-    let model = ResponseModel::probe(lib).map_err(|e| format!("response model: {e}"))?;
-    let mut spec = handshake_spec(report, lib).map_err(|e| format!("handshake spec: {e}"))?;
+    let model = facts
+        .response()
+        .map_err(|e| format!("response model: {e}"))?;
+    let mut spec =
+        handshake_spec_with(report, facts).map_err(|e| format!("handshake spec: {e}"))?;
     let alive = |id: CellId| top.is_cell_alive(id).then_some(id);
     let latched = |lr: &drd_core::LivenessRepair| {
         lr.action == LivenessAction::RequestLatch
@@ -153,7 +156,7 @@ pub fn verify_liveness(result: &DesyncResult, lib: &Library) -> Result<(), Strin
             continue;
         };
         let conn = top
-            .connectivity(&result.design.pin_dirs(lib))
+            .connectivity(&result.design.pin_dirs(facts.library()))
             .map_err(|e| format!("degraded region {}: {e}", d.region))?;
         let from_clock = |net| match conn.driver(net) {
             Some(Endpoint::Pin(p)) => top.cell(p.cell).pin("A").and_then(Conn::net) == clock,
@@ -190,7 +193,13 @@ mod tests {
     use crate::mutate::{self, Mutation};
     use crate::netgen::{FfKind, FfRecipe, GateOp, NetRecipe, StageRecipe};
     use drd_core::{Degradation, DegradeReason, DesyncOptions, Desynchronizer, LivenessRepair};
-    use drd_liberty::vlib90;
+    use drd_liberty::gatefile::MeasuredDelays;
+    use drd_liberty::{vlib90, Library};
+
+    /// [`verify_liveness`] on facts measured for this call alone.
+    fn verify(result: &DesyncResult, lib: &Library) -> Result<(), String> {
+        verify_liveness(result, &LibraryFacts::new(lib, &MeasuredDelays::default()))
+    }
 
     /// The control-table entry of region `name`.
     fn control<'r>(result: &'r DesyncResult, name: &str) -> &'r RegionControl {
@@ -314,7 +323,7 @@ mod tests {
             !result.report.liveness_repairs.is_empty(),
             "repair expected"
         );
-        verify_liveness(&result, &lib).expect("repaired flow verifies");
+        verify(&result, &lib).expect("repaired flow verifies");
     }
 
     #[test]
@@ -350,8 +359,7 @@ mod tests {
         let kind = m.instance_kind(&shallow);
         m.set_cell_kind(cell, kind);
 
-        let err =
-            verify_liveness(&result, &lib).expect_err("shallowed delay element must be caught");
+        let err = verify(&result, &lib).expect_err("shallowed delay element must be caught");
         assert!(err.contains("levels deep"), "{err}");
     }
 
@@ -359,7 +367,7 @@ mod tests {
     fn oracle_catches_a_stripped_request_latch() {
         let lib = vlib90::high_speed();
         let (result, source) = latched_flow(&lib);
-        verify_liveness(&result, &lib).expect("latched flow verifies");
+        verify(&result, &lib).expect("latched flow verifies");
 
         // Strip the latch but leave the record: both directions of the
         // accounting must catch it (here: record without cell).
@@ -370,7 +378,7 @@ mod tests {
         m.remove_cell(ctl.latch.unwrap().0);
         // The hazard recheck sees the unlatched source first; the latch
         // accounting is the backstop for non-hazardous regions.
-        let err = verify_liveness(&broken, &lib).expect_err("stripped latch must be caught");
+        let err = verify(&broken, &lib).expect_err("stripped latch must be caught");
         assert!(
             err.contains("hazard") || err.contains("request latch"),
             "{err}"
@@ -389,7 +397,7 @@ mod tests {
         let mut ctl = control(&result, &source).clone();
         let m = result.design.top_module_mut();
         drd_core::liveness::apply_latch(m, &mut ctl, &source).unwrap();
-        let err = verify_liveness(&result, &lib).expect_err("unrecorded latch must be caught");
+        let err = verify(&result, &lib).expect_err("unrecorded latch must be caught");
         assert!(
             err.contains("(C2X1) belongs to no controlled region"),
             "{err}"
@@ -406,24 +414,24 @@ mod tests {
         let (latched, source) = latched_flow(&lib);
         let mut clean = latched.clone();
         degrade(&mut clean, &source, |_| {});
-        verify_liveness(&clean, &lib).expect("a clean degrade verifies");
+        verify(&clean, &lib).expect("a clean degrade verifies");
 
         // The master still drives the re-clocked enable; the delay element
         // and the latch are left dangling.
         let mut broken = latched.clone();
         degrade(&mut broken, &source, |c| c.master = c.slave);
-        let err = verify_liveness(&broken, &lib).expect_err("left-over master");
+        let err = verify(&broken, &lib).expect_err("left-over master");
         assert!(err.contains("has multiple drivers"), "{err}");
         let mut broken = latched.clone();
         degrade(&mut broken, &source, |c| c.delem = c.slave);
-        let err = verify_liveness(&broken, &lib).expect_err("left-over delay element");
+        let err = verify(&broken, &lib).expect_err("left-over delay element");
         assert!(
             err.contains("(drd_delem_") && err.contains("belongs to no controlled"),
             "{err}"
         );
         let mut broken = latched.clone();
         degrade(&mut broken, &source, |c| c.latch = None);
-        let err = verify_liveness(&broken, &lib).expect_err("left-over latch");
+        let err = verify(&broken, &lib).expect_err("left-over latch");
         assert!(
             err.contains("(C2X1) belongs to no controlled region"),
             "{err}"
@@ -443,7 +451,7 @@ mod tests {
             .unwrap()
             .0;
         m.remove_cell(syncm);
-        let err = verify_liveness(&clean, &lib).expect_err("unclocked enable must be caught");
+        let err = verify(&clean, &lib).expect_err("unclocked enable must be caught");
         assert!(err.contains("enables not re-clocked"), "{err}");
     }
 
@@ -469,7 +477,7 @@ mod tests {
                 !result.report.liveness_repairs.is_empty(),
                 "{sink}: repair expected"
             );
-            verify_liveness(&result, &lib).unwrap_or_else(|e| panic!("{sink}: {e}"));
+            verify(&result, &lib).unwrap_or_else(|e| panic!("{sink}: {e}"));
             verify_result(&recipe, &lib, &config, &result)
                 .unwrap_or_else(|e| panic!("{sink}: {e}"));
             let mutant = mutate::apply(Mutation::SwallowedRequest, 0, &recipe, &result, &lib)

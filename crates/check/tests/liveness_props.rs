@@ -22,7 +22,9 @@ use drd_check::liveness::verify_liveness;
 use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::{prop_par_with, Config, Rng};
 use drd_core::liveness::{plan_repairs, ResponseModel};
-use drd_core::{handshake_spec, DesyncError, DesyncOptions, Desynchronizer, LivenessAction};
+use drd_core::{
+    handshake_spec, DesyncError, DesyncOptions, Desynchronizer, LibraryFacts, LivenessAction,
+};
 use drd_liberty::vlib90;
 use drd_sim::{HandshakeSpec, RegionSpec};
 
@@ -30,6 +32,7 @@ use drd_sim::{HandshakeSpec, RegionSpec};
 fn imbalanced_open_chains_are_repaired_or_diagnosed_never_wedged() {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
+    let facts = LibraryFacts::new(&lib, &tool.gatefile().measured);
     let base = NetGenParams {
         max_stages: 3,
         max_width: 2,
@@ -58,7 +61,7 @@ fn imbalanced_open_chains_are_repaired_or_diagnosed_never_wedged() {
                 repaired.fetch_add(1, Ordering::Relaxed);
             }
             // Structural: the reported repairs are really in the netlist.
-            verify_liveness(&result, &lib)?;
+            verify_liveness(&result, &facts)?;
             // Behavioural: the shipped network settles — a deadlock here
             // would be exactly the undiagnosed wedge the guard forbids.
             let spec = handshake_spec(&result.report, &lib).map_err(|e| e.to_string())?;
@@ -87,6 +90,7 @@ fn imbalanced_open_chains_are_repaired_or_diagnosed_never_wedged() {
 fn deepening_infeasible_corpus_exercises_latch_and_degrade_rungs() {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("tool builds");
+    let facts = LibraryFacts::new(&lib, &tool.gatefile().measured);
     let model = ResponseModel::probe(&lib).expect("model probes");
     // Budget: a 24-level element fits, the margin-scaled target of a
     // 48..96-level source rise never does — deepening is infeasible by
@@ -126,7 +130,7 @@ fn deepening_infeasible_corpus_exercises_latch_and_degrade_rungs() {
                         LivenessAction::DeepenSuccessor { .. } => {}
                     }
                 }
-                verify_liveness(&result, &lib)?;
+                verify_liveness(&result, &facts)?;
                 let spec = handshake_spec(&result.report, &lib).map_err(|e| e.to_string())?;
                 verify_handshake_timing(&spec, &lib)
                     .map_err(|e| format!("undiagnosed deadlock shipped: {e}"))?;

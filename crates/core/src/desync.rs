@@ -2,7 +2,7 @@
 //! [`Desynchronizer::run`] is the standard [`crate::pipeline`] over a
 //! fresh context, returning the result and the run's trace.
 
-use drd_liberty::gatefile::Gatefile;
+use drd_liberty::gatefile::{Gatefile, MeasuredDelays};
 use drd_liberty::{Corner, Library, SeqKind};
 use drd_netlist::{CellId, Design, Module};
 use drd_sim::{HandshakeSpec, RegionSpec};
@@ -10,7 +10,7 @@ use drd_sta::TimingGraph;
 
 use crate::pipeline::{FlowContext, FlowTrace, Pipeline};
 use crate::region::{GroupingOptions, Regions};
-use crate::DesyncError;
+use crate::{DesyncError, LibraryFacts};
 
 /// Options for a desynchronization run.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,11 +283,24 @@ pub fn region_delays(
 /// control-network spec: region rows become [`RegionSpec`]s and the DDG
 /// edges become index pairs. This is the one projection of a finished
 /// result onto the liveness model; the liveness oracle and `simulate
-/// --check-liveness` start from it.
+/// --check-liveness` start from it. It measures the level delay afresh;
+/// a caller that holds [`LibraryFacts`] calls [`handshake_spec_with`].
 ///
 /// # Errors
 /// Propagates delay-element probing errors.
 pub fn handshake_spec(report: &DesyncReport, lib: &Library) -> Result<HandshakeSpec, DesyncError> {
+    handshake_spec_with(report, &LibraryFacts::new(lib, &MeasuredDelays::default()))
+}
+
+/// [`handshake_spec`] with the level delay read from `facts`, so it is
+/// measured at most once per [`LibraryFacts`]' kept measurements.
+///
+/// # Errors
+/// Propagates delay-element probing errors.
+pub fn handshake_spec_with(
+    report: &DesyncReport,
+    facts: &LibraryFacts<'_>,
+) -> Result<HandshakeSpec, DesyncError> {
     let slot = |name: &str| report.regions.iter().position(|r| r.name == name);
     Ok(HandshakeSpec {
         regions: report
@@ -310,8 +323,8 @@ pub fn handshake_spec(report: &DesyncReport, lib: &Library) -> Result<HandshakeS
             .iter()
             .filter_map(|(a, b)| Some((slot(a)?, slot(b)?)))
             .collect(),
-        level_delay_ns: crate::delay_element::level_delay_ns(lib)?,
-        ff_overhead_ns: ff_overhead_ns(lib),
+        level_delay_ns: facts.level_delay()?,
+        ff_overhead_ns: facts.ff_overhead(),
     })
 }
 

@@ -59,8 +59,8 @@ pub mod region;
 pub mod sdc;
 
 pub use desync::{
-    ff_overhead_ns, handshake_spec, region_delays, DesyncOptions, DesyncReport, DesyncResult,
-    Desynchronizer, RegionSummary,
+    ff_overhead_ns, handshake_spec, handshake_spec_with, region_delays, DesyncOptions,
+    DesyncReport, DesyncResult, Desynchronizer, RegionSummary,
 };
 pub use error::{Degradation, DegradeReason, DesyncError};
 pub use facts::LibraryFacts;

@@ -32,9 +32,10 @@
 #    are reached by ID, and no generated name rebuilt with
 #    `format!("drd_…")` outside tests in check or flow, which read the
 #    flow's output through the IDs in DesyncResult), and the library-facts
-#    rail (no per-run `level_delay_ns(`, `ResponseModel::probe(` or
-#    `mux_overhead_levels(` outside tests in the pipeline, control-network
-#    and liveness modules, which read LibraryFacts),
+#    rail (no per-run `level_delay_ns(`, `ResponseModel::probe(`,
+#    `mux_overhead_levels(` or `handshake_spec(` outside tests in the
+#    pipeline, control-network and liveness modules and the CLI, which
+#    read LibraryFacts),
 # 6. runs the verification campaigns (mutation, scale, variability,
 #    liveness, serve) and then the kernel micro-benchmarks (cargo bench);
 #    each writes its report under results/ and exits non-zero naming
@@ -190,9 +191,10 @@ fi
 echo "ok: no generated names rebuilt in check/flow"
 # The library facts (level delay, response model, mux overhead) are
 # measured once per prepared gatefile and read through LibraryFacts, so
-# no pass probes the library again on every run. Test modules are
-# exempt.
-probes=$(awk '/^#\[cfg\(test\)\]/ { nextfile } /level_delay_ns\(|ResponseModel::probe\(|mux_overhead_levels\(/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/pipeline.rs crates/core/src/network.rs crates/core/src/liveness.rs)
+# no pass, and no CLI command, probes the library again on every run:
+# the CLI projects its handshake spec with `handshake_spec_with`, on the
+# facts its flow kept. Test modules are exempt.
+probes=$(awk '/^#\[cfg\(test\)\]/ { nextfile } /level_delay_ns\(|ResponseModel::probe\(|mux_overhead_levels\(|handshake_spec\(/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/pipeline.rs crates/core/src/network.rs crates/core/src/liveness.rs src/main.rs)
 if [ -n "$probes" ]; then
   echo "error: per-run library probe in a pass (read LibraryFacts):" >&2
   echo "$probes" >&2

@@ -509,7 +509,7 @@ fn run() -> Result<(), CliError> {
             Pipeline::standard().run(&mut cx)?;
             let facts = cx.facts();
             let result = cx.into_result()?;
-            let spec = drd_flow::handshake_spec(&result.report, &lib)?;
+            let spec = drd_core::handshake_spec_with(&result.report, &facts)?;
             if args.has("--check-liveness") {
                 print_liveness_verdicts(&spec, &result.report.liveness_repairs, &facts)?;
             }
