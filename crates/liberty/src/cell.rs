@@ -153,16 +153,6 @@ impl LibCell {
         self.pins.iter().find(|p| p.name == name)
     }
 
-    /// Position of a pin in declaration order. Consumers that index pins as
-    /// small integers (STA, simulation) use this as the shared pin-id space
-    /// for a given library cell.
-    pub fn pin_index(&self, name: &str) -> Option<u32> {
-        self.pins
-            .iter()
-            .position(|p| p.name == name)
-            .map(|i| i as u32)
-    }
-
     /// Iterator over input pins.
     pub fn input_pins(&self) -> impl Iterator<Item = &Pin> {
         self.pins.iter().filter(|p| p.dir == PortDir::Input)

@@ -172,17 +172,6 @@ impl<'a> Cell<'a> {
         self.pins.iter().find(|(p, _)| *p == sym).map(|(_, c)| *c)
     }
 
-    /// Looks up the connection of pin `pin` by symbol.
-    pub fn pin_by_sym(&self, pin: Symbol) -> Option<Conn> {
-        self.pins.iter().find(|(p, _)| *p == pin).map(|(_, c)| *c)
-    }
-
-    /// Index of pin `pin` within [`Cell::pins`].
-    pub fn pin_index(&self, pin: &str) -> Option<usize> {
-        let sym = self.syms.lookup(pin)?;
-        self.pins.iter().position(|(p, _)| *p == sym)
-    }
-
     /// The instantiated kind with its name resolved.
     #[inline]
     pub fn kind_ref(&self) -> KindRef<'a> {

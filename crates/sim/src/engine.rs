@@ -78,7 +78,6 @@ enum Model {
 
 #[derive(Debug, Clone)]
 struct SimCell {
-    name: String,
     model: Model,
     /// Sequential state (FF/latch/C-element).
     state: Lv,
@@ -331,7 +330,6 @@ impl Simulator {
             };
             sim.leakage_total += lc.leakage;
             sim.cells.push(SimCell {
-                name: cell.name.to_owned(),
                 model,
                 state: initial_state,
                 last_clk: Lv::X,
@@ -704,12 +702,6 @@ impl Simulator {
     /// Number of simulated cells (after flattening).
     pub fn cell_count(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Names of all simulated cell instances (after flattening), mainly
-    /// for diagnostics.
-    pub fn cell_names(&self) -> impl Iterator<Item = &str> {
-        self.cells.iter().map(|c| c.name.as_str())
     }
 
     /// Number of nets.

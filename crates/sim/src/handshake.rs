@@ -962,11 +962,6 @@ impl HandshakeNet {
         Some(rise + fall + 2 * (c2r + c2s + buf + inv))
     }
 
-    /// [`Self::analytical_ring_cycle_fs`] in nanoseconds.
-    pub fn analytical_ring_cycle_ns(&self, lib: &Library) -> Option<f64> {
-        self.analytical_ring_cycle_fs(lib).map(fs_to_ns)
-    }
-
     /// Synchronous period on `factors`' silicon: the slowest decomposed
     /// register-to-register path, each gate derated by its own draw.
     pub fn sync_period_fs(&self, factors: &[f64]) -> TimeFs {
