@@ -101,94 +101,66 @@ const CEILINGS: [(&str, u64, u64); 8] = [
 ];
 
 fn main() {
-    let mut kernels: Vec<(String, Vec<Counts>)> = Vec::new();
-    let mut record = |label: String, mut run: Box<dyn FnMut() -> Counts + '_>| {
-        run();
-        let counts = (0..COUNTED_RUNS).map(|_| run()).collect();
-        kernels.push((label, counts));
-    };
-    record(
-        "vlib90_hs".to_owned(),
-        Box::new(|| counted(vlib90::high_speed).0),
-    );
-    record(
-        "vlib90_ll".to_owned(),
-        Box::new(|| counted(vlib90::low_leakage).0),
-    );
-
-    let cases = [
-        (
-            "dlx32",
-            CaseStudy::dlx(&DlxParams::full()).expect("DLX32 builds"),
-        ),
-        (
-            "arm32",
-            CaseStudy::armlike(&ArmParams::full()).expect("ARM32 builds"),
-        ),
-    ];
-    for (name, case) in &cases {
-        let text = write_module(&case.module);
-        record(
-            format!("parse_{name}"),
-            Box::new(|| counted(|| parse_module(&text).unwrap()).0),
-        );
-        let tool = Desynchronizer::new(&case.lib).unwrap();
-        let mut opts = case.desync.clone();
-        opts.jobs = Some(1);
-        let pipeline = Pipeline::standard();
-        record(
-            format!("flow_{name}"),
-            Box::new(|| {
-                let module = case.module.clone();
-                let mut cx = FlowContext::new(&case.lib, tool.gatefile(), module, opts.clone());
-                counted(|| pipeline.run(&mut cx).unwrap()).0
-            }),
-        );
-        let result = tool.run(case.module.clone(), &opts).0.unwrap();
-        record(
-            format!("write_{name}"),
-            Box::new(|| counted(|| write_design(&result.design)).0),
-        );
-    }
-
     let mut failed = Vec::new();
     let mut rows = Vec::new();
-    for (label, counts) in &kernels {
-        let first = counts[0];
-        let repeats = counts.iter().all(|c| *c == first);
+    let mut record = |label: &str, run: &mut dyn FnMut() -> Counts| {
+        run();
+        let counts: Vec<Counts> = (0..COUNTED_RUNS).map(|_| run()).collect();
+        let (c, repeats) = (counts[0], counts.iter().all(|&x| x == counts[0]));
+        let &(_, max_allocations, max_bytes) = CEILINGS
+            .iter()
+            .find(|k| k.0 == label)
+            .expect("every kernel has a ceiling");
         if !repeats {
             failed.push(format!("{label}: counts differ between runs: {counts:?}"));
         }
-        let (max_allocations, max_bytes) = CEILINGS
-            .iter()
-            .find(|(k, _, _)| k == label)
-            .map(|&(_, a, b)| (a, b))
-            .unwrap_or_else(|| panic!("{label} has no ceiling"));
-        if first.allocations > max_allocations {
+        if c.allocations > max_allocations {
             failed.push(format!(
                 "{label}: {} allocations > ceiling {max_allocations}",
-                first.allocations
+                c.allocations
             ));
         }
-        if first.bytes > max_bytes {
+        if c.bytes > max_bytes {
             failed.push(format!(
                 "{label}: {} bytes requested > ceiling {max_bytes}",
-                first.bytes
+                c.bytes
             ));
         }
-        eprintln!(
-            "{label}: {} allocations (ceiling {max_allocations}), {} bytes (ceiling {max_bytes})",
-            first.allocations, first.bytes
-        );
+        eprintln!("{label}: {} allocations, {} bytes", c.allocations, c.bytes);
         rows.push(format!(
             "    {{\"label\": {}, \"allocations\": {}, \"bytes\": {}, \
              \"max_allocations\": {max_allocations}, \"max_bytes\": {max_bytes}, \
              \"repeats\": {repeats}}}",
             drd_json::escape(label),
-            first.allocations,
-            first.bytes
+            c.allocations,
+            c.bytes
         ));
+    };
+    record("vlib90_hs", &mut || counted(vlib90::high_speed).0);
+    record("vlib90_ll", &mut || counted(vlib90::low_leakage).0);
+
+    let dlx = CaseStudy::dlx(&DlxParams::full()).expect("DLX32 builds");
+    let arm = CaseStudy::armlike(&ArmParams::full()).expect("ARM32 builds");
+    for (name, case) in [("dlx32", &dlx), ("arm32", &arm)] {
+        let text = write_module(&case.module);
+        record(&format!("parse_{name}"), &mut || {
+            counted(|| parse_module(&text).unwrap()).0
+        });
+        let tool = Desynchronizer::new(&case.lib).unwrap();
+        let mut opts = case.desync.clone();
+        opts.jobs = Some(1);
+        let pipeline = Pipeline::standard();
+        record(&format!("flow_{name}"), &mut || {
+            let module = case.module.clone();
+            let mut cx = FlowContext::new(&case.lib, tool.gatefile(), module, opts.clone());
+            counted(|| pipeline.run(&mut cx).unwrap()).0
+        });
+        let result = tool.run(case.module.clone(), &opts).0.unwrap();
+        record(&format!("write_{name}"), &mut || {
+            counted(|| write_design(&result.design)).0
+        });
     }
+
     let json = format!(
         "{{\n  \"name\": \"allocs\",\n  \"warmup_runs\": 1,\n  \"counted_runs\": {COUNTED_RUNS},\n  \
          \"jobs\": 1,\n  \"results\": [\n{}\n  ]\n}}\n",
