@@ -72,16 +72,14 @@ struct Counts {
     bytes: u64,
 }
 
-/// What `f` allocates, and its result (dropped by the caller, outside
-/// the count).
-fn counted<T>(f: impl FnOnce() -> T) -> (Counts, T) {
+/// What `f` allocates; its result is dropped after the count.
+fn counted<T>(f: impl FnOnce() -> T) -> Counts {
     let (allocations, bytes) = (ALLOCATIONS.load(Relaxed), BYTES.load(Relaxed));
-    let out = std::hint::black_box(f());
-    let counts = Counts {
+    let _out = std::hint::black_box(f());
+    Counts {
         allocations: ALLOCATIONS.load(Relaxed) - allocations,
         bytes: BYTES.load(Relaxed) - bytes,
-    };
-    (counts, out)
+    }
 }
 
 /// Counted runs per kernel, after one warm-up run.
@@ -136,15 +134,15 @@ fn main() {
             c.bytes
         ));
     };
-    record("vlib90_hs", &mut || counted(vlib90::high_speed).0);
-    record("vlib90_ll", &mut || counted(vlib90::low_leakage).0);
+    record("vlib90_hs", &mut || counted(vlib90::high_speed));
+    record("vlib90_ll", &mut || counted(vlib90::low_leakage));
 
     let dlx = CaseStudy::dlx(&DlxParams::full()).expect("DLX32 builds");
     let arm = CaseStudy::armlike(&ArmParams::full()).expect("ARM32 builds");
     for (name, case) in [("dlx32", &dlx), ("arm32", &arm)] {
         let text = write_module(&case.module);
         record(&format!("parse_{name}"), &mut || {
-            counted(|| parse_module(&text).unwrap()).0
+            counted(|| parse_module(&text).unwrap())
         });
         let tool = Desynchronizer::new(&case.lib).unwrap();
         let mut opts = case.desync.clone();
@@ -153,11 +151,11 @@ fn main() {
         record(&format!("flow_{name}"), &mut || {
             let module = case.module.clone();
             let mut cx = FlowContext::new(&case.lib, tool.gatefile(), module, opts.clone());
-            counted(|| pipeline.run(&mut cx).unwrap()).0
+            counted(|| pipeline.run(&mut cx).unwrap())
         });
         let result = tool.run(case.module.clone(), &opts).0.unwrap();
         record(&format!("write_{name}"), &mut || {
-            counted(|| write_design(&result.design)).0
+            counted(|| write_design(&result.design))
         });
     }
 

@@ -92,6 +92,21 @@ fn missing<S: AsRef<str>>(doc: &Value, fields: &[(S, Kind)]) -> Vec<String> {
     problems
 }
 
+/// One line per label of `labels` that no element of the array `key` in
+/// `doc` carries.
+fn unlabelled(doc: &Value, key: &str, labels: &[&str]) -> Vec<String> {
+    let items = doc.get(key).and_then(Value::as_arr).unwrap_or_default();
+    labels
+        .iter()
+        .filter(|&&label| {
+            !items
+                .iter()
+                .any(|r| r.get("label").and_then(Value::as_str) == Some(label))
+        })
+        .map(|label| format!("{key}: no `{label}`"))
+        .collect()
+}
+
 fn allocs(doc: &Value) -> Vec<String> {
     let mut problems = missing(
         doc,
@@ -107,27 +122,20 @@ fn allocs(doc: &Value) -> Vec<String> {
             ("results[].repeats", flag),
         ],
     );
-    let results = doc
-        .get("results")
-        .and_then(Value::as_arr)
-        .unwrap_or_default();
-    for kernel in [
-        "vlib90_hs",
-        "vlib90_ll",
-        "parse_dlx32",
-        "flow_dlx32",
-        "write_dlx32",
-        "parse_arm32",
-        "flow_arm32",
-        "write_arm32",
-    ] {
-        if !results
-            .iter()
-            .any(|r| r.get("label").and_then(Value::as_str) == Some(kernel))
-        {
-            problems.push(format!("results: no `{kernel}`"));
-        }
-    }
+    problems.extend(unlabelled(
+        doc,
+        "results",
+        &[
+            "vlib90_hs",
+            "vlib90_ll",
+            "parse_dlx32",
+            "flow_dlx32",
+            "write_dlx32",
+            "parse_arm32",
+            "flow_arm32",
+            "write_arm32",
+        ],
+    ));
     problems
 }
 
@@ -146,23 +154,16 @@ fn kernels(doc: &Value) -> Vec<String> {
             ("ratios[].ratio", num),
         ],
     );
-    let ratios = doc
-        .get("ratios")
-        .and_then(Value::as_arr)
-        .unwrap_or_default();
-    for kernel in [
-        "verilog_parse_dlx_full",
-        "verilog_write_dlx_full",
-        "handshake_mc_dlx_small_16",
-        "desync_flow_dlx32_arm32",
-    ] {
-        if !ratios
-            .iter()
-            .any(|r| r.get("label").and_then(Value::as_str) == Some(kernel))
-        {
-            problems.push(format!("ratios: no `{kernel}`"));
-        }
-    }
+    problems.extend(unlabelled(
+        doc,
+        "ratios",
+        &[
+            "verilog_parse_dlx_full",
+            "verilog_write_dlx_full",
+            "handshake_mc_dlx_small_16",
+            "desync_flow_dlx32_arm32",
+        ],
+    ));
     problems
 }
 

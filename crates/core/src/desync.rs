@@ -292,8 +292,8 @@ pub fn handshake_spec(report: &DesyncReport, lib: &Library) -> Result<HandshakeS
     handshake_spec_with(report, &LibraryFacts::new(lib, &MeasuredDelays::default()))
 }
 
-/// [`handshake_spec`] with the level delay read from `facts`, so it is
-/// measured at most once per [`LibraryFacts`]' kept measurements.
+/// [`handshake_spec`] with the level delay and flip-flop overhead read
+/// from `facts`: a level delay they keep is not measured again.
 ///
 /// # Errors
 /// Propagates delay-element probing errors.

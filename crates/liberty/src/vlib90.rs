@@ -391,7 +391,7 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{CellClass, SeqKind};
+    use crate::cell::CellClass;
 
     #[test]
     fn both_variants_build() {
