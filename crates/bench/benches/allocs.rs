@@ -91,10 +91,10 @@ const CEILINGS: [(&str, u64, u64); 8] = [
     ("vlib90_hs", 653, 35_861),
     ("vlib90_ll", 653, 35_861),
     ("parse_dlx32", 196, 2_967_661),
-    ("flow_dlx32", 27_009, 13_613_926),
+    ("flow_dlx32", 26_951, 13_608_402),
     ("write_dlx32", 129, 3_919_436),
     ("parse_arm32", 224, 4_301_965),
-    ("flow_arm32", 52_245, 17_631_509),
+    ("flow_arm32", 52_235, 17_630_106),
     ("write_arm32", 69, 6_118_088),
 ];
 
@@ -145,15 +145,14 @@ fn main() {
             counted(|| parse_module(&text).unwrap())
         });
         let tool = Desynchronizer::new(&case.lib).unwrap();
-        let mut opts = case.desync.clone();
-        opts.jobs = Some(1);
+        let opts = &case.desync;
         let pipeline = Pipeline::standard();
         record(&format!("flow_{name}"), &mut || {
             let module = case.module.clone();
             let mut cx = FlowContext::new(&case.lib, tool.gatefile(), module, opts.clone());
             counted(|| pipeline.run(&mut cx).unwrap())
         });
-        let result = tool.run(case.module.clone(), &opts).0.unwrap();
+        let result = tool.run(case.module.clone(), opts).0.unwrap();
         record(&format!("write_{name}"), &mut || {
             counted(|| write_design(&result.design))
         });
@@ -161,7 +160,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"name\": \"allocs\",\n  \"warmup_runs\": 1,\n  \"counted_runs\": {COUNTED_RUNS},\n  \
-         \"jobs\": 1,\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     drd_bench::finish("allocs", &json, &failed);

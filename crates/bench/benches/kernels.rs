@@ -105,17 +105,19 @@ fn main() {
         ],
     );
 
-    // The whole flow, serially, as `drdesync desync --jobs 1` runs it
-    // once the netlist is parsed, on both full-size cores in one body. The
+    // The whole flow, as `drdesync desync` runs it once the netlist is
+    // parsed, on both full-size cores in one body. The
     // flow takes the module over, so the timed body clones it first.
     let cases = [
         CaseStudy::dlx(&DlxParams::full()).expect("DLX32 builds"),
         CaseStudy::armlike(&ArmParams::full()).expect("ARM32 builds"),
     ];
     let flows = cases.each_ref().map(|case| {
-        let mut opts = case.desync.clone();
-        opts.jobs = Some(1);
-        (Desynchronizer::new(&case.lib).unwrap(), opts, &case.module)
+        (
+            Desynchronizer::new(&case.lib).unwrap(),
+            case.desync.clone(),
+            &case.module,
+        )
     });
     let flow_ratio = b.run_relative(
         FLOW_ITERS,

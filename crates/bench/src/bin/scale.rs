@@ -1,11 +1,10 @@
-//! Scaling curve of the parallel region-sliced flow.
+//! How the flow's cost grows with design size.
 //!
 //! Generates stepped synthetic pipelines via `drd_check::netgen` (one
-//! region per stage, STA-dominated clouds), runs the full flow serially
-//! (`--jobs 1`) and with the host worker count, checks the artifacts are
-//! byte-identical, and writes the speedup curve to `BENCH_scale.json`.
+//! region per stage, STA-dominated clouds) and runs the full flow on
+//! each, writing the curve to `BENCH_scale.json`.
 //!
-//! The serial flow runs traced, three times per step; each pass keeps its
+//! The flow runs traced, three times per step; each pass keeps its
 //! minimum wall time, and its growth exponent is the least-squares slope
 //! of log wall time against log cells over the steps. Any pass that takes
 //! at least [`GATED_PASS_NS`] on the largest step and grows faster than
@@ -14,10 +13,8 @@
 //!
 //! Also guards `Regions::region_of`, probed with cell ids: per-lookup
 //! cost must stay roughly flat as the design grows (a linear scan would
-//! scale with the region sizes, making the DDG loop quadratic). On a
-//! host with at least four cores the region fan-out must pay off:
-//! [`MIN_SPEEDUP`] at the best step. Any violation exits non-zero after
-//! the report is written.
+//! scale with the region sizes, making the DDG loop quadratic). Any
+//! violation exits non-zero after the report is written.
 
 use std::time::Instant;
 
@@ -37,7 +34,7 @@ const STEPS: [(usize, usize, usize); 5] = [
     (12, 600, 16),
 ];
 
-/// Traced serial runs per step; each pass keeps its minimum.
+/// Traced runs per step; each pass keeps its minimum.
 const TRACED_RUNS: usize = 3;
 
 /// Largest growth exponent a gated pass may show.
@@ -53,16 +50,11 @@ const GATED_PASS_NS: u128 = 1_000_000;
 /// for timer noise.
 const MAX_LOOKUP_RATIO: f64 = 8.0;
 
-/// Serial-over-parallel flow speedup required on a host with at least
-/// four cores.
-const MIN_SPEEDUP: f64 = 3.0;
-
 struct Point {
     label: String,
     cells: usize,
     regions: usize,
     serial_ns: u128,
-    parallel_ns: u128,
     /// `(pass, minimum wall ns)` in pipeline order.
     pass_ns: Vec<(&'static str, u128)>,
 }
@@ -88,8 +80,7 @@ fn growth_exponent(points: &[(f64, f64)]) -> Option<f64> {
 fn main() {
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("library prepares");
-    let workers = drd_check::runner::worker_count();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let opts = DesyncOptions::default();
     let mut rng = Rng::new(0x5CA1_E0DD);
 
     let mut points: Vec<Point> = Vec::new();
@@ -100,38 +91,27 @@ fn main() {
             .expect("recipe builds");
         let cells = module.cells().count();
 
-        let run = |jobs: usize| {
-            let opts = DesyncOptions {
-                jobs: Some(jobs),
-                ..DesyncOptions::default()
-            };
+        let run = || {
             let input = module.clone();
             let start = Instant::now();
             let (result, trace) = tool.run(input, &opts);
             let result = result.expect("flow runs");
-            let wall = start.elapsed().as_nanos();
-            let verilog = drd_netlist::verilog::write_design(&result.design);
             (
-                wall,
+                start.elapsed().as_nanos(),
                 trace,
-                result.sdc,
-                verilog,
                 result.report.regions.len(),
             )
         };
-        let (mut serial_ns, trace, serial_sdc, serial_v, regions) = run(1);
+        let (mut serial_ns, trace, regions) = run();
         let mut pass_ns: Vec<(&'static str, u128)> =
             trace.passes.iter().map(|p| (p.name, p.wall_ns)).collect();
         for _ in 1..TRACED_RUNS {
-            let (wall, trace, ..) = run(1);
+            let (wall, trace, _) = run();
             serial_ns = serial_ns.min(wall);
             for (slot, p) in pass_ns.iter_mut().zip(&trace.passes) {
                 slot.1 = slot.1.min(p.wall_ns);
             }
         }
-        let (parallel_ns, _, parallel_sdc, parallel_v, _) = run(workers);
-        assert_eq!(serial_sdc, parallel_sdc, "SDC differs across worker counts");
-        assert_eq!(serial_v, parallel_v, "Verilog differs across worker counts");
 
         // Per-lookup cost of region lookup at this size (the S2 guard).
         let mut probe = module.clone();
@@ -153,10 +133,8 @@ fn main() {
 
         let label = format!("{stages}x{cloud}+{width}");
         eprintln!(
-            "{label:>10}: {cells} cells, {regions} regions, serial {:.1} ms, \
-             parallel({workers}) {:.1} ms, lookup {:.0} ns",
+            "{label:>10}: {cells} cells, {regions} regions, flow {:.1} ms, lookup {:.0} ns",
             serial_ns as f64 / 1e6,
-            parallel_ns as f64 / 1e6,
             lookup_ns.last().unwrap(),
         );
         points.push(Point {
@@ -164,7 +142,6 @@ fn main() {
             cells,
             regions,
             serial_ns,
-            parallel_ns,
             pass_ns,
         });
     }
@@ -210,14 +187,7 @@ fn main() {
         ));
     }
 
-    let speedup = points
-        .iter()
-        .map(|p| p.serial_ns as f64 / p.parallel_ns.max(1) as f64)
-        .fold(0.0f64, f64::max);
-
     let mut out = String::from("{\n  \"name\": \"scale\",\n");
-    out.push_str(&format!("  \"workers\": {workers},\n"));
-    out.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
     out.push_str(&format!("  \"lookup_ratio\": {lookup_ratio:.3},\n"));
     let fields: Vec<String> = exponents
         .iter()
@@ -233,24 +203,15 @@ fn main() {
             .collect();
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"cells\": {}, \"regions\": {}, \"serial_ns\": {}, \
-             \"parallel_ns\": {}, \"speedup\": {:.3}, \"pass_ns\": {{{}}}}}{}\n",
+             \"pass_ns\": {{{}}}}}{}\n",
             p.label,
             p.cells,
             p.regions,
             p.serial_ns,
-            p.parallel_ns,
-            p.serial_ns as f64 / p.parallel_ns.max(1) as f64,
             passes.join(", "),
             if i + 1 == points.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");
-
-    eprintln!("speedup {speedup:.2}x at {workers} workers on {host_cores} cores");
-    if host_cores >= 4 && speedup < MIN_SPEEDUP {
-        failed.push(format!(
-            "speedup: {speedup:.2}x < {MIN_SPEEDUP}x on a {host_cores}-core host"
-        ));
-    }
     drd_bench::finish("scale", &out, &failed);
 }

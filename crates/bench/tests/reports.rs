@@ -113,7 +113,6 @@ fn allocs(doc: &Value) -> Vec<String> {
         &[
             ("warmup_runs", num as Kind),
             ("counted_runs", num),
-            ("jobs", num),
             ("results[].label", text),
             ("results[].allocations", num),
             ("results[].bytes", num),
@@ -215,16 +214,12 @@ fn mutation(doc: &Value) -> Vec<String> {
 
 fn scale(doc: &Value) -> Vec<String> {
     let mut fields: Vec<(String, Kind)> = [
-        ("workers", num as Kind),
-        ("speedup", num),
-        ("lookup_ratio", num),
+        ("lookup_ratio", num as Kind),
         ("exponents", map),
         ("points[].label", text),
         ("points[].cells", num),
         ("points[].regions", num),
         ("points[].serial_ns", num),
-        ("points[].parallel_ns", num),
-        ("points[].speedup", num),
         ("points[].pass_ns", map),
     ]
     .map(|(path, kind)| (path.to_owned(), kind))

@@ -44,29 +44,19 @@ pub struct DesyncOptions {
     /// Guard budget: per-pass wall-clock deadline in milliseconds,
     /// enforced after the pass returns (passes are not preempted).
     pub pass_deadline_ms: Option<u64>,
-    /// Worker threads for the per-region parallel passes (`ffsub`
-    /// validation and `sdc`). `None` defers to the
-    /// `DRD_WORKERS` environment variable, then to the machine's available
-    /// parallelism. All artifacts are byte-identical for every worker
-    /// count. The CLI exposes this as `--jobs`.
+    /// Worker threads for work around the flow, not in it: the flow runs
+    /// serially and never reads this. `drdesync simulate` runs its Monte
+    /// Carlo on this many workers (`None`: `DRD_WORKERS`, else the
+    /// machine's available parallelism). The CLI exposes it as `--jobs`.
     pub jobs: Option<usize>,
 }
 
 impl DesyncOptions {
-    /// The effective worker count: `jobs` if set, otherwise
-    /// [`drd_runner::worker_count`] (`DRD_WORKERS` override or available
-    /// parallelism).
-    pub fn workers(&self) -> usize {
-        self.jobs
-            .map_or_else(drd_runner::worker_count, |j| j.max(1))
-    }
-
     /// Canonical serialization of every option that can change the
     /// flow's artifacts — the options half of a flow-cache key.
     ///
-    /// `jobs` is deliberately excluded: artifacts are byte-identical for
-    /// every worker count (the PR 5 determinism invariant), so the worker
-    /// count must not split cache entries. `false_path_nets` is sorted
+    /// `jobs` is deliberately excluded: the flow never reads it, so it
+    /// must not split cache entries. `false_path_nets` is sorted
     /// and deduplicated (grouping consumes it as a set). Field order is
     /// fixed, strings are debug-escaped and floats render in round-trip
     /// form, so equal keys mean equal flow behaviour.

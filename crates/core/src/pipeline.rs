@@ -321,38 +321,18 @@ pub struct PassReport {
     pub artifacts: Vec<&'static str>,
     /// One-line human summary.
     pub detail: String,
-    /// Worker threads the pass fanned out over (0 for serial passes).
-    pub workers: usize,
-    /// Wall time of each per-region task (ns), in region-index order —
-    /// empty for serial passes. Timing only: rendered with `wall_ns`, never
-    /// in the deterministic trace.
+    /// Always empty: every pass runs serially, so no pass times
+    /// per-region tasks. Kept for callers that read it.
     pub region_wall_ns: Vec<u128>,
 }
 
 impl PassReport {
-    /// Report of a serial pass.
+    /// Report of a pass.
     pub fn new(artifacts: Vec<&'static str>, detail: String) -> Self {
         PassReport {
             artifacts,
             detail,
-            workers: 0,
             region_wall_ns: Vec::new(),
-        }
-    }
-
-    /// Report of a pass that fanned out per-region work over `workers`
-    /// threads.
-    pub fn parallel(
-        artifacts: Vec<&'static str>,
-        detail: String,
-        workers: usize,
-        region_wall_ns: Vec<u128>,
-    ) -> Self {
-        PassReport {
-            artifacts,
-            detail,
-            workers,
-            region_wall_ns,
         }
     }
 }
@@ -524,7 +504,6 @@ impl Pass for FfSubPass {
     }
 
     fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
-        let workers = cx.opts.workers();
         let regions = cx
             .regions
             .take()
@@ -535,49 +514,22 @@ impl Pass for FfSubPass {
         let mut substituted = 0usize;
         let mut extra_gates = 0usize;
         let mut degraded: Vec<(usize, Degradation)> = Vec::new();
-        let mut region_wall_ns = vec![0u128; regions.regions.len()];
         let mut enables = vec![None; regions.regions.len()];
         let first_cell = cx.module()?.cell_slots();
         let result = (|| -> Result<(), DesyncError> {
-            // Validate every region up front, one read-only task per
-            // region: substitution is destructive, so degradation must be
-            // atomic — either every flip-flop converts or none does. The
-            // checks only inspect the region's own cells (regions are
-            // disjoint), so they are independent of each other and of the
-            // serial substitution order below.
-            let skip: Vec<bool> = regions
-                .regions
-                .iter()
-                .zip(&cx.degraded)
-                .map(|(r, &degraded)| r.seq_cells.is_empty() || degraded)
-                .collect();
-            let checks: Vec<(Option<DegradeReason>, u128)> = {
-                let working = cx.module()?;
-                drd_runner::run_indexed(regions.regions.len(), workers, |i| {
-                    let start = Instant::now();
-                    let reason = if skip[i] {
-                        None
-                    } else {
-                        ffsub::region_degrade_reason(
-                            working,
-                            lib,
-                            gatefile,
-                            &regions.regions[i].seq_cells,
-                        )
-                    };
-                    (reason, start.elapsed().as_nanos())
-                })
-            };
-            // Serial merge and substitution in region-index order — the
-            // mutations (and therefore the netlist bytes) are identical
-            // for every worker count.
+            // Region by region, in region-index order: check the region,
+            // then substitute it. Substitution is destructive, so
+            // degradation must be atomic — either every flip-flop of the
+            // region converts or none does. The check reads only the
+            // region's own cells, and regions are disjoint, so the regions
+            // substituted before it cannot change its verdict.
             for (i, r) in regions.regions.iter().enumerate() {
-                let (reason, wall) = &checks[i];
-                region_wall_ns[i] = *wall;
-                if skip[i] {
+                if r.seq_cells.is_empty() || cx.degraded[i] {
                     continue;
                 }
-                if let Some(reason) = reason.clone() {
+                let reason =
+                    ffsub::region_degrade_reason(cx.module()?, lib, gatefile, &r.seq_cells);
+                if let Some(reason) = reason {
                     if strict {
                         return Err(match reason {
                             DegradeReason::UnknownCell { kind } => {
@@ -621,12 +573,7 @@ impl Pass for FfSubPass {
         for (i, d) in degraded {
             cx.record_degradation(i, d);
         }
-        Ok(PassReport::parallel(
-            vec!["substituted-ffs"],
-            detail,
-            workers,
-            region_wall_ns,
-        ))
+        Ok(PassReport::new(vec!["substituted-ffs"], detail))
     }
 }
 
@@ -914,16 +861,10 @@ impl Pass for SdcPass {
                 .map(|d| d.region.clone())
                 .collect(),
         };
-        let workers = cx.opts.workers();
-        let (text, region_wall_ns) = sdc::generate_with(&spec, workers);
+        let text = sdc::generate(&spec);
         let detail = format!("{} SDC lines", text.lines().count());
         cx.sdc = Some(text);
-        Ok(PassReport::parallel(
-            vec!["sdc"],
-            detail,
-            workers,
-            region_wall_ns,
-        ))
+        Ok(PassReport::new(vec!["sdc"], detail))
     }
 }
 
@@ -950,11 +891,6 @@ pub struct PassTrace {
     pub artifacts: Vec<&'static str>,
     /// One-line summary.
     pub detail: String,
-    /// Worker threads the pass fanned out over (0 for serial passes).
-    pub workers: usize,
-    /// Per-region task wall times (ns), region-index order; empty for
-    /// serial passes.
-    pub region_wall_ns: Vec<u128>,
 }
 
 impl PassTrace {
@@ -1030,13 +966,6 @@ impl FlowTrace {
             out.push_str(&format!("\"name\": {}, ", escape(p.name)));
             if with_times {
                 out.push_str(&format!("\"wall_ns\": {}, ", p.wall_ns));
-                if p.workers > 0 {
-                    out.push_str(&format!(
-                        "\"workers\": {}, \"region_wall_ns\": [{}], ",
-                        p.workers,
-                        join(p.region_wall_ns.iter().map(u128::to_string))
-                    ));
-                }
             }
             out.push_str(&format!(
                 "\"cells_before\": {}, \"cells_after\": {}, \"nets_before\": {}, \"nets_after\": {}, ",
@@ -1249,8 +1178,6 @@ fn run_guarded(pass: &dyn Pass, cx: &mut FlowContext<'_>) -> Result<(), DesyncEr
         nets_after,
         artifacts: report.artifacts,
         detail: report.detail,
-        workers: report.workers,
-        region_wall_ns: report.region_wall_ns,
     });
     guard_violation(&cx.opts, name, cells_after, nets_after, wall_ns).map_or(Ok(()), Err)
 }

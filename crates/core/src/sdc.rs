@@ -64,14 +64,10 @@ fn tcl_arg(name: &str) -> String {
     out
 }
 
-/// Generates the SDC text over `workers` threads.
-///
-/// The per-controller constraint fragments (loop breaking and `size_only`)
-/// fan out one task per controlled region; fragments are concatenated
-/// serially in region-index order, so the text is byte-identical for every
-/// worker count. Returns the SDC text plus the per-region fragment wall
-/// time in nanoseconds.
-pub fn generate_with(spec: &SdcSpec, workers: usize) -> (String, Vec<u128>) {
+/// Generates the SDC text: the clocks, then each controller's loop
+/// breaking and `size_only` constraints in region-index order, then the
+/// delay-element constraints.
+pub fn generate(spec: &SdcSpec) -> String {
     let mut out = String::new();
     let p = spec.period_ns;
     let _ = writeln!(out, "# drdesync generated constraints");
@@ -118,39 +114,26 @@ pub fn generate_with(spec: &SdcSpec, workers: usize) -> (String, Vec<u128>) {
         out.push('\n');
     }
 
-    // Per-controller fragments, built in parallel and concatenated in
-    // region-index order.
-    let fragments = drd_runner::run_indexed(spec.controllers.len(), workers, |i| {
-        let start = std::time::Instant::now();
-        let (master, slave) = &spec.controllers[i];
-        let mut disable = String::new();
-        let mut size_only = String::new();
-        for inst in [master, slave] {
-            for (cell, pin) in controller::disabled_pins() {
-                let _ = writeln!(
-                    disable,
-                    "set_disable_timing [get_pins {}]",
-                    tcl_arg(&format!("{inst}/{cell}/{pin}"))
-                );
-            }
+    let instances = || spec.controllers.iter().flat_map(|(m, s)| [m, s]);
+    let _ = writeln!(out, "# controller loop breaking (Fig. 4.5)");
+    for inst in instances() {
+        for (cell, pin) in controller::disabled_pins() {
             let _ = writeln!(
-                size_only,
-                "set_size_only [get_cells {}]",
-                tcl_arg(&format!("{inst}/*"))
+                out,
+                "set_disable_timing [get_pins {}]",
+                tcl_arg(&format!("{inst}/{cell}/{pin}"))
             );
         }
-        (disable, size_only, start.elapsed().as_nanos())
-    });
-
-    let _ = writeln!(out, "# controller loop breaking (Fig. 4.5)");
-    for (disable, _, _) in &fragments {
-        out.push_str(disable);
     }
     out.push('\n');
 
     let _ = writeln!(out, "# allow only safe optimizations (§4.6.2)");
-    for (_, size_only, _) in &fragments {
-        out.push_str(size_only);
+    for inst in instances() {
+        let _ = writeln!(
+            out,
+            "set_size_only [get_cells {}]",
+            tcl_arg(&format!("{inst}/*"))
+        );
     }
     out.push('\n');
 
@@ -164,8 +147,7 @@ pub fn generate_with(spec: &SdcSpec, workers: usize) -> (String, Vec<u128>) {
         );
         let _ = writeln!(out, "set_dont_touch [get_cells {}]", tcl_arg(inst));
     }
-    let region_wall_ns = fragments.into_iter().map(|(_, _, w)| w).collect();
-    (out, region_wall_ns)
+    out
 }
 
 #[cfg(test)]
@@ -184,7 +166,7 @@ mod tests {
 
     #[test]
     fn clock_transformation_matches_figure_4_2() {
-        let sdc = generate_with(&sample(), 1).0;
+        let sdc = generate(&sample());
         assert!(sdc.contains("create_clock -name \"ClkM\" -period 2.40 -waveform {1.00 2.40}"));
         assert!(sdc.contains("create_clock -name \"ClkS\" -period 2.40 -waveform {2.40 2.80}"));
         assert!(sdc.contains("[get_pins {*_ctlm/u_g/Z}]"));
@@ -192,7 +174,7 @@ mod tests {
 
     #[test]
     fn loop_breaking_and_size_only() {
-        let sdc = generate_with(&sample(), 1).0;
+        let sdc = generate(&sample());
         assert!(sdc.contains("set_disable_timing [get_pins {drd_g1_ctlm/u_nro/A}]"));
         assert!(sdc.contains("set_disable_timing [get_pins {drd_g1_ctls/u_nro/A}]"));
         assert!(sdc.contains("set_size_only [get_cells {drd_g1_ctlm/*}]"));
@@ -200,14 +182,14 @@ mod tests {
 
     #[test]
     fn delay_elements_constrained() {
-        let sdc = generate_with(&sample(), 1).0;
+        let sdc = generate(&sample());
         assert!(sdc.contains("set_min_delay 0.840"));
         assert!(sdc.contains("set_dont_touch [get_cells {drd_g1_delem}]"));
     }
 
     #[test]
     fn clean_spec_emits_no_cdc_section() {
-        let sdc = generate_with(&sample(), 1).0;
+        let sdc = generate(&sample());
         assert!(!sdc.contains("set_clock_groups"), "{sdc}");
         assert!(
             !sdc.lines()
@@ -224,7 +206,7 @@ mod tests {
         let mut spec = sample();
         spec.clock_port = "clk[0]".into();
         spec.degraded = vec!["g2".into()];
-        let sdc = generate_with(&spec, 1).0;
+        let sdc = generate(&spec);
         assert!(sdc.contains("[get_ports {clk[0]}]"), "{sdc}");
         assert!(!sdc.contains("[get_ports clk[0]]"), "{sdc}");
     }
@@ -238,24 +220,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_generation_is_byte_identical_to_serial() {
+    fn controllers_are_constrained_in_region_order_section_by_section() {
         let mut spec = sample();
-        spec.controllers = (1..6)
+        spec.controllers = (1..4)
             .map(|i| (format!("drd_g{i}_ctlm"), format!("drd_g{i}_ctls")))
             .collect();
-        let serial = generate_with(&spec, 1).0;
-        for workers in [2, 3, 8] {
-            let (par, walls) = generate_with(&spec, workers);
-            assert_eq!(serial, par, "workers={workers}");
-            assert_eq!(walls.len(), spec.controllers.len());
-        }
+        let sdc = generate(&spec);
+        let order = ["g1_ctlm", "g1_ctls", "g2_ctlm", "g3_ctls"];
+        let at = |needle: String| {
+            sdc.find(&needle)
+                .unwrap_or_else(|| panic!("{needle}: {sdc}"))
+        };
+        let disables: Vec<usize> = order
+            .iter()
+            .map(|c| at(format!("set_disable_timing [get_pins {{drd_{c}/")))
+            .collect();
+        let size_only: Vec<usize> = order
+            .iter()
+            .map(|c| at(format!("set_size_only [get_cells {{drd_{c}/*}}]")))
+            .collect();
+        assert!(disables.windows(2).all(|w| w[0] < w[1]), "{sdc}");
+        assert!(size_only.windows(2).all(|w| w[0] < w[1]), "{sdc}");
+        assert!(disables[3] < size_only[0], "{sdc}");
     }
 
     #[test]
     fn degraded_spec_declares_clock_domain_crossing() {
         let mut spec = sample();
         spec.degraded = vec!["g2".into()];
-        let sdc = generate_with(&spec, 1).0;
+        let sdc = generate(&spec);
         assert!(
             sdc.contains(
                 "create_clock -name \"Clk\" -period 2.40 -waveform {0 1.20} [get_ports {clk}]"

@@ -133,14 +133,12 @@ fn is(b: u8, class: u8) -> bool {
 }
 
 impl<'a> Lexer<'a> {
-    /// Starts lexing `src` at byte offset `start` (0 for whole-buffer
-    /// parses; a module span start for parallel per-module parses — error
-    /// spans stay global either way).
-    pub fn new(src: &'a str, start: usize) -> Result<Self, Box<NetlistError>> {
+    /// Starts lexing `src` at its first byte.
+    pub fn new(src: &'a str) -> Result<Self, Box<NetlistError>> {
         let mut lx = Lexer {
             src,
-            pos: start,
-            tok_start: start,
+            pos: 0,
+            tok_start: 0,
             tok: TokenKind::Eof,
         };
         lx.advance()?;
@@ -386,7 +384,7 @@ mod tests {
 
     /// Test helper reconstructing the legacy "tokenize everything" shape.
     fn kinds(src: &str) -> Result<Vec<TokenKind<'_>>, Box<NetlistError>> {
-        let mut lx = Lexer::new(src, 0)?;
+        let mut lx = Lexer::new(src)?;
         let mut out = Vec::new();
         loop {
             let t = lx.peek();
@@ -416,7 +414,7 @@ mod tests {
     #[test]
     fn tokens_borrow_from_the_source_buffer() {
         let src = String::from("module top (a, b);");
-        let lx = Lexer::new(&src, 0).unwrap();
+        let lx = Lexer::new(&src).unwrap();
         let TokenKind::Id { name, .. } = lx.peek() else {
             panic!("expected identifier");
         };
@@ -499,7 +497,7 @@ mod tests {
     #[test]
     fn offsets_point_at_token_starts() {
         let src = "a\n  b\nc";
-        let mut lx = Lexer::new(src, 0).unwrap();
+        let mut lx = Lexer::new(src).unwrap();
         assert_eq!(lx.offset(), 0);
         lx.advance().unwrap();
         assert_eq!(lx.offset(), 4); // `b` after "a\n  "

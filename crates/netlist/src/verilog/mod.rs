@@ -13,8 +13,7 @@
 //! The front end is streaming and zero-copy: the lexer hands `&str` token
 //! slices of the one input buffer to the parser, which interns them into
 //! the per-module symbol table as it consumes them; the writer emits into
-//! one preallocated buffer. Multi-module sources parse module-parallel
-//! with deterministic output (see [`parse_design_jobs`]). The recorded
+//! one preallocated buffer. The recorded
 //! verdicts of the front end it replaced pin its behaviour
 //! (`tests/differential_frontend.rs`).
 
@@ -27,7 +26,7 @@ mod parser;
 #[deny(clippy::unwrap_used, clippy::panic)]
 mod writer;
 
-pub use parser::{parse_design, parse_design_jobs, parse_module};
+pub use parser::{parse_design, parse_module};
 pub use writer::{write_design, write_module};
 
 #[cfg(test)]

@@ -30,17 +30,12 @@
 //! in first-occurrence order exactly as a token-by-token parse numbers
 //! them, so every output is unchanged.
 //!
-//! ## Parallel module parsing
+//! ## One pass over the source
 //!
-//! [`parse_design_jobs`] splits a multi-module source into per-module
-//! spans with a token-level scan, parses the spans in parallel on the
-//! `drd-runner` pool and merges the resulting modules *in module index
-//! order* (first span = top module, first error by span index wins), so
-//! the resulting `Design` is byte-identical to a serial parse for any
-//! worker count. The scan refuses sources containing escaped identifiers
-//! — their sanitized names are uniqued across modules, a serial-order
-//! dependency — and anything that does not cleanly alternate
-//! `module`…`endmodule` at the top level; those parse serially.
+//! A design parses in one serial pass, module after module: the first
+//! module is the top, the first error wins, and sanitized escaped names
+//! stay unique across the whole design (an escape in a later module that
+//! sanitizes to a name an earlier module took gets an `_e1` suffix).
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -72,17 +67,9 @@ const MAX_BUS_WIDTH: u64 = 65_536;
 /// hostile input like `({({({...` must be rejected by depth, not by crash.
 const MAX_EXPR_DEPTH: usize = 64;
 
-/// Sources smaller than this always parse serially when no explicit job
-/// count is given: the span scan is an extra lexing pass and thread
-/// startup costs more than parsing a small file.
-const PARALLEL_MIN_BYTES: usize = 64 * 1024;
-
 /// Parses a (possibly multi-module) structural Verilog design.
 ///
-/// The first module in the file becomes the top module. Large multi-module
-/// sources are parsed module-parallel on the default worker pool
-/// (`DRD_WORKERS` / available cores); see [`parse_design_jobs`] for an
-/// explicit job count. The result is byte-identical either way.
+/// The first module in the file becomes the top module.
 ///
 /// # Errors
 /// Returns [`NetlistError::Parse`] on syntax errors (with byte offset and
@@ -91,56 +78,7 @@ const PARALLEL_MIN_BYTES: usize = 64 * 1024;
 /// connections, expressions) and [`NetlistError::DuplicateName`] if two
 /// modules share a name.
 pub fn parse_design(source: &str) -> Result<Design, NetlistError> {
-    parse_design_jobs(source, None)
-}
-
-/// [`parse_design`] with an explicit worker count (`None` = default pool).
-///
-/// `Some(1)` forces a serial parse; `Some(n > 1)` forces the parallel
-/// module path whenever the source is splittable, regardless of size.
-///
-/// # Errors
-/// As [`parse_design`].
-pub fn parse_design_jobs(source: &str, jobs: Option<usize>) -> Result<Design, NetlistError> {
-    let workers = jobs.unwrap_or_else(drd_runner::worker_count).max(1);
-    // Cheap necessary condition for >= 2 modules before paying for the
-    // token-level scan: "endmodule" must occur at least twice.
-    if workers > 1
-        && (jobs.is_some() || source.len() >= PARALLEL_MIN_BYTES)
-        && source.matches("endmodule").nth(1).is_some()
-    {
-        if let Some(spans) = scan_module_spans(source) {
-            if spans.len() >= 2 {
-                return parse_parallel(source, &spans, workers);
-            }
-        }
-    }
-    parse_serial(source)
-}
-
-/// Parses a source containing exactly one module.
-///
-/// # Errors
-/// As [`parse_design`]; additionally fails if the file does not contain
-/// exactly one module.
-pub fn parse_module(source: &str) -> Result<Module, NetlistError> {
-    // Serial: a source that holds one module has nothing to split, so the
-    // scan for a second `endmodule` that `parse_design` starts with would
-    // only read the whole buffer once more.
-    let mut modules = parse_serial(source)?.into_modules();
-    if modules.len() != 1 {
-        return Err(NetlistError::Parse {
-            line: 1,
-            col: 0,
-            offset: 0,
-            message: format!("expected exactly one module, found {}", modules.len()),
-        });
-    }
-    Ok(modules.remove(0))
-}
-
-fn parse_serial(source: &str) -> Result<Design, NetlistError> {
-    let mut p = Parser::new(source, 0).map_err(|e| *e)?;
+    let mut p = Parser::new(source).map_err(|e| *e)?;
     let mut design = Design::new();
     while !p.at_eof() {
         let module = p.parse_module_decl().map_err(|e| *e)?;
@@ -150,55 +88,22 @@ fn parse_serial(source: &str) -> Result<Design, NetlistError> {
     Ok(design)
 }
 
-/// Start offsets of each top-level `module` keyword, or `None` if the
-/// source is not cleanly splittable: lex errors anywhere, stray tokens
-/// between modules, a missing `endmodule`, or any escaped identifier
-/// (sanitized escaped names are uniqued across modules in lexical order —
-/// a serial-only dependency). `None` routes to the serial parser, which
-/// reproduces the exact diagnostics.
-fn scan_module_spans(src: &str) -> Option<Vec<usize>> {
-    let mut lx = Lexer::new(src, 0).ok()?;
-    let mut spans = Vec::new();
-    let mut in_module = false;
-    loop {
-        match lx.peek() {
-            TokenKind::Eof => break,
-            TokenKind::Id { escaped: true, .. } => return None,
-            TokenKind::Id {
-                name: "module",
-                escaped: false,
-            } if !in_module => {
-                spans.push(lx.offset());
-                in_module = true;
-            }
-            TokenKind::Id {
-                name: "endmodule",
-                escaped: false,
-            } if in_module => in_module = false,
-            _ if !in_module => return None,
-            _ => {}
-        }
-        lx.advance().ok()?;
+/// Parses a source containing exactly one module.
+///
+/// # Errors
+/// As [`parse_design`]; additionally fails if the file does not contain
+/// exactly one module.
+pub fn parse_module(source: &str) -> Result<Module, NetlistError> {
+    let mut modules = parse_design(source)?.into_modules();
+    if modules.len() != 1 {
+        return Err(NetlistError::Parse {
+            line: 1,
+            col: 0,
+            offset: 0,
+            message: format!("expected exactly one module, found {}", modules.len()),
+        });
     }
-    if in_module {
-        return None;
-    }
-    Some(spans)
-}
-
-fn parse_parallel(src: &str, starts: &[usize], workers: usize) -> Result<Design, NetlistError> {
-    let results = drd_runner::run_indexed(starts.len(), workers, |i| -> PResult<Module> {
-        let mut p = Parser::new(src, starts[i])?;
-        p.parse_module_decl()
-    });
-    let mut design = Design::new();
-    // Merge in span order: module ids, top selection and error precedence
-    // all follow the source order, independent of scheduling.
-    for result in results {
-        insert_module(&mut design, result.map_err(|e| *e)?)?;
-    }
-    retarget_instances(&mut design);
-    Ok(design)
+    Ok(modules.remove(0))
 }
 
 fn insert_module(design: &mut Design, module: Module) -> Result<(), NetlistError> {
@@ -248,8 +153,8 @@ struct Parser<'a> {
     src: &'a str,
     /// Every escaped identifier met so far, raw as the lexer slices it,
     /// numbered in order of first occurrence; `escaped[id]` is what raw
-    /// name `id` resolves to. Shared across all modules of a serial
-    /// parse, so sanitized names stay design-unique. Written-out netlists
+    /// name `id` resolves to. Shared across all modules of a parse, so
+    /// sanitized names stay design-unique. Written-out netlists
     /// reference every bus-bit net through an escaped identifier, so one
     /// probe here and one generation check is all a repeated reference
     /// costs.
@@ -291,9 +196,9 @@ impl Bit {
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str, start: usize) -> PResult<Self> {
+    fn new(src: &'a str) -> PResult<Self> {
         Ok(Parser {
-            lx: Lexer::new(src, start)?,
+            lx: Lexer::new(src)?,
             src,
             escaped_raw: SymbolTable::default(),
             escaped: Vec::new(),
@@ -1534,53 +1439,17 @@ mod tests {
             parse_design(src),
             Err(NetlistError::DuplicateName { kind: "module", .. })
         ));
-        // Also on the forced-parallel path.
-        assert!(matches!(
-            parse_design_jobs(src, Some(4)),
-            Err(NetlistError::DuplicateName { kind: "module", .. })
-        ));
     }
 
     #[test]
-    fn parallel_parse_matches_serial_parse() {
-        let mut src = String::new();
-        for mi in 0..6 {
-            let _ = writeln!(src, "module m{mi} (input a, output z);");
-            let _ = writeln!(src, "  wire [3:0] w;");
-            for ci in 0..8 {
-                let _ = writeln!(
-                    src,
-                    "  INVX1 u{ci} (.A(w[{}]), .Z(w[{}]));",
-                    ci % 4,
-                    (ci + 1) % 4
-                );
-            }
-            src.push_str("  BUFX1 o (.A(w[0]), .Z(z)), o2 (.A(a), .Z(w[3]));\nendmodule\n");
-        }
-        let serial = parse_design_jobs(&src, Some(1)).unwrap();
-        for jobs in [2, 8] {
-            let par = parse_design_jobs(&src, Some(jobs)).unwrap();
-            assert_eq!(
-                crate::verilog::write_design(&serial),
-                crate::verilog::write_design(&par),
-                "jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
-    fn sources_with_escapes_fall_back_to_serial_cross_module_uniquing() {
+    fn escaped_names_are_uniqued_across_modules() {
         // Two modules escape different raw names that sanitize to the same
-        // simple name: the second must be uniqued with `_e1` exactly as in
-        // a serial parse (which is why escaped sources never split).
+        // simple name: the second module's is uniqued with `_e1`.
         let src = "module a (input \\x+1 ); endmodule\nmodule b (input \\x-1 ); endmodule";
-        let serial = parse_design_jobs(src, Some(1)).unwrap();
-        let par = parse_design_jobs(src, Some(8)).unwrap();
-        assert_eq!(
-            crate::verilog::write_design(&serial),
-            crate::verilog::write_design(&par)
-        );
-        let b = par.module(par.find_module("b").unwrap());
+        let design = parse_design(src).unwrap();
+        let a = design.module(design.find_module("a").unwrap());
+        assert!(a.find_net("x_1").is_some(), "first module keeps the name");
+        let b = design.module(design.find_module("b").unwrap());
         assert!(b.find_net("x_1_e1").is_some(), "cross-module uniquing");
     }
 
@@ -1641,18 +1510,16 @@ mod tests {
         for escaped in [false, true] {
             let text = crate::verilog::write_design(&two_modules(escaped));
             assert_eq!(text.contains('\\'), escaped, "{text}");
-            for jobs in [1, 2] {
-                let back = parse_design_jobs(&text, Some(jobs)).unwrap();
-                assert_eq!(
-                    crate::verilog::write_design(&back),
-                    text,
-                    "escaped={escaped} jobs={jobs}"
-                );
-                let second = back.module(back.find_module("second").unwrap());
-                let u2 = second.cell(second.find_cell("u2").unwrap());
-                assert_eq!(u2.pin_name(0), "Z");
-                assert_eq!(u2.kind_name(), "INVX1");
-            }
+            let back = parse_design(&text).unwrap();
+            assert_eq!(
+                crate::verilog::write_design(&back),
+                text,
+                "escaped={escaped}"
+            );
+            let second = back.module(back.find_module("second").unwrap());
+            let u2 = second.cell(second.find_cell("u2").unwrap());
+            assert_eq!(u2.pin_name(0), "Z");
+            assert_eq!(u2.kind_name(), "INVX1");
         }
     }
 

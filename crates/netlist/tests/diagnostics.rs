@@ -6,7 +6,7 @@
 //! so they are pinned exactly; a parser change that moves one is a
 //! behaviour change and must update this file deliberately.
 
-use drd_netlist::verilog::{parse_design, parse_design_jobs};
+use drd_netlist::verilog::parse_design;
 use drd_netlist::NetlistError;
 
 /// Asserts `err` is a `Parse` error whose span is internally consistent
@@ -98,24 +98,6 @@ fn multibyte_text_keeps_columns_in_characters() {
     assert_eq!((line, col), (4, 8));
     assert_eq!(offset, src.find('@').expect("@ present"));
     assert_eq!(msg, "unexpected character `@`");
-}
-
-/// The parallel front end must fall back to (or agree with) the serial
-/// parse on errors: diagnostics cannot depend on the job count.
-#[test]
-fn parallel_parse_reports_identical_diagnostics() {
-    let sources = [
-        "module t(z);\n  output z;\n  BUFX1 g (.A(4'q0), .Z(z));\nendmodule\n",
-        "module a(x);\n  input x;\nendmodule\nmodule b(y);\n  input y;\n  wire [99999999:0] w;\nendmodule\n",
-        "module t(a);\n  input a;\n  /* never ends\nendmodule\n",
-    ];
-    for src in sources {
-        let serial = parse_design_jobs(src, Some(1)).expect_err("serial parse fails");
-        for jobs in [2, 4, 8] {
-            let par = parse_design_jobs(src, Some(jobs)).expect_err("parallel parse fails");
-            assert_eq!(serial, par, "diagnostic diverged at jobs={jobs}");
-        }
-    }
 }
 
 /// Errors the module *builder* raises (rather than the tokenizer or

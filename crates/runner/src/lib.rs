@@ -1,22 +1,19 @@
 //! # drd-runner — deterministic parallelism primitives
 //!
-//! The one crate every other crate may depend on: it has **zero
-//! dependencies** (not even in-tree ones) so it can sit below `drd-core`
-//! and `drd-check` in the dependency graph without cycles.
+//! It has **zero dependencies** (not even in-tree ones), so any crate can
+//! sit on top of it without a cycle: the handshake Monte Carlo
+//! (`drd-sim`), the verification campaigns (`drd-check`) and the CLI.
+//! The flow itself (`drd-core`) and the Verilog front end
+//! (`drd-netlist`) run serially and do not use it.
 //!
 //! * [`rng`] — a deterministic SplitMix64 PRNG (replacing `rand`),
 //! * [`runner`] — a dependency-free work-stealing parallel task runner on
 //!   `std::thread` with per-worker seeded scheduling streams, returning
 //!   results in task order so parallel runs are byte-identical to serial
 //!   ones.
-//!
-//! Both modules started life in `drd-check`; they moved here so the flow
-//! passes themselves (FF substitution, SDC) can fan out per-region work
-//! without the core depending on the verification kit.
 
-pub mod governor;
 pub mod rng;
 pub mod runner;
 
 pub use rng::Rng;
-pub use runner::{run_indexed, run_parallel, worker_count};
+pub use runner::{run_indexed, run_parallel, try_worker_count, worker_count};

@@ -26,7 +26,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::governor;
 use crate::rng::Rng;
 
 /// Scheduler seed for the per-worker victim-selection streams. Fixed so
@@ -34,20 +33,33 @@ use crate::rng::Rng;
 const SCHED_SEED: u64 = 0x5EED_0F57_EA1E_2500;
 
 /// The number of workers the runner will use: `DRD_WORKERS` if set (>= 1),
-/// else [`std::thread::available_parallelism`], else 1. Resolved once per
-/// process: `available_parallelism` reads cgroup files on every call.
+/// else [`std::thread::available_parallelism`], else 1.
+///
+/// # Panics
+/// If `DRD_WORKERS` is set to something that is not a number; a caller
+/// that reports errors itself uses [`try_worker_count`].
 pub fn worker_count() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        if let Ok(raw) = std::env::var("DRD_WORKERS") {
-            let n: usize = raw
+    try_worker_count().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`worker_count`], or the message naming a `DRD_WORKERS` that is not a
+/// number. Resolved once per process: `available_parallelism` reads
+/// cgroup files on every call.
+///
+/// # Errors
+/// When `DRD_WORKERS` is set but does not parse as a whole number.
+pub fn try_worker_count() -> Result<usize, String> {
+    static WORKERS: OnceLock<Result<usize, String>> = OnceLock::new();
+    WORKERS
+        .get_or_init(|| match std::env::var("DRD_WORKERS") {
+            Ok(raw) => raw
                 .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("DRD_WORKERS={raw} is not a number"));
-            return n.max(1);
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })
+                .parse::<usize>()
+                .map(|n| n.max(1))
+                .map_err(|_| format!("DRD_WORKERS={raw} is not a number")),
+            Err(_) => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        })
+        .clone()
 }
 
 /// Runs `work` over every task index `0..tasks`, in parallel on `workers`
@@ -69,9 +81,7 @@ where
         return Vec::new();
     }
     if workers == 1 {
-        return (0..tasks)
-            .map(|i| governor::with_token(|| work(i)))
-            .collect();
+        return (0..tasks).map(work).collect();
     }
 
     // Round-robin initial distribution: task i starts on deque i % workers.
@@ -128,9 +138,7 @@ where
                     std::thread::yield_now();
                     continue;
                 };
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    governor::with_token(|| work(task))
-                })) {
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(task))) {
                     Ok(r) => *slots[task].lock().unwrap() = Some(r),
                     Err(p) => panics.lock().unwrap().push((task, p)),
                 }

@@ -11,8 +11,8 @@
 //!   → `error_class` mapping and the CLI exit-code taxonomy in response
 //!   `exit_code` fields;
 //! * [`server`] — the [`server::Server`]: shared gatefile, content-hash
-//!   flow cache, per-job deadlines, cross-job core-token scheduling via
-//!   [`drd_runner::governor`], stats, and graceful drain on shutdown.
+//!   flow cache, per-job deadlines, a fixed count of tokens that caps the
+//!   flows running at once, stats, and graceful drain on shutdown.
 //!
 //! The load-bearing invariant, inherited from the one-shot flow: a job's
 //! report, SDC, Verilog and deterministic trace are **byte-identical**

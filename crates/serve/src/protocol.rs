@@ -221,13 +221,6 @@ fn parse_options(raw: &Value) -> Result<DesyncOptions, String> {
                 );
             }
             "period_ns" => opts.clock_period_ns = expect_num()?,
-            "jobs" => {
-                let jobs = expect_count()? as usize;
-                if jobs == 0 {
-                    return Err("option `jobs` must be at least 1".to_owned());
-                }
-                opts.jobs = Some(jobs);
-            }
             "max_cells" => opts.max_cells = Some(expect_count()? as usize),
             "max_nets" => opts.max_nets = Some(expect_count()? as usize),
             "pass_deadline_ms" => opts.pass_deadline_ms = Some(expect_count()?),
@@ -291,7 +284,7 @@ mod tests {
         let req = parse_request(
             r#"{"id":"j7","kind":"desync","verilog":"module t; endmodule","deadline_ms":500,
                 "options":{"single_group":true,"muxed":true,"strict":true,"margin":1.2,
-                           "clock":"ck","period_ns":3.5,"false_paths":["b","a"],"jobs":4,
+                           "clock":"ck","period_ns":3.5,"false_paths":["b","a"],
                            "max_cells":1000,"pass_deadline_ms":250}}"#,
         )
         .unwrap();
@@ -306,7 +299,6 @@ mod tests {
         assert_eq!(job.options.clock_port.as_deref(), Some("ck"));
         assert_eq!(job.options.clock_period_ns, 3.5);
         assert_eq!(job.options.grouping.false_path_nets, vec!["b", "a"]);
-        assert_eq!(job.options.jobs, Some(4));
         assert_eq!(job.options.max_cells, Some(1000));
         assert_eq!(job.options.pass_deadline_ms, Some(250));
     }
@@ -329,8 +321,8 @@ mod tests {
         assert_eq!(e.id, "j1");
         assert!(e.message.contains("verilog"), "{}", e.message);
 
-        // A typo and a retired key are rejected alike.
-        for key in ["jbos", "stg_state_limit"] {
+        // A typo and the retired keys are rejected alike.
+        for key in ["jbos", "stg_state_limit", "jobs"] {
             let line =
                 format!(r#"{{"id":"j2","kind":"desync","verilog":"m","options":{{"{key}":1}}}}"#);
             let e = parse_request(&line).unwrap_err();
@@ -355,10 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_jobs_and_zero_deadline_are_request_errors() {
-        let e = parse_request(r#"{"id":"z","kind":"desync","verilog":"m","options":{"jobs":0}}"#)
-            .unwrap_err();
-        assert!(e.message.contains("at least 1"), "{}", e.message);
+    fn zero_deadline_is_a_request_error() {
         let e = parse_request(r#"{"id":"z","kind":"desync","verilog":"m","deadline_ms":0}"#)
             .unwrap_err();
         assert!(e.message.contains("positive"), "{}", e.message);

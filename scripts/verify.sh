@@ -11,9 +11,11 @@
 #    path dependency — nothing may come from a registry),
 # 2. builds and tests the whole workspace with --offline, then re-runs
 #    the determinism suite and the bit-level handshake golden under
-#    DRD_WORKERS=3, so worker count never leaks into artifacts (the
-#    workspace tests include crates/bench/tests/reports.rs, which parses
-#    every committed bench report and checks its fields),
+#    DRD_WORKERS=3: the Monte Carlo must merge byte-identically on a
+#    worker count of the environment's choosing, and `jobs` must never
+#    reach a flow artifact (the workspace tests include
+#    crates/bench/tests/reports.rs, which parses every committed bench
+#    report and checks its fields),
 # 3. checks that the workspace is rustfmt-clean (`cargo fmt --all --
 #    --check`; e2ebench/ is a workspace of its own and is not checked),
 #    lints it with clippy, warnings denied, then builds the workspace's
@@ -35,7 +37,9 @@
 #    rail (no per-run `level_delay_ns(`, `ResponseModel::probe(`,
 #    `mux_overhead_levels(` or `handshake_spec(` outside tests in the
 #    pipeline, control-network and liveness modules and the CLI, which
-#    read LibraryFacts),
+#    read LibraryFacts), and the serial-flow rail (no `thread::spawn`,
+#    `thread::scope` or `run_indexed` outside tests in crates/core/src
+#    or crates/netlist/src: the flow and the parser run on one thread),
 # 6. runs the verification campaigns (mutation, scale, variability,
 #    liveness, serve) and then the kernel micro-benchmarks (cargo bench);
 #    each writes its report under results/ and exits non-zero naming
@@ -82,7 +86,7 @@ cargo build --release --offline
 echo "== cargo test -q (offline, whole workspace) =="
 cargo test -q --workspace --offline
 DRD_WORKERS=3 cargo test -q --offline --test determinism --test handshake_mc
-echo "ok: artifacts and handshake golden byte-identical at DRD_WORKERS=3"
+echo "ok: Monte Carlo and flow artifacts byte-identical at DRD_WORKERS=3"
 
 echo "== cargo fmt --check (root workspace) =="
 cargo fmt --all -- --check
@@ -201,6 +205,16 @@ if [ -n "$probes" ]; then
   exit 1
 fi
 echo "ok: passes read the library facts, no per-run probes"
+# The flow and the Verilog front end run serially: their parallel share
+# was ~1 % of pass time and a second worker made a one-shot run slower,
+# so no thread may come back into either. Test modules are exempt.
+threads=$(find crates/core/src crates/netlist/src -name '*.rs' -print0 | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /thread::spawn|thread::scope|run_indexed/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$threads" ]; then
+  echo "error: a thread in the flow or the parser (both run serially):" >&2
+  echo "$threads" >&2
+  exit 1
+fi
+echo "ok: the flow and the parser are single-threaded"
 
 echo "== verification campaigns (offline) =="
 for bin in mutation scale variability liveness serve; do

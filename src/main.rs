@@ -22,7 +22,8 @@
 //! Exit codes: `0` success (including degraded-but-completed flows, which
 //! print a warning summary on stderr), `1` usage or I/O errors (including
 //! an unknown flag and an unknown `--stop-after`/`--dump-after` pass), `2`
-//! parse errors in the input netlist (and invalid `--jobs` values, which
+//! parse errors in the input netlist (and invalid `--jobs` values, or a
+//! `DRD_WORKERS` that is not a number where `--jobs` is left out, which
 //! are rejected before any flow starts), `3` flow errors (including an
 //! unrepairable liveness deadlock, which surfaces as a structured
 //! `liveness guard failed` diagnostic).
@@ -46,16 +47,19 @@ fn usage() -> &'static str {
                        [--max-cells N] [--max-nets N] [--pass-deadline-ms N]\n\
                        [--false-path NET]... [--clock PORT] [--period NS]\n\
                        [--trace FILE] [--stop-after PASS] [--dump-after PASS[=FILE]]\n\
-     \n\
-     PARALLELISM:\n\
-       --jobs N             worker threads for the per-region pass fan-out\n\
-                            (N >= 1; default: DRD_WORKERS, else available\n\
-                            cores; outputs are byte-identical for any count)\n\
        drdesync gatefile [--lib hs|ll]\n\
        drdesync regions <input.v> [--lib hs|ll]\n\
        drdesync simulate <input.v> [desync's flow flags, --lib to --jobs]\n\
                          [--seeds N] [--sigma S] [--seed HEX] [--check-liveness]\n\
        drdesync serve (--stdio | --socket PATH) [--lib hs|ll] [--jobs N]\n\
+     \n\
+     --jobs N (N >= 1), one meaning per command:\n\
+       desync               no effect: the flow runs serially\n\
+       simulate             Monte Carlo worker threads (default: DRD_WORKERS,\n\
+                            else available cores; data is byte-identical\n\
+                            for any count)\n\
+       serve                flows run at once (default: DRD_WORKERS, else\n\
+                            available cores)\n\
      \n\
      SERVE:\n\
        long-running server accepting concurrent desynchronization jobs as\n\
@@ -66,8 +70,8 @@ fn usage() -> &'static str {
        Responses echo the id and carry the CLI exit-code taxonomy in an\n\
        exit_code field; artifacts are byte-identical to a one-shot CLI run.\n\
        Repeat submissions answer from an in-memory flow cache keyed on the\n\
-       netlist content hash and the canonicalized options. --jobs N sets\n\
-       the cross-job core-token pool (default: all cores). See README.\n\
+       netlist content hash and the canonicalized options. --jobs N caps\n\
+       the flows that run at once. See README.\n\
      \n\
      SIMULATE:\n\
        desynchronizes the input as desync does with the same flow flags,\n\
@@ -299,7 +303,7 @@ impl Args {
     /// Parses `--jobs N`, rejecting `0`: a zero-worker pool cannot run
     /// any task, and silently clamping it up would hide the typo.
     /// Rejected as a [`CliError::Parse`] (exit 2) before any flow work
-    /// starts.
+    /// starts. `desync` checks it too, though its flow runs serially.
     fn jobs(&self) -> Result<Option<usize>, CliError> {
         match self.parsed::<usize>("--jobs")? {
             Some(0) => Err(CliError::Parse(
@@ -361,6 +365,19 @@ impl Args {
             gatefile.to_mut().rules.retain(|r| r.ff != kind);
         }
         gatefile
+    }
+}
+
+/// The worker count of `simulate`'s Monte Carlo and the number of flows
+/// `serve` runs at once: `jobs` (from `--jobs`), else `DRD_WORKERS`, else
+/// all cores. A `DRD_WORKERS` that is not a number is rejected like
+/// `--jobs 0`, as a [`CliError::Parse`] (exit 2).
+fn workers(jobs: Option<usize>) -> Result<usize, CliError> {
+    match jobs {
+        Some(n) => Ok(n),
+        None => drd_runner::runner::try_worker_count().map_err(|e| {
+            CliError::Parse(format!("{e}; set DRD_WORKERS to N >= 1, or pass --jobs N"))
+        }),
     }
 }
 
@@ -501,7 +518,7 @@ fn run() -> Result<(), CliError> {
             let module =
                 drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
             let opts = args.flow_options()?;
-            let workers = opts.workers();
+            let workers = workers(opts.jobs)?;
 
             let tool = Desynchronizer::new(&lib)?;
             let gatefile = args.gatefile(&tool);
@@ -584,9 +601,7 @@ fn run() -> Result<(), CliError> {
         "serve" => {
             let args = Args::parse(command, rest, false, &[SERVE_FLAGS])?;
             let lib = args.library();
-            let tokens = args
-                .jobs()?
-                .unwrap_or_else(drd_runner::runner::worker_count);
+            let tokens = workers(args.jobs()?)?;
             let server = drd_serve::Server::new(&lib, tokens)?;
             if args.has("--stdio") {
                 let stdin = std::io::stdin().lock();
@@ -596,7 +611,7 @@ fn run() -> Result<(), CliError> {
                 drd_serve::serve_stream(&server, stdin, stdout, &stop)?;
                 Ok(())
             } else if let Some(path) = args.value("--socket") {
-                eprintln!("serving on unix socket `{path}` with {tokens} core token(s)");
+                eprintln!("serving on unix socket `{path}`, at most {tokens} flow(s) at once");
                 drd_serve::serve_unix(&server, std::path::Path::new(path))?;
                 Ok(())
             } else {

@@ -1,8 +1,9 @@
-//! Parallel determinism suite: every flow artifact — report, SDC, exported
-//! Verilog and the deterministic FlowTrace rendering — must be
-//! byte-identical whatever the worker count. The per-region fan-out only
-//! parallelizes read-only analysis; merges happen serially in region-index
-//! order, so `--jobs`/`DRD_WORKERS` must never leak into outputs.
+//! Determinism suite: the Monte Carlo merges its chips in chip order, so
+//! its samples are byte-identical whatever the worker count; the flow runs
+//! serially and never reads `jobs`, so `--jobs`/`DRD_WORKERS` must never
+//! leak into its artifacts — report, SDC, exported Verilog and the
+//! deterministic FlowTrace rendering; and a multi-module source parses to
+//! the same design every time.
 //!
 //! Cases route through `prop_par_with`, so the suite itself exercises the
 //! parallel runner; re-run a single case with `DRD_PROP_CASE_SEED=<seed>`.
@@ -11,6 +12,8 @@ use drd_check::netgen::{NetGenParams, NetRecipe};
 use drd_check::{prop_par_with, Config, Rng};
 use drdesync::core::{DesyncOptions, Desynchronizer};
 use drdesync::liberty::vlib90;
+use drdesync::netlist::verilog::{parse_design, write_design};
+use drdesync::netlist::CellKind;
 use drdesync::sim::{GateVariability, HandshakeNet, HandshakeSpec, RegionSpec};
 
 /// The `BENCH_variability` sample vectors: a 1000-chip Monte-Carlo
@@ -70,12 +73,12 @@ fn mc_sample_vectors_are_byte_identical_for_any_worker_count() {
     }
 }
 
-/// The streaming front end parses independent modules in parallel and
-/// merges them in module-index order; the exported bytes must be
-/// identical whatever the job count, including the cross-module instance
-/// retargeting pass that runs after the merge.
+/// A source of four modules parses into one design in source order — the
+/// first module is the top — with every instance of a design module
+/// retargeted from a library cell to that module, and it writes the same
+/// bytes on every parse and after a round trip.
 #[test]
-fn parallel_parse_is_byte_identical_for_any_job_count() {
+fn multi_module_parse_merges_in_order_and_retargets_instances() {
     let params = NetGenParams::default();
     let mut rng = Rng::new(0x9A88_11E1_2026_0808);
     let mut src = String::new();
@@ -92,30 +95,36 @@ fn parallel_parse_is_byte_identical_for_any_job_count() {
         );
         tops.push(name);
     }
-    // A top module instantiating the generated ones, so the parallel
-    // parse also exercises instance retargeting across module chunks.
+    // A module instantiating the generated ones, so the parse also
+    // exercises instance retargeting across modules.
     src.push_str("module top (clk);\n  input clk;\n");
     for (i, name) in tops.iter().enumerate() {
         src.push_str(&format!("  {name} u{i} (.clk(clk));\n"));
     }
     src.push_str("endmodule\n");
 
-    let serial = drdesync::netlist::verilog::parse_design_jobs(&src, Some(1))
-        .expect("serial parse succeeds");
-    let serial_text = drdesync::netlist::verilog::write_design(&serial);
-    assert!(
-        serial_text.contains("fuzz_2"),
-        "all modules survive the merge"
-    );
-    for jobs in [2, 8] {
-        let par = drdesync::netlist::verilog::parse_design_jobs(&src, Some(jobs))
-            .expect("parallel parse succeeds");
-        assert_eq!(
-            serial_text,
-            drdesync::netlist::verilog::write_design(&par),
-            "parallel parse output diverged at jobs={jobs}"
+    let design = parse_design(&src).expect("parse succeeds");
+    let names: Vec<&str> = design.modules().map(|(_, m)| m.name.as_str()).collect();
+    assert_eq!(names, ["fuzz_0", "fuzz_1", "fuzz_2", "top"]);
+    assert_eq!(design.top_module().name, "fuzz_0");
+    let top = design.module(design.find_module("top").expect("`top` parsed"));
+    for (i, name) in tops.iter().enumerate() {
+        let cell = top.find_cell(&format!("u{i}")).expect("instance parsed");
+        assert!(
+            matches!(top.cell_kind(cell), CellKind::Instance(_)),
+            "u{i} must instantiate module {name}"
         );
+        assert_eq!(top.cell(cell).kind_name(), name.as_str());
     }
+    let text = write_design(&design);
+    assert_eq!(
+        text,
+        write_design(&parse_design(&src).expect("parses again"))
+    );
+    assert_eq!(
+        text,
+        write_design(&parse_design(&text).expect("round trip"))
+    );
 }
 
 #[test]
@@ -147,7 +156,7 @@ fn flow_artifacts_are_byte_identical_for_any_worker_count() {
                     (Ok(result), trace) => [
                         format!("{:?}", result.report),
                         result.sdc.clone(),
-                        drdesync::netlist::verilog::write_design(&result.design),
+                        write_design(&result.design),
                         trace.to_json_deterministic(),
                     ],
                     (Err(e), _) => [
