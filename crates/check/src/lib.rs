@@ -28,7 +28,8 @@
 //!   `BENCH_*.json`, which refuses text the shared JSON parser rejects,
 //! * [`runner`] — a dependency-free work-stealing parallel task runner on
 //!   `std::thread` with per-worker seeded scheduling streams, re-exported
-//!   from `drd-runner` (the flow passes use the same pool),
+//!   from `drd-runner` (the handshake Monte Carlo uses the same pool; the
+//!   flow itself runs serially),
 //! * [`cover`] — structural coverage buckets over generated netlists and
 //!   a coverage-guided recipe sampler,
 //! * [`mutate`] — the mutation-testing engine: seeded, paper-meaningful
