@@ -115,8 +115,8 @@ fn main() {
 
         // Per-lookup cost of region lookup at this size (the S2 guard).
         let mut probe = module.clone();
-        clean_for_grouping(&mut probe, &lib);
-        let grouped = group(&probe, &lib, &GroupingOptions::recommended()).expect("groups");
+        let (_, conn) = clean_for_grouping(&mut probe, &lib);
+        let grouped = group(&probe, &lib, &GroupingOptions::recommended(), &conn).expect("groups");
         let ids: Vec<CellId> = grouped
             .regions
             .iter()

@@ -412,7 +412,7 @@ fn check_scan_chain(
     let mut cleaned = recipe
         .build()
         .map_err(|e| format!("recipe does not build: {e}"))?;
-    drd_core::region::clean_for_grouping(&mut cleaned, lib);
+    let _ = drd_core::region::clean_for_grouping(&mut cleaned, lib);
     let top = result.design.module(result.design.top());
 
     // Net name of `pin` on cell `name` in `module`.

@@ -4,7 +4,7 @@
 
 use drd_liberty::gatefile::{Gatefile, MeasuredDelays};
 use drd_liberty::{Corner, Library, SeqKind};
-use drd_netlist::{CellId, Design, Module};
+use drd_netlist::{CellId, Connectivity, Design, Module, NetlistError};
 use drd_sim::{HandshakeSpec, RegionSpec};
 use drd_sta::TimingGraph;
 
@@ -226,13 +226,20 @@ impl<'a> Desynchronizer<'a> {
 /// are disjoint, and sequential outputs and ports are zero-arrival sources
 /// either way), with one propagation for the whole design. A cycle is
 /// reported for the lowest-indexed region that holds one.
+///
+/// `conn` is `module`'s connectivity (or its build error), as
+/// [`TimingGraph::build_partitioned`] takes it. The graph reads it only
+/// while it is built, so it is freed before the propagation, whose
+/// tables then reuse its memory instead of touching fresh pages.
 pub fn region_delays(
     module: &Module,
     lib: &Library,
     regions: &Regions,
+    conn: Result<Connectivity, NetlistError>,
 ) -> Result<Vec<f64>, DesyncError> {
     let groups: Vec<&[CellId]> = regions.regions.iter().map(|r| &r.cells[..]).collect();
-    let graph = TimingGraph::build_partitioned(module, lib, &groups)?;
+    let graph = TimingGraph::build_partitioned(module, lib, &groups, &conn)?;
+    drop(conn);
     let arrivals = graph.arrivals(Corner::typical())?;
     let worst_data_arrival = |seq_cells: &[CellId]| {
         let mut worst = 0.0f64;
@@ -527,13 +534,13 @@ mod tests {
             ..GroupingOptions::recommended()
         };
         for mut m in [toggle_parity(), false_path_pair(true)] {
-            crate::region::clean_for_grouping(&mut m, &lib);
-            let regions = crate::region::group(&m, &lib, &opts).unwrap();
-            let delays = region_delays(&m, &lib, &regions).unwrap();
+            let (_, conn) = crate::region::clean_for_grouping(&mut m, &lib);
+            let regions = crate::region::group(&m, &lib, &opts, &conn).unwrap();
+            let delays = region_delays(&m, &lib, &regions, conn.clone()).unwrap();
             assert!(delays.iter().any(|&d| d > 0.0), "{delays:?}");
             for (i, r) in regions.regions.iter().enumerate() {
                 let alone = Regions::new(vec![r.clone()]);
-                let own = region_delays(&m, &lib, &alone).unwrap()[0];
+                let own = region_delays(&m, &lib, &alone, conn.clone()).unwrap()[0];
                 assert_eq!(own.to_bits(), delays[i].to_bits(), "{}", r.name);
             }
         }
@@ -618,13 +625,13 @@ mod tests {
         };
         let delay_of_b = |cross: bool| {
             let mut m = false_path_pair(cross);
-            crate::region::clean_for_grouping(&mut m, &lib);
-            let regions = crate::region::group(&m, &lib, &opts).unwrap();
+            let (_, conn) = crate::region::clean_for_grouping(&mut m, &lib);
+            let regions = crate::region::group(&m, &lib, &opts, &conn).unwrap();
             let region_named = |name: &str| regions.region_of(m.find_cell(name).unwrap());
             let (a, b) = (region_named("a3").unwrap(), region_named("b1").unwrap());
             assert_ne!(a, b, "the false path splits the clouds");
             assert_eq!(region_named("r_b"), Some(b));
-            region_delays(&m, &lib, &regions).unwrap()[b]
+            region_delays(&m, &lib, &regions, conn).unwrap()[b]
         };
         let (crossing, from_input) = (delay_of_b(true), delay_of_b(false));
         assert!(crossing > 0.0);

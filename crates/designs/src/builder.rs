@@ -5,7 +5,7 @@
 //! and emitted directly as mapped gate-level netlists with `bus[i]` net
 //! naming, so the desynchronizer's bus heuristics see realistic input.
 
-use drd_netlist::{Conn, Module, NetId, NetlistError, PortDir};
+use drd_netlist::{Conn, Module, NetId, NetlistError, PortDir, Symbol};
 
 /// A bus of nets, least-significant bit first.
 #[derive(Debug, Clone)]
@@ -52,7 +52,7 @@ impl<'m> Builder<'m> {
         format!("{tag}_{}", self.counter)
     }
 
-    fn unique_cell(&mut self, tag: &str) -> String {
+    fn unique_cell(&mut self, tag: &str) -> Symbol {
         let candidate = self.fresh(tag);
         self.module.unique_cell_name(&candidate)
     }

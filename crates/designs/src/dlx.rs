@@ -320,10 +320,9 @@ mod tests {
         let p = DlxParams::small();
         let mut m = build(&p).unwrap();
         let lib = vlib90::high_speed();
-        drd_core::region::clean_for_grouping(&mut m, &lib);
-        let regions =
-            drd_core::region::group(&m, &lib, &drd_core::region::GroupingOptions::recommended())
-                .unwrap();
+        let (_, conn) = drd_core::region::clean_for_grouping(&mut m, &lib);
+        let opts = drd_core::region::GroupingOptions::recommended();
+        let regions = drd_core::region::group(&m, &lib, &opts, &conn).unwrap();
         // The pipeline yields a handful of stage-like regions (the paper's
         // automatic grouping matched its 4 pipeline stages; our finer
         // microarchitecture yields a few more).

@@ -91,7 +91,8 @@ mod tests {
     fn sample_groups_into_five_regions() {
         let m = figure_2_2().unwrap();
         let lib = vlib90::high_speed();
-        let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
+        let conn = m.connectivity(&lib);
+        let regions = group(&m, &lib, &GroupingOptions::recommended(), &conn).unwrap();
         // G1 registers inputs through CL1 (a cloud), so no g0 appears:
         // exactly five groups carry registers. (Output-port buffer clouds
         // form extra register-less regions, which get no controllers.)
@@ -119,8 +120,9 @@ mod tests {
     fn sample_ddg_matches_figure_2_6_shape() {
         let m = figure_2_2().unwrap();
         let lib = vlib90::high_speed();
-        let regions = group(&m, &lib, &GroupingOptions::recommended()).unwrap();
-        let ddg = drd_core::ddg::build(&m, &lib, &regions).unwrap();
+        let conn = m.connectivity(&lib);
+        let regions = group(&m, &lib, &GroupingOptions::recommended(), &conn).unwrap();
+        let ddg = drd_core::ddg::build(&m, &lib, &regions, &conn).unwrap();
         let idx = |cell: &str| regions.region_of(m.find_cell(cell).unwrap()).unwrap();
         let (g1, g2, g3, g4, g5) = (
             idx("g1_r0"),

@@ -48,7 +48,7 @@ pub use design::{Design, DesignPinDirs};
 pub use error::NetlistError;
 pub use ids::{CellId, ModuleId, NetId, PortId};
 pub use module::{
-    BusBit, Cell, CellKind, Conn, Connectivity, Endpoint, KindRef, Module, Net, PinDirs, PinUse,
-    Port, PortDir,
+    BusBit, Cell, CellKind, CellName, Conn, Connectivity, Endpoint, KindRef, Module, Net, PinDirs,
+    PinUse, Port, PortDir,
 };
 pub use symbol::{Symbol, SymbolTable};

@@ -6,7 +6,9 @@
 //! (§3.2.2, Fig. 3.5). These passes are library-agnostic: the caller
 //! supplies a classifier describing which cell kinds are buffers/inverters.
 
-use crate::{CellId, CellKind, Conn, Endpoint, KindRef, Module, PinDirs, Symbol};
+use crate::{
+    CellId, CellKind, Conn, Connectivity, Endpoint, KindRef, Module, NetlistError, PinDirs, Symbol,
+};
 
 /// Classification of a cell kind for the cleaning passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,14 +51,18 @@ struct Class {
 /// every port stays driven.
 ///
 /// `classify` is asked once per library cell kind in use; submodule
-/// instances are never classified. Returns how many cells were
-/// eliminated. Runs to fixpoint: each round removes what it can without
-/// chaining two removals through one net, then rewires.
+/// instances are never classified. Runs to fixpoint: each round builds
+/// the module's connectivity, removes what it can without chaining two
+/// removals through one net, then rewires. Returns how many cells were
+/// eliminated, and the connectivity of the cleaned module: the last
+/// round's snapshot, which removed nothing, or the error that stopped the
+/// first round that could not build one (an inconsistent netlist is left
+/// to the caller's validation).
 pub fn clean_logic(
     module: &mut Module,
     dirs: &impl PinDirs,
     classify: impl Fn(KindRef<'_>) -> Option<CleanKind>,
-) -> CleanStats {
+) -> (CleanStats, Result<Connectivity, NetlistError>) {
     let classes = classify_kinds(module, classify);
     let class_of = |module: &Module, cell: CellId| match module.cell_kind(cell) {
         CellKind::Lib(kind) => classes[kind.index()],
@@ -68,9 +74,9 @@ pub fn clean_logic(
     }
     let mut stats = CleanStats::default();
     loop {
-        let Ok(conn) = module.connectivity(dirs) else {
-            // Inconsistent netlist: leave it to the caller's validation.
-            return stats;
+        let conn = match module.connectivity(dirs) {
+            Ok(conn) => conn,
+            Err(e) => return (stats, Err(e)),
         };
         // Per net: what its loads are rewired to, and whether it is the
         // target of such a rewire; per cell slot: whether this round
@@ -152,7 +158,7 @@ pub fn clean_logic(
         }
 
         if removed.is_empty() {
-            return stats;
+            return (stats, Ok(conn));
         }
         module.rewire_many(&remap);
         for cid in removed {
@@ -252,7 +258,7 @@ mod tests {
         cell(&mut m, "u4", "BUFX1", Conn::Net(n[2]), n[3]);
         cell(&mut m, "g1", "NAND2X1", Conn::Net(n[3]), n[4]);
         cell(&mut m, "g2", "NAND2X1", Conn::Net(n[3]), n[5]);
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.buffers_removed, 4);
         assert_eq!(stats.inverter_pairs_removed, 0);
         assert_eq!(m.cell_count(), 2);
@@ -270,7 +276,7 @@ mod tests {
         cell(&mut m, "u2", "BUFX1", Conn::Net(n[0]), n[1]);
         cell(&mut m, "u1", "BUFX1", Conn::Net(a), n[0]);
         cell(&mut m, "g", "NAND2X1", Conn::Net(n[1]), n[2]);
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.buffers_removed, 2);
         assert_eq!(m.cell_count(), 1);
         assert_eq!(pin_a(&m, "g"), Some(Conn::Net(a)));
@@ -286,11 +292,56 @@ mod tests {
         cell(&mut m, "i1", "INVX1", Conn::Net(n[0]), n[1]);
         cell(&mut m, "u", "BUFX1", Conn::Net(a), n[0]);
         cell(&mut m, "g", "NAND2X1", Conn::Net(n[2]), n[3]);
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.inverter_pairs_removed, 1);
         assert_eq!(stats.buffers_removed, 1);
         assert_eq!(m.cell_count(), 1);
         assert_eq!(pin_a(&m, "g"), Some(Conn::Net(a)));
+    }
+
+    /// The snapshot `clean_logic` hands over is the cleaned module's:
+    /// every net has the driver and the loads, in order, of a fresh
+    /// build. A three-buffer chain written downstream-first loses its
+    /// middle buffer only in a second round (each round skips a removal
+    /// that chains through a net it already rewires), and the inverter
+    /// pair behind it goes in the first, so the snapshot comes from the
+    /// third build, after two rounds of rewiring.
+    #[test]
+    fn returned_snapshot_equals_a_fresh_build_after_several_rounds() {
+        let (mut m, a, n) = with_nets(7);
+        m.add_port("z", PortDir::Output).unwrap();
+        let z = m.find_net("z").unwrap();
+        cell(&mut m, "u3", "BUFX1", Conn::Net(n[1]), n[2]);
+        cell(&mut m, "u2", "BUFX1", Conn::Net(n[0]), n[1]);
+        cell(&mut m, "u1", "BUFX1", Conn::Net(a), n[0]);
+        cell(&mut m, "g1", "NAND2X1", Conn::Net(n[2]), n[3]);
+        cell(&mut m, "i2", "INVX1", Conn::Net(n[4]), n[5]);
+        cell(&mut m, "i1", "INVX1", Conn::Net(n[3]), n[4]);
+        cell(&mut m, "g2", "NAND2X1", Conn::Net(n[5]), n[6]);
+        cell(&mut m, "g3", "NAND2X1", Conn::Net(n[3]), z);
+        let (stats, conn) = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats.buffers_removed, 3);
+        assert_eq!(stats.inverter_pairs_removed, 1);
+        let (conn, fresh) = (conn.unwrap(), m.connectivity(&dirs).unwrap());
+        for (net, _) in m.nets() {
+            assert_eq!(conn.driver(net), fresh.driver(net), "{net:?}");
+            assert_eq!(conn.loads(net), fresh.loads(net), "{net:?}");
+        }
+        assert_eq!(conn.loads(a).len(), 1, "g1 reads the port");
+        assert_eq!(conn.loads(n[3]).len(), 2, "g2 and g3 read g1");
+    }
+
+    /// A netlist whose connectivity cannot be built is left as it is,
+    /// and the error handed over is a fresh build's.
+    #[test]
+    fn inconsistent_netlist_hands_over_the_build_error() {
+        let (mut m, a, n) = with_nets(2);
+        cell(&mut m, "u", "BUFX1", Conn::Net(a), n[0]);
+        cell(&mut m, "v", "NAND2X1", Conn::Net(a), n[0]);
+        let (stats, conn) = clean_logic(&mut m, &dirs, classify);
+        assert_eq!(stats, CleanStats::default());
+        assert_eq!(m.cell_count(), 2);
+        assert_eq!(conn.err(), m.connectivity(&dirs).err());
     }
 
     #[test]
@@ -300,7 +351,7 @@ mod tests {
         cell(&mut m, "i2", "INVX1", Conn::Net(n[0]), n[1]);
         cell(&mut m, "i3", "INVX1", Conn::Net(n[1]), n[2]);
         cell(&mut m, "g", "NAND2X1", Conn::Net(n[2]), n[3]);
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.inverter_pairs_removed, 1);
         assert_eq!(m.cell_count(), 2);
         assert!(m.find_cell("i1").is_none() && m.find_cell("i2").is_none());
@@ -315,7 +366,7 @@ mod tests {
         cell(&mut m, "i2", "INVX1", Conn::Net(n[0]), n[1]);
         cell(&mut m, "g1", "NAND2X1", Conn::Net(n[1]), n[2]);
         cell(&mut m, "g2", "NAND2X1", Conn::Net(n[0]), n[3]);
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats, CleanStats::default());
         assert_eq!(m.cell_count(), 4);
         assert_eq!(pin_a(&m, "g1"), Some(Conn::Net(n[1])));
@@ -328,7 +379,7 @@ mod tests {
         cell(&mut m, "u", "BUFX1", Conn::Const1, n[0]);
         cell(&mut m, "g1", "NAND2X1", Conn::Net(n[0]), n[1]);
         cell(&mut m, "g2", "NAND2X1", Conn::Net(n[0]), n[2]);
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.buffers_removed, 1);
         assert_eq!(m.cell_count(), 2);
         assert_eq!(pin_a(&m, "g1"), Some(Conn::Const1));
@@ -344,7 +395,7 @@ mod tests {
         cell(&mut m, "u", "BUFX1", Conn::Net(a), z);
         cell(&mut m, "i1", "INVX1", Conn::Net(a), n[0]);
         cell(&mut m, "i2", "INVX1", Conn::Net(n[0]), y);
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats, CleanStats::default());
         assert_eq!(m.cell_count(), 3);
         assert_eq!(pin_a(&m, "i2"), Some(Conn::Net(n[0])));
@@ -357,7 +408,7 @@ mod tests {
         m.add_instance("s", "BUFX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(n[0]))])
             .unwrap();
         cell(&mut m, "g", "NAND2X1", Conn::Net(n[0]), n[1]);
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats, CleanStats::default());
         assert_eq!(m.cell_count(), 2);
         assert_eq!(pin_a(&m, "g"), Some(Conn::Net(n[0])));
@@ -386,7 +437,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.buffers_removed, 2);
         assert_eq!(m.cell_count(), 1);
         let g = m.find_cell("g").unwrap();
@@ -421,7 +472,7 @@ mod tests {
         // A lone inverter driving a port must survive.
         m.add_cell("i3", "INVX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(y))])
             .unwrap();
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.inverter_pairs_removed, 1);
         assert!(m.find_cell("i3").is_some());
         let g = m.find_cell("g").unwrap();
@@ -437,7 +488,7 @@ mod tests {
         let z = m.find_net("z").unwrap();
         m.add_cell("u", "BUFX1", &[("A", Conn::Net(a)), ("Z", Conn::Net(z))])
             .unwrap();
-        let stats = clean_logic(&mut m, &dirs, classify);
+        let (stats, _) = clean_logic(&mut m, &dirs, classify);
         assert_eq!(stats.buffers_removed, 0);
         assert_eq!(m.cell_count(), 1);
     }

@@ -144,8 +144,9 @@ fn fuzzed_prefixes_unique_without_collision() {
                     let fresh = seen_nets.insert(name.clone());
                     (name, fresh)
                 } else {
-                    let name = m.unique_cell_name(p);
-                    m.add_cell(name.clone(), "INVX1", &[])
+                    let sym = m.unique_cell_name(p);
+                    let name = m.resolve(sym).to_owned();
+                    m.add_cell(sym, "INVX1", &[])
                         .map_err(|e| format!("cell `{name}`: {e}"))?;
                     let fresh = seen_cells.insert(name.clone());
                     (name, fresh)

@@ -247,7 +247,8 @@ mod tests {
             (vec![vec![u1], vec![u0]], "z"),
             (vec![vec![u0, u1]], "z"),
         ] {
-            let g = TimingGraph::build_partitioned(&m, &lib, &groups).unwrap();
+            let g =
+                TimingGraph::build_partitioned(&m, &lib, &groups, &m.connectivity(&lib)).unwrap();
             match g.arrivals(Corner::typical()) {
                 Err(StaError::Cycle { through }) => assert_eq!(through, expected),
                 other => panic!("expected a cycle, got {other:?}"),

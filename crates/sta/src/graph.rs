@@ -8,7 +8,10 @@
 //! on demand through the borrowed [`Module`].
 
 use drd_liberty::{LibCell, Library, SeqKind};
-use drd_netlist::{CellId, CellKind, Conn, Endpoint, Module, NetId, PortDir, PortId, Symbol};
+use drd_netlist::{
+    CellId, CellKind, Conn, Connectivity, Endpoint, Module, NetId, NetlistError, PortDir, PortId,
+    Symbol,
+};
 
 use crate::StaError;
 
@@ -192,7 +195,8 @@ impl<'m> TimingGraph<'m> {
     /// # Errors
     /// Returns [`StaError`] for unknown cells/pins or a malformed netlist.
     pub fn build(module: &'m Module, lib: &Library) -> Result<Self, StaError> {
-        Self::build_partitioned(module, lib, &[module.cell_ids().collect::<Vec<_>>()])
+        let cells: Vec<CellId> = module.cell_ids().collect();
+        Self::build_partitioned(module, lib, &[cells], &module.connectivity(lib))
     }
 
     /// Builds one graph over disjoint `groups` of the module's cells. A
@@ -202,6 +206,12 @@ impl<'m> TimingGraph<'m> {
     /// delays still use full-module net loads. A cell listed twice keeps
     /// its first group.
     ///
+    /// `conn` is `module`'s connectivity as [`Module::connectivity`]
+    /// builds it against `lib`, or the error that build returned, so a
+    /// caller that already holds a snapshot shares it. A build error is
+    /// reported only after every cell kind resolved, as it would be if
+    /// the graph built the snapshot itself.
+    ///
     /// # Errors
     /// Returns [`StaError`] for unknown cells anywhere in the module, or a
     /// malformed netlist.
@@ -209,6 +219,7 @@ impl<'m> TimingGraph<'m> {
         module: &'m Module,
         lib: &Library,
         groups: &[impl AsRef<[CellId]>],
+        conn: &Result<Connectivity, NetlistError>,
     ) -> Result<Self, StaError> {
         // Net load capacitances over the whole module, summed in cell-id
         // then pin order. This first sweep also resolves every library
@@ -228,7 +239,7 @@ impl<'m> TimingGraph<'m> {
                 }
             }
         }
-        let conn = module.connectivity(lib).map_err(|e| StaError::BadNetlist {
+        let conn = conn.as_ref().map_err(|e| StaError::BadNetlist {
             message: e.to_string(),
         })?;
 
@@ -568,7 +579,8 @@ mod tests {
         assert_eq!(disabled, 2); // the A→Z arc and the net edge to r1/D
 
         // A partitioned graph has no nodes for cells outside its groups.
-        let mut sub = TimingGraph::build_partitioned(&m, &lib, &[vec![u1]]).unwrap();
+        let conn = m.connectivity(&lib);
+        let mut sub = TimingGraph::build_partitioned(&m, &lib, &[vec![u1]], &conn).unwrap();
         assert!(sub.find_pin(u1, sym("A")).is_some());
         assert!(!sub.disable_pin(u2, sym("Z")));
     }
@@ -578,9 +590,8 @@ mod tests {
         let lib = vlib90::high_speed();
         let m = chain_module();
         let id = |name: &str| m.find_cell(name).unwrap();
-        let g =
-            TimingGraph::build_partitioned(&m, &lib, &[vec![id("u1")], vec![id("r1"), id("u2")]])
-                .unwrap();
+        let groups = [vec![id("u1")], vec![id("r1"), id("u2")]];
+        let g = TimingGraph::build_partitioned(&m, &lib, &groups, &m.connectivity(&lib)).unwrap();
         let nets: Vec<(String, String)> = g
             .edge_list()
             .filter(|e| e.3 == EdgeKind::Net)

@@ -45,9 +45,11 @@
 //! assert_eq!(path, ["a", "u1/A", "u1/Z", "u2/A", "u2/Z", "z"]);
 //!
 //! // Each group is timed as if alone: with u1 and u2 in different
-//! // groups, the net `mid` between them is cut.
+//! // groups, the net `mid` between them is cut. The partitioned build
+//! // reads a connectivity snapshot the caller may share.
 //! let (u1, u2) = (m.find_cell("u1").ok_or("u1")?, m.find_cell("u2").ok_or("u2")?);
-//! let split = TimingGraph::build_partitioned(&m, &lib, &[vec![u1], vec![u2]])?;
+//! let conn = m.connectivity(&lib);
+//! let split = TimingGraph::build_partitioned(&m, &lib, &[vec![u1], vec![u2]], &conn)?;
 //! let z_arrival = split.arrivals(Corner::typical())?.max_endpoint_arrival();
 //! assert!(z_arrival < arrivals.max_endpoint_arrival());
 //! # Ok(())

@@ -481,11 +481,12 @@ fn run() -> Result<(), CliError> {
             let lib = args.library();
             let mut module =
                 drd_netlist::verilog::parse_module(&std::fs::read_to_string(&args.input)?)?;
-            drd_core::region::clean_for_grouping(&mut module, &lib);
+            let (_, conn) = drd_core::region::clean_for_grouping(&mut module, &lib);
             let regions = drd_core::region::group(
                 &module,
                 &lib,
                 &drd_core::region::GroupingOptions::recommended(),
+                &conn,
             )?;
             for r in &regions.regions {
                 println!(

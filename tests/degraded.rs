@@ -156,11 +156,12 @@ fn partially_degraded_dlx_small_is_flow_equivalent_elsewhere() {
     // Region membership of the unmodified design (grouping runs before
     // substitution, so the degraded flow sees the same regions).
     let mut cleaned = module.clone();
-    drdesync::core::region::clean_for_grouping(&mut cleaned, &lib);
+    let (_, conn) = drdesync::core::region::clean_for_grouping(&mut cleaned, &lib);
     let regions = drdesync::core::region::group(
         &cleaned,
         &lib,
         &drdesync::core::region::GroupingOptions::recommended(),
+        &conn,
     )
     .expect("grouping works");
     let name_of = |id: CellId| cleaned.cell(id).name.to_owned();

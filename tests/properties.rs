@@ -83,8 +83,13 @@ fn grouping_partitions_all_cells() {
     let lib = vlib90::high_speed();
     prop(16, pipeline_strategy(4, 5), |(stages, width, taps)| {
         let m = pipeline(*stages, *width, taps);
-        let regions = group(&m, &lib, &GroupingOptions::recommended())
-            .map_err(|e| format!("grouping: {e}"))?;
+        let regions = group(
+            &m,
+            &lib,
+            &GroupingOptions::recommended(),
+            &m.connectivity(&lib),
+        )
+        .map_err(|e| format!("grouping: {e}"))?;
         let mut seen = std::collections::HashSet::new();
         for r in &regions.regions {
             for &c in &r.cells {
