@@ -13,7 +13,6 @@ use std::time::Instant;
 use drd_check::cover::{Bucket, Coverage};
 use drd_check::diff::DiffConfig;
 use drd_check::mutate::{run_campaign, Mutation, MutationOutcome};
-use drd_check::runner;
 use drd_json::escape;
 use drd_liberty::vlib90;
 use drd_stg::protocols::Protocol;
@@ -26,10 +25,10 @@ const SEEDS_PER_KIND: usize = 25;
 const MIN_SPEEDUP: f64 = 2.0;
 
 fn main() {
+    let workers = drd_bench::workers("mutation");
     let lib = vlib90::high_speed();
     let config = DiffConfig::default();
     let seeds: Vec<u64> = (0..SEEDS_PER_KIND as u64).collect();
-    let workers = runner::worker_count();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Full campaign on the parallel runner.

@@ -148,9 +148,9 @@ fn json_usize_array(bins: &[usize]) -> String {
 }
 
 fn main() {
+    let workers = drd_bench::workers("variability");
     let lib = vlib90::high_speed();
     let tool = Desynchronizer::new(&lib).expect("library prepares");
-    let workers = drd_check::runner::worker_count();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rng = Rng::new(0xF1C5_53ED);
     let mut serial_total_ns: u128 = 0;

@@ -129,9 +129,13 @@ fn allocs(doc: &Value) -> Vec<String> {
             "vlib90_ll",
             "parse_dlx32",
             "flow_dlx32",
+            "ffsub_dlx32",
+            "control-network_dlx32",
             "write_dlx32",
             "parse_arm32",
             "flow_arm32",
+            "ffsub_arm32",
+            "control-network_arm32",
             "write_arm32",
         ],
     ));

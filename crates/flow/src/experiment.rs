@@ -461,21 +461,22 @@ pub struct VariabilityStudy {
 /// count.
 ///
 /// # Errors
-/// Propagates flow errors.
+/// Propagates flow errors, and returns [`DesyncError::Pipeline`] naming
+/// a `DRD_WORKERS` that is not a number.
 pub fn variability_study(
     case: &CaseStudy,
     chips: usize,
     sigma: f64,
     seed: u64,
 ) -> Result<VariabilityStudy, DesyncError> {
+    let workers =
+        drd_runner::try_worker_count().map_err(|message| DesyncError::Pipeline { message })?;
     let typ_period = case.sync_min_period()?;
     let desync = case.desynchronize()?;
     let spec = handshake_spec(&desync.report, &case.lib)?;
     let net = HandshakeNet::elaborate(&spec, &case.lib).map_err(sim_err)?;
     let var = GateVariability::new(seed, sigma);
-    let samples = net
-        .monte_carlo(&var, chips, drd_runner::worker_count())
-        .map_err(sim_err)?;
+    let samples = net.monte_carlo(&var, chips, workers).map_err(sim_err)?;
     let desync_periods: Vec<f64> = samples.iter().map(|s| s.desync_cycle_ns).collect();
     let sync_worst = typ_period * Corner::worst().delay_factor;
     let faster = desync_periods.iter().filter(|&&p| p < sync_worst).count();

@@ -12,6 +12,8 @@
 //! name minting quadratic when the input netlist already contained a
 //! dense `prefix_N` range).
 
+use std::fmt::Write as _;
+
 use crate::hash::FastHashMap;
 
 /// An interned name: a dense index into a [`SymbolTable`].
@@ -228,11 +230,40 @@ impl SymbolTable {
         if self.buckets[i].sym != FREE {
             return Symbol(self.buckets[i].sym);
         }
+        self.arena.push_str(name);
+        self.commit(i, tag)
+    }
+
+    /// Interns `{prefix}_{n}`, composed at the end of the arena instead
+    /// of in a temporary string: a name already interned is found there
+    /// and the arena cut back, a new one stays where it was written.
+    pub(crate) fn intern_numbered(&mut self, prefix: &str, n: usize) -> Symbol {
+        if self.buckets.is_empty() {
+            self.buckets = vec![EMPTY; 16];
+        }
+        let start = self.arena.len();
+        let _ = write!(self.arena, "{prefix}_{n}");
+        let name = &self.arena[start..];
+        let tag = tag_of(name);
+        let i = self.probe(name, tag);
+        if self.buckets[i].sym != FREE {
+            self.arena.truncate(start);
+            return Symbol(self.buckets[i].sym);
+        }
+        self.commit(i, tag)
+    }
+
+    /// Makes the name the arena ends with a new symbol, placed in free
+    /// bucket `i`.
+    ///
+    /// # Panics
+    /// Panics if the table already holds `u32::MAX` names.
+    #[inline]
+    fn commit(&mut self, i: usize, tag: u32) -> Symbol {
         let sym = u32::try_from(self.ends.len())
             .ok()
             .filter(|&s| s != FREE)
             .expect("a symbol table holds fewer than u32::MAX names");
-        self.arena.push_str(name);
         self.ends.push(self.arena.len());
         self.buckets[i] = Bucket { tag, sym };
         if self.ends.len() * 4 >= self.buckets.len() * 3 {

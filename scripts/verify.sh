@@ -37,9 +37,13 @@
 #    rail (no per-run `level_delay_ns(`, `ResponseModel::probe(`,
 #    `mux_overhead_levels(` or `handshake_spec(` outside tests in the
 #    pipeline, control-network and liveness modules and the CLI, which
-#    read LibraryFacts), and the serial-flow rail (no `thread::spawn`,
+#    read LibraryFacts), the serial-flow rail (no `thread::spawn`,
 #    `thread::scope` or `run_indexed` outside tests in crates/core/src
 #    or crates/netlist/src: the flow and the parser run on one thread),
+#    and the one-snapshot rail (no `.connectivity(` outside tests in
+#    crates/core/src but in pipeline.rs, whose FlowContext builds the
+#    one snapshot the passes share, and no `format!(` outside tests in
+#    ffsub.rs, which composes every name in one reused buffer),
 # 6. runs the verification campaigns (mutation, scale, variability,
 #    liveness, serve) and then the kernel micro-benchmarks (cargo bench);
 #    each writes its report under results/ and exits non-zero naming
@@ -215,6 +219,19 @@ if [ -n "$threads" ]; then
   exit 1
 fi
 echo "ok: the flow and the parser are single-threaded"
+# The flow builds the working module's connectivity once and shares it:
+# clean hands its last snapshot to FlowContext (pipeline.rs), and the
+# passes read that, so no other core module builds its own. Flip-flop
+# substitution composes every generated name in one reused buffer, so a
+# flip-flop costs no allocation. Test modules are exempt.
+snapshots=$(find crates/core/src -name '*.rs' ! -name pipeline.rs -print0 | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /\.connectivity\(/ { print FILENAME ":" FNR ": " $0 }'
+  awk '/^#\[cfg\(test\)\]/ { nextfile } /format!\(/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/ffsub.rs)
+if [ -n "$snapshots" ]; then
+  echo "error: a connectivity build outside pipeline.rs, or a format! in ffsub.rs (share the flow's snapshot; compose names in the substituter's buffer):" >&2
+  echo "$snapshots" >&2
+  exit 1
+fi
+echo "ok: one connectivity snapshot per flow, no per-flip-flop name formatting"
 
 echo "== verification campaigns (offline) =="
 for bin in mutation scale variability liveness serve; do

@@ -12,10 +12,15 @@
 use std::path::PathBuf;
 
 use drd_check::golden::assert_golden;
-use drdesync::core::{DesyncError, DesyncOptions, Desynchronizer, FlowContext, Pipeline};
+use drdesync::core::pipeline::{CleanPass, ClockIdPass, DdgPass, GroupPass, RegionDelaysPass};
+use drdesync::core::region::{self, Regions};
+use drdesync::core::{
+    ddg, region_delays, DesyncError, DesyncOptions, Desynchronizer, FlowContext, Pass, PassReport,
+    Pipeline,
+};
 use drdesync::flow::experiment::CaseStudy;
 use drdesync::netlist::verilog::{parse_design, parse_module, write_design};
-use drdesync::netlist::{Conn, Module, PortDir};
+use drdesync::netlist::{CellId, Conn, Endpoint, Module, PortDir};
 
 const STAGES: [&str; 9] = [
     "clean",
@@ -333,4 +338,250 @@ fn wrapper_apis_propagate_the_pass_failure() {
     let names: Vec<&str> = trace.passes.iter().map(|p| p.name).collect();
     assert_eq!(names, ["clean", "clock-id"]);
     assert_eq!(trace.error.as_ref().map(|e| e.pass), Some("group"));
+}
+
+/// Two pipelines side by side, `in_a → r_a → u_a → r_a2` and
+/// `in_b → r_b → u_b → r_b2`, clocked by `clk`: two regions with a cloud
+/// each.
+fn two_pipelines() -> Module {
+    let mut m = Module::new("two");
+    for port in ["clk", "in_a", "in_b"] {
+        m.add_port(port, PortDir::Input).unwrap();
+    }
+    let clk = m.find_net("clk").unwrap();
+    for s in ["a", "b"] {
+        let input = m.find_net(&format!("in_{s}")).unwrap();
+        let q = m.add_net(format!("q_{s}")).unwrap();
+        let x = m.add_net(format!("x_{s}")).unwrap();
+        let out = m.add_port(format!("out_{s}"), PortDir::Output).unwrap();
+        let out = m.port(out).net;
+        let dff = |m: &mut Module, name: String, d, q| {
+            m.add_cell(
+                name,
+                "DFFX1",
+                &[
+                    ("D", Conn::Net(d)),
+                    ("CK", Conn::Net(clk)),
+                    ("Q", Conn::Net(q)),
+                ],
+            )
+            .unwrap();
+        };
+        dff(&mut m, format!("r_{s}"), input, q);
+        m.add_cell(
+            format!("u_{s}"),
+            "INVX1",
+            &[("A", Conn::Net(q)), ("Z", Conn::Net(x))],
+        )
+        .unwrap();
+        dff(&mut m, format!("r_{s}2"), x, out);
+    }
+    m
+}
+
+/// A custom pass that points `u_b`'s input at `u_a`'s output, joining
+/// the two clouds into one region.
+struct RewireUb;
+
+impl Pass for RewireUb {
+    fn name(&self) -> &'static str {
+        "rewire"
+    }
+
+    fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
+        let m = cx.working_module_mut()?;
+        let (u_b, x_a) = (m.find_cell("u_b").unwrap(), m.find_net("x_a").unwrap());
+        m.set_pin(u_b, "A", Conn::Net(x_a));
+        Ok(PassReport::new(Vec::new(), "u_b reads u_a".into()))
+    }
+}
+
+/// Each region as `(name, cells, sequential cells)`, comparable.
+fn region_rows(regions: &Regions) -> Vec<(String, Vec<CellId>, Vec<CellId>)> {
+    regions
+        .regions
+        .iter()
+        .map(|r| (r.name.clone(), r.cells.clone(), r.seq_cells.clone()))
+        .collect()
+}
+
+/// A pass that changes the module through `working_module_mut()` between
+/// `clean` and `group` drops the connectivity snapshot `clean` handed
+/// over: the regions, the DDG and the region delays equal those computed
+/// from a fresh build of the changed module, and differ from what the
+/// stale snapshot would give.
+#[test]
+fn a_custom_pass_drops_the_connectivity_snapshot() {
+    let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).expect("case builds");
+    let lib = &case.lib;
+    let tool = Desynchronizer::new(lib).expect("tool builds");
+    let opts = DesyncOptions::default();
+    let mut cx = FlowContext::new(lib, tool.gatefile(), two_pipelines(), opts.clone());
+    let mut pipe = Pipeline::empty();
+    pipe.push(Box::new(CleanPass))
+        .push(Box::new(RewireUb))
+        .push(Box::new(ClockIdPass))
+        .push(Box::new(GroupPass))
+        .push(Box::new(DdgPass))
+        .push(Box::new(RegionDelaysPass));
+    pipe.run(&mut cx)
+        .expect("the flow runs through region-delays");
+
+    let mut grouping = opts.grouping.clone();
+    grouping
+        .false_path_nets
+        .push(cx.clock_net().unwrap().to_owned());
+    let (regions, ddg) = (cx.regions().unwrap().clone(), cx.ddg().unwrap().clone());
+    let delays = cx.region_delays().unwrap().to_vec();
+    let changed = cx.working_module_mut().unwrap().clone();
+
+    let fresh = changed.connectivity(lib);
+    let want = region::group(&changed, lib, &grouping, &fresh).unwrap();
+    assert_eq!(region_rows(&regions), region_rows(&want));
+    let want_ddg = ddg::build(&changed, lib, &want, &fresh).unwrap();
+    assert_eq!(ddg.edges, want_ddg.edges);
+    let want_delays = region_delays(&changed, lib, &want, fresh).unwrap();
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&delays), bits(&want_delays));
+
+    // The snapshot of the module as `clean` left it groups the changed
+    // module otherwise: the test sees a snapshot that outlived the change.
+    let (_, stale) = region::clean_for_grouping(&mut two_pipelines(), lib);
+    let stale = region::group(&changed, lib, &grouping, &stale).unwrap();
+    assert_ne!(region_rows(&stale), region_rows(&want));
+    let cloud_regions = want.regions.iter().filter(|r| !r.is_input_region).count();
+    assert_eq!(cloud_regions, 1, "u_a and u_b share a region");
+}
+
+/// A custom pass that drives `net` a second time.
+struct DoubleDrive(&'static str);
+
+impl Pass for DoubleDrive {
+    fn name(&self) -> &'static str {
+        "double-drive"
+    }
+
+    fn run(&self, cx: &mut FlowContext<'_>) -> Result<PassReport, DesyncError> {
+        let m = cx.working_module_mut()?;
+        let net = m.find_net(self.0).unwrap();
+        m.add_cell(
+            "u_extra",
+            "INVX1",
+            &[("A", Conn::Const0), ("Z", Conn::Net(net))],
+        )?;
+        Ok(PassReport::new(Vec::new(), "second driver".into()))
+    }
+}
+
+/// The pass named `failing` and the error of a flow that finds no
+/// connectivity snapshot at `group`, `ddg` or `region-delays` (clean off,
+/// or a custom pass that changed the module): each builds one and fails
+/// where and as it did when it built its own.
+#[test]
+fn a_pass_without_a_snapshot_fails_as_when_it_built_its_own() {
+    let case = CaseStudy::dlx(&drdesync::designs::dlx::DlxParams::small()).expect("case builds");
+    let tool = Desynchronizer::new(&case.lib).expect("tool builds");
+    let run = |module: Module, opts: &DesyncOptions, extra: Option<(&str, Box<dyn Pass>)>| {
+        let mut cx = FlowContext::new(&case.lib, tool.gatefile(), module, opts.clone());
+        let mut pipe = Pipeline::empty();
+        let passes: [(&str, Box<dyn Pass>); 5] = [
+            ("clean", Box::new(CleanPass)),
+            ("clock-id", Box::new(ClockIdPass)),
+            ("group", Box::new(GroupPass)),
+            ("ddg", Box::new(DdgPass)),
+            ("region-delays", Box::new(RegionDelaysPass)),
+        ];
+        let mut extra = extra;
+        for (name, pass) in passes {
+            pipe.push(pass);
+            if extra.as_ref().is_some_and(|(after, _)| *after == name) {
+                pipe.push(extra.take().unwrap().1);
+            }
+        }
+        let err = pipe.run(&mut cx).expect_err("the flow fails");
+        (cx.trace().error.as_ref().unwrap().pass, err)
+    };
+    let no_clean = DesyncOptions {
+        clean_logic: false,
+        ..DesyncOptions::default()
+    };
+
+    // An unknown cell: `group` names the cell before it reads the tables.
+    let (pass, err) = run(module_with_unknown_cell(), &no_clean, None);
+    assert_eq!(pass, "group");
+    assert!(matches!(err, DesyncError::UnknownCell { ref name } if name == "BOGUSX1"));
+
+    // A net driven twice after `group`: `ddg` reports the connectivity
+    // error; after `ddg`, `region-delays` reports it as a timing error.
+    let (pass, err) = run(
+        two_pipelines(),
+        &DesyncOptions::default(),
+        Some(("group", Box::new(DoubleDrive("x_a")))),
+    );
+    assert_eq!(pass, "ddg");
+    assert!(matches!(err, DesyncError::Netlist(_)), "{err:?}");
+    assert!(err.to_string().contains("x_a"), "{err}");
+    let (pass, err) = run(
+        two_pipelines(),
+        &DesyncOptions::default(),
+        Some(("ddg", Box::new(DoubleDrive("x_a")))),
+    );
+    assert_eq!(pass, "region-delays");
+    assert!(matches!(err, DesyncError::Sta(_)), "{err:?}");
+    assert!(err.to_string().contains("x_a"), "{err}");
+}
+
+/// Control-network reads each enable net's loads from the cells ffsub
+/// appended. On the four paper cores and the `scale` bench's five netgen
+/// steps, those loads equal a fresh connectivity build's of the
+/// post-ffsub module, in order, for every enable net.
+#[test]
+fn enable_loads_from_ffsub_cells_equal_a_fresh_connectivity_build() {
+    use drdesync::designs::{armlike::ArmParams, dlx::DlxParams};
+    let mut cases: Vec<(String, Module, drdesync::liberty::Library, DesyncOptions)> = Vec::new();
+    for case in [
+        CaseStudy::dlx(&DlxParams::small()),
+        CaseStudy::dlx(&DlxParams::full()),
+        CaseStudy::armlike(&ArmParams::small()),
+        CaseStudy::armlike(&ArmParams::full()),
+    ] {
+        let case = case.expect("case builds");
+        cases.push((case.name.clone(), case.module, case.lib, case.desync));
+    }
+    let mut rng = drd_check::Rng::new(0x5CA1_E0DD);
+    for (stages, cloud, width) in [
+        (4, 60, 4),
+        (4, 120, 6),
+        (6, 200, 8),
+        (8, 320, 8),
+        (12, 600, 16),
+    ] {
+        let recipe = drd_check::netgen::NetRecipe::stepped(&mut rng, stages, cloud, width);
+        cases.push((
+            format!("{stages}x{cloud}+{width}"),
+            recipe.build().expect("recipe builds"),
+            drdesync::liberty::vlib90::high_speed(),
+            DesyncOptions::default(),
+        ));
+    }
+    for (name, module, lib, opts) in cases {
+        let tool = Desynchronizer::new(&lib).expect("tool builds");
+        let mut cx = FlowContext::new(&lib, tool.gatefile(), module, opts);
+        let (head, _) = Pipeline::standard().split_after("ffsub").unwrap();
+        head.run(&mut cx).expect("the flow runs through ffsub");
+        let substitution = cx.substitution().unwrap().clone();
+        let m = cx.working_module_mut().unwrap();
+        let (loads, conn) = (substitution.enable_loads(m), m.connectivity(&lib).unwrap());
+        let mut nets = 0;
+        for &(gm, gs) in substitution.enables.iter().flatten() {
+            for net in [gm, gs] {
+                let from_cells: Vec<Endpoint> =
+                    loads.loads(net).iter().map(|&p| Endpoint::Pin(p)).collect();
+                assert_eq!(from_cells, conn.loads(net), "{name}: {}", m.net(net).name);
+                assert!(!from_cells.is_empty(), "{name}: {}", m.net(net).name);
+                nets += 1;
+            }
+        }
+        assert!(nets >= 2, "{name}: {nets} enable nets");
+    }
 }
